@@ -22,11 +22,6 @@
 //                                   (Perfetto lanes grouped by session)
 //   .slo                            queue-wait/service/regret quantiles
 //                                   and threshold-breach counters
-//   .cluster                        multi-node serving report: partition
-//                                   layout, routed/pushdown request
-//                                   counts, simulated network traffic and
-//                                   per-node statistics-sync state (see
-//                                   SET NODES)
 //   .learning                       learning subsystem report: feedback
 //                                   store evidence (per-fingerprint Beta
 //                                   pseudo-counts fed by EXECUTE and
@@ -72,11 +67,6 @@
 //   SET TIME_LIMIT <seconds>
 //   SET THREADS <n>                 sampling-engine worker threads (0 = #cores);
 //                                   results are identical at any setting
-//   SET NODES <n>                   rebuild the query service over an
-//                                   n-node cluster (1 = single-node; the
-//                                   initial count comes from RQO_NODES);
-//                                   results are identical at any setting
-//                                   but prepared statements are dropped
 //   SET BETA_CACHE_CAPACITY <n>     inverse-Beta LRU entries (default 4096)
 //   SET WRITE_FRACTION <0..1>       write share of the .traffic demo
 //   SET LEARNING ON|OFF             learned selectivity corrections + T%
@@ -94,11 +84,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "cluster/coordinator.h"
 #include "core/database.h"
 #include "core/explain_analyze.h"
 #include "core/report.h"
@@ -387,16 +375,12 @@ int main() {
   server::ServerConfig server_config;
   server_config.flight_recorder.enabled = true;
   server_config.provenance.enabled = true;
-  // Node count starts from RQO_NODES (default 1, the single-node serving
-  // path with no coordinator at all); SET NODES rebuilds the service on a
-  // fresh cluster. Results are identical at every count.
-  server_config.cluster.nodes = cluster::NodesFromEnv();
-  auto service = std::make_unique<server::QueryService>(&db, server_config);
-  service->set_metrics(&query_metrics);
+  server::QueryService service(&db, server_config);
+  service.set_metrics(&query_metrics);
   db.SetProvenanceCapture(true);
   server::SessionOptions shell_options;
   shell_options.name = "shell";
-  server::SessionId shell_session = service->OpenSession(shell_options);
+  const server::SessionId shell_session = service.OpenSession(shell_options);
   double write_fraction = 0.2;  // write share of the .traffic demo
 
   std::printf("robustqo shell — TPC-H sf=%.2f loaded; robust estimator at "
@@ -418,25 +402,7 @@ int main() {
       }
       continue;
     }
-    if (StartsWith(ToUpper(line), "SET NODES")) {
-      const size_t nodes =
-          std::strtoull(line.substr(strlen("SET NODES")).c_str(), nullptr, 10);
-      if (nodes < 1) {
-        std::printf("usage: SET NODES <n>   (n >= 1; 1 = single-node)\n");
-        continue;
-      }
-      // Rebuilding the service drops its plan cache, sessions and prepared
-      // statements; the database (data, statistics, learning evidence) is
-      // shared and untouched.
-      server_config.cluster.nodes = nodes;
-      service = std::make_unique<server::QueryService>(&db, server_config);
-      service->set_metrics(&query_metrics);
-      shell_session = service->OpenSession(shell_options);
-      std::printf("nodes: %zu (results are bit-identical at any setting;"
-                  " prepared statements dropped)\n", nodes);
-      continue;
-    }
-    if (HandleSet(&db, service.get(), &write_fraction, line)) continue;
+    if (HandleSet(&db, &service, &write_fraction, line)) continue;
     if (line == ".epoch") {
       PrintEpochs(&db);
       continue;
@@ -450,7 +416,7 @@ int main() {
           continue;
         }
       }
-      RunTrafficDemo(service.get(), write_fraction, seconds);
+      RunTrafficDemo(&service, write_fraction, seconds);
       continue;
     }
     if (line == ".metrics" || line == ".metrics om") {
@@ -494,15 +460,15 @@ int main() {
       continue;
     }
     if (line == ".sessions") {
-      std::printf("%s", service->sessions()->ReportText().c_str());
+      std::printf("%s", service.sessions()->ReportText().c_str());
       continue;
     }
     if (line == ".plancache") {
-      std::printf("%s", service->plan_cache()->ReportText().c_str());
+      std::printf("%s", service.plan_cache()->ReportText().c_str());
       continue;
     }
     if (StartsWith(line, ".blackbox")) {
-      obs::FlightRecorder* recorder = service->flight_recorder();
+      obs::FlightRecorder* recorder = service.flight_recorder();
       if (line == ".blackbox") {
         std::printf("%s", recorder->ReportText().c_str());
       } else if (line == ".blackbox json") {
@@ -539,7 +505,7 @@ int main() {
       continue;
     }
     if (line == ".whyplan" || StartsWith(line, ".whyplan ")) {
-      obs::PlanProvenanceStore* provenance = service->provenance();
+      obs::PlanProvenanceStore* provenance = service.provenance();
       if (line == ".whyplan") {
         std::printf("%s", provenance->ReportText().c_str());
       } else {
@@ -560,15 +526,11 @@ int main() {
       continue;
     }
     if (line == ".slo") {
-      std::printf("%s", service->slo_monitor()->ReportText().c_str());
-      continue;
-    }
-    if (line == ".cluster") {
-      std::printf("%s", service->ClusterReportText().c_str());
+      std::printf("%s", service.slo_monitor()->ReportText().c_str());
       continue;
     }
     if (line == ".learning") {
-      std::printf("%s", service->LearningReportText().c_str());
+      std::printf("%s", service.LearningReportText().c_str());
       continue;
     }
     if (StartsWith(line, "PREPARE ") || StartsWith(line, "prepare ")) {
@@ -581,7 +543,7 @@ int main() {
       }
       const std::string name = rest.substr(0, as_pos);
       const std::string sql = rest.substr(as_pos + 4);
-      Status prepared = service->Prepare(shell_session, name, sql);
+      Status prepared = service.Prepare(shell_session, name, sql);
       if (!prepared.ok()) {
         std::printf("error: %s\n", prepared.ToString().c_str());
         continue;
@@ -593,7 +555,7 @@ int main() {
       const std::string name = line.substr(8);
       query_metrics.Reset();
       server::QueryResponse response =
-          service->ExecutePrepared(shell_session, name);
+          service.ExecutePrepared(shell_session, name);
       session_metrics.MergeFrom(query_metrics);
       if (!response.status.ok()) {
         std::printf("error: %s\n", response.status.ToString().c_str());
@@ -672,7 +634,7 @@ int main() {
       // Close the loop from the interactive path too: the run's actuals
       // feed both the drift monitor and the learned-correction store.
       workload::RecordAnalyzedPlan(analyzed.value(), &quality,
-                                   service->feedback_store(),
+                                   service.feedback_store(),
                                    db.statistics()->epoch());
       switch (format) {
         case kText:

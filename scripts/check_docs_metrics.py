@@ -4,9 +4,9 @@
 The docs (README.md and docs/*.md) name metric series like
 `estimator.learned.hit` or families like `server.slo.*`; nothing stops a
 doc from citing a series that was renamed or never shipped. This script
-extracts every `estimator.*` / `server.*` / `perf.*` / `optimizer.*` /
-`cluster.*` name from the docs and verifies each one against the
-metric-name string literals in src/:
+extracts every `estimator.*` / `server.*` / `perf.*` / `optimizer.*`
+name from the docs and verifies each one against the metric-name string
+literals in src/:
 
   * an exact literal match is valid;
   * a docs name ending in `.*` (or a bare `family.` prefix) is valid when
@@ -28,7 +28,7 @@ import re
 import sys
 
 METRIC = re.compile(
-    r"\b((?:estimator|server|perf|optimizer|cluster)\.[a-z0-9_.*]+)")
+    r"\b((?:estimator|server|perf|optimizer)\.[a-z0-9_.*]+)")
 STRING_LITERAL = re.compile(r'"((?:[^"\\\n]|\\.)*)"')
 # `optimizer.cc`, `docs/…/optimizer.h` and friends are file paths that
 # happen to start with a metric family, not metric names.

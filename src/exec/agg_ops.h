@@ -72,11 +72,6 @@ class ScalarAggregateOp final : public PhysicalOperator {
   std::string Describe() const override;
   std::vector<const PhysicalOperator*> children() const override;
 
-  /// Read-only plan shape, for the cluster coordinator's partial-
-  /// aggregation push-down routing.
-  const PhysicalOperator* child() const { return child_.get(); }
-  const std::vector<AggSpec>& aggs() const { return aggs_; }
-
  private:
   OperatorPtr child_;
   std::vector<AggSpec> aggs_;

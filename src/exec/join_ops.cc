@@ -1,5 +1,7 @@
 #include "exec/join_ops.h"
 
+#include <algorithm>
+#include <numeric>
 #include <unordered_map>
 
 #include "util/macros.h"
@@ -19,6 +21,36 @@ int64_t KeyAt(const Table& table, size_t idx, Rid rid) {
   RQO_CHECK_MSG(storage::IsIntegerPhysical(col.type()),
                 "join keys must be integer-physical");
   return col.Int64At(rid);
+}
+
+// Merge order of `rows` on the integer key in column `idx`: empty when the
+// rows already arrive sorted, else a stable sort permutation, charged like
+// a SortOp. UPDATE appends new versions out of clustering order, and a
+// cached merge-join plan can outlive the write (the plan cache is keyed on
+// the statistics epoch, not the data epoch), so the operator checks its
+// inputs instead of trusting the plan.
+Result<std::vector<Rid>> MergeOrder(const Table& rows, size_t idx,
+                                    ExecContext* ctx,
+                                    fault::MemoryReservation* workspace) {
+  const storage::ColumnVector& keys = rows.column(idx);
+  RQO_CHECK_MSG(storage::IsIntegerPhysical(keys.type()),
+                "join keys must be integer-physical");
+  const Rid n = rows.num_rows();
+  Rid sorted_prefix = 1;
+  while (sorted_prefix < n &&
+         keys.Int64At(sorted_prefix - 1) <= keys.Int64At(sorted_prefix)) {
+    ++sorted_prefix;
+  }
+  if (sorted_prefix >= n) return std::vector<Rid>{};
+  ctx->meter.ChargeSortWork(ctx->cost_model, n);
+  RQO_RETURN_NOT_OK(workspace->Grow(n * sizeof(Rid)));
+  std::vector<Rid> order(n);
+  std::iota(order.begin(), order.end(), Rid{0});
+  std::stable_sort(order.begin(), order.end(), [&keys](Rid a, Rid b) {
+    return keys.Int64At(a) < keys.Int64At(b);
+  });
+  RQO_RETURN_NOT_OK(ctx->CheckPoint());
+  return order;
 }
 
 // Output plumbing for binary joins: maps each requested output column to
@@ -149,6 +181,15 @@ Result<Table> MergeJoinOp::Execute(ExecContext* ctx) const {
 
   ctx->meter.ChargeCpuTuples(
       ctx->cost_model, left_rows.num_rows() + right_rows.num_rows());
+  fault::MemoryReservation workspace(ctx->governor);
+  RQO_ASSIGN_OR_RETURN(const std::vector<Rid> left_order,
+                       MergeOrder(left_rows, lk, ctx, &workspace));
+  RQO_ASSIGN_OR_RETURN(const std::vector<Rid> right_order,
+                       MergeOrder(right_rows, rk, ctx, &workspace));
+  auto left_at = [&](Rid i) { return left_order.empty() ? i : left_order[i]; };
+  auto right_at = [&](Rid i) {
+    return right_order.empty() ? i : right_order[i];
+  };
 
   RQO_ASSIGN_OR_RETURN(
       const JoinOutput plan,
@@ -162,10 +203,8 @@ Result<Table> MergeJoinOp::Execute(ExecContext* ctx) const {
   const Rid ln = left_rows.num_rows();
   const Rid rn = right_rows.num_rows();
   while (li < ln && ri < rn) {
-    const int64_t lkey = KeyAt(left_rows, lk, li);
-    const int64_t rkey = KeyAt(right_rows, rk, ri);
-    RQO_DCHECK(li == 0 || KeyAt(left_rows, lk, li - 1) <= lkey);
-    RQO_DCHECK(ri == 0 || KeyAt(right_rows, rk, ri - 1) <= rkey);
+    const int64_t lkey = KeyAt(left_rows, lk, left_at(li));
+    const int64_t rkey = KeyAt(right_rows, rk, right_at(ri));
     if (lkey < rkey) {
       ++li;
     } else if (lkey > rkey) {
@@ -173,12 +212,15 @@ Result<Table> MergeJoinOp::Execute(ExecContext* ctx) const {
     } else {
       // Emit the cross product of the two equal-key runs.
       Rid lend = li;
-      while (lend < ln && KeyAt(left_rows, lk, lend) == lkey) ++lend;
+      while (lend < ln && KeyAt(left_rows, lk, left_at(lend)) == lkey) ++lend;
       Rid rend = ri;
-      while (rend < rn && KeyAt(right_rows, rk, rend) == rkey) ++rend;
+      while (rend < rn && KeyAt(right_rows, rk, right_at(rend)) == rkey) {
+        ++rend;
+      }
       for (Rid a = li; a < lend; ++a) {
         for (Rid b = ri; b < rend; ++b) {
-          plan.AppendJoined(left_rows, a, right_rows, b, &out);
+          plan.AppendJoined(left_rows, left_at(a), right_rows, right_at(b),
+                            &out);
           RQO_RETURN_NOT_OK(ctx->Tick(1, row_bytes));
         }
       }
@@ -236,6 +278,9 @@ Result<Table> IndexNestedLoopJoinOp::Execute(ExecContext* ctx) const {
     ctx->meter.ChargeIndexProbe(ctx->cost_model, entries);
     ctx->meter.ChargeRandomIo(ctx->cost_model, matches.size());
     for (Rid irid : matches) {
+      // The index holds every physical version; only the ones visible at
+      // the snapshot join, as in the scans.
+      if (!inner->VisibleAt(irid, ctx->snapshot_epoch)) continue;
       if (inner_residual_ == nullptr ||
           inner_residual_->EvaluateBool(*inner, irid)) {
         plan.AppendJoined(outer_rows, orid, *inner, irid, &out);

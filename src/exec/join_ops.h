@@ -37,8 +37,10 @@ class HashJoinOp final : public PhysicalOperator {
   std::vector<std::string> output_columns_;
 };
 
-/// Merge join over inputs already sorted on their join keys (the optimizer
-/// only offers this path for clustering-order-preserving scans).
+/// Merge join over inputs sorted on their join keys (the optimizer only
+/// offers this path for clustering-order-preserving scans). An input that
+/// arrives out of order, as a written table's re-appended versions do, is
+/// sorted first and charged like a SortOp.
 class MergeJoinOp final : public PhysicalOperator {
  public:
   MergeJoinOp(OperatorPtr left, OperatorPtr right, std::string left_key,

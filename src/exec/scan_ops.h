@@ -28,14 +28,6 @@ class SeqScanOp final : public PhysicalOperator {
   Result<storage::Table> Execute(ExecContext* ctx) const override;
   std::string Describe() const override;
 
-  /// Read-only plan shape, for the cluster coordinator's scatter-gather
-  /// routing (it re-executes the same scan against per-node fragments).
-  const std::string& table() const { return table_; }
-  const expr::Expr* predicate() const { return predicate_.get(); }
-  const std::vector<std::string>& output_columns() const {
-    return output_columns_;
-  }
-
  private:
   std::string table_;
   expr::ExprPtr predicate_;

@@ -13,9 +13,11 @@ using storage::Table;
 
 StarSemiJoinOp::StarSemiJoinOp(std::string fact_table,
                                std::vector<DimSemiJoin> dims,
+                               expr::ExprPtr fact_predicate,
                                std::vector<std::string> output_columns)
     : fact_table_(std::move(fact_table)),
       dims_(std::move(dims)),
+      fact_predicate_(std::move(fact_predicate)),
       output_columns_(std::move(output_columns)) {
   RQO_CHECK_MSG(!dims_.empty(), "star semijoin needs at least one dimension");
 }
@@ -42,6 +44,7 @@ Result<Table> StarSemiJoinOp::Execute(ExecContext* ctx) const {
     std::vector<Rid> fact_rids;
     uint64_t entries_this_dim = 0;
     for (Rid drid = 0; drid < dim_table->num_rows(); ++drid) {
+      if (!dim_table->VisibleAt(drid, ctx->snapshot_epoch)) continue;
       if (dim.dim_predicate != nullptr &&
           !dim.dim_predicate->EvaluateBool(*dim_table, drid)) {
         continue;
@@ -72,7 +75,8 @@ Result<Table> StarSemiJoinOp::Execute(ExecContext* ctx) const {
     survivors = std::move(next);
   }
 
-  // Phase 3: fetch the qualifying fact records (one random I/O each).
+  // Phase 3: fetch the surviving fact records (one random I/O each) and
+  // keep those visible at the snapshot that pass the fact's own filter.
   ctx->meter.ChargeRandomIo(ctx->cost_model, survivors.size());
   std::vector<std::string> cols = output_columns_;
   if (cols.empty()) {
@@ -85,6 +89,11 @@ Result<Table> StarSemiJoinOp::Execute(ExecContext* ctx) const {
   RQO_ASSIGN_OR_RETURN(const std::vector<size_t> col_idx,
                        ResolveColumns(fact->schema(), cols));
   for (Rid rid : survivors) {
+    if (!fact->VisibleAt(rid, ctx->snapshot_epoch)) continue;
+    if (fact_predicate_ != nullptr &&
+        !fact_predicate_->EvaluateBool(*fact, rid)) {
+      continue;
+    }
     AppendProjectedRow(*fact, rid, col_idx, &out);
     RQO_RETURN_NOT_OK(ctx->Tick(1, row_bytes));
   }

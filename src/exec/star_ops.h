@@ -26,10 +26,12 @@ struct DimSemiJoin {
 };
 
 /// Semijoin-intersect-fetch star strategy. Output rows are fact-table rows
-/// (projected to `output_columns`; empty keeps all fact columns).
+/// that satisfy `fact_predicate` (may be null), projected to
+/// `output_columns` (empty keeps all fact columns).
 class StarSemiJoinOp final : public PhysicalOperator {
  public:
   StarSemiJoinOp(std::string fact_table, std::vector<DimSemiJoin> dims,
+                 expr::ExprPtr fact_predicate = nullptr,
                  std::vector<std::string> output_columns = {});
 
   Result<storage::Table> Execute(ExecContext* ctx) const override;
@@ -38,6 +40,7 @@ class StarSemiJoinOp final : public PhysicalOperator {
  private:
   std::string fact_table_;
   std::vector<DimSemiJoin> dims_;
+  expr::ExprPtr fact_predicate_;
   std::vector<std::string> output_columns_;
 };
 

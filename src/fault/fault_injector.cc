@@ -15,8 +15,7 @@ const std::vector<std::string>& KnownFaultSites() {
       sites::kClockStall,      sites::kAdmissionEnqueue,
       sites::kPlanCacheLookup, sites::kWriteApply,
       sites::kWriteCommit,     sites::kReservoirUpdate,
-      sites::kLearningFeedbackApply, sites::kNetPartition,
-      sites::kNetLag,          sites::kReplicaStaleStats};
+      sites::kLearningFeedbackApply};
   return kSites;
 }
 

@@ -61,20 +61,6 @@ inline constexpr char kReservoirUpdate[] = "stats.reservoir.update";
 /// fire drops the observation / degrades the lookup to the uncorrected
 /// estimate — results stay correct, only the learning loop pauses.
 inline constexpr char kLearningFeedbackApply[] = "learning.feedback.apply";
-/// A simulated network link between the coordinator and one node dropping
-/// all messages (a partitioned node). The coordinator degrades the query
-/// typed (strict mode) or falls back to whole-query local execution and
-/// reroutes around the dead link.
-inline constexpr char kNetPartition[] = "net.partition";
-/// A simulated network link stalling: a fired probe charges the armed
-/// spec's `stall_seconds` to the request's cost meter, exactly like an
-/// exec clock stall but attributed to the wire.
-inline constexpr char kNetLag[] = "net.lag";
-/// A node replica missing a statistics-epoch sync: a fire leaves the
-/// replica's statistics pinned at the previous epoch so the coordinator's
-/// freshness check trips, the query re-routes/degrades, and the drift
-/// hook forces a re-sync on the next wave boundary.
-inline constexpr char kReplicaStaleStats[] = "replica.stale_stats";
 }  // namespace sites
 
 /// The sites the engine probes, for shell listings and the chaos harness.

@@ -99,17 +99,6 @@ Status FeedbackStore::CheckApply() {
   return injector_->Check(fault::sites::kLearningFeedbackApply);
 }
 
-std::vector<std::pair<uint64_t, LearnedEvidence>> FeedbackStore::AllEvidence()
-    const {
-  std::vector<std::pair<uint64_t, LearnedEvidence>> out;
-  out.reserve(entries_.size());
-  for (const auto& [fingerprint, entry] : entries_) {
-    out.emplace_back(fingerprint, LearnedEvidence{entry.k_eq, entry.n_eq,
-                                                  entry.observations});
-  }
-  return out;
-}
-
 std::string FeedbackStore::ReportText() const {
   std::string out = StrPrintf(
       "learning feedback store: %s, %zu fingerprints, %llu observations "

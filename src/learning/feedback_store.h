@@ -45,7 +45,6 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "fault/fault_injector.h"
@@ -126,11 +125,6 @@ class FeedbackStore {
 
   /// Deterministic JSON of the same content.
   std::string ToJson() const;
-
-  /// Every tracked fingerprint's evidence in fingerprint order, regardless
-  /// of min_observations or epoch — the replication unit the cluster
-  /// coordinator ships to node replicas on statistics-epoch syncs.
-  std::vector<std::pair<uint64_t, LearnedEvidence>> AllEvidence() const;
 
   /// Publishes the estimator.learned.* store-side series (fingerprints,
   /// observations, dropped, evictions, epoch_resets). Idempotent; no-op

@@ -107,13 +107,15 @@ void Optimizer::AddStarCandidates(RunState* run,
 
     std::string label =
         "Star(" + fact + ";" + StrJoin(semi_names, ",") + ")";
+    const expr::ExprPtr fact_pred = run->query->tables[fact_idx].predicate;
     const std::vector<std::string> fact_cols =
         run->needed_columns[fact_idx];
     auto semis_copy = semis;
-    std::function<OperatorPtr()> build = [fact, semis_copy, fact_cols,
+    std::function<OperatorPtr()> build = [fact, semis_copy, fact_pred,
+                                          fact_cols,
                                           survivors]() -> OperatorPtr {
       auto op = std::make_unique<exec::StarSemiJoinOp>(fact, semis_copy,
-                                                       fact_cols);
+                                                       fact_pred, fact_cols);
       op->set_planner_estimated_rows(survivors);
       return op;
     };

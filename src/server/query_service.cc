@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <utility>
 
 #include "obs/obs.h"
@@ -62,10 +63,6 @@ struct QueryService::PendingRequest {
   std::optional<core::ExecutionResult> result;
   std::optional<exec::DmlResult> dml_result;
   std::unique_ptr<obs::MetricsRegistry> exec_metrics;
-  /// Per-request cluster accounting, filled by the coordinator during the
-  /// parallel execute phase and folded into service totals in REDUCE
-  /// (admission order), so the totals never depend on thread count.
-  cluster::RequestOutcome cluster_outcome;
 };
 
 QueryService::QueryService(core::Database* db, ServerConfig config)
@@ -86,13 +83,6 @@ QueryService::QueryService(core::Database* db, ServerConfig config)
   // the database's robust estimator consults it at plan time.
   feedback_.set_fault_injector(db_->fault_injector());
   db_->robust_estimator()->set_feedback_store(&feedback_);
-  // Multi-node serving: with the default config (nodes=1, enabled=false)
-  // no coordinator exists and this path is byte-identical to the
-  // pre-cluster build.
-  if (config_.cluster.enabled || config_.cluster.nodes > 1) {
-    cluster_ = std::make_unique<cluster::Coordinator>(db_, config_.cluster,
-                                                      &feedback_);
-  }
 }
 
 QueryService::~QueryService() {
@@ -108,11 +98,6 @@ void QueryService::SetLearningEnabled(bool enabled) {
 
 std::string QueryService::LearningReportText() const {
   return feedback_.ReportText() + tuner_.ReportText();
-}
-
-std::string QueryService::ClusterReportText() const {
-  if (cluster_ == nullptr) return "cluster: single-node (no coordinator)\n";
-  return cluster_->ReportText();
 }
 
 void QueryService::NoteRequestFaultFire(PendingRequest* work,
@@ -536,11 +521,6 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
     // commit in the sequential reduce phase, so what a wave's reads see
     // is independent of scheduling and thread count.
     const uint64_t wave_snapshot = db_->catalog()->data_epoch();
-    // Cluster wave prologue (sequential, before any parallel task runs):
-    // (re)partition the catalog at this wave's snapshot epoch and ship
-    // statistics artifacts to nodes that fell behind. Probes the shared
-    // injector, so it must not run inside the parallel region.
-    if (cluster_ != nullptr) cluster_->BeginWave(wave_snapshot);
     perf::TaskPool::Global()->ParallelFor(running.size(), [&](size_t i) {
       PendingRequest* work = running[i];
       if (work->is_dml) return;  // applied sequentially in REDUCE
@@ -569,16 +549,7 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
             "server", "execute", {{"seed", obs::AttrU64(work->seed)}});
       }
 #endif
-      // Cluster routing: eligible scan/aggregate roots execute scatter-
-      // gather across the node fragments (byte-identical results and
-      // charges); everything else — and the single-node build — takes the
-      // plan's own root. Coordinator::Execute is const and thread-safe;
-      // per-request accounting lands in this request's outcome slot.
-      Result<storage::Table> rows =
-          cluster_ != nullptr
-              ? cluster_->Execute(work->plan->root.get(), &ctx, work->seed,
-                                  &work->cluster_outcome)
-              : work->plan->root->Run(&ctx);
+      Result<storage::Table> rows = work->plan->root->Run(&ctx);
 #if ROBUSTQO_OBS_ENABLED
       governor.PublishMetrics(work->exec_metrics.get());
 #endif
@@ -650,11 +621,6 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
         metrics_->MergeFrom(*work->exec_metrics);
       }
 #endif
-      // Fold per-request cluster accounting into coordinator totals here,
-      // in admission order, so the totals are thread-count independent.
-      if (cluster_ != nullptr && !work->is_dml) {
-        cluster_->Accumulate(work->cluster_outcome);
-      }
       const bool ok = work->exec_status.ok();
       const double actual_seconds =
           ok && work->result.has_value() ? work->result->simulated_seconds
@@ -760,10 +726,6 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
       const uint64_t stats_epoch = db_->statistics()->epoch();
       for (const obs::FingerprintQuality& drifted : monitor_.Drifted()) {
         if (cache_.IsDriftBlocked(drifted.fingerprint)) continue;
-        // Drift invalidates replica statistics too: the next wave's
-        // BeginWave re-ships artifacts even when checksums match, so no
-        // node keeps serving synopses built for data that moved.
-        if (cluster_ != nullptr) cluster_->NoteDrift();
         const size_t evicted =
             cache_.InvalidateFingerprint(drifted.fingerprint, stats_epoch);
         if (config_.background_rebuild) {
@@ -1019,9 +981,6 @@ void QueryService::PublishMetrics(obs::MetricsRegistry* metrics) const {
   // Gated on the runtime toggle so SET PROVENANCE OFF keeps the metric
   // byte stream identical to a pre-provenance build.
   provenance_.PublishMetrics(metrics);
-  // Only multi-node builds have a coordinator; single-node keeps the
-  // metric byte stream identical to a pre-cluster build.
-  if (cluster_ != nullptr) cluster_->PublishMetrics(metrics);
 }
 
 }  // namespace server

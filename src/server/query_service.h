@@ -47,14 +47,12 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "cluster/coordinator.h"
 #include "core/database.h"
 #include "learning/feedback_store.h"
 #include "learning/tpercent_tuner.h"
@@ -113,11 +111,6 @@ struct ServerConfig {
   obs::PlanProvenanceConfig provenance;
   /// Runner-up candidates retained per sensitivity record.
   size_t provenance_top_k = 3;
-  /// Multi-node scatter-gather execution. With nodes=1 and enabled=false
-  /// (the default) no coordinator exists at all and the serving path is
-  /// byte-identical to the pre-cluster build; RQO_NODES and the shell's
-  /// SET NODES raise the node count.
-  cluster::ClusterConfig cluster;
 };
 
 /// One client request: EXECUTE of a prepared statement (when `prepared`
@@ -235,15 +228,6 @@ class QueryService {
   /// shell's `.whyplan`).
   obs::PlanProvenanceStore* provenance() { return &provenance_; }
   const obs::PlanProvenanceStore* provenance() const { return &provenance_; }
-  /// The cluster coordinator; nullptr when serving single-node (the
-  /// pre-cluster path).
-  cluster::Coordinator* cluster() { return cluster_.get(); }
-  const cluster::Coordinator* cluster() const { return cluster_.get(); }
-
-  /// The shell's `.cluster` view. Byte-identical at any RQO_THREADS for a
-  /// given node count and workload.
-  std::string ClusterReportText() const;
-
   /// Toggles provenance capture and recording (the shell's SET PROVENANCE
   /// ON|OFF). Off reproduces pre-provenance metrics/traces byte-for-byte;
   /// accumulated records are kept and resume on re-enable.
@@ -322,7 +306,6 @@ class QueryService {
   learn::FeedbackStore feedback_;
   learn::TPercentTuner tuner_;
   obs::PlanProvenanceStore provenance_;
-  std::unique_ptr<cluster::Coordinator> cluster_;
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
   uint64_t queries_completed_ = 0;

@@ -55,11 +55,6 @@ std::string ArmRandomFaults(fault::FaultInjector* injector, Rng* rng,
     if (site == fault::sites::kClockStall) {
       spec.stall_seconds = rng->NextDoubleInRange(0.5, 50.0);
     }
-    // Wire stalls are per-link and fire up to once per node, so each one
-    // charges far less than an exec clock stall.
-    if (site == fault::sites::kNetLag) {
-      spec.stall_seconds = rng->NextDoubleInRange(0.001, 1.0);
-    }
     injector->Arm(site, spec);
     armed_sites->push_back(site);
     if (!description.empty()) description += " ";
@@ -182,8 +177,6 @@ RunResult ExecuteOneRun(core::Database* db, const ChaosConfig& config,
     // faults actually fire. The governor budget travels as session limits.
     server::ServerConfig server_config;
     server_config.seed = seed;
-    server_config.cluster.nodes = config.nodes;
-    server_config.cluster.strict = config.cluster_strict;
     if (config.flight_recorder != nullptr) {
       server_config.flight_recorder = config.flight_recorder->config();
       server_config.flight_recorder.enabled = true;

@@ -71,16 +71,6 @@ struct ChaosConfig {
   /// thread count. Unlike the flight recorder this works with
   /// observability compiled out (the store is a plain data class).
   obs::PlanProvenanceStore* provenance = nullptr;
-  /// When > 1 (service path only), each run's QueryService serves from a
-  /// cluster of this many node replicas, putting the cluster fault sites
-  /// — net.partition, net.lag and replica.stale_stats — inside the chaos
-  /// blast radius under the same contract: verified answer or clean typed
-  /// failure.
-  size_t nodes = 1;
-  /// Strict cluster mode for the service path: partitioned links and
-  /// stale replicas fail requests typed instead of re-routing to local
-  /// execution (exercises the typed-failure half of the contract).
-  bool cluster_strict = false;
 };
 
 /// One run's outcome.

@@ -84,7 +84,7 @@ TEST_F(StarOpsTest, SemiJoinMatchesHashCascade) {
 }
 
 TEST_F(StarOpsTest, SemiJoinOutputsFactColumnsOnly) {
-  StarSemiJoinOp semi("fact", AllDims(0, 0, 0), {"f_id", "f_m1"});
+  StarSemiJoinOp semi("fact", AllDims(0, 0, 0), nullptr, {"f_id", "f_m1"});
   Table out = semi.Execute(&ctx_).value();
   EXPECT_EQ(out.schema().num_columns(), 2u);
   EXPECT_TRUE(out.schema().HasColumn("f_m1"));

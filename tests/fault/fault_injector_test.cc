@@ -164,8 +164,6 @@ TEST(FaultInjectorTest, KnownSitesListedAndDescribed) {
   const std::vector<std::string> kExpectedSorted = {
       sites::kClockStall,      sites::kOperatorAlloc,
       sites::kLearningFeedbackApply,
-      sites::kNetLag,          sites::kNetPartition,
-      sites::kReplicaStaleStats,
       sites::kAdmissionEnqueue, sites::kPlanCacheLookup,
       sites::kReservoirUpdate, sites::kSampleRead,
       sites::kSynopsisRead,    sites::kCsvRead,

@@ -113,60 +113,6 @@ TEST_F(ChaosTest, MultiSessionSweepHoldsContractThroughTheServiceLayer) {
   EXPECT_EQ(report.Summary(), again.Summary());
 }
 
-TEST_F(ChaosTest, MultiNodeSweepHoldsContractAndArmsClusterSites) {
-  // Multi-node configs serve every run from a 4-node cluster coordinator,
-  // so the cluster fault sites — lost replication messages pinning a node
-  // on stale statistics, partitioned links, and seeded wire lag — fire
-  // inside the sweep. Contract unchanged: in the default (non-strict)
-  // mode partitioned links and stale replicas re-route to local
-  // execution, so every surviving answer still matches the fault-free
-  // reference.
-  workload::ChaosHarness harness(db_);
-  workload::ChaosConfig config;
-  config.base_seed = 20260808;
-  config.runs = 100;
-  config.sessions = 3;
-  config.nodes = 4;
-  workload::ChaosReport report = harness.Run(config, ScenarioQueries());
-  EXPECT_EQ(report.runs, 100u);
-  EXPECT_TRUE(report.ContractHolds()) << report.Summary();
-  EXPECT_EQ(report.completed + report.failed_typed, report.runs);
-  EXPECT_GT(report.completed, 10u) << report.Summary();
-  EXPECT_GT(report.failed_typed, 10u) << report.Summary();
-  // The cluster sites were armed across the sweep.
-  EXPECT_GT(report.armed_counts["net.partition"], 0u) << report.Summary();
-  EXPECT_GT(report.armed_counts["net.lag"], 0u) << report.Summary();
-  EXPECT_GT(report.armed_counts["replica.stale_stats"], 0u)
-      << report.Summary();
-  // Replayable bit-for-bit like every other sweep.
-  workload::ChaosReport again = harness.Run(config, ScenarioQueries());
-  EXPECT_EQ(report.Summary(), again.Summary());
-}
-
-TEST_F(ChaosTest, StrictClusterSweepFailsTypedNeverWrong) {
-  // Strict mode flips the degradation policy: a partitioned link or a
-  // stale replica fails the request with a clean typed Status instead of
-  // re-routing locally. That exercises the typed-failure half of the
-  // contract — more runs die, but none of them die untyped and none
-  // return a wrong answer.
-  workload::ChaosHarness harness(db_);
-  workload::ChaosConfig config;
-  config.base_seed = 20260809;
-  config.runs = 60;
-  config.sessions = 3;
-  config.nodes = 4;
-  config.cluster_strict = true;
-  workload::ChaosReport report = harness.Run(config, ScenarioQueries());
-  EXPECT_EQ(report.runs, 60u);
-  EXPECT_TRUE(report.ContractHolds()) << report.Summary();
-  EXPECT_EQ(report.completed + report.failed_typed, report.runs);
-  EXPECT_GT(report.failed_typed, 10u) << report.Summary();
-  EXPECT_GT(report.armed_counts["net.partition"], 0u) << report.Summary();
-  // Replay of the failing configuration is bit-for-bit.
-  workload::ChaosReport again = harness.Run(config, ScenarioQueries());
-  EXPECT_EQ(report.Summary(), again.Summary());
-}
-
 std::vector<std::string> DmlStatements() {
   return {
       "UPDATE orders SET o_totalprice = o_totalprice * 1.01 "
