@@ -133,13 +133,6 @@ int main(int argc, char** argv) {
                             }) /
                             kItersPerRound;
 
-#if ROBUSTQO_OBS_ENABLED
-  std::printf("flight recorder: compiled IN (ROBUSTQO_OBS=ON)\n");
-#else
-  std::printf(
-      "flight recorder: compiled OUT (ROBUSTQO_OBS=OFF) — request tracing "
-      "never runs; both sides measure the bare serving path\n");
-#endif
   std::printf("traffic run (%llu clients), best of %d rounds x %d "
               "iterations:\n",
               static_cast<unsigned long long>(traffic.clients), kRounds,

@@ -101,14 +101,6 @@ int main(int argc, char** argv) {
 
   const double telemetry_overhead = with_telemetry / baseline - 1.0;
 
-#if ROBUSTQO_OBS_ENABLED
-  std::printf("telemetry: compiled IN (ROBUSTQO_OBS=ON)\n");
-#else
-  std::printf(
-      "telemetry: compiled OUT (ROBUSTQO_OBS=OFF) — attached sinks are "
-      "ignored on the query path; exporters and the monitor still work "
-      "when invoked directly\n");
-#endif
   std::printf("plan+execute, best of %d rounds x %d iterations:\n", kRounds,
               kItersPerRound);
   std::printf("  no sinks:            %.4f s\n", baseline);

@@ -1,6 +1,5 @@
 #include "core/database.h"
 
-#include "obs/obs.h"
 #include "sql/parser.h"
 #include "statistics/persistence.h"
 #include "util/macros.h"
@@ -91,13 +90,11 @@ Result<exec::DmlResult> Database::ExecuteDml(const sql::DmlSpec& dml,
   fault::QueryGovernor governor(governor_limits_);
   ctx.governor = &governor;
   ctx.fault = &fault_;
-#if ROBUSTQO_OBS_ENABLED
   ctx.tracer = tracer_;
   ctx.metrics = metrics_;
-  RQO_IF_OBS(metrics_) {
+  if (metrics_ != nullptr) {
     metrics_->GetCounter("db.dml_executed")->Increment();
   }
-#endif
   exec::DmlExecutor executor(&catalog_, statistics_.get());
   executor.set_retry_policy(dml_retry_policy_);
   Result<exec::DmlResult> result = [&]() -> Result<exec::DmlResult> {
@@ -113,9 +110,8 @@ Result<exec::DmlResult> Database::ExecuteDml(const sql::DmlSpec& dml,
     }
     return Status::InvalidArgument("not a DML statement");
   }();
-#if ROBUSTQO_OBS_ENABLED
   governor.PublishMetrics(metrics_);
-  RQO_IF_OBS(metrics_) {
+  if (metrics_ != nullptr) {
     if (!result.ok()) {
       metrics_->GetCounter("db.dml_failed")->Increment();
     } else {
@@ -124,7 +120,6 @@ Result<exec::DmlResult> Database::ExecuteDml(const sql::DmlSpec& dml,
                       result.value().rows_deleted);
     }
   }
-#endif
   return result;
 }
 
@@ -153,14 +148,12 @@ Result<opt::PlannedQuery> Database::Plan(const opt::QuerySpec& query,
     effective.provenance_enabled = true;
     effective.provenance_top_k = provenance_top_k_;
   }
-#if ROBUSTQO_OBS_ENABLED
   // Database-level sinks act as defaults; explicit per-call sinks win.
   if (effective.tracer == nullptr) effective.tracer = tracer_;
   if (effective.metrics == nullptr) effective.metrics = metrics_;
-  RQO_IF_OBS(effective.metrics) {
+  if (effective.metrics != nullptr) {
     effective.metrics->GetCounter("db.queries_planned")->Increment();
   }
-#endif
   return optimizer->Optimize(query, effective);
 }
 
@@ -173,26 +166,21 @@ Result<ExecutionResult> Database::ExecutePlan(const opt::PlannedQuery& plan,
   fault::QueryGovernor governor(governor_limits_);
   ctx.governor = &governor;
   ctx.fault = &fault_;
-#if ROBUSTQO_OBS_ENABLED
   ctx.tracer = tracer_;
   ctx.metrics = metrics_;
-  RQO_IF_OBS(metrics_) {
+  if (metrics_ != nullptr) {
     metrics_->GetCounter("db.queries_executed")->Increment();
   }
-#endif
   Result<storage::Table> rows = plan.root->Run(&ctx);
-#if ROBUSTQO_OBS_ENABLED
   governor.PublishMetrics(metrics_);
-  RQO_IF_OBS(metrics_) {
+  if (metrics_ != nullptr) {
     if (!rows.ok()) metrics_->GetCounter("db.queries_failed")->Increment();
   }
-#endif
   if (!rows.ok()) return rows.status();
   const uint64_t spj_rows = ctx.aggregate_input_rows != UINT64_MAX
                                 ? ctx.aggregate_input_rows
                                 : rows.value().num_rows();
-#if ROBUSTQO_OBS_ENABLED
-  RQO_IF_OBS(metrics_) {
+  if (metrics_ != nullptr) {
     metrics_->GetSketch("exec.query.simulated_seconds")
         ->Observe(ctx.meter.total_seconds());
     metrics_->GetSketch("exec.query.rows")
@@ -200,7 +188,6 @@ Result<ExecutionResult> Database::ExecutePlan(const opt::PlannedQuery& plan,
     metrics_->GetSketch("exec.query.spj_rows")
         ->Observe(static_cast<double>(spj_rows));
   }
-#endif
   ExecutionResult result{std::move(rows).value(),
                          ctx.meter.total_seconds(),
                          ctx.meter,

@@ -6,10 +6,6 @@
 // per-predicate selectivity evidence (sample counts, Beta posterior,
 // confidence threshold) the estimator used while planning. Renders as an
 // aligned text table, Graphviz dot, or deterministic JSON.
-//
-// Works in -DROBUSTQO_OBS=OFF builds too: the query still plans and
-// executes, but with the instrumentation compiled out the per-operator
-// actuals and predicate evidence are simply absent (executed=false).
 
 #ifndef ROBUSTQO_CORE_EXPLAIN_ANALYZE_H_
 #define ROBUSTQO_CORE_EXPLAIN_ANALYZE_H_
@@ -32,7 +28,7 @@ struct OperatorReport {
   double estimated_rows = -1.0;  ///< optimizer annotation (-1 = none)
   uint64_t actual_rows = 0;
   /// True when an exec span was matched to this operator; false when
-  /// tracing was off, compiled out, or the plan was never executed.
+  /// tracing was off or the plan was never executed.
   bool executed = false;
   double q_error = 0.0;    ///< est vs. actual (valid when executed and annotated)
   double subtree_cost_seconds = 0.0;  ///< simulated cost of this subtree
@@ -96,7 +92,7 @@ struct AnalyzedPlan {
   double estimated_spj_rows = 0.0;
   uint64_t actual_spj_rows = 0;
   double spj_q_error = 0.0;
-  /// True when exec tracing produced spans (OBS build with sinks live).
+  /// True when exec tracing produced spans.
   bool instrumented = false;
   /// Non-empty when execution failed (governor trip, cancellation or an
   /// injected fault): the typed Status rendered as "<Code>: <message>".

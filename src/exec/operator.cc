@@ -44,7 +44,6 @@ Result<storage::Table> PhysicalOperator::Run(ExecContext* ctx) const {
     if (stall > 0.0) ctx->meter.ChargePenaltySeconds(stall);
   }
   RQO_RETURN_NOT_OK(ctx->CheckPoint());
-#if ROBUSTQO_OBS_ENABLED
   if (ctx->tracer != nullptr || ctx->metrics != nullptr) {
     const double cost_before = ctx->meter.total_seconds();
     uint64_t span = 0;
@@ -73,7 +72,6 @@ Result<storage::Table> PhysicalOperator::Run(ExecContext* ctx) const {
     }
     return out;
   }
-#endif
   return Execute(ctx);
 }
 

@@ -84,9 +84,8 @@ class PhysicalOperator {
   /// Instrumented entry point: Execute() wrapped in an "exec" trace span
   /// recording actual output rows and the simulated cost charged by the
   /// subtree. All internal operator-to-child calls (and Database) go
-  /// through Run so the span tree mirrors the plan tree; with tracing
-  /// compiled out or no sink attached this is exactly Execute() plus the
-  /// fault-site probes.
+  /// through Run so the span tree mirrors the plan tree; with no sink
+  /// attached this is exactly Execute() plus the fault-site probes.
   Result<storage::Table> Run(ExecContext* ctx) const;
 
   /// One-line description ("HashJoin(l_orderkey = o_orderkey)").

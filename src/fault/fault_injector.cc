@@ -2,7 +2,6 @@
 
 #include <functional>
 
-#include "obs/obs.h"
 #include "util/string_util.h"
 
 namespace robustqo {
@@ -91,11 +90,11 @@ bool FaultInjector::ShouldFire(const std::string& site) {
   if (fire) {
     ++state.fire_count;
     ++total_fires_;
-    RQO_IF_OBS(metrics_) {
+    if (metrics_ != nullptr) {
       metrics_->GetCounter("fault.fired")->Increment();
       metrics_->GetCounter("fault.fired." + site)->Increment();
     }
-    RQO_IF_OBS(tracer_) {
+    if (tracer_ != nullptr) {
       tracer_->Event("fault", "fired",
                      {{"site", site},
                       {"mode", state.spec.ToString()},

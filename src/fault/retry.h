@@ -12,7 +12,6 @@
 #include <cstdint>
 
 #include "obs/metrics.h"
-#include "obs/obs.h"
 #include "util/status.h"
 
 namespace robustqo {
@@ -66,7 +65,7 @@ auto RetryWithBackoff(const RetryPolicy& policy, Fn&& fn,
     ++out->attempts;
     auto result = fn();
     if (result.ok() || !RetryPolicy::IsRetryable(internal::ToStatus(result))) {
-      RQO_IF_OBS(metrics) {
+      if (metrics != nullptr) {
         if (out->attempts > 1) {
           metrics->GetCounter("fault.retry.attempts")
               ->Increment(static_cast<uint64_t>(out->attempts - 1));
@@ -78,7 +77,7 @@ auto RetryWithBackoff(const RetryPolicy& policy, Fn&& fn,
     }
     if (out->attempts >= attempts) {
       out->exhausted = true;
-      RQO_IF_OBS(metrics) {
+      if (metrics != nullptr) {
         metrics->GetCounter("fault.retry.attempts")
             ->Increment(static_cast<uint64_t>(out->attempts - 1));
         metrics->GetCounter("fault.retry.backoff_units")

@@ -17,8 +17,7 @@
 // and can be pinned as golden files (tests/golden/, validated by
 // scripts/check_openmetrics.py and scripts/check_trace_json.py).
 //
-// Neither exporter is gated on ROBUSTQO_OBS: like the obs classes, they
-// always work when called directly.
+// Like the obs classes, both exporters always work when called directly.
 
 #ifndef ROBUSTQO_OBS_EXPORTERS_H_
 #define ROBUSTQO_OBS_EXPORTERS_H_

@@ -21,7 +21,7 @@
 // session, for the shell's `.blackbox trace` export.
 //
 // Like the other obs classes the recorder always works when used directly;
-// only the query-service call sites compile out under -DROBUSTQO_OBS=OFF.
+// the query service only offers traces while `enabled` is set.
 
 #ifndef ROBUSTQO_OBS_FLIGHT_RECORDER_H_
 #define ROBUSTQO_OBS_FLIGHT_RECORDER_H_
@@ -76,7 +76,7 @@ struct RequestTrace {
 
 struct FlightRecorderConfig {
   /// Master switch read by the query service: tracing is only materialized
-  /// per request while this is true (and observability is compiled in).
+  /// per request while this is true.
   bool enabled = false;
   /// Incident ring size; 0 disables incident retention.
   size_t incident_capacity = 32;

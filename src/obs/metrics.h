@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/obs.h"
 #include "obs/quantile_sketch.h"
 
 namespace robustqo {

@@ -14,9 +14,9 @@
 //
 // Strictly read-only with respect to plan choice: nothing in this file
 // feeds back into optimization. Like the FlightRecorder, the store is a
-// plain data class — it always works when used directly, independent of
-// ROBUSTQO_OBS, and harnesses Absorb() per-run stores in run order so
-// reports stay byte-identical at any thread count.
+// plain data class — it always works when used directly — and harnesses
+// Absorb() per-run stores in run order so reports stay byte-identical at
+// any thread count.
 
 #ifndef ROBUSTQO_OBS_PLAN_PROVENANCE_H_
 #define ROBUSTQO_OBS_PLAN_PROVENANCE_H_

@@ -23,7 +23,8 @@
 // thresholds turn observations into typed breach counters. Everything is
 // recorded from the sequential reduce phase in admission order, so reports,
 // JSON and published metrics (server.slo.* / optimizer.regret.*) are
-// byte-identical at any RQO_THREADS setting.
+// byte-identical at any RQO_THREADS setting. Recording is unconditional:
+// learn::TPercentTuner::Retune reads the per-fingerprint regret scopes.
 
 #ifndef ROBUSTQO_OBS_SLO_MONITOR_H_
 #define ROBUSTQO_OBS_SLO_MONITOR_H_
@@ -40,9 +41,6 @@ namespace robustqo {
 namespace obs {
 
 struct SloMonitorConfig {
-  /// Master switch read by the query service (recording sites also
-  /// compile out under -DROBUSTQO_OBS=OFF).
-  bool enabled = true;
   /// Simulated queueing delay charged per admission wave waited. Defaults
   /// match workload::TrafficConfig; the traffic harness aligns them.
   double wave_delay_seconds = 0.05;

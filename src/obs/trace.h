@@ -8,9 +8,8 @@
 // counts back onto the plan for EXPLAIN ANALYZE.
 //
 // The tracer is a runtime-nullable sink: instrumented code holds a
-// `Tracer*` that is usually nullptr (no events, a pointer test of cost),
-// and call sites are additionally gated by RQO_IF_OBS so a
-// -DROBUSTQO_OBS=OFF build compiles them away entirely.
+// `Tracer*` that is usually nullptr, and every call site tests it first
+// (`if (tracer != nullptr)`), so a detached tracer costs one pointer test.
 
 #ifndef ROBUSTQO_OBS_TRACE_H_
 #define ROBUSTQO_OBS_TRACE_H_
@@ -20,7 +19,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/obs.h"
 #include "util/stopwatch.h"
 
 namespace robustqo {

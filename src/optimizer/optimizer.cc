@@ -10,7 +10,6 @@
 #include "exec/scan_ops.h"
 #include "exec/sort_op.h"
 #include "expr/analysis.h"
-#include "obs/obs.h"
 #include "optimizer/run_state.h"
 #include "perf/caches.h"
 #include "statistics/magic.h"
@@ -85,12 +84,14 @@ double Optimizer::EstimateRowsWithPredicate(RunState* run, uint32_t subset,
                                             const expr::ExprPtr& predicate,
                                             const std::string& cache_tag) {
   ++metrics_.estimator_calls;
-  RQO_IF_OBS(run->metric_estimates) run->metric_estimates->Increment();
+  if (run->metric_estimates != nullptr) run->metric_estimates->Increment();
   const std::string key = SubsetKey(subset) + "|" + cache_tag;
   if (run->options.enable_estimate_memo) {
     auto it = run->estimate_cache.find(key);
     if (it != run->estimate_cache.end()) {
-      RQO_IF_OBS(run->metric_cache_hits) run->metric_cache_hits->Increment();
+      if (run->metric_cache_hits != nullptr) {
+        run->metric_cache_hits->Increment();
+      }
       return it->second;
     }
   }
@@ -119,7 +120,7 @@ double Optimizer::EstimateRowsWithPredicate(RunState* run, uint32_t subset,
     }
     value = base * sel;
   }
-  RQO_IF_OBS(run->options.tracer) {
+  if (run->options.tracer != nullptr) {
     std::vector<std::string> names(request.tables.begin(),
                                    request.tables.end());
     run->options.tracer->Event(
@@ -639,7 +640,6 @@ Result<PlannedQuery> Optimizer::Optimize(const QuerySpec& query,
   RunState run;
   run.query = &query;
   run.options = options;
-#if ROBUSTQO_OBS_ENABLED
   if (options.metrics != nullptr) {
     run.metric_estimates =
         options.metrics->GetCounter("optimizer.estimate_calls");
@@ -666,7 +666,6 @@ Result<PlannedQuery> Optimizer::Optimize(const QuerySpec& query,
       options.tracer, "optimizer", "optimize",
       {{"tables", obs::AttrU64(query.tables.size())},
        {"estimator", estimator_->name()}});
-#endif
   const size_t n = query.tables.size();
   for (const TableRef& ref : query.tables) {
     const storage::Table* table = catalog_->GetTable(ref.table);
@@ -716,7 +715,7 @@ Result<PlannedQuery> Optimizer::Optimize(const QuerySpec& query,
     AddAccessPaths(&run, i, &cands);
     const size_t considered = cands.size();
     PruneCandidates(&cands);
-    RQO_IF_OBS(run.options.tracer) {
+    if (run.options.tracer != nullptr) {
       run.options.tracer->Event(
           "optimizer", "prune",
           {{"tables", run.tables[i]->name()},
@@ -748,7 +747,7 @@ Result<PlannedQuery> Optimizer::Optimize(const QuerySpec& query,
     if (!cands.empty()) {
       const size_t considered = cands.size();
       PruneCandidates(&cands);
-      RQO_IF_OBS(run.options.tracer) {
+      if (run.options.tracer != nullptr) {
         const std::set<std::string> subset_names = run.SubsetNames(subset);
         std::vector<std::string> names(subset_names.begin(),
                                        subset_names.end());
@@ -861,9 +860,8 @@ Result<PlannedQuery> Optimizer::Optimize(const QuerySpec& query,
   if (run.options.provenance_enabled) {
     CaptureSensitivity(&run, full, final_it->second);
   }
-#if ROBUSTQO_OBS_ENABLED
   if (sensitivity_.captured) {
-    RQO_IF_OBS(options.tracer) {
+    if (options.tracer != nullptr) {
       obs::SpanGuard sens_span(
           options.tracer, "optimizer", "sensitivity",
           {{"plan", sensitivity_.plan_label},
@@ -887,7 +885,7 @@ Result<PlannedQuery> Optimizer::Optimize(const QuerySpec& query,
                      obs::AttrF(sensitivity_.max_regret_pct));
       sens_span.Attr("verdict", sensitivity_.verdict);
     }
-    RQO_IF_OBS(options.metrics) {
+    if (options.metrics != nullptr) {
       if (sensitivity_.available) {
         options.metrics->GetCounter("optimizer.sensitivity.captured")
             ->Increment();
@@ -899,12 +897,10 @@ Result<PlannedQuery> Optimizer::Optimize(const QuerySpec& query,
       }
     }
   }
-#endif
-#if ROBUSTQO_OBS_ENABLED
-  RQO_IF_OBS(run.metric_candidates) {
+  if (run.metric_candidates != nullptr) {
     run.metric_candidates->Increment(metrics_.candidates);
   }
-  RQO_IF_OBS(options.tracer) {
+  if (options.tracer != nullptr) {
     options.tracer->Event(
         "perf", "cache",
         {{"probe_hits", obs::AttrU64(metrics_.probe_cache_hits)},
@@ -922,7 +918,6 @@ Result<PlannedQuery> Optimizer::Optimize(const QuerySpec& query,
     optimize_span.Attr("chosen_cost", obs::AttrF(planned.estimated_cost));
     optimize_span.Attr("chosen_rows", obs::AttrF(planned.estimated_rows));
   }
-#endif
   return planned;
 }
 

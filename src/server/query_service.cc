@@ -5,7 +5,6 @@
 #include <memory>
 #include <utility>
 
-#include "obs/obs.h"
 #include "perf/fingerprint.h"
 #include "perf/task_pool.h"
 #include "util/string_util.h"
@@ -106,17 +105,9 @@ void QueryService::NoteRequestFaultFire(PendingRequest* work,
   // EXECUTE and REDUCE, and each phase must add to the running total (the
   // overwrite bug this helper exists to prevent).
   ++work->fault_fires;
-  RQO_IF_OBS(work->tracer) {
+  if (work->tracer != nullptr) {
     work->tracer->Event("fault", "fired", {{"site", site}});
   }
-}
-
-bool QueryService::TracingEnabled() const {
-#if ROBUSTQO_OBS_ENABLED
-  return config_.flight_recorder.enabled;
-#else
-  return false;
-#endif
 }
 
 void QueryService::OfferAbortedTrace(
@@ -124,7 +115,6 @@ void QueryService::OfferAbortedTrace(
     SessionId session_id, const std::string& session_label, uint64_t ticket,
     uint64_t fingerprint, const std::string& cache_outcome,
     uint64_t waves_waited, uint64_t fault_fires, const Status& status) {
-#if ROBUSTQO_OBS_ENABLED
   if (tracer == nullptr) return;
   const char* code = StatusCodeName(status.code());
   tracer->EndSpan(root_span, {{"status", code}});
@@ -142,19 +132,6 @@ void QueryService::OfferAbortedTrace(
   trace.queue_wait_seconds = slo_.QueueWaitSeconds(waves_waited);
   trace.events = tracer->ReleaseEvents();
   recorder_.Offer(std::move(trace));
-#else
-  (void)tracer;
-  (void)root_span;
-  (void)request_id;
-  (void)session_id;
-  (void)session_label;
-  (void)ticket;
-  (void)fingerprint;
-  (void)cache_outcome;
-  (void)waves_waited;
-  (void)fault_fires;
-  (void)status;
-#endif
 }
 
 SessionId QueryService::OpenSession(SessionOptions options) {
@@ -191,9 +168,7 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
     const std::vector<QueryRequest>& requests) {
   std::vector<QueryResponse> responses(requests.size());
   std::map<uint64_t, PendingRequest> pending;  // ticket -> request
-#if ROBUSTQO_OBS_ENABLED
-  const bool tracing = TracingEnabled();
-#endif
+  const bool tracing = config_.flight_recorder.enabled;
 
   // Phase 1 — SUBMIT (sequential, request order). Requests that cannot
   // reach the queue (unknown session, parse error, unknown prepared
@@ -208,7 +183,6 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
     response.request_id = request_id;
     std::unique_ptr<obs::Tracer> request_tracer;
     uint64_t root_span = 0;
-#if ROBUSTQO_OBS_ENABLED
     if (tracing) {
       request_tracer = std::make_unique<obs::Tracer>();
       root_span = request_tracer->BeginSpan(
@@ -216,13 +190,12 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
           {{"request", obs::AttrU64(request_id)},
            {"session", obs::AttrU64(request.session)}});
     }
-#endif
     Session* session = sessions_.Get(request.session);
     if (session == nullptr) {
       response.status = Status::NotFound(
           StrPrintf("no open session %llu",
                     static_cast<unsigned long long>(request.session)));
-      RQO_IF_OBS(request_tracer) {
+      if (request_tracer != nullptr) {
         request_tracer->Event("server", "submit", {{"outcome", "no_session"}});
       }
       OfferAbortedTrace(request_tracer.get(), root_span, request_id,
@@ -243,7 +216,7 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
         response.status = Status::NotFound("no prepared statement '" +
                                            request.prepared + "'");
         session->CountFailed();
-        RQO_IF_OBS(work.tracer) {
+        if (work.tracer != nullptr) {
           work.tracer->Event("server", "submit",
                              {{"outcome", "no_statement"}});
         }
@@ -268,7 +241,7 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
       if (!parsed.ok()) {
         response.status = parsed.status();
         session->CountFailed();
-        RQO_IF_OBS(work.tracer) {
+        if (work.tracer != nullptr) {
           work.tracer->Event("server", "submit", {{"outcome", "parse_error"}});
         }
         OfferAbortedTrace(work.tracer.get(), root_span, request_id,
@@ -294,7 +267,7 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
     if (!ticket.ok()) {
       response.status = ticket.status();
       session->CountRejected();
-      RQO_IF_OBS(work.tracer) {
+      if (work.tracer != nullptr) {
         work.tracer->Event("server", "submit",
                            {{"outcome", "rejected"},
                             {"fingerprint", FpHex(work.fingerprint)}});
@@ -306,7 +279,7 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
     }
     work.ticket = ticket.value();
     response.ticket = work.ticket;
-    RQO_IF_OBS(work.tracer) {
+    if (work.tracer != nullptr) {
       work.tracer->Event("server", "submit",
                          {{"outcome", "queued"},
                           {"ticket", obs::AttrU64(work.ticket)},
@@ -357,7 +330,7 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
       // entries); untuned fingerprints keep the session/system base.
       work.effective_threshold =
           tuner_.EffectiveThreshold(work.fingerprint, work.effective_threshold);
-      RQO_IF_OBS(work.tracer) {
+      if (work.tracer != nullptr) {
         work.tracer->Event(
             "server", "admitted",
             {{"wave", obs::AttrU64(admission_.stats().waves)},
@@ -371,7 +344,7 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
         // seed here, in admission order, so read/write mixes stay
         // scheduling-free.
         work.cache_outcome = "dml";
-        RQO_IF_OBS(work.tracer) {
+        if (work.tracer != nullptr) {
           work.tracer->Event("server", "plan",
                              {{"cache", "dml"},
                               {"table", work.dml.table}});
@@ -394,7 +367,7 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
       if (cache_outcome == PlanCacheOutcome::kDegradedFault) {
         NoteRequestFaultFire(&work, fault::sites::kPlanCacheLookup);
       }
-      RQO_IF_OBS(tracer_) {
+      if (tracer_ != nullptr) {
         tracer_->Event("server",
                        work.cache_hit ? "plan_cache.hit" : "plan_cache.miss",
                        {{"fingerprint",
@@ -403,7 +376,7 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
                         {"epoch", obs::AttrU64(epoch)}});
       }
       uint64_t plan_span = 0;
-      RQO_IF_OBS(work.tracer) {
+      if (work.tracer != nullptr) {
         plan_span = work.tracer->BeginSpan(
             "server", "plan",
             {{"cache", work.cache_outcome},
@@ -423,13 +396,11 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
           db_->SetProvenanceCapture(true);
           db_->SetProvenanceTopK(config_.provenance_top_k);
         }
-#if ROBUSTQO_OBS_ENABLED
         // Re-point the database's tracer at this request's for the
         // optimizer run, so degradation/estimation events nest under the
         // request's plan span. Planning is sequential, so this is safe.
         obs::Tracer* saved_tracer = db_->tracer();
         if (work.tracer != nullptr) db_->SetTracer(work.tracer.get());
-#endif
         // Accumulate, not assign (same bug class as the EXECUTE phase):
         // plan-time probes against the shared injector — the estimator's
         // learned-tier lookups probe learning.feedback.apply — must add to
@@ -440,9 +411,7 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
             db_->Plan(work.spec, options.estimator);
         work.fault_fires +=
             db_->fault_injector()->total_fires() - plan_fires_before;
-#if ROBUSTQO_OBS_ENABLED
         if (work.tracer != nullptr) db_->SetTracer(saved_tracer);
-#endif
         if (provenance_on) {
           db_->SetProvenanceCapture(saved_capture);
           db_->SetProvenanceTopK(saved_top_k);
@@ -453,22 +422,18 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
           admission_.Complete(admitted.ticket);
           work.session->CountFailed();
           ++queries_failed_;
-          RQO_IF_OBS(work.tracer) {
+          if (work.tracer != nullptr) {
             work.tracer->EndSpan(
                 plan_span,
                 {{"status", StatusCodeName(planned.status().code())}});
           }
-#if ROBUSTQO_OBS_ENABLED
-          if (config_.slo.enabled) {
-            obs::SloObservation observation;
-            observation.session = work.session->id();
-            observation.session_label = work.session->name();
-            observation.fingerprint = work.fingerprint;
-            observation.failed = true;
-            observation.queue_waves = work.waves_waited;
-            slo_.Record(observation);
-          }
-#endif
+          obs::SloObservation observation;
+          observation.session = work.session->id();
+          observation.session_label = work.session->name();
+          observation.fingerprint = work.fingerprint;
+          observation.failed = true;
+          observation.queue_waves = work.waves_waited;
+          slo_.Record(observation);
           OfferAbortedTrace(work.tracer.get(), work.root_span, work.request_id,
                             work.session->id(), work.session->name(),
                             work.ticket, work.fingerprint, work.cache_outcome,
@@ -487,7 +452,7 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
           RecordProvenance(work, key, epoch, cache_outcome);
         }
       }
-      RQO_IF_OBS(work.tracer) {
+      if (work.tracer != nullptr) {
         work.tracer->EndSpan(
             plan_span,
             {{"label", work.plan->label},
@@ -533,7 +498,6 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
       ctx.governor = &governor;
       ctx.fault = &injector;
       ctx.snapshot_epoch = wave_snapshot;
-#if ROBUSTQO_OBS_ENABLED
       if (metrics_ != nullptr) {
         work->exec_metrics = std::make_unique<obs::MetricsRegistry>();
         ctx.metrics = work->exec_metrics.get();
@@ -548,11 +512,8 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
         exec_span = work->tracer->BeginSpan(
             "server", "execute", {{"seed", obs::AttrU64(work->seed)}});
       }
-#endif
       Result<storage::Table> rows = work->plan->root->Run(&ctx);
-#if ROBUSTQO_OBS_ENABLED
       governor.PublishMetrics(work->exec_metrics.get());
-#endif
       work->governor_tripped = governor.tripped();
       // Accumulate, not assign: a degraded plan-cache lookup already
       // counted one fire for this request during the PLAN phase.
@@ -563,8 +524,7 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
         const uint64_t spj_rows = ctx.aggregate_input_rows != UINT64_MAX
                                       ? ctx.aggregate_input_rows
                                       : rows.value().num_rows();
-#if ROBUSTQO_OBS_ENABLED
-        RQO_IF_OBS(work->exec_metrics) {
+        if (work->exec_metrics != nullptr) {
           work->exec_metrics->GetSketch("exec.query.simulated_seconds")
               ->Observe(ctx.meter.total_seconds());
           work->exec_metrics->GetSketch("exec.query.rows")
@@ -572,7 +532,6 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
           work->exec_metrics->GetSketch("exec.query.spj_rows")
               ->Observe(static_cast<double>(spj_rows));
         }
-#endif
         work->result = core::ExecutionResult{std::move(rows).value(),
                                              ctx.meter.total_seconds(),
                                              ctx.meter,
@@ -583,7 +542,6 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
                                              governor.peak_memory_bytes(),
                                              governor.rows_charged()};
       }
-#if ROBUSTQO_OBS_ENABLED
       if (work->tracer != nullptr) {
         obs::TraceAttrs end_attrs = {
             {"status", work->exec_status.ok()
@@ -599,7 +557,6 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
         }
         work->tracer->EndSpan(exec_span, std::move(end_attrs));
       }
-#endif
     });
 
     // Phase 4 — REDUCE (sequential, admission order): apply DML against
@@ -616,11 +573,9 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
       response.fingerprint = work->fingerprint;
       response.cache_hit = work->cache_hit;
       response.waves_waited = work->waves_waited;
-#if ROBUSTQO_OBS_ENABLED
       if (metrics_ != nullptr && work->exec_metrics != nullptr) {
         metrics_->MergeFrom(*work->exec_metrics);
       }
-#endif
       const bool ok = work->exec_status.ok();
       const double actual_seconds =
           ok && work->result.has_value() ? work->result->simulated_seconds
@@ -667,19 +622,16 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
         work->session->CountFailed();
         ++queries_failed_;
       }
-#if ROBUSTQO_OBS_ENABLED
-      if (config_.slo.enabled) {
-        obs::SloObservation observation;
-        observation.session = work->session->id();
-        observation.session_label = work->session->name();
-        observation.fingerprint = work->fingerprint;
-        observation.failed = !ok;
-        observation.cache_hit = work->cache_hit;
-        observation.queue_waves = work->waves_waited;
-        observation.actual_seconds = actual_seconds;
-        observation.estimated_seconds = estimated_seconds;
-        slo_.Record(observation);
-      }
+      obs::SloObservation observation;
+      observation.session = work->session->id();
+      observation.session_label = work->session->name();
+      observation.fingerprint = work->fingerprint;
+      observation.failed = !ok;
+      observation.cache_hit = work->cache_hit;
+      observation.queue_waves = work->waves_waited;
+      observation.actual_seconds = actual_seconds;
+      observation.estimated_seconds = estimated_seconds;
+      slo_.Record(observation);
       if (work->tracer != nullptr) {
         const char* code =
             ok ? "OK" : StatusCodeName(work->exec_status.code());
@@ -709,10 +661,6 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
         trace.events = work->tracer->ReleaseEvents();
         recorder_.Offer(std::move(trace));
       }
-#else
-      (void)actual_seconds;
-      (void)estimated_seconds;
-#endif
       pending.erase(work->ticket);
     }
 
@@ -722,29 +670,27 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
     // block records the current statistics epoch, so it lifts itself once
     // a rebuild moves past it; the tables the statement reads are flagged
     // for that rebuild.
-    if (config_.invalidate_on_drift) {
-      const uint64_t stats_epoch = db_->statistics()->epoch();
-      for (const obs::FingerprintQuality& drifted : monitor_.Drifted()) {
-        if (cache_.IsDriftBlocked(drifted.fingerprint)) continue;
-        const size_t evicted =
-            cache_.InvalidateFingerprint(drifted.fingerprint, stats_epoch);
-        if (config_.background_rebuild) {
-          auto tables = fingerprint_tables_.find(drifted.fingerprint);
-          if (tables != fingerprint_tables_.end()) {
-            for (const std::string& table : tables->second) {
-              db_->statistics()->MarkPendingRebuild(table);
-            }
+    const uint64_t stats_epoch = db_->statistics()->epoch();
+    for (const obs::FingerprintQuality& drifted : monitor_.Drifted()) {
+      if (cache_.IsDriftBlocked(drifted.fingerprint)) continue;
+      const size_t evicted =
+          cache_.InvalidateFingerprint(drifted.fingerprint, stats_epoch);
+      if (config_.background_rebuild) {
+        auto tables = fingerprint_tables_.find(drifted.fingerprint);
+        if (tables != fingerprint_tables_.end()) {
+          for (const std::string& table : tables->second) {
+            db_->statistics()->MarkPendingRebuild(table);
           }
         }
-        RQO_IF_OBS(tracer_) {
-          tracer_->Event(
-              "server", "plan_cache.drift_invalidated",
-              {{"fingerprint",
-                StrPrintf("%016llx", static_cast<unsigned long long>(
-                                         drifted.fingerprint))},
-               {"evicted", obs::AttrU64(evicted)},
-               {"drift_ratio", StrPrintf("%.2f", drifted.drift_ratio)}});
-        }
+      }
+      if (tracer_ != nullptr) {
+        tracer_->Event(
+            "server", "plan_cache.drift_invalidated",
+            {{"fingerprint",
+              StrPrintf("%016llx", static_cast<unsigned long long>(
+                                       drifted.fingerprint))},
+             {"evicted", obs::AttrU64(evicted)},
+             {"drift_ratio", StrPrintf("%.2f", drifted.drift_ratio)}});
       }
     }
 
@@ -756,7 +702,7 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
     if (config_.background_rebuild && db_->statistics()->RebuildPending()) {
       const uint64_t rebuilt = db_->RebuildPendingStatistics();
       if (rebuilt > 0) monitor_.Reset();
-      RQO_IF_OBS(tracer_) {
+      if (tracer_ != nullptr) {
         tracer_->Event(
             "server", "stats.background_rebuild",
             {{"tables", obs::AttrU64(rebuilt)},
@@ -774,7 +720,7 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
       const size_t overrides_before = tuner_.overrides();
       const uint64_t raised_before = tuner_.raised_total();
       tuner_.Retune(slo_, db_->confidence_threshold());
-      RQO_IF_OBS(tracer_) {
+      if (tracer_ != nullptr) {
         if (tuner_.overrides() != overrides_before ||
             tuner_.raised_total() != raised_before) {
           tracer_->Event("server", "tpercent.retuned",
@@ -802,7 +748,6 @@ void QueryService::ExecuteDmlWork(
   // Writes target the latest committed state: earlier writes of the same
   // wave (applied just before this one, in admission order) are visible.
   ctx.snapshot_epoch = storage::kLatestSnapshot;
-#if ROBUSTQO_OBS_ENABLED
   uint64_t exec_span = 0;
   if (metrics_ != nullptr) {
     work->exec_metrics = std::make_unique<obs::MetricsRegistry>();
@@ -816,7 +761,6 @@ void QueryService::ExecuteDmlWork(
         "server", "write",
         {{"seed", obs::AttrU64(work->seed)}, {"table", work->dml.table}});
   }
-#endif
   exec::DmlExecutor executor(db_->catalog(), db_->statistics());
   executor.set_retry_policy(db_->dml_retry_policy());
   Result<exec::DmlResult> result = [&]() -> Result<exec::DmlResult> {
@@ -833,24 +777,19 @@ void QueryService::ExecuteDmlWork(
     }
     return Status::InvalidArgument("not a DML statement");
   }();
-#if ROBUSTQO_OBS_ENABLED
   governor.PublishMetrics(work->exec_metrics.get());
-#endif
   work->governor_tripped = governor.tripped();
   work->fault_fires += injector.total_fires();
   if (!result.ok()) {
     work->exec_status = result.status();
   } else {
     work->dml_result = result.value();
-#if ROBUSTQO_OBS_ENABLED
-    RQO_IF_OBS(work->exec_metrics) {
+    if (work->exec_metrics != nullptr) {
       work->exec_metrics->GetCounter("server.dml.rows_written")
           ->Increment(result.value().rows_inserted +
                       result.value().rows_deleted);
     }
-#endif
   }
-#if ROBUSTQO_OBS_ENABLED
   if (work->tracer != nullptr) {
     obs::TraceAttrs end_attrs = {
         {"status", work->exec_status.ok()
@@ -867,7 +806,6 @@ void QueryService::ExecuteDmlWork(
     }
     work->tracer->EndSpan(exec_span, std::move(end_attrs));
   }
-#endif
 }
 
 void QueryService::RecordProvenance(const PendingRequest& work,
@@ -918,14 +856,12 @@ void QueryService::RecordProvenance(const PendingRequest& work,
   diff.old_verdict = old_sensitivity.verdict;
   diff.new_verdict = sensitivity.verdict;
   provenance_.RecordDiff(std::move(diff));
-#if ROBUSTQO_OBS_ENABLED
-  RQO_IF_OBS(tracer_) {
+  if (tracer_ != nullptr) {
     tracer_->Event("server", "plan_provenance.replanned",
                    {{"fingerprint", FpHex(key.fingerprint)},
                     {"trigger", PlanCacheOutcomeName(outcome)},
                     {"plan_changed", diff.plan_changed ? "1" : "0"}});
   }
-#endif
 }
 
 QueryResponse QueryService::ExecutePrepared(SessionId session,
@@ -975,7 +911,7 @@ void QueryService::PublishMetrics(obs::MetricsRegistry* metrics) const {
   metrics->GetGauge("stats.epoch")
       ->Set(static_cast<double>(db_->statistics()->epoch()));
   if (config_.flight_recorder.enabled) recorder_.PublishMetrics(metrics);
-  if (config_.slo.enabled) slo_.PublishMetrics(metrics);
+  slo_.PublishMetrics(metrics);
   feedback_.PublishMetrics(metrics);
   tuner_.PublishMetrics(metrics);
   // Gated on the runtime toggle so SET PROVENANCE OFF keeps the metric

@@ -79,9 +79,6 @@ struct ServerConfig {
   size_t plan_cache_capacity = 64;
   /// Drift detection for cached-plan invalidation.
   obs::QualityMonitorConfig quality;
-  /// When false the quality monitor still records, but drifted
-  /// fingerprints are not auto-invalidated.
-  bool invalidate_on_drift = true;
   /// When true, tables flagged stale by online statistics maintenance —
   /// enough committed modifications, or a drift flag from the quality
   /// monitor — are rebuilt at the end of the wave, bumping the statistics
@@ -89,10 +86,10 @@ struct ServerConfig {
   /// blocks). No manual UPDATE STATISTICS needed under write traffic.
   bool background_rebuild = true;
   /// Black-box retention of interesting request traces. Requests are only
-  /// traced while `flight_recorder.enabled` (and observability is
-  /// compiled in); the recorder itself always exists for introspection.
+  /// traced while `flight_recorder.enabled`; the recorder itself always
+  /// exists for introspection.
   obs::FlightRecorderConfig flight_recorder;
-  /// Latency/regret watchdog; recording sites compile out with obs.
+  /// Latency/regret watchdog. Always records: the T% tuner reads it.
   obs::SloMonitorConfig slo;
   /// Learned selectivity corrections: the reduce phase feeds each executed
   /// read's actual selectivity into a FeedbackStore the robust estimator
@@ -215,10 +212,10 @@ class QueryService {
   PlanCache* plan_cache() { return &cache_; }
   obs::EstimationQualityMonitor* quality_monitor() { return &monitor_; }
   /// The black box: retained request traces (empty unless
-  /// config().flight_recorder.enabled and observability is compiled in).
+  /// config().flight_recorder.enabled).
   obs::FlightRecorder* flight_recorder() { return &recorder_; }
-  /// The latency/regret watchdog (records nothing when disabled or when
-  /// observability is compiled out).
+  /// The latency/regret watchdog; records every request that reaches the
+  /// plan phase, and the T% tuner reads it.
   obs::SloMonitor* slo_monitor() { return &slo_; }
   /// The learning subsystem: learned selectivity corrections (installed on
   /// the database's robust estimator) and the regret-driven T% tuner.
@@ -263,10 +260,6 @@ class QueryService {
 
  private:
   struct PendingRequest;
-
-  /// Whether per-request tracing is materialized (recorder enabled and
-  /// observability compiled in).
-  bool TracingEnabled() const;
 
   /// Applies one DML request against the latest state (sequential reduce
   /// phase only). Fills the request's exec_status / dml_result and its

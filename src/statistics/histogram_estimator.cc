@@ -3,7 +3,6 @@
 #include <optional>
 
 #include "expr/analysis.h"
-#include "obs/obs.h"
 #include "statistics/magic.h"
 #include "util/string_util.h"
 
@@ -98,7 +97,7 @@ Result<double> HistogramEstimator::EstimateRows(
     const double sel =
         ConjunctSelectivity(*statistics_, table_for_stats, conjunct);
     rows *= sel;
-    RQO_IF_OBS(tracer_) {
+    if (tracer_ != nullptr) {
       tracer_->Event("estimator", "histogram",
                      {{"tables", table_for_stats},
                       {"predicate", conjunct->ToString()},
@@ -106,7 +105,7 @@ Result<double> HistogramEstimator::EstimateRows(
                       {"selectivity", obs::AttrF(sel)}});
     }
   }
-  RQO_IF_OBS(tracer_) {
+  if (tracer_ != nullptr) {
     std::vector<std::string> names(request.tables.begin(),
                                    request.tables.end());
     tracer_->Event("estimator", "histogram",

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "expr/analysis.h"
-#include "obs/obs.h"
 #include "perf/batch_eval.h"
 #include "perf/fingerprint.h"
 #include "perf/task_pool.h"
@@ -66,8 +65,8 @@ void RobustSampleEstimator::RecordDegradation(const char* tier_from,
                                               const char* reason,
                                               const std::string& scope,
                                               const char* counter) const {
-  RQO_IF_OBS(metrics_) { metrics_->GetCounter(counter)->Increment(); }
-  RQO_IF_OBS(tracer_) {
+  if (metrics_ != nullptr) { metrics_->GetCounter(counter)->Increment(); }
+  if (tracer_ != nullptr) {
     tracer_->Event("estimator", "degraded",
                    {{"tier_from", tier_from},
                     {"tier_to", tier_to},
@@ -78,7 +77,7 @@ void RobustSampleEstimator::RecordDegradation(const char* tier_from,
 
 void RobustSampleEstimator::RecordCacheEvent(const char* cache,
                                              bool hit) const {
-  RQO_IF_OBS(metrics_) {
+  if (metrics_ != nullptr) {
     metrics_->GetCounter(hit ? "perf.cache.hit" : "perf.cache.miss")
         ->Increment();
     metrics_
@@ -116,14 +115,14 @@ std::optional<learn::LearnedEvidence> RobustSampleEstimator::LearnedLookup(
   if (!fault.ok()) {
     // The feedback path is (injected-)unavailable: degrade to the
     // uncorrected estimate rather than fail the query.
-    RQO_IF_OBS(metrics_) {
+    if (metrics_ != nullptr) {
       metrics_->GetCounter("estimator.learned.unavailable")->Increment();
     }
     return std::nullopt;
   }
   std::optional<learn::LearnedEvidence> learned =
       feedback_store_->Lookup(fingerprint, statistics_->epoch());
-  RQO_IF_OBS(metrics_) {
+  if (metrics_ != nullptr) {
     metrics_
         ->GetCounter(learned.has_value() ? "estimator.learned.hit"
                                          : "estimator.learned.miss")
@@ -225,10 +224,10 @@ Result<double> RobustSampleEstimator::EstimateRows(
                                      obs.value().sample_size,
                                      MergedPrior(*learned));
       const double selectivity = InvertAtThreshold(corrected);
-      RQO_IF_OBS(metrics_) {
+      if (metrics_ != nullptr) {
         metrics_->GetCounter("estimator.learned.corrected")->Increment();
       }
-      RQO_IF_OBS(tracer_) {
+      if (tracer_ != nullptr) {
         const math::BetaDistribution& d = corrected.distribution();
         tracer_->Event(
             "estimator", "robust",
@@ -252,7 +251,7 @@ Result<double> RobustSampleEstimator::EstimateRows(
       return selectivity * root_rows;
     }
     const double selectivity = InvertAtThreshold(posterior);
-    RQO_IF_OBS(tracer_) {
+    if (tracer_ != nullptr) {
       tracer_->Event(
           "estimator", "robust",
           {{"tables", JoinTableNames(request.tables)},
@@ -291,10 +290,10 @@ Result<double> RobustSampleEstimator::EstimateRows(
                         synopsis_unavailable ? "unavailable" : "missing",
                         JoinTableNames(request.tables),
                         "estimator.degraded.to_learned");
-      RQO_IF_OBS(metrics_) {
+      if (metrics_ != nullptr) {
         metrics_->GetCounter("estimator.learned.recovered")->Increment();
       }
-      RQO_IF_OBS(tracer_) {
+      if (tracer_ != nullptr) {
         const math::BetaDistribution& d = posterior.distribution();
         tracer_->Event(
             "estimator", "robust",
@@ -431,10 +430,10 @@ Result<double> RobustSampleEstimator::EstimateRows(
                                        MergedPrior(*probe.learned));
         const double factor = InvertAtThreshold(corrected);
         selectivity *= factor;
-        RQO_IF_OBS(metrics_) {
+        if (metrics_ != nullptr) {
           metrics_->GetCounter("estimator.learned.corrected")->Increment();
         }
-        RQO_IF_OBS(tracer_) {
+        if (tracer_ != nullptr) {
           const math::BetaDistribution& d = corrected.distribution();
           tracer_->Event(
               "estimator", "robust",
@@ -459,7 +458,7 @@ Result<double> RobustSampleEstimator::EstimateRows(
       }
       const double factor = InvertAtThreshold(posterior);
       selectivity *= factor;
-      RQO_IF_OBS(tracer_) {
+      if (tracer_ != nullptr) {
         tracer_->Event(
             "estimator", "robust",
             {{"tables", table},
@@ -480,7 +479,7 @@ Result<double> RobustSampleEstimator::EstimateRows(
       continue;
     }
     const bool sample_unavailable = probe.sample_unavailable;
-    RQO_IF_OBS(metrics_) {
+    if (metrics_ != nullptr) {
       metrics_
           ->GetCounter(sample_unavailable
                            ? "estimator.degraded.sample_unavailable"
@@ -498,10 +497,10 @@ Result<double> RobustSampleEstimator::EstimateRows(
       RecordDegradation("table-sample", "learned",
                         sample_unavailable ? "unavailable" : "missing", table,
                         "estimator.degraded.to_learned");
-      RQO_IF_OBS(metrics_) {
+      if (metrics_ != nullptr) {
         metrics_->GetCounter("estimator.learned.recovered")->Increment();
       }
-      RQO_IF_OBS(tracer_) {
+      if (tracer_ != nullptr) {
         const math::BetaDistribution& d = posterior.distribution();
         tracer_->Event(
             "estimator", "robust",
@@ -532,7 +531,7 @@ Result<double> RobustSampleEstimator::EstimateRows(
         RecordDegradation("table-sample", "histogram-avi",
                           sample_unavailable ? "unavailable" : "missing",
                           table, "estimator.degraded.to_histogram");
-        RQO_IF_OBS(tracer_) {
+        if (tracer_ != nullptr) {
           tracer_->Event(
               "estimator", "robust",
               {{"tables", table},
@@ -554,7 +553,7 @@ Result<double> RobustSampleEstimator::EstimateRows(
     for (size_t i = 0; i < probe.num_conjuncts; ++i) selectivity *= wide;
     RecordDegradation("histogram-avi", "default-wide", "missing", table,
                       "estimator.degraded.to_default");
-    RQO_IF_OBS(tracer_) {
+    if (tracer_ != nullptr) {
       tracer_->Event(
           "estimator", "robust",
           {{"tables", table},
@@ -564,7 +563,7 @@ Result<double> RobustSampleEstimator::EstimateRows(
            {"selectivity", robustqo::obs::AttrF(wide)}});
     }
   }
-  RQO_IF_OBS(tracer_) {
+  if (tracer_ != nullptr) {
     tracer_->Event("estimator", "robust",
                    {{"tables", JoinTableNames(request.tables)},
                     {"predicate", request.predicate->ToString()},

@@ -164,8 +164,10 @@ void Table::ClearDelete(Rid rid) {
 }
 
 void Table::TruncateRows(uint64_t n) {
-  RQO_DCHECK(versioned_);
+  // Dropping nothing is a no-op on any table: a rollback truncates to the
+  // pre-batch row count even when the batch never versioned the table.
   if (n >= num_rows_) return;
+  RQO_DCHECK(versioned_);
   for (auto& col : columns_) col->Truncate(n);
   insert_epochs_.resize(n);
   delete_epochs_.resize(n);

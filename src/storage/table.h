@@ -138,7 +138,8 @@ class Table {
   }
 
   /// Drops all physically-stored rows past the first `n` (rollback of an
-  /// aborted append tail). Only meaningful on versioned tables.
+  /// aborted append tail). Dropping rows requires a versioned table; a
+  /// call that drops nothing is a no-op on any table.
   void TruncateRows(uint64_t n);
 
   /// Rows visible at `snapshot` (== num_rows() for unversioned tables).

@@ -58,18 +58,17 @@ struct ChaosConfig {
   /// server.plan_cache.lookup — inside the chaos blast radius under the
   /// same contract: verified answer or clean typed failure.
   size_t sessions = 0;
-  /// Optional black box for the service path (requires sessions > 0 and
-  /// observability compiled in): every run's QueryService records request
-  /// traces under this recorder's retention config, and each run's
-  /// retained traces are absorbed here in run-index order, tagged
-  /// "run=<i>", so the merged dump is byte-identical at any thread count.
+  /// Optional black box for the service path (requires sessions > 0):
+  /// every run's QueryService records request traces under this
+  /// recorder's retention config, and each run's retained traces are
+  /// absorbed here in run-index order, tagged "run=<i>", so the merged
+  /// dump is byte-identical at any thread count.
   obs::FlightRecorder* flight_recorder = nullptr;
   /// Optional plan-choice observatory for the service path (requires
   /// sessions > 0): every run's QueryService files provenance and
   /// plan-diff records, absorbed here in run-index order tagged
   /// "run=<i>" — the merged `.whyplan` history is byte-identical at any
-  /// thread count. Unlike the flight recorder this works with
-  /// observability compiled out (the store is a plain data class).
+  /// thread count.
   obs::PlanProvenanceStore* provenance = nullptr;
 };
 

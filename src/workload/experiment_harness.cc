@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "core/report.h"
-#include "obs/obs.h"
 #include "stats_math/descriptive.h"
 #include "util/macros.h"
 #include "util/string_util.h"
@@ -38,7 +37,7 @@ SweepResult QuerySweepExperiment::Run(const SweepConfig& config) {
   obs::Counter* metric_plans = nullptr;
   obs::Counter* metric_execs = nullptr;
   obs::Counter* metric_cache_hits = nullptr;
-  RQO_IF_OBS(config.metrics) {
+  if (config.metrics != nullptr) {
     metric_plans = config.metrics->GetCounter("harness.plans");
     metric_execs = config.metrics->GetCounter("harness.executions");
     metric_cache_hits = config.metrics->GetCounter("harness.exec_cache_hits");
@@ -60,13 +59,13 @@ SweepResult QuerySweepExperiment::Run(const SweepConfig& config) {
         plan.label + "#" + StrPrintf("%zu", param_idx);
     auto it = exec_cache.find(key);
     if (it != exec_cache.end()) {
-      RQO_IF_OBS(metric_cache_hits) metric_cache_hits->Increment();
+      if (metric_cache_hits != nullptr) metric_cache_hits->Increment();
       return it->second;
     }
     // The harness runs with no faults armed and no governor limits, so an
     // execution failure here is a programming error, not a robustness event.
     core::ExecutionResult run = db_->ExecutePlan(plan).value();
-    RQO_IF_OBS(metric_execs) metric_execs->Increment();
+    if (metric_execs != nullptr) metric_execs->Increment();
     if (config.verify_answers && run.rows.num_rows() > 0) {
       const double answer = run.rows.ValueAt(0, 0).NumericValue();
       auto [ans_it, inserted] = answers.emplace(param_idx, answer);
@@ -108,7 +107,7 @@ SweepResult QuerySweepExperiment::Run(const SweepConfig& config) {
         Result<opt::PlannedQuery> plan = db_->Plan(query, setting.kind,
                                                    options);
         RQO_CHECK_MSG(plan.ok(), plan.status().ToString().c_str());
-        RQO_IF_OBS(metric_plans) metric_plans->Increment();
+        if (metric_plans != nullptr) metric_plans->Increment();
         const CachedRun run = execute_cached(plan.value(), pi);
         times[setting.label][pi].push_back(run.seconds);
         q_errors[setting.label].push_back(

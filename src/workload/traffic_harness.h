@@ -104,15 +104,13 @@ struct TrafficReport {
   obs::QuantileSketch latency;
   double latency_max_seconds = 0.0;
   /// Queue-wait component alone (admission waves × wave delay) — the SLO
-  /// monitor's backpressure signal, re-derived here so the report works
-  /// even when observability is compiled out.
+  /// monitor's backpressure signal, re-derived here for the report.
   obs::QuantileSketch queue_wait;
   /// Service component alone (execution + cold-plan charge).
   obs::QuantileSketch service_time;
   server::AdmissionStats admission;
   server::PlanCacheStats plan_cache;
-  /// SLO monitor report (empty when the monitor observed nothing or
-  /// observability is compiled out).
+  /// SLO monitor report (empty when the monitor observed nothing).
   std::string slo_report;
   /// Flight-recorder JSON dump (empty unless the service's recorder was
   /// enabled and retained at least one request).

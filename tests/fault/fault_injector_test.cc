@@ -144,7 +144,6 @@ TEST(FaultInjectorTest, FiresEmitMetricsAndTraceEvents) {
   injector.set_tracer(&tracer);
   injector.Arm(sites::kSampleRead, FaultSpec::FirstN(2));
   for (int i = 0; i < 5; ++i) injector.ShouldFire(sites::kSampleRead);
-#if ROBUSTQO_OBS_ENABLED
   EXPECT_EQ(metrics.GetCounter("fault.fired")->value(), 2u);
   EXPECT_EQ(
       metrics.GetCounter(std::string("fault.fired.") + sites::kSampleRead)
@@ -155,7 +154,6 @@ TEST(FaultInjectorTest, FiresEmitMetricsAndTraceEvents) {
     if (e.category == "fault" && e.name == "fired") ++fault_events;
   }
   EXPECT_EQ(fault_events, 2);
-#endif
 }
 
 TEST(FaultInjectorTest, KnownSitesListedAndDescribed) {

@@ -111,11 +111,9 @@ TEST(GovernorTest, PublishMetricsExportsAccounting) {
   (void)governor.ChargeRows(1);  // trip
   obs::MetricsRegistry metrics;
   governor.PublishMetrics(&metrics);
-#if ROBUSTQO_OBS_ENABLED
   EXPECT_EQ(metrics.GetGauge("governor.peak_memory_bytes")->value(), 123.0);
   EXPECT_EQ(metrics.GetGauge("governor.rows_charged")->value(), 6.0);
   EXPECT_EQ(metrics.GetCounter("governor.row_trips")->value(), 1u);
-#endif
   governor.PublishMetrics(nullptr);  // no-op, must not crash
 }
 

@@ -115,12 +115,10 @@ TEST(RetryTest, MetricsRecordRetriesAndExhaustion) {
   (void)RetryWithBackoff(
       RetryPolicy{}, [] { return Status::Unavailable("down"); }, nullptr,
       &metrics);
-#if ROBUSTQO_OBS_ENABLED
   // 1 retry from the healed call + 2 from the exhausted one.
   EXPECT_EQ(metrics.GetCounter("fault.retry.attempts")->value(), 3u);
   EXPECT_EQ(metrics.GetCounter("fault.retry.exhausted")->value(), 1u);
   EXPECT_GT(metrics.GetCounter("fault.retry.backoff_units")->value(), 0u);
-#endif
 }
 
 TEST(RetryTest, ZeroOrNegativeMaxAttemptsStillTriesOnce) {

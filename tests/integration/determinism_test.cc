@@ -110,7 +110,6 @@ TEST_F(DeterminismTest, ExplainAnalyzeSnapshotsIdenticalAcrossThreadCounts) {
   }
 }
 
-#if ROBUSTQO_OBS_ENABLED
 TEST_F(DeterminismTest, PerfCacheCountersVisibleInExplainAnalyzeJson) {
   std::unique_ptr<core::Database> db = MakeDatabase();
   workload::ThreeTableJoinScenario scenario;
@@ -123,7 +122,6 @@ TEST_F(DeterminismTest, PerfCacheCountersVisibleInExplainAnalyzeJson) {
   EXPECT_NE(json.find("\"probe_cache_hits\":"), std::string::npos);
   EXPECT_NE(json.find("\"beta_cache_hits\":"), std::string::npos);
 }
-#endif
 
 TEST_F(DeterminismTest, ChaosSweepReportIdenticalAcrossThreadCounts) {
   // The primary database and every worker replica come from the same
@@ -349,7 +347,6 @@ TEST_F(DeterminismTest, AnalyticalFigureSeriesIdenticalAcrossThreadCounts) {
   }
 }
 
-#if ROBUSTQO_OBS_ENABLED
 // The exporter leg of the determinism contract: the OpenMetrics text of a
 // chaos sweep's merged per-worker registries, and the Chrome-trace JSON of
 // an EXPLAIN ANALYZE run, must be byte-identical at 1, 4 and 8 threads.
@@ -462,7 +459,6 @@ TEST_F(DeterminismTest, BlackboxDumpIdenticalAcrossThreadCounts) {
   EXPECT_NE(reference_json.find("\"incident\""), std::string::npos);
   EXPECT_NE(reference_trace.find("\"ph\":\"M\""), std::string::npos);
 }
-#endif
 
 }  // namespace
 }  // namespace robustqo

@@ -1,8 +1,7 @@
 // EXPLAIN ANALYZE end to end: per-operator actuals must agree with an
 // independent execution of the same query, the report must carry the
 // estimator's per-predicate evidence, and the JSON snapshot must be
-// byte-identical across same-seed runs. In a -DROBUSTQO_OBS=OFF build the
-// report still works but carries no execution trace — asserted too.
+// byte-identical across same-seed runs.
 
 #include "core/explain_analyze.h"
 
@@ -60,7 +59,6 @@ TEST_F(ExplainAnalyzeTest, ThreeTableJoinActualsMatchExecutor) {
   ASSERT_GE(plan.operators.size(), 5u);
   EXPECT_EQ(plan.operators.front().depth, 0);
 
-#if ROBUSTQO_OBS_ENABLED
   EXPECT_TRUE(plan.instrumented);
   for (const OperatorReport& op : plan.operators) {
     EXPECT_TRUE(op.executed) << op.describe;
@@ -93,15 +91,8 @@ TEST_F(ExplainAnalyzeTest, ThreeTableJoinActualsMatchExecutor) {
     }
   }
   EXPECT_TRUE(found_sample);
-#else
-  EXPECT_FALSE(plan.instrumented);
-  for (const OperatorReport& op : plan.operators) {
-    EXPECT_FALSE(op.executed);
-  }
-  EXPECT_TRUE(plan.predicates.empty());
-#endif
 
-  // The text rendering carries the headline numbers in all builds.
+  // The text rendering carries the headline numbers.
   const std::string text = plan.ToText();
   EXPECT_NE(text.find("EXPLAIN ANALYZE"), std::string::npos);
   EXPECT_NE(text.find("SPJ rows"), std::string::npos);
@@ -135,13 +126,11 @@ TEST_F(ExplainAnalyzeTest, HistogramEstimatorReportsAviEvidence) {
   auto analyzed = ExplainAnalyze(db_, scenario.MakeQuery(0.0),
                                  EstimatorKind::kHistogram);
   ASSERT_TRUE(analyzed.ok());
-#if ROBUSTQO_OBS_ENABLED
   bool found_avi = false;
   for (const PredicateReport& p : analyzed.value().predicates) {
     if (p.source == "histogram-avi") found_avi = true;
   }
   EXPECT_TRUE(found_avi);
-#endif
 }
 
 TEST_F(ExplainAnalyzeTest, DotOutputIsAWellFormedDigraph) {
@@ -163,14 +152,10 @@ TEST_F(ExplainAnalyzeTest, DatabaseMetricsSinkCountsQueries) {
       db_->Execute(scenario.MakeQuery(10), EstimatorKind::kRobustSample);
   db_->SetMetrics(nullptr);
   ASSERT_TRUE(result.ok());
-#if ROBUSTQO_OBS_ENABLED
   EXPECT_EQ(registry.GetCounter("db.queries_planned")->value(), 1u);
   EXPECT_EQ(registry.GetCounter("db.queries_executed")->value(), 1u);
   EXPECT_GT(registry.GetCounter("exec.operators_run")->value(), 0u);
   EXPECT_GT(registry.GetCounter("optimizer.estimate_calls")->value(), 0u);
-#else
-  EXPECT_EQ(registry.GetCounter("db.queries_planned")->value(), 0u);
-#endif
 }
 
 TEST_F(ExplainAnalyzeTest, ErrorsPropagate) {

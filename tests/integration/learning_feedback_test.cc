@@ -214,7 +214,6 @@ TEST(LearningFeedbackTest, DisabledLearningReproducesPlansBitForBit) {
   db->robust_estimator()->set_feedback_store(nullptr);
 }
 
-#if ROBUSTQO_OBS_ENABLED
 TEST(LearningFeedbackTest, ExplainAnalyzeReportsLearnedProvenance) {
   std::unique_ptr<core::Database> db = MakeReadingsDatabase();
   FloodMatchingRows(db.get());
@@ -253,7 +252,6 @@ TEST(LearningFeedbackTest, ExplainAnalyzeReportsLearnedProvenance) {
   EXPECT_NE(json.find("\"selectivity_raw\""), std::string::npos);
   db->robust_estimator()->set_feedback_store(nullptr);
 }
-#endif
 
 }  // namespace
 }  // namespace robustqo

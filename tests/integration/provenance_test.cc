@@ -257,7 +257,6 @@ TEST_F(ProvenanceTest, WhyplanAndTrafficBytesIdenticalAcrossThreadCounts) {
   EXPECT_FALSE(reference_whyplan.empty());
 }
 
-#if ROBUSTQO_OBS_ENABLED
 // Report-overwrite regression (the satellite sweep's find): fault fires
 // counted in the PLAN phase must survive into the retained trace when the
 // request later fails — in EXECUTE, and on the aborted path where
@@ -308,7 +307,6 @@ TEST_F(ProvenanceTest, AbortedPlanTraceKeepsPlanPhaseFaultFires) {
       << "aborted-plan trace dropped the degraded-lookup fire";
   db->fault_injector()->DisarmAll();
 }
-#endif  // ROBUSTQO_OBS_ENABLED
 
 }  // namespace
 }  // namespace robustqo

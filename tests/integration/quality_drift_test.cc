@@ -23,8 +23,7 @@ namespace robustqo {
 namespace {
 
 // The estimate/actual join rides on estimator trace events (that is where
-// the fingerprints come from), which compile out with -DROBUSTQO_OBS=OFF.
-#if ROBUSTQO_OBS_ENABLED
+// the fingerprints come from).
 
 using core::Database;
 using core::EstimatorKind;
@@ -158,8 +157,6 @@ TEST(QualityDriftTest, MonitorFlagsTheDriftedFingerprintOver100Queries) {
       1.0);
   EXPECT_EQ(metrics.GetSketch("estimator.quality.q_error")->count(), executed);
 }
-
-#endif  // ROBUSTQO_OBS_ENABLED
 
 }  // namespace
 }  // namespace robustqo

@@ -209,7 +209,6 @@ TEST(QueryServiceTest, UnknownSessionAndStatementFailTyped) {
             StatusCode::kNotFound);
 }
 
-#if ROBUSTQO_OBS_ENABLED
 TEST(QueryServiceTest, PublishMetricsExportsTheServerFamily) {
   std::unique_ptr<core::Database> db = MakeDatabase();
   QueryService service(db.get());
@@ -227,6 +226,8 @@ TEST(QueryServiceTest, PublishMetricsExportsTheServerFamily) {
   EXPECT_DOUBLE_EQ(metrics.GetCounter("server.admission.admitted")->value(),
                    2.0);
   EXPECT_DOUBLE_EQ(metrics.GetCounter("perf.cache.plan.hits")->value(), 1.0);
+  // The SLO family is always published: the monitor records every request.
+  EXPECT_DOUBLE_EQ(metrics.GetCounter("server.slo.observed")->value(), 2.0);
   EXPECT_DOUBLE_EQ(
       metrics.GetGauge("stats.epoch")->value(),
       static_cast<double>(db->statistics()->epoch()));
@@ -276,7 +277,6 @@ TEST(QueryServiceTest, FaultFiresAccumulateAcrossPlanExecuteAndReduce) {
   EXPECT_TRUE(reduce_site);
   EXPECT_EQ(trace->cache_outcome, "degraded_fault");
 }
-#endif
 
 }  // namespace
 }  // namespace server

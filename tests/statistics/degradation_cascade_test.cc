@@ -86,8 +86,6 @@ class DegradationCascadeTest : public ::testing::Test {
   obs::Tracer tracer_;
 };
 
-#if ROBUSTQO_OBS_ENABLED
-
 TEST_F(DegradationCascadeTest, FullStatisticsStayOnTierOne) {
   RobustSampleEstimator est = MakeEstimator();
   ASSERT_TRUE(est.EstimateRows(Request()).ok());
@@ -196,8 +194,6 @@ TEST_F(DegradationCascadeTest, DefaultWideIsMonotonicInThreshold) {
     prev = rows;
   }
 }
-
-#endif  // ROBUSTQO_OBS_ENABLED
 
 TEST(DegradationPlanChoiceTest, MissingAndFaultedSynopsisAgreeOnPlan) {
   // The integration claim from the issue: when the join synopsis is gone,
