@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
+#include <numeric>
 
 #include "util/macros.h"
 #include "util/string_util.h"
@@ -34,17 +34,29 @@ const char* AggKindName(AggKind kind) {
   return "?";
 }
 
-// Running state for one aggregate.
+// Running state for one aggregate. Update maintains only the fields
+// Finalize reads for `kind`.
 struct AggState {
   double sum = 0.0;
   double min = std::numeric_limits<double>::infinity();
   double max = -std::numeric_limits<double>::infinity();
   uint64_t count = 0;
 
-  void Update(double v) {
-    sum += v;
-    min = std::fmin(min, v);
-    max = std::fmax(max, v);
+  void Update(AggKind kind, double v) {
+    switch (kind) {
+      case AggKind::kCount:
+        break;
+      case AggKind::kSum:
+      case AggKind::kAvg:
+        sum += v;
+        break;
+      case AggKind::kMin:
+        min = std::fmin(min, v);
+        break;
+      case AggKind::kMax:
+        max = std::fmax(max, v);
+        break;
+    }
     ++count;
   }
 
@@ -100,17 +112,97 @@ Result<std::vector<size_t>> AggInputColumns(const storage::Schema& input,
   return cols;
 }
 
-void UpdateStates(const Table& input, Rid rid,
-                  const std::vector<size_t>& agg_cols,
-                  std::vector<AggState>* states) {
-  for (size_t a = 0; a < agg_cols.size(); ++a) {
-    if (agg_cols[a] == SIZE_MAX) {
-      (*states)[a].Update(0.0);  // COUNT(*): only the count matters
-    } else {
-      (*states)[a].Update(input.ValueAt(rid, agg_cols[a]).NumericValue());
+// Folds every row of `input` into its group's aggregate states, one
+// aggregate column at a time: row `rid` belongs to group `group_of(rid)`,
+// whose states are states[group * aggs, (group + 1) * aggs). Each group
+// sees its rows in RID order, so sums match a row-at-a-time loop bit for
+// bit.
+template <typename GroupOf>
+void Accumulate(const Table& input, const std::vector<AggSpec>& aggs,
+                const std::vector<size_t>& agg_cols, const GroupOf& group_of,
+                AggState* states) {
+  const size_t num_aggs = agg_cols.size();
+  const Rid n = input.num_rows();
+  for (size_t a = 0; a < num_aggs; ++a) {
+    const AggKind kind = aggs[a].kind;
+    AggState* column_states = states + a;
+    if (agg_cols[a] == SIZE_MAX) {  // COUNT(*): only the count matters
+      for (Rid rid = 0; rid < n; ++rid) {
+        ++column_states[group_of(rid) * num_aggs].count;
+      }
+      continue;
+    }
+    const storage::ColumnVector& col = input.column(agg_cols[a]);
+    for (Rid rid = 0; rid < n; ++rid) {
+      column_states[group_of(rid) * num_aggs].Update(kind, col.NumericAt(rid));
     }
   }
 }
+
+// Appends the finalized aggregates as output columns [first, first+aggs).
+void AppendAggColumns(const std::vector<AggSpec>& aggs,
+                      const AggState* states, size_t first, Table* out) {
+  for (size_t a = 0; a < aggs.size(); ++a) {
+    out->mutable_column(first + a)->Append(states[a].Finalize(aggs[a].kind));
+  }
+}
+
+// Open-addressing hash table from a k-column integer key to its group
+// number; groups are numbered in first-seen order.
+class GroupTable {
+ public:
+  explicit GroupTable(size_t k) : k_(k), slots_(16, kEmpty) {}
+
+  size_t size() const { return size_; }
+
+  // The k key values of `group`.
+  const int64_t* key(size_t group) const { return keys_.data() + group * k_; }
+
+  // The group of `key` (k values) and whether it was inserted just now.
+  std::pair<size_t, bool> FindOrInsert(const int64_t* key) {
+    const uint64_t hash = Hash(key);
+    size_t slot = hash & (slots_.size() - 1);
+    while (slots_[slot] != kEmpty) {
+      const size_t group = slots_[slot];
+      if (std::equal(key, key + k_, this->key(group))) {
+        return {group, false};
+      }
+      slot = (slot + 1) & (slots_.size() - 1);
+    }
+    const size_t group = size_++;
+    slots_[slot] = group;
+    keys_.insert(keys_.end(), key, key + k_);
+    if (size_ * 2 > slots_.size()) Grow();
+    return {group, true};
+  }
+
+ private:
+  static constexpr size_t kEmpty = SIZE_MAX;
+
+  uint64_t Hash(const int64_t* key) const {
+    uint64_t h = 0;
+    for (size_t i = 0; i < k_; ++i) {
+      h = (h ^ static_cast<uint64_t>(key[i])) * 0x9E3779B97F4A7C15ULL;
+      h ^= h >> 32;
+    }
+    return h;
+  }
+
+  void Grow() {
+    std::vector<size_t> slots(slots_.size() * 2, kEmpty);
+    for (size_t group = 0; group < size_; ++group) {
+      size_t slot = Hash(key(group)) & (slots.size() - 1);
+      while (slots[slot] != kEmpty) slot = (slot + 1) & (slots.size() - 1);
+      slots[slot] = group;
+    }
+    slots_ = std::move(slots);
+  }
+
+  size_t k_;
+  std::vector<int64_t> keys_;  // group g's key at [g * k_, (g + 1) * k_)
+  std::vector<size_t> slots_;
+  size_t size_ = 0;
+};
 
 std::string DescribeAggs(const std::vector<AggSpec>& aggs) {
   std::vector<std::string> parts;
@@ -135,15 +227,13 @@ Result<Table> FilterOp::Execute(ExecContext* ctx) const {
   RQO_ASSIGN_OR_RETURN(const Table input, child_->Run(ctx));
   ctx->meter.ChargeCpuTuples(ctx->cost_model, input.num_rows());
   Table out("filter", input.schema());
-  const uint64_t row_bytes = ApproximateRowBytes(out.schema());
-  std::vector<size_t> all_cols(input.schema().num_columns());
-  for (size_t i = 0; i < all_cols.size(); ++i) all_cols[i] = i;
-  for (Rid rid = 0; rid < input.num_rows(); ++rid) {
-    if (predicate_->EvaluateBool(input, rid)) {
-      AppendProjectedRow(input, rid, all_cols, &out);
-      RQO_RETURN_NOT_OK(ctx->Tick(1, row_bytes));
-    }
-  }
+  // The input is an operator's output, which is never versioned, so every
+  // row is visible at every snapshot.
+  const std::vector<Rid> rids =
+      SelectRows(input, predicate_.get(), storage::kLatestSnapshot);
+  RQO_RETURN_NOT_OK(
+      TickRows(ctx, rids.size(), ApproximateRowBytes(out.schema())));
+  out.AppendGather(input, rids, AllColumns(input.schema()));
   ctx->meter.ChargeOutputTuples(ctx->cost_model, out.num_rows());
   return out;
 }
@@ -164,14 +254,11 @@ LimitOp::LimitOp(OperatorPtr child, uint64_t limit)
 Result<Table> LimitOp::Execute(ExecContext* ctx) const {
   RQO_ASSIGN_OR_RETURN(const Table input, child_->Run(ctx));
   Table out("limit", input.schema());
-  const uint64_t row_bytes = ApproximateRowBytes(out.schema());
-  std::vector<size_t> all_cols(input.schema().num_columns());
-  for (size_t i = 0; i < all_cols.size(); ++i) all_cols[i] = i;
-  const uint64_t n = std::min(input.num_rows(), limit_);
-  for (Rid rid = 0; rid < n; ++rid) {
-    AppendProjectedRow(input, rid, all_cols, &out);
-    RQO_RETURN_NOT_OK(ctx->Tick(1, row_bytes));
-  }
+  std::vector<Rid> rids(std::min(input.num_rows(), limit_));
+  std::iota(rids.begin(), rids.end(), Rid{0});
+  RQO_RETURN_NOT_OK(
+      TickRows(ctx, rids.size(), ApproximateRowBytes(out.schema())));
+  out.AppendGather(input, rids, AllColumns(input.schema()));
   ctx->meter.ChargeOutputTuples(ctx->cost_model, out.num_rows());
   return out;
 }
@@ -194,13 +281,13 @@ Result<Table> ProjectOp::Execute(ExecContext* ctx) const {
   RQO_ASSIGN_OR_RETURN(storage::Schema schema,
                        ProjectSchema(input.schema(), columns_));
   Table out("project", std::move(schema));
-  const uint64_t row_bytes = ApproximateRowBytes(out.schema());
   RQO_ASSIGN_OR_RETURN(const std::vector<size_t> col_idx,
                        ResolveColumns(input.schema(), columns_));
-  for (Rid rid = 0; rid < input.num_rows(); ++rid) {
-    AppendProjectedRow(input, rid, col_idx, &out);
-    RQO_RETURN_NOT_OK(ctx->Tick(1, row_bytes));
-  }
+  std::vector<Rid> rids(input.num_rows());
+  std::iota(rids.begin(), rids.end(), Rid{0});
+  RQO_RETURN_NOT_OK(
+      TickRows(ctx, rids.size(), ApproximateRowBytes(out.schema())));
+  out.AppendGather(input, rids, col_idx);
   ctx->meter.ChargeOutputTuples(ctx->cost_model, out.num_rows());
   return out;
 }
@@ -228,19 +315,14 @@ Result<Table> ScalarAggregateOp::Execute(ExecContext* ctx) const {
   RQO_ASSIGN_OR_RETURN(const std::vector<size_t> agg_cols,
                        AggInputColumns(input.schema(), aggs_));
   std::vector<AggState> states(aggs_.size());
-  for (Rid rid = 0; rid < input.num_rows(); ++rid) {
-    UpdateStates(input, rid, agg_cols, &states);
-  }
+  Accumulate(input, aggs_, agg_cols, [](Rid) { return size_t{0}; },
+             states.data());
   RQO_RETURN_NOT_OK(ctx->CheckPoint());
   RQO_ASSIGN_OR_RETURN(storage::Schema schema,
                        AggOutputSchema({}, input.schema(), aggs_));
   Table out("aggregate", std::move(schema));
-  std::vector<Value> row;
-  row.reserve(aggs_.size());
-  for (size_t a = 0; a < aggs_.size(); ++a) {
-    row.push_back(states[a].Finalize(aggs_[a].kind));
-  }
-  out.AppendRow(row);
+  AppendAggColumns(aggs_, states.data(), 0, &out);
+  out.FinalizeBulkLoad();
   RQO_RETURN_NOT_OK(ctx->Tick(1, ApproximateRowBytes(out.schema())));
   ctx->meter.ChargeOutputTuples(ctx->cost_model, 1);
   return out;
@@ -281,45 +363,52 @@ Result<Table> GroupByAggregateOp::Execute(ExecContext* ctx) const {
   RQO_ASSIGN_OR_RETURN(const std::vector<size_t> agg_cols,
                        AggInputColumns(input.schema(), aggs_));
 
-  // Ordered map keeps output deterministic (sorted by group key). The group
-  // table is transient workspace, charged per inserted group and released
-  // when the operator finishes.
+  // Groups live in a hash table in first-seen order; group g's states are
+  // states[g*aggs, (g+1)*aggs). The group table is transient workspace,
+  // charged per inserted group and released when the operator finishes.
   fault::MemoryReservation workspace(ctx->governor);
-  const uint64_t group_bytes =
-      (group_idx.size() + aggs_.size() * 4 + 4) * sizeof(int64_t);
-  std::map<std::vector<int64_t>, std::vector<AggState>> groups;
+  const size_t k = group_idx.size();
+  const size_t num_aggs = aggs_.size();
+  const uint64_t group_bytes = (k + num_aggs * 4 + 4) * sizeof(int64_t);
+  std::vector<const storage::ColumnVector*> key_cols;
+  key_cols.reserve(k);
+  for (size_t g : group_idx) key_cols.push_back(&input.column(g));
+  GroupTable table(k);
+  std::vector<size_t> group_of(input.num_rows());
+  std::vector<int64_t> key(k);  // reused probe buffer
   for (Rid rid = 0; rid < input.num_rows(); ++rid) {
-    std::vector<int64_t> key;
-    key.reserve(group_idx.size());
-    for (size_t g : group_idx) {
-      key.push_back(input.ValueAt(rid, g).AsInt64());
-    }
-    auto [it, inserted] =
-        groups.try_emplace(std::move(key), aggs_.size(), AggState());
+    for (size_t g = 0; g < k; ++g) key[g] = key_cols[g]->Int64At(rid);
+    const auto [group, inserted] = table.FindOrInsert(key.data());
     if (inserted) RQO_RETURN_NOT_OK(workspace.Grow(group_bytes));
-    UpdateStates(input, rid, agg_cols, &it->second);
+    group_of[rid] = group;
   }
+  std::vector<AggState> states(table.size() * num_aggs);
+  Accumulate(input, aggs_, agg_cols,
+             [&group_of](Rid rid) { return group_of[rid]; }, states.data());
   RQO_RETURN_NOT_OK(ctx->CheckPoint());
+
+  // Output in ascending key order: one sort of the distinct keys.
+  const size_t num_groups = table.size();
+  std::vector<size_t> order(num_groups);
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&table, k](size_t a, size_t b) {
+    return std::lexicographical_compare(table.key(a), table.key(a) + k,
+                                        table.key(b), table.key(b) + k);
+  });
 
   RQO_ASSIGN_OR_RETURN(
       storage::Schema schema,
       AggOutputSchema(group_columns_, input.schema(), aggs_));
   Table out("groupby", std::move(schema));
-  const uint64_t row_bytes = ApproximateRowBytes(out.schema());
-  for (const auto& [key, states] : groups) {
-    std::vector<Value> row;
-    row.reserve(key.size() + aggs_.size());
-    for (size_t g = 0; g < key.size(); ++g) {
-      const DataType type = input.schema().column(group_idx[g]).type;
-      row.push_back(type == DataType::kDate ? Value::Date(key[g])
-                                            : Value::Int64(key[g]));
+  RQO_RETURN_NOT_OK(
+      TickRows(ctx, num_groups, ApproximateRowBytes(out.schema())));
+  for (size_t group : order) {
+    for (size_t g = 0; g < k; ++g) {
+      out.mutable_column(g)->AppendInt64(table.key(group)[g]);
     }
-    for (size_t a = 0; a < aggs_.size(); ++a) {
-      row.push_back(states[a].Finalize(aggs_[a].kind));
-    }
-    out.AppendRow(row);
-    RQO_RETURN_NOT_OK(ctx->Tick(1, row_bytes));
+    AppendAggColumns(aggs_, &states[group * num_aggs], k, &out);
   }
+  out.FinalizeBulkLoad();
   ctx->meter.ChargeOutputTuples(ctx->cost_model, out.num_rows());
   return out;
 }

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "perf/batch_eval.h"
 #include "storage/write_batch.h"
 #include "util/macros.h"
 
@@ -37,13 +38,16 @@ Result<Value> CoerceToColumn(const Value& v, const storage::ColumnDef& col) {
 Result<std::vector<Rid>> DmlExecutor::TargetRids(ExecContext* ctx,
                                                  const Table& table,
                                                  const expr::ExprPtr& where) {
+  // The WHERE runs once over the whole table; the governor still sees one
+  // tick per visible row, in RID order.
+  std::vector<uint8_t> mask;
+  if (where != nullptr) perf::BatchEvaluateMask(*where, table, &mask);
   std::vector<Rid> targets;
   const uint64_t num_rows = table.num_rows();
   for (Rid rid = 0; rid < num_rows; ++rid) {
     if (!table.VisibleAt(rid, ctx->snapshot_epoch)) continue;
     RQO_RETURN_NOT_OK(ctx->Tick(1, 0));
-    if (where != nullptr && !where->EvaluateBool(table, rid)) continue;
-    targets.push_back(rid);
+    if (where == nullptr || mask[rid] != 0) targets.push_back(rid);
   }
   return targets;
 }

@@ -1,8 +1,8 @@
 #include "exec/join_ops.h"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
-#include <unordered_map>
 
 #include "util/macros.h"
 #include "util/string_util.h"
@@ -14,14 +14,6 @@ using storage::Rid;
 using storage::Table;
 
 namespace {
-
-// Integer join key of row `rid` in `table.column(idx)`.
-int64_t KeyAt(const Table& table, size_t idx, Rid rid) {
-  const storage::ColumnVector& col = table.column(idx);
-  RQO_CHECK_MSG(storage::IsIntegerPhysical(col.type()),
-                "join keys must be integer-physical");
-  return col.Int64At(rid);
-}
 
 // Merge order of `rows` on the integer key in column `idx`: empty when the
 // rows already arrive sorted, else a stable sort permutation, charged like
@@ -87,16 +79,84 @@ struct JoinOutput {
     return out;
   }
 
-  void AppendJoined(const Table& left, Rid lrid, const Table& right,
-                    Rid rrid, Table* dest) const {
-    std::vector<storage::Value> row;
-    row.reserve(sources.size());
-    for (const auto& [side, idx] : sources) {
-      row.push_back(side == 0 ? left.ValueAt(lrid, idx)
-                              : right.ValueAt(rrid, idx));
+  // Gathers the joined rows (lrids[i], rrids[i]) into `dest`, one output
+  // column at a time.
+  void Gather(const Table& left, const std::vector<Rid>& lrids,
+              const Table& right, const std::vector<Rid>& rrids,
+              Table* dest) const {
+    for (size_t j = 0; j < sources.size(); ++j) {
+      const auto& [side, idx] = sources[j];
+      dest->mutable_column(j)->AppendGather(
+          side == 0 ? left.column(idx) : right.column(idx),
+          side == 0 ? lrids : rrids);
     }
-    dest->AppendRow(row);
+    dest->FinalizeBulkLoad();
   }
+};
+
+// Matched (left rid, right rid) pairs in emit order; each Emit ticks the
+// governor for the output row it stands for.
+struct JoinPairs {
+  std::vector<Rid> left;
+  std::vector<Rid> right;
+
+  Status Emit(ExecContext* ctx, Rid l, Rid r, uint64_t row_bytes) {
+    left.push_back(l);
+    right.push_back(r);
+    return ctx->Tick(1, row_bytes);
+  }
+};
+
+// Integer key column `idx` of `table` (join keys are integer-physical).
+const storage::ColumnVector& KeyColumn(const Table& table, size_t idx) {
+  const storage::ColumnVector& col = table.column(idx);
+  RQO_CHECK_MSG(storage::IsIntegerPhysical(col.type()),
+                "join keys must be integer-physical");
+  return col;
+}
+
+// Build side of the hash join: a chained hash table over the build RIDs
+// (bucket heads plus one next link per RID). RIDs are inserted in
+// ascending order and prepended to their chain, so Probe visits each
+// key's matches in descending build-RID order.
+class JoinHashTable {
+ public:
+  explicit JoinHashTable(const storage::ColumnVector& keys)
+      : keys_(keys), next_(keys.size(), kNone) {
+    size_t buckets = 16;
+    while (buckets < keys.size() * 2) buckets <<= 1;
+    heads_.assign(buckets, kNone);
+    shift_ = 64 - static_cast<int>(std::countr_zero(buckets));
+    for (Rid rid = 0; rid < keys.size(); ++rid) {
+      Rid& head = heads_[Bucket(keys_.Int64At(rid))];
+      next_[rid] = head;
+      head = rid;
+    }
+  }
+
+  // Calls `fn(build_rid)` for every build row whose key equals `key`;
+  // stops at and returns the first non-OK status.
+  template <typename Fn>
+  Status Probe(int64_t key, const Fn& fn) const {
+    for (Rid rid = heads_[Bucket(key)]; rid != kNone; rid = next_[rid]) {
+      if (keys_.Int64At(rid) == key) RQO_RETURN_NOT_OK(fn(rid));
+    }
+    return Status::OK();
+  }
+
+ private:
+  static constexpr Rid kNone = ~Rid{0};
+
+  size_t Bucket(int64_t key) const {
+    // Fibonacci hashing: the top bits of key * 2^64/phi.
+    return static_cast<size_t>(
+        (static_cast<uint64_t>(key) * 0x9E3779B97F4A7C15ULL) >> shift_);
+  }
+
+  const storage::ColumnVector& keys_;
+  std::vector<Rid> next_;
+  std::vector<Rid> heads_;
+  int shift_ = 0;
 };
 
 }  // namespace
@@ -126,27 +186,24 @@ Result<Table> HashJoinOp::Execute(ExecContext* ctx) const {
   // Hash-table workspace: key + rid + bucket overhead per build entry.
   fault::MemoryReservation workspace(ctx->governor);
   RQO_RETURN_NOT_OK(workspace.Grow(build_rows.num_rows() * 24));
-  std::unordered_multimap<int64_t, Rid> hash_table;
-  hash_table.reserve(build_rows.num_rows() * 2);
-  for (Rid rid = 0; rid < build_rows.num_rows(); ++rid) {
-    hash_table.emplace(KeyAt(build_rows, build_key_idx, rid), rid);
-  }
+  const JoinHashTable hash_table(KeyColumn(build_rows, build_key_idx));
   RQO_RETURN_NOT_OK(ctx->CheckPoint());
 
   RQO_ASSIGN_OR_RETURN(
       const JoinOutput plan,
       JoinOutput::Plan(build_rows.schema(), probe_rows.schema(),
                        output_columns_));
-  Table out("hashjoin", plan.schema);
   const uint64_t row_bytes = ApproximateRowBytes(plan.schema);
+  const storage::ColumnVector& probe_keys =
+      KeyColumn(probe_rows, probe_key_idx);
+  JoinPairs pairs;
   for (Rid prid = 0; prid < probe_rows.num_rows(); ++prid) {
-    const int64_t key = KeyAt(probe_rows, probe_key_idx, prid);
-    auto [begin, end] = hash_table.equal_range(key);
-    for (auto it = begin; it != end; ++it) {
-      plan.AppendJoined(build_rows, it->second, probe_rows, prid, &out);
-      RQO_RETURN_NOT_OK(ctx->Tick(1, row_bytes));
-    }
+    RQO_RETURN_NOT_OK(hash_table.Probe(probe_keys.Int64At(prid), [&](Rid b) {
+      return pairs.Emit(ctx, b, prid, row_bytes);
+    }));
   }
+  Table out("hashjoin", plan.schema);
+  plan.Gather(build_rows, pairs.left, probe_rows, pairs.right, &out);
   ctx->meter.ChargeOutputTuples(ctx->cost_model, out.num_rows());
   return out;
 }
@@ -195,16 +252,17 @@ Result<Table> MergeJoinOp::Execute(ExecContext* ctx) const {
       const JoinOutput plan,
       JoinOutput::Plan(left_rows.schema(), right_rows.schema(),
                        output_columns_));
-  Table out("mergejoin", plan.schema);
   const uint64_t row_bytes = ApproximateRowBytes(plan.schema);
-
+  const storage::ColumnVector& lkeys = KeyColumn(left_rows, lk);
+  const storage::ColumnVector& rkeys = KeyColumn(right_rows, rk);
+  JoinPairs pairs;
   Rid li = 0;
   Rid ri = 0;
   const Rid ln = left_rows.num_rows();
   const Rid rn = right_rows.num_rows();
   while (li < ln && ri < rn) {
-    const int64_t lkey = KeyAt(left_rows, lk, left_at(li));
-    const int64_t rkey = KeyAt(right_rows, rk, right_at(ri));
+    const int64_t lkey = lkeys.Int64At(left_at(li));
+    const int64_t rkey = rkeys.Int64At(right_at(ri));
     if (lkey < rkey) {
       ++li;
     } else if (lkey > rkey) {
@@ -212,22 +270,21 @@ Result<Table> MergeJoinOp::Execute(ExecContext* ctx) const {
     } else {
       // Emit the cross product of the two equal-key runs.
       Rid lend = li;
-      while (lend < ln && KeyAt(left_rows, lk, left_at(lend)) == lkey) ++lend;
+      while (lend < ln && lkeys.Int64At(left_at(lend)) == lkey) ++lend;
       Rid rend = ri;
-      while (rend < rn && KeyAt(right_rows, rk, right_at(rend)) == rkey) {
-        ++rend;
-      }
+      while (rend < rn && rkeys.Int64At(right_at(rend)) == rkey) ++rend;
       for (Rid a = li; a < lend; ++a) {
         for (Rid b = ri; b < rend; ++b) {
-          plan.AppendJoined(left_rows, left_at(a), right_rows, right_at(b),
-                            &out);
-          RQO_RETURN_NOT_OK(ctx->Tick(1, row_bytes));
+          RQO_RETURN_NOT_OK(
+              pairs.Emit(ctx, left_at(a), right_at(b), row_bytes));
         }
       }
       li = lend;
       ri = rend;
     }
   }
+  Table out("mergejoin", plan.schema);
+  plan.Gather(left_rows, pairs.left, right_rows, pairs.right, &out);
   ctx->meter.ChargeOutputTuples(ctx->cost_model, out.num_rows());
   return out;
 }
@@ -267,11 +324,11 @@ Result<Table> IndexNestedLoopJoinOp::Execute(ExecContext* ctx) const {
       const JoinOutput plan,
       JoinOutput::Plan(outer_rows.schema(), inner->schema(),
                        output_columns_));
-  Table out("inlj", plan.schema);
   const uint64_t row_bytes = ApproximateRowBytes(plan.schema);
-
+  const storage::ColumnVector& outer_keys = KeyColumn(outer_rows, ok);
+  JoinPairs pairs;
   for (Rid orid = 0; orid < outer_rows.num_rows(); ++orid) {
-    const int64_t key = KeyAt(outer_rows, ok, orid);
+    const int64_t key = outer_keys.Int64At(orid);
     uint64_t entries = 0;
     std::vector<Rid> matches =
         index->EqualLookup(static_cast<double>(key), &entries);
@@ -283,11 +340,12 @@ Result<Table> IndexNestedLoopJoinOp::Execute(ExecContext* ctx) const {
       if (!inner->VisibleAt(irid, ctx->snapshot_epoch)) continue;
       if (inner_residual_ == nullptr ||
           inner_residual_->EvaluateBool(*inner, irid)) {
-        plan.AppendJoined(outer_rows, orid, *inner, irid, &out);
-        RQO_RETURN_NOT_OK(ctx->Tick(1, row_bytes));
+        RQO_RETURN_NOT_OK(pairs.Emit(ctx, orid, irid, row_bytes));
       }
     }
   }
+  Table out("inlj", plan.schema);
+  plan.Gather(outer_rows, pairs.left, *inner, pairs.right, &out);
   ctx->meter.ChargeOutputTuples(ctx->cost_model, out.num_rows());
   return out;
 }

@@ -1,5 +1,6 @@
 #include "exec/operator.h"
 
+#include "perf/batch_eval.h"
 #include "util/macros.h"
 
 namespace robustqo {
@@ -101,13 +102,62 @@ Result<storage::Schema> ProjectSchema(
   return storage::Schema(std::move(defs));
 }
 
-void AppendProjectedRow(const storage::Table& source, storage::Rid rid,
-                        const std::vector<size_t>& column_indexes,
-                        storage::Table* dest) {
-  std::vector<storage::Value> row;
-  row.reserve(column_indexes.size());
-  for (size_t col : column_indexes) row.push_back(source.ValueAt(rid, col));
-  dest->AppendRow(row);
+std::vector<storage::Rid> SelectRows(const storage::Table& table,
+                                     const expr::Expr* predicate,
+                                     uint64_t snapshot) {
+  const uint64_t n = table.num_rows();
+  std::vector<uint8_t> mask(n, 1);
+  const uint64_t count =
+      predicate == nullptr ? n
+                           : perf::BatchEvaluateMask(*predicate, table, &mask);
+  // Branch-free compaction: every row writes its RID into the next slot and
+  // advances only when selected, so one spare slot absorbs the last write.
+  std::vector<storage::Rid> rids(count + 1);
+  size_t k = 0;
+  if (table.versioned()) {
+    for (storage::Rid rid = 0; rid < n; ++rid) {
+      rids[k] = rid;
+      k += mask[rid] & static_cast<uint8_t>(table.VisibleAt(rid, snapshot));
+    }
+  } else {
+    for (storage::Rid rid = 0; rid < n; ++rid) {
+      rids[k] = rid;
+      k += mask[rid];
+    }
+  }
+  rids.resize(k);
+  return rids;
+}
+
+Status TickRows(ExecContext* ctx, uint64_t rows, uint64_t row_bytes) {
+  for (uint64_t i = 0; i < rows; ++i) {
+    RQO_RETURN_NOT_OK(ctx->Tick(1, row_bytes));
+  }
+  return Status::OK();
+}
+
+Status FetchRows(ExecContext* ctx, const storage::Table& source,
+                 const std::vector<storage::Rid>& rids,
+                 const expr::Expr* residual,
+                 const std::vector<size_t>& columns, storage::Table* out) {
+  const uint64_t row_bytes = ApproximateRowBytes(out->schema());
+  std::vector<storage::Rid> kept;
+  kept.reserve(rids.size());
+  for (storage::Rid rid : rids) {
+    if (!source.VisibleAt(rid, ctx->snapshot_epoch)) continue;
+    if (residual == nullptr || residual->EvaluateBool(source, rid)) {
+      kept.push_back(rid);
+      RQO_RETURN_NOT_OK(ctx->Tick(1, row_bytes));
+    }
+  }
+  out->AppendGather(source, kept, columns);
+  return Status::OK();
+}
+
+std::vector<size_t> AllColumns(const storage::Schema& schema) {
+  std::vector<size_t> cols(schema.num_columns());
+  for (size_t i = 0; i < cols.size(); ++i) cols[i] = i;
+  return cols;
 }
 
 Result<std::vector<size_t>> ResolveColumns(

@@ -3,7 +3,12 @@
 // Physical-operator base. Operators execute for real — they compute the
 // correct relational result — while charging the cost meter for every unit
 // of simulated work. Results are materialized tables (fine at experiment
-// scale, and it keeps operator semantics trivially auditable in tests).
+// scale, and it keeps operator semantics trivially auditable in tests),
+// built column-at-a-time: an operator first selects its output as RID lists
+// (predicates through perf::BatchEvaluateMask, joins as matched RID pairs),
+// then gathers each output column once with ColumnVector::AppendGather.
+// Output rows, their order, meter charges and the governor's per-row ticks
+// are those of a row-at-a-time loop over the same inputs.
 //
 // Execution is fallible by design: Execute() returns Result<Table> and
 // operators cooperate with the per-query governor (memory/row/time budgets,
@@ -61,7 +66,17 @@ struct ExecContext {
   /// Cooperative checkpoint: cancellation plus the simulated-time budget.
   Status CheckPoint();
 
-  /// Accounts `rows` materialized rows and `bytes` materialized bytes
+  /// Fetches the RID-addressed `rids` of `source` (index or semijoin
+/// survivors) into `out`: keeps those visible at the snapshot that pass
+/// `residual` (null = all; evaluated per row, since such survivors are
+/// sparse), ticks the governor once per kept row, then gathers the kept
+/// rows' `columns`.
+Status FetchRows(ExecContext* ctx, const storage::Table& source,
+                 const std::vector<storage::Rid>& rids,
+                 const expr::Expr* residual,
+                 const std::vector<size_t>& columns, storage::Table* out);
+
+/// Accounts `rows` materialized rows and `bytes` materialized bytes
   /// against the governor, checkpointing every few hundred rows so a
   /// runaway loop is caught promptly without paying per-row overhead.
   Status Tick(uint64_t rows, uint64_t bytes);
@@ -121,10 +136,30 @@ uint64_t ApproximateRowBytes(const storage::Schema& schema);
 Result<storage::Schema> ProjectSchema(const storage::Schema& schema,
                                       const std::vector<std::string>& columns);
 
-/// Appends row `rid` of `source` to `dest`, restricted to `column_indexes`.
-void AppendProjectedRow(const storage::Table& source, storage::Rid rid,
-                        const std::vector<size_t>& column_indexes,
-                        storage::Table* dest);
+/// Rows of `table` visible at `snapshot` that satisfy `predicate` (every
+/// visible row when null), in RID order. The predicate is evaluated once
+/// over the whole table with perf::BatchEvaluateMask.
+std::vector<storage::Rid> SelectRows(const storage::Table& table,
+                                     const expr::Expr* predicate,
+                                     uint64_t snapshot);
+
+/// Fetches the RID-addressed `rids` of `source` (index or semijoin
+/// survivors) into `out`: keeps those visible at the snapshot that pass
+/// `residual` (null = all; evaluated per row, since such survivors are
+/// sparse), ticks the governor once per kept row, then gathers the kept
+/// rows' `columns`.
+Status FetchRows(ExecContext* ctx, const storage::Table& source,
+                 const std::vector<storage::Rid>& rids,
+                 const expr::Expr* residual,
+                 const std::vector<size_t>& columns, storage::Table* out);
+
+/// Accounts `rows` materialized rows of `row_bytes` each, one
+/// ctx->Tick(1, row_bytes) per row, so a budget trips at the same row as
+/// it would inside a row-at-a-time loop.
+Status TickRows(ExecContext* ctx, uint64_t rows, uint64_t row_bytes);
+
+/// The identity column list 0..n-1 of `schema`.
+std::vector<size_t> AllColumns(const storage::Schema& schema);
 
 /// Resolves column names to indexes in `schema`.
 Result<std::vector<size_t>> ResolveColumns(

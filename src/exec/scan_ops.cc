@@ -46,15 +46,11 @@ Result<Table> SeqScanOp::Execute(ExecContext* ctx) const {
                        ResolveColumns(source->schema(), cols));
   const uint64_t row_bytes = ApproximateRowBytes(out.schema());
 
-  const uint64_t n = source->num_rows();
-  ctx->meter.ChargeSeqTuples(ctx->cost_model, n);
-  for (Rid rid = 0; rid < n; ++rid) {
-    if (!source->VisibleAt(rid, ctx->snapshot_epoch)) continue;
-    if (predicate_ == nullptr || predicate_->EvaluateBool(*source, rid)) {
-      AppendProjectedRow(*source, rid, col_idx, &out);
-      RQO_RETURN_NOT_OK(ctx->Tick(1, row_bytes));
-    }
-  }
+  ctx->meter.ChargeSeqTuples(ctx->cost_model, source->num_rows());
+  const std::vector<Rid> rids =
+      SelectRows(*source, predicate_.get(), ctx->snapshot_epoch);
+  RQO_RETURN_NOT_OK(TickRows(ctx, rids.size(), row_bytes));
+  out.AppendGather(*source, rids, col_idx);
   ctx->meter.ChargeOutputTuples(ctx->cost_model, out.num_rows());
   return out;
 }
@@ -92,14 +88,8 @@ Result<Table> IndexRangeScanOp::Execute(ExecContext* ctx) const {
   Table out(table_ + "$ixscan", std::move(schema));
   RQO_ASSIGN_OR_RETURN(const std::vector<size_t> col_idx,
                        ResolveColumns(source->schema(), cols));
-  const uint64_t row_bytes = ApproximateRowBytes(out.schema());
-  for (Rid rid : rids) {
-    if (!source->VisibleAt(rid, ctx->snapshot_epoch)) continue;
-    if (residual_ == nullptr || residual_->EvaluateBool(*source, rid)) {
-      AppendProjectedRow(*source, rid, col_idx, &out);
-      RQO_RETURN_NOT_OK(ctx->Tick(1, row_bytes));
-    }
-  }
+  RQO_RETURN_NOT_OK(FetchRows(ctx, *source, rids, residual_.get(), col_idx,
+                              &out));
   ctx->meter.ChargeOutputTuples(ctx->cost_model, out.num_rows());
   return out;
 }
@@ -161,14 +151,8 @@ Result<Table> IndexIntersectionOp::Execute(ExecContext* ctx) const {
   Table out(table_ + "$ixintersect", std::move(schema));
   RQO_ASSIGN_OR_RETURN(const std::vector<size_t> col_idx,
                        ResolveColumns(source->schema(), cols));
-  const uint64_t row_bytes = ApproximateRowBytes(out.schema());
-  for (Rid rid : survivors) {
-    if (!source->VisibleAt(rid, ctx->snapshot_epoch)) continue;
-    if (residual_ == nullptr || residual_->EvaluateBool(*source, rid)) {
-      AppendProjectedRow(*source, rid, col_idx, &out);
-      RQO_RETURN_NOT_OK(ctx->Tick(1, row_bytes));
-    }
-  }
+  RQO_RETURN_NOT_OK(FetchRows(ctx, *source, survivors, residual_.get(),
+                              col_idx, &out));
   ctx->meter.ChargeOutputTuples(ctx->cost_model, out.num_rows());
   return out;
 }

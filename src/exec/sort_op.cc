@@ -43,13 +43,8 @@ Result<storage::Table> SortOp::Execute(ExecContext* ctx) const {
   RQO_RETURN_NOT_OK(ctx->CheckPoint());
 
   storage::Table out("sort", input.schema());
-  const uint64_t row_bytes = ApproximateRowBytes(out.schema());
-  std::vector<size_t> all_cols(input.schema().num_columns());
-  for (size_t i = 0; i < all_cols.size(); ++i) all_cols[i] = i;
-  for (storage::Rid rid : order) {
-    AppendProjectedRow(input, rid, all_cols, &out);
-    RQO_RETURN_NOT_OK(ctx->Tick(1, row_bytes));
-  }
+  RQO_RETURN_NOT_OK(TickRows(ctx, n, ApproximateRowBytes(out.schema())));
+  out.AppendGather(input, order, AllColumns(input.schema()));
   return out;
 }
 

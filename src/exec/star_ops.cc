@@ -43,13 +43,10 @@ Result<Table> StarSemiJoinOp::Execute(ExecContext* ctx) const {
     ctx->meter.ChargeSeqTuples(ctx->cost_model, dim_table->num_rows());
     std::vector<Rid> fact_rids;
     uint64_t entries_this_dim = 0;
-    for (Rid drid = 0; drid < dim_table->num_rows(); ++drid) {
-      if (!dim_table->VisibleAt(drid, ctx->snapshot_epoch)) continue;
-      if (dim.dim_predicate != nullptr &&
-          !dim.dim_predicate->EvaluateBool(*dim_table, drid)) {
-        continue;
-      }
-      const int64_t pk = dim_table->column(pk_idx).Int64At(drid);
+    const storage::ColumnVector& pk_col = dim_table->column(pk_idx);
+    for (Rid drid : SelectRows(*dim_table, dim.dim_predicate.get(),
+                               ctx->snapshot_epoch)) {
+      const int64_t pk = pk_col.Int64At(drid);
       uint64_t entries = 0;
       std::vector<Rid> matches =
           fk_index->EqualLookup(static_cast<double>(pk), &entries);
@@ -85,18 +82,10 @@ Result<Table> StarSemiJoinOp::Execute(ExecContext* ctx) const {
   RQO_ASSIGN_OR_RETURN(storage::Schema schema,
                        ProjectSchema(fact->schema(), cols));
   Table out(fact_table_ + "$starsemi", std::move(schema));
-  const uint64_t row_bytes = ApproximateRowBytes(out.schema());
   RQO_ASSIGN_OR_RETURN(const std::vector<size_t> col_idx,
                        ResolveColumns(fact->schema(), cols));
-  for (Rid rid : survivors) {
-    if (!fact->VisibleAt(rid, ctx->snapshot_epoch)) continue;
-    if (fact_predicate_ != nullptr &&
-        !fact_predicate_->EvaluateBool(*fact, rid)) {
-      continue;
-    }
-    AppendProjectedRow(*fact, rid, col_idx, &out);
-    RQO_RETURN_NOT_OK(ctx->Tick(1, row_bytes));
-  }
+  RQO_RETURN_NOT_OK(FetchRows(ctx, *fact, survivors, fact_predicate_.get(),
+                              col_idx, &out));
   ctx->meter.ChargeOutputTuples(ctx->cost_model, out.num_rows());
   return out;
 }

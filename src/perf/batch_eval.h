@@ -1,7 +1,8 @@
 // Copyright (c) robustqo authors. Licensed under the MIT license.
 //
 // Columnar batch predicate evaluation — the hot inner loop of sample-based
-// estimation. Instead of interpreting the expression tree once per sample
+// estimation, and the selection step of the executor's scans and filters
+// (exec::SelectRows). Instead of interpreting the expression tree once per
 // tuple (a virtual Evaluate call plus boxed Value allocations per node per
 // row), the batch evaluator walks the tree once and evaluates each leaf
 // comparison as a tight loop over the native column arrays, producing a

@@ -62,6 +62,36 @@ Value ColumnVector::ValueAt(Rid rid) const {
   return Value();
 }
 
+namespace {
+
+template <typename T>
+void GatherInto(const std::vector<T>& source, const std::vector<Rid>& rids,
+                std::vector<T>* dest) {
+  const size_t base = dest->size();
+  dest->resize(base + rids.size());
+  T* out = dest->data() + base;
+  for (size_t i = 0; i < rids.size(); ++i) out[i] = source[rids[i]];
+}
+
+}  // namespace
+
+void ColumnVector::AppendGather(const ColumnVector& source,
+                                const std::vector<Rid>& rids) {
+  RQO_CHECK_MSG(type_ == source.type_, "gather between column types");
+  switch (type_) {
+    case DataType::kInt64:
+    case DataType::kDate:
+      GatherInto(source.ints_, rids, &ints_);
+      return;
+    case DataType::kDouble:
+      GatherInto(source.doubles_, rids, &doubles_);
+      return;
+    case DataType::kString:
+      GatherInto(source.strings_, rids, &strings_);
+      return;
+  }
+}
+
 void ColumnVector::Reserve(size_t n) {
   switch (type_) {
     case DataType::kInt64:
@@ -107,6 +137,15 @@ void Table::AppendRow(const std::vector<Value>& values) {
     columns_[i]->Append(values[i]);
   }
   ++num_rows_;
+}
+
+void Table::AppendGather(const Table& source, const std::vector<Rid>& rids,
+                         const std::vector<size_t>& columns) {
+  RQO_CHECK_MSG(columns.size() == columns_.size(), "gather arity mismatch");
+  for (size_t j = 0; j < columns.size(); ++j) {
+    columns_[j]->AppendGather(source.column(columns[j]), rids);
+  }
+  num_rows_ += rids.size();
 }
 
 const ColumnVector& Table::column(const std::string& name) const {

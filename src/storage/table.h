@@ -25,6 +25,7 @@
 
 #include "storage/schema.h"
 #include "storage/value.h"
+#include "util/macros.h"
 #include "util/status.h"
 
 namespace robustqo {
@@ -54,8 +55,22 @@ class ColumnVector {
   double DoubleAt(Rid rid) const { return doubles_[rid]; }
   const std::string& StringAt(Rid rid) const { return strings_[rid]; }
 
+  /// Numeric view: int64/date widened to double; aborts for strings
+  /// (matches Value::NumericValue).
+  double NumericAt(Rid rid) const {
+    RQO_CHECK_MSG(type_ != DataType::kString,
+                  "numeric read of a string column");
+    return type_ == DataType::kDouble ? doubles_[rid]
+                                      : static_cast<double>(ints_[rid]);
+  }
+
   /// Boxed accessor.
   Value ValueAt(Rid rid) const;
+
+  /// Typed gather: appends entries `rids[0]`, `rids[1]`, ... of `source`
+  /// (same type), in that order, with no Value boxing. RIDs may
+  /// repeat and need not be sorted.
+  void AppendGather(const ColumnVector& source, const std::vector<Rid>& rids);
 
   void Reserve(size_t n);
 
@@ -80,6 +95,11 @@ class Table {
 
   /// Appends a full row; values must match the schema arity and types.
   void AppendRow(const std::vector<Value>& values);
+
+  /// Column-wise gather: appends rows `rids[0]`, `rids[1]`, ... of `source`,
+  /// where this table's column j receives `source` column `columns[j]`.
+  void AppendGather(const Table& source, const std::vector<Rid>& rids,
+                    const std::vector<size_t>& columns);
 
   /// Direct column access for bulk loading / scanning.
   ColumnVector* mutable_column(size_t i) { return columns_[i].get(); }

@@ -4,9 +4,12 @@
 
 #include <algorithm>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "exec/scan_ops.h"
 #include "expr/expression.h"
+#include "fault/governor.h"
 #include "util/rng.h"
 
 namespace robustqo {
@@ -120,6 +123,62 @@ TEST_F(JoinOpsTest, HashJoinChargesBuildAndProbe) {
   // Seq scans charge their own tuples; hash charges cpu for build+probe.
   const uint64_t items = catalog_.GetTable("items")->num_rows();
   EXPECT_EQ(ctx_.meter.cpu_tuples(), 100u + items);
+}
+
+// The governor contract through the pair-collecting join: one
+// Tick(1, row_bytes) per output row, before the gather, after the
+// children's own per-row ticks.
+TEST_F(JoinOpsTest, HashJoinRowBudgetTripsOnRowLimitPlusOne) {
+  const uint64_t items = catalog_.GetTable("items")->num_rows();
+  fault::GovernorLimits limits;
+  limits.row_limit = 100 + items + 10;  // trips inside the join's output
+  fault::QueryGovernor governor(limits);
+  ctx_.governor = &governor;
+  HashJoinOp join(ScanOrders(0), ScanItems(), "o_id", "i_oid");
+  Result<Table> out = join.Execute(&ctx_);
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(governor.rows_charged(), limits.row_limit + 1);
+}
+
+TEST_F(JoinOpsTest, HashJoinChargesOneTickPerRowOfEveryOperator) {
+  const uint64_t items = catalog_.GetTable("items")->num_rows();
+  fault::QueryGovernor governor;
+  ctx_.governor = &governor;
+  HashJoinOp join(ScanOrders(0), ScanItems(), "o_id", "i_oid");
+  Table out = join.Execute(&ctx_).value();
+  ASSERT_EQ(out.num_rows(), items);
+  EXPECT_EQ(governor.rows_charged(), 100 + items + out.num_rows());
+  // 8 bytes per cell: orders rows (2 columns), items rows (3), joined (5).
+  const uint64_t materialized = 100 * 16 + items * 24 + out.num_rows() * 40;
+  EXPECT_EQ(governor.memory_in_use(), materialized);
+  // The 24-byte-per-build-row hash table is held while the output is
+  // charged, then released.
+  EXPECT_EQ(governor.peak_memory_bytes(), materialized + 100 * 24);
+}
+
+// Emit order is part of the contract (downstream SUMs fold in row order):
+// probe rows in order, each followed by its matching build rows in
+// descending build-RID order.
+TEST_F(JoinOpsTest, HashJoinEmitsProbeOrderThenDescendingBuildRids) {
+  HashJoinOp join(ScanItems(), ScanOrders(0), "i_oid", "o_id");
+  Table out = join.Execute(&ctx_).value();
+  const Table* items = catalog_.GetTable("items");
+  const Table* orders = catalog_.GetTable("orders");
+  std::vector<std::pair<int64_t, int64_t>> expected;  // (o_id, i_id)
+  for (Rid o = 0; o < orders->num_rows(); ++o) {
+    const int64_t oid = orders->column("o_id").Int64At(o);
+    for (Rid i = items->num_rows(); i-- > 0;) {
+      if (items->column("i_oid").Int64At(i) == oid) {
+        expected.emplace_back(oid, items->column("i_id").Int64At(i));
+      }
+    }
+  }
+  ASSERT_EQ(out.num_rows(), expected.size());
+  for (Rid r = 0; r < out.num_rows(); ++r) {
+    EXPECT_EQ(out.column("o_id").Int64At(r), expected[r].first);
+    EXPECT_EQ(out.column("i_id").Int64At(r), expected[r].second);
+  }
 }
 
 TEST_F(JoinOpsTest, MergeJoinMatchesHashJoin) {

@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "expr/expression.h"
+#include "fault/governor.h"
 #include "util/rng.h"
 
 namespace robustqo {
@@ -154,6 +155,34 @@ TEST_F(ScanOpsTest, DescribeStrings) {
             std::string::npos);
   IndexIntersectionOp ix("t", {{"a", 0.0, 1.0}, {"b", 0.0, 1.0}}, nullptr);
   EXPECT_NE(ix.Describe().find("a & b"), std::string::npos);
+}
+
+// The governor sees one Tick(1, row_bytes) per output row, issued before
+// the column gather: a row budget of L trips on row L + 1.
+TEST_F(ScanOpsTest, SeqScanRowBudgetTripsOnRowLimitPlusOne) {
+  fault::GovernorLimits limits;
+  limits.row_limit = 100;
+  fault::QueryGovernor governor(limits);
+  ctx_.governor = &governor;
+  SeqScanOp scan("t", Ge(Col("a"), LitInt(50)));
+  ASSERT_GT(BruteForceCount(*Ge(Col("a"), LitInt(50))), 101u);
+  Result<Table> out = scan.Execute(&ctx_);
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(governor.rows_charged(), 101u);
+  EXPECT_EQ(governor.row_trips(), 1u);
+}
+
+TEST_F(ScanOpsTest, SeqScanChargesOneTickPerOutputRow) {
+  fault::QueryGovernor governor;
+  ctx_.governor = &governor;
+  SeqScanOp scan("t", Ge(Col("a"), LitInt(50)), {"id", "a"});
+  Table out = scan.Execute(&ctx_).value();
+  EXPECT_EQ(out.num_rows(), BruteForceCount(*Ge(Col("a"), LitInt(50))));
+  EXPECT_EQ(governor.rows_charged(), out.num_rows());
+  // Two projected columns: 16 bytes per row.
+  EXPECT_EQ(governor.peak_memory_bytes(), out.num_rows() * 16);
+  EXPECT_EQ(governor.memory_in_use(), out.num_rows() * 16);
 }
 
 }  // namespace

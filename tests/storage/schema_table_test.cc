@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "storage/schema.h"
 #include "storage/table.h"
 
@@ -97,6 +100,89 @@ TEST(ColumnVectorTest, BoxedAppend) {
   ColumnVector c(DataType::kString);
   c.Append(Value::String("hello"));
   EXPECT_EQ(c.StringAt(0), "hello");
+}
+
+TEST(ColumnVectorTest, GatherAppendsTypedEntriesInRidOrder) {
+  Table t("test", TestSchema());
+  for (int64_t i = 0; i < 5; ++i) {
+    t.AppendRow({Value::Int64(i * 10), Value::Double(i + 0.5),
+                 Value::String("s" + std::to_string(i)), Value::Date(100 + i)});
+  }
+  // Out of order, with a repeat.
+  const std::vector<Rid> rids = {4, 0, 2, 2, 1};
+  for (size_t c = 0; c < t.schema().num_columns(); ++c) {
+    ColumnVector dest(t.schema().column(c).type);
+    dest.AppendGather(t.column(c), rids);
+    ASSERT_EQ(dest.size(), rids.size());
+    for (size_t i = 0; i < rids.size(); ++i) {
+      EXPECT_EQ(dest.ValueAt(i), t.ValueAt(rids[i], c)) << "column " << c;
+      EXPECT_EQ(dest.ValueAt(i).type(), t.schema().column(c).type);
+    }
+  }
+}
+
+TEST(ColumnVectorTest, GatherAppendsAfterExistingEntries) {
+  ColumnVector source(DataType::kInt64);
+  for (int64_t v : {7, 8, 9}) source.AppendInt64(v);
+  ColumnVector dest(DataType::kInt64);
+  dest.AppendInt64(-1);
+  dest.AppendGather(source, {2, 0});
+  ASSERT_EQ(dest.size(), 3u);
+  EXPECT_EQ(dest.Int64At(0), -1);
+  EXPECT_EQ(dest.Int64At(1), 9);
+  EXPECT_EQ(dest.Int64At(2), 7);
+}
+
+TEST(ColumnVectorTest, GatherOfNoRidsAppendsNothing) {
+  ColumnVector source(DataType::kString);
+  source.AppendString("x");
+  ColumnVector dest(DataType::kString);
+  dest.AppendGather(source, {});
+  EXPECT_EQ(dest.size(), 0u);
+}
+
+TEST(TableTest, ColumnWiseGatherProjectsAndCountsRows) {
+  Table source("src", TestSchema());
+  for (int64_t i = 0; i < 4; ++i) {
+    source.AppendRow({Value::Int64(i), Value::Double(i * 1.5),
+                      Value::String(std::string(1, 'a' + i)), Value::Date(i)});
+  }
+  // Destination columns (ship, name, id) take source columns 3, 2, 0.
+  Table dest("dest", Schema({{"ship", DataType::kDate},
+                             {"name", DataType::kString},
+                             {"id", DataType::kInt64}}));
+  dest.AppendGather(source, {3, 1, 3}, {3, 2, 0});
+  ASSERT_EQ(dest.num_rows(), 3u);
+  EXPECT_EQ(dest.RowAt(0), (std::vector<Value>{Value::Date(3),
+                                               Value::String("d"),
+                                               Value::Int64(3)}));
+  EXPECT_EQ(dest.column(1).StringAt(1), "b");
+  EXPECT_EQ(dest.column(2).Int64At(2), 3);
+  dest.AppendGather(source, {}, {3, 2, 0});
+  EXPECT_EQ(dest.num_rows(), 3u);
+  dest.AppendGather(source, {0}, {3, 2, 0});
+  EXPECT_EQ(dest.num_rows(), 4u);
+  EXPECT_EQ(dest.column(0).size(), 4u);
+}
+
+TEST(ColumnVectorTest, NumericReadWidensIntegersAndDates) {
+  ColumnVector ints(DataType::kInt64);
+  ints.AppendInt64(-3);
+  ColumnVector dates(DataType::kDate);
+  dates.AppendInt64(9000);
+  ColumnVector doubles(DataType::kDouble);
+  doubles.AppendDouble(2.25);
+  EXPECT_EQ(ints.NumericAt(0), -3.0);
+  EXPECT_EQ(dates.NumericAt(0), 9000.0);
+  EXPECT_EQ(doubles.NumericAt(0), 2.25);
+  EXPECT_EQ(ints.NumericAt(0), ints.ValueAt(0).NumericValue());
+  EXPECT_EQ(dates.NumericAt(0), dates.ValueAt(0).NumericValue());
+}
+
+TEST(ColumnVectorDeathTest, NumericReadOfStringColumnAborts) {
+  ColumnVector strings(DataType::kString);
+  strings.AppendString("x");
+  EXPECT_DEATH({ (void)strings.NumericAt(0); }, "string column");
 }
 
 }  // namespace
