@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
-#include <unordered_map>
+#include <utility>
 
 #include "exec/agg_ops.h"
-#include "exec/join_ops.h"
-#include "exec/scan_ops.h"
 #include "exec/sort_op.h"
 #include "expr/analysis.h"
 #include "optimizer/run_state.h"
@@ -47,10 +45,6 @@ class ThresholdHintScope {
   double saved_ = 0.0;
 };
 
-std::string SubsetKey(uint32_t subset) {
-  return StrPrintf("%u", subset);
-}
-
 // Sargable conjunct with its extracted range.
 struct SargableConjunct {
   expr::ExprPtr conjunct;
@@ -76,16 +70,19 @@ std::vector<SargableConjunct> IndexedSargables(
 Optimizer::Optimizer(const storage::Catalog* catalog,
                      stats::CardinalityEstimator* estimator,
                      CostModel cost_model)
-    : catalog_(catalog), estimator_(estimator), cost_model_(cost_model) {
+    : catalog_(catalog),
+      estimator_(estimator),
+      cost_model_(cost_model),
+      memo_{cost_model} {
   RQO_CHECK(catalog != nullptr && estimator != nullptr);
 }
 
-double Optimizer::EstimateRowsWithPredicate(RunState* run, uint32_t subset,
-                                            const expr::ExprPtr& predicate,
-                                            const std::string& cache_tag) {
+double Optimizer::EstimateRows(RunState* run, uint32_t subset,
+                               const std::string& tag,
+                               const expr::ExprPtr* predicate) {
   ++metrics_.estimator_calls;
   if (run->metric_estimates != nullptr) run->metric_estimates->Increment();
-  const std::string key = SubsetKey(subset) + "|" + cache_tag;
+  std::pair<uint32_t, std::string> key(subset, tag);
   if (run->options.enable_estimate_memo) {
     auto it = run->estimate_cache.find(key);
     if (it != run->estimate_cache.end()) {
@@ -99,7 +96,9 @@ double Optimizer::EstimateRowsWithPredicate(RunState* run, uint32_t subset,
 
   stats::CardinalityRequest request;
   request.tables = run->SubsetNames(subset);
-  request.predicate = predicate;
+  request.predicate = predicate != nullptr
+                          ? *predicate
+                          : run->query->CombinedPredicate(request.tables);
   Result<double> rows = estimator_->EstimateRows(request);
   double value;
   if (rows.ok()) {
@@ -113,8 +112,9 @@ double Optimizer::EstimateRowsWithPredicate(RunState* run, uint32_t subset,
           base, static_cast<double>(catalog_->GetTable(name)->num_rows()));
     }
     double sel = 1.0;
-    if (predicate != nullptr) {
-      for (size_t i = 0; i < expr::SplitConjuncts(predicate).size(); ++i) {
+    if (request.predicate != nullptr) {
+      for (size_t i = 0; i < expr::SplitConjuncts(request.predicate).size();
+           ++i) {
         sel *= stats::kMagicUnknownSelectivity;
       }
     }
@@ -126,91 +126,56 @@ double Optimizer::EstimateRowsWithPredicate(RunState* run, uint32_t subset,
     run->options.tracer->Event(
         "optimizer", "estimate",
         {{"tables", StrJoin(names, ",")},
-         {"tag", cache_tag},
+         {"tag", tag},
          {"fallback", rows.ok() ? "false" : "true"},
          {"est_rows", obs::AttrF(value)}});
   }
-  run->estimate_cache.emplace(key, value);
+  run->estimate_cache.emplace(std::move(key), value);
   return value;
 }
 
-double Optimizer::EstimateRows(RunState* run, uint32_t subset) {
-  const expr::ExprPtr predicate =
-      run->query->CombinedPredicate(run->SubsetNames(subset));
-  return EstimateRowsWithPredicate(run, subset, predicate, "own");
-}
-
 void Optimizer::AddAccessPaths(RunState* run, size_t table_idx,
-                               std::vector<PlanCandidate>* out) {
+                               std::vector<PlanEntry>* out) {
   const storage::Table* table = run->tables[table_idx];
-  const std::string name = table->name();
-  const expr::ExprPtr predicate = run->query->tables[table_idx].predicate;
+  const std::string& name = table->name();
   const std::vector<std::string>& columns = run->needed_columns[table_idx];
-  const double total_rows = static_cast<double>(table->num_rows());
   const uint32_t bit = 1u << table_idx;
   const double est_rows = EstimateRows(run, bit);
 
+  PlanPayload scan;
+  scan.table = name;
+  scan.predicate = run->query->tables[table_idx].predicate;
+  scan.columns = columns;
+  scan.table_rows = static_cast<double>(table->num_rows());
   auto in_projection = [&columns](const std::string& col) {
     return std::find(columns.begin(), columns.end(), col) != columns.end();
   };
-
-  // 1) Sequential scan — the selectivity-insensitive plan.
-  {
-    PlanCandidate cand;
-    cand.cost = exec::SeqScanCost(cost_model_, total_rows, est_rows);
-    cand.rows = est_rows;
-    const std::string cluster = catalog_->ClusteringColumnOf(name);
-    cand.sort_order = in_projection(cluster) ? cluster : "";
-    cand.label = "Seq(" + name + ")";
-    cand.build = [name, predicate, columns, est_rows]() -> OperatorPtr {
-      auto op = std::make_unique<exec::SeqScanOp>(name, predicate, columns);
-      op->set_planner_estimated_rows(est_rows);
-      return op;
-    };
-    if (run->options.provenance_enabled) {
-      const CostModel cm = cost_model_;
-      cand.cost_at = [cm, total_rows, est_rows](double ratio) {
-        return exec::SeqScanCost(cm, total_rows, est_rows * ratio);
-      };
-    }
+  auto add = [&](PlanMethod method, PlanPayload payload,
+                 const std::string& sort_order) {
+    PlanEntry cand{method, false, false, memo_.AddPayload(std::move(payload)),
+                   {}, {}, 0.0, est_rows, sort_order};
+    cand.cost = memo_.Cost(cand);
     out->push_back(std::move(cand));
     ++metrics_.candidates;
-  }
+  };
+
+  // 1) Sequential scan — the selectivity-insensitive plan.
+  const std::string cluster = catalog_->ClusteringColumnOf(name);
+  add(PlanMethod::kSeqScan, scan, in_projection(cluster) ? cluster : "");
 
   const std::vector<SargableConjunct> sargables =
-      IndexedSargables(*catalog_, name, predicate);
+      IndexedSargables(*catalog_, name, scan.predicate);
+  auto conj_rows = [&](const expr::ExprPtr& conjunct) {
+    return EstimateRows(run, bit, "conj:" + conjunct->ToString(), &conjunct);
+  };
 
   // 2) Single-index range scans.
   for (const SargableConjunct& s : sargables) {
-    const double conj_rows = EstimateRowsWithPredicate(
-        run, bit, s.conjunct, "conj:" + s.conjunct->ToString());
-    const double entries =
-        total_rows * std::min(1.0, conj_rows / std::max(1.0, total_rows));
-    PlanCandidate cand;
-    cand.cost =
-        exec::IndexRangeScanCost(cost_model_, entries, entries, est_rows);
-    cand.rows = est_rows;
-    cand.sort_order = in_projection(s.range.column) ? s.range.column : "";
-    cand.label = "Ix(" + name + "." + s.range.column + ")";
-    exec::IndexRange range{s.range.column, s.range.lo, s.range.hi};
-    cand.build = [name, range, predicate, columns,
-                  est_rows]() -> OperatorPtr {
-      auto op = std::make_unique<exec::IndexRangeScanOp>(name, range,
-                                                         predicate, columns);
-      op->set_planner_estimated_rows(est_rows);
-      return op;
-    };
-    if (run->options.provenance_enabled) {
-      const CostModel cm = cost_model_;
-      cand.cost_at = [cm, total_rows, conj_rows, est_rows](double ratio) {
-        const double e = total_rows *
-                         std::min(1.0, conj_rows * ratio /
-                                           std::max(1.0, total_rows));
-        return exec::IndexRangeScanCost(cm, e, e, est_rows * ratio);
-      };
-    }
-    out->push_back(std::move(cand));
-    ++metrics_.candidates;
+    PlanPayload payload = scan;
+    payload.ranges = {{s.range.column, s.range.lo, s.range.hi}};
+    payload.range_rows = {conj_rows(s.conjunct)};
+    add(PlanMethod::kIndexScan, std::move(payload),
+        in_projection(s.range.column) ? s.range.column : "");
   }
 
   // 3) Index intersections over every subset of >= 2 sargable indexes.
@@ -218,216 +183,74 @@ void Optimizer::AddAccessPaths(RunState* run, size_t table_idx,
     const uint32_t limit = 1u << sargables.size();
     for (uint32_t mask = 0; mask < limit; ++mask) {
       if (__builtin_popcount(mask) < 2) continue;
-      std::vector<exec::IndexRange> ranges;
+      PlanPayload payload = scan;
       std::vector<expr::ExprPtr> conjuncts;
-      std::vector<std::string> range_cols;
-      std::vector<double> conj_rows;
-      double entries_total = 0.0;
       for (size_t i = 0; i < sargables.size(); ++i) {
         if (!(mask & (1u << i))) continue;
         const SargableConjunct& s = sargables[i];
-        ranges.push_back({s.range.column, s.range.lo, s.range.hi});
+        payload.ranges.push_back({s.range.column, s.range.lo, s.range.hi});
+        payload.range_rows.push_back(conj_rows(s.conjunct));
         conjuncts.push_back(s.conjunct);
-        range_cols.push_back(s.range.column);
-        const double rows_i = EstimateRowsWithPredicate(
-            run, bit, s.conjunct, "conj:" + s.conjunct->ToString());
-        conj_rows.push_back(rows_i);
-        entries_total +=
-            total_rows * std::min(1.0, rows_i / std::max(1.0, total_rows));
       }
       // Survivors of the RID intersection: the *joint* selectivity of the
       // chosen conjuncts — this estimate is where AVI goes wrong on
       // correlated data and where the robust estimator shines.
-      expr::ExprPtr joint = conjuncts.size() == 1
-                                ? conjuncts[0]
-                                : expr::And(conjuncts);
-      const double fetches = EstimateRowsWithPredicate(
-          run, bit, joint, "conj:" + joint->ToString());
-      PlanCandidate cand;
-      cand.cost = exec::IndexIntersectionCost(
-          cost_model_, static_cast<int>(ranges.size()), entries_total,
-          fetches, est_rows);
-      cand.rows = est_rows;
-      cand.sort_order = "";
-      cand.label =
-          "IxSect(" + name + ":" + StrJoin(range_cols, "&") + ")";
-      cand.build = [name, ranges, predicate, columns,
-                    est_rows]() -> OperatorPtr {
-        auto op = std::make_unique<exec::IndexIntersectionOp>(
-            name, ranges, predicate, columns);
-        op->set_planner_estimated_rows(est_rows);
-        return op;
-      };
-      if (run->options.provenance_enabled) {
-        const CostModel cm = cost_model_;
-        const int nranges = static_cast<int>(ranges.size());
-        cand.cost_at = [cm, nranges, conj_rows, total_rows, fetches,
-                        est_rows](double ratio) {
-          double entries = 0.0;
-          for (double rows_i : conj_rows) {
-            entries += total_rows *
-                       std::min(1.0, rows_i * ratio /
-                                         std::max(1.0, total_rows));
-          }
-          return exec::IndexIntersectionCost(cm, nranges, entries,
-                                             fetches * ratio,
-                                             est_rows * ratio);
-        };
-      }
-      out->push_back(std::move(cand));
-      ++metrics_.candidates;
+      payload.fetches = conj_rows(expr::And(conjuncts));
+      add(PlanMethod::kIndexIntersection, std::move(payload), "");
     }
   }
 }
 
 void Optimizer::AddJoinCandidates(RunState* run, uint32_t s1, uint32_t s2,
-                                  const std::vector<PlanCandidate>& left,
-                                  const std::vector<PlanCandidate>& right,
-                                  std::vector<PlanCandidate>* out) {
+                                  std::vector<PlanEntry>* out) {
   const size_t edge_idx = run->CrossingEdge(s1, s2);
   if (edge_idx == SIZE_MAX) return;
   const RunState::Edge& edge = run->edges[edge_idx];
   // Join columns on each side of the partition.
   const bool from_in_s1 =
       (s1 & (1u << run->IndexOf(edge.fk.from_table))) != 0;
-  const std::string key1 =
+  const std::string& key1 =
       from_in_s1 ? edge.fk.from_column : edge.fk.to_column;
-  const std::string key2 =
+  const std::string& key2 =
       from_in_s1 ? edge.fk.to_column : edge.fk.from_column;
 
   const uint32_t joined = s1 | s2;
   const double out_rows = EstimateRows(run, joined);
-
-  for (const PlanCandidate& l : left) {
-    for (const PlanCandidate& r : right) {
-      // Hash join, both build directions.
+  auto add = [&](PlanMethod method, uint32_t payload, PlanRef left,
+                 PlanRef right, const std::string& sort_order,
+                 bool sort_left = false, bool sort_right = false) {
+    PlanEntry cand{method, sort_left, sort_right, payload, left, right, 0.0,
+                   out_rows, sort_order};
+    cand.cost = memo_.Cost(cand);
+    out->push_back(std::move(cand));
+    ++metrics_.candidates;
+  };
+  PlanPayload keys;
+  keys.left_key = key1;
+  keys.right_key = key2;
+  const uint32_t forward = memo_.AddPayload(keys);
+  std::swap(keys.left_key, keys.right_key);
+  const uint32_t backward = memo_.AddPayload(std::move(keys));
+  for (uint32_t i = 0; i < memo_.lists[s1].size(); ++i) {
+    for (uint32_t j = 0; j < memo_.lists[s2].size(); ++j) {
+      const PlanRef lref{s1, i};
+      const PlanRef rref{s2, j};
+      const std::string& l_order = memo_.at(lref).sort_order;
+      const std::string& r_order = memo_.at(rref).sort_order;
+      // Hash join, both build directions; the probe side's order is
+      // preserved.
       if (run->options.enable_hash_join) {
-        PlanCandidate cand;
-        cand.cost = l.cost + r.cost +
-                    exec::HashJoinCost(cost_model_, l.rows, r.rows, out_rows);
-        cand.rows = out_rows;
-        cand.sort_order = r.sort_order;  // probe-side order is preserved
-        cand.label = "HJ(" + l.label + "," + r.label + ")";
-        auto lb = l.build;
-        auto rb = r.build;
-        cand.build = [lb, rb, key1, key2, out_rows]() -> OperatorPtr {
-          auto op =
-              std::make_unique<exec::HashJoinOp>(lb(), rb(), key1, key2);
-          op->set_planner_estimated_rows(out_rows);
-          return op;
-        };
-        if (run->options.provenance_enabled && l.cost_at && r.cost_at) {
-          const CostModel cm = cost_model_;
-          auto lc = l.cost_at;
-          auto rc = r.cost_at;
-          const double l_rows = l.rows;
-          const double r_rows = r.rows;
-          cand.cost_at = [cm, lc, rc, l_rows, r_rows,
-                          out_rows](double ratio) {
-            return lc(ratio) + rc(ratio) +
-                   exec::HashJoinCost(cm, l_rows * ratio, r_rows * ratio,
-                                      out_rows * ratio);
-          };
-        }
-        out->push_back(std::move(cand));
-        ++metrics_.candidates;
-      }
-      if (run->options.enable_hash_join) {
-        PlanCandidate cand;
-        cand.cost = l.cost + r.cost +
-                    exec::HashJoinCost(cost_model_, r.rows, l.rows, out_rows);
-        cand.rows = out_rows;
-        cand.sort_order = l.sort_order;
-        cand.label = "HJ(" + r.label + "," + l.label + ")";
-        auto lb = l.build;
-        auto rb = r.build;
-        cand.build = [lb, rb, key1, key2, out_rows]() -> OperatorPtr {
-          auto op =
-              std::make_unique<exec::HashJoinOp>(rb(), lb(), key2, key1);
-          op->set_planner_estimated_rows(out_rows);
-          return op;
-        };
-        if (run->options.provenance_enabled && l.cost_at && r.cost_at) {
-          const CostModel cm = cost_model_;
-          auto lc = l.cost_at;
-          auto rc = r.cost_at;
-          const double l_rows = l.rows;
-          const double r_rows = r.rows;
-          cand.cost_at = [cm, lc, rc, l_rows, r_rows,
-                          out_rows](double ratio) {
-            return lc(ratio) + rc(ratio) +
-                   exec::HashJoinCost(cm, r_rows * ratio, l_rows * ratio,
-                                      out_rows * ratio);
-          };
-        }
-        out->push_back(std::move(cand));
-        ++metrics_.candidates;
+        add(PlanMethod::kHashJoin, forward, lref, rref, r_order);
+        add(PlanMethod::kHashJoin, backward, rref, lref, l_order);
       }
       // Merge join: directly when both inputs arrive sorted on the join
       // keys; otherwise (optionally) below explicit Sort operators.
-      if (run->options.enable_merge_join) {
-        const bool l_sorted = l.sort_order == key1;
-        const bool r_sorted = r.sort_order == key2;
-        const bool need_sorts = !l_sorted || !r_sorted;
-        if (!need_sorts || run->options.enable_sort_for_merge) {
-          PlanCandidate cand;
-          cand.cost = l.cost + r.cost +
-                      exec::MergeJoinCost(cost_model_, l.rows, r.rows,
-                                          out_rows);
-          std::string l_label = l.label;
-          std::string r_label = r.label;
-          if (!l_sorted) {
-            cand.cost += exec::SortCost(cost_model_, l.rows);
-            l_label = "Sort(" + l_label + ")";
-          }
-          if (!r_sorted) {
-            cand.cost += exec::SortCost(cost_model_, r.rows);
-            r_label = "Sort(" + r_label + ")";
-          }
-          cand.rows = out_rows;
-          cand.sort_order = key1;
-          cand.label = "MJ(" + l_label + "," + r_label + ")";
-          auto lb = l.build;
-          auto rb = r.build;
-          const double l_rows = l.rows;
-          const double r_rows = r.rows;
-          cand.build = [lb, rb, key1, key2, l_sorted, r_sorted, out_rows,
-                        l_rows, r_rows]() -> OperatorPtr {
-            OperatorPtr left_op = lb();
-            OperatorPtr right_op = rb();
-            if (!l_sorted) {
-              left_op =
-                  std::make_unique<exec::SortOp>(std::move(left_op), key1);
-              left_op->set_planner_estimated_rows(l_rows);
-            }
-            if (!r_sorted) {
-              right_op =
-                  std::make_unique<exec::SortOp>(std::move(right_op), key2);
-              right_op->set_planner_estimated_rows(r_rows);
-            }
-            auto op = std::make_unique<exec::MergeJoinOp>(
-                std::move(left_op), std::move(right_op), key1, key2);
-            op->set_planner_estimated_rows(out_rows);
-            return op;
-          };
-          if (run->options.provenance_enabled && l.cost_at && r.cost_at) {
-            const CostModel cm = cost_model_;
-            auto lc = l.cost_at;
-            auto rc = r.cost_at;
-            cand.cost_at = [cm, lc, rc, l_rows, r_rows, l_sorted, r_sorted,
-                            out_rows](double ratio) {
-              double c = lc(ratio) + rc(ratio) +
-                         exec::MergeJoinCost(cm, l_rows * ratio,
-                                             r_rows * ratio,
-                                             out_rows * ratio);
-              if (!l_sorted) c += exec::SortCost(cm, l_rows * ratio);
-              if (!r_sorted) c += exec::SortCost(cm, r_rows * ratio);
-              return c;
-            };
-          }
-          out->push_back(std::move(cand));
-          ++metrics_.candidates;
-        }
+      const bool sort_l = l_order != key1;
+      const bool sort_r = r_order != key2;
+      if (run->options.enable_merge_join &&
+          ((!sort_l && !sort_r) || run->options.enable_sort_for_merge)) {
+        add(PlanMethod::kMergeJoin, forward, lref, rref, key1, sort_l,
+            sort_r);
       }
     }
   }
@@ -438,96 +261,68 @@ void Optimizer::AddJoinCandidates(RunState* run, uint32_t s1, uint32_t s2,
     struct Orientation {
       uint32_t outer_set;
       uint32_t inner_set;
-      const std::vector<PlanCandidate>* outer_cands;
-      std::string outer_key;
-      std::string inner_key;
+      const std::string& outer_key;
+      const std::string& inner_key;
     };
     const Orientation orientations[2] = {
-        {s1, s2, &left, key1, key2},
-        {s2, s1, &right, key2, key1},
+        {s1, s2, key1, key2},
+        {s2, s1, key2, key1},
     };
     for (const Orientation& o : orientations) {
       if (__builtin_popcount(o.inner_set) != 1) continue;
       const size_t inner_idx =
           static_cast<size_t>(__builtin_ctz(o.inner_set));
-      const std::string inner_name = run->tables[inner_idx]->name();
+      const std::string& inner_name = run->tables[inner_idx]->name();
       if (!catalog_->HasIndex(inner_name, o.inner_key)) continue;
 
       // Matching index entries before the inner predicate: the join of the
       // outer subset with the bare inner table.
       const expr::ExprPtr outer_pred =
           run->query->CombinedPredicate(run->SubsetNames(o.outer_set));
-      const double entries = EstimateRowsWithPredicate(
-          run, joined, outer_pred,
-          "noinner:" + inner_name +
-              (outer_pred ? outer_pred->ToString() : ""));
-      const expr::ExprPtr inner_pred =
-          run->query->tables[inner_idx].predicate;
-      const std::vector<std::string> inner_cols =
-          run->needed_columns[inner_idx];
-      for (const PlanCandidate& outer : *o.outer_cands) {
-        PlanCandidate cand;
-        cand.cost = outer.cost + exec::IndexNestedLoopJoinCost(
-                                     cost_model_, outer.rows, entries,
-                                     entries, out_rows);
-        cand.rows = out_rows;
-        cand.sort_order = outer.sort_order;
-        cand.label = "INLJ(" + outer.label + ">" + inner_name + ")";
-        auto ob = outer.build;
-        const std::string outer_key = o.outer_key;
-        const std::string inner_key = o.inner_key;
-        cand.build = [ob, outer_key, inner_name, inner_key, inner_pred,
-                      out_rows]() -> OperatorPtr {
-          auto op = std::make_unique<exec::IndexNestedLoopJoinOp>(
-              ob(), outer_key, inner_name, inner_key, inner_pred);
-          op->set_planner_estimated_rows(out_rows);
-          return op;
-        };
-        if (run->options.provenance_enabled && outer.cost_at) {
-          const CostModel cm = cost_model_;
-          auto oc = outer.cost_at;
-          const double outer_rows = outer.rows;
-          cand.cost_at = [cm, oc, outer_rows, entries,
-                          out_rows](double ratio) {
-            return oc(ratio) + exec::IndexNestedLoopJoinCost(
-                                   cm, outer_rows * ratio, entries * ratio,
-                                   entries * ratio, out_rows * ratio);
-          };
-        }
-        out->push_back(std::move(cand));
-        ++metrics_.candidates;
+      PlanPayload payload;
+      payload.table = inner_name;
+      payload.predicate = run->query->tables[inner_idx].predicate;
+      payload.left_key = o.outer_key;
+      payload.right_key = o.inner_key;
+      payload.fetches = EstimateRows(
+          run, joined,
+          "noinner:" + inner_name + (outer_pred ? outer_pred->ToString() : ""),
+          &outer_pred);
+      const uint32_t payload_idx = memo_.AddPayload(std::move(payload));
+      for (uint32_t i = 0; i < memo_.lists[o.outer_set].size(); ++i) {
+        const PlanRef outer{o.outer_set, i};
+        add(PlanMethod::kIndexNestedLoop, payload_idx, outer, {},
+            memo_.at(outer).sort_order);
       }
     }
   }
 }
 
-void Optimizer::PruneCandidates(std::vector<PlanCandidate>* candidates) {
-  if (candidates->empty()) return;
-  std::unordered_map<std::string, PlanCandidate> best_by_order;
-  for (PlanCandidate& cand : *candidates) {
-    auto it = best_by_order.find(cand.sort_order);
-    // Pinned tie-break: lower cost wins, and an exact cost tie goes to
-    // the lexicographically smaller label — the survivor (and the
-    // provenance top-K built from the surviving order) must never depend
-    // on candidate generation order.
-    if (it == best_by_order.end() || cand.cost < it->second.cost ||
-        (cand.cost == it->second.cost && cand.label < it->second.label)) {
-      best_by_order[cand.sort_order] = std::move(cand);
+void Optimizer::PruneCandidates(const PlanMemo& memo,
+                                std::vector<PlanEntry>* candidates) {
+  // Pinned order: lower cost first, and an exact cost tie goes to the
+  // lexicographically smaller label — the survivor (and the provenance
+  // top-K built from the surviving order) must never depend on candidate
+  // generation order. Labels are derived only for exact ties.
+  auto before = [&memo](const PlanEntry& a, const PlanEntry& b) {
+    if (a.cost != b.cost) return a.cost < b.cost;
+    const int by_label = memo.Label(a).compare(memo.Label(b));
+    return by_label != 0 ? by_label < 0 : a.sort_order < b.sort_order;
+  };
+  // Cheapest per sort order: sorted outputs are retained even when an
+  // unsorted one is cheaper, because merge join may exploit them.
+  std::vector<PlanEntry> best;
+  for (PlanEntry& cand : *candidates) {
+    auto it = best.begin();
+    while (it != best.end() && it->sort_order != cand.sort_order) ++it;
+    if (it == best.end()) {
+      best.push_back(std::move(cand));
+    } else if (before(cand, *it)) {
+      *it = std::move(cand);
     }
   }
-  candidates->clear();
-  // Drop sorted candidates that are dominated by the cheapest unsorted one
-  // only if the unsorted one is cheaper AND the sorted one adds nothing —
-  // sorted outputs are retained because merge join may exploit them.
-  for (auto& [order, cand] : best_by_order) {
-    candidates->push_back(std::move(cand));
-  }
-  std::sort(candidates->begin(), candidates->end(),
-            [](const PlanCandidate& a, const PlanCandidate& b) {
-              if (a.cost != b.cost) return a.cost < b.cost;
-              if (a.label != b.label) return a.label < b.label;
-              return a.sort_order < b.sort_order;
-            });
+  std::sort(best.begin(), best.end(), before);
+  *candidates = std::move(best);
 }
 
 const std::vector<double>& Optimizer::SensitivityGrid() {
@@ -536,13 +331,12 @@ const std::vector<double>& Optimizer::SensitivityGrid() {
   return kGrid;
 }
 
-void Optimizer::CaptureSensitivity(
-    RunState* run, uint32_t full_subset,
-    const std::vector<PlanCandidate>& finalists) {
+void Optimizer::CaptureSensitivity(RunState* run, uint32_t full_subset) {
+  const std::vector<PlanEntry>& finalists = memo_.lists[full_subset];
   sensitivity_ = obs::PlanSensitivity{};
   sensitivity_.captured = true;
   sensitivity_.grid = SensitivityGrid();
-  if (!finalists.empty()) sensitivity_.plan_label = finalists.front().label;
+  if (!finalists.empty()) sensitivity_.plan_label = memo_.Label(finalists[0]);
 
   auto* robust = dynamic_cast<stats::RobustSampleEstimator*>(estimator_);
   double threshold_selectivity = 0.0;
@@ -587,16 +381,16 @@ void Optimizer::CaptureSensitivity(
     const size_t keep =
         std::min(finalists.size(), run->options.provenance_top_k + 1);
     for (size_t c = 0; c < keep; ++c) {
-      const PlanCandidate& cand = finalists[c];
+      const PlanEntry& cand = finalists[c];
       obs::CandidateCurve curve;
-      curve.label = cand.label;
+      curve.label = memo_.Label(cand);
       curve.cost = cand.cost;
       curve.rows = cand.rows;
-      curve.curve_available = static_cast<bool>(cand.cost_at);
+      curve.curve_available = cand.method != PlanMethod::kStar;
       for (double selectivity : sensitivity_.selectivity) {
         const double ratio = selectivity / threshold_selectivity;
-        curve.cost_at.push_back(curve.curve_available ? cand.cost_at(ratio)
-                                                      : cand.cost);
+        curve.cost_at.push_back(memo_.Recost(
+            {full_subset, static_cast<uint32_t>(c)}, ratio));
       }
       sensitivity_.candidates.push_back(std::move(curve));
     }
@@ -708,75 +502,63 @@ Result<PlannedQuery> Optimizer::Optimize(const QuerySpec& query,
     }
   }
 
-  // Dynamic programming over FK-connected subsets.
-  std::unordered_map<uint32_t, std::vector<PlanCandidate>> plans;
-  for (size_t i = 0; i < n; ++i) {
-    std::vector<PlanCandidate> cands;
-    AddAccessPaths(&run, i, &cands);
+  // Dynamic programming over FK-connected subsets. Each subset's pruned
+  // candidates become its memo list; joins refer to their inputs there.
+  memo_.lists.assign(size_t{1} << n, {});
+  memo_.payloads.clear();
+  auto prune_into_memo = [&](uint32_t subset, std::vector<PlanEntry> cands) {
     const size_t considered = cands.size();
-    PruneCandidates(&cands);
+    PruneCandidates(memo_, &cands);
     if (run.options.tracer != nullptr) {
+      const std::set<std::string> subset_names = run.SubsetNames(subset);
+      std::vector<std::string> names(subset_names.begin(),
+                                     subset_names.end());
       run.options.tracer->Event(
           "optimizer", "prune",
-          {{"tables", run.tables[i]->name()},
+          {{"tables", StrJoin(names, ",")},
            {"considered", obs::AttrU64(considered)},
            {"kept", obs::AttrU64(cands.size())},
-           {"best", cands.empty() ? "" : cands.front().label},
+           {"best", cands.empty() ? "" : memo_.Label(cands.front())},
            {"best_cost",
             obs::AttrF(cands.empty() ? 0.0 : cands.front().cost)}});
     }
-    plans[1u << i] = std::move(cands);
+    memo_.lists[subset] = std::move(cands);
+  };
+  for (size_t i = 0; i < n; ++i) {
+    std::vector<PlanEntry> cands;
+    AddAccessPaths(&run, i, &cands);
+    prune_into_memo(1u << i, std::move(cands));
   }
-  const uint32_t full = (n >= 32) ? 0xffffffffu : ((1u << n) - 1);
+  const uint32_t full = (1u << n) - 1;
   for (uint32_t subset = 1; subset <= full; ++subset) {
     if (__builtin_popcount(subset) < 2) continue;
-    std::vector<PlanCandidate> cands;
+    std::vector<PlanEntry> cands;
     for (uint32_t s1 = (subset - 1) & subset; s1 != 0;
          s1 = (s1 - 1) & subset) {
       const uint32_t s2 = subset ^ s1;
       if (s1 > s2) continue;  // unordered partition; methods try both sides
-      auto it1 = plans.find(s1);
-      auto it2 = plans.find(s2);
-      if (it1 == plans.end() || it2 == plans.end()) continue;
-      if (it1->second.empty() || it2->second.empty()) continue;
-      AddJoinCandidates(&run, s1, s2, it1->second, it2->second, &cands);
+      if (memo_.lists[s1].empty() || memo_.lists[s2].empty()) continue;
+      AddJoinCandidates(&run, s1, s2, &cands);
     }
     if (subset == full && run.options.enable_star_strategies) {
       AddStarCandidates(&run, &cands);
     }
-    if (!cands.empty()) {
-      const size_t considered = cands.size();
-      PruneCandidates(&cands);
-      if (run.options.tracer != nullptr) {
-        const std::set<std::string> subset_names = run.SubsetNames(subset);
-        std::vector<std::string> names(subset_names.begin(),
-                                       subset_names.end());
-        run.options.tracer->Event(
-            "optimizer", "prune",
-            {{"tables", StrJoin(names, ",")},
-             {"considered", obs::AttrU64(considered)},
-             {"kept", obs::AttrU64(cands.size())},
-             {"best", cands.front().label},
-             {"best_cost", obs::AttrF(cands.front().cost)}});
-      }
-      plans[subset] = std::move(cands);
-    }
+    if (!cands.empty()) prune_into_memo(subset, std::move(cands));
   }
 
-  auto final_it = plans.find(full);
-  if (final_it == plans.end() || final_it->second.empty()) {
+  if (memo_.lists[full].empty()) {
     return Status::NotFound(
         "no plan: query tables are not foreign-key-connected");
   }
-  const PlanCandidate& best = final_it->second.front();
+  const PlanEntry& best = memo_.lists[full].front();
 
   // Aggregation / final projection on top.
   PlannedQuery planned;
   planned.estimated_rows = best.rows;
   planned.estimated_spj_rows = best.rows;
   planned.estimated_cost = best.cost;
-  OperatorPtr root = best.build();
-  std::string label = best.label;
+  OperatorPtr root = memo_.Build(best);
+  std::string label = memo_.Label(best);
   if (!query.aggregates.empty()) {
     if (query.group_by.empty()) {
       planned.estimated_cost +=
@@ -858,7 +640,7 @@ Result<PlannedQuery> Optimizer::Optimize(const QuerySpec& query,
   // read + grid quantile lookups never perturb the EXPLAIN ANALYZE
   // perf.cache numbers.
   if (run.options.provenance_enabled) {
-    CaptureSensitivity(&run, full, final_it->second);
+    CaptureSensitivity(&run, full);
   }
   if (sensitivity_.captured) {
     if (options.tracer != nullptr) {

@@ -62,13 +62,13 @@ struct OptimizerOptions {
   obs::Tracer* tracer = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
   /// Plan-provenance capture — strictly read-only with respect to plan
-  /// choice. When enabled, every candidate carries a sensitivity re-cost
-  /// closure and Optimize() leaves a PlanSensitivity in
-  /// last_sensitivity(): the winner plus the top provenance_top_k
-  /// runner-ups (post-prune), each re-costed at the posterior quantile
-  /// grid, with a stability/crossover verdict. The added cdf^{-1} work
-  /// goes through the robust estimator's InverseBetaCache and is excluded
-  /// from last_metrics()'s per-query cache counters.
+  /// choice; enumeration does the same work either way. When enabled,
+  /// Optimize() leaves a PlanSensitivity in last_sensitivity(): the
+  /// winner plus the top provenance_top_k runner-ups (post-prune), each
+  /// re-costed over the plan memo at the posterior quantile grid, with a
+  /// stability/crossover verdict. The added cdf^{-1} work goes through
+  /// the robust estimator's InverseBetaCache and is excluded from
+  /// last_metrics()'s per-query cache counters.
   bool provenance_enabled = false;
   size_t provenance_top_k = 3;
 };
@@ -111,52 +111,56 @@ class Optimizer {
   /// The quantile grid sensitivity curves are evaluated on.
   static const std::vector<double>& SensitivityGrid();
 
+  /// The plan memo of the most recent Optimize() call; the finalists of
+  /// a query over n tables are its list (1 << n) - 1. Public for tests.
+  const PlanMemo& last_memo() const { return memo_; }
+
   /// Keeps only the cheapest candidate overall and per distinct sort
   /// order. Tie-break is pinned (lower cost, then lexicographically
-  /// smaller label) so the surviving order — which feeds the provenance
-  /// top-K — never depends on candidate generation order. Public for
-  /// tests.
-  static void PruneCandidates(std::vector<PlanCandidate>* candidates);
+  /// smaller memo label) so the surviving order — which feeds the
+  /// provenance top-K — never depends on candidate generation order.
+  /// Public for tests.
+  static void PruneCandidates(const PlanMemo& memo,
+                              std::vector<PlanEntry>* candidates);
 
  private:
   // -- Per-run state (reset by Optimize) --
   struct RunState;
 
   // Estimated output rows of the SPJ subexpression over `subset` (as a
-  // bitmask over query_->tables) with all its predicates applied; when
-  // `predicate_override` is set it replaces the subset's own predicates
-  // (used e.g. to cost INLJ inner lookups before the inner predicate).
-  double EstimateRows(RunState* run, uint32_t subset);
-  double EstimateRowsWithPredicate(RunState* run, uint32_t subset,
-                                   const expr::ExprPtr& predicate,
-                                   const std::string& cache_tag);
+  // bitmask over the query's tables), memoized per run on (subset, tag).
+  // With no `predicate` all of the subset's own predicates apply, built
+  // only on a memo miss; otherwise `predicate` replaces them (e.g. INLJ
+  // index entries before the inner predicate).
+  double EstimateRows(RunState* run, uint32_t subset,
+                      const std::string& tag = "own",
+                      const expr::ExprPtr* predicate = nullptr);
 
   // Access paths for a single table; appends candidates.
   void AddAccessPaths(RunState* run, size_t table_idx,
-                      std::vector<PlanCandidate>* out);
+                      std::vector<PlanEntry>* out);
 
-  // Join candidates combining `left` plans (for subset `s1`) and `right`
-  // plans (for subset `s2`); appends to `out`.
+  // Join candidates combining the memo's pruned plans for subsets `s1`
+  // and `s2`; appends to `out`.
   void AddJoinCandidates(RunState* run, uint32_t s1, uint32_t s2,
-                         const std::vector<PlanCandidate>& left,
-                         const std::vector<PlanCandidate>& right,
-                         std::vector<PlanCandidate>* out);
+                         std::vector<PlanEntry>* out);
 
   // Star semijoin strategies for the full table set (implemented in
   // star_strategies.cc); appends to `out`.
-  void AddStarCandidates(RunState* run, std::vector<PlanCandidate>* out);
+  void AddStarCandidates(RunState* run, std::vector<PlanEntry>* out);
 
-  // Fills sensitivity_ from the pruned finalists of the full table set:
-  // posterior quantile grid via the robust estimator's beta cache, one
-  // cost curve per retained candidate, verdict via FinalizeSensitivity.
-  void CaptureSensitivity(RunState* run, uint32_t full_subset,
-                          const std::vector<PlanCandidate>& finalists);
+  // Fills sensitivity_ from the memo's pruned finalists of the full table
+  // set: posterior quantile grid via the robust estimator's beta cache,
+  // one re-cost curve per retained candidate, verdict via
+  // FinalizeSensitivity.
+  void CaptureSensitivity(RunState* run, uint32_t full_subset);
 
   const storage::Catalog* catalog_;
   stats::CardinalityEstimator* estimator_;
   exec::CostModel cost_model_;
   Metrics metrics_;
   obs::PlanSensitivity sensitivity_;
+  PlanMemo memo_;
 };
 
 }  // namespace opt

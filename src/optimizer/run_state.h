@@ -10,6 +10,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -37,8 +38,8 @@ struct Optimizer::RunState {
   };
   std::vector<Edge> edges;
 
-  /// Cardinality cache: "<subset>|<tag-or-predicate>" -> rows.
-  std::map<std::string, double> estimate_cache;
+  /// Cardinality memo: (subset, tag) -> rows.
+  std::map<std::pair<uint32_t, std::string>, double> estimate_cache;
 
   /// Metric pointers resolved once per Optimize() run (null when no
   /// registry is attached); incremented on the estimate hot path.

@@ -7,20 +7,14 @@
 
 #include <algorithm>
 
-#include "exec/join_ops.h"
-#include "exec/scan_ops.h"
-#include "exec/star_ops.h"
 #include "optimizer/optimizer.h"
 #include "optimizer/run_state.h"
-#include "util/string_util.h"
 
 namespace robustqo {
 namespace opt {
 
-using exec::OperatorPtr;
-
 void Optimizer::AddStarCandidates(RunState* run,
-                                  std::vector<PlanCandidate>* out) {
+                                  std::vector<PlanEntry>* out) {
   const size_t n = run->tables.size();
   if (n < 3) return;
 
@@ -72,8 +66,10 @@ void Optimizer::AddStarCandidates(RunState* run,
     if (__builtin_popcount(mask) < 2) continue;
 
     double cost = 0.0;
-    std::vector<exec::DimSemiJoin> semis;
-    std::vector<std::string> semi_names;
+    PlanPayload payload;
+    payload.table = fact;
+    payload.predicate = run->query->tables[fact_idx].predicate;
+    payload.columns = run->needed_columns[fact_idx];
     uint32_t covered = fact_bit;
     for (size_t i = 0; i < dims.size(); ++i) {
       if (!(mask & (1u << i))) continue;
@@ -84,41 +80,23 @@ void Optimizer::AddStarCandidates(RunState* run,
       const double dim_rows = static_cast<double>(dim_table->num_rows());
       const double selected_dims = EstimateRows(run, dim_bit);
       // |fact |x| sigma(dim)|: index entries touched for this dimension.
-      const expr::ExprPtr dim_pred = run->query->tables[dim.idx].predicate;
-      const double entries = EstimateRowsWithPredicate(
-          run, fact_bit | dim_bit, dim_pred,
-          "star:" + dim_table->name());
+      const expr::ExprPtr& dim_pred = run->query->tables[dim.idx].predicate;
+      const double entries = EstimateRows(
+          run, fact_bit | dim_bit, "star:" + dim_table->name(), &dim_pred);
       cost += cost_model_.seq_tuple_cost * dim_rows +
               cost_model_.index_seek_cost * selected_dims +
               cost_model_.index_entry_cost * entries +
               cost_model_.cpu_tuple_cost * entries;
-      semis.push_back({dim_table->name(), dim_pred, dim.fk.to_column,
-                       dim.fk.from_column});
-      semi_names.push_back(dim_table->name());
+      payload.semis.push_back({dim_table->name(), dim_pred, dim.fk.to_column,
+                               dim.fk.from_column});
     }
 
     // Fact rows surviving the RID intersection, fetched one random I/O
     // each — the risky part of the plan.
-    const double survivors = EstimateRowsWithPredicate(
-        run, covered, run->query->CombinedPredicate(run->SubsetNames(covered)),
-        "own");
+    const double survivors = EstimateRows(run, covered);
     cost += cost_model_.random_io_cost * survivors +
             cost_model_.output_tuple_cost * survivors;
-
-    std::string label =
-        "Star(" + fact + ";" + StrJoin(semi_names, ",") + ")";
-    const expr::ExprPtr fact_pred = run->query->tables[fact_idx].predicate;
-    const std::vector<std::string> fact_cols =
-        run->needed_columns[fact_idx];
-    auto semis_copy = semis;
-    std::function<OperatorPtr()> build = [fact, semis_copy, fact_pred,
-                                          fact_cols,
-                                          survivors]() -> OperatorPtr {
-      auto op = std::make_unique<exec::StarSemiJoinOp>(fact, semis_copy,
-                                                       fact_pred, fact_cols);
-      op->set_planner_estimated_rows(survivors);
-      return op;
-    };
+    payload.fetches = survivors;
     double rows = survivors;
 
     // Hash-join the remaining dimensions (build = filtered dimension).
@@ -130,37 +108,23 @@ void Optimizer::AddStarCandidates(RunState* run,
       covered |= dim_bit;
       const double dim_rows = static_cast<double>(dim_table->num_rows());
       const double selected_dims = EstimateRows(run, dim_bit);
-      const double next_rows = EstimateRowsWithPredicate(
-          run, covered,
-          run->query->CombinedPredicate(run->SubsetNames(covered)), "own");
+      const double next_rows = EstimateRows(run, covered);
       cost += exec::SeqScanCost(cost_model_, dim_rows, selected_dims) +
               exec::HashJoinCost(cost_model_, selected_dims, rows, next_rows);
-      const std::string dim_name = dim_table->name();
-      const expr::ExprPtr dim_pred = run->query->tables[dim.idx].predicate;
-      const std::vector<std::string> dim_cols = run->needed_columns[dim.idx];
-      const std::string build_key = dim.fk.to_column;
-      const std::string probe_key = dim.fk.from_column;
-      auto prev = build;
-      build = [prev, dim_name, dim_pred, dim_cols, build_key, probe_key,
-               selected_dims, next_rows]() -> OperatorPtr {
-        auto dim_scan =
-            std::make_unique<exec::SeqScanOp>(dim_name, dim_pred, dim_cols);
-        dim_scan->set_planner_estimated_rows(selected_dims);
-        auto op = std::make_unique<exec::HashJoinOp>(
-            std::move(dim_scan), prev(), build_key, probe_key);
-        op->set_planner_estimated_rows(next_rows);
-        return op;
-      };
-      label = "HJ(Seq(" + dim_name + ")," + label + ")";
+      payload.hash_joins.push_back(
+          {{dim_table->name(), run->query->tables[dim.idx].predicate,
+            dim.fk.to_column, dim.fk.from_column},
+           run->needed_columns[dim.idx],
+           selected_dims,
+           next_rows});
       rows = next_rows;
     }
 
-    PlanCandidate cand;
+    PlanEntry cand;
+    cand.method = PlanMethod::kStar;
+    cand.payload = memo_.AddPayload(std::move(payload));
     cand.cost = cost;
     cand.rows = rows;
-    cand.sort_order = "";
-    cand.label = std::move(label);
-    cand.build = std::move(build);
     out->push_back(std::move(cand));
     ++metrics_.candidates;
   }
