@@ -232,7 +232,7 @@ Result<Table> FilterOp::Execute(ExecContext* ctx) const {
   const std::vector<Rid> rids =
       SelectRows(input, predicate_.get(), storage::kLatestSnapshot);
   RQO_RETURN_NOT_OK(
-      TickRows(ctx, rids.size(), ApproximateRowBytes(out.schema())));
+      ctx->TickRows(rids.size(), ApproximateRowBytes(out.schema())));
   out.AppendGather(input, rids, AllColumns(input.schema()));
   ctx->meter.ChargeOutputTuples(ctx->cost_model, out.num_rows());
   return out;
@@ -257,7 +257,7 @@ Result<Table> LimitOp::Execute(ExecContext* ctx) const {
   std::vector<Rid> rids(std::min(input.num_rows(), limit_));
   std::iota(rids.begin(), rids.end(), Rid{0});
   RQO_RETURN_NOT_OK(
-      TickRows(ctx, rids.size(), ApproximateRowBytes(out.schema())));
+      ctx->TickRows(rids.size(), ApproximateRowBytes(out.schema())));
   out.AppendGather(input, rids, AllColumns(input.schema()));
   ctx->meter.ChargeOutputTuples(ctx->cost_model, out.num_rows());
   return out;
@@ -286,7 +286,7 @@ Result<Table> ProjectOp::Execute(ExecContext* ctx) const {
   std::vector<Rid> rids(input.num_rows());
   std::iota(rids.begin(), rids.end(), Rid{0});
   RQO_RETURN_NOT_OK(
-      TickRows(ctx, rids.size(), ApproximateRowBytes(out.schema())));
+      ctx->TickRows(rids.size(), ApproximateRowBytes(out.schema())));
   out.AppendGather(input, rids, col_idx);
   ctx->meter.ChargeOutputTuples(ctx->cost_model, out.num_rows());
   return out;
@@ -401,7 +401,7 @@ Result<Table> GroupByAggregateOp::Execute(ExecContext* ctx) const {
       AggOutputSchema(group_columns_, input.schema(), aggs_));
   Table out("groupby", std::move(schema));
   RQO_RETURN_NOT_OK(
-      TickRows(ctx, num_groups, ApproximateRowBytes(out.schema())));
+      ctx->TickRows(num_groups, ApproximateRowBytes(out.schema())));
   for (size_t group : order) {
     for (size_t g = 0; g < k; ++g) {
       out.mutable_column(g)->AppendInt64(table.key(group)[g]);

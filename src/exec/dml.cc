@@ -38,17 +38,19 @@ Result<Value> CoerceToColumn(const Value& v, const storage::ColumnDef& col) {
 Result<std::vector<Rid>> DmlExecutor::TargetRids(ExecContext* ctx,
                                                  const Table& table,
                                                  const expr::ExprPtr& where) {
-  // The WHERE runs once over the whole table; the governor still sees one
-  // tick per visible row, in RID order.
+  // The WHERE runs once over the whole table; the governor is charged one
+  // row per visible row.
   std::vector<uint8_t> mask;
   if (where != nullptr) perf::BatchEvaluateMask(*where, table, &mask);
   std::vector<Rid> targets;
+  uint64_t visible = 0;
   const uint64_t num_rows = table.num_rows();
   for (Rid rid = 0; rid < num_rows; ++rid) {
     if (!table.VisibleAt(rid, ctx->snapshot_epoch)) continue;
-    RQO_RETURN_NOT_OK(ctx->Tick(1, 0));
+    ++visible;
     if (where == nullptr || mask[rid] != 0) targets.push_back(rid);
   }
+  RQO_RETURN_NOT_OK(ctx->TickRows(visible, 0));
   return targets;
 }
 
@@ -166,11 +168,9 @@ Result<DmlResult> DmlExecutor::Delete(ExecContext* ctx,
   RQO_ASSIGN_OR_RETURN(std::vector<Rid> targets,
                        TargetRids(ctx, *target, where));
 
+  RQO_RETURN_NOT_OK(ctx->TickRows(targets.size(), 0));
   storage::WriteBatch batch(catalog_, target);
-  for (Rid rid : targets) {
-    RQO_RETURN_NOT_OK(ctx->Tick(1, 0));
-    batch.StageDelete(rid);
-  }
+  for (Rid rid : targets) batch.StageDelete(rid);
 
   DmlResult result;
   result.rows_matched = targets.size();

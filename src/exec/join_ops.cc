@@ -94,17 +94,18 @@ struct JoinOutput {
   }
 };
 
-// Matched (left rid, right rid) pairs in emit order; each Emit ticks the
-// governor for the output row it stands for.
+// Matched (left rid, right rid) pairs in emit order. The joins charge the
+// governor one TickRows per run of pairs (a probe row's matches, an
+// equal-key run's cross product, an outer row's index matches).
 struct JoinPairs {
   std::vector<Rid> left;
   std::vector<Rid> right;
 
-  Status Emit(ExecContext* ctx, Rid l, Rid r, uint64_t row_bytes) {
+  void Add(Rid l, Rid r) {
     left.push_back(l);
     right.push_back(r);
-    return ctx->Tick(1, row_bytes);
   }
+  size_t size() const { return left.size(); }
 };
 
 // Integer key column `idx` of `table` (join keys are integer-physical).
@@ -134,14 +135,12 @@ class JoinHashTable {
     }
   }
 
-  // Calls `fn(build_rid)` for every build row whose key equals `key`;
-  // stops at and returns the first non-OK status.
+  // Calls `fn(build_rid)` for every build row whose key equals `key`.
   template <typename Fn>
-  Status Probe(int64_t key, const Fn& fn) const {
+  void Probe(int64_t key, const Fn& fn) const {
     for (Rid rid = heads_[Bucket(key)]; rid != kNone; rid = next_[rid]) {
-      if (keys_.Int64At(rid) == key) RQO_RETURN_NOT_OK(fn(rid));
+      if (keys_.Int64At(rid) == key) fn(rid);
     }
-    return Status::OK();
   }
 
  private:
@@ -198,9 +197,10 @@ Result<Table> HashJoinOp::Execute(ExecContext* ctx) const {
       KeyColumn(probe_rows, probe_key_idx);
   JoinPairs pairs;
   for (Rid prid = 0; prid < probe_rows.num_rows(); ++prid) {
-    RQO_RETURN_NOT_OK(hash_table.Probe(probe_keys.Int64At(prid), [&](Rid b) {
-      return pairs.Emit(ctx, b, prid, row_bytes);
-    }));
+    const size_t before = pairs.size();
+    hash_table.Probe(probe_keys.Int64At(prid),
+                     [&](Rid b) { pairs.Add(b, prid); });
+    RQO_RETURN_NOT_OK(ctx->TickRows(pairs.size() - before, row_bytes));
   }
   Table out("hashjoin", plan.schema);
   plan.Gather(build_rows, pairs.left, probe_rows, pairs.right, &out);
@@ -273,11 +273,11 @@ Result<Table> MergeJoinOp::Execute(ExecContext* ctx) const {
       while (lend < ln && lkeys.Int64At(left_at(lend)) == lkey) ++lend;
       Rid rend = ri;
       while (rend < rn && rkeys.Int64At(right_at(rend)) == rkey) ++rend;
+      RQO_RETURN_NOT_OK(
+          ctx->TickRows(static_cast<uint64_t>(lend - li) * (rend - ri),
+                        row_bytes));
       for (Rid a = li; a < lend; ++a) {
-        for (Rid b = ri; b < rend; ++b) {
-          RQO_RETURN_NOT_OK(
-              pairs.Emit(ctx, left_at(a), right_at(b), row_bytes));
-        }
+        for (Rid b = ri; b < rend; ++b) pairs.Add(left_at(a), right_at(b));
       }
       li = lend;
       ri = rend;
@@ -334,15 +334,17 @@ Result<Table> IndexNestedLoopJoinOp::Execute(ExecContext* ctx) const {
         index->EqualLookup(static_cast<double>(key), &entries);
     ctx->meter.ChargeIndexProbe(ctx->cost_model, entries);
     ctx->meter.ChargeRandomIo(ctx->cost_model, matches.size());
+    const size_t before = pairs.size();
     for (Rid irid : matches) {
       // The index holds every physical version; only the ones visible at
       // the snapshot join, as in the scans.
       if (!inner->VisibleAt(irid, ctx->snapshot_epoch)) continue;
       if (inner_residual_ == nullptr ||
           inner_residual_->EvaluateBool(*inner, irid)) {
-        RQO_RETURN_NOT_OK(pairs.Emit(ctx, orid, irid, row_bytes));
+        pairs.Add(orid, irid);
       }
     }
+    RQO_RETURN_NOT_OK(ctx->TickRows(pairs.size() - before, row_bytes));
   }
   Table out("inlj", plan.schema);
   plan.Gather(outer_rows, pairs.left, *inner, pairs.right, &out);

@@ -1,5 +1,7 @@
 #include "exec/operator.h"
 
+#include <algorithm>
+
 #include "perf/batch_eval.h"
 #include "util/macros.h"
 
@@ -29,6 +31,35 @@ Status ExecContext::Tick(uint64_t rows, uint64_t bytes) {
     return CheckPoint();
   }
   return Status::OK();
+}
+
+Status ExecContext::TickRows(uint64_t rows, uint64_t row_bytes) {
+  if (governor == nullptr || rows == 0) return Status::OK();
+  const uint64_t fit =
+      std::min(rows, governor->RowsWithinBudget(row_bytes));
+  // Charges `n` rows known to fit: neither call can trip (a zero charge
+  // could, on a governor already over budget).
+  const auto charge = [this, row_bytes](uint64_t n) {
+    if (n == 0) return;
+    governor->ChargeRows(n);
+    if (row_bytes > 0) governor->ChargeMemory(n * row_bytes);
+  };
+  const uint64_t to_checkpoint =
+      kCheckpointInterval - rows_since_checkpoint_;
+  if (fit < to_checkpoint) {
+    charge(fit);
+    rows_since_checkpoint_ += fit;
+  } else {
+    charge(to_checkpoint);
+    rows_since_checkpoint_ = 0;
+    RQO_RETURN_NOT_OK(CheckPoint());
+    // Every later checkpoint inside the run sees the same meter and token,
+    // so it passes too.
+    charge(fit - to_checkpoint);
+    rows_since_checkpoint_ = (fit - to_checkpoint) % kCheckpointInterval;
+  }
+  if (fit == rows) return Status::OK();
+  return Tick(1, row_bytes);  // the row that trips a budget
 }
 
 Result<storage::Table> PhysicalOperator::Run(ExecContext* ctx) const {
@@ -129,13 +160,6 @@ std::vector<storage::Rid> SelectRows(const storage::Table& table,
   return rids;
 }
 
-Status TickRows(ExecContext* ctx, uint64_t rows, uint64_t row_bytes) {
-  for (uint64_t i = 0; i < rows; ++i) {
-    RQO_RETURN_NOT_OK(ctx->Tick(1, row_bytes));
-  }
-  return Status::OK();
-}
-
 Status FetchRows(ExecContext* ctx, const storage::Table& source,
                  const std::vector<storage::Rid>& rids,
                  const expr::Expr* residual,
@@ -147,9 +171,9 @@ Status FetchRows(ExecContext* ctx, const storage::Table& source,
     if (!source.VisibleAt(rid, ctx->snapshot_epoch)) continue;
     if (residual == nullptr || residual->EvaluateBool(source, rid)) {
       kept.push_back(rid);
-      RQO_RETURN_NOT_OK(ctx->Tick(1, row_bytes));
     }
   }
+  RQO_RETURN_NOT_OK(ctx->TickRows(kept.size(), row_bytes));
   out->AppendGather(source, kept, columns);
   return Status::OK();
 }

@@ -7,8 +7,11 @@
 // built column-at-a-time: an operator first selects its output as RID lists
 // (predicates through perf::BatchEvaluateMask, joins as matched RID pairs),
 // then gathers each output column once with ColumnVector::AppendGather.
-// Output rows, their order, meter charges and the governor's per-row ticks
-// are those of a row-at-a-time loop over the same inputs.
+// Output rows, their order and meter charges are those of a row-at-a-time
+// loop over the same inputs. Governor accounting is charged per run of
+// rows (ExecContext::TickRows) with the observable outcome of one
+// Tick(1, row_bytes) per row: a budget trips at the same row with the same
+// status, and rows_charged, peak memory and checkpoint positions agree.
 //
 // Execution is fallible by design: Execute() returns Result<Table> and
 // operators cooperate with the per-query governor (memory/row/time budgets,
@@ -66,20 +69,18 @@ struct ExecContext {
   /// Cooperative checkpoint: cancellation plus the simulated-time budget.
   Status CheckPoint();
 
-  /// Fetches the RID-addressed `rids` of `source` (index or semijoin
-/// survivors) into `out`: keeps those visible at the snapshot that pass
-/// `residual` (null = all; evaluated per row, since such survivors are
-/// sparse), ticks the governor once per kept row, then gathers the kept
-/// rows' `columns`.
-Status FetchRows(ExecContext* ctx, const storage::Table& source,
-                 const std::vector<storage::Rid>& rids,
-                 const expr::Expr* residual,
-                 const std::vector<size_t>& columns, storage::Table* out);
-
-/// Accounts `rows` materialized rows and `bytes` materialized bytes
+  /// Accounts `rows` materialized rows and `bytes` materialized bytes
   /// against the governor, checkpointing every few hundred rows so a
   /// runaway loop is caught promptly without paying per-row overhead.
   Status Tick(uint64_t rows, uint64_t bytes);
+
+  /// Accounts a run of `rows` materialized rows of `row_bytes` each with
+  /// the outcome of Tick(1, row_bytes) per row: the same trip row, status,
+  /// rows_charged, memory and peak, trip counters and checkpoint position.
+  /// The rows that fit the budgets are charged in one step, with at most
+  /// one CheckPoint (neither the meter nor the cancellation token changes
+  /// inside a run); only the row that trips goes through Tick.
+  Status TickRows(uint64_t rows, uint64_t row_bytes);
 
  private:
   uint64_t rows_since_checkpoint_ = 0;
@@ -146,17 +147,12 @@ std::vector<storage::Rid> SelectRows(const storage::Table& table,
 /// Fetches the RID-addressed `rids` of `source` (index or semijoin
 /// survivors) into `out`: keeps those visible at the snapshot that pass
 /// `residual` (null = all; evaluated per row, since such survivors are
-/// sparse), ticks the governor once per kept row, then gathers the kept
-/// rows' `columns`.
+/// sparse), charges the kept rows to the governor as one run, then
+/// gathers their `columns`.
 Status FetchRows(ExecContext* ctx, const storage::Table& source,
                  const std::vector<storage::Rid>& rids,
                  const expr::Expr* residual,
                  const std::vector<size_t>& columns, storage::Table* out);
-
-/// Accounts `rows` materialized rows of `row_bytes` each, one
-/// ctx->Tick(1, row_bytes) per row, so a budget trips at the same row as
-/// it would inside a row-at-a-time loop.
-Status TickRows(ExecContext* ctx, uint64_t rows, uint64_t row_bytes);
 
 /// The identity column list 0..n-1 of `schema`.
 std::vector<size_t> AllColumns(const storage::Schema& schema);

@@ -49,7 +49,7 @@ Result<Table> SeqScanOp::Execute(ExecContext* ctx) const {
   ctx->meter.ChargeSeqTuples(ctx->cost_model, source->num_rows());
   const std::vector<Rid> rids =
       SelectRows(*source, predicate_.get(), ctx->snapshot_epoch);
-  RQO_RETURN_NOT_OK(TickRows(ctx, rids.size(), row_bytes));
+  RQO_RETURN_NOT_OK(ctx->TickRows(rids.size(), row_bytes));
   out.AppendGather(*source, rids, col_idx);
   ctx->meter.ChargeOutputTuples(ctx->cost_model, out.num_rows());
   return out;

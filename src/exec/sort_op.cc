@@ -43,7 +43,7 @@ Result<storage::Table> SortOp::Execute(ExecContext* ctx) const {
   RQO_RETURN_NOT_OK(ctx->CheckPoint());
 
   storage::Table out("sort", input.schema());
-  RQO_RETURN_NOT_OK(TickRows(ctx, n, ApproximateRowBytes(out.schema())));
+  RQO_RETURN_NOT_OK(ctx->TickRows(n, ApproximateRowBytes(out.schema())));
   out.AppendGather(input, order, AllColumns(input.schema()));
   return out;
 }

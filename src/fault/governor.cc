@@ -37,6 +37,20 @@ Status QueryGovernor::ChargeRows(uint64_t rows) {
   return Status::OK();
 }
 
+uint64_t QueryGovernor::RowsWithinBudget(uint64_t row_bytes) const {
+  uint64_t rows = UINT64_MAX;
+  if (limits_.row_limit != 0) {
+    rows = limits_.row_limit - std::min(limits_.row_limit, rows_charged_);
+  }
+  if (limits_.memory_limit_bytes != 0 && row_bytes != 0) {
+    const uint64_t headroom =
+        limits_.memory_limit_bytes -
+        std::min(limits_.memory_limit_bytes, memory_in_use_);
+    rows = std::min(rows, headroom / row_bytes);
+  }
+  return rows;
+}
+
 Status QueryGovernor::CheckTime(double simulated_seconds) {
   if (limits_.time_limit_seconds != 0.0 &&
       simulated_seconds > limits_.time_limit_seconds) {

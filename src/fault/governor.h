@@ -72,6 +72,11 @@ class QueryGovernor {
   /// Accounts `rows` materialized rows.
   Status ChargeRows(uint64_t rows);
 
+  /// How many more rows of `row_bytes` each ChargeRows(1) plus
+  /// ChargeMemory(row_bytes) could account before the row or memory
+  /// budget trips (UINT64_MAX when neither limit applies).
+  uint64_t RowsWithinBudget(uint64_t row_bytes) const;
+
   /// Checks the simulated-time budget against `simulated_seconds`.
   Status CheckTime(double simulated_seconds);
 

@@ -17,11 +17,34 @@ double TPercentTuner::EffectiveThreshold(uint64_t fingerprint,
 
 void TPercentTuner::Retune(const obs::SloMonitor& slo, double base_threshold) {
   if (!config_.enabled) return;
-  for (uint64_t fingerprint : slo.TrackedFingerprints()) {
+  // The fingerprint's scope when it has min_observations successes.
+  const auto eligible =
+      [&](uint64_t fingerprint) -> const obs::SloMonitor::Scope* {
     const obs::SloMonitor::Scope* scope = slo.FingerprintScope(fingerprint);
-    if (scope == nullptr) continue;
+    return scope != nullptr && scope->observed - scope->failed >=
+                                   config_.min_observations
+               ? scope
+               : nullptr;
+  };
+  if (slo.instance() != source_) {
+    source_ = slo.instance();
+    cursor_ = 0;
+    eligible_.clear();
+  }
+  for (uint64_t fingerprint : slo.FingerprintsSucceededSince(cursor_)) {
+    if (eligible(fingerprint) != nullptr) eligible_.insert(fingerprint);
+  }
+  cursor_ = slo.successes_recorded();
+  for (auto next = eligible_.begin(); next != eligible_.end();) {
+    const uint64_t fingerprint = *next;
+    const obs::SloMonitor::Scope* scope = eligible(fingerprint);
+    // Successes only grow, so only a Reset of the monitor drops one.
+    if (scope == nullptr) {
+      next = eligible_.erase(next);
+      continue;
+    }
+    ++next;
     const uint64_t successes = scope->observed - scope->failed;
-    if (successes < config_.min_observations) continue;
     const double current = EffectiveThreshold(fingerprint, base_threshold);
     const double regret_rate =
         static_cast<double>(scope->regret_positive) /

@@ -22,6 +22,10 @@
 // Retune runs in the serving layer's sequential between-waves hook and
 // reads only the SloMonitor's deterministic state, so overrides, reports
 // and optimizer.tpercent.* metrics are byte-identical at any RQO_THREADS.
+// It visits only fingerprints with at least min_observations successes,
+// kept in an ascending set fed from the monitor's success journal, so a
+// wave costs O(eligible fingerprints + requests since the last call)
+// however many fingerprints the monitor has seen.
 
 #ifndef ROBUSTQO_LEARNING_TPERCENT_TUNER_H_
 #define ROBUSTQO_LEARNING_TPERCENT_TUNER_H_
@@ -29,6 +33,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 
 #include "obs/metrics.h"
@@ -64,8 +69,9 @@ class TPercentTuner {
   /// max(base, override), or base when disabled / never tuned.
   double EffectiveThreshold(uint64_t fingerprint, double base) const;
 
-  /// Walks the SloMonitor's per-fingerprint regret scopes and nudges
-  /// overrides: raise where the realized regret rate exceeds the
+  /// Walks the SloMonitor's regret scopes of the fingerprints with at
+  /// least min_observations successes, ascending, and nudges overrides:
+  /// raise where the realized regret rate exceeds the
   /// (1 - effective T) budget plus slack, relax one step toward `base`
   /// where it sits below the budget minus slack. Deterministic; call from
   /// a sequential phase.
@@ -90,6 +96,11 @@ class TPercentTuner {
  private:
   TunerConfig config_;
   std::map<uint64_t, double> overrides_;  ///< fingerprint -> absolute T
+  /// Fingerprints of `source_` with at least min_observations successes,
+  /// as of its success cursor `cursor_`.
+  std::set<uint64_t> eligible_;
+  uint64_t source_ = 0;  ///< SloMonitor::instance() eligible_ mirrors
+  uint64_t cursor_ = 0;  ///< its successes_recorded() at the last Retune
   uint64_t raised_total_ = 0;
   uint64_t relaxed_total_ = 0;
 };

@@ -53,6 +53,11 @@ void EstimationQualityMonitor::Record(const QualityObservation& observation) {
     while (profile.recent.size() > config_.recent_window) {
       profile.recent.pop_front();
     }
+    if (IsDrifted(profile)) {
+      drifted_.insert(observation.fingerprint);
+    } else {
+      drifted_.erase(observation.fingerprint);
+    }
   }
 
   if (observation.confidence_threshold > 0.0) {
@@ -97,6 +102,17 @@ FingerprintQuality EstimationQualityMonitor::Summarize(
   return out;
 }
 
+bool EstimationQualityMonitor::IsDrifted(const Profile& profile) const {
+  if (profile.baseline.size() < config_.min_observations ||
+      profile.recent.size() < config_.min_observations) {
+    return false;
+  }
+  const double baseline = Median(profile.baseline);
+  if (!(baseline > 0.0)) return false;
+  const double recent = Median({profile.recent.begin(), profile.recent.end()});
+  return recent / baseline >= config_.drift_factor;
+}
+
 std::vector<FingerprintQuality> EstimationQualityMonitor::Snapshot() const {
   std::vector<FingerprintQuality> out;
   out.reserve(profiles_.size());
@@ -108,9 +124,9 @@ std::vector<FingerprintQuality> EstimationQualityMonitor::Snapshot() const {
 
 std::vector<FingerprintQuality> EstimationQualityMonitor::Drifted() const {
   std::vector<FingerprintQuality> out;
-  for (const auto& [fingerprint, profile] : profiles_) {
-    FingerprintQuality q = Summarize(fingerprint, profile);
-    if (q.drifted) out.push_back(std::move(q));
+  out.reserve(drifted_.size());
+  for (uint64_t fingerprint : drifted_) {
+    out.push_back(Summarize(fingerprint, profiles_.at(fingerprint)));
   }
   return out;
 }
@@ -183,7 +199,6 @@ void EstimationQualityMonitor::PublishMetrics(MetricsRegistry* metrics) const {
   uint64_t bound_checks = 0;
   uint64_t bound_holds = 0;
   double threshold_sum = 0.0;
-  uint64_t drifted = 0;
   double worst_q = 0.0;
   // Rebuilt from scratch so repeated publishes stay idempotent: the merged
   // sketch is the union of the per-fingerprint sketches, not an append.
@@ -194,10 +209,9 @@ void EstimationQualityMonitor::PublishMetrics(MetricsRegistry* metrics) const {
     threshold_sum += profile.threshold_sum;
     worst_q = std::max(worst_q, profile.q_max);
     merged.Merge(profile.q_sketch);
-    if (Summarize(fingerprint, profile).drifted) drifted += 1;
   }
   metrics->GetGauge("estimator.quality.drifted_fingerprints")
-      ->Set(static_cast<double>(drifted));
+      ->Set(static_cast<double>(drifted_.size()));
   metrics->GetGauge("estimator.quality.bound_checks")
       ->Set(static_cast<double>(bound_checks));
   metrics->GetGauge("estimator.quality.bound_holds")
@@ -218,6 +232,7 @@ void EstimationQualityMonitor::PublishMetrics(MetricsRegistry* metrics) const {
 
 void EstimationQualityMonitor::Reset() {
   profiles_.clear();
+  drifted_.clear();
   observation_count_ = 0;
 }
 

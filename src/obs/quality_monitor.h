@@ -19,6 +19,9 @@
 //     against the median over the profile's baseline (first) window. A
 //     fingerprint whose recent median regresses by `drift_factor` or more
 //     is flagged — the signal that data moved underneath stale statistics.
+//     A verdict can change only when the profile records, so Record keeps
+//     the flagged set current and Drifted() costs O(flagged), not
+//     O(fingerprints seen).
 //
 // The monitor is plain deterministic state (no clocks, no allocation
 // surprises); it lives in obs so the estimator layer above can stay
@@ -31,6 +34,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -97,7 +101,7 @@ class EstimationQualityMonitor {
 
   /// Per-fingerprint snapshots ordered by fingerprint (deterministic).
   std::vector<FingerprintQuality> Snapshot() const;
-  /// The flagged subset of Snapshot().
+  /// The flagged subset of Snapshot(), summarizing only flagged profiles.
   std::vector<FingerprintQuality> Drifted() const;
 
   /// Aligned text drift report (the shell's `.quality`).
@@ -127,9 +131,12 @@ class EstimationQualityMonitor {
 
   FingerprintQuality Summarize(uint64_t fingerprint,
                                const Profile& profile) const;
+  /// Summarize's `drifted` verdict, from the two windows alone.
+  bool IsDrifted(const Profile& profile) const;
 
   QualityMonitorConfig config_;
   std::map<uint64_t, Profile> profiles_;
+  std::set<uint64_t> drifted_;  ///< fingerprints whose verdict is drifted
   uint64_t observation_count_ = 0;
 };
 

@@ -1,12 +1,19 @@
 #include "obs/slo_monitor.h"
 
 #include <algorithm>
+#include <atomic>
+#include <unordered_set>
 #include <vector>
 
 #include "util/string_util.h"
 
 namespace robustqo {
 namespace obs {
+
+uint64_t SloMonitor::InstanceId::Next() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
 
 SloMonitor::SloMonitor(SloMonitorConfig config)
     : config_(config), global_(config.sketch_accuracy) {}
@@ -81,6 +88,18 @@ void SloMonitor::Record(const SloObservation& observation) {
              queue_wait, service, regret, ratio);
   RecordInto(MutableFingerprint(observation.fingerprint), observation,
              queue_wait, service, regret, ratio);
+  if (observation.failed) return;
+  journal_.push_back({++successes_recorded_, observation.fingerprint});
+  if (journal_.size() > 2 * fingerprints_.size() + 16) {
+    // Keep each fingerprint's latest entry, in sequence order.
+    std::unordered_set<uint64_t> seen;
+    auto keep = journal_.end();
+    for (auto it = journal_.end(); it != journal_.begin();) {
+      --it;
+      if (seen.insert(it->fingerprint).second) *--keep = *it;
+    }
+    journal_.erase(journal_.begin(), keep);
+  }
 }
 
 const SloMonitor::Scope* SloMonitor::SessionScope(
@@ -95,11 +114,17 @@ const SloMonitor::Scope* SloMonitor::FingerprintScope(
   return it == fingerprints_.end() ? nullptr : &it->second;
 }
 
-std::vector<uint64_t> SloMonitor::TrackedFingerprints() const {
+std::vector<uint64_t> SloMonitor::FingerprintsSucceededSince(
+    uint64_t since) const {
+  auto first = std::upper_bound(
+      journal_.begin(), journal_.end(), since,
+      [](uint64_t cursor, const JournalEntry& entry) {
+        return cursor < entry.sequence;
+      });
   std::vector<uint64_t> fingerprints;
-  fingerprints.reserve(fingerprints_.size());
-  for (const auto& [fingerprint, scope] : fingerprints_) {
-    fingerprints.push_back(fingerprint);
+  fingerprints.reserve(static_cast<size_t>(journal_.end() - first));
+  for (; first != journal_.end(); ++first) {
+    fingerprints.push_back(first->fingerprint);
   }
   return fingerprints;
 }
@@ -258,6 +283,7 @@ void SloMonitor::Reset() {
   global_ = Scope(config_.sketch_accuracy);
   sessions_.clear();
   fingerprints_.clear();
+  journal_.clear();
 }
 
 }  // namespace obs

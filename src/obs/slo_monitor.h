@@ -24,7 +24,9 @@
 // recorded from the sequential reduce phase in admission order, so reports,
 // JSON and published metrics (server.slo.* / optimizer.regret.*) are
 // byte-identical at any RQO_THREADS setting. Recording is unconditional:
-// learn::TPercentTuner::Retune reads the per-fingerprint regret scopes.
+// learn::TPercentTuner::Retune reads the per-fingerprint regret scopes,
+// visiting only the fingerprints the success journal names since its last
+// call plus those it already tracks.
 
 #ifndef ROBUSTQO_OBS_SLO_MONITOR_H_
 #define ROBUSTQO_OBS_SLO_MONITOR_H_
@@ -121,9 +123,18 @@ class SloMonitor {
   const Scope* FingerprintScope(uint64_t fingerprint) const;
   size_t sessions_tracked() const { return sessions_.size(); }
   size_t fingerprints_tracked() const { return fingerprints_.size(); }
-  /// Every fingerprint with an observed scope, ascending (deterministic) —
-  /// the iteration surface the T% tuner retunes over.
-  std::vector<uint64_t> TrackedFingerprints() const;
+
+  /// Distinguishes monitor instances (a copy is a new instance) for readers
+  /// that keep incremental state across calls, like the T% tuner.
+  uint64_t instance() const { return instance_.value(); }
+  /// Successful requests recorded by this instance; Reset does not rewind
+  /// it, so it serves as a cursor into the success journal.
+  uint64_t successes_recorded() const { return successes_recorded_; }
+  /// Fingerprints with a successful request recorded after the cursor
+  /// `since` (an earlier successes_recorded()) and after the last Reset,
+  /// each at least once, in no particular order. Costs O(fingerprints
+  /// recorded since), not O(scopes).
+  std::vector<uint64_t> FingerprintsSucceededSince(uint64_t since) const;
 
   /// Fixed-precision text block: global quantiles, breach counters, and
   /// the worst sessions/fingerprints by tail service time / tail regret.
@@ -148,10 +159,39 @@ class SloMonitor {
                   double queue_wait, double service, double regret,
                   double ratio);
 
+  /// A fresh value per construction and per copy.
+  class InstanceId {
+   public:
+    InstanceId() : value_(Next()) {}
+    InstanceId(const InstanceId&) : value_(Next()) {}
+    InstanceId& operator=(const InstanceId&) {
+      value_ = Next();
+      return *this;
+    }
+    uint64_t value() const { return value_; }
+
+   private:
+    static uint64_t Next();
+    uint64_t value_;
+  };
+
+  /// One successful record: its success sequence number and fingerprint.
+  struct JournalEntry {
+    uint64_t sequence = 0;
+    uint64_t fingerprint = 0;
+  };
+
   SloMonitorConfig config_;
   Scope global_;
   std::map<std::string, Scope> sessions_;
   std::map<uint64_t, Scope> fingerprints_;
+  InstanceId instance_;
+  uint64_t successes_recorded_ = 0;
+  /// Successful records in sequence order, compacted to each fingerprint's
+  /// latest entry once it outgrows twice the scope count (plus slack): it
+  /// stays O(fingerprints), and every suffix still names each fingerprint
+  /// recorded in it.
+  std::vector<JournalEntry> journal_;
 };
 
 }  // namespace obs

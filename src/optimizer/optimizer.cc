@@ -72,14 +72,15 @@ Optimizer::Optimizer(const storage::Catalog* catalog,
                      CostModel cost_model)
     : catalog_(catalog),
       estimator_(estimator),
-      cost_model_(cost_model),
-      memo_{cost_model} {
+      cost_model_(cost_model) {
   RQO_CHECK(catalog != nullptr && estimator != nullptr);
+  memo_.cost_model = cost_model;
 }
 
 double Optimizer::EstimateRows(RunState* run, uint32_t subset,
                                const std::string& tag,
-                               const expr::ExprPtr* predicate) {
+                               const expr::ExprPtr* predicate,
+                               uint32_t predicate_subset) {
   ++metrics_.estimator_calls;
   if (run->metric_estimates != nullptr) run->metric_estimates->Increment();
   std::pair<uint32_t, std::string> key(subset, tag);
@@ -96,9 +97,12 @@ double Optimizer::EstimateRows(RunState* run, uint32_t subset,
 
   stats::CardinalityRequest request;
   request.tables = run->SubsetNames(subset);
-  request.predicate = predicate != nullptr
-                          ? *predicate
-                          : run->query->CombinedPredicate(request.tables);
+  request.predicate =
+      predicate != nullptr
+          ? *predicate
+          : run->query->CombinedPredicate(
+                predicate_subset != 0 ? run->SubsetNames(predicate_subset)
+                                      : request.tables);
   Result<double> rows = estimator_->EstimateRows(request);
   double value;
   if (rows.ok()) {
@@ -275,19 +279,16 @@ void Optimizer::AddJoinCandidates(RunState* run, uint32_t s1, uint32_t s2,
       const std::string& inner_name = run->tables[inner_idx]->name();
       if (!catalog_->HasIndex(inner_name, o.inner_key)) continue;
 
-      // Matching index entries before the inner predicate: the join of the
-      // outer subset with the bare inner table.
-      const expr::ExprPtr outer_pred =
-          run->query->CombinedPredicate(run->SubsetNames(o.outer_set));
       PlanPayload payload;
       payload.table = inner_name;
       payload.predicate = run->query->tables[inner_idx].predicate;
       payload.left_key = o.outer_key;
       payload.right_key = o.inner_key;
-      payload.fetches = EstimateRows(
-          run, joined,
-          "noinner:" + inner_name + (outer_pred ? outer_pred->ToString() : ""),
-          &outer_pred);
+      // Matching index entries before the inner predicate: the join of the
+      // outer subset's predicates with the bare inner table. `joined` and
+      // the inner table fix the outer subset, so they key the estimate.
+      payload.fetches = EstimateRows(run, joined, "noinner:" + inner_name,
+                                     nullptr, o.outer_set);
       const uint32_t payload_idx = memo_.AddPayload(std::move(payload));
       for (uint32_t i = 0; i < memo_.lists[o.outer_set].size(); ++i) {
         const PlanRef outer{o.outer_set, i};

@@ -129,12 +129,13 @@ class Optimizer {
 
   // Estimated output rows of the SPJ subexpression over `subset` (as a
   // bitmask over the query's tables), memoized per run on (subset, tag).
-  // With no `predicate` all of the subset's own predicates apply, built
-  // only on a memo miss; otherwise `predicate` replaces them (e.g. INLJ
-  // index entries before the inner predicate).
+  // A given `predicate` replaces the subset's own predicates. Without one,
+  // the predicates of `predicate_subset` apply (0 = `subset` itself; INLJ
+  // index entries use the outer subset's), built only on a memo miss.
   double EstimateRows(RunState* run, uint32_t subset,
                       const std::string& tag = "own",
-                      const expr::ExprPtr* predicate = nullptr);
+                      const expr::ExprPtr* predicate = nullptr,
+                      uint32_t predicate_subset = 0);
 
   // Access paths for a single table; appends candidates.
   void AddAccessPaths(RunState* run, size_t table_idx,

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
+#include <vector>
 
 #include "obs/metrics.h"
+#include "util/rng.h"
 
 namespace robustqo {
 namespace obs {
@@ -133,6 +136,81 @@ TEST(QualityMonitorTest, ResetClearsEverything) {
   monitor.Reset();
   EXPECT_EQ(monitor.observation_count(), 0u);
   EXPECT_EQ(monitor.fingerprint_count(), 0u);
+}
+
+// Drifted() summarizes only the profiles Record flagged; it must equal the
+// drifted subset of a full Snapshot() after any Record/Reset history.
+TEST(QualityMonitorTest, DriftedMatchesSnapshotSubsetUnderRandomHistories) {
+  Rng rng(18);
+  bool saw_drift = false;
+  bool saw_recovery = false;
+  for (int round = 0; round < 12; ++round) {
+    QualityMonitorConfig config;
+    config.baseline_window = 2 + rng.NextBounded(8);
+    config.recent_window = 2 + rng.NextBounded(8);
+    config.min_observations = 1 + rng.NextBounded(6);
+    config.drift_factor = round % 2 == 0 ? 2.0 : 4.0;
+    EstimationQualityMonitor monitor(config);
+    std::vector<double> regime(60, 1.0);  // per-fingerprint error scale
+    std::set<uint64_t> drifted_before;
+    bool reset = false;
+    for (int op = 0; op < 8000; ++op) {
+      if (rng.NextBernoulli(0.0005)) {
+        monitor.Reset();
+        reset = true;
+      }
+      const uint64_t fp = 1 + rng.NextBounded(regime.size());
+      if (rng.NextBernoulli(0.1)) {
+        regime[fp - 1] = rng.NextBernoulli(0.5) ? 1.0 : 10.0;
+      }
+      const double actual =
+          100.0 * regime[fp - 1] * rng.NextDoubleInRange(1.0, 3.0);
+      monitor.Record(
+          Obs(fp, 100.0, actual, rng.NextBernoulli(0.5) ? 0.8 : 0.0));
+      if (op % 37 != 0) continue;
+
+      std::vector<FingerprintQuality> expected;
+      for (const FingerprintQuality& q : monitor.Snapshot()) {
+        if (q.drifted) expected.push_back(q);
+      }
+      const std::vector<FingerprintQuality> drifted = monitor.Drifted();
+      ASSERT_EQ(drifted.size(), expected.size()) << "op " << op;
+      std::set<uint64_t> drifted_now;
+      for (size_t i = 0; i < drifted.size(); ++i) {
+        const FingerprintQuality& a = drifted[i];
+        const FingerprintQuality& b = expected[i];
+        EXPECT_EQ(a.fingerprint, b.fingerprint);
+        EXPECT_EQ(a.label, b.label);
+        EXPECT_EQ(a.observations, b.observations);
+        EXPECT_EQ(a.q_p50, b.q_p50);
+        EXPECT_EQ(a.q_p90, b.q_p90);
+        EXPECT_EQ(a.q_p99, b.q_p99);
+        EXPECT_EQ(a.q_max, b.q_max);
+        EXPECT_EQ(a.bound_checks, b.bound_checks);
+        EXPECT_EQ(a.bound_holds, b.bound_holds);
+        EXPECT_EQ(a.baseline_median_q, b.baseline_median_q);
+        EXPECT_EQ(a.recent_median_q, b.recent_median_q);
+        EXPECT_EQ(a.drift_ratio, b.drift_ratio);
+        EXPECT_TRUE(a.drifted);
+        drifted_now.insert(a.fingerprint);
+      }
+      MetricsRegistry metrics;
+      monitor.PublishMetrics(&metrics);
+      EXPECT_EQ(
+          metrics.GetGauge("estimator.quality.drifted_fingerprints")->value(),
+          static_cast<double>(expected.size()));
+      saw_drift = saw_drift || !drifted_now.empty();
+      for (uint64_t fingerprint : drifted_before) {
+        saw_recovery =
+            saw_recovery || (!reset && drifted_now.count(fingerprint) == 0);
+      }
+      drifted_before = std::move(drifted_now);
+      reset = false;
+    }
+  }
+  // The histories flipped the verdict both ways without a Reset.
+  EXPECT_TRUE(saw_drift);
+  EXPECT_TRUE(saw_recovery);
 }
 
 }  // namespace

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "obs/metrics.h"
+#include "util/rng.h"
 
 namespace robustqo {
 namespace obs {
@@ -144,6 +149,44 @@ TEST(SloMonitorTest, ResetClearsAllScopes) {
   EXPECT_EQ(monitor.sessions_tracked(), 0u);
   EXPECT_EQ(monitor.fingerprints_tracked(), 0u);
   EXPECT_EQ(monitor.global().queue_wait.count(), 0u);
+}
+
+// The success journal behind incremental T% retuning: from any cursor it
+// names exactly the fingerprints with a success recorded after it (and
+// after the last Reset), however often it compacts.
+TEST(SloMonitorTest, SuccessJournalNamesFingerprintsSucceededSinceACursor) {
+  Rng rng(7);
+  SloMonitor monitor;
+  std::vector<std::pair<uint64_t, uint64_t>> successes;  // (sequence, fp)
+  uint64_t reset_at = 0;
+  for (int step = 0; step < 20000; ++step) {
+    if (rng.NextBernoulli(0.001)) {
+      monitor.Reset();
+      reset_at = monitor.successes_recorded();
+    }
+    SloObservation observation = Obs(1.0, 1.0);
+    observation.fingerprint = 1 + rng.NextBounded(1 + step / 1000);
+    observation.failed = rng.NextBernoulli(0.2);
+    monitor.Record(observation);
+    if (!observation.failed) {
+      successes.emplace_back(monitor.successes_recorded(),
+                             observation.fingerprint);
+    }
+    ASSERT_EQ(monitor.successes_recorded(), successes.size());
+    if (step % 5 != 0) continue;
+    const uint64_t since =
+        monitor.successes_recorded() -
+        rng.NextBounded(std::min<uint64_t>(monitor.successes_recorded(), 300) +
+                        1);
+    std::set<uint64_t> expected;
+    for (const auto& [sequence, fingerprint] : successes) {
+      if (sequence > since && sequence > reset_at) expected.insert(fingerprint);
+    }
+    const std::vector<uint64_t> named =
+        monitor.FingerprintsSucceededSince(since);
+    EXPECT_EQ(std::set<uint64_t>(named.begin(), named.end()), expected)
+        << "step " << step << " since " << since;
+  }
 }
 
 }  // namespace
