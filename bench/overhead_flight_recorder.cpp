@@ -20,7 +20,7 @@
 #include "bench_json.h"
 #include "core/database.h"
 #include "obs/flight_recorder.h"
-#include "obs/slo_monitor.h"
+#include "obs/fingerprint_ledger.h"
 #include "server/query_service.h"
 #include "storage/catalog.h"
 #include "storage/table.h"
@@ -128,7 +128,7 @@ int main(int argc, char** argv) {
   std::string slo_report;
   const double slo_render = BestRoundSeconds([&] {
                               slo_report =
-                                  rec_service.slo_monitor()->ReportText();
+                                  rec_service.ledger()->SloReportText();
                               if (slo_report.empty()) std::abort();
                             }) /
                             kItersPerRound;

@@ -72,6 +72,11 @@ std::vector<Answer> RunCold(core::Database* db) {
   return answers;
 }
 
+// The prepared-statement name of kStatements[s].
+std::string StatementName(size_t s) {
+  return std::string("q").append(std::to_string(s));
+}
+
 // Cached path: prepared statements through the service; after the first
 // pass every plan comes from the cache.
 std::vector<Answer> RunCached(server::QueryService* service,
@@ -80,7 +85,7 @@ std::vector<Answer> RunCached(server::QueryService* service,
   for (int r = 0; r < kRepeats; ++r) {
     for (size_t s = 0; s < std::size(kStatements); ++s) {
       server::QueryResponse response =
-          service->ExecutePrepared(session, "q" + std::to_string(s));
+          service->ExecutePrepared(session, StatementName(s));
       if (!response.status.ok()) std::abort();
       answers.push_back(
           {response.result->rows.num_rows(), response.result->spj_rows});
@@ -117,8 +122,7 @@ int main(int argc, char** argv) {
   server::QueryService service(&db);
   server::SessionId session = service.OpenSession();
   for (size_t s = 0; s < std::size(kStatements); ++s) {
-    if (!service.Prepare(session, "q" + std::to_string(s), kStatements[s])
-             .ok()) {
+    if (!service.Prepare(session, StatementName(s), kStatements[s]).ok()) {
       return 2;
     }
   }

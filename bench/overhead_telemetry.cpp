@@ -1,7 +1,7 @@
 // Telemetry overhead: the cost of the full telemetry pipeline added on
 // top of the base observability sites — per-query quantile-sketch
 // observations on the execute path, exporter rendering, and the
-// EXPLAIN-ANALYZE -> quality-monitor feedback join.
+// EXPLAIN-ANALYZE -> ledger quality-column feedback join.
 //
 // The enforced contract (docs/OBSERVABILITY.md): the always-on production
 // configuration — a metrics registry attached, which now includes the
@@ -21,7 +21,7 @@
 #include "core/explain_analyze.h"
 #include "obs/exporters.h"
 #include "obs/metrics.h"
-#include "obs/quality_monitor.h"
+#include "obs/fingerprint_ledger.h"
 #include "tpch/tpch_gen.h"
 #include "util/stopwatch.h"
 #include "workload/quality_report.h"
@@ -90,13 +90,13 @@ int main(int argc, char** argv) {
   db.SetMetrics(nullptr);
 
   // The feedback join: EXPLAIN ANALYZE (tracer + annotated re-execution)
-  // feeding the estimation-quality monitor. On-demand path, informational.
-  obs::EstimationQualityMonitor monitor;
+  // feeding a ledger's quality columns. On-demand path, informational.
+  obs::FingerprintLedger ledger;
   const double quality_join = BestRoundSeconds([&] {
     auto analyzed =
         core::ExplainAnalyze(&db, query, core::EstimatorKind::kRobustSample);
     if (!analyzed.ok()) std::abort();
-    workload::RecordAnalyzedPlan(analyzed.value(), &monitor);
+    workload::RecordAnalyzedPlan(analyzed.value(), &ledger);
   });
 
   const double telemetry_overhead = with_telemetry / baseline - 1.0;
@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
               "ANALYZE + monitor)\n",
               quality_join);
   std::printf("  monitor state:       %zu observations, %zu fingerprints\n",
-              monitor.observation_count(), monitor.fingerprint_count());
+              ledger.observation_count(), ledger.quality_fingerprints());
 
   if (!json_path.empty()) {
     bench::JsonWriter w;

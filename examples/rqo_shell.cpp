@@ -10,8 +10,11 @@
 //                                   (or OpenMetrics text with "om")
 //   .trace export <file>            last EXPLAIN ANALYZE trace as Chrome
 //                                   trace_event JSON (chrome://tracing)
-//   .quality                        per-fingerprint estimation-quality
-//                                   report (fed by EXPLAIN ANALYZE runs)
+//   .quality                        estimation-quality reports: EXPLAIN
+//                                   ANALYZE runs (keyed by predicate
+//                                   fingerprint) and served statements
+//                                   (keyed by statement fingerprint; the
+//                                   drift monitor that evicts cached plans)
 //   .sessions                       query-service session table
 //   .plancache                      plan-cache contents + hit/miss stats
 //   .blackbox [json]                flight recorder: retained request
@@ -31,6 +34,9 @@
 //                                   per-table online-maintenance state
 //                                   (reservoir fill, modifications,
 //                                   pending-rebuild flags)
+//   .fp <fphex>                     one statement's ledger row: SLO,
+//                                   quality and T% override columns, the
+//                                   tables it reads, and its plan winner
 //   .whyplan [<fphex>|last]         plan-choice provenance: why the plan
 //                                   for a fingerprint won, its cost curve
 //                                   across the selectivity posterior, and
@@ -94,7 +100,7 @@
 #include "obs/exporters.h"
 #include "obs/metrics.h"
 #include "obs/plan_provenance.h"
-#include "obs/quality_monitor.h"
+#include "obs/fingerprint_ledger.h"
 #include "perf/task_pool.h"
 #include "server/query_service.h"
 #include "tpch/tpch_gen.h"
@@ -358,10 +364,11 @@ int main() {
   // Session-scoped telemetry: every statement records into a per-query
   // registry which merges into the session registry afterwards, so
   // `.metrics` can show both scopes. EXPLAIN ANALYZE runs additionally
-  // feed the quality monitor and refresh the exportable trace.
+  // feed a standalone ledger's quality columns (keyed by predicate
+  // fingerprint) and refresh the exportable trace.
   obs::MetricsRegistry session_metrics;
   obs::MetricsRegistry query_metrics;
-  obs::EstimationQualityMonitor quality;
+  obs::FingerprintLedger quality;
   std::vector<obs::TraceEvent> last_trace;
   db.SetMetrics(&query_metrics);
 
@@ -420,7 +427,7 @@ int main() {
       continue;
     }
     if (line == ".metrics" || line == ".metrics om") {
-      quality.PublishMetrics(&session_metrics);
+      quality.PublishQualityMetrics(&session_metrics);
       if (line == ".metrics") {
         std::printf("session:    %s\n", session_metrics.ToJson().c_str());
         std::printf("last query: %s\n", query_metrics.ToJson().c_str());
@@ -456,7 +463,19 @@ int main() {
       continue;
     }
     if (line == ".quality") {
-      std::printf("%s", quality.ReportText().c_str());
+      std::printf("-- EXPLAIN ANALYZE runs (keyed by predicate fingerprint)\n"
+                  "%s-- served statements (keyed by statement fingerprint; "
+                  "drift evicts cached plans)\n%s",
+                  quality.QualityReportText().c_str(),
+                  service.ledger()->QualityReportText().c_str());
+      continue;
+    }
+    if (StartsWith(line, ".fp ")) {
+      const uint64_t fp =
+          std::strtoull(line.substr(strlen(".fp ")).c_str(), nullptr, 16);
+      std::printf("%s", service.ledger()
+                            ->RowText(fp, service.provenance()->Find(fp))
+                            .c_str());
       continue;
     }
     if (line == ".sessions") {
@@ -526,7 +545,7 @@ int main() {
       continue;
     }
     if (line == ".slo") {
-      std::printf("%s", service.slo_monitor()->ReportText().c_str());
+      std::printf("%s", service.ledger()->SloReportText().c_str());
       continue;
     }
     if (line == ".learning") {
@@ -632,7 +651,7 @@ int main() {
         continue;
       }
       // Close the loop from the interactive path too: the run's actuals
-      // feed both the drift monitor and the learned-correction store.
+      // feed both the quality ledger and the learned-correction store.
       workload::RecordAnalyzedPlan(analyzed.value(), &quality,
                                    service.feedback_store(),
                                    db.statistics()->epoch());

@@ -108,8 +108,8 @@ void ComparisonExpr::CollectColumns(std::set<std::string>* out) const {
 }
 
 std::string ComparisonExpr::ToString() const {
-  return "(" + lhs_->ToString() + " " + CompareOpSymbol(op_) + " " +
-         rhs_->ToString() + ")";
+  return StrPrintf("(%s %s %s)", lhs_->ToString().c_str(),
+                   CompareOpSymbol(op_), rhs_->ToString().c_str());
 }
 
 // ----- Between -----
@@ -128,8 +128,8 @@ void BetweenExpr::CollectColumns(std::set<std::string>* out) const {
 }
 
 std::string BetweenExpr::ToString() const {
-  return "(" + expr_->ToString() + " BETWEEN " + lo_.ToString() + " AND " +
-         hi_.ToString() + ")";
+  return StrPrintf("(%s BETWEEN %s AND %s)", expr_->ToString().c_str(),
+                   lo_.ToString().c_str(), hi_.ToString().c_str());
 }
 
 // ----- And / Or / Not -----
@@ -154,7 +154,7 @@ std::string AndExpr::ToString() const {
   std::vector<std::string> parts;
   parts.reserve(children_.size());
   for (const auto& c : children_) parts.push_back(c->ToString());
-  return "(" + StrJoin(parts, " AND ") + ")";
+  return StrPrintf("(%s)", StrJoin(parts, " AND ").c_str());
 }
 
 Value OrExpr::Evaluate(const Table& table, Rid rid) const {
@@ -177,7 +177,7 @@ std::string OrExpr::ToString() const {
   std::vector<std::string> parts;
   parts.reserve(children_.size());
   for (const auto& c : children_) parts.push_back(c->ToString());
-  return "(" + StrJoin(parts, " OR ") + ")";
+  return StrPrintf("(%s)", StrJoin(parts, " OR ").c_str());
 }
 
 Value NotExpr::Evaluate(const Table& table, Rid rid) const {
@@ -193,7 +193,7 @@ void NotExpr::CollectColumns(std::set<std::string>* out) const {
 }
 
 std::string NotExpr::ToString() const {
-  return "(NOT " + child_->ToString() + ")";
+  return StrPrintf("(NOT %s)", child_->ToString().c_str());
 }
 
 // ----- Arithmetic -----
@@ -250,8 +250,8 @@ void ArithmeticExpr::CollectColumns(std::set<std::string>* out) const {
 }
 
 std::string ArithmeticExpr::ToString() const {
-  return "(" + lhs_->ToString() + " " + ArithOpSymbol(op_) + " " +
-         rhs_->ToString() + ")";
+  return StrPrintf("(%s %s %s)", lhs_->ToString().c_str(),
+                   ArithOpSymbol(op_), rhs_->ToString().c_str());
 }
 
 // ----- StringContains -----
@@ -270,7 +270,8 @@ void StringContainsExpr::CollectColumns(std::set<std::string>* out) const {
 }
 
 std::string StringContainsExpr::ToString() const {
-  return "(" + expr_->ToString() + " LIKE '%" + needle_ + "%')";
+  return StrPrintf("(%s LIKE '%%%s%%')", expr_->ToString().c_str(),
+                   needle_.c_str());
 }
 
 // ----- Factories -----

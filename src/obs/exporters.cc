@@ -23,7 +23,7 @@ std::string OmValue(uint64_t value) {
 }
 
 void EmitFamily(std::string* out, const std::string& name, const char* type) {
-  *out += "# TYPE " + name + " " + type + "\n";
+  out->append("# TYPE ").append(name).append(" ").append(type).append("\n");
 }
 
 }  // namespace
@@ -69,12 +69,12 @@ std::string ToOpenMetrics(const MetricsRegistry& registry,
   for (const auto& [name, c] : registry.counters()) {
     const std::string om = prefix + OpenMetricsName(name);
     EmitFamily(&out, om, "counter");
-    out += om + "_total " + OmValue(c->value()) + "\n";
+    out.append(om).append("_total ").append(OmValue(c->value())).append("\n");
   }
   for (const auto& [name, g] : registry.gauges()) {
     const std::string om = prefix + OpenMetricsName(name);
     EmitFamily(&out, om, "gauge");
-    out += om + " " + OmValue(g->value()) + "\n";
+    out.append(om).append(" ").append(OmValue(g->value())).append("\n");
   }
   for (const auto& [name, h] : registry.histograms()) {
     const std::string om = prefix + OpenMetricsName(name);
@@ -84,29 +84,33 @@ std::string ToOpenMetrics(const MetricsRegistry& registry,
     const std::vector<uint64_t>& counts = h->bucket_counts();
     for (size_t i = 0; i < bounds.size(); ++i) {
       cumulative += counts[i];
-      out += om + "_bucket{le=\"" + OmValue(bounds[i]) + "\"} " +
-             OmValue(cumulative) + "\n";
+      out.append(om).append("_bucket{le=\"").append(OmValue(bounds[i]));
+      out.append("\"} ").append(OmValue(cumulative)).append("\n");
     }
     cumulative += counts.back();  // the implicit overflow bucket
-    out += om + "_bucket{le=\"+Inf\"} " + OmValue(cumulative) + "\n";
-    out += om + "_sum " + OmValue(h->sum()) + "\n";
-    out += om + "_count " + OmValue(h->count()) + "\n";
+    out.append(om).append("_bucket{le=\"+Inf\"} ").append(OmValue(cumulative));
+    out += "\n";
+    out.append(om).append("_sum ").append(OmValue(h->sum())).append("\n");
+    out.append(om).append("_count ").append(OmValue(h->count())).append("\n");
     // The dedicated NaN bucket rides as a sibling counter family so the
     // histogram series stay internally consistent (+Inf bucket == count).
     EmitFamily(&out, om + "_nan", "counter");
-    out += om + "_nan_total " + OmValue(h->nan_count()) + "\n";
+    out.append(om).append("_nan_total ").append(OmValue(h->nan_count()));
+    out += "\n";
   }
   for (const auto& [name, s] : registry.sketches()) {
     const std::string om = prefix + OpenMetricsName(name);
     EmitFamily(&out, om, "summary");
     for (double q : {0.5, 0.9, 0.99}) {
-      out += om + "{quantile=\"" + OmValue(q) + "\"} " +
-             OmValue(s->Quantile(q)) + "\n";
+      out.append(om).append("{quantile=\"").append(OmValue(q));
+      out.append("\"} ").append(OmValue(s->Quantile(q))).append("\n");
     }
-    out += om + "_sum " + OmValue(s->ApproxSum()) + "\n";
-    out += om + "_count " + OmValue(s->count()) + "\n";
+    out.append(om).append("_sum ").append(OmValue(s->ApproxSum()));
+    out += "\n";
+    out.append(om).append("_count ").append(OmValue(s->count())).append("\n");
     EmitFamily(&out, om + "_nan", "counter");
-    out += om + "_nan_total " + OmValue(s->nan_count()) + "\n";
+    out.append(om).append("_nan_total ").append(OmValue(s->nan_count()));
+    out += "\n";
   }
   out += "# EOF\n";
   return out;
@@ -141,8 +145,8 @@ void AppendChromeEvents(std::string* out, bool* first,
     }
     if (!*first) *out += ",";
     *first = false;
-    *out += "{\"name\":\"" + JsonEscape(name) + "\"";
-    *out += ",\"cat\":\"" + JsonEscape(category) + "\"";
+    out->append("{\"name\":\"").append(JsonEscape(name)).append("\"");
+    out->append(",\"cat\":\"").append(JsonEscape(category)).append("\"");
     *out += StrPrintf(",\"ph\":\"%s\"", phase);
     // One logical-clock tick renders as one microsecond on the timeline.
     if (use_wall_time) {
@@ -239,8 +243,9 @@ std::string ToChromeTrace(const std::vector<TraceLane>& lanes,
     for (const CounterSample& sample : track.samples) {
       if (!first) out += ",";
       first = false;
-      out += "{\"name\":\"" + JsonEscape(track.name) + "\"";
-      out += ",\"cat\":\"" + JsonEscape(track.category) + "\"";
+      out.append("{\"name\":\"").append(JsonEscape(track.name)).append("\"");
+      out.append(",\"cat\":\"").append(JsonEscape(track.category));
+      out += "\"";
       out += StrPrintf(",\"ph\":\"C\",\"ts\":%llu",
                        static_cast<unsigned long long>(sample.ts));
       out += StrPrintf(",\"pid\":%llu,\"tid\":%llu",
@@ -250,7 +255,8 @@ std::string ToChromeTrace(const std::vector<TraceLane>& lanes,
       for (size_t v = 0; v < sample.values.size(); ++v) {
         if (v > 0) out += ",";
         const double value = sample.values[v].second;
-        out += "\"" + JsonEscape(sample.values[v].first) + "\":";
+        out.append("\"").append(JsonEscape(sample.values[v].first));
+        out += "\":";
         out += StrPrintf("%.9g", std::isfinite(value) ? value : 0.0);
       }
       out += "}}";

@@ -1,0 +1,627 @@
+#include "obs/fingerprint_ledger.h"
+
+#include <algorithm>
+#include <utility>
+
+#include "util/string_util.h"
+
+namespace robustqo {
+namespace obs {
+
+namespace {
+
+/// Relative accuracy of every sketch the ledger publishes.
+constexpr double kSketchAccuracy = 0.01;
+
+// The symmetric relative error factor: max(est/act, act/est), with both
+// sides floored at one row so empty results do not divide by zero. Kept
+// local because core/report.h (which has the canonical copy) sits above
+// obs in the layer order.
+double QError(double estimated, double actual) {
+  const double est = std::max(estimated, 1.0);
+  const double act = std::max(actual, 1.0);
+  return est > act ? est / act : act / est;
+}
+
+double Median(std::vector<double> values) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  const size_t mid = values.size() / 2;
+  if (values.size() % 2 == 1) return values[mid];
+  return (values[mid - 1] + values[mid]) / 2.0;
+}
+
+std::string JsonNumber(double value) { return StrPrintf("%.9g", value); }
+
+std::string FingerprintKey(uint64_t fingerprint) {
+  return StrPrintf("%016llx", static_cast<unsigned long long>(fingerprint));
+}
+
+/// One quality report row: the aligned columns, then the label.
+std::string QualityLine(const FingerprintQuality& q) {
+  const std::string hit =
+      q.bound_checks == 0
+          ? std::string("-")
+          : StrPrintf("%.0f%%/%.0f%%", 100.0 * q.bound_hit_rate,
+                      100.0 * q.mean_threshold);
+  const std::string drift = q.drift_ratio > 0.0
+                                ? StrPrintf("%.2fx", q.drift_ratio)
+                                : std::string("-");
+  std::string out = StrPrintf(
+      "0x%016llx %6llu %8.2f %8.2f %8.2f %9s %8s %s\n",
+      static_cast<unsigned long long>(q.fingerprint),
+      static_cast<unsigned long long>(q.observations), q.q_p50, q.q_p99,
+      q.q_max, hit.c_str(), drift.c_str(), q.drifted ? "DRIFTED" : "ok");
+  if (!q.label.empty()) out.append("  ").append(q.label).append("\n");
+  return out;
+}
+
+std::string QualityHeader() {
+  return StrPrintf("%-18s %6s %8s %8s %8s %9s %8s %s\n", "fingerprint", "n",
+                   "q50", "q99", "qmax", "bound-hit", "drift", "status");
+}
+
+std::string QuantileLine(const char* label, const QuantileSketch& sketch) {
+  return StrPrintf(
+      "  %-10s (simulated s): p50=%.6f p95=%.6f p99=%.6f n=%llu\n", label,
+      sketch.Quantile(0.5), sketch.Quantile(0.95), sketch.Quantile(0.99),
+      static_cast<unsigned long long>(sketch.count()));
+}
+
+/// Worst scopes by a tail statistic, listed (p99 desc, input order) so
+/// listings are deterministic even under ties; `ranked` holds (tail, key,
+/// scope) in key order.
+std::string WorstScopes(
+    std::vector<std::pair<double, std::pair<std::string, const SloScope*>>>
+        ranked,
+    const char* title) {
+  if (ranked.empty()) return "";
+  std::stable_sort(ranked.begin(), ranked.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first > b.first;
+                   });
+  std::string out = StrPrintf("  %s:", title);
+  const size_t n = std::min(FingerprintLedger::kReportTopK, ranked.size());
+  for (size_t i = 0; i < n; ++i) {
+    out += StrPrintf(
+        " %s p99=%.6f n=%llu%s", ranked[i].second.first.c_str(),
+        ranked[i].first,
+        static_cast<unsigned long long>(ranked[i].second.second->observed),
+        i + 1 < n ? ";" : "");
+  }
+  out += "\n";
+  return out;
+}
+
+std::string ScopeJson(const SloScope& s) {
+  return StrPrintf(
+      "{\"observed\":%llu,\"failed\":%llu,"
+      "\"queue_wait\":{\"p50\":%.6f,\"p95\":%.6f,\"p99\":%.6f},"
+      "\"service\":{\"p50\":%.6f,\"p95\":%.6f,\"p99\":%.6f},"
+      "\"regret\":{\"p50\":%.6f,\"p95\":%.6f,\"p99\":%.6f,"
+      "\"positive\":%llu,\"worst_ratio\":%.4f},"
+      "\"breaches\":{\"queue_wait\":%llu,\"service\":%llu,\"regret\":%llu}}",
+      static_cast<unsigned long long>(s.observed),
+      static_cast<unsigned long long>(s.failed), s.queue_wait.Quantile(0.5),
+      s.queue_wait.Quantile(0.95), s.queue_wait.Quantile(0.99),
+      s.service.Quantile(0.5), s.service.Quantile(0.95),
+      s.service.Quantile(0.99), s.regret.Quantile(0.5),
+      s.regret.Quantile(0.95), s.regret.Quantile(0.99),
+      static_cast<unsigned long long>(s.regret_positive),
+      s.worst_regret_ratio,
+      static_cast<unsigned long long>(s.breach_queue_wait),
+      static_cast<unsigned long long>(s.breach_service),
+      static_cast<unsigned long long>(s.breach_regret));
+}
+
+void SyncCounter(MetricsRegistry* metrics, const char* name, uint64_t value) {
+  Counter* counter = metrics->GetCounter(name);
+  counter->Increment(value - counter->value());
+}
+
+/// Rebuilds a published sketch from `source`, so republishing never
+/// double-counts.
+void Republish(MetricsRegistry* metrics, const char* name,
+               const QuantileSketch& source) {
+  QuantileSketch* sketch = metrics->GetSketch(name, kSketchAccuracy);
+  sketch->Reset();
+  sketch->Merge(source);
+}
+
+}  // namespace
+
+FingerprintLedger::FingerprintLedger(QualityConfig quality, SloConfig slo)
+    : quality_config_(quality), slo_config_(slo) {}
+
+// ---- Recording ----
+
+void FingerprintLedger::Record(const RequestObservation& request,
+                               const QualityObservation* quality) {
+  const double queue_wait = QueueWaitSeconds(request.queue_waves);
+  const double service =
+      ServiceSeconds(request.actual_seconds, request.cache_hit);
+  // Realized regret: how far the execution overshot the plan's promise.
+  // An actual below the estimate is zero regret, not negative — the
+  // robust choice delivered what it advertised (or better).
+  const double regret =
+      request.failed
+          ? 0.0
+          : std::max(0.0, request.actual_seconds - request.estimated_seconds);
+  const double ratio = (request.failed || request.estimated_seconds <= 0.0)
+                           ? 0.0
+                           : request.actual_seconds / request.estimated_seconds;
+  RecordSloInto(&global_, request.failed, queue_wait, service, regret, ratio);
+  RecordSloInto(&sessions_[request.session_label], request.failed, queue_wait,
+                service, regret, ratio);
+
+  Row& row = rows_[request.fingerprint];
+  if (row.slo.observed == 0) ++slo_fingerprints_;
+  RecordSloInto(&row.slo, request.failed, queue_wait, service, regret, ratio);
+  if (!request.failed &&
+      row.slo.observed - row.slo.failed == kTunerMinObservations) {
+    eligible_.insert(request.fingerprint);
+  }
+  if (row.tables.empty()) row.tables = request.tables;
+  if (quality != nullptr && request.fingerprint != 0) {
+    RecordQualityInto(request.fingerprint, *quality, &row);
+  }
+}
+
+void FingerprintLedger::RecordQuality(uint64_t fingerprint,
+                                      const QualityObservation& observation) {
+  if (fingerprint == 0) return;
+  RecordQualityInto(fingerprint, observation, &rows_[fingerprint]);
+}
+
+void FingerprintLedger::RecordQualityInto(
+    uint64_t fingerprint, const QualityObservation& observation, Row* row) {
+  QualityProfile& profile = row->quality;
+  if (profile.observations == 0) ++quality_fingerprints_;
+  if (profile.label.empty()) profile.label = observation.label;
+
+  const double q = QError(observation.estimated_rows, observation.actual_rows);
+  profile.observations += 1;
+  observation_count_ += 1;
+  profile.q_sketch.Observe(q);
+  profile.q_max = std::max(profile.q_max, q);
+
+  if (profile.baseline.size() < quality_config_.baseline_window) {
+    profile.baseline.push_back(q);
+  } else {
+    profile.recent.push_back(q);
+    while (profile.recent.size() > quality_config_.recent_window) {
+      profile.recent.pop_front();
+    }
+    if (IsDrifted(profile)) {
+      drifted_.insert(fingerprint);
+    } else {
+      drifted_.erase(fingerprint);
+    }
+  }
+
+  if (observation.confidence_threshold > 0.0) {
+    profile.bound_checks += 1;
+    profile.threshold_sum += observation.confidence_threshold;
+    // The robust estimator inverts the posterior at T as an UPPER bound on
+    // the true cardinality, so the bound held iff the actual stayed at or
+    // under the estimate.
+    if (observation.actual_rows <= observation.estimated_rows) {
+      profile.bound_holds += 1;
+    }
+  }
+}
+
+void FingerprintLedger::RecordSloInto(SloScope* scope, bool failed,
+                                      double queue_wait, double service,
+                                      double regret, double ratio) const {
+  ++scope->observed;
+  scope->queue_wait.Observe(queue_wait);
+  if (slo_config_.queue_wait_breach_seconds > 0.0 &&
+      queue_wait > slo_config_.queue_wait_breach_seconds) {
+    ++scope->breach_queue_wait;
+  }
+  if (failed) {
+    ++scope->failed;
+    return;
+  }
+  scope->service.Observe(service);
+  scope->regret.Observe(regret);
+  if (regret > 0.0) ++scope->regret_positive;
+  scope->worst_regret_ratio = std::max(scope->worst_regret_ratio, ratio);
+  if (slo_config_.service_breach_seconds > 0.0 &&
+      service > slo_config_.service_breach_seconds) {
+    ++scope->breach_service;
+  }
+  if (slo_config_.regret_breach_seconds > 0.0 &&
+      regret > slo_config_.regret_breach_seconds) {
+    ++scope->breach_regret;
+  }
+}
+
+const std::set<std::string>& FingerprintLedger::Tables(
+    uint64_t fingerprint) const {
+  static const std::set<std::string> kNone;
+  auto it = rows_.find(fingerprint);
+  return it == rows_.end() ? kNone : it->second.tables;
+}
+
+std::string FingerprintLedger::RowText(uint64_t fingerprint,
+                                       const PlanProvenanceRecord* plan) const {
+  auto it = rows_.find(fingerprint);
+  if (it == rows_.end()) {
+    return StrPrintf("fp: no ledger row for %s\n",
+                     FingerprintKey(fingerprint).c_str());
+  }
+  const Row& row = it->second;
+  std::string out =
+      StrPrintf("fp %s reads {", FingerprintKey(fingerprint).c_str());
+  for (const std::string& table : row.tables) {
+    if (out.back() != '{') out += ",";
+    out += table;
+  }
+  out += "}\n";
+  const SloScope& s = row.slo;
+  out += StrPrintf(
+      "  slo: observed=%llu failed=%llu service_p99=%.6f regret_p99=%.6f "
+      "regret_positive=%llu worst_ratio=%.4f\n",
+      static_cast<unsigned long long>(s.observed),
+      static_cast<unsigned long long>(s.failed), s.service.Quantile(0.99),
+      s.regret.Quantile(0.99),
+      static_cast<unsigned long long>(s.regret_positive),
+      s.worst_regret_ratio);
+  if (row.quality.observations == 0) {
+    out += "  quality: no observations since the last statistics rebuild\n";
+  } else {
+    FingerprintQuality quality = Summarize(fingerprint, row.quality);
+    const std::string label = std::move(quality.label);
+    out.append("  quality: ").append(QualityHeader());
+    out.append("  ").append(QualityLine(quality));
+    out.append("    ").append(label).append("\n");
+  }
+  out += row.tpercent_override > 0.0
+             ? StrPrintf("  t%%: override T=%.0f%%\n",
+                         row.tpercent_override * 100.0)
+             : std::string("  t%: no override\n");
+  out += plan != nullptr ? WinnerLine(*plan)
+                         : std::string("  winner: no provenance retained\n");
+  return out;
+}
+
+void FingerprintLedger::PublishMetrics(MetricsRegistry* metrics) const {
+  if (metrics == nullptr) return;
+  PublishQualityMetrics(metrics);
+  SyncCounter(metrics, "server.slo.observed", global_.observed);
+  SyncCounter(metrics, "server.slo.failed", global_.failed);
+  SyncCounter(metrics, "server.slo.breach.queue_wait",
+              global_.breach_queue_wait);
+  SyncCounter(metrics, "server.slo.breach.service", global_.breach_service);
+  SyncCounter(metrics, "server.slo.breach.regret", global_.breach_regret);
+  SyncCounter(metrics, "optimizer.regret.positive", global_.regret_positive);
+  metrics->GetGauge("server.slo.sessions_tracked")
+      ->Set(static_cast<double>(sessions_.size()));
+  metrics->GetGauge("server.slo.fingerprints_tracked")
+      ->Set(static_cast<double>(slo_fingerprints_));
+  metrics->GetGauge("optimizer.regret.worst_ratio")
+      ->Set(global_.worst_regret_ratio);
+  Republish(metrics, "server.slo.queue_wait_seconds", global_.queue_wait);
+  Republish(metrics, "server.slo.service_seconds", global_.service);
+  Republish(metrics, "optimizer.regret.seconds", global_.regret);
+  metrics->GetGauge("optimizer.tpercent.overrides")
+      ->Set(static_cast<double>(overrides_));
+  SyncCounter(metrics, "optimizer.tpercent.raised", raised_total_);
+  SyncCounter(metrics, "optimizer.tpercent.relaxed", relaxed_total_);
+}
+
+// ---- Quality columns ----
+
+FingerprintQuality FingerprintLedger::Summarize(
+    uint64_t fingerprint, const QualityProfile& profile) const {
+  FingerprintQuality out;
+  out.fingerprint = fingerprint;
+  out.label = profile.label;
+  out.observations = profile.observations;
+  out.q_p50 = profile.q_sketch.Quantile(0.5);
+  out.q_p90 = profile.q_sketch.Quantile(0.9);
+  out.q_p99 = profile.q_sketch.Quantile(0.99);
+  out.q_max = profile.q_max;
+  out.bound_checks = profile.bound_checks;
+  out.bound_holds = profile.bound_holds;
+  if (profile.bound_checks > 0) {
+    out.bound_hit_rate = static_cast<double>(profile.bound_holds) /
+                         static_cast<double>(profile.bound_checks);
+    out.mean_threshold =
+        profile.threshold_sum / static_cast<double>(profile.bound_checks);
+  }
+  out.baseline_median_q = Median(profile.baseline);
+  out.recent_median_q =
+      Median({profile.recent.begin(), profile.recent.end()});
+  if (profile.baseline.size() >= quality_config_.min_observations &&
+      profile.recent.size() >= quality_config_.min_observations &&
+      out.baseline_median_q > 0.0) {
+    out.drift_ratio = out.recent_median_q / out.baseline_median_q;
+    out.drifted = out.drift_ratio >= quality_config_.drift_factor;
+  }
+  return out;
+}
+
+bool FingerprintLedger::IsDrifted(const QualityProfile& profile) const {
+  if (profile.baseline.size() < quality_config_.min_observations ||
+      profile.recent.size() < quality_config_.min_observations) {
+    return false;
+  }
+  const double baseline = Median(profile.baseline);
+  if (!(baseline > 0.0)) return false;
+  const double recent = Median({profile.recent.begin(), profile.recent.end()});
+  return recent / baseline >= quality_config_.drift_factor;
+}
+
+std::vector<FingerprintQuality> FingerprintLedger::Snapshot() const {
+  std::vector<FingerprintQuality> out;
+  out.reserve(quality_fingerprints_);
+  for (const auto& [fingerprint, row] : rows_) {
+    if (row.quality.observations == 0) continue;
+    out.push_back(Summarize(fingerprint, row.quality));
+  }
+  return out;
+}
+
+std::vector<FingerprintQuality> FingerprintLedger::Drifted() const {
+  std::vector<FingerprintQuality> out;
+  out.reserve(drifted_.size());
+  for (uint64_t fingerprint : drifted_) {
+    out.push_back(Summarize(fingerprint, rows_.at(fingerprint).quality));
+  }
+  return out;
+}
+
+std::string FingerprintLedger::QualityReportText() const {
+  std::string out = StrPrintf(
+      "estimation quality: %llu observation(s) across %llu fingerprint(s)\n",
+      static_cast<unsigned long long>(observation_count_),
+      static_cast<unsigned long long>(quality_fingerprints_));
+  out += QualityHeader();
+  for (const FingerprintQuality& q : Snapshot()) out += QualityLine(q);
+  return out;
+}
+
+std::string FingerprintLedger::QualityReportJson() const {
+  std::string out = StrPrintf(
+      "{\"observations\":%llu,\"fingerprints\":[",
+      static_cast<unsigned long long>(observation_count_));
+  bool first = true;
+  for (const FingerprintQuality& q : Snapshot()) {
+    out += StrPrintf(
+        "%s{\"fingerprint\":\"0x%016llx\",\"label\":\"%s\","
+        "\"observations\":%llu,"
+        "\"q_p50\":%s,\"q_p90\":%s,\"q_p99\":%s,\"q_max\":%s,"
+        "\"bound_checks\":%llu,\"bound_holds\":%llu,\"bound_hit_rate\":%s,"
+        "\"mean_threshold\":%s,\"baseline_median_q\":%s,"
+        "\"recent_median_q\":%s,\"drift_ratio\":%s,\"drifted\":%s}",
+        first ? "" : ",",
+        static_cast<unsigned long long>(q.fingerprint),
+        JsonEscape(q.label).c_str(),
+        static_cast<unsigned long long>(q.observations),
+        JsonNumber(q.q_p50).c_str(), JsonNumber(q.q_p90).c_str(),
+        JsonNumber(q.q_p99).c_str(), JsonNumber(q.q_max).c_str(),
+        static_cast<unsigned long long>(q.bound_checks),
+        static_cast<unsigned long long>(q.bound_holds),
+        JsonNumber(q.bound_hit_rate).c_str(),
+        JsonNumber(q.mean_threshold).c_str(),
+        JsonNumber(q.baseline_median_q).c_str(),
+        JsonNumber(q.recent_median_q).c_str(),
+        JsonNumber(q.drift_ratio).c_str(), q.drifted ? "true" : "false");
+    first = false;
+  }
+  out += "]}";
+  return out;
+}
+
+void FingerprintLedger::PublishQualityMetrics(MetricsRegistry* metrics) const {
+  if (metrics == nullptr) return;
+  metrics->GetGauge("estimator.quality.fingerprints")
+      ->Set(static_cast<double>(quality_fingerprints_));
+  metrics->GetGauge("estimator.quality.observations")
+      ->Set(static_cast<double>(observation_count_));
+
+  uint64_t bound_checks = 0;
+  uint64_t bound_holds = 0;
+  double threshold_sum = 0.0;
+  double worst_q = 0.0;
+  // The merged sketch is the union of the per-fingerprint sketches.
+  QuantileSketch merged(kSketchAccuracy);
+  for (const auto& [fingerprint, row] : rows_) {
+    const QualityProfile& profile = row.quality;
+    if (profile.observations == 0) continue;
+    bound_checks += profile.bound_checks;
+    bound_holds += profile.bound_holds;
+    threshold_sum += profile.threshold_sum;
+    worst_q = std::max(worst_q, profile.q_max);
+    merged.Merge(profile.q_sketch);
+  }
+  metrics->GetGauge("estimator.quality.drifted_fingerprints")
+      ->Set(static_cast<double>(drifted_.size()));
+  metrics->GetGauge("estimator.quality.bound_checks")
+      ->Set(static_cast<double>(bound_checks));
+  metrics->GetGauge("estimator.quality.bound_holds")
+      ->Set(static_cast<double>(bound_holds));
+  metrics->GetGauge("estimator.quality.bound_hit_rate")
+      ->Set(bound_checks > 0 ? static_cast<double>(bound_holds) /
+                                   static_cast<double>(bound_checks)
+                             : 0.0);
+  metrics->GetGauge("estimator.quality.mean_threshold")
+      ->Set(bound_checks > 0 ? threshold_sum / static_cast<double>(bound_checks)
+                             : 0.0);
+  metrics->GetGauge("estimator.quality.q_error_max")->Set(worst_q);
+  Republish(metrics, "estimator.quality.q_error", merged);
+}
+
+void FingerprintLedger::ResetQuality() {
+  for (auto& [fingerprint, row] : rows_) row.quality = QualityProfile();
+  drifted_.clear();
+  observation_count_ = 0;
+  quality_fingerprints_ = 0;
+}
+
+// ---- SLO columns ----
+
+void FingerprintLedger::ConfigureCharging(double wave_delay_seconds,
+                                          double plan_charge_seconds) {
+  slo_config_.wave_delay_seconds = wave_delay_seconds;
+  slo_config_.plan_charge_seconds = plan_charge_seconds;
+}
+
+const SloScope* FingerprintLedger::SessionScope(
+    const std::string& label) const {
+  auto it = sessions_.find(label);
+  return it == sessions_.end() ? nullptr : &it->second;
+}
+
+const SloScope* FingerprintLedger::FingerprintScope(
+    uint64_t fingerprint) const {
+  auto it = rows_.find(fingerprint);
+  return it == rows_.end() || it->second.slo.observed == 0 ? nullptr
+                                                           : &it->second.slo;
+}
+
+std::string FingerprintLedger::SloReportText() const {
+  std::string out = StrPrintf(
+      "slo: observed=%llu failed=%llu sessions=%zu fingerprints=%zu\n",
+      static_cast<unsigned long long>(global_.observed),
+      static_cast<unsigned long long>(global_.failed), sessions_.size(),
+      slo_fingerprints_);
+  out += QuantileLine("queue_wait", global_.queue_wait);
+  out += QuantileLine("service", global_.service);
+  out += QuantileLine("regret", global_.regret);
+  out += StrPrintf(
+      "  regret: positive=%llu worst_ratio=%.4f\n",
+      static_cast<unsigned long long>(global_.regret_positive),
+      global_.worst_regret_ratio);
+  out += StrPrintf(
+      "  breaches: queue_wait=%llu service=%llu regret=%llu\n",
+      static_cast<unsigned long long>(global_.breach_queue_wait),
+      static_cast<unsigned long long>(global_.breach_service),
+      static_cast<unsigned long long>(global_.breach_regret));
+  std::vector<std::pair<double, std::pair<std::string, const SloScope*>>>
+      ranked;
+  for (const auto& [label, scope] : sessions_) {
+    ranked.push_back({scope.service.Quantile(0.99), {label, &scope}});
+  }
+  out += WorstScopes(std::move(ranked), "worst sessions (service p99)");
+  ranked.clear();
+  for (const auto& [fingerprint, row] : rows_) {
+    if (row.slo.observed == 0) continue;
+    ranked.push_back({row.slo.regret.Quantile(0.99),
+                      {FingerprintKey(fingerprint), &row.slo}});
+  }
+  out += WorstScopes(std::move(ranked), "worst fingerprints (regret p99)");
+  return out;
+}
+
+std::string FingerprintLedger::SloJson() const {
+  std::string out = "{\"slo\":{\"global\":";
+  out += ScopeJson(global_);
+  out += ",\"sessions\":{";
+  bool first = true;
+  for (const auto& [label, scope] : sessions_) {
+    if (!first) out += ",";
+    first = false;
+    out.append("\"").append(JsonEscape(label)).append("\":");
+    out += ScopeJson(scope);
+  }
+  out += "},\"fingerprints\":{";
+  first = true;
+  for (const auto& [fingerprint, row] : rows_) {
+    if (row.slo.observed == 0) continue;
+    if (!first) out += ",";
+    first = false;
+    out.append("\"").append(FingerprintKey(fingerprint)).append("\":");
+    out += ScopeJson(row.slo);
+  }
+  out += "}}}";
+  return out;
+}
+
+void FingerprintLedger::ResetSlo() {
+  global_ = SloScope();
+  sessions_.clear();
+  for (auto& [fingerprint, row] : rows_) row.slo = SloScope();
+  slo_fingerprints_ = 0;
+  eligible_.clear();
+}
+
+// ---- T% overrides ----
+
+double FingerprintLedger::EffectiveThreshold(uint64_t fingerprint,
+                                             double base) const {
+  if (!tuning_enabled_ || overrides_ == 0) return base;
+  auto it = rows_.find(fingerprint);
+  if (it == rows_.end() || it->second.tpercent_override <= 0.0) return base;
+  return std::max(base, it->second.tpercent_override);
+}
+
+void FingerprintLedger::Retune(double base_threshold) {
+  if (!tuning_enabled_) return;
+  for (uint64_t fingerprint : eligible_) {
+    Row& row = rows_.find(fingerprint)->second;
+    double& override_t = row.tpercent_override;
+    const uint64_t successes = row.slo.observed - row.slo.failed;
+    const double current = std::max(base_threshold, override_t);
+    const double regret_rate = static_cast<double>(row.slo.regret_positive) /
+                               static_cast<double>(successes);
+    const double budget = 1.0 - current;
+    if (regret_rate > budget + kTunerSlack) {
+      // Chronic regret: the posterior's T%-quantile undersells this shape.
+      const double raised = std::min(kTunerMaxThreshold, current + kTunerStep);
+      if (raised > current) {
+        if (override_t <= 0.0) ++overrides_;
+        override_t = raised;
+        ++raised_total_;
+      }
+    } else if (regret_rate + kTunerSlack < budget && override_t > 0.0) {
+      // Calibrated again: walk the override back toward the base.
+      override_t -= kTunerStep;
+      if (override_t <= base_threshold) {
+        override_t = 0.0;
+        --overrides_;
+      }
+      ++relaxed_total_;
+    }
+  }
+}
+
+std::string FingerprintLedger::TunerReportText() const {
+  std::string out = StrPrintf(
+      "t%% tuner: %s, %zu overrides (%llu raises, %llu relaxes)\n",
+      tuning_enabled_ ? "on" : "off", overrides_,
+      static_cast<unsigned long long>(raised_total_),
+      static_cast<unsigned long long>(relaxed_total_));
+  for (const auto& [fingerprint, row] : rows_) {
+    if (row.tpercent_override <= 0.0) continue;
+    out += StrPrintf("  %016llx T=%.0f%%\n",
+                     static_cast<unsigned long long>(fingerprint),
+                     row.tpercent_override * 100.0);
+  }
+  return out;
+}
+
+std::string FingerprintLedger::TunerJson() const {
+  std::string out = StrPrintf(
+      "{\"enabled\":%s,\"raised\":%llu,\"relaxed\":%llu,\"overrides\":[",
+      tuning_enabled_ ? "true" : "false",
+      static_cast<unsigned long long>(raised_total_),
+      static_cast<unsigned long long>(relaxed_total_));
+  bool first = true;
+  for (const auto& [fingerprint, row] : rows_) {
+    if (row.tpercent_override <= 0.0) continue;
+    if (!first) out += ",";
+    first = false;
+    out += StrPrintf("{\"fingerprint\":\"0x%016llx\",\"threshold\":%.9g}",
+                     static_cast<unsigned long long>(fingerprint),
+                     row.tpercent_override);
+  }
+  out += "]}";
+  return out;
+}
+
+}  // namespace obs
+}  // namespace robustqo

@@ -1,0 +1,319 @@
+// Copyright (c) robustqo authors. Licensed under the MIT license.
+//
+// FingerprintLedger: one row per statement fingerprint holding what the
+// serving layer learns from executing that statement, so the paper's T%
+// promise — plans picked at cdf⁻¹(T%) keep realized cost predictable — is
+// checked per statement in one place. A row holds four column groups:
+//
+//   * quality: the estimated-vs-actual row counts of executed reads — a
+//     q-error quantile sketch and exact maximum, posterior-calibration
+//     tallies (the T% upper bound "held" when the actual came in at or
+//     under the estimate; over a healthy workload the hit-rate should
+//     track T), and a drift detector comparing the median q-error of a
+//     trailing window against the frozen baseline (first) window. A
+//     profile whose recent median regresses by `drift_factor` or more is
+//     flagged drifted: data moved underneath stale statistics. Record
+//     keeps the flagged set current, so Drifted() costs O(flagged);
+//   * SLO: queue wait (admission waves waited, charged per wave), service
+//     time (metered execution seconds plus a planning charge on a plan
+//     cache miss) and realized regret — how far the plan's metered cost
+//     exceeded the cdf⁻¹(T%) estimate it was chosen by
+//     (PlannedQuery::estimated_cost), in the one currency both share;
+//   * T% override: the regret-driven tuner's absolute threshold for the
+//     statement. Under a calibrated posterior regret should happen on at
+//     most ~(1-T) of executions; a statement chronically over that budget
+//     plans one step more conservatively, and one back inside it relaxes
+//     one step toward the base. The plan-cache key includes the effective
+//     T%, so a retuned statement re-plans without explicit invalidation;
+//   * tables: what the statement reads, so a drift flag routes the right
+//     tables to the statistics rebuild.
+//
+// The ledger also keeps the global and per-session SLO scopes: it is the
+// one per-request sink of the serving layer's sequential reduce phase,
+// which records in admission order, so every report, JSON body and
+// published series (estimator.quality.*, server.slo.*, optimizer.regret.*,
+// optimizer.tpercent.*) is byte-identical at any RQO_THREADS setting.
+// Retune runs between waves and visits only the statements with at least
+// kTunerMinObservations successes, a set Record keeps current.
+//
+// Standalone ledgers that only call RecordQuality (the shell's EXPLAIN
+// ANALYZE monitor, keyed by predicate fingerprint) fill just the quality
+// columns. The join from EXPLAIN ANALYZE reports into quality observations
+// lives in workload/quality_report.h.
+
+#ifndef ROBUSTQO_OBS_FINGERPRINT_LEDGER_H_
+#define ROBUSTQO_OBS_FINGERPRINT_LEDGER_H_
+
+#include <cstddef>
+#include <cstdint>
+#include <deque>
+#include <map>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "obs/metrics.h"
+#include "obs/plan_provenance.h"
+#include "obs/quantile_sketch.h"
+
+namespace robustqo {
+namespace obs {
+
+struct QualityConfig {
+  /// Observations forming a profile's frozen baseline window.
+  size_t baseline_window = 32;
+  /// Trailing observations compared against the baseline.
+  size_t recent_window = 32;
+  /// Flag when recent median q-error >= drift_factor * baseline median.
+  double drift_factor = 4.0;
+  /// Minimum observations in each window before drift is evaluated.
+  size_t min_observations = 8;
+};
+
+struct SloConfig {
+  /// Simulated queueing delay charged per admission wave waited. Defaults
+  /// match workload::TrafficConfig; the traffic harness aligns them.
+  double wave_delay_seconds = 0.05;
+  /// Simulated planning charge for a request whose plan missed the cache.
+  double plan_charge_seconds = 0.25;
+  /// Breach thresholds in simulated seconds; 0 disables that breach
+  /// counter.
+  double queue_wait_breach_seconds = 0.0;
+  double service_breach_seconds = 0.0;
+  double regret_breach_seconds = 0.0;
+};
+
+/// One estimate-vs-actual comparison for a fingerprinted estimate.
+struct QualityObservation {
+  /// Human-readable identity, first occurrence wins (e.g. "tables :: pred").
+  std::string label;
+  double estimated_rows = 0.0;
+  double actual_rows = 0.0;
+  /// The T at which the posterior was inverted; 0 = not a confidence-bound
+  /// estimate (no calibration tally).
+  double confidence_threshold = 0.0;
+};
+
+/// Raw inputs of one finished request; the ledger derives the charged and
+/// regret values.
+struct RequestObservation {
+  uint64_t fingerprint = 0;
+  std::string session_label;
+  bool failed = false;
+  bool cache_hit = false;
+  uint64_t queue_waves = 0;
+  /// Simulated execution seconds actually metered (0 when failed).
+  double actual_seconds = 0.0;
+  /// The chosen plan's estimated cost at selection time (the cdf⁻¹(T%)
+  /// promise); 0 when the request never got a plan.
+  double estimated_seconds = 0.0;
+  /// Tables a read statement reads (empty for writes and failed plans).
+  std::set<std::string> tables;
+};
+
+/// Snapshot of one fingerprint's quality columns.
+struct FingerprintQuality {
+  uint64_t fingerprint = 0;
+  std::string label;
+  uint64_t observations = 0;
+  double q_p50 = 0.0;
+  double q_p90 = 0.0;
+  double q_p99 = 0.0;
+  double q_max = 0.0;
+  uint64_t bound_checks = 0;
+  uint64_t bound_holds = 0;
+  /// bound_holds / bound_checks (0 when never checked).
+  double bound_hit_rate = 0.0;
+  /// Mean confidence threshold over the checked estimates — the value the
+  /// hit-rate should track.
+  double mean_threshold = 0.0;
+  double baseline_median_q = 0.0;
+  double recent_median_q = 0.0;
+  /// recent / baseline median (0 until both windows are evaluable).
+  double drift_ratio = 0.0;
+  bool drifted = false;
+};
+
+/// One SLO scope's accumulated signals. Queue wait is recorded for every
+/// observed request (queueing happens whether or not execution succeeds);
+/// service and regret only for successful ones.
+struct SloScope {
+  QuantileSketch queue_wait;
+  QuantileSketch service;
+  QuantileSketch regret;
+  uint64_t observed = 0;
+  uint64_t failed = 0;
+  /// Successful requests whose actual exceeded the estimate.
+  uint64_t regret_positive = 0;
+  double worst_regret_ratio = 0.0;
+  uint64_t breach_queue_wait = 0;
+  uint64_t breach_service = 0;
+  uint64_t breach_regret = 0;
+};
+
+class FingerprintLedger {
+ public:
+  /// T% movement per Retune decision.
+  static constexpr double kTunerStep = 0.05;
+  /// Ceiling for raised thresholds (must stay < 1 for cdf⁻¹).
+  static constexpr double kTunerMaxThreshold = 0.99;
+  /// Successful executions a statement needs before it is tuned.
+  static constexpr uint64_t kTunerMinObservations = 16;
+  /// Tolerated excess over the (1 - T) regret budget before raising, and
+  /// required headroom under it before relaxing (hysteresis).
+  static constexpr double kTunerSlack = 0.05;
+  /// Worst sessions/fingerprints listed in SloReportText.
+  static constexpr size_t kReportTopK = 3;
+
+  explicit FingerprintLedger(QualityConfig quality = {}, SloConfig slo = {});
+
+  // ---- Recording ----
+
+  /// Records one finished request into the global, session and
+  /// fingerprint SLO scopes and, for an executed read, `quality` into the
+  /// same row. Call in a deterministic order (the service's reduce phase
+  /// guarantees admission order).
+  void Record(const RequestObservation& request,
+              const QualityObservation* quality = nullptr);
+  /// Records only the quality columns of `fingerprint` (0 is ignored).
+  void RecordQuality(uint64_t fingerprint,
+                     const QualityObservation& observation);
+
+  /// Tables the statement reads (empty when unknown).
+  const std::set<std::string>& Tables(uint64_t fingerprint) const;
+
+  /// The `.fp` view: one row's SLO, quality, override and table columns,
+  /// plus the winner line of `plan` (its provenance record; may be null).
+  std::string RowText(uint64_t fingerprint,
+                      const PlanProvenanceRecord* plan) const;
+
+  /// Publishes the estimator.quality.*, server.slo.*, optimizer.regret.*
+  /// and optimizer.tpercent.* series (no-op on null). Idempotent:
+  /// counters sync to absolute values, sketches are rebuilt from state.
+  void PublishMetrics(MetricsRegistry* metrics) const;
+
+  // ---- Quality columns ----
+
+  uint64_t observation_count() const { return observation_count_; }
+  /// Fingerprints with at least one quality observation since the last
+  /// ResetQuality.
+  size_t quality_fingerprints() const { return quality_fingerprints_; }
+  /// Per-fingerprint snapshots ordered by fingerprint (deterministic).
+  std::vector<FingerprintQuality> Snapshot() const;
+  /// The flagged subset of Snapshot(), summarizing only flagged profiles.
+  std::vector<FingerprintQuality> Drifted() const;
+  /// Aligned text drift report.
+  std::string QualityReportText() const;
+  /// Deterministic JSON rendering of Snapshot().
+  std::string QualityReportJson() const;
+  /// Publishes only the estimator.quality.* family.
+  void PublishQualityMetrics(MetricsRegistry* metrics) const;
+  /// Fresh statistics: clears the quality columns and the drifted set.
+  /// SLO scopes, overrides and tables survive.
+  void ResetQuality();
+
+  // ---- SLO columns ----
+
+  /// Aligns the charging model with a harness's (simulated seconds per
+  /// admission wave, planning charge per cache miss).
+  void ConfigureCharging(double wave_delay_seconds,
+                         double plan_charge_seconds);
+  /// The charged values Record derives — shared with the flight recorder
+  /// so both report identical numbers.
+  double QueueWaitSeconds(uint64_t queue_waves) const {
+    return static_cast<double>(queue_waves) * slo_config_.wave_delay_seconds;
+  }
+  double ServiceSeconds(double actual_seconds, bool cache_hit) const {
+    return actual_seconds +
+           (cache_hit ? 0.0 : slo_config_.plan_charge_seconds);
+  }
+  const SloScope& global() const { return global_; }
+  /// nullptr when the scope has never been observed.
+  const SloScope* SessionScope(const std::string& label) const;
+  const SloScope* FingerprintScope(uint64_t fingerprint) const;
+  size_t sessions_tracked() const { return sessions_.size(); }
+  size_t slo_fingerprints() const { return slo_fingerprints_; }
+  /// Fixed-precision text block: global quantiles, breach counters, and
+  /// the worst sessions/fingerprints by tail service time / tail regret.
+  std::string SloReportText() const;
+  /// Deterministic JSON of the same content.
+  std::string SloJson() const;
+  /// Clears every SLO scope; overrides, quality columns and tables
+  /// survive.
+  void ResetSlo();
+
+  // ---- T% overrides ----
+
+  /// The tuner's on/off (the service's learning switch).
+  bool tuning_enabled() const { return tuning_enabled_; }
+  void set_tuning_enabled(bool enabled) { tuning_enabled_ = enabled; }
+  /// The T% a request with this statement fingerprint should plan at:
+  /// max(base, override), or base when tuning is off / never tuned.
+  double EffectiveThreshold(uint64_t fingerprint, double base) const;
+  /// Nudges the overrides of the statements with at least
+  /// kTunerMinObservations successes, ascending: raise where the realized
+  /// regret rate exceeds the (1 - effective T) budget plus slack, relax one
+  /// step toward `base_threshold` where it sits below the budget minus
+  /// slack. Deterministic; call from a sequential phase.
+  void Retune(double base_threshold);
+  size_t overrides() const { return overrides_; }
+  uint64_t raised_total() const { return raised_total_; }
+  uint64_t relaxed_total() const { return relaxed_total_; }
+  /// Aligned text block (part of the shell's `.learning`).
+  std::string TunerReportText() const;
+  /// Deterministic JSON of the same content.
+  std::string TunerJson() const;
+
+ private:
+  struct QualityProfile {
+    std::string label;
+    uint64_t observations = 0;
+    QuantileSketch q_sketch;
+    double q_max = 0.0;
+    uint64_t bound_checks = 0;
+    uint64_t bound_holds = 0;
+    double threshold_sum = 0.0;
+    std::vector<double> baseline;  // first baseline_window q-errors
+    std::deque<double> recent;     // trailing recent_window q-errors
+  };
+
+  struct Row {
+    QualityProfile quality;
+    SloScope slo;
+    /// Absolute tuned T; 0 = no override.
+    double tpercent_override = 0.0;
+    std::set<std::string> tables;
+  };
+
+  void RecordQualityInto(uint64_t fingerprint,
+                         const QualityObservation& observation, Row* row);
+  void RecordSloInto(SloScope* scope, bool failed, double queue_wait,
+                     double service, double regret, double ratio) const;
+  FingerprintQuality Summarize(uint64_t fingerprint,
+                               const QualityProfile& profile) const;
+  /// Summarize's `drifted` verdict, from the two windows alone.
+  bool IsDrifted(const QualityProfile& profile) const;
+
+  QualityConfig quality_config_;
+  SloConfig slo_config_;
+  /// The one map keyed by statement fingerprint.
+  std::map<uint64_t, Row> rows_;
+  std::set<uint64_t> drifted_;  ///< rows whose quality verdict is drifted
+  /// Rows with at least kTunerMinObservations successes, the only ones
+  /// Retune visits.
+  std::set<uint64_t> eligible_;
+  uint64_t observation_count_ = 0;
+  size_t quality_fingerprints_ = 0;
+  SloScope global_;
+  std::map<std::string, SloScope> sessions_;
+  size_t slo_fingerprints_ = 0;
+  bool tuning_enabled_ = true;
+  size_t overrides_ = 0;
+  uint64_t raised_total_ = 0;
+  uint64_t relaxed_total_ = 0;
+};
+
+}  // namespace obs
+}  // namespace robustqo
+
+#endif  // ROBUSTQO_OBS_FINGERPRINT_LEDGER_H_

@@ -292,6 +292,14 @@ std::string PlanProvenanceStore::ReportText() const {
   return out;
 }
 
+std::string WinnerLine(const PlanProvenanceRecord& record) {
+  return StrPrintf(
+      "  winner: %s cost=%.6g rows=%.6g epoch=%llu T=%.4g estimator=%s\n",
+      record.plan_label.c_str(), record.estimated_cost, record.estimated_rows,
+      static_cast<unsigned long long>(record.epoch),
+      record.sensitivity.threshold, record.estimator.c_str());
+}
+
 std::string PlanProvenanceStore::ReportFor(uint64_t fingerprint) const {
   const PlanProvenanceRecord* r = Find(fingerprint);
   if (r == nullptr) {
@@ -302,11 +310,7 @@ std::string PlanProvenanceStore::ReportFor(uint64_t fingerprint) const {
   std::string out = StrPrintf("whyplan fp=%s%s%s\n",
                               FingerprintHex(r->fingerprint).c_str(),
                               r->tag.empty() ? "" : " tag=", r->tag.c_str());
-  out += StrPrintf(
-      "  winner: %s cost=%.6g rows=%.6g epoch=%llu T=%.4g estimator=%s\n",
-      r->plan_label.c_str(), r->estimated_cost, r->estimated_rows,
-      static_cast<unsigned long long>(r->epoch), s.threshold,
-      r->estimator.c_str());
+  out += WinnerLine(*r);
   if (!s.available) {
     out += "  sensitivity: " + s.verdict + "\n";
   } else {

@@ -99,6 +99,9 @@ struct PlanProvenanceRecord {
   PlanSensitivity sensitivity;
 };
 
+/// The `.whyplan` winner line of `record` ("  winner: ... \n").
+std::string WinnerLine(const PlanProvenanceRecord& record);
+
 /// What changed when a key got re-planned.
 struct PlanDiffRecord {
   uint64_t fingerprint = 0;

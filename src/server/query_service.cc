@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <set>
 #include <utility>
 
 #include "perf/fingerprint.h"
@@ -49,6 +50,7 @@ struct QueryService::PendingRequest {
   double effective_threshold = 0.0;
   uint64_t seed = 0;
   fault::GovernorLimits limits;
+  std::set<std::string> tables;  ///< what a read statement reads
   // Feedback-join keys captured at plan time (reads with learning on):
   // the canonical predicate fingerprint the estimator keys corrections
   // under, the root row count estimates were scaled by, and the
@@ -70,11 +72,9 @@ QueryService::QueryService(core::Database* db, ServerConfig config)
       sessions_(config.seed),
       admission_(config.admission),
       cache_(config.plan_cache_capacity),
-      monitor_(config.quality),
+      ledger_(config.quality, config.slo),
       recorder_(config.flight_recorder),
-      slo_(config.slo),
       feedback_(config.learning),
-      tuner_(config.tpercent),
       provenance_(config.provenance) {
   admission_.set_fault_injector(db_->fault_injector());
   cache_.set_fault_injector(db_->fault_injector());
@@ -92,11 +92,11 @@ QueryService::~QueryService() {
 
 void QueryService::SetLearningEnabled(bool enabled) {
   feedback_.set_enabled(enabled);
-  tuner_.set_enabled(enabled);
+  ledger_.set_tuning_enabled(enabled);
 }
 
 std::string QueryService::LearningReportText() const {
-  return feedback_.ReportText() + tuner_.ReportText();
+  return feedback_.ReportText() + ledger_.TunerReportText();
 }
 
 void QueryService::NoteRequestFaultFire(PendingRequest* work,
@@ -129,7 +129,7 @@ void QueryService::OfferAbortedTrace(
   trace.cache_outcome = cache_outcome;
   trace.fault_fires = fault_fires;
   trace.waves_waited = waves_waited;
-  trace.queue_wait_seconds = slo_.QueueWaitSeconds(waves_waited);
+  trace.queue_wait_seconds = ledger_.QueueWaitSeconds(waves_waited);
   trace.events = tracer->ReleaseEvents();
   recorder_.Offer(std::move(trace));
 }
@@ -328,15 +328,15 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
       // Regret-tuned T%: a fingerprint the tuner raised plans at the
       // higher threshold (which also re-keys it out of its stale cache
       // entries); untuned fingerprints keep the session/system base.
-      work.effective_threshold =
-          tuner_.EffectiveThreshold(work.fingerprint, work.effective_threshold);
+      work.effective_threshold = ledger_.EffectiveThreshold(
+          work.fingerprint, work.effective_threshold);
       if (work.tracer != nullptr) {
         work.tracer->Event(
             "server", "admitted",
             {{"wave", obs::AttrU64(admission_.stats().waves)},
              {"waves_waited", obs::AttrU64(work.waves_waited)},
              {"queue_wait_seconds",
-              obs::AttrF(slo_.QueueWaitSeconds(work.waves_waited))}});
+              obs::AttrF(ledger_.QueueWaitSeconds(work.waves_waited))}});
       }
       if (work.is_dml) {
         // Writes never touch the plan cache or the optimizer; they apply
@@ -427,13 +427,12 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
                 plan_span,
                 {{"status", StatusCodeName(planned.status().code())}});
           }
-          obs::SloObservation observation;
-          observation.session = work.session->id();
+          obs::RequestObservation observation;
           observation.session_label = work.session->name();
           observation.fingerprint = work.fingerprint;
           observation.failed = true;
           observation.queue_waves = work.waves_waited;
-          slo_.Record(observation);
+          ledger_.Record(observation);
           OfferAbortedTrace(work.tracer.get(), work.root_span, work.request_id,
                             work.session->id(), work.session->name(),
                             work.ticket, work.fingerprint, work.cache_outcome,
@@ -458,14 +457,14 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
             {{"label", work.plan->label},
              {"estimated_cost_seconds", obs::AttrF(work.plan->estimated_cost)}});
       }
-      // Remember which tables this fingerprint reads so a later drift flag
-      // can route the right tables to the statistics-rebuild queue.
-      fingerprint_tables_[work.fingerprint] = work.spec.TableNames();
+      // The ledger keeps the tables a statement reads, so a later drift
+      // flag can route them to the statistics-rebuild queue.
+      work.tables = work.spec.TableNames();
       if (feedback_.enabled()) {
-        const std::set<std::string> tables = work.spec.TableNames();
-        const expr::ExprPtr predicate = work.spec.CombinedPredicate(tables);
+        const expr::ExprPtr predicate =
+            work.spec.CombinedPredicate(work.tables);
         if (predicate != nullptr) {
-          auto root = db_->catalog()->FindRootTable(tables);
+          auto root = db_->catalog()->FindRootTable(work.tables);
           if (root.ok()) {
             work.pred_fingerprint = perf::FingerprintExpr(*predicate);
             work.plan_root_rows = static_cast<double>(
@@ -561,8 +560,8 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
 
     // Phase 4 — REDUCE (sequential, admission order): apply DML against
     // the latest state, release admission slots, merge metric shards,
-    // apply session tallies, and feed the quality monitor. Writes commit
-    // here — one at a time, in admission order — so the data-epoch
+    // apply session tallies, and record each request in the ledger. Writes
+    // commit here — one at a time, in admission order — so the data-epoch
     // sequence (and therefore every snapshot any request reads) is a pure
     // function of the request order.
     for (PendingRequest* work : running) {
@@ -582,17 +581,16 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
                                          : 0.0;
       const double estimated_seconds =
           work->plan != nullptr ? work->plan->estimated_cost : 0.0;
+      obs::QualityObservation quality;
+      const bool executed_read = ok && !work->is_dml;
       if (ok) {
         if (work->is_dml) {
           response.dml = work->dml_result;
         } else {
-          obs::QualityObservation observation;
-          observation.fingerprint = work->fingerprint;
-          observation.label = work->plan->label;
-          observation.estimated_rows = work->plan->estimated_spj_rows;
-          observation.actual_rows = static_cast<double>(work->result->spj_rows);
-          observation.confidence_threshold = work->effective_threshold;
-          monitor_.Record(observation);
+          quality.label = work->plan->label;
+          quality.estimated_rows = work->plan->estimated_spj_rows;
+          quality.actual_rows = static_cast<double>(work->result->spj_rows);
+          quality.confidence_threshold = work->effective_threshold;
           // Close the learning loop: the executed actual selectivity, in
           // the estimator's own currency, lands under the predicate
           // fingerprint the estimator looks corrections up by. A fired
@@ -622,8 +620,7 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
         work->session->CountFailed();
         ++queries_failed_;
       }
-      obs::SloObservation observation;
-      observation.session = work->session->id();
+      obs::RequestObservation observation;
       observation.session_label = work->session->name();
       observation.fingerprint = work->fingerprint;
       observation.failed = !ok;
@@ -631,12 +628,13 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
       observation.queue_waves = work->waves_waited;
       observation.actual_seconds = actual_seconds;
       observation.estimated_seconds = estimated_seconds;
-      slo_.Record(observation);
+      observation.tables = std::move(work->tables);
+      ledger_.Record(observation, executed_read ? &quality : nullptr);
       if (work->tracer != nullptr) {
         const char* code =
             ok ? "OK" : StatusCodeName(work->exec_status.code());
         const double service_seconds =
-            slo_.ServiceSeconds(actual_seconds, work->cache_hit);
+            ledger_.ServiceSeconds(actual_seconds, work->cache_hit);
         const double regret =
             ok ? std::max(0.0, actual_seconds - estimated_seconds) : 0.0;
         work->tracer->Event("server", "complete",
@@ -656,7 +654,8 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
         trace.fault_fires = work->fault_fires;
         trace.cache_outcome = work->cache_outcome;
         trace.waves_waited = work->waves_waited;
-        trace.queue_wait_seconds = slo_.QueueWaitSeconds(work->waves_waited);
+        trace.queue_wait_seconds =
+            ledger_.QueueWaitSeconds(work->waves_waited);
         trace.service_seconds = service_seconds;
         trace.events = work->tracer->ReleaseEvents();
         recorder_.Offer(std::move(trace));
@@ -665,22 +664,19 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
     }
 
     // Drift hook: a fingerprint whose recent q-error regressed past the
-    // monitor's factor loses its cached plans before the next wave — the
+    // drift factor loses its cached plans before the next wave — the
     // cache must not keep serving a plan chosen for data that moved. The
     // block records the current statistics epoch, so it lifts itself once
     // a rebuild moves past it; the tables the statement reads are flagged
     // for that rebuild.
     const uint64_t stats_epoch = db_->statistics()->epoch();
-    for (const obs::FingerprintQuality& drifted : monitor_.Drifted()) {
+    for (const obs::FingerprintQuality& drifted : ledger_.Drifted()) {
       if (cache_.IsDriftBlocked(drifted.fingerprint)) continue;
       const size_t evicted =
           cache_.InvalidateFingerprint(drifted.fingerprint, stats_epoch);
       if (config_.background_rebuild) {
-        auto tables = fingerprint_tables_.find(drifted.fingerprint);
-        if (tables != fingerprint_tables_.end()) {
-          for (const std::string& table : tables->second) {
-            db_->statistics()->MarkPendingRebuild(table);
-          }
+        for (const std::string& table : ledger_.Tables(drifted.fingerprint)) {
+          db_->statistics()->MarkPendingRebuild(table);
         }
       }
       if (tracer_ != nullptr) {
@@ -701,7 +697,7 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
     // themselves on their next lookup; nobody calls UPDATE STATISTICS.
     if (config_.background_rebuild && db_->statistics()->RebuildPending()) {
       const uint64_t rebuilt = db_->RebuildPendingStatistics();
-      if (rebuilt > 0) monitor_.Reset();
+      if (rebuilt > 0) ledger_.ResetQuality();
       if (tracer_ != nullptr) {
         tracer_->Event(
             "server", "stats.background_rebuild",
@@ -710,23 +706,23 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
       }
     }
 
-    // Regret-driven T% retuning (sequential, after this wave's SLO
-    // observations landed): fingerprints whose realized regret rate is
+    // Regret-driven T% retuning (sequential, after this wave's ledger
+    // records landed): fingerprints whose realized regret rate is
     // chronically over the (1-T) budget plan more conservatively from the
     // next wave on; calibrated ones relax back toward the base. The tuned
     // threshold is part of the plan-cache key, so a retuned fingerprint
     // re-plans naturally instead of serving its old plan.
-    if (tuner_.enabled()) {
-      const size_t overrides_before = tuner_.overrides();
-      const uint64_t raised_before = tuner_.raised_total();
-      tuner_.Retune(slo_, db_->confidence_threshold());
+    if (ledger_.tuning_enabled()) {
+      const size_t overrides_before = ledger_.overrides();
+      const uint64_t raised_before = ledger_.raised_total();
+      ledger_.Retune(db_->confidence_threshold());
       if (tracer_ != nullptr) {
-        if (tuner_.overrides() != overrides_before ||
-            tuner_.raised_total() != raised_before) {
+        if (ledger_.overrides() != overrides_before ||
+            ledger_.raised_total() != raised_before) {
           tracer_->Event("server", "tpercent.retuned",
-                         {{"overrides", obs::AttrU64(tuner_.overrides())},
-                          {"raised", obs::AttrU64(tuner_.raised_total())},
-                          {"relaxed", obs::AttrU64(tuner_.relaxed_total())}});
+                         {{"overrides", obs::AttrU64(ledger_.overrides())},
+                          {"raised", obs::AttrU64(ledger_.raised_total())},
+                          {"relaxed", obs::AttrU64(ledger_.relaxed_total())}});
         }
       }
     }
@@ -890,14 +886,14 @@ void QueryService::UpdateStatistics(const stats::StatisticsConfig& config) {
   // The epoch bump already invalidates every cached plan lazily; fresh
   // statistics also make drifted statements plannable again.
   cache_.ClearDriftBlocks();
-  monitor_.Reset();
+  ledger_.ResetQuality();
 }
 
 void QueryService::PublishMetrics(obs::MetricsRegistry* metrics) const {
   if (metrics == nullptr) return;
   admission_.PublishMetrics(metrics);
   cache_.PublishMetrics(metrics);
-  monitor_.PublishMetrics(metrics);
+  ledger_.PublishMetrics(metrics);
   metrics->GetGauge("server.sessions.open")
       ->Set(static_cast<double>(sessions_.open_count()));
   metrics->GetGauge("server.sessions.opened_total")
@@ -911,9 +907,7 @@ void QueryService::PublishMetrics(obs::MetricsRegistry* metrics) const {
   metrics->GetGauge("stats.epoch")
       ->Set(static_cast<double>(db_->statistics()->epoch()));
   if (config_.flight_recorder.enabled) recorder_.PublishMetrics(metrics);
-  slo_.PublishMetrics(metrics);
   feedback_.PublishMetrics(metrics);
-  tuner_.PublishMetrics(metrics);
   // Gated on the runtime toggle so SET PROVENANCE OFF keeps the metric
   // byte stream identical to a pre-provenance build.
   provenance_.PublishMetrics(metrics);

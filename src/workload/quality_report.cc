@@ -17,15 +17,15 @@ size_t CountTables(const std::string& tables) {
 }  // namespace
 
 size_t RecordAnalyzedPlan(const core::AnalyzedPlan& plan,
-                          obs::EstimationQualityMonitor* monitor) {
-  return RecordAnalyzedPlan(plan, monitor, nullptr, 0);
+                          obs::FingerprintLedger* ledger) {
+  return RecordAnalyzedPlan(plan, ledger, nullptr, 0);
 }
 
 size_t RecordAnalyzedPlan(const core::AnalyzedPlan& plan,
-                          obs::EstimationQualityMonitor* monitor,
+                          obs::FingerprintLedger* ledger,
                           learn::FeedbackStore* feedback,
                           uint64_t statistics_epoch) {
-  if (monitor == nullptr && feedback == nullptr) return 0;
+  if (ledger == nullptr && feedback == nullptr) return 0;
   if (!plan.execution_error.empty()) return 0;
 
   // The executed actual (SPJ-core rows) corresponds to the estimate over
@@ -61,15 +61,14 @@ size_t RecordAnalyzedPlan(const core::AnalyzedPlan& plan,
                               actual_selectivity, statistics_epoch);
     }
   }
-  if (monitor == nullptr) return 0;
+  if (ledger == nullptr) return 0;
 
   obs::QualityObservation observation;
-  observation.fingerprint = best->fingerprint;
   observation.label = label;
   observation.estimated_rows = best->estimated_rows;
   observation.actual_rows = static_cast<double>(plan.actual_spj_rows);
   observation.confidence_threshold = best->confidence_threshold;
-  monitor->Record(observation);
+  ledger->RecordQuality(best->fingerprint, observation);
   return 1;
 }
 

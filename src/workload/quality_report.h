@@ -1,11 +1,11 @@
 // Copyright (c) robustqo authors. Licensed under the MIT license.
 //
-// The feedback join between EXPLAIN ANALYZE and the estimation-quality
-// monitor: an AnalyzedPlan carries the fingerprinted planning-time
+// The feedback join between EXPLAIN ANALYZE and a fingerprint ledger's
+// quality columns: an AnalyzedPlan carries the fingerprinted planning-time
 // estimates (PredicateReport) and the executed actuals; RecordAnalyzedPlan
-// pairs them up and feeds the monitor one observation per comparable
-// estimate. Sits in workload because the join needs core (AnalyzedPlan),
-// which obs must not depend on.
+// pairs them up and feeds the ledger one observation per comparable
+// estimate, keyed by predicate fingerprint. Sits in workload because the
+// join needs core (AnalyzedPlan), which obs must not depend on.
 
 #ifndef ROBUSTQO_WORKLOAD_QUALITY_REPORT_H_
 #define ROBUSTQO_WORKLOAD_QUALITY_REPORT_H_
@@ -15,29 +15,29 @@
 
 #include "core/explain_analyze.h"
 #include "learning/feedback_store.h"
-#include "obs/quality_monitor.h"
+#include "obs/fingerprint_ledger.h"
 
 namespace robustqo {
 namespace workload {
 
 /// Joins `plan`'s planning-time estimates with its execution actuals and
-/// records them into `monitor`. The comparable estimate is the full
+/// records them into `ledger`. The comparable estimate is the full
 /// table-set row prediction (the "synopsis", "learned" or "independence"
 /// event, whose `tables` covers every joined table): its est_rows pairs
 /// with the executed SPJ-core row count. Returns the number of
 /// observations recorded (0 when the plan was not executed, carries no
-/// fingerprints, or `monitor` is null).
+/// fingerprints, or `ledger` is null).
 size_t RecordAnalyzedPlan(const core::AnalyzedPlan& plan,
-                          obs::EstimationQualityMonitor* monitor);
+                          obs::FingerprintLedger* ledger);
 
 /// Same join, additionally closing the learning loop: the executed actual
 /// selectivity (actual SPJ rows over the root table's row count, recovered
 /// from est_rows/selectivity of the same estimate) is folded into
 /// `feedback` under the estimate's fingerprint, stamped with
 /// `statistics_epoch`. Either sink may be null; returns the number of
-/// monitor observations recorded.
+/// ledger observations recorded.
 size_t RecordAnalyzedPlan(const core::AnalyzedPlan& plan,
-                          obs::EstimationQualityMonitor* monitor,
+                          obs::FingerprintLedger* ledger,
                           learn::FeedbackStore* feedback,
                           uint64_t statistics_epoch);
 

@@ -116,10 +116,10 @@ TrafficReport RunTraffic(server::QueryService* service,
   TrafficReport report;
   report.duration_seconds = config.duration_seconds;
   if (config.statements.empty() || config.clients == 0) return report;
-  // The SLO monitor charges queueing and cold planning exactly as this
-  // harness does, so its sketches and the report's agree.
-  service->slo_monitor()->ConfigureCharging(config.wave_delay_seconds,
-                                            config.plan_charge_seconds);
+  // The ledger charges queueing and cold planning exactly as this harness
+  // does, so its SLO sketches and the report's agree.
+  service->ledger()->ConfigureCharging(config.wave_delay_seconds,
+                                       config.plan_charge_seconds);
   const std::vector<double> thresholds =
       config.thresholds.empty() ? std::vector<double>{0.0} : config.thresholds;
 
@@ -276,8 +276,8 @@ TrafficReport RunTraffic(server::QueryService* service,
       config.duration_seconds > 0.0
           ? static_cast<double>(report.completed) / config.duration_seconds
           : 0.0;
-  if (service->slo_monitor()->global().observed > 0) {
-    report.slo_report = service->slo_monitor()->ReportText();
+  if (service->ledger()->global().observed > 0) {
+    report.slo_report = service->ledger()->SloReportText();
   }
   if (service->flight_recorder()->size() > 0) {
     report.blackbox_json = service->flight_recorder()->ToJson();

@@ -103,14 +103,14 @@ struct TrafficReport {
   /// End-to-end simulated latency (queueing + planning charge + execution).
   obs::QuantileSketch latency;
   double latency_max_seconds = 0.0;
-  /// Queue-wait component alone (admission waves × wave delay) — the SLO
-  /// monitor's backpressure signal, re-derived here for the report.
+  /// Queue-wait component alone (admission waves × wave delay) — the
+  /// ledger's SLO backpressure signal, re-derived here for the report.
   obs::QuantileSketch queue_wait;
   /// Service component alone (execution + cold-plan charge).
   obs::QuantileSketch service_time;
   server::AdmissionStats admission;
   server::PlanCacheStats plan_cache;
-  /// SLO monitor report (empty when the monitor observed nothing).
+  /// The ledger's SLO report (empty when it observed nothing).
   std::string slo_report;
   /// Flight-recorder JSON dump (empty unless the service's recorder was
   /// enabled and retained at least one request).
@@ -127,7 +127,7 @@ struct TrafficReport {
 
 /// Runs the configured traffic against `service`. The service's sessions
 /// are opened (and closed) by the harness; its plan cache, admission
-/// controller and quality monitor are exercised as-is.
+/// controller and fingerprint ledger are exercised as-is.
 TrafficReport RunTraffic(server::QueryService* service,
                          const TrafficConfig& config);
 

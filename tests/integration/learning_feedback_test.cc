@@ -110,7 +110,7 @@ ArcOutcome RunDriftArc(bool learning) {
     EXPECT_TRUE(service.ExecuteSpec(session, drifting).status.ok());
     evicted = service.plan_cache()->stats().invalidated_drift > 0;
   }
-  EXPECT_TRUE(evicted) << service.quality_monitor()->ReportText();
+  EXPECT_TRUE(evicted) << service.ledger()->QualityReportText();
 
   // Drift-blocked = replanned every time. With learning on, each replan
   // folds the feedback store's evidence into the selectivity posterior.
@@ -128,7 +128,7 @@ ArcOutcome RunDriftArc(bool learning) {
 
   ArcOutcome outcome;
   for (const obs::FingerprintQuality& quality :
-       service.quality_monitor()->Snapshot()) {
+       service.ledger()->Snapshot()) {
     if (quality.fingerprint == fingerprint) {
       outcome.recent_median_q = quality.recent_median_q;
     }
@@ -139,7 +139,7 @@ ArcOutcome RunDriftArc(bool learning) {
   }
   if (tail > 0) outcome.tail_mean_regret /= static_cast<double>(tail);
   outcome.feedback_observations = service.feedback_store()->observations_total();
-  outcome.tuner_raises = service.tpercent_tuner()->raised_total();
+  outcome.tuner_raises = service.ledger()->raised_total();
 
   // The recovery arc closes with fresh statistics: the epoch bump lifts
   // the drift block (and, by design, retires the learned evidence), and

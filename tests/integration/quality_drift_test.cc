@@ -1,9 +1,10 @@
 // Estimation-quality monitoring end to end: a >= 100-query workload whose
 // EXPLAIN ANALYZE feedback flows through workload::RecordAnalyzedPlan into
-// the obs::EstimationQualityMonitor. One query shape keeps estimating well;
-// a second has its data mutated underneath the (now stale) statistics, and
-// the monitor must flag exactly that fingerprint as drifted while
-// reporting per-fingerprint q-error quantiles and the T%-bound hit-rate.
+// the quality columns of an obs::FingerprintLedger. One query shape keeps
+// estimating well; a second has its data mutated underneath the (now
+// stale) statistics, and the ledger must flag exactly that fingerprint as
+// drifted while reporting per-fingerprint q-error quantiles and the
+// T%-bound hit-rate.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +14,7 @@
 #include "core/database.h"
 #include "core/explain_analyze.h"
 #include "expr/expression.h"
-#include "obs/quality_monitor.h"
+#include "obs/fingerprint_ledger.h"
 #include "storage/catalog.h"
 #include "storage/table.h"
 #include "util/rng.h"
@@ -70,12 +71,12 @@ TEST(QualityDriftTest, MonitorFlagsTheDriftedFingerprintOver100Queries) {
   LoadReadings(db.catalog());
   db.UpdateStatistics();
 
-  obs::QualityMonitorConfig config;
+  obs::QualityConfig config;
   config.baseline_window = 16;
   config.recent_window = 16;
   config.min_observations = 8;
   config.drift_factor = 4.0;
-  obs::EstimationQualityMonitor monitor(config);
+  obs::FingerprintLedger monitor(config);
 
   const std::vector<opt::QuerySpec> queries = {DriftingQuery(),
                                                HealthyQuery()};
@@ -98,7 +99,7 @@ TEST(QualityDriftTest, MonitorFlagsTheDriftedFingerprintOver100Queries) {
   run_round(20);
   EXPECT_TRUE(monitor.Drifted().empty())
       << "nothing should drift while statistics are fresh:\n"
-      << monitor.ReportText();
+      << monitor.QualityReportText();
 
   // Data moves underneath the statistics: flood the table with rows
   // matching the drifting predicate, WITHOUT rebuilding statistics. The
@@ -116,11 +117,11 @@ TEST(QualityDriftTest, MonitorFlagsTheDriftedFingerprintOver100Queries) {
   run_round(40);
   ASSERT_GE(executed, 100u);
   EXPECT_EQ(monitor.observation_count(), executed);
-  EXPECT_EQ(monitor.fingerprint_count(), 2u);
+  EXPECT_EQ(monitor.quality_fingerprints(), 2u);
 
   // Exactly the mutated fingerprint is flagged.
   const std::vector<obs::FingerprintQuality> drifted = monitor.Drifted();
-  ASSERT_EQ(drifted.size(), 1u) << monitor.ReportText();
+  ASSERT_EQ(drifted.size(), 1u) << monitor.QualityReportText();
   const uint64_t drifting_fp = drifted[0].fingerprint;
   EXPECT_GE(drifted[0].drift_ratio, 4.0);
   EXPECT_GT(drifted[0].q_p99, drifted[0].baseline_median_q);
@@ -143,7 +144,7 @@ TEST(QualityDriftTest, MonitorFlagsTheDriftedFingerprintOver100Queries) {
   }
 
   // The drift report renders both fingerprints and marks the drifted one.
-  const std::string report = monitor.ReportText();
+  const std::string report = monitor.QualityReportText();
   EXPECT_NE(report.find("DRIFTED"), std::string::npos);
   EXPECT_NE(report.find("ok"), std::string::npos);
 

@@ -90,8 +90,8 @@ TEST(ServerDriftTest, DriftedFingerprintEvictsItsCachedPlanUntilStatsRebuild) {
       EXPECT_TRUE(h.cache_hit);
     }
   }
-  EXPECT_TRUE(service.quality_monitor()->Drifted().empty())
-      << service.quality_monitor()->ReportText();
+  EXPECT_TRUE(service.ledger()->Drifted().empty())
+      << service.ledger()->QualityReportText();
   EXPECT_EQ(service.plan_cache()->stats().invalidated_drift, 0u);
 
   // The data moves underneath the statistics: flood the table with rows
@@ -117,7 +117,7 @@ TEST(ServerDriftTest, DriftedFingerprintEvictsItsCachedPlanUntilStatsRebuild) {
     evicted = service.plan_cache()->stats().invalidated_drift > 0;
   }
   ASSERT_TRUE(evicted) << "drift never tripped:\n"
-                       << service.quality_monitor()->ReportText();
+                       << service.ledger()->QualityReportText();
   EXPECT_TRUE(service.plan_cache()->IsDriftBlocked(drifting_fp));
   EXPECT_FALSE(service.plan_cache()->IsDriftBlocked(healthy_fp));
 
@@ -138,7 +138,7 @@ TEST(ServerDriftTest, DriftedFingerprintEvictsItsCachedPlanUntilStatsRebuild) {
   ASSERT_TRUE(replanned.status.ok());
   EXPECT_FALSE(replanned.cache_hit) << "fresh statistics, fresh plan";
   EXPECT_TRUE(service.ExecuteSpec(session, drifting).cache_hit);
-  EXPECT_TRUE(service.quality_monitor()->Drifted().empty());
+  EXPECT_TRUE(service.ledger()->Drifted().empty());
 }
 
 }  // namespace

@@ -1,0 +1,670 @@
+#include "obs/fingerprint_ledger.h"
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdio>
+#include <map>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "obs/metrics.h"
+#include "obs/plan_provenance.h"
+#include "util/rng.h"
+
+namespace robustqo {
+namespace obs {
+namespace {
+
+// ---- Quality columns ----
+
+QualityObservation Obs(double est, double act, double threshold = 0.0) {
+  QualityObservation o;
+  o.label = "{t} :: pred";
+  o.estimated_rows = est;
+  o.actual_rows = act;
+  o.confidence_threshold = threshold;
+  return o;
+}
+
+TEST(QualityMonitorTest, IgnoresZeroFingerprint) {
+  FingerprintLedger ledger;
+  ledger.RecordQuality(0, Obs(100.0, 50.0));
+  EXPECT_EQ(ledger.observation_count(), 0u);
+  EXPECT_EQ(ledger.quality_fingerprints(), 0u);
+}
+
+TEST(QualityMonitorTest, TracksPerFingerprintQErrorQuantiles) {
+  FingerprintLedger ledger;
+  // q-errors exactly 2.0 (est 100 vs act 50), a hundred times.
+  for (int i = 0; i < 100; ++i) ledger.RecordQuality(7, Obs(100.0, 50.0));
+  ASSERT_EQ(ledger.quality_fingerprints(), 1u);
+  const FingerprintQuality q = ledger.Snapshot()[0];
+  EXPECT_EQ(q.fingerprint, 7u);
+  EXPECT_EQ(q.observations, 100u);
+  EXPECT_NEAR(q.q_p50, 2.0, 0.05);
+  EXPECT_NEAR(q.q_p99, 2.0, 0.05);
+  EXPECT_DOUBLE_EQ(q.q_max, 2.0);
+  EXPECT_FALSE(q.drifted);
+}
+
+TEST(QualityMonitorTest, CalibrationTalliesTrackTheBound) {
+  FingerprintLedger ledger;
+  // 9 of 10 bounds hold at T=90%.
+  for (int i = 0; i < 9; ++i) ledger.RecordQuality(3, Obs(120.0, 100.0, 0.9));
+  ledger.RecordQuality(3, Obs(120.0, 500.0, 0.9));  // bound violated
+  const FingerprintQuality q = ledger.Snapshot()[0];
+  EXPECT_EQ(q.bound_checks, 10u);
+  EXPECT_EQ(q.bound_holds, 9u);
+  EXPECT_DOUBLE_EQ(q.bound_hit_rate, 0.9);
+  EXPECT_NEAR(q.mean_threshold, 0.9, 1e-12);
+}
+
+TEST(QualityMonitorTest, EstimatesWithoutThresholdAreNotCalibrationChecked) {
+  FingerprintLedger ledger;
+  ledger.RecordQuality(3, Obs(120.0, 100.0, 0.0));
+  const FingerprintQuality q = ledger.Snapshot()[0];
+  EXPECT_EQ(q.bound_checks, 0u);
+  EXPECT_DOUBLE_EQ(q.bound_hit_rate, 0.0);
+}
+
+TEST(QualityMonitorTest, FlagsDriftWhenRecentWindowRegresses) {
+  QualityConfig config;
+  config.baseline_window = 16;
+  config.recent_window = 16;
+  config.min_observations = 8;
+  config.drift_factor = 4.0;
+  FingerprintLedger ledger(config);
+  // Baseline: near-perfect estimates (q-error ~1).
+  for (int i = 0; i < 16; ++i) ledger.RecordQuality(11, Obs(100.0, 100.0));
+  EXPECT_TRUE(ledger.Drifted().empty());
+  // Then the data moves under the statistics: actuals 10x the estimates.
+  for (int i = 0; i < 16; ++i) ledger.RecordQuality(11, Obs(100.0, 1000.0));
+  const std::vector<FingerprintQuality> drifted = ledger.Drifted();
+  ASSERT_EQ(drifted.size(), 1u);
+  EXPECT_EQ(drifted[0].fingerprint, 11u);
+  EXPECT_NEAR(drifted[0].drift_ratio, 10.0, 0.5);
+  EXPECT_TRUE(drifted[0].drifted);
+  // A healthy sibling fingerprint stays unflagged.
+  for (int i = 0; i < 40; ++i) ledger.RecordQuality(12, Obs(100.0, 110.0));
+  EXPECT_EQ(ledger.Drifted().size(), 1u);
+}
+
+TEST(QualityMonitorTest, SnapshotOrdersByFingerprint) {
+  FingerprintLedger ledger;
+  ledger.RecordQuality(99, Obs(10.0, 10.0));
+  ledger.RecordQuality(1, Obs(10.0, 10.0));
+  ledger.RecordQuality(50, Obs(10.0, 10.0));
+  const std::vector<FingerprintQuality> all = ledger.Snapshot();
+  ASSERT_EQ(all.size(), 3u);
+  EXPECT_EQ(all[0].fingerprint, 1u);
+  EXPECT_EQ(all[1].fingerprint, 50u);
+  EXPECT_EQ(all[2].fingerprint, 99u);
+}
+
+TEST(QualityMonitorTest, ReportsAreDeterministic) {
+  auto build = [] {
+    FingerprintLedger ledger;
+    for (int i = 0; i < 20; ++i) {
+      ledger.RecordQuality(5, Obs(100.0, 80.0, 0.95));
+      ledger.RecordQuality(9, Obs(40.0, 200.0));
+    }
+    return ledger.QualityReportJson() + "\n" + ledger.QualityReportText();
+  };
+  EXPECT_EQ(build(), build());
+  const std::string report = build();
+  EXPECT_NE(report.find("\"fingerprint\":\"0x0000000000000005\""),
+            std::string::npos);
+  EXPECT_NE(report.find("\"bound_hit_rate\":1"), std::string::npos);
+}
+
+TEST(QualityMonitorTest, PublishMetricsIsIdempotent) {
+  FingerprintLedger ledger;
+  for (int i = 0; i < 10; ++i) ledger.RecordQuality(4, Obs(100.0, 50.0, 0.9));
+  MetricsRegistry metrics;
+  ledger.PublishMetrics(&metrics);
+  const std::string once = metrics.ToJson();
+  ledger.PublishMetrics(&metrics);
+  EXPECT_EQ(metrics.ToJson(), once);
+  EXPECT_DOUBLE_EQ(metrics.GetGauge("estimator.quality.fingerprints")->value(),
+                   1.0);
+  EXPECT_DOUBLE_EQ(
+      metrics.GetGauge("estimator.quality.bound_hit_rate")->value(), 1.0);
+  EXPECT_EQ(metrics.GetSketch("estimator.quality.q_error")->count(), 10u);
+}
+
+TEST(QualityMonitorTest, ResetClearsEverything) {
+  FingerprintLedger ledger;
+  ledger.RecordQuality(4, Obs(100.0, 50.0));
+  ledger.ResetQuality();
+  EXPECT_EQ(ledger.observation_count(), 0u);
+  EXPECT_EQ(ledger.quality_fingerprints(), 0u);
+}
+
+// Drifted() summarizes only the profiles Record flagged; it must equal the
+// drifted subset of a full Snapshot() after any Record/Reset history.
+TEST(QualityMonitorTest, DriftedMatchesSnapshotSubsetUnderRandomHistories) {
+  Rng rng(18);
+  bool saw_drift = false;
+  bool saw_recovery = false;
+  for (int round = 0; round < 12; ++round) {
+    QualityConfig config;
+    config.baseline_window = 2 + rng.NextBounded(8);
+    config.recent_window = 2 + rng.NextBounded(8);
+    config.min_observations = 1 + rng.NextBounded(6);
+    config.drift_factor = round % 2 == 0 ? 2.0 : 4.0;
+    FingerprintLedger ledger(config);
+    std::vector<double> regime(60, 1.0);  // per-fingerprint error scale
+    std::set<uint64_t> drifted_before;
+    bool reset = false;
+    for (int op = 0; op < 8000; ++op) {
+      if (rng.NextBernoulli(0.0005)) {
+        ledger.ResetQuality();
+        reset = true;
+      }
+      const uint64_t fp = 1 + rng.NextBounded(regime.size());
+      if (rng.NextBernoulli(0.1)) {
+        regime[fp - 1] = rng.NextBernoulli(0.5) ? 1.0 : 10.0;
+      }
+      const double actual =
+          100.0 * regime[fp - 1] * rng.NextDoubleInRange(1.0, 3.0);
+      ledger.RecordQuality(
+          fp, Obs(100.0, actual, rng.NextBernoulli(0.5) ? 0.8 : 0.0));
+      if (op % 37 != 0) continue;
+
+      std::vector<FingerprintQuality> expected;
+      for (const FingerprintQuality& q : ledger.Snapshot()) {
+        if (q.drifted) expected.push_back(q);
+      }
+      const std::vector<FingerprintQuality> drifted = ledger.Drifted();
+      ASSERT_EQ(drifted.size(), expected.size()) << "op " << op;
+      std::set<uint64_t> drifted_now;
+      for (size_t i = 0; i < drifted.size(); ++i) {
+        const FingerprintQuality& a = drifted[i];
+        const FingerprintQuality& b = expected[i];
+        EXPECT_EQ(a.fingerprint, b.fingerprint);
+        EXPECT_EQ(a.label, b.label);
+        EXPECT_EQ(a.observations, b.observations);
+        EXPECT_EQ(a.q_p50, b.q_p50);
+        EXPECT_EQ(a.q_p90, b.q_p90);
+        EXPECT_EQ(a.q_p99, b.q_p99);
+        EXPECT_EQ(a.q_max, b.q_max);
+        EXPECT_EQ(a.bound_checks, b.bound_checks);
+        EXPECT_EQ(a.bound_holds, b.bound_holds);
+        EXPECT_EQ(a.baseline_median_q, b.baseline_median_q);
+        EXPECT_EQ(a.recent_median_q, b.recent_median_q);
+        EXPECT_EQ(a.drift_ratio, b.drift_ratio);
+        EXPECT_TRUE(a.drifted);
+        drifted_now.insert(a.fingerprint);
+      }
+      MetricsRegistry metrics;
+      ledger.PublishMetrics(&metrics);
+      EXPECT_EQ(
+          metrics.GetGauge("estimator.quality.drifted_fingerprints")->value(),
+          static_cast<double>(expected.size()));
+      saw_drift = saw_drift || !drifted_now.empty();
+      for (uint64_t fingerprint : drifted_before) {
+        saw_recovery =
+            saw_recovery || (!reset && drifted_now.count(fingerprint) == 0);
+      }
+      drifted_before = std::move(drifted_now);
+      reset = false;
+    }
+  }
+  // The histories flipped the verdict both ways without a Reset.
+  EXPECT_TRUE(saw_drift);
+  EXPECT_TRUE(saw_recovery);
+}
+
+// ---- SLO columns ----
+
+RequestObservation Req(double actual, double estimated, bool cache_hit = true,
+                       uint64_t waves = 0, bool failed = false) {
+  RequestObservation o;
+  o.session_label = "s1";
+  o.fingerprint = 0xF00Du;
+  o.failed = failed;
+  o.cache_hit = cache_hit;
+  o.queue_waves = waves;
+  o.actual_seconds = actual;
+  o.estimated_seconds = estimated;
+  return o;
+}
+
+TEST(SloMonitorTest, ChargesQueueWaitAndColdPlanning) {
+  SloConfig config;
+  config.wave_delay_seconds = 0.1;
+  config.plan_charge_seconds = 0.5;
+  FingerprintLedger ledger({}, config);
+  EXPECT_DOUBLE_EQ(ledger.QueueWaitSeconds(3), 0.3);
+  EXPECT_DOUBLE_EQ(ledger.ServiceSeconds(1.0, /*cache_hit=*/true), 1.0);
+  EXPECT_DOUBLE_EQ(ledger.ServiceSeconds(1.0, /*cache_hit=*/false), 1.5);
+  ledger.ConfigureCharging(0.2, 1.0);
+  EXPECT_DOUBLE_EQ(ledger.QueueWaitSeconds(3), 0.6);
+  EXPECT_DOUBLE_EQ(ledger.ServiceSeconds(1.0, /*cache_hit=*/false), 2.0);
+}
+
+TEST(SloMonitorTest, RecordsIntoAllThreeScopes) {
+  FingerprintLedger ledger;
+  ledger.Record(Req(1.0, 1.0));
+  RequestObservation other = Req(2.0, 2.0);
+  other.session_label = "s2";
+  other.fingerprint = 0xBEEFu;
+  ledger.Record(other);
+  EXPECT_EQ(ledger.global().observed, 2u);
+  EXPECT_EQ(ledger.sessions_tracked(), 2u);
+  EXPECT_EQ(ledger.slo_fingerprints(), 2u);
+  ASSERT_NE(ledger.SessionScope("s1"), nullptr);
+  EXPECT_EQ(ledger.SessionScope("s1")->observed, 1u);
+  ASSERT_NE(ledger.FingerprintScope(0xBEEFu), nullptr);
+  EXPECT_EQ(ledger.FingerprintScope(0xBEEFu)->observed, 1u);
+  EXPECT_EQ(ledger.SessionScope("nope"), nullptr);
+  EXPECT_EQ(ledger.FingerprintScope(0x1234u), nullptr);
+}
+
+TEST(SloMonitorTest, RegretClampsAtZeroAndTracksWorstRatio) {
+  FingerprintLedger ledger;
+  ledger.Record(Req(0.5, 1.0));  // plan beat its estimate: no regret
+  EXPECT_EQ(ledger.global().regret_positive, 0u);
+  EXPECT_DOUBLE_EQ(ledger.global().regret.Quantile(0.5), 0.0);
+  ledger.Record(Req(3.0, 1.0));  // 3x the promise
+  EXPECT_EQ(ledger.global().regret_positive, 1u);
+  EXPECT_DOUBLE_EQ(ledger.global().worst_regret_ratio, 3.0);
+  ledger.Record(Req(1.5, 1.0));  // worse than promise, better than worst
+  EXPECT_EQ(ledger.global().regret_positive, 2u);
+  EXPECT_DOUBLE_EQ(ledger.global().worst_regret_ratio, 3.0);
+}
+
+TEST(SloMonitorTest, FailedRequestsCountQueueWaitButNotService) {
+  SloConfig config;
+  config.wave_delay_seconds = 0.05;
+  FingerprintLedger ledger({}, config);
+  ledger.Record(Req(0.0, 1.0, /*cache_hit=*/false, /*waves=*/4,
+                    /*failed=*/true));
+  EXPECT_EQ(ledger.global().observed, 1u);
+  EXPECT_EQ(ledger.global().failed, 1u);
+  EXPECT_EQ(ledger.global().queue_wait.count(), 1u);
+  EXPECT_EQ(ledger.global().service.count(), 0u);
+  EXPECT_EQ(ledger.global().regret.count(), 0u);
+  EXPECT_EQ(ledger.global().regret_positive, 0u);
+}
+
+TEST(SloMonitorTest, BreachCountersRespectThresholds) {
+  SloConfig config;
+  config.wave_delay_seconds = 0.1;
+  config.plan_charge_seconds = 0.0;
+  config.queue_wait_breach_seconds = 0.25;
+  config.service_breach_seconds = 2.0;
+  config.regret_breach_seconds = 0.5;
+  FingerprintLedger ledger({}, config);
+  ledger.Record(Req(1.0, 1.0, /*cache_hit=*/true, /*waves=*/1));  // no breach
+  ledger.Record(Req(3.0, 1.0, /*cache_hit=*/true, /*waves=*/3));  // all three
+  EXPECT_EQ(ledger.global().breach_queue_wait, 1u);
+  EXPECT_EQ(ledger.global().breach_service, 1u);
+  EXPECT_EQ(ledger.global().breach_regret, 1u);
+  // Disabled thresholds (0) never count.
+  FingerprintLedger unlimited;
+  unlimited.Record(Req(100.0, 1.0, /*cache_hit=*/true, /*waves=*/50));
+  EXPECT_EQ(unlimited.global().breach_queue_wait, 0u);
+  EXPECT_EQ(unlimited.global().breach_service, 0u);
+  EXPECT_EQ(unlimited.global().breach_regret, 0u);
+}
+
+TEST(SloMonitorTest, ReportAndJsonAreDeterministic) {
+  const auto build = []() {
+    FingerprintLedger ledger;
+    ledger.Record(Req(1.0, 1.0));
+    RequestObservation other = Req(2.0, 1.0, /*cache_hit=*/false, /*waves=*/2);
+    other.session_label = "s2";
+    ledger.Record(other);
+    ledger.Record(Req(0.0, 1.0, true, 0, /*failed=*/true));
+    return ledger;
+  };
+  const FingerprintLedger a = build();
+  const FingerprintLedger b = build();
+  EXPECT_EQ(a.SloReportText(), b.SloReportText());
+  EXPECT_EQ(a.SloJson(), b.SloJson());
+  EXPECT_NE(a.SloReportText().find("slo: observed=3 failed=1"),
+            std::string::npos);
+  EXPECT_NE(a.SloJson().find("\"sessions\""), std::string::npos);
+}
+
+TEST(SloMonitorTest, PublishMetricsIsIdempotent) {
+  FingerprintLedger ledger;
+  ledger.Record(Req(2.0, 1.0));
+  ledger.Record(Req(1.0, 1.0, /*cache_hit=*/true, /*waves=*/1));
+  MetricsRegistry metrics;
+  ledger.PublishMetrics(&metrics);
+  ledger.PublishMetrics(&metrics);
+  EXPECT_EQ(metrics.GetCounter("server.slo.observed")->value(), 2u);
+  EXPECT_EQ(metrics.GetCounter("optimizer.regret.positive")->value(), 1u);
+  EXPECT_EQ(metrics.GetSketch("server.slo.service_seconds")->count(), 2u);
+  EXPECT_EQ(metrics.GetSketch("optimizer.regret.seconds")->count(), 2u);
+  EXPECT_EQ(metrics.GetGauge("optimizer.regret.worst_ratio")->value(), 2.0);
+}
+
+TEST(SloMonitorTest, ResetClearsAllScopes) {
+  FingerprintLedger ledger;
+  ledger.Record(Req(1.0, 1.0));
+  ledger.ResetSlo();
+  EXPECT_EQ(ledger.global().observed, 0u);
+  EXPECT_EQ(ledger.sessions_tracked(), 0u);
+  EXPECT_EQ(ledger.slo_fingerprints(), 0u);
+  EXPECT_EQ(ledger.global().queue_wait.count(), 0u);
+}
+
+// ---- T% overrides ----
+
+// Records `count` successful executions of `fingerprint`, `regretted` of
+// which realized more cost than the plan promised.
+void FeedExecutions(FingerprintLedger* ledger, uint64_t fingerprint,
+                    int count, int regretted) {
+  for (int i = 0; i < count; ++i) {
+    RequestObservation observation;
+    observation.session_label = "tuner-test";
+    observation.fingerprint = fingerprint;
+    observation.cache_hit = true;
+    observation.estimated_seconds = 1.0;
+    observation.actual_seconds = i < regretted ? 2.0 : 0.5;
+    ledger->Record(observation);
+  }
+}
+
+TEST(TPercentTunerTest, EffectiveThresholdDefaultsToBase) {
+  FingerprintLedger ledger;
+  EXPECT_DOUBLE_EQ(ledger.EffectiveThreshold(42, 0.8), 0.8);
+}
+
+TEST(TPercentTunerTest, ChronicRegretRaisesTheThreshold) {
+  FingerprintLedger ledger;
+  // 32 successes, every one over its promise: regret rate 1.0 against a
+  // (1 - 0.8) = 0.2 budget.
+  FeedExecutions(&ledger, 42, 32, 32);
+  ledger.Retune(0.8);
+  EXPECT_EQ(ledger.overrides(), 1u);
+  EXPECT_EQ(ledger.raised_total(), 1u);
+  EXPECT_DOUBLE_EQ(ledger.EffectiveThreshold(42, 0.8), 0.85);
+  // Still chronically over budget: the next retune raises another step.
+  ledger.Retune(0.8);
+  EXPECT_DOUBLE_EQ(ledger.EffectiveThreshold(42, 0.8), 0.9);
+}
+
+TEST(TPercentTunerTest, RaiseStopsAtMaxThreshold) {
+  FingerprintLedger ledger;
+  FeedExecutions(&ledger, 42, 32, 32);
+  for (int i = 0; i < 20; ++i) ledger.Retune(0.8);
+  EXPECT_LE(ledger.EffectiveThreshold(42, 0.8),
+            FingerprintLedger::kTunerMaxThreshold);
+}
+
+TEST(TPercentTunerTest, CalibratedFingerprintRelaxesBackToBase) {
+  FingerprintLedger ledger;
+  FeedExecutions(&ledger, 42, 32, 32);
+  ledger.Retune(0.8);
+  ledger.Retune(0.8);
+  ASSERT_DOUBLE_EQ(ledger.EffectiveThreshold(42, 0.8), 0.9);
+
+  // A fresh window with zero regret: the override (which survives the SLO
+  // reset) walks back one step per retune and disappears at the base.
+  ledger.ResetSlo();
+  FeedExecutions(&ledger, 42, 32, 0);
+  ledger.Retune(0.8);
+  EXPECT_DOUBLE_EQ(ledger.EffectiveThreshold(42, 0.8), 0.85);
+  ledger.Retune(0.8);
+  EXPECT_DOUBLE_EQ(ledger.EffectiveThreshold(42, 0.8), 0.8);
+  EXPECT_EQ(ledger.overrides(), 0u);
+  EXPECT_EQ(ledger.relaxed_total(), 2u);
+}
+
+TEST(TPercentTunerTest, TooFewObservationsAreLeftAlone) {
+  FingerprintLedger ledger;
+  FeedExecutions(&ledger, 42, 8, 8);  // below kTunerMinObservations = 16
+  ledger.Retune(0.8);
+  EXPECT_EQ(ledger.overrides(), 0u);
+}
+
+TEST(TPercentTunerTest, InBudgetRegretNeverCreatesAnOverride) {
+  FingerprintLedger ledger;
+  // Regret rate 2/32 = 0.0625, well inside the 0.2 budget.
+  FeedExecutions(&ledger, 42, 32, 2);
+  ledger.Retune(0.8);
+  EXPECT_EQ(ledger.overrides(), 0u);
+  EXPECT_EQ(ledger.raised_total(), 0u);
+}
+
+TEST(TPercentTunerTest, DisabledTunerPassesBaseThrough) {
+  FingerprintLedger ledger;
+  FeedExecutions(&ledger, 42, 32, 32);
+  ledger.Retune(0.8);
+  ASSERT_GT(ledger.EffectiveThreshold(42, 0.8), 0.8);
+  ledger.set_tuning_enabled(false);
+  EXPECT_DOUBLE_EQ(ledger.EffectiveThreshold(42, 0.8), 0.8);
+  ledger.set_tuning_enabled(true);
+  EXPECT_DOUBLE_EQ(ledger.EffectiveThreshold(42, 0.8), 0.85);
+}
+
+TEST(TPercentTunerTest, ReportJsonAndMetrics) {
+  FingerprintLedger ledger;
+  FeedExecutions(&ledger, 0x2a, 32, 32);
+  ledger.Retune(0.8);
+  const std::string report = ledger.TunerReportText();
+  EXPECT_NE(report.find("1 overrides (1 raises, 0 relaxes)"),
+            std::string::npos);
+  EXPECT_NE(report.find("000000000000002a T=85%"), std::string::npos);
+  const std::string json = ledger.TunerJson();
+  EXPECT_NE(json.find("\"0x000000000000002a\""), std::string::npos);
+
+  MetricsRegistry metrics;
+  ledger.PublishMetrics(&metrics);
+  ledger.PublishMetrics(&metrics);  // idempotent
+  EXPECT_EQ(metrics.GetGauge("optimizer.tpercent.overrides")->value(), 1.0);
+  EXPECT_EQ(metrics.GetCounter("optimizer.tpercent.raised")->value(), 1u);
+}
+
+// ---- The row as a whole ----
+
+// The full-scan definition Retune must reproduce: every fingerprint with
+// an SLO scope, ascending, tuned when it has kTunerMinObservations
+// successes. `fingerprints` is every fingerprint ever recorded.
+class FullScanTuner {
+ public:
+  void Retune(const FingerprintLedger& ledger,
+              const std::set<uint64_t>& fingerprints, double base) {
+    for (uint64_t fingerprint : fingerprints) {
+      const SloScope* scope = ledger.FingerprintScope(fingerprint);
+      if (scope == nullptr) continue;
+      const uint64_t successes = scope->observed - scope->failed;
+      if (successes < FingerprintLedger::kTunerMinObservations) continue;
+      auto it = overrides_.find(fingerprint);
+      const double current =
+          it == overrides_.end() ? base : std::max(base, it->second);
+      const double regret_rate = static_cast<double>(scope->regret_positive) /
+                                 static_cast<double>(successes);
+      const double budget = 1.0 - current;
+      if (regret_rate > budget + FingerprintLedger::kTunerSlack) {
+        const double raised =
+            std::min(FingerprintLedger::kTunerMaxThreshold,
+                     current + FingerprintLedger::kTunerStep);
+        if (raised > current) {
+          overrides_[fingerprint] = raised;
+          ++raised_;
+        }
+      } else if (regret_rate + FingerprintLedger::kTunerSlack < budget &&
+                 it != overrides_.end()) {
+        const double relaxed = it->second - FingerprintLedger::kTunerStep;
+        if (relaxed <= base) {
+          overrides_.erase(it);
+        } else {
+          it->second = relaxed;
+        }
+        ++relaxed_;
+      }
+    }
+  }
+
+  std::string Json() const {
+    std::string out = "{\"enabled\":true,\"raised\":" +
+                      std::to_string(raised_) +
+                      ",\"relaxed\":" + std::to_string(relaxed_) +
+                      ",\"overrides\":[";
+    bool first = true;
+    for (const auto& [fingerprint, threshold] : overrides_) {
+      char entry[96];
+      std::snprintf(entry, sizeof(entry),
+                    "%s{\"fingerprint\":\"0x%016llx\",\"threshold\":%.9g}",
+                    first ? "" : ",",
+                    static_cast<unsigned long long>(fingerprint), threshold);
+      out += entry;
+      first = false;
+    }
+    return out + "]}";
+  }
+
+ private:
+  std::map<uint64_t, double> overrides_;
+  uint64_t raised_ = 0;
+  uint64_t relaxed_ = 0;
+};
+
+// Random traffic over many fingerprints, most of them below the
+// kTunerMinObservations bar, with SLO resets and statistics-rebuild
+// (quality) resets mixed in. Retunes are frequent, so fingerprints cross
+// the bar just before one. After every Retune the ledger equals the
+// full-scan reference. An override at 95% or more never relaxes (its
+// budget is at most the slack), so SLO resets come often enough that hot
+// fingerprints also relax from lower overrides.
+TEST(FingerprintLedgerTest, RetuneMatchesFullScanReference) {
+  Rng rng(2026);
+  FingerprintLedger ledger;
+  std::set<uint64_t> fed;
+  FullScanTuner reference;
+  int retunes = 0;
+  int slo_resets = 0;
+  for (int step = 0; step < 40000; ++step) {
+    const double roll = rng.NextDouble();
+    if (roll < 0.005) {
+      ledger.ResetSlo();
+      fed.clear();
+      ++slo_resets;
+    } else if (roll < 0.0055) {
+      ledger.ResetQuality();
+    } else if (roll < 0.02) {
+      const double base = rng.NextBernoulli(0.8) ? 0.8 : 0.6;
+      ledger.Retune(base);
+      reference.Retune(ledger, fed, base);
+      ASSERT_EQ(ledger.TunerJson(), reference.Json()) << "step " << step;
+      ++retunes;
+    } else {
+      // Hot fingerprints, a warm tier that crosses the bar at different
+      // times, and a long tail that never does.
+      const double tier = rng.NextDouble();
+      const uint64_t fingerprint =
+          tier < 0.3   ? 1000 + rng.NextBounded(8)
+          : tier < 0.7 ? 100 + rng.NextBounded(150)
+                       : 10000 + rng.NextBounded(3000);
+      RequestObservation observation;
+      observation.session_label = "property";
+      observation.fingerprint = fingerprint;
+      observation.failed = rng.NextBernoulli(0.1);
+      observation.cache_hit = true;
+      observation.estimated_seconds = 1.0;
+      // Half the fingerprints regret chronically and the other half never
+      // do, with the halves swapping after each SLO reset, so overrides
+      // both raise and relax.
+      const bool chronic = (fingerprint + slo_resets) % 2 == 0;
+      observation.actual_seconds =
+          rng.NextBernoulli(chronic ? 0.6 : 0.0) ? 2.0 : 0.5;
+      const QualityObservation quality = Obs(100.0, 100.0, 0.8);
+      ledger.Record(observation, observation.failed ? nullptr : &quality);
+      fed.insert(fingerprint);
+    }
+  }
+  EXPECT_GT(retunes, 500);
+  EXPECT_GT(slo_resets, 50);
+  EXPECT_GT(ledger.raised_total(), 5u);
+  EXPECT_GT(ledger.relaxed_total(), 5u);
+}
+
+TEST(FingerprintLedgerTest, OneRecordFillsEveryColumnOfOneRow) {
+  FingerprintLedger ledger;
+  RequestObservation request = Req(2.0, 1.0);
+  request.tables = {"orders", "lineitem"};
+  const QualityObservation quality = Obs(100.0, 50.0, 0.8);
+  ledger.Record(request, &quality);
+  // A write (no quality) of the same statement adds to its SLO scope only.
+  ledger.Record(Req(0.5, 0.0));
+  ASSERT_NE(ledger.FingerprintScope(0xF00Du), nullptr);
+  EXPECT_EQ(ledger.FingerprintScope(0xF00Du)->observed, 2u);
+  ASSERT_EQ(ledger.Snapshot().size(), 1u);
+  EXPECT_EQ(ledger.Snapshot()[0].fingerprint, 0xF00Du);
+  EXPECT_EQ(ledger.Snapshot()[0].observations, 1u);
+  EXPECT_EQ(ledger.Tables(0xF00Du),
+            (std::set<std::string>{"lineitem", "orders"}));
+  EXPECT_TRUE(ledger.Tables(0x1234u).empty());
+}
+
+TEST(FingerprintLedgerTest, ResetsKeepTheirSplit) {
+  FingerprintLedger ledger;
+  RequestObservation request = Req(2.0, 1.0);
+  request.tables = {"t"};
+  const QualityObservation quality = Obs(100.0, 50.0, 0.8);
+  for (int i = 0; i < 32; ++i) ledger.Record(request, &quality);
+  ledger.Retune(0.8);
+  ASSERT_EQ(ledger.overrides(), 1u);
+
+  // A statistics rebuild clears only the quality columns.
+  ledger.ResetQuality();
+  EXPECT_EQ(ledger.observation_count(), 0u);
+  EXPECT_TRUE(ledger.Snapshot().empty());
+  ASSERT_NE(ledger.FingerprintScope(0xF00Du), nullptr);
+  EXPECT_EQ(ledger.FingerprintScope(0xF00Du)->observed, 32u);
+  EXPECT_DOUBLE_EQ(ledger.EffectiveThreshold(0xF00Du, 0.8), 0.85);
+  EXPECT_EQ(ledger.Tables(0xF00Du), std::set<std::string>{"t"});
+
+  // An SLO reset clears only the SLO scopes (and with them eligibility).
+  ledger.Record(request, &quality);
+  ledger.ResetSlo();
+  EXPECT_EQ(ledger.FingerprintScope(0xF00Du), nullptr);
+  EXPECT_EQ(ledger.observation_count(), 1u);
+  EXPECT_DOUBLE_EQ(ledger.EffectiveThreshold(0xF00Du, 0.8), 0.85);
+  ledger.Retune(0.8);
+  EXPECT_EQ(ledger.raised_total(), 1u);
+  EXPECT_EQ(ledger.Tables(0xF00Du), std::set<std::string>{"t"});
+}
+
+TEST(FingerprintLedgerTest, RowTextShowsEveryColumn) {
+  FingerprintLedger ledger;
+  EXPECT_EQ(ledger.RowText(0xF00Du, nullptr),
+            "fp: no ledger row for 000000000000f00d\n");
+
+  RequestObservation request = Req(2.0, 1.0);
+  request.tables = {"orders", "lineitem"};
+  const QualityObservation quality = Obs(100.0, 50.0, 0.8);
+  for (int i = 0; i < 32; ++i) ledger.Record(request, &quality);
+  ledger.Retune(0.8);
+  PlanProvenanceRecord plan;
+  plan.fingerprint = 0xF00Du;
+  plan.plan_label = "Seq(orders)";
+  plan.estimator = "robust";
+  const std::string text = ledger.RowText(0xF00Du, &plan);
+  EXPECT_EQ(text.rfind("fp 000000000000f00d reads {lineitem,orders}\n", 0),
+            0u)
+      << text;
+  EXPECT_NE(text.find("  slo: observed=32 failed=0 "), std::string::npos);
+  EXPECT_NE(text.find("regret_positive=32"), std::string::npos);
+  EXPECT_NE(text.find("0x000000000000f00d     32 "), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("  t%: override T=85%\n"), std::string::npos);
+  EXPECT_NE(text.find(WinnerLine(plan)), std::string::npos);
+
+  ledger.ResetQuality();
+  const std::string reset = ledger.RowText(0xF00Du, nullptr);
+  EXPECT_NE(reset.find("quality: no observations"), std::string::npos);
+  EXPECT_NE(reset.find("  winner: no provenance retained\n"),
+            std::string::npos);
+}
+
+}  // namespace
+}  // namespace obs
+}  // namespace robustqo
