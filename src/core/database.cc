@@ -7,18 +7,51 @@
 namespace robustqo {
 namespace core {
 
+Result<ExecutionResult> RunPlan(const opt::PlannedQuery& plan,
+                                exec::ExecContext* ctx) {
+  Result<storage::Table> rows = plan.root->Run(ctx);
+  fault::QueryGovernor* governor = ctx->governor;
+  if (governor != nullptr) governor->PublishMetrics(ctx->metrics);
+  if (!rows.ok()) return rows.status();
+  const uint64_t spj_rows = ctx->aggregate_input_rows != UINT64_MAX
+                                ? ctx->aggregate_input_rows
+                                : rows.value().num_rows();
+  if (ctx->metrics != nullptr) {
+    ctx->metrics->GetSketch("exec.query.simulated_seconds")
+        ->Observe(ctx->meter.total_seconds());
+    ctx->metrics->GetSketch("exec.query.rows")
+        ->Observe(static_cast<double>(rows.value().num_rows()));
+    ctx->metrics->GetSketch("exec.query.spj_rows")
+        ->Observe(static_cast<double>(spj_rows));
+  }
+  return ExecutionResult{std::move(rows).value(),
+                         ctx->meter.total_seconds(),
+                         ctx->meter,
+                         spj_rows,
+                         plan.estimated_cost,
+                         plan.label,
+                         plan.Explain(),
+                         governor != nullptr ? governor->peak_memory_bytes() : 0,
+                         governor != nullptr ? governor->rows_charged() : 0};
+}
+
 Database::Database() {
   statistics_ = std::make_unique<stats::StatisticsCatalog>(&catalog_);
   histogram_estimator_ =
       std::make_unique<stats::HistogramEstimator>(statistics_.get());
   robust_estimator_ = std::make_unique<stats::RobustSampleEstimator>(
       statistics_.get(), stats::RobustEstimatorConfig{});
+  set_cost_model(cost_model_);
+  statistics_->SetFaultInjector(&fault_);
+}
+
+void Database::set_cost_model(const exec::CostModel& model) {
+  cost_model_ = model;
   histogram_optimizer_ = std::make_unique<opt::Optimizer>(
       &catalog_, histogram_estimator_.get(), cost_model_);
   robust_optimizer_ = std::make_unique<opt::Optimizer>(
       &catalog_, robust_estimator_.get(), cost_model_);
   last_used_ = robust_optimizer_.get();
-  statistics_->SetFaultInjector(&fault_);
 }
 
 void Database::UpdateStatistics(const stats::StatisticsConfig& config) {
@@ -95,22 +128,7 @@ Result<exec::DmlResult> Database::ExecuteDml(const sql::DmlSpec& dml,
   if (metrics_ != nullptr) {
     metrics_->GetCounter("db.dml_executed")->Increment();
   }
-  exec::DmlExecutor executor(&catalog_, statistics_.get());
-  executor.set_retry_policy(dml_retry_policy_);
-  Result<exec::DmlResult> result = [&]() -> Result<exec::DmlResult> {
-    switch (dml.kind) {
-      case sql::StatementKind::kInsert:
-        return executor.Insert(&ctx, dml.table, dml.insert_rows);
-      case sql::StatementKind::kUpdate:
-        return executor.Update(&ctx, dml.table, dml.set_exprs, dml.where);
-      case sql::StatementKind::kDelete:
-        return executor.Delete(&ctx, dml.table, dml.where);
-      case sql::StatementKind::kQuery:
-        break;
-    }
-    return Status::InvalidArgument("not a DML statement");
-  }();
-  governor.PublishMetrics(metrics_);
+  Result<exec::DmlResult> result = ApplyDml(dml, &ctx);
   if (metrics_ != nullptr) {
     if (!result.ok()) {
       metrics_->GetCounter("db.dml_failed")->Increment();
@@ -123,23 +141,33 @@ Result<exec::DmlResult> Database::ExecuteDml(const sql::DmlSpec& dml,
   return result;
 }
 
+Result<exec::DmlResult> Database::ApplyDml(const sql::DmlSpec& dml,
+                                           exec::ExecContext* ctx) {
+  exec::DmlExecutor executor(&catalog_, statistics_.get());
+  executor.set_retry_policy(dml_retry_policy_);
+  Result<exec::DmlResult> result = [&]() -> Result<exec::DmlResult> {
+    switch (dml.kind) {
+      case sql::StatementKind::kInsert:
+        return executor.Insert(ctx, dml.table, dml.insert_rows);
+      case sql::StatementKind::kUpdate:
+        return executor.Update(ctx, dml.table, dml.set_exprs, dml.where);
+      case sql::StatementKind::kDelete:
+        return executor.Delete(ctx, dml.table, dml.where);
+      case sql::StatementKind::kQuery:
+        break;
+    }
+    return Status::InvalidArgument("not a DML statement");
+  }();
+  if (ctx->governor != nullptr) ctx->governor->PublishMetrics(ctx->metrics);
+  return result;
+}
+
 Result<opt::PlannedQuery> Database::Plan(const opt::QuerySpec& query,
                                          EstimatorKind kind,
                                          const opt::OptimizerOptions& options) {
-  // Rebuild lazily so cost-model changes propagate.
-  opt::Optimizer* optimizer = nullptr;
-  switch (kind) {
-    case EstimatorKind::kHistogram:
-      histogram_optimizer_ = std::make_unique<opt::Optimizer>(
-          &catalog_, histogram_estimator_.get(), cost_model_);
-      optimizer = histogram_optimizer_.get();
-      break;
-    case EstimatorKind::kRobustSample:
-      robust_optimizer_ = std::make_unique<opt::Optimizer>(
-          &catalog_, robust_estimator_.get(), cost_model_);
-      optimizer = robust_optimizer_.get();
-      break;
-  }
+  opt::Optimizer* optimizer = kind == EstimatorKind::kHistogram
+                                  ? histogram_optimizer_.get()
+                                  : robust_optimizer_.get();
   last_used_ = optimizer;
   opt::OptimizerOptions effective = options;
   // Database-level provenance capture acts as a default; a caller that
@@ -154,11 +182,17 @@ Result<opt::PlannedQuery> Database::Plan(const opt::QuerySpec& query,
   if (effective.metrics != nullptr) {
     effective.metrics->GetCounter("db.queries_planned")->Increment();
   }
-  return optimizer->Optimize(query, effective);
+  // Plan-time probes (statistics reads, learned corrections) fire into
+  // the call's trace.
+  fault_.set_tracer(effective.tracer);
+  Result<opt::PlannedQuery> planned = optimizer->Optimize(query, effective);
+  fault_.set_tracer(tracer_);
+  return planned;
 }
 
 Result<ExecutionResult> Database::ExecutePlan(const opt::PlannedQuery& plan,
-                                              uint64_t snapshot_epoch) {
+                                              uint64_t snapshot_epoch,
+                                              obs::Tracer* tracer) {
   exec::ExecContext ctx;
   ctx.catalog = &catalog_;
   ctx.cost_model = cost_model_;
@@ -166,37 +200,17 @@ Result<ExecutionResult> Database::ExecutePlan(const opt::PlannedQuery& plan,
   fault::QueryGovernor governor(governor_limits_);
   ctx.governor = &governor;
   ctx.fault = &fault_;
-  ctx.tracer = tracer_;
+  ctx.tracer = tracer != nullptr ? tracer : tracer_;
   ctx.metrics = metrics_;
   if (metrics_ != nullptr) {
     metrics_->GetCounter("db.queries_executed")->Increment();
   }
-  Result<storage::Table> rows = plan.root->Run(&ctx);
-  governor.PublishMetrics(metrics_);
-  if (metrics_ != nullptr) {
-    if (!rows.ok()) metrics_->GetCounter("db.queries_failed")->Increment();
+  fault_.set_tracer(ctx.tracer);
+  Result<ExecutionResult> result = RunPlan(plan, &ctx);
+  fault_.set_tracer(tracer_);
+  if (metrics_ != nullptr && !result.ok()) {
+    metrics_->GetCounter("db.queries_failed")->Increment();
   }
-  if (!rows.ok()) return rows.status();
-  const uint64_t spj_rows = ctx.aggregate_input_rows != UINT64_MAX
-                                ? ctx.aggregate_input_rows
-                                : rows.value().num_rows();
-  if (metrics_ != nullptr) {
-    metrics_->GetSketch("exec.query.simulated_seconds")
-        ->Observe(ctx.meter.total_seconds());
-    metrics_->GetSketch("exec.query.rows")
-        ->Observe(static_cast<double>(rows.value().num_rows()));
-    metrics_->GetSketch("exec.query.spj_rows")
-        ->Observe(static_cast<double>(spj_rows));
-  }
-  ExecutionResult result{std::move(rows).value(),
-                         ctx.meter.total_seconds(),
-                         ctx.meter,
-                         spj_rows,
-                         plan.estimated_cost,
-                         plan.label,
-                         plan.Explain(),
-                         governor.peak_memory_bytes(),
-                         governor.rows_charged()};
   return result;
 }
 

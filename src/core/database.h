@@ -59,6 +59,14 @@ struct ExecutionResult {
   uint64_t rows_charged = 0;
 };
 
+/// Runs `plan` under the caller's context (its governor, fault injector,
+/// sinks and snapshot) and assembles the ExecutionResult: the rows, the
+/// SPJ row count, the exec.query.* sketches and the governor's accounting,
+/// published into `ctx->metrics`. Touches no Database state, so request
+/// tasks on pool workers call it concurrently, each with its own context.
+Result<ExecutionResult> RunPlan(const opt::PlannedQuery& plan,
+                                exec::ExecContext* ctx);
+
 /// Result of any SQL statement: exactly one of `query` / `dml` is set,
 /// matching `kind`.
 struct StatementResult {
@@ -96,7 +104,8 @@ class Database {
   stats::CardinalityEstimator* estimator(EstimatorKind kind);
 
   const exec::CostModel& cost_model() const { return cost_model_; }
-  void set_cost_model(const exec::CostModel& model) { cost_model_ = model; }
+  /// Installs `model` and rebuilds both optimizers around it.
+  void set_cost_model(const exec::CostModel& model);
 
   /// Parses a SQL statement (see sql/parser.h for the supported subset)
   /// against this database's catalog.
@@ -124,6 +133,14 @@ class Database {
       const sql::DmlSpec& dml,
       uint64_t snapshot_epoch = storage::kLatestSnapshot);
 
+  /// Applies one parsed INSERT/UPDATE/DELETE under the caller's context
+  /// (governor, fault injector, sinks, snapshot) with the database's retry
+  /// policy, publishing the governor's accounting into `ctx->metrics`. The
+  /// one DML dispatch: ExecuteDml and the query service's writes both go
+  /// through it. Counts no db.* metric of its own.
+  Result<exec::DmlResult> ApplyDml(const sql::DmlSpec& dml,
+                                   exec::ExecContext* ctx);
+
   /// Retry schedule for transient (kUnavailable) DML commit failures.
   void SetDmlRetryPolicy(const fault::RetryPolicy& policy) {
     dml_retry_policy_ = policy;
@@ -142,7 +159,11 @@ class Database {
     return statistics_->RebuildAllPending();
   }
 
-  /// Plans `query` with the chosen estimation module.
+  /// Plans `query` with the chosen estimation module. Everything that
+  /// differs per call travels in `options`: the T% hint, provenance
+  /// capture and the tracer. A per-call tracer also receives the fault
+  /// injector's plan-time fires (statistics reads, learned corrections)
+  /// for the duration of the call.
   Result<opt::PlannedQuery> Plan(const opt::QuerySpec& query,
                                  EstimatorKind kind,
                                  const opt::OptimizerOptions& options = {});
@@ -159,10 +180,12 @@ class Database {
   /// the process never crashes on a resource-limited or faulty query.
   /// `snapshot_epoch` pins which row versions scans see, so a request
   /// admitted before a DML commit reads the pre-commit state (default:
-  /// latest).
+  /// latest). A non-null `tracer` replaces the attached one for this call,
+  /// fault-injector fires included.
   Result<ExecutionResult> ExecutePlan(
       const opt::PlannedQuery& plan,
-      uint64_t snapshot_epoch = storage::kLatestSnapshot);
+      uint64_t snapshot_epoch = storage::kLatestSnapshot,
+      obs::Tracer* tracer = nullptr);
 
   /// Metrics from the most recent Plan()/Execute() optimization.
   const opt::Optimizer::Metrics& last_optimizer_metrics() const;

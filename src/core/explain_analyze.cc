@@ -457,14 +457,9 @@ Result<AnalyzedPlan> ExplainAnalyze(Database* db, const opt::QuerySpec& query,
                                     const opt::OptimizerOptions& options,
                                     std::vector<obs::TraceEvent>* trace_out) {
   obs::Tracer tracer;
-  struct TracerSwap {
-    Database* db;
-    obs::Tracer* saved;
-    ~TracerSwap() { db->SetTracer(saved); }
-  } swap{db, db->tracer()};
-  db->SetTracer(&tracer);
-
-  Result<opt::PlannedQuery> plan = db->Plan(query, kind, options);
+  opt::OptimizerOptions traced = options;
+  traced.tracer = &tracer;
+  Result<opt::PlannedQuery> plan = db->Plan(query, kind, traced);
   if (!plan.ok()) return plan.status();
 
   AnalyzedPlan out;
@@ -486,7 +481,8 @@ Result<AnalyzedPlan> ExplainAnalyze(Database* db, const opt::QuerySpec& query,
   // Execution failures (governor trips, cancellation, injected faults) do
   // not abort the report: the plan, predicate evidence and whatever
   // operators completed before the failure are still worth showing.
-  Result<ExecutionResult> result = db->ExecutePlan(plan.value());
+  Result<ExecutionResult> result =
+      db->ExecutePlan(plan.value(), storage::kLatestSnapshot, &tracer);
   if (result.ok()) {
     out.actual_cost_seconds = result.value().simulated_seconds;
     out.actual_rows = result.value().rows.num_rows();

@@ -137,9 +137,9 @@ std::vector<PredicateReport> CollectPredicateReports(
 std::vector<DegradationReport> CollectDegradations(
     const std::vector<obs::TraceEvent>& events);
 
-/// Plans and executes `query` with a scratch tracer temporarily attached
-/// to `db` (any previously attached tracer is restored afterwards), and
-/// merges the two trace phases into one report. When `trace_out` is
+/// Plans and executes `query` with a scratch tracer passed on both calls
+/// (the database's own tracer, if any, sees neither), and merges the two
+/// trace phases into one report. When `trace_out` is
 /// non-null it receives the full record stream — planning events followed
 /// by execution spans — ready for obs::ToChromeTrace (the shell's
 /// `.trace export`).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "obs/trace.h"
 #include "util/string_util.h"
 
 namespace robustqo {
@@ -32,10 +33,6 @@ double Median(std::vector<double> values) {
 }
 
 std::string JsonNumber(double value) { return StrPrintf("%.9g", value); }
-
-std::string FingerprintKey(uint64_t fingerprint) {
-  return StrPrintf("%016llx", static_cast<unsigned long long>(fingerprint));
-}
 
 /// One quality report row: the aligned columns, then the label.
 std::string QualityLine(const FingerprintQuality& q) {
@@ -250,11 +247,11 @@ std::string FingerprintLedger::RowText(uint64_t fingerprint,
   auto it = rows_.find(fingerprint);
   if (it == rows_.end()) {
     return StrPrintf("fp: no ledger row for %s\n",
-                     FingerprintKey(fingerprint).c_str());
+                     FingerprintHex(fingerprint).c_str());
   }
   const Row& row = it->second;
   std::string out =
-      StrPrintf("fp %s reads {", FingerprintKey(fingerprint).c_str());
+      StrPrintf("fp %s reads {", FingerprintHex(fingerprint).c_str());
   for (const std::string& table : row.tables) {
     if (out.back() != '{') out += ",";
     out += table;
@@ -511,7 +508,7 @@ std::string FingerprintLedger::SloReportText() const {
   for (const auto& [fingerprint, row] : rows_) {
     if (row.slo.observed == 0) continue;
     ranked.push_back({row.slo.regret.Quantile(0.99),
-                      {FingerprintKey(fingerprint), &row.slo}});
+                      {FingerprintHex(fingerprint), &row.slo}});
   }
   out += WorstScopes(std::move(ranked), "worst fingerprints (regret p99)");
   return out;
@@ -534,7 +531,7 @@ std::string FingerprintLedger::SloJson() const {
     if (row.slo.observed == 0) continue;
     if (!first) out += ",";
     first = false;
-    out.append("\"").append(FingerprintKey(fingerprint)).append("\":");
+    out.append("\"").append(FingerprintHex(fingerprint)).append("\":");
     out += ScopeJson(row.slo);
   }
   out += "}}}";

@@ -12,10 +12,6 @@ namespace obs {
 
 namespace {
 
-std::string FingerprintHex(uint64_t fingerprint) {
-  return StrPrintf("%016llx", static_cast<unsigned long long>(fingerprint));
-}
-
 /// The retention reasons of a record as a JSON array fragment.
 std::string ReasonsJson(bool incident, bool slow) {
   std::string out = "[";

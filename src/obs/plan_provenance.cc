@@ -5,16 +5,13 @@
 #include <utility>
 
 #include "obs/exporters.h"
+#include "obs/trace.h"
 #include "util/string_util.h"
 
 namespace robustqo {
 namespace obs {
 
 namespace {
-
-std::string FingerprintHex(uint64_t fingerprint) {
-  return StrPrintf("%016llx", static_cast<unsigned long long>(fingerprint));
-}
 
 std::string Num(double value) {
   if (std::isnan(value)) return "null";

@@ -12,6 +12,10 @@ std::string AttrU64(uint64_t value) {
 
 std::string AttrF(double value) { return StrPrintf("%.9g", value); }
 
+std::string FingerprintHex(uint64_t fingerprint) {
+  return StrPrintf("%016llx", static_cast<unsigned long long>(fingerprint));
+}
+
 const char* TraceKindName(TraceKind kind) {
   switch (kind) {
     case TraceKind::kSpanBegin:

@@ -31,6 +31,9 @@ using TraceAttrs = std::vector<std::pair<std::string, std::string>>;
 /// Attribute-value formatting helpers (fixed formats keep JSON stable).
 std::string AttrU64(uint64_t value);
 std::string AttrF(double value);
+/// A 64-bit statement/predicate fingerprint as 16 lowercase hex digits —
+/// the one spelling traces, reports and JSON key fingerprints by.
+std::string FingerprintHex(uint64_t fingerprint);
 
 enum class TraceKind {
   kSpanBegin,  ///< opens span `span_id` under `parent_id`

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "obs/trace.h"
 #include "perf/fingerprint.h"
 #include "util/string_util.h"
 
@@ -83,6 +84,12 @@ PlanCacheKey PlanCacheKey::Make(uint64_t fingerprint, double threshold,
   key.threshold_bits = std::bit_cast<uint64_t>(threshold);
   key.estimator = static_cast<int>(kind);
   return key;
+}
+
+const char* PlanCacheKey::estimator_name() const {
+  return estimator == static_cast<int>(core::EstimatorKind::kHistogram)
+             ? "histogram"
+             : "robust";
 }
 
 PlanCache::PlanCache(size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {}
@@ -268,9 +275,10 @@ std::string PlanCache::ReportText() const {
       break;
     }
     out += StrPrintf(
-        "  fp=%016llx T=%.0f epoch=%llu hits=%llu  %s\n",
-        static_cast<unsigned long long>(entry.key.fingerprint),
-        std::bit_cast<double>(entry.key.threshold_bits),
+        "  fp=%s T=%.0f%% %s epoch=%llu hits=%llu  %s\n",
+        obs::FingerprintHex(entry.key.fingerprint).c_str(),
+        std::bit_cast<double>(entry.key.threshold_bits) * 100.0,
+        entry.key.estimator_name(),
         static_cast<unsigned long long>(entry.epoch),
         static_cast<unsigned long long>(entry.hits),
         entry.plan != nullptr ? entry.plan->label.c_str() : "?");

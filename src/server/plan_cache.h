@@ -66,6 +66,9 @@ struct PlanCacheKey {
   static PlanCacheKey Make(uint64_t fingerprint, double threshold,
                            core::EstimatorKind kind);
 
+  /// "histogram" or "robust", as reports and provenance records name it.
+  const char* estimator_name() const;
+
   bool operator<(const PlanCacheKey& o) const {
     return std::tie(fingerprint, threshold_bits, estimator) <
            std::tie(o.fingerprint, o.threshold_bits, o.estimator);

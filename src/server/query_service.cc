@@ -13,21 +13,14 @@
 namespace robustqo {
 namespace server {
 
-namespace {
-
-std::string FpHex(uint64_t fingerprint) {
-  return StrPrintf("%016llx", static_cast<unsigned long long>(fingerprint));
-}
-
-}  // namespace
-
 /// Per-request state threaded through the scheduler's phases. Lives in a
 /// ticket-keyed map so addresses stay stable across waves.
 struct QueryService::PendingRequest {
   size_t index = 0;         ///< position in the batch (response slot)
   uint64_t ticket = 0;
   uint64_t request_id = 0;  ///< dense service-wide ordinal
-  Session* session = nullptr;
+  SessionId session_id = 0;
+  Session* session = nullptr;  ///< null when the session is unknown
   opt::QuerySpec spec;
   /// Write path: engaged (is_dml) requests skip the plan cache and the
   /// parallel execute phase; they apply sequentially in REDUCE.
@@ -64,6 +57,50 @@ struct QueryService::PendingRequest {
   std::optional<core::ExecutionResult> result;
   std::optional<exec::DmlResult> dml_result;
   std::unique_ptr<obs::MetricsRegistry> exec_metrics;
+};
+
+/// One request's private execution context: a governor under its
+/// session's limits, an injector replaying the batch's armed specs under
+/// the request seed, and the request's own metrics shard and tracer.
+/// Shares nothing with other requests, so reads build it on pool workers.
+struct QueryService::RequestContext {
+  fault::FaultInjector injector;
+  fault::QueryGovernor governor;
+  exec::ExecContext ctx;
+
+  RequestContext(PendingRequest* work, core::Database* db,
+                 const ArmedSpecs& armed_specs, bool with_metrics,
+                 uint64_t snapshot_epoch)
+      : injector(work->seed), governor(work->limits) {
+    for (const auto& [site, spec] : armed_specs) injector.Arm(site, spec);
+    ctx.catalog = db->catalog();
+    ctx.cost_model = db->cost_model();
+    ctx.governor = &governor;
+    ctx.fault = &injector;
+    ctx.snapshot_epoch = snapshot_epoch;
+    if (with_metrics) {
+      work->exec_metrics = std::make_unique<obs::MetricsRegistry>();
+      ctx.metrics = work->exec_metrics.get();
+      injector.set_metrics(ctx.metrics);
+    }
+    // The tracer moves to this context's thread for the duration of the
+    // run; the coordinator does not touch it again until the reduce phase.
+    if (work->tracer != nullptr) {
+      ctx.tracer = work->tracer.get();
+      injector.set_tracer(ctx.tracer);
+    }
+  }
+  // `ctx` points at this object's own governor and injector.
+  RequestContext(const RequestContext&) = delete;
+  RequestContext& operator=(const RequestContext&) = delete;
+
+  /// Folds the run's governor trip and fault fires into the request.
+  /// Accumulate, not assign: a degraded plan-cache lookup or a plan-time
+  /// probe may already have counted fires for this request.
+  void Settle(PendingRequest* work) const {
+    work->governor_tripped = governor.tripped();
+    work->fault_fires += injector.total_fires();
+  }
 };
 
 QueryService::QueryService(core::Database* db, ServerConfig config)
@@ -110,27 +147,26 @@ void QueryService::NoteRequestFaultFire(PendingRequest* work,
   }
 }
 
-void QueryService::OfferAbortedTrace(
-    obs::Tracer* tracer, uint64_t root_span, uint64_t request_id,
-    SessionId session_id, const std::string& session_label, uint64_t ticket,
-    uint64_t fingerprint, const std::string& cache_outcome,
-    uint64_t waves_waited, uint64_t fault_fires, const Status& status) {
-  if (tracer == nullptr) return;
+void QueryService::OfferTrace(PendingRequest* work, const Status& status,
+                              double service_seconds) {
+  if (work->tracer == nullptr) return;
   const char* code = StatusCodeName(status.code());
-  tracer->EndSpan(root_span, {{"status", code}});
+  work->tracer->EndSpan(work->root_span, {{"status", code}});
   obs::RequestTrace trace;
-  trace.request_id = request_id;
-  trace.session_id = session_id;
-  trace.session_label = session_label;
-  trace.ticket = ticket;
-  trace.fingerprint = fingerprint;
+  trace.request_id = work->request_id;
+  trace.session_id = work->session_id;
+  if (work->session != nullptr) trace.session_label = work->session->name();
+  trace.ticket = work->ticket;
+  trace.fingerprint = work->fingerprint;
   trace.status = code;
-  trace.failed = true;
-  trace.cache_outcome = cache_outcome;
-  trace.fault_fires = fault_fires;
-  trace.waves_waited = waves_waited;
-  trace.queue_wait_seconds = ledger_.QueueWaitSeconds(waves_waited);
-  trace.events = tracer->ReleaseEvents();
+  trace.failed = !status.ok();
+  trace.governor_tripped = work->governor_tripped;
+  trace.fault_fires = work->fault_fires;
+  trace.cache_outcome = work->cache_outcome;
+  trace.waves_waited = work->waves_waited;
+  trace.queue_wait_seconds = ledger_.QueueWaitSeconds(work->waves_waited);
+  trace.service_seconds = service_seconds;
+  trace.events = work->tracer->ReleaseEvents();
   recorder_.Offer(std::move(trace));
 }
 
@@ -179,50 +215,44 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
     const QueryRequest& request = requests[i];
     QueryResponse& response = responses[i];
     response.session = request.session;
-    const uint64_t request_id = ++next_request_id_;
-    response.request_id = request_id;
-    std::unique_ptr<obs::Tracer> request_tracer;
-    uint64_t root_span = 0;
+    PendingRequest work;
+    work.index = i;
+    work.request_id = ++next_request_id_;
+    work.session_id = request.session;
+    response.request_id = work.request_id;
     if (tracing) {
-      request_tracer = std::make_unique<obs::Tracer>();
-      root_span = request_tracer->BeginSpan(
+      work.tracer = std::make_unique<obs::Tracer>();
+      work.root_span = work.tracer->BeginSpan(
           "server", "request",
-          {{"request", obs::AttrU64(request_id)},
+          {{"request", obs::AttrU64(work.request_id)},
            {"session", obs::AttrU64(request.session)}});
     }
-    Session* session = sessions_.Get(request.session);
-    if (session == nullptr) {
-      response.status = Status::NotFound(
-          StrPrintf("no open session %llu",
-                    static_cast<unsigned long long>(request.session)));
-      if (request_tracer != nullptr) {
-        request_tracer->Event("server", "submit", {{"outcome", "no_session"}});
+    // Resolves a request that never reaches the queue.
+    const auto turn_away = [&](Status status, obs::TraceAttrs submit) {
+      response.status = std::move(status);
+      if (work.tracer != nullptr) {
+        work.tracer->Event("server", "submit", std::move(submit));
       }
-      OfferAbortedTrace(request_tracer.get(), root_span, request_id,
-                        request.session, "", 0, 0, "", 0, 0, response.status);
+      OfferTrace(&work, response.status);
+    };
+    work.session = sessions_.Get(request.session);
+    Session* session = work.session;
+    if (session == nullptr) {
+      turn_away(Status::NotFound(StrPrintf(
+                    "no open session %llu",
+                    static_cast<unsigned long long>(request.session))),
+                {{"outcome", "no_session"}});
       continue;
     }
     session->CountSubmitted();
-    PendingRequest work;
-    work.index = i;
-    work.request_id = request_id;
-    work.session = session;
-    work.tracer = std::move(request_tracer);
-    work.root_span = root_span;
     if (!request.prepared.empty()) {
       const PreparedStatement* statement =
           session->FindPrepared(request.prepared);
       if (statement == nullptr) {
-        response.status = Status::NotFound("no prepared statement '" +
-                                           request.prepared + "'");
         session->CountFailed();
-        if (work.tracer != nullptr) {
-          work.tracer->Event("server", "submit",
-                             {{"outcome", "no_statement"}});
-        }
-        OfferAbortedTrace(work.tracer.get(), root_span, request_id,
-                          request.session, session->name(), 0, 0, "", 0, 0,
-                          response.status);
+        turn_away(Status::NotFound("no prepared statement '" +
+                                   request.prepared + "'"),
+                  {{"outcome", "no_statement"}});
         continue;
       }
       work.is_dml = statement->is_dml();
@@ -239,14 +269,8 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
       Result<robustqo::sql::ParsedStatement> parsed =
           robustqo::sql::ParseStatement(*db_->catalog(), request.sql);
       if (!parsed.ok()) {
-        response.status = parsed.status();
         session->CountFailed();
-        if (work.tracer != nullptr) {
-          work.tracer->Event("server", "submit", {{"outcome", "parse_error"}});
-        }
-        OfferAbortedTrace(work.tracer.get(), root_span, request_id,
-                          request.session, session->name(), 0, 0, "", 0, 0,
-                          response.status);
+        turn_away(parsed.status(), {{"outcome", "parse_error"}});
         continue;
       }
       work.is_dml = parsed.value().kind != robustqo::sql::StatementKind::kQuery;
@@ -265,16 +289,10 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
     }
     Result<uint64_t> ticket = admission_.Submit(request.session, reservation);
     if (!ticket.ok()) {
-      response.status = ticket.status();
       session->CountRejected();
-      if (work.tracer != nullptr) {
-        work.tracer->Event("server", "submit",
-                           {{"outcome", "rejected"},
-                            {"fingerprint", FpHex(work.fingerprint)}});
-      }
-      OfferAbortedTrace(work.tracer.get(), root_span, request_id,
-                        request.session, session->name(), 0, work.fingerprint,
-                        "", 0, 0, response.status);
+      turn_away(ticket.status(),
+                {{"outcome", "rejected"},
+                 {"fingerprint", obs::FingerprintHex(work.fingerprint)}});
       continue;
     }
     work.ticket = ticket.value();
@@ -283,15 +301,14 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
       work.tracer->Event("server", "submit",
                          {{"outcome", "queued"},
                           {"ticket", obs::AttrU64(work.ticket)},
-                          {"fingerprint", FpHex(work.fingerprint)}});
+                          {"fingerprint", obs::FingerprintHex(work.fingerprint)}});
     }
     pending.emplace(work.ticket, std::move(work));
   }
 
   // Snapshot the database injector's arming once per batch: every
   // per-request injector replays the same specs under its own seed.
-  const std::vector<std::pair<std::string, fault::FaultSpec>> armed_specs =
-      db_->fault_injector()->ArmedSpecs();
+  const ArmedSpecs armed_specs = db_->fault_injector()->ArmedSpecs();
 
   while (!pending.empty()) {
     std::vector<AdmissionTicket> wave = admission_.AdmitWave();
@@ -304,10 +321,7 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
             Status::Internal("admission wedged: no admissible request");
         work.session->CountFailed();
         ++queries_failed_;
-        OfferAbortedTrace(work.tracer.get(), work.root_span, work.request_id,
-                          work.session->id(), work.session->name(), ticket,
-                          work.fingerprint, "", 0, work.fault_fires,
-                          responses[work.index].status);
+        OfferTrace(&work, responses[work.index].status);
       }
       break;
     }
@@ -370,9 +384,7 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
       if (tracer_ != nullptr) {
         tracer_->Event("server",
                        work.cache_hit ? "plan_cache.hit" : "plan_cache.miss",
-                       {{"fingerprint",
-                         StrPrintf("%016llx", static_cast<unsigned long long>(
-                                                  work.fingerprint))},
+                       {{"fingerprint", obs::FingerprintHex(work.fingerprint)},
                         {"epoch", obs::AttrU64(epoch)}});
       }
       uint64_t plan_span = 0;
@@ -384,23 +396,15 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
              {"epoch", obs::AttrU64(epoch)}});
       }
       if (work.plan == nullptr) {
-        const double saved_threshold = db_->confidence_threshold();
-        db_->SetConfidenceThreshold(work.effective_threshold);
-        // Provenance capture rides the optimizer run (sequential PLAN
-        // phase): save/set/restore the database knobs like the threshold
-        // so a direct db user outside the service is unaffected.
-        const bool provenance_on = provenance_.enabled();
-        const bool saved_capture = db_->provenance_capture();
-        const size_t saved_top_k = db_->provenance_top_k();
-        if (provenance_on) {
-          db_->SetProvenanceCapture(true);
-          db_->SetProvenanceTopK(config_.provenance_top_k);
-        }
-        // Re-point the database's tracer at this request's for the
-        // optimizer run, so degradation/estimation events nest under the
-        // request's plan span. Planning is sequential, so this is safe.
-        obs::Tracer* saved_tracer = db_->tracer();
-        if (work.tracer != nullptr) db_->SetTracer(work.tracer.get());
+        // Everything this request plans under travels with the call: its
+        // effective T%, provenance capture and its tracer, which nests
+        // optimizer, estimator and plan-time fault events under the plan
+        // span.
+        opt::OptimizerOptions plan_options;
+        plan_options.confidence_threshold_hint = work.effective_threshold;
+        plan_options.provenance_enabled = provenance_.enabled();
+        plan_options.provenance_top_k = config_.provenance_top_k;
+        plan_options.tracer = work.tracer.get();
         // Accumulate, not assign (same bug class as the EXECUTE phase):
         // plan-time probes against the shared injector — the estimator's
         // learned-tier lookups probe learning.feedback.apply — must add to
@@ -408,15 +412,9 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
         // plan-cache lookup.
         const uint64_t plan_fires_before = db_->fault_injector()->total_fires();
         Result<opt::PlannedQuery> planned =
-            db_->Plan(work.spec, options.estimator);
+            db_->Plan(work.spec, options.estimator, plan_options);
         work.fault_fires +=
             db_->fault_injector()->total_fires() - plan_fires_before;
-        if (work.tracer != nullptr) db_->SetTracer(saved_tracer);
-        if (provenance_on) {
-          db_->SetProvenanceCapture(saved_capture);
-          db_->SetProvenanceTopK(saved_top_k);
-        }
-        db_->SetConfidenceThreshold(saved_threshold);
         if (!planned.ok()) {
           responses[work.index].status = planned.status();
           admission_.Complete(admitted.ticket);
@@ -433,11 +431,7 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
           observation.failed = true;
           observation.queue_waves = work.waves_waited;
           ledger_.Record(observation);
-          OfferAbortedTrace(work.tracer.get(), work.root_span, work.request_id,
-                            work.session->id(), work.session->name(),
-                            work.ticket, work.fingerprint, work.cache_outcome,
-                            work.waves_waited, work.fault_fires,
-                            planned.status());
+          OfferTrace(&work, planned.status());
           pending.erase(admitted.ticket);
           continue;
         }
@@ -447,7 +441,7 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
         // Record after the fresh optimizer run (drift-blocked re-plans are
         // not cached but still get provenance); cache hits keep their
         // existing record.
-        if (provenance_on) {
+        if (provenance_.enabled()) {
           RecordProvenance(work, key, epoch, cache_outcome);
         }
       }
@@ -479,76 +473,38 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
     }
 
     // Phase 3 — EXECUTE (parallel): pure per-request tasks writing to
-    // pre-allocated slots. Each task gets a private governor, injector and
-    // metrics shard; nothing in the database is touched. Every read in
-    // the wave is pinned to the data epoch captured here — writes only
-    // commit in the sequential reduce phase, so what a wave's reads see
-    // is independent of scheduling and thread count.
+    // pre-allocated slots. Each task runs the plan through core::RunPlan,
+    // the database's own read path, under a private RequestContext;
+    // nothing in the database is touched. Every read in the wave is pinned
+    // to the data epoch captured here — writes only commit in the
+    // sequential reduce phase, so what a wave's reads see is independent
+    // of scheduling and thread count.
     const uint64_t wave_snapshot = db_->catalog()->data_epoch();
     perf::TaskPool::Global()->ParallelFor(running.size(), [&](size_t i) {
       PendingRequest* work = running[i];
       if (work->is_dml) return;  // applied sequentially in REDUCE
-      fault::FaultInjector injector(work->seed);
-      for (const auto& [site, spec] : armed_specs) injector.Arm(site, spec);
-      fault::QueryGovernor governor(work->limits);
-      exec::ExecContext ctx;
-      ctx.catalog = db_->catalog();
-      ctx.cost_model = db_->cost_model();
-      ctx.governor = &governor;
-      ctx.fault = &injector;
-      ctx.snapshot_epoch = wave_snapshot;
-      if (metrics_ != nullptr) {
-        work->exec_metrics = std::make_unique<obs::MetricsRegistry>();
-        ctx.metrics = work->exec_metrics.get();
-        injector.set_metrics(work->exec_metrics.get());
-      }
+      RequestContext run(work, db_, armed_specs, metrics_ != nullptr,
+                         wave_snapshot);
       uint64_t exec_span = 0;
       if (work->tracer != nullptr) {
-        // The tracer moves to this worker for the duration of the task;
-        // the coordinator does not touch it again until the reduce phase.
-        ctx.tracer = work->tracer.get();
-        injector.set_tracer(work->tracer.get());
         exec_span = work->tracer->BeginSpan(
             "server", "execute", {{"seed", obs::AttrU64(work->seed)}});
       }
-      Result<storage::Table> rows = work->plan->root->Run(&ctx);
-      governor.PublishMetrics(work->exec_metrics.get());
-      work->governor_tripped = governor.tripped();
-      // Accumulate, not assign: a degraded plan-cache lookup already
-      // counted one fire for this request during the PLAN phase.
-      work->fault_fires += injector.total_fires();
-      if (!rows.ok()) {
-        work->exec_status = rows.status();
+      Result<core::ExecutionResult> result =
+          core::RunPlan(*work->plan, &run.ctx);
+      run.Settle(work);
+      if (!result.ok()) {
+        work->exec_status = result.status();
       } else {
-        const uint64_t spj_rows = ctx.aggregate_input_rows != UINT64_MAX
-                                      ? ctx.aggregate_input_rows
-                                      : rows.value().num_rows();
-        if (work->exec_metrics != nullptr) {
-          work->exec_metrics->GetSketch("exec.query.simulated_seconds")
-              ->Observe(ctx.meter.total_seconds());
-          work->exec_metrics->GetSketch("exec.query.rows")
-              ->Observe(static_cast<double>(rows.value().num_rows()));
-          work->exec_metrics->GetSketch("exec.query.spj_rows")
-              ->Observe(static_cast<double>(spj_rows));
-        }
-        work->result = core::ExecutionResult{std::move(rows).value(),
-                                             ctx.meter.total_seconds(),
-                                             ctx.meter,
-                                             spj_rows,
-                                             work->plan->estimated_cost,
-                                             work->plan->label,
-                                             work->plan->Explain(),
-                                             governor.peak_memory_bytes(),
-                                             governor.rows_charged()};
+        work->result = std::move(result).value();
       }
       if (work->tracer != nullptr) {
         obs::TraceAttrs end_attrs = {
-            {"status", work->exec_status.ok()
-                           ? "OK"
-                           : StatusCodeName(work->exec_status.code())},
-            {"simulated_seconds", obs::AttrF(ctx.meter.total_seconds())},
+            {"status", StatusCodeName(work->exec_status.code())},
+            {"simulated_seconds", obs::AttrF(run.ctx.meter.total_seconds())},
             {"governor_tripped", work->governor_tripped ? "1" : "0"},
-            {"peak_memory_bytes", obs::AttrU64(governor.peak_memory_bytes())},
+            {"peak_memory_bytes",
+             obs::AttrU64(run.governor.peak_memory_bytes())},
             {"fault_fires", obs::AttrU64(work->fault_fires)}};
         if (work->result.has_value()) {
           end_attrs.push_back(
@@ -565,7 +521,46 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
     // sequence (and therefore every snapshot any request reads) is a pure
     // function of the request order.
     for (PendingRequest* work : running) {
-      if (work->is_dml) ExecuteDmlWork(work, armed_specs);
+      if (work->is_dml) {
+        // Writes go through Database::ApplyDml, the database's own write
+        // path, against the latest committed state: earlier writes of the
+        // same wave (applied just before this one) are visible.
+        RequestContext run(work, db_, armed_specs, metrics_ != nullptr,
+                           storage::kLatestSnapshot);
+        uint64_t write_span = 0;
+        if (work->tracer != nullptr) {
+          write_span = work->tracer->BeginSpan(
+              "server", "write",
+              {{"seed", obs::AttrU64(work->seed)}, {"table", work->dml.table}});
+        }
+        Result<exec::DmlResult> written = db_->ApplyDml(work->dml, &run.ctx);
+        run.Settle(work);
+        if (!written.ok()) {
+          work->exec_status = written.status();
+        } else {
+          work->dml_result = written.value();
+          if (work->exec_metrics != nullptr) {
+            work->exec_metrics->GetCounter("server.dml.rows_written")
+                ->Increment(written.value().rows_inserted +
+                            written.value().rows_deleted);
+          }
+        }
+        if (work->tracer != nullptr) {
+          obs::TraceAttrs end_attrs = {
+              {"status", StatusCodeName(work->exec_status.code())},
+              {"fault_fires", obs::AttrU64(work->fault_fires)}};
+          if (work->dml_result.has_value()) {
+            const exec::DmlResult& dml = *work->dml_result;
+            end_attrs.push_back(
+                {"rows_affected", obs::AttrU64(dml.rows_affected())});
+            end_attrs.push_back({"epoch", obs::AttrU64(dml.epoch)});
+            end_attrs.push_back(
+                {"commit_attempts",
+                 obs::AttrU64(static_cast<uint64_t>(dml.retry.attempts))});
+          }
+          work->tracer->EndSpan(write_span, std::move(end_attrs));
+        }
+      }
       admission_.Complete(work->ticket);
       QueryResponse& response = responses[work->index];
       response.ticket = work->ticket;
@@ -631,34 +626,16 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
       observation.tables = std::move(work->tables);
       ledger_.Record(observation, executed_read ? &quality : nullptr);
       if (work->tracer != nullptr) {
-        const char* code =
-            ok ? "OK" : StatusCodeName(work->exec_status.code());
         const double service_seconds =
             ledger_.ServiceSeconds(actual_seconds, work->cache_hit);
         const double regret =
             ok ? std::max(0.0, actual_seconds - estimated_seconds) : 0.0;
-        work->tracer->Event("server", "complete",
-                            {{"status", code},
-                             {"service_seconds", obs::AttrF(service_seconds)},
-                             {"regret_seconds", obs::AttrF(regret)}});
-        work->tracer->EndSpan(work->root_span, {{"status", code}});
-        obs::RequestTrace trace;
-        trace.request_id = work->request_id;
-        trace.session_id = work->session->id();
-        trace.session_label = work->session->name();
-        trace.ticket = work->ticket;
-        trace.fingerprint = work->fingerprint;
-        trace.status = code;
-        trace.failed = !ok;
-        trace.governor_tripped = work->governor_tripped;
-        trace.fault_fires = work->fault_fires;
-        trace.cache_outcome = work->cache_outcome;
-        trace.waves_waited = work->waves_waited;
-        trace.queue_wait_seconds =
-            ledger_.QueueWaitSeconds(work->waves_waited);
-        trace.service_seconds = service_seconds;
-        trace.events = work->tracer->ReleaseEvents();
-        recorder_.Offer(std::move(trace));
+        work->tracer->Event(
+            "server", "complete",
+            {{"status", StatusCodeName(work->exec_status.code())},
+             {"service_seconds", obs::AttrF(service_seconds)},
+             {"regret_seconds", obs::AttrF(regret)}});
+        OfferTrace(work, work->exec_status, service_seconds);
       }
       pending.erase(work->ticket);
     }
@@ -682,9 +659,7 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
       if (tracer_ != nullptr) {
         tracer_->Event(
             "server", "plan_cache.drift_invalidated",
-            {{"fingerprint",
-              StrPrintf("%016llx", static_cast<unsigned long long>(
-                                       drifted.fingerprint))},
+            {{"fingerprint", obs::FingerprintHex(drifted.fingerprint)},
              {"evicted", obs::AttrU64(evicted)},
              {"drift_ratio", StrPrintf("%.2f", drifted.drift_ratio)}});
       }
@@ -730,80 +705,6 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
   return responses;
 }
 
-void QueryService::ExecuteDmlWork(
-    PendingRequest* work,
-    const std::vector<std::pair<std::string, fault::FaultSpec>>& armed_specs) {
-  fault::FaultInjector injector(work->seed);
-  for (const auto& [site, spec] : armed_specs) injector.Arm(site, spec);
-  fault::QueryGovernor governor(work->limits);
-  exec::ExecContext ctx;
-  ctx.catalog = db_->catalog();
-  ctx.cost_model = db_->cost_model();
-  ctx.governor = &governor;
-  ctx.fault = &injector;
-  // Writes target the latest committed state: earlier writes of the same
-  // wave (applied just before this one, in admission order) are visible.
-  ctx.snapshot_epoch = storage::kLatestSnapshot;
-  uint64_t exec_span = 0;
-  if (metrics_ != nullptr) {
-    work->exec_metrics = std::make_unique<obs::MetricsRegistry>();
-    ctx.metrics = work->exec_metrics.get();
-    injector.set_metrics(work->exec_metrics.get());
-  }
-  if (work->tracer != nullptr) {
-    ctx.tracer = work->tracer.get();
-    injector.set_tracer(work->tracer.get());
-    exec_span = work->tracer->BeginSpan(
-        "server", "write",
-        {{"seed", obs::AttrU64(work->seed)}, {"table", work->dml.table}});
-  }
-  exec::DmlExecutor executor(db_->catalog(), db_->statistics());
-  executor.set_retry_policy(db_->dml_retry_policy());
-  Result<exec::DmlResult> result = [&]() -> Result<exec::DmlResult> {
-    switch (work->dml.kind) {
-      case robustqo::sql::StatementKind::kInsert:
-        return executor.Insert(&ctx, work->dml.table, work->dml.insert_rows);
-      case robustqo::sql::StatementKind::kUpdate:
-        return executor.Update(&ctx, work->dml.table, work->dml.set_exprs,
-                               work->dml.where);
-      case robustqo::sql::StatementKind::kDelete:
-        return executor.Delete(&ctx, work->dml.table, work->dml.where);
-      case robustqo::sql::StatementKind::kQuery:
-        break;
-    }
-    return Status::InvalidArgument("not a DML statement");
-  }();
-  governor.PublishMetrics(work->exec_metrics.get());
-  work->governor_tripped = governor.tripped();
-  work->fault_fires += injector.total_fires();
-  if (!result.ok()) {
-    work->exec_status = result.status();
-  } else {
-    work->dml_result = result.value();
-    if (work->exec_metrics != nullptr) {
-      work->exec_metrics->GetCounter("server.dml.rows_written")
-          ->Increment(result.value().rows_inserted +
-                      result.value().rows_deleted);
-    }
-  }
-  if (work->tracer != nullptr) {
-    obs::TraceAttrs end_attrs = {
-        {"status", work->exec_status.ok()
-                       ? "OK"
-                       : StatusCodeName(work->exec_status.code())},
-        {"fault_fires", obs::AttrU64(work->fault_fires)}};
-    if (work->dml_result.has_value()) {
-      end_attrs.push_back(
-          {"rows_affected", obs::AttrU64(work->dml_result->rows_affected())});
-      end_attrs.push_back({"epoch", obs::AttrU64(work->dml_result->epoch)});
-      end_attrs.push_back(
-          {"commit_attempts",
-           obs::AttrU64(static_cast<uint64_t>(work->dml_result->retry.attempts))});
-    }
-    work->tracer->EndSpan(exec_span, std::move(end_attrs));
-  }
-}
-
 void QueryService::RecordProvenance(const PendingRequest& work,
                                     const PlanCacheKey& key, uint64_t epoch,
                                     PlanCacheOutcome outcome) {
@@ -819,10 +720,7 @@ void QueryService::RecordProvenance(const PendingRequest& work,
   obs::PlanProvenanceRecord record;
   record.fingerprint = key.fingerprint;
   record.threshold_bits = key.threshold_bits;
-  record.estimator =
-      work.session->options().estimator == core::EstimatorKind::kHistogram
-          ? "histogram"
-          : "robust";
+  record.estimator = key.estimator_name();
   record.epoch = epoch;
   record.plan_label = work.plan->label;
   record.estimated_cost = work.plan->estimated_cost;
@@ -854,7 +752,7 @@ void QueryService::RecordProvenance(const PendingRequest& work,
   provenance_.RecordDiff(std::move(diff));
   if (tracer_ != nullptr) {
     tracer_->Event("server", "plan_provenance.replanned",
-                   {{"fingerprint", FpHex(key.fingerprint)},
+                   {{"fingerprint", obs::FingerprintHex(key.fingerprint)},
                     {"trigger", PlanCacheOutcomeName(outcome)},
                     {"plan_changed", diff.plan_changed ? "1" : "0"}});
   }

@@ -15,21 +15,27 @@
 //   2. PLAN (sequential): each admitted request resolves its plan — plan
 //      cache lookup keyed by (statement fingerprint, effective T%,
 //      estimator, statistics epoch), falling back to the optimizer on a
-//      miss. Planning shares the Database's single-threaded optimizer, so
-//      it stays on the coordinator; per-request seeds are drawn here, in
-//      admission order, so they never depend on execution timing.
-//   3. EXECUTE (parallel): admitted read plans run concurrently, one
+//      miss. A miss calls Database::Plan with the request's effective T%,
+//      provenance capture and tracer in its OptimizerOptions; no
+//      database-wide setting changes. Planning shares the Database's
+//      single-threaded optimizer, so it stays on the coordinator;
+//      per-request seeds are drawn here, in admission order, so they never
+//      depend on execution timing.
+//   3. EXECUTE (parallel): admitted read plans run concurrently through
+//      core::RunPlan (the read path Database::ExecutePlan uses), one
 //      TaskPool task per request, each against its own ExecContext,
 //      QueryGovernor, MetricsRegistry shard and FaultInjector (re-armed
 //      from the database injector's specs, reseeded from the request
 //      seed). Every read in the wave is pinned to the snapshot (data)
 //      epoch captured at wave start, so concurrent writes never change
 //      what a wave's reads see. Results land in pre-allocated slots.
-//   4. REDUCE (sequential): DML requests apply here, in admission order,
-//      each staging and committing atomically against the latest state
-//      (bumping the data epoch on success — later waves see it, this
-//      wave's reads did not). Then completions, session tallies, metric
-//      merges and one fingerprint-ledger record per request (SLO and
+//   4. REDUCE (sequential): DML requests apply here through
+//      Database::ApplyDml (the write path Database::ExecuteDml uses), in
+//      admission order, each under its own request context, staging and
+//      committing atomically against the latest state (bumping the data
+//      epoch on success — later waves see it, this wave's reads did not).
+//      Then completions, session tallies, metric merges and one
+//      fingerprint-ledger record per request (SLO and
 //      estimation-quality columns) are applied in admission order;
 //      fingerprints the ledger flags as drifted have their cached plans
 //      invalidated, the tables they read are flagged for statistics
@@ -256,28 +262,20 @@ class QueryService {
 
  private:
   struct PendingRequest;
+  struct RequestContext;
+  using ArmedSpecs = std::vector<std::pair<std::string, fault::FaultSpec>>;
 
-  /// Applies one DML request against the latest state (sequential reduce
-  /// phase only). Fills the request's exec_status / dml_result and its
-  /// governor/fault/trace bookkeeping.
-  void ExecuteDmlWork(
-      PendingRequest* work,
-      const std::vector<std::pair<std::string, fault::FaultSpec>>&
-          armed_specs);
   /// Adds one fault fire to a request's running total and stamps the
   /// request trace. Every phase (PLAN, EXECUTE, REDUCE) funnels through
   /// this so fires accumulate instead of overwriting each other.
   static void NoteRequestFaultFire(PendingRequest* work, const char* site);
-  /// Finalizes and offers the trace of a request that died before the
-  /// execute phase (submit-time rejections, plan failures). `fault_fires`
-  /// carries fires already counted for the request (e.g. a degraded
-  /// plan-cache lookup before a planning failure) into the trace.
-  void OfferAbortedTrace(obs::Tracer* tracer, uint64_t root_span,
-                         uint64_t request_id, SessionId session_id,
-                         const std::string& session_label, uint64_t ticket,
-                         uint64_t fingerprint, const std::string& cache_outcome,
-                         uint64_t waves_waited, uint64_t fault_fires,
-                         const Status& status);
+  /// Closes a request's root span with `status` and offers its trace to
+  /// the flight recorder, built from the request's own state (no-op when
+  /// the request is untraced). Every outcome goes through here: submit-time
+  /// rejections, plan failures, and completed requests with their
+  /// service time.
+  void OfferTrace(PendingRequest* work, const Status& status,
+                  double service_seconds = 0.0);
 
   /// Files the provenance (and, on a re-plan, plan-diff) record for a
   /// freshly optimized plan. Sequential PLAN phase only.

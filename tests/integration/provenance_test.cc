@@ -260,7 +260,7 @@ TEST_F(ProvenanceTest, WhyplanAndTrafficBytesIdenticalAcrossThreadCounts) {
 // Report-overwrite regression (the satellite sweep's find): fault fires
 // counted in the PLAN phase must survive into the retained trace when the
 // request later fails — in EXECUTE, and on the aborted path where
-// planning itself fails (OfferAbortedTrace used to zero them).
+// planning itself fails (the aborted-trace path used to zero them).
 TEST_F(ProvenanceTest, FaultFiresAccumulateAcrossPlanAndExecutePhases) {
   std::unique_ptr<core::Database> db = MakeReadingsDatabase();
   server::ServerConfig config;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "expr/expression.h"
 #include "fault/fault_injector.h"
@@ -224,6 +225,30 @@ TEST(PlanCacheTest, LookupFaultDegradesToCountedMiss) {
   EXPECT_EQ(cache.Lookup(key, 1), nullptr);
   EXPECT_EQ(cache.stats().degraded_fault, 1u);
   EXPECT_NE(cache.Lookup(key, 1), nullptr);
+}
+
+// `.plancache` prints T% as a percentage and names the estimator, so the
+// entries of distinct keys never render identically.
+TEST(PlanCacheTest, ReportTextShowsThresholdPercentAndEstimator) {
+  PlanCache cache(8);
+  const uint64_t fp = 0xabc;
+  cache.Insert(PlanCacheKey::Make(fp, 0.80, core::EstimatorKind::kRobustSample),
+               DummyPlan("p80"), 1);
+  cache.Insert(PlanCacheKey::Make(fp, 0.95, core::EstimatorKind::kRobustSample),
+               DummyPlan("p95"), 1);
+  cache.Insert(PlanCacheKey::Make(fp, 0.80, core::EstimatorKind::kHistogram),
+               DummyPlan("h80"), 1);
+  const std::string report = cache.ReportText();
+  EXPECT_NE(report.find("fp=0000000000000abc T=80% robust epoch=1 hits=0  p80\n"),
+            std::string::npos)
+      << report;
+  EXPECT_NE(report.find("fp=0000000000000abc T=95% robust epoch=1 hits=0  p95\n"),
+            std::string::npos)
+      << report;
+  EXPECT_NE(
+      report.find("fp=0000000000000abc T=80% histogram epoch=1 hits=0  h80\n"),
+      std::string::npos)
+      << report;
 }
 
 TEST(PlanCacheTest, PublishMetricsIsIdempotent) {
