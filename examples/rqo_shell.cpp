@@ -25,18 +25,13 @@
 //                                   (Perfetto lanes grouped by session)
 //   .slo                            queue-wait/service/regret quantiles
 //                                   and threshold-breach counters
-//   .learning                       learning subsystem report: feedback
-//                                   store evidence (per-fingerprint Beta
-//                                   pseudo-counts fed by EXECUTE and
-//                                   EXPLAIN ANALYZE runs) and the regret-
-//                                   driven T% overrides
 //   .epoch                          data + statistics epochs and the
 //                                   per-table online-maintenance state
 //                                   (reservoir fill, modifications,
 //                                   pending-rebuild flags)
-//   .fp <fphex>                     one statement's ledger row: SLO,
-//                                   quality and T% override columns, the
-//                                   tables it reads, and its plan winner
+//   .fp <fphex>                     one statement's ledger row: SLO and
+//                                   quality columns, the tables it reads,
+//                                   and its plan winner
 //   .whyplan [<fphex>|last]         plan-choice provenance: why the plan
 //                                   for a fingerprint won, its cost curve
 //                                   across the selectivity posterior, and
@@ -75,9 +70,6 @@
 //                                   results are identical at any setting
 //   SET BETA_CACHE_CAPACITY <n>     inverse-Beta LRU entries (default 4096)
 //   SET WRITE_FRACTION <0..1>       write share of the .traffic demo
-//   SET LEARNING ON|OFF             learned selectivity corrections + T%
-//                                   retuning (OFF reproduces the
-//                                   pre-learning estimates bit-for-bit)
 //   SET PROVENANCE ON|OFF           plan-choice provenance capture (OFF
 //                                   reproduces pre-provenance reports and
 //                                   metrics bit-for-bit)
@@ -236,20 +228,6 @@ bool HandleSet(core::Database* db, server::QueryService* service,
         std::strtoull(tokens[2].c_str(), nullptr, 10));
     std::printf("inverse-beta cache capacity: %zu entries\n",
                 db->robust_estimator()->beta_cache()->capacity());
-    return true;
-  }
-
-  if (verb == "LEARNING") {
-    if (tokens.size() != 3 || (ToUpper(tokens[2]) != "ON" &&
-                               ToUpper(tokens[2]) != "OFF")) {
-      std::printf("usage: SET LEARNING ON|OFF\n");
-      return true;
-    }
-    const bool on = ToUpper(tokens[2]) == "ON";
-    service->SetLearningEnabled(on);
-    std::printf("learning: %s%s\n", on ? "on" : "off",
-                on ? "" : " (estimates match the pre-learning cascade"
-                          " bit-for-bit)");
     return true;
   }
 
@@ -548,10 +526,6 @@ int main() {
       std::printf("%s", service.ledger()->SloReportText().c_str());
       continue;
     }
-    if (line == ".learning") {
-      std::printf("%s", service.LearningReportText().c_str());
-      continue;
-    }
     if (StartsWith(line, "PREPARE ") || StartsWith(line, "prepare ")) {
       const std::string rest = line.substr(8);
       size_t as_pos = rest.find(" AS ");
@@ -650,11 +624,8 @@ int main() {
         std::printf("error: %s\n", analyzed.status().ToString().c_str());
         continue;
       }
-      // Close the loop from the interactive path too: the run's actuals
-      // feed both the quality ledger and the learned-correction store.
-      workload::RecordAnalyzedPlan(analyzed.value(), &quality,
-                                   service.feedback_store(),
-                                   db.statistics()->epoch());
+      // The run's actuals feed the EXPLAIN ANALYZE quality ledger.
+      workload::RecordAnalyzedPlan(analyzed.value(), &quality);
       switch (format) {
         case kText:
           std::printf("%s", analyzed.value().ToText().c_str());

@@ -182,8 +182,7 @@ Result<opt::PlannedQuery> Database::Plan(const opt::QuerySpec& query,
   if (effective.metrics != nullptr) {
     effective.metrics->GetCounter("db.queries_planned")->Increment();
   }
-  // Plan-time probes (statistics reads, learned corrections) fire into
-  // the call's trace.
+  // Plan-time probes (statistics reads) fire into the call's trace.
   fault_.set_tracer(effective.tracer);
   Result<opt::PlannedQuery> planned = optimizer->Optimize(query, effective);
   fault_.set_tracer(tracer_);

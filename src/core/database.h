@@ -162,8 +162,8 @@ class Database {
   /// Plans `query` with the chosen estimation module. Everything that
   /// differs per call travels in `options`: the T% hint, provenance
   /// capture and the tracer. A per-call tracer also receives the fault
-  /// injector's plan-time fires (statistics reads, learned corrections)
-  /// for the duration of the call.
+  /// injector's plan-time fires (statistics reads) for the duration of
+  /// the call.
   Result<opt::PlannedQuery> Plan(const opt::QuerySpec& query,
                                  EstimatorKind kind,
                                  const opt::OptimizerOptions& options = {});

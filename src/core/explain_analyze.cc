@@ -146,13 +146,6 @@ std::vector<PredicateReport> CollectPredicateReports(
     report.confidence_threshold = AttrDouble(e.attrs, "threshold", 0.0);
     report.selectivity = AttrDouble(e.attrs, "selectivity", -1.0);
     report.estimated_rows = AttrDouble(e.attrs, "est_rows", -1.0);
-    report.learned = report.source == "learned";
-    if (report.learned) {
-      report.learned_k = AttrDouble(e.attrs, "learned_k", 0.0);
-      report.learned_n = AttrDouble(e.attrs, "learned_n", 0.0);
-      report.learned_observations = AttrUint(e.attrs, "learned_obs", 0);
-      report.selectivity_raw = AttrDouble(e.attrs, "selectivity_raw", -1.0);
-    }
     out.push_back(std::move(report));
   }
   return out;
@@ -250,17 +243,8 @@ std::string AnalyzedPlan::ToText() const {
             static_cast<unsigned long long>(p.sample_n), p.posterior_alpha,
             p.posterior_beta);
       }
-      if (p.learned) {
-        out += StrPrintf(" learned k_eq=%.1f/n_eq=%.1f obs=%llu", p.learned_k,
-                         p.learned_n,
-                         static_cast<unsigned long long>(
-                             p.learned_observations));
-      }
       if (p.confidence_threshold > 0.0) {
         out += StrPrintf(" T=%.0f%%", p.confidence_threshold * 100.0);
-      }
-      if (p.selectivity_raw >= 0.0) {
-        out += StrPrintf(" sel_raw=%.4g", p.selectivity_raw);
       }
       if (p.selectivity >= 0.0) out += StrPrintf(" sel=%.4g", p.selectivity);
       if (p.estimated_rows >= 0.0) {
@@ -416,16 +400,6 @@ std::string AnalyzedPlan::ToJson() const {
     }
     if (p.confidence_threshold > 0.0) {
       out += ",\"threshold\":" + JsonNumber(p.confidence_threshold);
-    }
-    if (p.learned) {
-      out += ",\"learned\":{\"k_eq\":" + JsonNumber(p.learned_k);
-      out += ",\"n_eq\":" + JsonNumber(p.learned_n);
-      out += StrPrintf(",\"observations\":%llu}",
-                       static_cast<unsigned long long>(
-                           p.learned_observations));
-      if (p.selectivity_raw >= 0.0) {
-        out += ",\"selectivity_raw\":" + JsonNumber(p.selectivity_raw);
-      }
     }
     if (p.selectivity >= 0.0) {
       out += ",\"selectivity\":" + JsonNumber(p.selectivity);

@@ -43,8 +43,8 @@ struct OperatorReport {
 struct PredicateReport {
   std::string tables;      ///< comma-joined table set
   std::string predicate;   ///< predicate text (may be empty for "magic")
-  std::string source;      ///< "synopsis", "learned", "table-sample",
-                           ///< "magic", "independence", "histogram-avi"
+  std::string source;      ///< "synopsis", "table-sample", "magic",
+                           ///< "independence", "histogram-avi"
   /// Canonical predicate fingerprint (perf/fingerprint.h) — the key the
   /// estimator caches under, and the join key the estimation-quality
   /// monitor uses to pair this estimate with execution actuals. 0 when the
@@ -58,15 +58,6 @@ struct PredicateReport {
   double confidence_threshold = 0.0;  ///< 0 when not applicable (histogram)
   double selectivity = -1.0;          ///< -1 = not reported
   double estimated_rows = -1.0;       ///< -1 = not reported
-  /// Learned-correction provenance (source == "learned"): the feedback
-  /// pseudo-counts merged into the prior and, when sample evidence was
-  /// also present, the pre-correction selectivity the estimator would have
-  /// reported without learning.
-  bool learned = false;
-  double learned_k = 0.0;             ///< feedback pseudo-successes (k_eq)
-  double learned_n = 0.0;             ///< feedback equivalent sample (n_eq)
-  uint64_t learned_observations = 0;  ///< executions behind the evidence
-  double selectivity_raw = -1.0;      ///< pre-correction sel (-1 = none)
 };
 
 /// One estimator degradation recorded while planning: an evidence tier

@@ -55,12 +55,6 @@ inline constexpr char kWriteCommit[] = "storage.write.commit";
 /// before the commit is published, so a fire aborts the write and the
 /// sample never diverges from the table.
 inline constexpr char kReservoirUpdate[] = "stats.reservoir.update";
-/// Applying learned-selectivity feedback (the FeedbackStore): probed both
-/// when the reduce phase records an executed query's actual selectivity
-/// and when the estimator consults learned corrections at plan time. A
-/// fire drops the observation / degrades the lookup to the uncorrected
-/// estimate — results stay correct, only the learning loop pauses.
-inline constexpr char kLearningFeedbackApply[] = "learning.feedback.apply";
 }  // namespace sites
 
 /// The sites the engine probes, for shell listings and the chaos harness.

@@ -154,10 +154,6 @@ void FingerprintLedger::Record(const RequestObservation& request,
   Row& row = rows_[request.fingerprint];
   if (row.slo.observed == 0) ++slo_fingerprints_;
   RecordSloInto(&row.slo, request.failed, queue_wait, service, regret, ratio);
-  if (!request.failed &&
-      row.slo.observed - row.slo.failed == kTunerMinObservations) {
-    eligible_.insert(request.fingerprint);
-  }
   if (row.tables.empty()) row.tables = request.tables;
   if (quality != nullptr && request.fingerprint != 0) {
     RecordQualityInto(request.fingerprint, *quality, &row);
@@ -275,10 +271,6 @@ std::string FingerprintLedger::RowText(uint64_t fingerprint,
     out.append("  ").append(QualityLine(quality));
     out.append("    ").append(label).append("\n");
   }
-  out += row.tpercent_override > 0.0
-             ? StrPrintf("  t%%: override T=%.0f%%\n",
-                         row.tpercent_override * 100.0)
-             : std::string("  t%: no override\n");
   out += plan != nullptr ? WinnerLine(*plan)
                          : std::string("  winner: no provenance retained\n");
   return out;
@@ -303,10 +295,6 @@ void FingerprintLedger::PublishMetrics(MetricsRegistry* metrics) const {
   Republish(metrics, "server.slo.queue_wait_seconds", global_.queue_wait);
   Republish(metrics, "server.slo.service_seconds", global_.service);
   Republish(metrics, "optimizer.regret.seconds", global_.regret);
-  metrics->GetGauge("optimizer.tpercent.overrides")
-      ->Set(static_cast<double>(overrides_));
-  SyncCounter(metrics, "optimizer.tpercent.raised", raised_total_);
-  SyncCounter(metrics, "optimizer.tpercent.relaxed", relaxed_total_);
 }
 
 // ---- Quality columns ----
@@ -543,81 +531,6 @@ void FingerprintLedger::ResetSlo() {
   sessions_.clear();
   for (auto& [fingerprint, row] : rows_) row.slo = SloScope();
   slo_fingerprints_ = 0;
-  eligible_.clear();
-}
-
-// ---- T% overrides ----
-
-double FingerprintLedger::EffectiveThreshold(uint64_t fingerprint,
-                                             double base) const {
-  if (!tuning_enabled_ || overrides_ == 0) return base;
-  auto it = rows_.find(fingerprint);
-  if (it == rows_.end() || it->second.tpercent_override <= 0.0) return base;
-  return std::max(base, it->second.tpercent_override);
-}
-
-void FingerprintLedger::Retune(double base_threshold) {
-  if (!tuning_enabled_) return;
-  for (uint64_t fingerprint : eligible_) {
-    Row& row = rows_.find(fingerprint)->second;
-    double& override_t = row.tpercent_override;
-    const uint64_t successes = row.slo.observed - row.slo.failed;
-    const double current = std::max(base_threshold, override_t);
-    const double regret_rate = static_cast<double>(row.slo.regret_positive) /
-                               static_cast<double>(successes);
-    const double budget = 1.0 - current;
-    if (regret_rate > budget + kTunerSlack) {
-      // Chronic regret: the posterior's T%-quantile undersells this shape.
-      const double raised = std::min(kTunerMaxThreshold, current + kTunerStep);
-      if (raised > current) {
-        if (override_t <= 0.0) ++overrides_;
-        override_t = raised;
-        ++raised_total_;
-      }
-    } else if (regret_rate + kTunerSlack < budget && override_t > 0.0) {
-      // Calibrated again: walk the override back toward the base.
-      override_t -= kTunerStep;
-      if (override_t <= base_threshold) {
-        override_t = 0.0;
-        --overrides_;
-      }
-      ++relaxed_total_;
-    }
-  }
-}
-
-std::string FingerprintLedger::TunerReportText() const {
-  std::string out = StrPrintf(
-      "t%% tuner: %s, %zu overrides (%llu raises, %llu relaxes)\n",
-      tuning_enabled_ ? "on" : "off", overrides_,
-      static_cast<unsigned long long>(raised_total_),
-      static_cast<unsigned long long>(relaxed_total_));
-  for (const auto& [fingerprint, row] : rows_) {
-    if (row.tpercent_override <= 0.0) continue;
-    out += StrPrintf("  %016llx T=%.0f%%\n",
-                     static_cast<unsigned long long>(fingerprint),
-                     row.tpercent_override * 100.0);
-  }
-  return out;
-}
-
-std::string FingerprintLedger::TunerJson() const {
-  std::string out = StrPrintf(
-      "{\"enabled\":%s,\"raised\":%llu,\"relaxed\":%llu,\"overrides\":[",
-      tuning_enabled_ ? "true" : "false",
-      static_cast<unsigned long long>(raised_total_),
-      static_cast<unsigned long long>(relaxed_total_));
-  bool first = true;
-  for (const auto& [fingerprint, row] : rows_) {
-    if (row.tpercent_override <= 0.0) continue;
-    if (!first) out += ",";
-    first = false;
-    out += StrPrintf("{\"fingerprint\":\"0x%016llx\",\"threshold\":%.9g}",
-                     static_cast<unsigned long long>(fingerprint),
-                     row.tpercent_override);
-  }
-  out += "]}";
-  return out;
 }
 
 }  // namespace obs

@@ -1,9 +1,9 @@
 // Copyright (c) robustqo authors. Licensed under the MIT license.
 //
 // FingerprintLedger: one row per statement fingerprint holding what the
-// serving layer learns from executing that statement, so the paper's T%
-// promise — plans picked at cdf⁻¹(T%) keep realized cost predictable — is
-// checked per statement in one place. A row holds four column groups:
+// serving layer observes while executing that statement, so the paper's
+// T% promise — plans picked at cdf⁻¹(T%) keep realized cost predictable —
+// is checked per statement in one place. A row holds three column groups:
 //
 //   * quality: the estimated-vs-actual row counts of executed reads — a
 //     q-error quantile sketch and exact maximum, posterior-calibration
@@ -19,22 +19,14 @@
 //     cache miss) and realized regret — how far the plan's metered cost
 //     exceeded the cdf⁻¹(T%) estimate it was chosen by
 //     (PlannedQuery::estimated_cost), in the one currency both share;
-//   * T% override: the regret-driven tuner's absolute threshold for the
-//     statement. Under a calibrated posterior regret should happen on at
-//     most ~(1-T) of executions; a statement chronically over that budget
-//     plans one step more conservatively, and one back inside it relaxes
-//     one step toward the base. The plan-cache key includes the effective
-//     T%, so a retuned statement re-plans without explicit invalidation;
 //   * tables: what the statement reads, so a drift flag routes the right
 //     tables to the statistics rebuild.
 //
 // The ledger also keeps the global and per-session SLO scopes: it is the
 // one per-request sink of the serving layer's sequential reduce phase,
 // which records in admission order, so every report, JSON body and
-// published series (estimator.quality.*, server.slo.*, optimizer.regret.*,
-// optimizer.tpercent.*) is byte-identical at any RQO_THREADS setting.
-// Retune runs between waves and visits only the statements with at least
-// kTunerMinObservations successes, a set Record keeps current.
+// published series (estimator.quality.*, server.slo.* and
+// optimizer.regret.*) is byte-identical at any RQO_THREADS setting.
 //
 // Standalone ledgers that only call RecordQuality (the shell's EXPLAIN
 // ANALYZE monitor, keyed by predicate fingerprint) fill just the quality
@@ -153,15 +145,6 @@ struct SloScope {
 
 class FingerprintLedger {
  public:
-  /// T% movement per Retune decision.
-  static constexpr double kTunerStep = 0.05;
-  /// Ceiling for raised thresholds (must stay < 1 for cdf⁻¹).
-  static constexpr double kTunerMaxThreshold = 0.99;
-  /// Successful executions a statement needs before it is tuned.
-  static constexpr uint64_t kTunerMinObservations = 16;
-  /// Tolerated excess over the (1 - T) regret budget before raising, and
-  /// required headroom under it before relaxing (hysteresis).
-  static constexpr double kTunerSlack = 0.05;
   /// Worst sessions/fingerprints listed in SloReportText.
   static constexpr size_t kReportTopK = 3;
 
@@ -182,14 +165,14 @@ class FingerprintLedger {
   /// Tables the statement reads (empty when unknown).
   const std::set<std::string>& Tables(uint64_t fingerprint) const;
 
-  /// The `.fp` view: one row's SLO, quality, override and table columns,
+  /// The `.fp` view: one row's SLO, quality and table columns,
   /// plus the winner line of `plan` (its provenance record; may be null).
   std::string RowText(uint64_t fingerprint,
                       const PlanProvenanceRecord* plan) const;
 
-  /// Publishes the estimator.quality.*, server.slo.*, optimizer.regret.*
-  /// and optimizer.tpercent.* series (no-op on null). Idempotent:
-  /// counters sync to absolute values, sketches are rebuilt from state.
+  /// Publishes the estimator.quality.*, server.slo.* and optimizer.regret.*
+  /// series (no-op on null). Idempotent: counters sync to absolute
+  /// values, sketches are rebuilt from state.
   void PublishMetrics(MetricsRegistry* metrics) const;
 
   // ---- Quality columns ----
@@ -209,7 +192,7 @@ class FingerprintLedger {
   /// Publishes only the estimator.quality.* family.
   void PublishQualityMetrics(MetricsRegistry* metrics) const;
   /// Fresh statistics: clears the quality columns and the drifted set.
-  /// SLO scopes, overrides and tables survive.
+  /// SLO scopes and tables survive.
   void ResetQuality();
 
   // ---- SLO columns ----
@@ -238,31 +221,8 @@ class FingerprintLedger {
   std::string SloReportText() const;
   /// Deterministic JSON of the same content.
   std::string SloJson() const;
-  /// Clears every SLO scope; overrides, quality columns and tables
-  /// survive.
+  /// Clears every SLO scope; quality columns and tables survive.
   void ResetSlo();
-
-  // ---- T% overrides ----
-
-  /// The tuner's on/off (the service's learning switch).
-  bool tuning_enabled() const { return tuning_enabled_; }
-  void set_tuning_enabled(bool enabled) { tuning_enabled_ = enabled; }
-  /// The T% a request with this statement fingerprint should plan at:
-  /// max(base, override), or base when tuning is off / never tuned.
-  double EffectiveThreshold(uint64_t fingerprint, double base) const;
-  /// Nudges the overrides of the statements with at least
-  /// kTunerMinObservations successes, ascending: raise where the realized
-  /// regret rate exceeds the (1 - effective T) budget plus slack, relax one
-  /// step toward `base_threshold` where it sits below the budget minus
-  /// slack. Deterministic; call from a sequential phase.
-  void Retune(double base_threshold);
-  size_t overrides() const { return overrides_; }
-  uint64_t raised_total() const { return raised_total_; }
-  uint64_t relaxed_total() const { return relaxed_total_; }
-  /// Aligned text block (part of the shell's `.learning`).
-  std::string TunerReportText() const;
-  /// Deterministic JSON of the same content.
-  std::string TunerJson() const;
 
  private:
   struct QualityProfile {
@@ -280,8 +240,6 @@ class FingerprintLedger {
   struct Row {
     QualityProfile quality;
     SloScope slo;
-    /// Absolute tuned T; 0 = no override.
-    double tpercent_override = 0.0;
     std::set<std::string> tables;
   };
 
@@ -299,18 +257,11 @@ class FingerprintLedger {
   /// The one map keyed by statement fingerprint.
   std::map<uint64_t, Row> rows_;
   std::set<uint64_t> drifted_;  ///< rows whose quality verdict is drifted
-  /// Rows with at least kTunerMinObservations successes, the only ones
-  /// Retune visits.
-  std::set<uint64_t> eligible_;
   uint64_t observation_count_ = 0;
   size_t quality_fingerprints_ = 0;
   SloScope global_;
   std::map<std::string, SloScope> sessions_;
   size_t slo_fingerprints_ = 0;
-  bool tuning_enabled_ = true;
-  size_t overrides_ = 0;
-  uint64_t raised_total_ = 0;
-  uint64_t relaxed_total_ = 0;
 };
 
 }  // namespace obs

@@ -6,7 +6,6 @@
 #include <set>
 #include <utility>
 
-#include "perf/fingerprint.h"
 #include "perf/task_pool.h"
 #include "util/string_util.h"
 
@@ -44,14 +43,6 @@ struct QueryService::PendingRequest {
   uint64_t seed = 0;
   fault::GovernorLimits limits;
   std::set<std::string> tables;  ///< what a read statement reads
-  // Feedback-join keys captured at plan time (reads with learning on):
-  // the canonical predicate fingerprint the estimator keys corrections
-  // under, the root row count estimates were scaled by, and the
-  // statistics epoch the plan was made at. Captured here because a
-  // same-batch DML could move the catalog before REDUCE observes.
-  uint64_t pred_fingerprint = 0;
-  double plan_root_rows = 0.0;
-  uint64_t plan_stats_epoch = 0;
   // -- execute phase --
   Status exec_status = Status::OK();
   std::optional<core::ExecutionResult> result;
@@ -111,29 +102,9 @@ QueryService::QueryService(core::Database* db, ServerConfig config)
       cache_(config.plan_cache_capacity),
       ledger_(config.quality, config.slo),
       recorder_(config.flight_recorder),
-      feedback_(config.learning),
       provenance_(config.provenance) {
   admission_.set_fault_injector(db_->fault_injector());
   cache_.set_fault_injector(db_->fault_injector());
-  // Close the estimation feedback loop: the reduce phase feeds this store,
-  // the database's robust estimator consults it at plan time.
-  feedback_.set_fault_injector(db_->fault_injector());
-  db_->robust_estimator()->set_feedback_store(&feedback_);
-}
-
-QueryService::~QueryService() {
-  if (db_->robust_estimator()->feedback_store() == &feedback_) {
-    db_->robust_estimator()->set_feedback_store(nullptr);
-  }
-}
-
-void QueryService::SetLearningEnabled(bool enabled) {
-  feedback_.set_enabled(enabled);
-  ledger_.set_tuning_enabled(enabled);
-}
-
-std::string QueryService::LearningReportText() const {
-  return feedback_.ReportText() + ledger_.TunerReportText();
 }
 
 void QueryService::NoteRequestFaultFire(PendingRequest* work,
@@ -339,11 +310,6 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
       work.effective_threshold = options.confidence_threshold > 0.0
                                      ? options.confidence_threshold
                                      : db_->confidence_threshold();
-      // Regret-tuned T%: a fingerprint the tuner raised plans at the
-      // higher threshold (which also re-keys it out of its stale cache
-      // entries); untuned fingerprints keep the session/system base.
-      work.effective_threshold = ledger_.EffectiveThreshold(
-          work.fingerprint, work.effective_threshold);
       if (work.tracer != nullptr) {
         work.tracer->Event(
             "server", "admitted",
@@ -407,9 +373,8 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
         plan_options.tracer = work.tracer.get();
         // Accumulate, not assign (same bug class as the EXECUTE phase):
         // plan-time probes against the shared injector — the estimator's
-        // learned-tier lookups probe learning.feedback.apply — must add to
-        // fires already counted for this request, e.g. a degraded
-        // plan-cache lookup.
+        // statistics reads — must add to fires already counted for this
+        // request, e.g. a degraded plan-cache lookup.
         const uint64_t plan_fires_before = db_->fault_injector()->total_fires();
         Result<opt::PlannedQuery> planned =
             db_->Plan(work.spec, options.estimator, plan_options);
@@ -454,19 +419,6 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
       // The ledger keeps the tables a statement reads, so a later drift
       // flag can route them to the statistics-rebuild queue.
       work.tables = work.spec.TableNames();
-      if (feedback_.enabled()) {
-        const expr::ExprPtr predicate =
-            work.spec.CombinedPredicate(work.tables);
-        if (predicate != nullptr) {
-          auto root = db_->catalog()->FindRootTable(work.tables);
-          if (root.ok()) {
-            work.pred_fingerprint = perf::FingerprintExpr(*predicate);
-            work.plan_root_rows = static_cast<double>(
-                db_->catalog()->GetTable(root.value())->num_rows());
-            work.plan_stats_epoch = epoch;
-          }
-        }
-      }
       work.seed = work.session->NextRequestSeed();
       work.limits = options.governor_limits;
       running.push_back(&work);
@@ -586,26 +538,6 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
           quality.estimated_rows = work->plan->estimated_spj_rows;
           quality.actual_rows = static_cast<double>(work->result->spj_rows);
           quality.confidence_threshold = work->effective_threshold;
-          // Close the learning loop: the executed actual selectivity, in
-          // the estimator's own currency, lands under the predicate
-          // fingerprint the estimator looks corrections up by. A fired
-          // learning.feedback.apply fault drops the observation and counts
-          // against this request's trace.
-          if (work->pred_fingerprint != 0 && work->plan_root_rows > 0.0) {
-            const double actual_selectivity =
-                std::min(1.0, static_cast<double>(work->result->spj_rows) /
-                                  work->plan_root_rows);
-            const double estimated_selectivity =
-                std::min(1.0, work->plan->estimated_spj_rows /
-                                  work->plan_root_rows);
-            Status fed = feedback_.Observe(
-                work->pred_fingerprint, work->plan->label,
-                estimated_selectivity, actual_selectivity,
-                work->plan_stats_epoch);
-            if (!fed.ok()) {
-              NoteRequestFaultFire(work, fault::sites::kLearningFeedbackApply);
-            }
-          }
           response.result = std::move(work->result);
         }
         work->session->CountCompleted();
@@ -678,27 +610,6 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
             "server", "stats.background_rebuild",
             {{"tables", obs::AttrU64(rebuilt)},
              {"epoch", obs::AttrU64(db_->statistics()->epoch())}});
-      }
-    }
-
-    // Regret-driven T% retuning (sequential, after this wave's ledger
-    // records landed): fingerprints whose realized regret rate is
-    // chronically over the (1-T) budget plan more conservatively from the
-    // next wave on; calibrated ones relax back toward the base. The tuned
-    // threshold is part of the plan-cache key, so a retuned fingerprint
-    // re-plans naturally instead of serving its old plan.
-    if (ledger_.tuning_enabled()) {
-      const size_t overrides_before = ledger_.overrides();
-      const uint64_t raised_before = ledger_.raised_total();
-      ledger_.Retune(db_->confidence_threshold());
-      if (tracer_ != nullptr) {
-        if (ledger_.overrides() != overrides_before ||
-            ledger_.raised_total() != raised_before) {
-          tracer_->Event("server", "tpercent.retuned",
-                         {{"overrides", obs::AttrU64(ledger_.overrides())},
-                          {"raised", obs::AttrU64(ledger_.raised_total())},
-                          {"relaxed", obs::AttrU64(ledger_.relaxed_total())}});
-        }
       }
     }
   }
@@ -805,7 +716,6 @@ void QueryService::PublishMetrics(obs::MetricsRegistry* metrics) const {
   metrics->GetGauge("stats.epoch")
       ->Set(static_cast<double>(db_->statistics()->epoch()));
   if (config_.flight_recorder.enabled) recorder_.PublishMetrics(metrics);
-  feedback_.PublishMetrics(metrics);
   // Gated on the runtime toggle so SET PROVENANCE OFF keeps the metric
   // byte stream identical to a pre-provenance build.
   provenance_.PublishMetrics(metrics);

@@ -108,36 +108,6 @@ double RobustSampleEstimator::InvertAtThreshold(
   return value;
 }
 
-std::optional<learn::LearnedEvidence> RobustSampleEstimator::LearnedLookup(
-    uint64_t fingerprint) {
-  if (!LearningActive()) return std::nullopt;
-  Status fault = feedback_store_->CheckApply();
-  if (!fault.ok()) {
-    // The feedback path is (injected-)unavailable: degrade to the
-    // uncorrected estimate rather than fail the query.
-    if (metrics_ != nullptr) {
-      metrics_->GetCounter("estimator.learned.unavailable")->Increment();
-    }
-    return std::nullopt;
-  }
-  std::optional<learn::LearnedEvidence> learned =
-      feedback_store_->Lookup(fingerprint, statistics_->epoch());
-  if (metrics_ != nullptr) {
-    metrics_
-        ->GetCounter(learned.has_value() ? "estimator.learned.hit"
-                                         : "estimator.learned.miss")
-        ->Increment();
-  }
-  return learned;
-}
-
-BetaPrior RobustSampleEstimator::MergedPrior(
-    const learn::LearnedEvidence& learned) const {
-  const BetaPrior prior = config_.EffectivePrior();
-  return BetaPrior{prior.alpha + learned.k_eq,
-                   prior.beta + (learned.n_eq - learned.k_eq)};
-}
-
 double RobustSampleEstimator::DefaultWideSelectivity() const {
   const double s0 = kMagicUnknownSelectivity;
   const double n_eq = config_.default_equivalent_n;
@@ -210,46 +180,6 @@ Result<double> RobustSampleEstimator::EstimateRows(
     const BetaPrior prior = config_.EffectivePrior();
     SelectivityPosterior posterior(obs.value().satisfying,
                                    obs.value().sample_size, prior);
-    std::optional<learn::LearnedEvidence> learned;
-    if (LearningActive()) {
-      learned = LearnedLookup(perf::FingerprintExpr(*request.predicate));
-    }
-    if (learned.has_value()) {
-      // Learned correction: execution feedback for this exact predicate
-      // shape folds into the prior, pulling the posterior toward the
-      // selectivity executions actually measured. The uncorrected
-      // inversion is kept as selectivity_raw for provenance.
-      const double raw = InvertAtThreshold(posterior);
-      SelectivityPosterior corrected(obs.value().satisfying,
-                                     obs.value().sample_size,
-                                     MergedPrior(*learned));
-      const double selectivity = InvertAtThreshold(corrected);
-      if (metrics_ != nullptr) {
-        metrics_->GetCounter("estimator.learned.corrected")->Increment();
-      }
-      if (tracer_ != nullptr) {
-        const math::BetaDistribution& d = corrected.distribution();
-        tracer_->Event(
-            "estimator", "robust",
-            {{"tables", JoinTableNames(request.tables)},
-             {"predicate", request.predicate->ToString()},
-             {"source", "learned"},
-             {"fingerprint", robustqo::obs::AttrU64(
-                  perf::FingerprintExpr(*request.predicate))},
-             {"k", robustqo::obs::AttrU64(obs.value().satisfying)},
-             {"n", robustqo::obs::AttrU64(obs.value().sample_size)},
-             {"learned_k", robustqo::obs::AttrF(learned->k_eq)},
-             {"learned_n", robustqo::obs::AttrF(learned->n_eq)},
-             {"learned_obs", robustqo::obs::AttrU64(learned->observations)},
-             {"posterior_alpha", robustqo::obs::AttrF(d.alpha())},
-             {"posterior_beta", robustqo::obs::AttrF(d.beta())},
-             {"threshold", robustqo::obs::AttrF(config_.confidence_threshold)},
-             {"selectivity_raw", robustqo::obs::AttrF(raw)},
-             {"selectivity", robustqo::obs::AttrF(selectivity)},
-             {"est_rows", robustqo::obs::AttrF(selectivity * root_rows)}});
-      }
-      return selectivity * root_rows;
-    }
     const double selectivity = InvertAtThreshold(posterior);
     if (tracer_ != nullptr) {
       tracer_->Event(
@@ -276,44 +206,6 @@ Result<double> RobustSampleEstimator::EstimateRows(
   const bool synopsis_unavailable =
       obs.status().code() == StatusCode::kUnavailable;
 
-  // Learned tier: before falling back to per-table sample probes, consult
-  // execution feedback for the full predicate shape. If past executions of
-  // this fingerprint taught the store the joint selectivity, that measured
-  // evidence beats re-deriving it from per-table independence assumptions.
-  if (LearningActive()) {
-    std::optional<learn::LearnedEvidence> learned =
-        LearnedLookup(perf::FingerprintExpr(*request.predicate));
-    if (learned.has_value()) {
-      SelectivityPosterior posterior(0, 0, MergedPrior(*learned));
-      const double selectivity = InvertAtThreshold(posterior);
-      RecordDegradation("synopsis", "learned",
-                        synopsis_unavailable ? "unavailable" : "missing",
-                        JoinTableNames(request.tables),
-                        "estimator.degraded.to_learned");
-      if (metrics_ != nullptr) {
-        metrics_->GetCounter("estimator.learned.recovered")->Increment();
-      }
-      if (tracer_ != nullptr) {
-        const math::BetaDistribution& d = posterior.distribution();
-        tracer_->Event(
-            "estimator", "robust",
-            {{"tables", JoinTableNames(request.tables)},
-             {"predicate", request.predicate->ToString()},
-             {"source", "learned"},
-             {"fingerprint", robustqo::obs::AttrU64(
-                  perf::FingerprintExpr(*request.predicate))},
-             {"learned_k", robustqo::obs::AttrF(learned->k_eq)},
-             {"learned_n", robustqo::obs::AttrF(learned->n_eq)},
-             {"learned_obs", robustqo::obs::AttrU64(learned->observations)},
-             {"posterior_alpha", robustqo::obs::AttrF(d.alpha())},
-             {"posterior_beta", robustqo::obs::AttrF(d.beta())},
-             {"threshold", robustqo::obs::AttrF(config_.confidence_threshold)},
-             {"selectivity", robustqo::obs::AttrF(selectivity)},
-             {"est_rows", robustqo::obs::AttrF(selectivity * root_rows)}});
-      }
-      return selectivity * root_rows;
-    }
-  }
   RecordDegradation("synopsis", "table-sample",
                     synopsis_unavailable ? "unavailable" : "missing",
                     JoinTableNames(request.tables),
@@ -345,7 +237,6 @@ Result<double> RobustSampleEstimator::EstimateRows(
     bool sample_unavailable = false;
     bool have_count = false;  // k valid without scanning (cache hit)
     uint64_t k = 0;
-    std::optional<learn::LearnedEvidence> learned;  // phase-A lookup
   };
   std::vector<TableProbe> probes;
   probes.reserve(request.tables.size());
@@ -376,7 +267,6 @@ Result<double> RobustSampleEstimator::EstimateRows(
     if (sample.ok()) {
       probe.sample = sample.value();
       probe.fingerprint = perf::FingerprintExpr(*probe.pred);
-      probe.learned = LearnedLookup(probe.fingerprint);
       if (probe_cache_ != nullptr) {
         std::optional<perf::ProbeCount> cached = probe_cache_->Lookup(
             "sample:" + probe.table, probe.fingerprint);
@@ -392,10 +282,6 @@ Result<double> RobustSampleEstimator::EstimateRows(
     } else {
       probe.sample_unavailable =
           sample.status().code() == StatusCode::kUnavailable;
-      if (LearningActive()) {
-        probe.fingerprint = perf::FingerprintExpr(*probe.pred);
-        probe.learned = LearnedLookup(probe.fingerprint);
-      }
     }
     probes.push_back(std::move(probe));
   }
@@ -422,40 +308,6 @@ Result<double> RobustSampleEstimator::EstimateRows(
       const uint64_t k = probe.k;
       const BetaPrior prior = config_.EffectivePrior();
       SelectivityPosterior posterior(k, probe.sample->size(), prior);
-      if (probe.learned.has_value()) {
-        // Learned correction on the per-table slice: same prior merge as
-        // the tier-1 path, uncorrected inversion kept as selectivity_raw.
-        const double raw = InvertAtThreshold(posterior);
-        SelectivityPosterior corrected(k, probe.sample->size(),
-                                       MergedPrior(*probe.learned));
-        const double factor = InvertAtThreshold(corrected);
-        selectivity *= factor;
-        if (metrics_ != nullptr) {
-          metrics_->GetCounter("estimator.learned.corrected")->Increment();
-        }
-        if (tracer_ != nullptr) {
-          const math::BetaDistribution& d = corrected.distribution();
-          tracer_->Event(
-              "estimator", "robust",
-              {{"tables", table},
-               {"predicate", table_pred->ToString()},
-               {"source", "learned"},
-               {"fingerprint", robustqo::obs::AttrU64(probe.fingerprint)},
-               {"k", robustqo::obs::AttrU64(k)},
-               {"n", robustqo::obs::AttrU64(probe.sample->size())},
-               {"learned_k", robustqo::obs::AttrF(probe.learned->k_eq)},
-               {"learned_n", robustqo::obs::AttrF(probe.learned->n_eq)},
-               {"learned_obs",
-                robustqo::obs::AttrU64(probe.learned->observations)},
-               {"posterior_alpha", robustqo::obs::AttrF(d.alpha())},
-               {"posterior_beta", robustqo::obs::AttrF(d.beta())},
-               {"threshold",
-                robustqo::obs::AttrF(config_.confidence_threshold)},
-               {"selectivity_raw", robustqo::obs::AttrF(raw)},
-               {"selectivity", robustqo::obs::AttrF(factor)}});
-        }
-        continue;
-      }
       const double factor = InvertAtThreshold(posterior);
       selectivity *= factor;
       if (tracer_ != nullptr) {
@@ -485,39 +337,6 @@ Result<double> RobustSampleEstimator::EstimateRows(
                            ? "estimator.degraded.sample_unavailable"
                            : "estimator.degraded.sample_miss")
           ->Increment();
-    }
-
-    // Learned tier (per-table slice): the sample is gone, but execution
-    // feedback for this slice's fingerprint survives as a posterior of its
-    // own — consulted before the histogram/AVI baseline.
-    if (probe.learned.has_value()) {
-      SelectivityPosterior posterior(0, 0, MergedPrior(*probe.learned));
-      const double factor = InvertAtThreshold(posterior);
-      selectivity *= factor;
-      RecordDegradation("table-sample", "learned",
-                        sample_unavailable ? "unavailable" : "missing", table,
-                        "estimator.degraded.to_learned");
-      if (metrics_ != nullptr) {
-        metrics_->GetCounter("estimator.learned.recovered")->Increment();
-      }
-      if (tracer_ != nullptr) {
-        const math::BetaDistribution& d = posterior.distribution();
-        tracer_->Event(
-            "estimator", "robust",
-            {{"tables", table},
-             {"predicate", table_pred->ToString()},
-             {"source", "learned"},
-             {"fingerprint", robustqo::obs::AttrU64(probe.fingerprint)},
-             {"learned_k", robustqo::obs::AttrF(probe.learned->k_eq)},
-             {"learned_n", robustqo::obs::AttrF(probe.learned->n_eq)},
-             {"learned_obs",
-              robustqo::obs::AttrU64(probe.learned->observations)},
-             {"posterior_alpha", robustqo::obs::AttrF(d.alpha())},
-             {"posterior_beta", robustqo::obs::AttrF(d.beta())},
-             {"threshold", robustqo::obs::AttrF(config_.confidence_threshold)},
-             {"selectivity", robustqo::obs::AttrF(factor)}});
-      }
-      continue;
     }
 
     // Tier 3: the histogram/AVI baseline over the same statistics store

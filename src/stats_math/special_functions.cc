@@ -1,5 +1,7 @@
 #include "stats_math/special_functions.h"
 
+#include <math.h>
+
 #include <cmath>
 #include <limits>
 
@@ -53,7 +55,11 @@ double BetaContinuedFraction(double a, double b, double x) {
 
 double LogGamma(double x) {
   RQO_CHECK(x > 0.0);
-  return std::lgamma(x);
+  // lgamma_r, not std::lgamma: glibc's lgamma stores the sign of Γ(x) in
+  // the process-global `signgam`, a data race when estimators run on
+  // several TaskPool workers at once.
+  int sign = 0;
+  return lgamma_r(x, &sign);
 }
 
 double LogBeta(double a, double b) {

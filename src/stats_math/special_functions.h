@@ -13,7 +13,7 @@
 namespace robustqo {
 namespace math {
 
-/// ln Γ(x) for x > 0 (wraps std::lgamma, which is thread-safe for results).
+/// ln Γ(x) for x > 0 (wraps lgamma_r, which shares no global state).
 double LogGamma(double x);
 
 /// ln B(a, b) = ln Γ(a) + ln Γ(b) - ln Γ(a+b); requires a, b > 0.

@@ -18,15 +18,7 @@ size_t CountTables(const std::string& tables) {
 
 size_t RecordAnalyzedPlan(const core::AnalyzedPlan& plan,
                           obs::FingerprintLedger* ledger) {
-  return RecordAnalyzedPlan(plan, ledger, nullptr, 0);
-}
-
-size_t RecordAnalyzedPlan(const core::AnalyzedPlan& plan,
-                          obs::FingerprintLedger* ledger,
-                          learn::FeedbackStore* feedback,
-                          uint64_t statistics_epoch) {
-  if (ledger == nullptr && feedback == nullptr) return 0;
-  if (!plan.execution_error.empty()) return 0;
+  if (ledger == nullptr || !plan.execution_error.empty()) return 0;
 
   // The executed actual (SPJ-core rows) corresponds to the estimate over
   // the FULL table set; per-table selectivity factors have no matching
@@ -45,26 +37,8 @@ size_t RecordAnalyzedPlan(const core::AnalyzedPlan& plan,
   }
   if (best == nullptr) return 0;
 
-  const std::string label = "{" + best->tables + "} :: " + best->predicate;
-  if (feedback != nullptr && best->selectivity > 0.0) {
-    // Recover the root row count the estimate was scaled by, then express
-    // the executed actual in the same selectivity currency the estimator
-    // consumes. est_rows = selectivity * root_rows, so root_rows falls out
-    // of the report itself — no second catalog lookup, no skew if the
-    // table changed since planning.
-    const double root_rows = best->estimated_rows / best->selectivity;
-    if (root_rows > 0.0) {
-      const double actual_selectivity =
-          static_cast<double>(plan.actual_spj_rows) / root_rows;
-      // A fired feedback fault simply drops the observation.
-      (void)feedback->Observe(best->fingerprint, label, best->selectivity,
-                              actual_selectivity, statistics_epoch);
-    }
-  }
-  if (ledger == nullptr) return 0;
-
   obs::QualityObservation observation;
-  observation.label = label;
+  observation.label = "{" + best->tables + "} :: " + best->predicate;
   observation.estimated_rows = best->estimated_rows;
   observation.actual_rows = static_cast<double>(plan.actual_spj_rows);
   observation.confidence_threshold = best->confidence_threshold;

@@ -39,6 +39,8 @@ TEST_F(DatabaseTest, EstimatorAccessors) {
 }
 
 TEST_F(DatabaseTest, RobustnessLevelsMapToThresholds) {
+  // The database is shared by the whole suite: put its threshold back.
+  const double saved = db_->confidence_threshold();
   db_->SetRobustnessLevel(stats::RobustnessLevel::kConservative);
   EXPECT_EQ(db_->confidence_threshold(), 0.95);
   db_->SetRobustnessLevel(stats::RobustnessLevel::kModerate);
@@ -47,6 +49,7 @@ TEST_F(DatabaseTest, RobustnessLevelsMapToThresholds) {
   EXPECT_EQ(db_->confidence_threshold(), 0.50);
   db_->SetConfidenceThreshold(0.33);
   EXPECT_EQ(db_->confidence_threshold(), 0.33);
+  db_->SetConfidenceThreshold(saved);
 }
 
 TEST_F(DatabaseTest, PlanAndExecuteAgree) {

@@ -161,7 +161,6 @@ TEST(FaultInjectorTest, KnownSitesListedAndDescribed) {
   // the size assertion below can never drift out of step with it.
   const std::vector<std::string> kExpectedSorted = {
       sites::kClockStall,      sites::kOperatorAlloc,
-      sites::kLearningFeedbackApply,
       sites::kAdmissionEnqueue, sites::kPlanCacheLookup,
       sites::kReservoirUpdate, sites::kSampleRead,
       sites::kSynopsisRead,    sites::kCsvRead,

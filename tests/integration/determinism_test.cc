@@ -187,13 +187,12 @@ TEST_F(DeterminismTest, TrafficHarnessSummaryIdenticalAcrossThreadCounts) {
   EXPECT_FALSE(reference.empty());
 }
 
-// The learning subsystem's leg of the contract: the feedback store is fed
-// from the sequential reduce phase in admission order and the T% tuner
-// retunes between waves, so after a traffic run the `.learning` report —
-// per-fingerprint pseudo-counts, observation totals, and every override —
-// must be byte-identical at 1, 4 and 8 threads, as must the traffic
-// summary produced while learning was live.
-TEST_F(DeterminismTest, LearningReportIdenticalAcrossThreadCounts) {
+// The fingerprint ledger's leg of the contract: every request is recorded
+// from the sequential reduce phase in admission order, so after a traffic
+// run the ledger's SLO and estimation-quality reports — per-session and
+// per-fingerprint quantiles, calibration tallies and drift windows — must
+// be byte-identical at 1, 4 and 8 threads.
+TEST_F(DeterminismTest, LedgerReportsIdenticalAcrossThreadCounts) {
   workload::TrafficConfig config;
   config.clients = 200;
   config.duration_seconds = 10.0;
@@ -205,8 +204,7 @@ TEST_F(DeterminismTest, LearningReportIdenticalAcrossThreadCounts) {
   };
   config.thresholds = {0.0, 0.95};
 
-  std::string reference_summary;
-  std::string reference_learning;
+  std::string reference;
   for (unsigned threads : kThreadCounts) {
     perf::SetThreadCount(threads);
     std::unique_ptr<core::Database> db = MakeReadingsDatabase();
@@ -214,27 +212,25 @@ TEST_F(DeterminismTest, LearningReportIdenticalAcrossThreadCounts) {
     server_config.admission.max_concurrent = 8;
     server_config.admission.max_queue_depth = 128;
     server::QueryService service(db.get(), server_config);
-    ASSERT_TRUE(service.learning_enabled());
     const workload::TrafficReport report =
         workload::RunTraffic(&service, config);
     EXPECT_GT(report.completed, 0u);
-    const std::string summary = report.Summary();
-    const std::string learning = service.LearningReportText();
+    const obs::FingerprintLedger& ledger = *service.ledger();
+    const std::string reports = ledger.SloReportText() + ledger.SloJson() +
+                                ledger.QualityReportText() +
+                                ledger.QualityReportJson();
     if (threads == 1) {
-      reference_summary = summary;
-      reference_learning = learning;
+      reference = reports;
     } else {
-      EXPECT_EQ(summary, reference_summary) << "threads=" << threads;
-      EXPECT_EQ(learning, reference_learning) << "threads=" << threads;
+      EXPECT_EQ(reports, reference) << "threads=" << threads;
     }
   }
-  EXPECT_FALSE(reference_learning.empty());
-  // Learning actually ran during the measured run — the report is not
-  // trivially identical because it is trivially empty.
-  EXPECT_NE(reference_learning.find("learning feedback store: on"),
-            std::string::npos);
-  EXPECT_NE(reference_learning.find("obs="), std::string::npos)
-      << reference_learning;
+  // The run filled both column groups — the reports are not trivially
+  // identical because they are trivially empty.
+  EXPECT_EQ(reference.find("slo: observed=0 "), std::string::npos)
+      << reference;
+  EXPECT_EQ(reference.find("0 observation(s)"), std::string::npos)
+      << reference;
 }
 
 // The write-path acceptance criterion: mixed read/write traffic — where

@@ -2,8 +2,8 @@
 // seeded run with the flight recorder on: submit-time failures (unknown
 // session, parse error, unknown prepared statement), a planning failure,
 // typed admission rejections, a governor trip, armed plan-cache-lookup,
-// learning-feedback, statistics-read and operator faults, and INSERT,
-// UPDATE and DELETE including a faulted commit that rolls back. Pins, per
+// statistics-read and operator faults, and INSERT, UPDATE and DELETE
+// including a faulted commit that rolls back. Pins, per
 // request, the status, cache hit and row or DML counts, then the retained
 // request traces, the service's and the database's metrics as OpenMetrics
 // and the plan-provenance store. Byte-identical at any RQO_THREADS
@@ -152,8 +152,7 @@ TEST(ServiceRequestsGoldenTest, EveryRequestOutcomeMatchesGolden) {
              QueryRequest::Prepared(main, "ghost"),
              QueryRequest::Spec(main, opt::QuerySpec{}),
              QueryRequest::Prepared(main, "count")});
-  // Two slots and a queue of four: three of seven shed typed, and the
-  // admitted ones feed the learned corrections the strict session reads.
+  // Two slots and a queue of four: three of seven shed typed.
   run.Batch("overload", std::vector<QueryRequest>(
                             7, QueryRequest::Prepared(main, "count")));
   run.Batch("governor", {QueryRequest::Sql(tight, kCountSql),
@@ -161,11 +160,6 @@ TEST(ServiceRequestsGoldenTest, EveryRequestOutcomeMatchesGolden) {
   run.Faulted("plan_cache_lookup_fault", fault::sites::kPlanCacheLookup,
               fault::FaultSpec::Always(),
               {QueryRequest::Prepared(main, "count")});
-  // A new T% misses the cache; its optimizer run consults the learned
-  // correction (a plan-time probe) and REDUCE drops its observation.
-  run.Faulted("learning_feedback_fault", fault::sites::kLearningFeedbackApply,
-              fault::FaultSpec::Always(),
-              {QueryRequest::Prepared(strict, "count")});
   run.Faulted("statistics_read_fault", fault::sites::kSynopsisRead,
               fault::FaultSpec::Always(),
               {QueryRequest::Sql(

@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstdio>
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -354,237 +351,7 @@ TEST(SloMonitorTest, ResetClearsAllScopes) {
   EXPECT_EQ(ledger.global().queue_wait.count(), 0u);
 }
 
-// ---- T% overrides ----
-
-// Records `count` successful executions of `fingerprint`, `regretted` of
-// which realized more cost than the plan promised.
-void FeedExecutions(FingerprintLedger* ledger, uint64_t fingerprint,
-                    int count, int regretted) {
-  for (int i = 0; i < count; ++i) {
-    RequestObservation observation;
-    observation.session_label = "tuner-test";
-    observation.fingerprint = fingerprint;
-    observation.cache_hit = true;
-    observation.estimated_seconds = 1.0;
-    observation.actual_seconds = i < regretted ? 2.0 : 0.5;
-    ledger->Record(observation);
-  }
-}
-
-TEST(TPercentTunerTest, EffectiveThresholdDefaultsToBase) {
-  FingerprintLedger ledger;
-  EXPECT_DOUBLE_EQ(ledger.EffectiveThreshold(42, 0.8), 0.8);
-}
-
-TEST(TPercentTunerTest, ChronicRegretRaisesTheThreshold) {
-  FingerprintLedger ledger;
-  // 32 successes, every one over its promise: regret rate 1.0 against a
-  // (1 - 0.8) = 0.2 budget.
-  FeedExecutions(&ledger, 42, 32, 32);
-  ledger.Retune(0.8);
-  EXPECT_EQ(ledger.overrides(), 1u);
-  EXPECT_EQ(ledger.raised_total(), 1u);
-  EXPECT_DOUBLE_EQ(ledger.EffectiveThreshold(42, 0.8), 0.85);
-  // Still chronically over budget: the next retune raises another step.
-  ledger.Retune(0.8);
-  EXPECT_DOUBLE_EQ(ledger.EffectiveThreshold(42, 0.8), 0.9);
-}
-
-TEST(TPercentTunerTest, RaiseStopsAtMaxThreshold) {
-  FingerprintLedger ledger;
-  FeedExecutions(&ledger, 42, 32, 32);
-  for (int i = 0; i < 20; ++i) ledger.Retune(0.8);
-  EXPECT_LE(ledger.EffectiveThreshold(42, 0.8),
-            FingerprintLedger::kTunerMaxThreshold);
-}
-
-TEST(TPercentTunerTest, CalibratedFingerprintRelaxesBackToBase) {
-  FingerprintLedger ledger;
-  FeedExecutions(&ledger, 42, 32, 32);
-  ledger.Retune(0.8);
-  ledger.Retune(0.8);
-  ASSERT_DOUBLE_EQ(ledger.EffectiveThreshold(42, 0.8), 0.9);
-
-  // A fresh window with zero regret: the override (which survives the SLO
-  // reset) walks back one step per retune and disappears at the base.
-  ledger.ResetSlo();
-  FeedExecutions(&ledger, 42, 32, 0);
-  ledger.Retune(0.8);
-  EXPECT_DOUBLE_EQ(ledger.EffectiveThreshold(42, 0.8), 0.85);
-  ledger.Retune(0.8);
-  EXPECT_DOUBLE_EQ(ledger.EffectiveThreshold(42, 0.8), 0.8);
-  EXPECT_EQ(ledger.overrides(), 0u);
-  EXPECT_EQ(ledger.relaxed_total(), 2u);
-}
-
-TEST(TPercentTunerTest, TooFewObservationsAreLeftAlone) {
-  FingerprintLedger ledger;
-  FeedExecutions(&ledger, 42, 8, 8);  // below kTunerMinObservations = 16
-  ledger.Retune(0.8);
-  EXPECT_EQ(ledger.overrides(), 0u);
-}
-
-TEST(TPercentTunerTest, InBudgetRegretNeverCreatesAnOverride) {
-  FingerprintLedger ledger;
-  // Regret rate 2/32 = 0.0625, well inside the 0.2 budget.
-  FeedExecutions(&ledger, 42, 32, 2);
-  ledger.Retune(0.8);
-  EXPECT_EQ(ledger.overrides(), 0u);
-  EXPECT_EQ(ledger.raised_total(), 0u);
-}
-
-TEST(TPercentTunerTest, DisabledTunerPassesBaseThrough) {
-  FingerprintLedger ledger;
-  FeedExecutions(&ledger, 42, 32, 32);
-  ledger.Retune(0.8);
-  ASSERT_GT(ledger.EffectiveThreshold(42, 0.8), 0.8);
-  ledger.set_tuning_enabled(false);
-  EXPECT_DOUBLE_EQ(ledger.EffectiveThreshold(42, 0.8), 0.8);
-  ledger.set_tuning_enabled(true);
-  EXPECT_DOUBLE_EQ(ledger.EffectiveThreshold(42, 0.8), 0.85);
-}
-
-TEST(TPercentTunerTest, ReportJsonAndMetrics) {
-  FingerprintLedger ledger;
-  FeedExecutions(&ledger, 0x2a, 32, 32);
-  ledger.Retune(0.8);
-  const std::string report = ledger.TunerReportText();
-  EXPECT_NE(report.find("1 overrides (1 raises, 0 relaxes)"),
-            std::string::npos);
-  EXPECT_NE(report.find("000000000000002a T=85%"), std::string::npos);
-  const std::string json = ledger.TunerJson();
-  EXPECT_NE(json.find("\"0x000000000000002a\""), std::string::npos);
-
-  MetricsRegistry metrics;
-  ledger.PublishMetrics(&metrics);
-  ledger.PublishMetrics(&metrics);  // idempotent
-  EXPECT_EQ(metrics.GetGauge("optimizer.tpercent.overrides")->value(), 1.0);
-  EXPECT_EQ(metrics.GetCounter("optimizer.tpercent.raised")->value(), 1u);
-}
-
 // ---- The row as a whole ----
-
-// The full-scan definition Retune must reproduce: every fingerprint with
-// an SLO scope, ascending, tuned when it has kTunerMinObservations
-// successes. `fingerprints` is every fingerprint ever recorded.
-class FullScanTuner {
- public:
-  void Retune(const FingerprintLedger& ledger,
-              const std::set<uint64_t>& fingerprints, double base) {
-    for (uint64_t fingerprint : fingerprints) {
-      const SloScope* scope = ledger.FingerprintScope(fingerprint);
-      if (scope == nullptr) continue;
-      const uint64_t successes = scope->observed - scope->failed;
-      if (successes < FingerprintLedger::kTunerMinObservations) continue;
-      auto it = overrides_.find(fingerprint);
-      const double current =
-          it == overrides_.end() ? base : std::max(base, it->second);
-      const double regret_rate = static_cast<double>(scope->regret_positive) /
-                                 static_cast<double>(successes);
-      const double budget = 1.0 - current;
-      if (regret_rate > budget + FingerprintLedger::kTunerSlack) {
-        const double raised =
-            std::min(FingerprintLedger::kTunerMaxThreshold,
-                     current + FingerprintLedger::kTunerStep);
-        if (raised > current) {
-          overrides_[fingerprint] = raised;
-          ++raised_;
-        }
-      } else if (regret_rate + FingerprintLedger::kTunerSlack < budget &&
-                 it != overrides_.end()) {
-        const double relaxed = it->second - FingerprintLedger::kTunerStep;
-        if (relaxed <= base) {
-          overrides_.erase(it);
-        } else {
-          it->second = relaxed;
-        }
-        ++relaxed_;
-      }
-    }
-  }
-
-  std::string Json() const {
-    std::string out = "{\"enabled\":true,\"raised\":" +
-                      std::to_string(raised_) +
-                      ",\"relaxed\":" + std::to_string(relaxed_) +
-                      ",\"overrides\":[";
-    bool first = true;
-    for (const auto& [fingerprint, threshold] : overrides_) {
-      char entry[96];
-      std::snprintf(entry, sizeof(entry),
-                    "%s{\"fingerprint\":\"0x%016llx\",\"threshold\":%.9g}",
-                    first ? "" : ",",
-                    static_cast<unsigned long long>(fingerprint), threshold);
-      out += entry;
-      first = false;
-    }
-    return out + "]}";
-  }
-
- private:
-  std::map<uint64_t, double> overrides_;
-  uint64_t raised_ = 0;
-  uint64_t relaxed_ = 0;
-};
-
-// Random traffic over many fingerprints, most of them below the
-// kTunerMinObservations bar, with SLO resets and statistics-rebuild
-// (quality) resets mixed in. Retunes are frequent, so fingerprints cross
-// the bar just before one. After every Retune the ledger equals the
-// full-scan reference. An override at 95% or more never relaxes (its
-// budget is at most the slack), so SLO resets come often enough that hot
-// fingerprints also relax from lower overrides.
-TEST(FingerprintLedgerTest, RetuneMatchesFullScanReference) {
-  Rng rng(2026);
-  FingerprintLedger ledger;
-  std::set<uint64_t> fed;
-  FullScanTuner reference;
-  int retunes = 0;
-  int slo_resets = 0;
-  for (int step = 0; step < 40000; ++step) {
-    const double roll = rng.NextDouble();
-    if (roll < 0.005) {
-      ledger.ResetSlo();
-      fed.clear();
-      ++slo_resets;
-    } else if (roll < 0.0055) {
-      ledger.ResetQuality();
-    } else if (roll < 0.02) {
-      const double base = rng.NextBernoulli(0.8) ? 0.8 : 0.6;
-      ledger.Retune(base);
-      reference.Retune(ledger, fed, base);
-      ASSERT_EQ(ledger.TunerJson(), reference.Json()) << "step " << step;
-      ++retunes;
-    } else {
-      // Hot fingerprints, a warm tier that crosses the bar at different
-      // times, and a long tail that never does.
-      const double tier = rng.NextDouble();
-      const uint64_t fingerprint =
-          tier < 0.3   ? 1000 + rng.NextBounded(8)
-          : tier < 0.7 ? 100 + rng.NextBounded(150)
-                       : 10000 + rng.NextBounded(3000);
-      RequestObservation observation;
-      observation.session_label = "property";
-      observation.fingerprint = fingerprint;
-      observation.failed = rng.NextBernoulli(0.1);
-      observation.cache_hit = true;
-      observation.estimated_seconds = 1.0;
-      // Half the fingerprints regret chronically and the other half never
-      // do, with the halves swapping after each SLO reset, so overrides
-      // both raise and relax.
-      const bool chronic = (fingerprint + slo_resets) % 2 == 0;
-      observation.actual_seconds =
-          rng.NextBernoulli(chronic ? 0.6 : 0.0) ? 2.0 : 0.5;
-      const QualityObservation quality = Obs(100.0, 100.0, 0.8);
-      ledger.Record(observation, observation.failed ? nullptr : &quality);
-      fed.insert(fingerprint);
-    }
-  }
-  EXPECT_GT(retunes, 500);
-  EXPECT_GT(slo_resets, 50);
-  EXPECT_GT(ledger.raised_total(), 5u);
-  EXPECT_GT(ledger.relaxed_total(), 5u);
-}
 
 TEST(FingerprintLedgerTest, OneRecordFillsEveryColumnOfOneRow) {
   FingerprintLedger ledger;
@@ -610,8 +377,6 @@ TEST(FingerprintLedgerTest, ResetsKeepTheirSplit) {
   request.tables = {"t"};
   const QualityObservation quality = Obs(100.0, 50.0, 0.8);
   for (int i = 0; i < 32; ++i) ledger.Record(request, &quality);
-  ledger.Retune(0.8);
-  ASSERT_EQ(ledger.overrides(), 1u);
 
   // A statistics rebuild clears only the quality columns.
   ledger.ResetQuality();
@@ -619,17 +384,13 @@ TEST(FingerprintLedgerTest, ResetsKeepTheirSplit) {
   EXPECT_TRUE(ledger.Snapshot().empty());
   ASSERT_NE(ledger.FingerprintScope(0xF00Du), nullptr);
   EXPECT_EQ(ledger.FingerprintScope(0xF00Du)->observed, 32u);
-  EXPECT_DOUBLE_EQ(ledger.EffectiveThreshold(0xF00Du, 0.8), 0.85);
   EXPECT_EQ(ledger.Tables(0xF00Du), std::set<std::string>{"t"});
 
-  // An SLO reset clears only the SLO scopes (and with them eligibility).
+  // An SLO reset clears only the SLO scopes.
   ledger.Record(request, &quality);
   ledger.ResetSlo();
   EXPECT_EQ(ledger.FingerprintScope(0xF00Du), nullptr);
   EXPECT_EQ(ledger.observation_count(), 1u);
-  EXPECT_DOUBLE_EQ(ledger.EffectiveThreshold(0xF00Du, 0.8), 0.85);
-  ledger.Retune(0.8);
-  EXPECT_EQ(ledger.raised_total(), 1u);
   EXPECT_EQ(ledger.Tables(0xF00Du), std::set<std::string>{"t"});
 }
 
@@ -642,7 +403,6 @@ TEST(FingerprintLedgerTest, RowTextShowsEveryColumn) {
   request.tables = {"orders", "lineitem"};
   const QualityObservation quality = Obs(100.0, 50.0, 0.8);
   for (int i = 0; i < 32; ++i) ledger.Record(request, &quality);
-  ledger.Retune(0.8);
   PlanProvenanceRecord plan;
   plan.fingerprint = 0xF00Du;
   plan.plan_label = "Seq(orders)";
@@ -655,7 +415,6 @@ TEST(FingerprintLedgerTest, RowTextShowsEveryColumn) {
   EXPECT_NE(text.find("regret_positive=32"), std::string::npos);
   EXPECT_NE(text.find("0x000000000000f00d     32 "), std::string::npos)
       << text;
-  EXPECT_NE(text.find("  t%: override T=85%\n"), std::string::npos);
   EXPECT_NE(text.find(WinnerLine(plan)), std::string::npos);
 
   ledger.ResetQuality();

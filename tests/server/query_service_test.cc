@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/database.h"
@@ -233,11 +234,12 @@ TEST(QueryServiceTest, PublishMetricsExportsTheServerFamily) {
       static_cast<double>(db->statistics()->epoch()));
 }
 
-// Regression: a request's fault_fires must accumulate across all three
-// phases — a degraded plan-cache lookup (PLAN), injector fires during
-// execution (EXECUTE), and a dropped feedback observation (REDUCE) — not
-// overwrite each other. The retained trace's counter must also agree with
-// the "fault"/"fired" events actually recorded on the request's tracer.
+// Regression: a request's fault_fires must accumulate across phases — a
+// degraded plan-cache lookup (PLAN) plus injector fires during execution
+// (EXECUTE) for a read, and every failed commit attempt before the retry
+// that succeeds (REDUCE) for a write — not overwrite each other. Each
+// retained trace's counter must also agree with the "fault"/"fired"
+// events actually recorded on the request's tracer.
 TEST(QueryServiceTest, FaultFiresAccumulateAcrossPlanExecuteAndReduce) {
   std::unique_ptr<core::Database> db = MakeDatabase();
   db->fault_injector()->Arm(fault::sites::kPlanCacheLookup,
@@ -245,37 +247,57 @@ TEST(QueryServiceTest, FaultFiresAccumulateAcrossPlanExecuteAndReduce) {
   fault::FaultSpec stall = fault::FaultSpec::Always();
   stall.stall_seconds = 0.001;
   db->fault_injector()->Arm(fault::sites::kClockStall, stall);
-  db->fault_injector()->Arm(fault::sites::kLearningFeedbackApply,
-                            fault::FaultSpec::Always());
+  db->fault_injector()->Arm(fault::sites::kWriteCommit,
+                            fault::FaultSpec::FirstN(2));
 
   ServerConfig config;
   config.flight_recorder.enabled = true;
   QueryService service(db.get(), config);
   const SessionId session = service.OpenSession();
-  const QueryResponse response = service.ExecuteSql(session, kCountSql);
-  ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+  const std::vector<QueryResponse> responses = service.ExecuteBatch(
+      {QueryRequest::Sql(session, kCountSql),
+       QueryRequest::Sql(session, "INSERT INTO readings VALUES (9001, 7)")});
+  ASSERT_EQ(responses.size(), 2u);
+  for (const QueryResponse& response : responses) {
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+  }
+  ASSERT_TRUE(responses[1].dml.has_value());
+  EXPECT_EQ(responses[1].dml->retry.attempts, 3);
 
   const auto traces = service.flight_recorder()->Snapshot();
-  ASSERT_FALSE(traces.empty());
-  const obs::RequestTrace* trace = traces.front();
-  uint64_t fired_events = 0;
-  bool plan_site = false;
-  bool reduce_site = false;
-  for (const obs::TraceEvent& event : trace->events) {
-    if (event.category != "fault" || event.name != "fired") continue;
-    ++fired_events;
-    for (const auto& [key, value] : event.attrs) {
-      if (key != "site") continue;
-      plan_site |= value == fault::sites::kPlanCacheLookup;
-      reduce_site |= value == fault::sites::kLearningFeedbackApply;
-    }
+  const obs::RequestTrace* read = nullptr;
+  const obs::RequestTrace* write = nullptr;
+  for (const obs::RequestTrace* trace : traces) {
+    if (trace->request_id == responses[0].request_id) read = trace;
+    if (trace->request_id == responses[1].request_id) write = trace;
   }
-  // One PLAN fire + at least one EXECUTE fire + one REDUCE fire, all kept.
-  EXPECT_GE(trace->fault_fires, 3u);
-  EXPECT_EQ(trace->fault_fires, fired_events);
-  EXPECT_TRUE(plan_site);
-  EXPECT_TRUE(reduce_site);
-  EXPECT_EQ(trace->cache_outcome, "degraded_fault");
+  ASSERT_NE(read, nullptr);
+  ASSERT_NE(write, nullptr);
+  const auto fired = [](const obs::RequestTrace& trace, const char* site) {
+    uint64_t total = 0;
+    uint64_t at_site = 0;
+    for (const obs::TraceEvent& event : trace.events) {
+      if (event.category != "fault" || event.name != "fired") continue;
+      ++total;
+      for (const auto& [key, value] : event.attrs) {
+        if (key == "site" && value == site) ++at_site;
+      }
+    }
+    return std::make_pair(total, at_site);
+  };
+  // One PLAN fire + at least one EXECUTE fire, both kept.
+  const auto [read_events, plan_fires] =
+      fired(*read, fault::sites::kPlanCacheLookup);
+  EXPECT_GE(read->fault_fires, 2u);
+  EXPECT_EQ(read->fault_fires, read_events);
+  EXPECT_EQ(plan_fires, 1u);
+  EXPECT_EQ(read->cache_outcome, "degraded_fault");
+  // Both failed commit attempts of the REDUCE phase, kept.
+  const auto [write_events, commit_fires] =
+      fired(*write, fault::sites::kWriteCommit);
+  EXPECT_EQ(commit_fires, 2u);
+  EXPECT_GE(write->fault_fires, 2u);
+  EXPECT_EQ(write->fault_fires, write_events);
 }
 
 }  // namespace
