@@ -95,7 +95,9 @@ Result<storage::Schema> AggOutputSchema(
   return storage::Schema(std::move(defs));
 }
 
-// Column index for each aggregate's input (SIZE_MAX for COUNT(*)).
+// Column index for each aggregate's input (SIZE_MAX for COUNT, which reads
+// no values). Aggregates other than COUNT need a numeric column; a string
+// one fails here, once, rather than inside the accumulate loop.
 Result<std::vector<size_t>> AggInputColumns(const storage::Schema& input,
                                             const std::vector<AggSpec>& aggs) {
   std::vector<size_t> cols;
@@ -107,34 +109,62 @@ Result<std::vector<size_t>> AggInputColumns(const storage::Schema& input,
     }
     auto idx = input.ColumnIndex(agg.column);
     if (!idx.ok()) return idx.status();
+    if (agg.kind == AggKind::kCount) {
+      cols.push_back(SIZE_MAX);
+      continue;
+    }
+    if (input.column(idx.value()).type == DataType::kString) {
+      return Status::InvalidArgument(
+          StrPrintf("%s(%s) needs a numeric column", AggKindName(agg.kind),
+                    agg.column.c_str()));
+    }
     cols.push_back(idx.value());
   }
   return cols;
 }
 
 // Folds every row of `input` into its group's aggregate states, one
-// aggregate column at a time: row `rid` belongs to group `group_of(rid)`,
-// whose states are states[group * aggs, (group + 1) * aggs). Each group
-// sees its rows in RID order, so sums match a row-at-a-time loop bit for
-// bit.
+// aggregate column at a time: row i belongs to group `group_of(i)`, whose
+// states are states[group * aggs, (group + 1) * aggs). Each group sees its
+// rows in row order, so sums match a row-at-a-time loop bit for bit.
 template <typename GroupOf>
-void Accumulate(const Table& input, const std::vector<AggSpec>& aggs,
+void Accumulate(const RowSet& input, const std::vector<AggSpec>& aggs,
                 const std::vector<size_t>& agg_cols, const GroupOf& group_of,
                 AggState* states) {
   const size_t num_aggs = agg_cols.size();
-  const Rid n = input.num_rows();
+  const uint64_t n = input.num_rows();
   for (size_t a = 0; a < num_aggs; ++a) {
     const AggKind kind = aggs[a].kind;
     AggState* column_states = states + a;
-    if (agg_cols[a] == SIZE_MAX) {  // COUNT(*): only the count matters
-      for (Rid rid = 0; rid < n; ++rid) {
-        ++column_states[group_of(rid) * num_aggs].count;
+    if (agg_cols[a] == SIZE_MAX) {  // COUNT: only the count matters
+      for (uint64_t i = 0; i < n; ++i) {
+        ++column_states[group_of(i) * num_aggs].count;
       }
       continue;
     }
-    const storage::ColumnVector& col = input.column(agg_cols[a]);
-    for (Rid rid = 0; rid < n; ++rid) {
-      column_states[group_of(rid) * num_aggs].Update(kind, col.NumericAt(rid));
+    const auto fold = [&](const auto& value_at) {
+      for (uint64_t i = 0; i < n; ++i) {
+        column_states[group_of(i) * num_aggs].Update(kind, value_at(i));
+      }
+    };
+    // AggInputColumns admitted only numeric columns: read the typed array.
+    const ColumnView view = input.column(agg_cols[a]);
+    const storage::ColumnVector& col = *view.column;
+    const Rid* rids = view.rids;
+    if (view.type() == DataType::kDouble) {
+      if (rids == nullptr) {
+        fold([&col](uint64_t i) { return col.DoubleAt(i); });
+      } else {
+        fold([&col, rids](uint64_t i) { return col.DoubleAt(rids[i]); });
+      }
+    } else if (rids == nullptr) {
+      fold([&col](uint64_t i) {
+        return static_cast<double>(col.Int64At(i));
+      });
+    } else {
+      fold([&col, rids](uint64_t i) {
+        return static_cast<double>(col.Int64At(rids[i]));
+      });
     }
   }
 }
@@ -223,17 +253,16 @@ FilterOp::FilterOp(OperatorPtr child, expr::ExprPtr predicate)
   RQO_CHECK(predicate_ != nullptr);
 }
 
-Result<Table> FilterOp::Execute(ExecContext* ctx) const {
-  RQO_ASSIGN_OR_RETURN(const Table input, child_->Run(ctx));
+Result<RowSet> FilterOp::Execute(ExecContext* ctx) const {
+  RQO_ASSIGN_OR_RETURN(const RowSet input, RunChild(*child_, ctx));
   ctx->meter.ChargeCpuTuples(ctx->cost_model, input.num_rows());
-  Table out("filter", input.schema());
-  // The input is an operator's output, which is never versioned, so every
-  // row is visible at every snapshot.
-  const std::vector<Rid> rids =
-      SelectRows(input, predicate_.get(), storage::kLatestSnapshot);
+  // The predicate runs over the gathered input: an operator-built table,
+  // never versioned, so every row is visible at every snapshot.
+  std::vector<Rid> rows = SelectRows(input.Materialize(), predicate_.get(),
+                                     storage::kLatestSnapshot);
   RQO_RETURN_NOT_OK(
-      ctx->TickRows(rids.size(), ApproximateRowBytes(out.schema())));
-  out.AppendGather(input, rids, AllColumns(input.schema()));
+      ctx->TickRows(rows.size(), ApproximateRowBytes(input.schema())));
+  RowSet out = input.Take("filter", std::move(rows));
   ctx->meter.ChargeOutputTuples(ctx->cost_model, out.num_rows());
   return out;
 }
@@ -251,14 +280,13 @@ std::vector<const PhysicalOperator*> FilterOp::children() const {
 LimitOp::LimitOp(OperatorPtr child, uint64_t limit)
     : child_(std::move(child)), limit_(limit) {}
 
-Result<Table> LimitOp::Execute(ExecContext* ctx) const {
-  RQO_ASSIGN_OR_RETURN(const Table input, child_->Run(ctx));
-  Table out("limit", input.schema());
-  std::vector<Rid> rids(std::min(input.num_rows(), limit_));
-  std::iota(rids.begin(), rids.end(), Rid{0});
+Result<RowSet> LimitOp::Execute(ExecContext* ctx) const {
+  RQO_ASSIGN_OR_RETURN(const RowSet input, RunChild(*child_, ctx));
+  std::vector<Rid> rows(std::min(input.num_rows(), limit_));
+  std::iota(rows.begin(), rows.end(), Rid{0});
   RQO_RETURN_NOT_OK(
-      ctx->TickRows(rids.size(), ApproximateRowBytes(out.schema())));
-  out.AppendGather(input, rids, AllColumns(input.schema()));
+      ctx->TickRows(rows.size(), ApproximateRowBytes(input.schema())));
+  RowSet out = input.Take("limit", std::move(rows));
   ctx->meter.ChargeOutputTuples(ctx->cost_model, out.num_rows());
   return out;
 }
@@ -276,18 +304,19 @@ std::vector<const PhysicalOperator*> LimitOp::children() const {
 ProjectOp::ProjectOp(OperatorPtr child, std::vector<std::string> columns)
     : child_(std::move(child)), columns_(std::move(columns)) {}
 
-Result<Table> ProjectOp::Execute(ExecContext* ctx) const {
-  RQO_ASSIGN_OR_RETURN(const Table input, child_->Run(ctx));
+Result<RowSet> ProjectOp::Execute(ExecContext* ctx) const {
+  RQO_ASSIGN_OR_RETURN(const RowSet input, RunChild(*child_, ctx));
   RQO_ASSIGN_OR_RETURN(storage::Schema schema,
                        ProjectSchema(input.schema(), columns_));
-  Table out("project", std::move(schema));
   RQO_ASSIGN_OR_RETURN(const std::vector<size_t> col_idx,
                        ResolveColumns(input.schema(), columns_));
-  std::vector<Rid> rids(input.num_rows());
-  std::iota(rids.begin(), rids.end(), Rid{0});
-  RQO_RETURN_NOT_OK(
-      ctx->TickRows(rids.size(), ApproximateRowBytes(out.schema())));
-  out.AppendGather(input, rids, col_idx);
+  const uint64_t n = input.num_rows();
+  RQO_RETURN_NOT_OK(ctx->TickRows(n, ApproximateRowBytes(schema)));
+  std::vector<std::pair<size_t, size_t>> sources;
+  sources.reserve(col_idx.size());
+  for (size_t c : col_idx) sources.emplace_back(0, c);
+  RowSet out = RowSet::Combine("project", std::move(schema), n,
+                               {{&input, nullptr}}, sources);
   ctx->meter.ChargeOutputTuples(ctx->cost_model, out.num_rows());
   return out;
 }
@@ -308,14 +337,14 @@ ScalarAggregateOp::ScalarAggregateOp(OperatorPtr child,
   RQO_CHECK(!aggs_.empty());
 }
 
-Result<Table> ScalarAggregateOp::Execute(ExecContext* ctx) const {
-  RQO_ASSIGN_OR_RETURN(const Table input, child_->Run(ctx));
+Result<RowSet> ScalarAggregateOp::Execute(ExecContext* ctx) const {
+  RQO_ASSIGN_OR_RETURN(const RowSet input, RunChild(*child_, ctx));
   ctx->aggregate_input_rows = input.num_rows();
   ctx->meter.ChargeCpuTuples(ctx->cost_model, input.num_rows());
   RQO_ASSIGN_OR_RETURN(const std::vector<size_t> agg_cols,
                        AggInputColumns(input.schema(), aggs_));
   std::vector<AggState> states(aggs_.size());
-  Accumulate(input, aggs_, agg_cols, [](Rid) { return size_t{0}; },
+  Accumulate(input, aggs_, agg_cols, [](uint64_t) { return size_t{0}; },
              states.data());
   RQO_RETURN_NOT_OK(ctx->CheckPoint());
   RQO_ASSIGN_OR_RETURN(storage::Schema schema,
@@ -325,7 +354,7 @@ Result<Table> ScalarAggregateOp::Execute(ExecContext* ctx) const {
   out.FinalizeBulkLoad();
   RQO_RETURN_NOT_OK(ctx->Tick(1, ApproximateRowBytes(out.schema())));
   ctx->meter.ChargeOutputTuples(ctx->cost_model, 1);
-  return out;
+  return RowSet::Own(std::move(out));
 }
 
 std::string ScalarAggregateOp::Describe() const {
@@ -347,8 +376,8 @@ GroupByAggregateOp::GroupByAggregateOp(OperatorPtr child,
   RQO_CHECK(!group_columns_.empty());
 }
 
-Result<Table> GroupByAggregateOp::Execute(ExecContext* ctx) const {
-  RQO_ASSIGN_OR_RETURN(const Table input, child_->Run(ctx));
+Result<RowSet> GroupByAggregateOp::Execute(ExecContext* ctx) const {
+  RQO_ASSIGN_OR_RETURN(const RowSet input, RunChild(*child_, ctx));
   ctx->aggregate_input_rows = input.num_rows();
   ctx->meter.ChargeCpuTuples(ctx->cost_model, input.num_rows());
   RQO_ASSIGN_OR_RETURN(const std::vector<size_t> group_idx,
@@ -370,21 +399,22 @@ Result<Table> GroupByAggregateOp::Execute(ExecContext* ctx) const {
   const size_t k = group_idx.size();
   const size_t num_aggs = aggs_.size();
   const uint64_t group_bytes = (k + num_aggs * 4 + 4) * sizeof(int64_t);
-  std::vector<const storage::ColumnVector*> key_cols;
+  std::vector<ColumnView> key_cols;
   key_cols.reserve(k);
-  for (size_t g : group_idx) key_cols.push_back(&input.column(g));
+  for (size_t g : group_idx) key_cols.push_back(input.column(g));
+  const uint64_t n = input.num_rows();
   GroupTable table(k);
-  std::vector<size_t> group_of(input.num_rows());
+  std::vector<size_t> group_of(n);
   std::vector<int64_t> key(k);  // reused probe buffer
-  for (Rid rid = 0; rid < input.num_rows(); ++rid) {
-    for (size_t g = 0; g < k; ++g) key[g] = key_cols[g]->Int64At(rid);
+  for (uint64_t i = 0; i < n; ++i) {
+    for (size_t g = 0; g < k; ++g) key[g] = key_cols[g].Int64At(i);
     const auto [group, inserted] = table.FindOrInsert(key.data());
     if (inserted) RQO_RETURN_NOT_OK(workspace.Grow(group_bytes));
-    group_of[rid] = group;
+    group_of[i] = group;
   }
   std::vector<AggState> states(table.size() * num_aggs);
   Accumulate(input, aggs_, agg_cols,
-             [&group_of](Rid rid) { return group_of[rid]; }, states.data());
+             [&group_of](uint64_t i) { return group_of[i]; }, states.data());
   RQO_RETURN_NOT_OK(ctx->CheckPoint());
 
   // Output in ascending key order: one sort of the distinct keys.
@@ -410,7 +440,7 @@ Result<Table> GroupByAggregateOp::Execute(ExecContext* ctx) const {
   }
   out.FinalizeBulkLoad();
   ctx->meter.ChargeOutputTuples(ctx->cost_model, out.num_rows());
-  return out;
+  return RowSet::Own(std::move(out));
 }
 
 std::string GroupByAggregateOp::Describe() const {

@@ -17,25 +17,28 @@ namespace exec {
 class FilterOp final : public PhysicalOperator {
  public:
   FilterOp(OperatorPtr child, expr::ExprPtr predicate);
-  Result<storage::Table> Execute(ExecContext* ctx) const override;
   std::string Describe() const override;
   std::vector<const PhysicalOperator*> children() const override;
 
  private:
+  Result<RowSet> Execute(ExecContext* ctx) const override;
+
   OperatorPtr child_;
   expr::ExprPtr predicate_;
 };
 
-/// Emits at most the first `limit` rows of the child's output (SQL LIMIT;
-/// children are materialized, so this truncates rather than short-circuits).
+/// Emits at most the first `limit` rows of the child's output (SQL LIMIT).
+/// The child runs to completion first, so this truncates its row selection
+/// rather than short-circuiting it.
 class LimitOp final : public PhysicalOperator {
  public:
   LimitOp(OperatorPtr child, uint64_t limit);
-  Result<storage::Table> Execute(ExecContext* ctx) const override;
   std::string Describe() const override;
   std::vector<const PhysicalOperator*> children() const override;
 
  private:
+  Result<RowSet> Execute(ExecContext* ctx) const override;
+
   OperatorPtr child_;
   uint64_t limit_;
 };
@@ -44,11 +47,12 @@ class LimitOp final : public PhysicalOperator {
 class ProjectOp final : public PhysicalOperator {
  public:
   ProjectOp(OperatorPtr child, std::vector<std::string> columns);
-  Result<storage::Table> Execute(ExecContext* ctx) const override;
   std::string Describe() const override;
   std::vector<const PhysicalOperator*> children() const override;
 
  private:
+  Result<RowSet> Execute(ExecContext* ctx) const override;
+
   OperatorPtr child_;
   std::vector<std::string> columns_;
 };
@@ -68,11 +72,12 @@ struct AggSpec {
 class ScalarAggregateOp final : public PhysicalOperator {
  public:
   ScalarAggregateOp(OperatorPtr child, std::vector<AggSpec> aggs);
-  Result<storage::Table> Execute(ExecContext* ctx) const override;
   std::string Describe() const override;
   std::vector<const PhysicalOperator*> children() const override;
 
  private:
+  Result<RowSet> Execute(ExecContext* ctx) const override;
+
   OperatorPtr child_;
   std::vector<AggSpec> aggs_;
 };
@@ -82,11 +87,12 @@ class GroupByAggregateOp final : public PhysicalOperator {
  public:
   GroupByAggregateOp(OperatorPtr child, std::vector<std::string> group_columns,
                      std::vector<AggSpec> aggs);
-  Result<storage::Table> Execute(ExecContext* ctx) const override;
   std::string Describe() const override;
   std::vector<const PhysicalOperator*> children() const override;
 
  private:
+  Result<RowSet> Execute(ExecContext* ctx) const override;
+
   OperatorPtr child_;
   std::vector<std::string> group_columns_;
   std::vector<AggSpec> aggs_;

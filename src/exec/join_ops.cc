@@ -15,48 +15,56 @@ using storage::Table;
 
 namespace {
 
-// Merge order of `rows` on the integer key in column `idx`: empty when the
-// rows already arrive sorted, else a stable sort permutation, charged like
-// a SortOp. UPDATE appends new versions out of clustering order, and a
-// cached merge-join plan can outlive the write (the plan cache is keyed on
-// the statistics epoch, not the data epoch), so the operator checks its
-// inputs instead of trusting the plan.
-Result<std::vector<Rid>> MergeOrder(const Table& rows, size_t idx,
+// Probe rows (hash join) or matched pairs (merge join) per governor
+// charge. Neither join moves the meter inside its loop, so one TickRows
+// per batch has the outcome of one per probe row or equal-key run.
+constexpr uint64_t kTickBatch = 1024;
+
+// The integer join key `key` of `rows`; kInvalidArgument when the column
+// is not integer-physical.
+Result<ColumnView> JoinKey(const RowSet& rows, const std::string& key) {
+  RQO_ASSIGN_OR_RETURN(const size_t idx, rows.schema().ColumnIndex(key));
+  const ColumnView view = rows.column(idx);
+  if (!storage::IsIntegerPhysical(view.type())) {
+    return Status::InvalidArgument("join key " + key +
+                                   " must be integer-physical");
+  }
+  return view;
+}
+
+// Merge order of `keys`: empty when they already arrive sorted, else a
+// stable sort permutation, charged like a SortOp. UPDATE appends new
+// versions out of clustering order, and a cached merge-join plan can
+// outlive the write (the plan cache is keyed on the statistics epoch, not
+// the data epoch), so the operator checks its inputs instead of trusting
+// the plan.
+Result<std::vector<Rid>> MergeOrder(const std::vector<int64_t>& keys,
                                     ExecContext* ctx,
                                     fault::MemoryReservation* workspace) {
-  const storage::ColumnVector& keys = rows.column(idx);
-  RQO_CHECK_MSG(storage::IsIntegerPhysical(keys.type()),
-                "join keys must be integer-physical");
-  const Rid n = rows.num_rows();
-  Rid sorted_prefix = 1;
-  while (sorted_prefix < n &&
-         keys.Int64At(sorted_prefix - 1) <= keys.Int64At(sorted_prefix)) {
-    ++sorted_prefix;
-  }
-  if (sorted_prefix >= n) return std::vector<Rid>{};
+  if (std::is_sorted(keys.begin(), keys.end())) return std::vector<Rid>{};
+  const Rid n = keys.size();
   ctx->meter.ChargeSortWork(ctx->cost_model, n);
   RQO_RETURN_NOT_OK(workspace->Grow(n * sizeof(Rid)));
   std::vector<Rid> order(n);
   std::iota(order.begin(), order.end(), Rid{0});
-  std::stable_sort(order.begin(), order.end(), [&keys](Rid a, Rid b) {
-    return keys.Int64At(a) < keys.Int64At(b);
-  });
+  std::stable_sort(order.begin(), order.end(),
+                   [&keys](Rid a, Rid b) { return keys[a] < keys[b]; });
   RQO_RETURN_NOT_OK(ctx->CheckPoint());
   return order;
 }
 
 // Output plumbing for binary joins: maps each requested output column to
-// (which input, column index there).
+// (which input, column index there), as RowSet::Combine reads it.
 struct JoinOutput {
   storage::Schema schema;
-  std::vector<std::pair<int, size_t>> sources;  // {0=left/build, 1=right}
+  std::vector<std::pair<size_t, size_t>> sources;  // {0=left/build, 1=right}
 
   static Result<JoinOutput> Plan(const storage::Schema& left,
                                  const storage::Schema& right,
                                  const std::vector<std::string>& requested) {
     JoinOutput out;
     std::vector<storage::ColumnDef> defs;
-    auto add = [&](const storage::Schema& schema, int side, size_t i) {
+    auto add = [&](const storage::Schema& schema, size_t side, size_t i) {
       defs.push_back(schema.column(i));
       out.sources.emplace_back(side, i);
     };
@@ -79,24 +87,23 @@ struct JoinOutput {
     return out;
   }
 
-  // Gathers the joined rows (lrids[i], rrids[i]) into `dest`, one output
-  // column at a time.
-  void Gather(const Table& left, const std::vector<Rid>& lrids,
-              const Table& right, const std::vector<Rid>& rrids,
-              Table* dest) const {
-    for (size_t j = 0; j < sources.size(); ++j) {
-      const auto& [side, idx] = sources[j];
-      dest->mutable_column(j)->AppendGather(
-          side == 0 ? left.column(idx) : right.column(idx),
-          side == 0 ? lrids : rrids);
-    }
-    dest->FinalizeBulkLoad();
+  // The joined rows (left row left_rows[i] beside right row
+  // right_rows[i]), composed with each input's slices.
+  RowSet Join(std::string name, const RowSet& left,
+              std::vector<Rid> left_rows, const RowSet& right,
+              std::vector<Rid> right_rows) const {
+    const uint64_t n = left_rows.size();
+    return RowSet::Combine(
+        std::move(name), schema, n,
+        {{&left, std::make_shared<const std::vector<Rid>>(
+                     std::move(left_rows))},
+         {&right, std::make_shared<const std::vector<Rid>>(
+                      std::move(right_rows))}},
+        sources);
   }
 };
 
-// Matched (left rid, right rid) pairs in emit order. The joins charge the
-// governor one TickRows per run of pairs (a probe row's matches, an
-// equal-key run's cross product, an outer row's index matches).
+// Matched (left row, right row) pairs in emit order.
 struct JoinPairs {
   std::vector<Rid> left;
   std::vector<Rid> right;
@@ -108,38 +115,30 @@ struct JoinPairs {
   size_t size() const { return left.size(); }
 };
 
-// Integer key column `idx` of `table` (join keys are integer-physical).
-const storage::ColumnVector& KeyColumn(const Table& table, size_t idx) {
-  const storage::ColumnVector& col = table.column(idx);
-  RQO_CHECK_MSG(storage::IsIntegerPhysical(col.type()),
-                "join keys must be integer-physical");
-  return col;
-}
-
-// Build side of the hash join: a chained hash table over the build RIDs
-// (bucket heads plus one next link per RID). RIDs are inserted in
-// ascending order and prepended to their chain, so Probe visits each
-// key's matches in descending build-RID order.
+// Build side of the hash join: a chained hash table over the build rows
+// (bucket heads plus one next link per row). Rows are inserted in
+// ascending order and prepended to their chain, so Probe visits each key's
+// matches in descending build-row order.
 class JoinHashTable {
  public:
-  explicit JoinHashTable(const storage::ColumnVector& keys)
-      : keys_(keys), next_(keys.size(), kNone) {
+  explicit JoinHashTable(std::vector<int64_t> keys)
+      : keys_(std::move(keys)), next_(keys_.size(), kNone) {
     size_t buckets = 16;
-    while (buckets < keys.size() * 2) buckets <<= 1;
+    while (buckets < keys_.size() * 2) buckets <<= 1;
     heads_.assign(buckets, kNone);
     shift_ = 64 - static_cast<int>(std::countr_zero(buckets));
-    for (Rid rid = 0; rid < keys.size(); ++rid) {
-      Rid& head = heads_[Bucket(keys_.Int64At(rid))];
+    for (Rid rid = 0; rid < keys_.size(); ++rid) {
+      Rid& head = heads_[Bucket(keys_[rid])];
       next_[rid] = head;
       head = rid;
     }
   }
 
-  // Calls `fn(build_rid)` for every build row whose key equals `key`.
+  // Calls `fn(build_row)` for every build row whose key equals `key`.
   template <typename Fn>
   void Probe(int64_t key, const Fn& fn) const {
     for (Rid rid = heads_[Bucket(key)]; rid != kNone; rid = next_[rid]) {
-      if (keys_.Int64At(rid) == key) fn(rid);
+      if (keys_[rid] == key) fn(rid);
     }
   }
 
@@ -152,7 +151,7 @@ class JoinHashTable {
         (static_cast<uint64_t>(key) * 0x9E3779B97F4A7C15ULL) >> shift_);
   }
 
-  const storage::ColumnVector& keys_;
+  std::vector<int64_t> keys_;
   std::vector<Rid> next_;
   std::vector<Rid> heads_;
   int shift_ = 0;
@@ -171,13 +170,13 @@ HashJoinOp::HashJoinOp(OperatorPtr build, OperatorPtr probe,
       probe_key_(std::move(probe_key)),
       output_columns_(std::move(output_columns)) {}
 
-Result<Table> HashJoinOp::Execute(ExecContext* ctx) const {
-  RQO_ASSIGN_OR_RETURN(const Table build_rows, build_->Run(ctx));
-  RQO_ASSIGN_OR_RETURN(const Table probe_rows, probe_->Run(ctx));
-  RQO_ASSIGN_OR_RETURN(const size_t build_key_idx,
-                       build_rows.schema().ColumnIndex(build_key_));
-  RQO_ASSIGN_OR_RETURN(const size_t probe_key_idx,
-                       probe_rows.schema().ColumnIndex(probe_key_));
+Result<RowSet> HashJoinOp::Execute(ExecContext* ctx) const {
+  RQO_ASSIGN_OR_RETURN(const RowSet build_rows, RunChild(*build_, ctx));
+  RQO_ASSIGN_OR_RETURN(const RowSet probe_rows, RunChild(*probe_, ctx));
+  RQO_ASSIGN_OR_RETURN(const ColumnView build_keys,
+                       JoinKey(build_rows, build_key_));
+  RQO_ASSIGN_OR_RETURN(const ColumnView probe_keys,
+                       JoinKey(probe_rows, probe_key_));
 
   ctx->meter.ChargeHashJoin(ctx->cost_model, build_rows.num_rows(),
                             probe_rows.num_rows());
@@ -185,7 +184,8 @@ Result<Table> HashJoinOp::Execute(ExecContext* ctx) const {
   // Hash-table workspace: key + rid + bucket overhead per build entry.
   fault::MemoryReservation workspace(ctx->governor);
   RQO_RETURN_NOT_OK(workspace.Grow(build_rows.num_rows() * 24));
-  const JoinHashTable hash_table(KeyColumn(build_rows, build_key_idx));
+  const JoinHashTable hash_table(
+      build_keys.Int64Values(build_rows.num_rows()));
   RQO_RETURN_NOT_OK(ctx->CheckPoint());
 
   RQO_ASSIGN_OR_RETURN(
@@ -193,17 +193,19 @@ Result<Table> HashJoinOp::Execute(ExecContext* ctx) const {
       JoinOutput::Plan(build_rows.schema(), probe_rows.schema(),
                        output_columns_));
   const uint64_t row_bytes = ApproximateRowBytes(plan.schema);
-  const storage::ColumnVector& probe_keys =
-      KeyColumn(probe_rows, probe_key_idx);
   JoinPairs pairs;
-  for (Rid prid = 0; prid < probe_rows.num_rows(); ++prid) {
+  const Rid probe_n = probe_rows.num_rows();
+  for (Rid start = 0; start < probe_n; start += kTickBatch) {
     const size_t before = pairs.size();
-    hash_table.Probe(probe_keys.Int64At(prid),
-                     [&](Rid b) { pairs.Add(b, prid); });
+    const Rid end = std::min(probe_n, start + kTickBatch);
+    for (Rid prid = start; prid < end; ++prid) {
+      hash_table.Probe(probe_keys.Int64At(prid),
+                       [&](Rid b) { pairs.Add(b, prid); });
+    }
     RQO_RETURN_NOT_OK(ctx->TickRows(pairs.size() - before, row_bytes));
   }
-  Table out("hashjoin", plan.schema);
-  plan.Gather(build_rows, pairs.left, probe_rows, pairs.right, &out);
+  RowSet out = plan.Join("hashjoin", build_rows, std::move(pairs.left),
+                         probe_rows, std::move(pairs.right));
   ctx->meter.ChargeOutputTuples(ctx->cost_model, out.num_rows());
   return out;
 }
@@ -228,21 +230,25 @@ MergeJoinOp::MergeJoinOp(OperatorPtr left, OperatorPtr right,
       right_key_(std::move(right_key)),
       output_columns_(std::move(output_columns)) {}
 
-Result<Table> MergeJoinOp::Execute(ExecContext* ctx) const {
-  RQO_ASSIGN_OR_RETURN(const Table left_rows, left_->Run(ctx));
-  RQO_ASSIGN_OR_RETURN(const Table right_rows, right_->Run(ctx));
-  RQO_ASSIGN_OR_RETURN(const size_t lk,
-                       left_rows.schema().ColumnIndex(left_key_));
-  RQO_ASSIGN_OR_RETURN(const size_t rk,
-                       right_rows.schema().ColumnIndex(right_key_));
+Result<RowSet> MergeJoinOp::Execute(ExecContext* ctx) const {
+  RQO_ASSIGN_OR_RETURN(const RowSet left_rows, RunChild(*left_, ctx));
+  RQO_ASSIGN_OR_RETURN(const RowSet right_rows, RunChild(*right_, ctx));
+  RQO_ASSIGN_OR_RETURN(const ColumnView left_keys,
+                       JoinKey(left_rows, left_key_));
+  RQO_ASSIGN_OR_RETURN(const ColumnView right_keys,
+                       JoinKey(right_rows, right_key_));
+  const std::vector<int64_t> lkeys =
+      left_keys.Int64Values(left_rows.num_rows());
+  const std::vector<int64_t> rkeys =
+      right_keys.Int64Values(right_rows.num_rows());
 
   ctx->meter.ChargeCpuTuples(
       ctx->cost_model, left_rows.num_rows() + right_rows.num_rows());
   fault::MemoryReservation workspace(ctx->governor);
   RQO_ASSIGN_OR_RETURN(const std::vector<Rid> left_order,
-                       MergeOrder(left_rows, lk, ctx, &workspace));
+                       MergeOrder(lkeys, ctx, &workspace));
   RQO_ASSIGN_OR_RETURN(const std::vector<Rid> right_order,
-                       MergeOrder(right_rows, rk, ctx, &workspace));
+                       MergeOrder(rkeys, ctx, &workspace));
   auto left_at = [&](Rid i) { return left_order.empty() ? i : left_order[i]; };
   auto right_at = [&](Rid i) {
     return right_order.empty() ? i : right_order[i];
@@ -253,29 +259,31 @@ Result<Table> MergeJoinOp::Execute(ExecContext* ctx) const {
       JoinOutput::Plan(left_rows.schema(), right_rows.schema(),
                        output_columns_));
   const uint64_t row_bytes = ApproximateRowBytes(plan.schema);
-  const storage::ColumnVector& lkeys = KeyColumn(left_rows, lk);
-  const storage::ColumnVector& rkeys = KeyColumn(right_rows, rk);
   JoinPairs pairs;
+  uint64_t unticked = 0;  // pairs not yet charged to the governor
   Rid li = 0;
   Rid ri = 0;
-  const Rid ln = left_rows.num_rows();
-  const Rid rn = right_rows.num_rows();
+  const Rid ln = lkeys.size();
+  const Rid rn = rkeys.size();
   while (li < ln && ri < rn) {
-    const int64_t lkey = lkeys.Int64At(left_at(li));
-    const int64_t rkey = rkeys.Int64At(right_at(ri));
+    const int64_t lkey = lkeys[left_at(li)];
+    const int64_t rkey = rkeys[right_at(ri)];
     if (lkey < rkey) {
       ++li;
     } else if (lkey > rkey) {
       ++ri;
     } else {
-      // Emit the cross product of the two equal-key runs.
+      // Emit the cross product of the two equal-key runs, charging the
+      // pending pairs before a batch grows past kTickBatch.
       Rid lend = li;
-      while (lend < ln && lkeys.Int64At(left_at(lend)) == lkey) ++lend;
+      while (lend < ln && lkeys[left_at(lend)] == lkey) ++lend;
       Rid rend = ri;
-      while (rend < rn && rkeys.Int64At(right_at(rend)) == rkey) ++rend;
-      RQO_RETURN_NOT_OK(
-          ctx->TickRows(static_cast<uint64_t>(lend - li) * (rend - ri),
-                        row_bytes));
+      while (rend < rn && rkeys[right_at(rend)] == rkey) ++rend;
+      unticked += static_cast<uint64_t>(lend - li) * (rend - ri);
+      if (unticked >= kTickBatch) {
+        RQO_RETURN_NOT_OK(ctx->TickRows(unticked, row_bytes));
+        unticked = 0;
+      }
       for (Rid a = li; a < lend; ++a) {
         for (Rid b = ri; b < rend; ++b) pairs.Add(left_at(a), right_at(b));
       }
@@ -283,8 +291,9 @@ Result<Table> MergeJoinOp::Execute(ExecContext* ctx) const {
       ri = rend;
     }
   }
-  Table out("mergejoin", plan.schema);
-  plan.Gather(left_rows, pairs.left, right_rows, pairs.right, &out);
+  RQO_RETURN_NOT_OK(ctx->TickRows(unticked, row_bytes));
+  RowSet out = plan.Join("mergejoin", left_rows, std::move(pairs.left),
+                         right_rows, std::move(pairs.right));
   ctx->meter.ChargeOutputTuples(ctx->cost_model, out.num_rows());
   return out;
 }
@@ -311,27 +320,25 @@ IndexNestedLoopJoinOp::IndexNestedLoopJoinOp(
       inner_residual_(std::move(inner_residual)),
       output_columns_(std::move(output_columns)) {}
 
-Result<Table> IndexNestedLoopJoinOp::Execute(ExecContext* ctx) const {
-  RQO_ASSIGN_OR_RETURN(const Table outer_rows, outer_->Run(ctx));
+Result<RowSet> IndexNestedLoopJoinOp::Execute(ExecContext* ctx) const {
+  RQO_ASSIGN_OR_RETURN(const RowSet outer_rows, RunChild(*outer_, ctx));
   RQO_ASSIGN_OR_RETURN(const Table* inner, LookupTable(*ctx, inner_table_));
   RQO_ASSIGN_OR_RETURN(
       const storage::SortedIndex* index,
       LookupIndex(*ctx, inner_table_, inner_index_column_));
-  RQO_ASSIGN_OR_RETURN(const size_t ok,
-                       outer_rows.schema().ColumnIndex(outer_key_));
+  RQO_ASSIGN_OR_RETURN(const ColumnView outer_keys,
+                       JoinKey(outer_rows, outer_key_));
 
   RQO_ASSIGN_OR_RETURN(
       const JoinOutput plan,
       JoinOutput::Plan(outer_rows.schema(), inner->schema(),
                        output_columns_));
   const uint64_t row_bytes = ApproximateRowBytes(plan.schema);
-  const storage::ColumnVector& outer_keys = KeyColumn(outer_rows, ok);
   JoinPairs pairs;
   for (Rid orid = 0; orid < outer_rows.num_rows(); ++orid) {
-    const int64_t key = outer_keys.Int64At(orid);
     uint64_t entries = 0;
-    std::vector<Rid> matches =
-        index->EqualLookup(static_cast<double>(key), &entries);
+    std::vector<Rid> matches = index->EqualLookup(
+        static_cast<double>(outer_keys.Int64At(orid)), &entries);
     ctx->meter.ChargeIndexProbe(ctx->cost_model, entries);
     ctx->meter.ChargeRandomIo(ctx->cost_model, matches.size());
     const size_t before = pairs.size();
@@ -344,10 +351,14 @@ Result<Table> IndexNestedLoopJoinOp::Execute(ExecContext* ctx) const {
         pairs.Add(orid, irid);
       }
     }
+    // The meter moved above, so this charge stays per outer row.
     RQO_RETURN_NOT_OK(ctx->TickRows(pairs.size() - before, row_bytes));
   }
-  Table out("inlj", plan.schema);
-  plan.Gather(outer_rows, pairs.left, *inner, pairs.right, &out);
+  const RowSet inner_rows = RowSet::Identity(
+      inner_table_, inner->schema(), inner, AllColumns(inner->schema()),
+      inner->num_rows());
+  RowSet out = plan.Join("inlj", outer_rows, std::move(pairs.left),
+                         inner_rows, std::move(pairs.right));
   ctx->meter.ChargeOutputTuples(ctx->cost_model, out.num_rows());
   return out;
 }

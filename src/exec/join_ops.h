@@ -25,11 +25,12 @@ class HashJoinOp final : public PhysicalOperator {
              std::string probe_key,
              std::vector<std::string> output_columns = {});
 
-  Result<storage::Table> Execute(ExecContext* ctx) const override;
   std::string Describe() const override;
   std::vector<const PhysicalOperator*> children() const override;
 
  private:
+  Result<RowSet> Execute(ExecContext* ctx) const override;
+
   OperatorPtr build_;
   OperatorPtr probe_;
   std::string build_key_;
@@ -47,11 +48,12 @@ class MergeJoinOp final : public PhysicalOperator {
               std::string right_key,
               std::vector<std::string> output_columns = {});
 
-  Result<storage::Table> Execute(ExecContext* ctx) const override;
   std::string Describe() const override;
   std::vector<const PhysicalOperator*> children() const override;
 
  private:
+  Result<RowSet> Execute(ExecContext* ctx) const override;
+
   OperatorPtr left_;
   OperatorPtr right_;
   std::string left_key_;
@@ -70,11 +72,12 @@ class IndexNestedLoopJoinOp final : public PhysicalOperator {
                         expr::ExprPtr inner_residual = nullptr,
                         std::vector<std::string> output_columns = {});
 
-  Result<storage::Table> Execute(ExecContext* ctx) const override;
   std::string Describe() const override;
   std::vector<const PhysicalOperator*> children() const override;
 
  private:
+  Result<RowSet> Execute(ExecContext* ctx) const override;
+
   OperatorPtr outer_;
   std::string outer_key_;
   std::string inner_table_;

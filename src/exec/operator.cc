@@ -62,7 +62,7 @@ Status ExecContext::TickRows(uint64_t rows, uint64_t row_bytes) {
   return Tick(1, row_bytes);  // the row that trips a budget
 }
 
-Result<storage::Table> PhysicalOperator::Run(ExecContext* ctx) const {
+Result<RowSet> PhysicalOperator::RunRows(ExecContext* ctx) const {
   // Fault sites every operator passes through: workspace allocation (fails
   // with the site's typed code) and a clock stall (charges simulated
   // seconds, which the governor's time budget then sees).
@@ -82,7 +82,7 @@ Result<storage::Table> PhysicalOperator::Run(ExecContext* ctx) const {
     if (ctx->tracer != nullptr) {
       span = ctx->tracer->BeginSpan("exec", Describe());
     }
-    Result<storage::Table> out = Execute(ctx);
+    Result<RowSet> out = Execute(ctx);
     const double cost = ctx->meter.total_seconds() - cost_before;
     if (ctx->tracer != nullptr) {
       obs::TraceAttrs attrs = {{"cost_seconds", obs::AttrF(cost)}};
@@ -105,6 +105,11 @@ Result<storage::Table> PhysicalOperator::Run(ExecContext* ctx) const {
     return out;
   }
   return Execute(ctx);
+}
+
+Result<storage::Table> PhysicalOperator::Run(ExecContext* ctx) const {
+  RQO_ASSIGN_OR_RETURN(const RowSet rows, RunRows(ctx));
+  return rows.Materialize();
 }
 
 std::string PhysicalOperator::TreeString(int indent) const {
@@ -160,11 +165,10 @@ std::vector<storage::Rid> SelectRows(const storage::Table& table,
   return rids;
 }
 
-Status FetchRows(ExecContext* ctx, const storage::Table& source,
-                 const std::vector<storage::Rid>& rids,
-                 const expr::Expr* residual,
-                 const std::vector<size_t>& columns, storage::Table* out) {
-  const uint64_t row_bytes = ApproximateRowBytes(out->schema());
+Result<std::vector<storage::Rid>> FetchRows(
+    ExecContext* ctx, const storage::Table& source,
+    const std::vector<storage::Rid>& rids, const expr::Expr* residual,
+    uint64_t row_bytes) {
   std::vector<storage::Rid> kept;
   kept.reserve(rids.size());
   for (storage::Rid rid : rids) {
@@ -174,8 +178,7 @@ Status FetchRows(ExecContext* ctx, const storage::Table& source,
     }
   }
   RQO_RETURN_NOT_OK(ctx->TickRows(kept.size(), row_bytes));
-  out->AppendGather(source, kept, columns);
-  return Status::OK();
+  return kept;
 }
 
 std::vector<size_t> AllColumns(const storage::Schema& schema) {
@@ -194,13 +197,6 @@ Result<std::vector<size_t>> ResolveColumns(
     out.push_back(idx.value());
   }
   return out;
-}
-
-storage::Schema ConcatSchemas(const storage::Schema& a,
-                              const storage::Schema& b) {
-  std::vector<storage::ColumnDef> defs = a.columns();
-  defs.insert(defs.end(), b.columns().begin(), b.columns().end());
-  return storage::Schema(std::move(defs));
 }
 
 Result<const storage::Table*> LookupTable(const ExecContext& ctx,

@@ -2,18 +2,21 @@
 //
 // Physical-operator base. Operators execute for real — they compute the
 // correct relational result — while charging the cost meter for every unit
-// of simulated work. Results are materialized tables (fine at experiment
-// scale, and it keeps operator semantics trivially auditable in tests),
-// built column-at-a-time: an operator first selects its output as RID lists
-// (predicates through perf::BatchEvaluateMask, joins as matched RID pairs),
-// then gathers each output column once with ColumnVector::AppendGather.
-// Output rows, their order and meter charges are those of a row-at-a-time
-// loop over the same inputs. Governor accounting is charged per run of
-// rows (ExecContext::TickRows) with the observable outcome of one
+// of simulated work. Operators hand each other RowSets (exec/row_set.h):
+// row-id selections over the tables the values live in, not gathered
+// tables. A scan's output is its RID selection over the catalog table
+// (predicates through perf::BatchEvaluateMask); a join composes its
+// inputs' selections with its matched RID pairs; aggregates read their
+// inputs through the selections. Values are gathered once, column at a
+// time, when Run() materializes the plan's result. Output rows, their order
+// and meter charges are those of a row-at-a-time loop over the same inputs.
+// Governor accounting charges the modelled bytes of each output row
+// (ApproximateRowBytes), not actual allocation, per run of rows
+// (ExecContext::TickRows) with the observable outcome of one
 // Tick(1, row_bytes) per row: a budget trips at the same row with the same
 // status, and rows_charged, peak memory and checkpoint positions agree.
 //
-// Execution is fallible by design: Execute() returns Result<Table> and
+// Execution is fallible by design: Run() returns Result<Table> and
 // operators cooperate with the per-query governor (memory/row/time budgets,
 // cancellation) and the fault injector inside their loops, so a tripped
 // budget or injected fault surfaces as a typed Status — never a crash.
@@ -26,6 +29,7 @@
 #include <vector>
 
 #include "exec/cost_model.h"
+#include "exec/row_set.h"
 #include "expr/expression.h"
 #include "fault/fault_injector.h"
 #include "fault/governor.h"
@@ -54,8 +58,8 @@ struct ExecContext {
   obs::Tracer* tracer = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
   /// Per-query resource governor (borrowed, nullable = unlimited).
-  /// Operators account materialized rows/bytes and poll cancellation and
-  /// the simulated-time budget through Tick()/CheckPoint().
+  /// Operators account their output rows and modelled bytes and poll
+  /// cancellation and the simulated-time budget through Tick()/CheckPoint().
   fault::QueryGovernor* governor = nullptr;
   /// Fault injector (borrowed, nullable = no faults). Run() probes the
   /// operator-alloc and clock-stall sites.
@@ -69,12 +73,12 @@ struct ExecContext {
   /// Cooperative checkpoint: cancellation plus the simulated-time budget.
   Status CheckPoint();
 
-  /// Accounts `rows` materialized rows and `bytes` materialized bytes
-  /// against the governor, checkpointing every few hundred rows so a
-  /// runaway loop is caught promptly without paying per-row overhead.
+  /// Accounts `rows` output rows and `bytes` modelled bytes against the
+  /// governor, checkpointing every few hundred rows so a runaway loop is
+  /// caught promptly without paying per-row overhead.
   Status Tick(uint64_t rows, uint64_t bytes);
 
-  /// Accounts a run of `rows` materialized rows of `row_bytes` each with
+  /// Accounts a run of `rows` output rows of `row_bytes` each with
   /// the outcome of Tick(1, row_bytes) per row: the same trip row, status,
   /// rows_charged, memory and peak, trip counters and checkpoint position.
   /// The rows that fit the budgets are charged in one step, with at most
@@ -91,17 +95,10 @@ class PhysicalOperator {
  public:
   virtual ~PhysicalOperator() = default;
 
-  /// Runs the operator (and its subtree), returning the materialized
-  /// result and charging `ctx->meter`. Fails with a typed Status on
-  /// malformed plans (kNotFound/kInvalidArgument), governor trips
+  /// Runs the operator (and its subtree) and gathers its rows into one
+  /// table, charging `ctx->meter`. Fails with a typed Status on malformed
+  /// plans (kNotFound/kInvalidArgument), governor trips
   /// (kResourceExhausted/kCancelled) or injected faults.
-  virtual Result<storage::Table> Execute(ExecContext* ctx) const = 0;
-
-  /// Instrumented entry point: Execute() wrapped in an "exec" trace span
-  /// recording actual output rows and the simulated cost charged by the
-  /// subtree. All internal operator-to-child calls (and Database) go
-  /// through Run so the span tree mirrors the plan tree; with no sink
-  /// attached this is exactly Execute() plus the fault-site probes.
   Result<storage::Table> Run(ExecContext* ctx) const;
 
   /// One-line description ("HashJoin(l_orderkey = o_orderkey)").
@@ -121,7 +118,26 @@ class PhysicalOperator {
     planner_estimated_rows_ = rows;
   }
 
+ protected:
+  /// The operator's own work: its output rows, as a RowSet.
+  virtual Result<RowSet> Execute(ExecContext* ctx) const = 0;
+
+  /// Runs `child`'s subtree for its parent, unmaterialized. Every
+  /// operator-to-child call goes through it; the RowSet borrows catalog
+  /// tables, so it stays inside the operator tree and Run() is the only
+  /// public way out.
+  static Result<RowSet> RunChild(const PhysicalOperator& child,
+                                 ExecContext* ctx) {
+    return child.RunRows(ctx);
+  }
+
  private:
+  /// Instrumented entry point: Execute() wrapped in an "exec" trace span
+  /// recording actual output rows and the simulated cost charged by the
+  /// subtree, so the span tree mirrors the plan tree; with no sink attached
+  /// this is exactly Execute() plus the fault-site probes.
+  Result<RowSet> RunRows(ExecContext* ctx) const;
+
   double planner_estimated_rows_ = -1.0;
 };
 
@@ -144,15 +160,14 @@ std::vector<storage::Rid> SelectRows(const storage::Table& table,
                                      const expr::Expr* predicate,
                                      uint64_t snapshot);
 
-/// Fetches the RID-addressed `rids` of `source` (index or semijoin
-/// survivors) into `out`: keeps those visible at the snapshot that pass
-/// `residual` (null = all; evaluated per row, since such survivors are
-/// sparse), charges the kept rows to the governor as one run, then
-/// gathers their `columns`.
-Status FetchRows(ExecContext* ctx, const storage::Table& source,
-                 const std::vector<storage::Rid>& rids,
-                 const expr::Expr* residual,
-                 const std::vector<size_t>& columns, storage::Table* out);
+/// Keeps the RID-addressed `rids` of `source` (index or semijoin
+/// survivors) that are visible at the snapshot and pass `residual` (null =
+/// all; evaluated per row, since such survivors are sparse), and charges
+/// them to the governor as one run of `row_bytes` rows.
+Result<std::vector<storage::Rid>> FetchRows(
+    ExecContext* ctx, const storage::Table& source,
+    const std::vector<storage::Rid>& rids, const expr::Expr* residual,
+    uint64_t row_bytes);
 
 /// The identity column list 0..n-1 of `schema`.
 std::vector<size_t> AllColumns(const storage::Schema& schema);
@@ -160,10 +175,6 @@ std::vector<size_t> AllColumns(const storage::Schema& schema);
 /// Resolves column names to indexes in `schema`.
 Result<std::vector<size_t>> ResolveColumns(
     const storage::Schema& schema, const std::vector<std::string>& columns);
-
-/// Concatenation of two schemas (column names must stay unique).
-storage::Schema ConcatSchemas(const storage::Schema& a,
-                              const storage::Schema& b);
 
 /// The catalog table named `table`, or kNotFound.
 Result<const storage::Table*> LookupTable(const ExecContext& ctx,

@@ -35,22 +35,28 @@ SeqScanOp::SeqScanOp(std::string table, expr::ExprPtr predicate,
       predicate_(std::move(predicate)),
       output_columns_(std::move(output_columns)) {}
 
-Result<Table> SeqScanOp::Execute(ExecContext* ctx) const {
+Result<RowSet> SeqScanOp::Execute(ExecContext* ctx) const {
   RQO_ASSIGN_OR_RETURN(const Table* source, LookupTable(*ctx, table_));
   const std::vector<std::string> cols =
       EffectiveColumns(source->schema(), output_columns_);
   RQO_ASSIGN_OR_RETURN(storage::Schema schema,
                        ProjectSchema(source->schema(), cols));
-  Table out(table_ + "$scan", std::move(schema));
   RQO_ASSIGN_OR_RETURN(const std::vector<size_t> col_idx,
                        ResolveColumns(source->schema(), cols));
-  const uint64_t row_bytes = ApproximateRowBytes(out.schema());
+  const uint64_t row_bytes = ApproximateRowBytes(schema);
 
   ctx->meter.ChargeSeqTuples(ctx->cost_model, source->num_rows());
-  const std::vector<Rid> rids =
-      SelectRows(*source, predicate_.get(), ctx->snapshot_epoch);
-  RQO_RETURN_NOT_OK(ctx->TickRows(rids.size(), row_bytes));
-  out.AppendGather(*source, rids, col_idx);
+  // An unfiltered scan of an unversioned table keeps every row: no mask,
+  // no RID list.
+  RowSet out =
+      predicate_ == nullptr && !source->versioned()
+          ? RowSet::Identity(table_ + "$scan", std::move(schema), source,
+                             col_idx, source->num_rows())
+          : RowSet::Select(table_ + "$scan", std::move(schema), source,
+                           col_idx,
+                           SelectRows(*source, predicate_.get(),
+                                      ctx->snapshot_epoch));
+  RQO_RETURN_NOT_OK(ctx->TickRows(out.num_rows(), row_bytes));
   ctx->meter.ChargeOutputTuples(ctx->cost_model, out.num_rows());
   return out;
 }
@@ -71,7 +77,7 @@ IndexRangeScanOp::IndexRangeScanOp(std::string table, IndexRange range,
       residual_(std::move(residual_predicate)),
       output_columns_(std::move(output_columns)) {}
 
-Result<Table> IndexRangeScanOp::Execute(ExecContext* ctx) const {
+Result<RowSet> IndexRangeScanOp::Execute(ExecContext* ctx) const {
   RQO_ASSIGN_OR_RETURN(const Table* source, LookupTable(*ctx, table_));
   RQO_ASSIGN_OR_RETURN(const storage::SortedIndex* index,
                        LookupIndex(*ctx, table_, range_.column));
@@ -85,11 +91,14 @@ Result<Table> IndexRangeScanOp::Execute(ExecContext* ctx) const {
       EffectiveColumns(source->schema(), output_columns_);
   RQO_ASSIGN_OR_RETURN(storage::Schema schema,
                        ProjectSchema(source->schema(), cols));
-  Table out(table_ + "$ixscan", std::move(schema));
   RQO_ASSIGN_OR_RETURN(const std::vector<size_t> col_idx,
                        ResolveColumns(source->schema(), cols));
-  RQO_RETURN_NOT_OK(FetchRows(ctx, *source, rids, residual_.get(), col_idx,
-                              &out));
+  const uint64_t row_bytes = ApproximateRowBytes(schema);
+  RQO_ASSIGN_OR_RETURN(
+      std::vector<Rid> kept,
+      FetchRows(ctx, *source, rids, residual_.get(), row_bytes));
+  RowSet out = RowSet::Select(table_ + "$ixscan", std::move(schema), source,
+                              col_idx, std::move(kept));
   ctx->meter.ChargeOutputTuples(ctx->cost_model, out.num_rows());
   return out;
 }
@@ -112,7 +121,7 @@ IndexIntersectionOp::IndexIntersectionOp(
                 "index intersection needs at least two indexes");
 }
 
-Result<Table> IndexIntersectionOp::Execute(ExecContext* ctx) const {
+Result<RowSet> IndexIntersectionOp::Execute(ExecContext* ctx) const {
   RQO_ASSIGN_OR_RETURN(const Table* source, LookupTable(*ctx, table_));
 
   uint64_t entries_total = 0;
@@ -148,11 +157,14 @@ Result<Table> IndexIntersectionOp::Execute(ExecContext* ctx) const {
       EffectiveColumns(source->schema(), output_columns_);
   RQO_ASSIGN_OR_RETURN(storage::Schema schema,
                        ProjectSchema(source->schema(), cols));
-  Table out(table_ + "$ixintersect", std::move(schema));
   RQO_ASSIGN_OR_RETURN(const std::vector<size_t> col_idx,
                        ResolveColumns(source->schema(), cols));
-  RQO_RETURN_NOT_OK(FetchRows(ctx, *source, survivors, residual_.get(),
-                              col_idx, &out));
+  const uint64_t row_bytes = ApproximateRowBytes(schema);
+  RQO_ASSIGN_OR_RETURN(
+      std::vector<Rid> kept,
+      FetchRows(ctx, *source, survivors, residual_.get(), row_bytes));
+  RowSet out = RowSet::Select(table_ + "$ixintersect", std::move(schema),
+                              source, col_idx, std::move(kept));
   ctx->meter.ChargeOutputTuples(ctx->cost_model, out.num_rows());
   return out;
 }

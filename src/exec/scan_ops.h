@@ -25,10 +25,12 @@ class SeqScanOp final : public PhysicalOperator {
   SeqScanOp(std::string table, expr::ExprPtr predicate,
             std::vector<std::string> output_columns = {});
 
-  Result<storage::Table> Execute(ExecContext* ctx) const override;
   std::string Describe() const override;
 
  private:
+  Result<RowSet> Execute(ExecContext* ctx) const override;
+
+
   std::string table_;
   expr::ExprPtr predicate_;
   std::vector<std::string> output_columns_;
@@ -49,10 +51,12 @@ class IndexRangeScanOp final : public PhysicalOperator {
                    expr::ExprPtr residual_predicate,
                    std::vector<std::string> output_columns = {});
 
-  Result<storage::Table> Execute(ExecContext* ctx) const override;
   std::string Describe() const override;
 
  private:
+  Result<RowSet> Execute(ExecContext* ctx) const override;
+
+
   std::string table_;
   IndexRange range_;
   expr::ExprPtr residual_;
@@ -67,10 +71,12 @@ class IndexIntersectionOp final : public PhysicalOperator {
                       expr::ExprPtr residual_predicate,
                       std::vector<std::string> output_columns = {});
 
-  Result<storage::Table> Execute(ExecContext* ctx) const override;
   std::string Describe() const override;
 
  private:
+  Result<RowSet> Execute(ExecContext* ctx) const override;
+
+
   std::string table_;
   std::vector<IndexRange> ranges_;
   expr::ExprPtr residual_;

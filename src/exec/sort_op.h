@@ -1,8 +1,8 @@
 // Copyright (c) robustqo authors. Licensed under the MIT license.
 //
-// Explicit sort operator: materializes the child's output ordered by one
-// integer-physical column. Enables merge joins on inputs that do not
-// already arrive in clustering order.
+// Explicit sort operator: reorders the child's output by one numeric
+// column. Enables merge joins on inputs that do not already arrive in
+// clustering order.
 
 #ifndef ROBUSTQO_EXEC_SORT_OP_H_
 #define ROBUSTQO_EXEC_SORT_OP_H_
@@ -20,11 +20,12 @@ class SortOp final : public PhysicalOperator {
  public:
   SortOp(OperatorPtr child, std::string column);
 
-  Result<storage::Table> Execute(ExecContext* ctx) const override;
   std::string Describe() const override;
   std::vector<const PhysicalOperator*> children() const override;
 
  private:
+  Result<RowSet> Execute(ExecContext* ctx) const override;
+
   OperatorPtr child_;
   std::string column_;
 };

@@ -22,7 +22,7 @@ StarSemiJoinOp::StarSemiJoinOp(std::string fact_table,
   RQO_CHECK_MSG(!dims_.empty(), "star semijoin needs at least one dimension");
 }
 
-Result<Table> StarSemiJoinOp::Execute(ExecContext* ctx) const {
+Result<RowSet> StarSemiJoinOp::Execute(ExecContext* ctx) const {
   RQO_ASSIGN_OR_RETURN(const Table* fact, LookupTable(*ctx, fact_table_));
 
   // Phase 1: per-dimension semijoin — find qualifying fact RIDs via the FK
@@ -81,11 +81,14 @@ Result<Table> StarSemiJoinOp::Execute(ExecContext* ctx) const {
   }
   RQO_ASSIGN_OR_RETURN(storage::Schema schema,
                        ProjectSchema(fact->schema(), cols));
-  Table out(fact_table_ + "$starsemi", std::move(schema));
   RQO_ASSIGN_OR_RETURN(const std::vector<size_t> col_idx,
                        ResolveColumns(fact->schema(), cols));
-  RQO_RETURN_NOT_OK(FetchRows(ctx, *fact, survivors, fact_predicate_.get(),
-                              col_idx, &out));
+  const uint64_t row_bytes = ApproximateRowBytes(schema);
+  RQO_ASSIGN_OR_RETURN(
+      std::vector<Rid> kept,
+      FetchRows(ctx, *fact, survivors, fact_predicate_.get(), row_bytes));
+  RowSet out = RowSet::Select(fact_table_ + "$starsemi", std::move(schema),
+                              fact, col_idx, std::move(kept));
   ctx->meter.ChargeOutputTuples(ctx->cost_model, out.num_rows());
   return out;
 }

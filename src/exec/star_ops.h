@@ -34,10 +34,12 @@ class StarSemiJoinOp final : public PhysicalOperator {
                  expr::ExprPtr fact_predicate = nullptr,
                  std::vector<std::string> output_columns = {});
 
-  Result<storage::Table> Execute(ExecContext* ctx) const override;
   std::string Describe() const override;
 
  private:
+  Result<RowSet> Execute(ExecContext* ctx) const override;
+
+
   std::string fact_table_;
   std::vector<DimSemiJoin> dims_;
   expr::ExprPtr fact_predicate_;

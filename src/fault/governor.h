@@ -22,9 +22,10 @@ namespace fault {
 
 /// Per-query budgets; 0 (or 0.0) disables the corresponding limit.
 struct GovernorLimits {
-  /// Bytes of operator workspace + materialized intermediate results.
+  /// Bytes of operator workspace + the modelled size of operator outputs
+  /// (intermediates included, whether or not the executor gathers them).
   uint64_t memory_limit_bytes = 0;
-  /// Total rows materialized across all operators (intermediates included).
+  /// Total output rows across all operators (intermediates included).
   uint64_t row_limit = 0;
   /// Simulated execution seconds (the cost meter's clock).
   double time_limit_seconds = 0.0;

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <unordered_map>
 
-#include "util/macros.h"
 
 namespace robustqo {
 namespace stats {
@@ -54,8 +53,9 @@ Result<SampleFrequencyProfile> ProfileSampleColumn(const TableSample& sample,
 
 double EstimateDistinct(const SampleFrequencyProfile& profile,
                         uint64_t population_size, DistinctMethod method) {
-  RQO_CHECK(population_size >= profile.sample_size ||
-            profile.sample_size == 0);
+  // A with-replacement sample may be larger than its population (500 draws
+  // from a 25-row table): n > N is valid, and the clamp below still bounds
+  // the estimate by N.
   const double n = static_cast<double>(profile.sample_size);
   const double big_n = static_cast<double>(population_size);
   const double d = static_cast<double>(profile.distinct_in_sample);
@@ -84,7 +84,7 @@ double EstimateDistinct(const SampleFrequencyProfile& profile,
       break;
     }
   }
-  return std::clamp(estimate, d, big_n);
+  return std::min(std::max(estimate, d), big_n);
 }
 
 }  // namespace stats

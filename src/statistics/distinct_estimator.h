@@ -56,8 +56,9 @@ Result<SampleFrequencyProfile> ProfileSampleColumn(const TableSample& sample,
                                                    const std::string& column);
 
 /// Estimates the number of distinct values in a population of
-/// `population_size` rows given a profile of an n-row uniform sample.
-/// The result is clamped to [distinct_in_sample, population_size].
+/// `population_size` rows given a profile of an n-row uniform sample,
+/// which may exceed the population when drawn with replacement. The result
+/// is clamped to [distinct_in_sample, population_size].
 double EstimateDistinct(const SampleFrequencyProfile& profile,
                         uint64_t population_size,
                         DistinctMethod method = DistinctMethod::kGee);

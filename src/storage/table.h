@@ -25,7 +25,6 @@
 
 #include "storage/schema.h"
 #include "storage/value.h"
-#include "util/macros.h"
 #include "util/status.h"
 
 namespace robustqo {
@@ -54,15 +53,6 @@ class ColumnVector {
   int64_t Int64At(Rid rid) const { return ints_[rid]; }
   double DoubleAt(Rid rid) const { return doubles_[rid]; }
   const std::string& StringAt(Rid rid) const { return strings_[rid]; }
-
-  /// Numeric view: int64/date widened to double; aborts for strings
-  /// (matches Value::NumericValue).
-  double NumericAt(Rid rid) const {
-    RQO_CHECK_MSG(type_ != DataType::kString,
-                  "numeric read of a string column");
-    return type_ == DataType::kDouble ? doubles_[rid]
-                                      : static_cast<double>(ints_[rid]);
-  }
 
   /// Boxed accessor.
   Value ValueAt(Rid rid) const;

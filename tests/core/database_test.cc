@@ -97,6 +97,36 @@ TEST_F(DatabaseTest, BothEstimatorsComputeSameAnswer) {
               robust.value().rows.ValueAt(0, 0).AsDouble(), 1e-6);
 }
 
+// nation has 25 rows, fewer than the 500-row with-replacement sample the
+// distinct-value estimate for its group-by profiles: the estimate must
+// accept a sample larger than its population.
+TEST_F(DatabaseTest, GroupByOverTableSmallerThanItsSample) {
+  auto result = db_->ExecuteSql(
+      "SELECT COUNT(*) AS n FROM nation GROUP BY n_regionkey",
+      EstimatorKind::kRobustSample);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const storage::Table& rows = result.value().rows;
+  ASSERT_EQ(rows.num_rows(), 5u);
+  int64_t total = 0;
+  for (storage::Rid r = 0; r < rows.num_rows(); ++r) {
+    EXPECT_EQ(rows.ValueAt(r, 0).AsInt64(), static_cast<int64_t>(r));
+    total += rows.ValueAt(r, 1).AsInt64();
+  }
+  EXPECT_EQ(total, 25);
+}
+
+// Aggregates other than COUNT over a string column fail with a typed
+// status instead of aborting in the accumulate loop.
+TEST_F(DatabaseTest, NumericAggregateOverStringColumnFailsCleanly) {
+  for (const char* sql : {"SELECT SUM(c_name) AS s FROM customer",
+                          "SELECT MIN(c_name) AS s FROM customer"}) {
+    auto result = db_->ExecuteSql(sql, EstimatorKind::kRobustSample);
+    ASSERT_FALSE(result.ok()) << sql;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << sql;
+    EXPECT_NE(result.status().message().find("c_name"), std::string::npos);
+  }
+}
+
 TEST_F(DatabaseTest, StatisticsPersistenceRoundTripThroughFacade) {
   namespace fs = std::filesystem;
   const fs::path dir =

@@ -182,12 +182,12 @@ TEST_P(BatchExecEquivalence, SeqScanAndFilterMatchScalarSelection) {
       const std::vector<Rid> expected = ScalarSelect(*pred, snapshot);
       ctx_.snapshot_epoch = snapshot;
 
-      Result<Table> scanned = SeqScanOp("vt", pred).Execute(&ctx_);
+      Result<Table> scanned = SeqScanOp("vt", pred).Run(&ctx_);
       ASSERT_TRUE(scanned.ok());
       ExpectRows(scanned.value(), expected);
 
       FilterOp filter(std::make_unique<SeqScanOp>("vt", nullptr), pred);
-      Result<Table> filtered = filter.Execute(&ctx_);
+      Result<Table> filtered = filter.Run(&ctx_);
       ASSERT_TRUE(filtered.ok());
       ExpectRows(filtered.value(), expected);
     }
@@ -234,7 +234,7 @@ TEST_P(BatchExecEquivalence, GroupByMatchesSequentialPerGroupReference) {
         ctx_.snapshot_epoch = snapshot;
         GroupByAggregateOp group(std::make_unique<SeqScanOp>("vt", pred), keys,
                                  aggs);
-        Result<Table> out = group.Execute(&ctx_);
+        Result<Table> out = group.Run(&ctx_);
         ASSERT_TRUE(out.ok());
         const Table& t = out.value();
         ASSERT_EQ(t.num_rows(), ref.size());

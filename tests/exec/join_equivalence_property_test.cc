@@ -87,7 +87,7 @@ class JoinEquivalence : public ::testing::TestWithParam<Param> {
   Table Run(PhysicalOperator* op) {
     ExecContext ctx;
     ctx.catalog = &catalog_;
-    return op->Execute(&ctx).value();
+    return op->Run(&ctx).value();
   }
 
   Catalog catalog_;

@@ -86,21 +86,21 @@ class JoinOpsTest : public ::testing::Test {
 
 TEST_F(JoinOpsTest, HashJoinMatchesBruteForce) {
   HashJoinOp join(ScanOrders(3), ScanItems(), "o_id", "i_oid");
-  Table out = join.Execute(&ctx_).value();
+  Table out = join.Run(&ctx_).value();
   EXPECT_EQ(out.num_rows(), BruteForceJoinSize(3));
   EXPECT_EQ(out.schema().num_columns(), 5u);
 }
 
 TEST_F(JoinOpsTest, HashJoinNoFilterIsFullJoin) {
   HashJoinOp join(ScanOrders(0), ScanItems(), "o_id", "i_oid");
-  Table out = join.Execute(&ctx_).value();
+  Table out = join.Run(&ctx_).value();
   EXPECT_EQ(out.num_rows(), catalog_.GetTable("items")->num_rows());
 }
 
 TEST_F(JoinOpsTest, HashJoinProjection) {
   HashJoinOp join(ScanOrders(0), ScanItems(), "o_id", "i_oid",
                   {"i_id", "o_attr"});
-  Table out = join.Execute(&ctx_).value();
+  Table out = join.Run(&ctx_).value();
   EXPECT_EQ(out.schema().num_columns(), 2u);
   EXPECT_TRUE(out.schema().HasColumn("i_id"));
   EXPECT_TRUE(out.schema().HasColumn("o_attr"));
@@ -108,7 +108,7 @@ TEST_F(JoinOpsTest, HashJoinProjection) {
 
 TEST_F(JoinOpsTest, HashJoinJoinedValuesConsistent) {
   HashJoinOp join(ScanOrders(0), ScanItems(), "o_id", "i_oid");
-  Table out = join.Execute(&ctx_).value();
+  Table out = join.Run(&ctx_).value();
   for (Rid r = 0; r < out.num_rows(); ++r) {
     EXPECT_EQ(out.column("o_id").Int64At(r),
               out.column("i_oid").Int64At(r));
@@ -119,7 +119,7 @@ TEST_F(JoinOpsTest, HashJoinJoinedValuesConsistent) {
 
 TEST_F(JoinOpsTest, HashJoinChargesBuildAndProbe) {
   HashJoinOp join(ScanOrders(0), ScanItems(), "o_id", "i_oid");
-  join.Execute(&ctx_).value();
+  join.Run(&ctx_).value();
   // Seq scans charge their own tuples; hash charges cpu for build+probe.
   const uint64_t items = catalog_.GetTable("items")->num_rows();
   EXPECT_EQ(ctx_.meter.cpu_tuples(), 100u + items);
@@ -135,7 +135,7 @@ TEST_F(JoinOpsTest, HashJoinRowBudgetTripsOnRowLimitPlusOne) {
   fault::QueryGovernor governor(limits);
   ctx_.governor = &governor;
   HashJoinOp join(ScanOrders(0), ScanItems(), "o_id", "i_oid");
-  Result<Table> out = join.Execute(&ctx_);
+  Result<Table> out = join.Run(&ctx_);
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(governor.rows_charged(), limits.row_limit + 1);
@@ -146,7 +146,7 @@ TEST_F(JoinOpsTest, HashJoinChargesOneTickPerRowOfEveryOperator) {
   fault::QueryGovernor governor;
   ctx_.governor = &governor;
   HashJoinOp join(ScanOrders(0), ScanItems(), "o_id", "i_oid");
-  Table out = join.Execute(&ctx_).value();
+  Table out = join.Run(&ctx_).value();
   ASSERT_EQ(out.num_rows(), items);
   EXPECT_EQ(governor.rows_charged(), 100 + items + out.num_rows());
   // 8 bytes per cell: orders rows (2 columns), items rows (3), joined (5).
@@ -157,12 +157,30 @@ TEST_F(JoinOpsTest, HashJoinChargesOneTickPerRowOfEveryOperator) {
   EXPECT_EQ(governor.peak_memory_bytes(), materialized + 100 * 24);
 }
 
+// A non-integer join key fails the join with a typed status (once, before
+// the build) instead of aborting in the key read.
+TEST_F(JoinOpsTest, HashJoinOnDoubleKeyFailsCleanly) {
+  auto prices = std::make_unique<Table>(
+      "prices", Schema({{"p_id", DataType::kInt64},
+                        {"p_price", DataType::kDouble}}));
+  for (int64_t i = 1; i <= 10; ++i) {
+    prices->AppendRow({Value::Int64(i), Value::Double(0.5 * i)});
+  }
+  ASSERT_TRUE(catalog_.AddTable(std::move(prices)).ok());
+  HashJoinOp join(std::make_unique<SeqScanOp>("prices", nullptr), ScanItems(),
+                  "p_price", "i_oid");
+  Result<Table> out = join.Run(&ctx_);
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(out.status().message().find("p_price"), std::string::npos);
+}
+
 // Emit order is part of the contract (downstream SUMs fold in row order):
 // probe rows in order, each followed by its matching build rows in
 // descending build-RID order.
 TEST_F(JoinOpsTest, HashJoinEmitsProbeOrderThenDescendingBuildRids) {
   HashJoinOp join(ScanItems(), ScanOrders(0), "i_oid", "o_id");
-  Table out = join.Execute(&ctx_).value();
+  Table out = join.Run(&ctx_).value();
   const Table* items = catalog_.GetTable("items");
   const Table* orders = catalog_.GetTable("orders");
   std::vector<std::pair<int64_t, int64_t>> expected;  // (o_id, i_id)
@@ -183,12 +201,12 @@ TEST_F(JoinOpsTest, HashJoinEmitsProbeOrderThenDescendingBuildRids) {
 
 TEST_F(JoinOpsTest, MergeJoinMatchesHashJoin) {
   HashJoinOp hash(ScanOrders(2), ScanItems(), "o_id", "i_oid");
-  Table hash_out = hash.Execute(&ctx_).value();
+  Table hash_out = hash.Run(&ctx_).value();
   ExecContext ctx2;
   ctx2.catalog = &catalog_;
   // Both scans emit in clustered (key) order.
   MergeJoinOp merge(ScanOrders(2), ScanItems(), "o_id", "i_oid");
-  Table merge_out = merge.Execute(&ctx2).value();
+  Table merge_out = merge.Run(&ctx2).value();
   EXPECT_EQ(merge_out.num_rows(), hash_out.num_rows());
 }
 
@@ -200,13 +218,13 @@ TEST_F(JoinOpsTest, MergeJoinHandlesDuplicateRuns) {
   ExecContext ctx2;
   ctx2.catalog = &catalog_;
   MergeJoinOp simple(ScanOrders(0), ScanItems(), "o_id", "i_oid");
-  Table out = simple.Execute(&ctx2).value();
+  Table out = simple.Run(&ctx2).value();
   EXPECT_EQ(out.num_rows(), catalog_.GetTable("items")->num_rows());
 }
 
 TEST_F(JoinOpsTest, MergeJoinOutputSortedByKey) {
   MergeJoinOp merge(ScanOrders(0), ScanItems(), "o_id", "i_oid");
-  Table out = merge.Execute(&ctx_).value();
+  Table out = merge.Run(&ctx_).value();
   int64_t prev = -1;
   for (Rid r = 0; r < out.num_rows(); ++r) {
     const int64_t key = out.column("o_id").Int64At(r);
@@ -217,17 +235,17 @@ TEST_F(JoinOpsTest, MergeJoinOutputSortedByKey) {
 
 TEST_F(JoinOpsTest, IndexNestedLoopJoinMatchesHashJoin) {
   HashJoinOp hash(ScanOrders(4), ScanItems(), "o_id", "i_oid");
-  Table expected = hash.Execute(&ctx_).value();
+  Table expected = hash.Run(&ctx_).value();
   ExecContext ctx2;
   ctx2.catalog = &catalog_;
   IndexNestedLoopJoinOp inlj(ScanOrders(4), "o_id", "items", "i_oid");
-  Table out = inlj.Execute(&ctx2).value();
+  Table out = inlj.Run(&ctx2).value();
   EXPECT_EQ(out.num_rows(), expected.num_rows());
 }
 
 TEST_F(JoinOpsTest, InljChargesSeekPerOuterRowAndFetchPerMatch) {
   IndexNestedLoopJoinOp inlj(ScanOrders(0), "o_id", "items", "i_oid");
-  Table out = inlj.Execute(&ctx_).value();
+  Table out = inlj.Run(&ctx_).value();
   EXPECT_EQ(ctx_.meter.index_seeks(), 100u);
   EXPECT_EQ(ctx_.meter.random_ios(), out.num_rows());
 }
@@ -236,7 +254,7 @@ TEST_F(JoinOpsTest, InljAppliesInnerResidual) {
   auto residual = Ge(Col("i_qty"), LitInt(25));
   IndexNestedLoopJoinOp inlj(ScanOrders(0), "o_id", "items", "i_oid",
                              residual);
-  Table out = inlj.Execute(&ctx_).value();
+  Table out = inlj.Run(&ctx_).value();
   const Table* items = catalog_.GetTable("items");
   uint64_t expected = 0;
   for (Rid i = 0; i < items->num_rows(); ++i) {

@@ -54,7 +54,7 @@ class ScanOpsTest : public ::testing::Test {
 
 TEST_F(ScanOpsTest, SeqScanNoPredicateReturnsAllRows) {
   SeqScanOp scan("t", nullptr);
-  Table out = scan.Execute(&ctx_).value();
+  Table out = scan.Run(&ctx_).value();
   EXPECT_EQ(out.num_rows(), 2000u);
   EXPECT_EQ(out.schema().num_columns(), 4u);
   EXPECT_EQ(ctx_.meter.seq_tuples(), 2000u);
@@ -64,7 +64,7 @@ TEST_F(ScanOpsTest, SeqScanNoPredicateReturnsAllRows) {
 TEST_F(ScanOpsTest, SeqScanFiltersAndProjects) {
   auto pred = Ge(Col("a"), LitInt(50));
   SeqScanOp scan("t", pred, {"id", "v"});
-  Table out = scan.Execute(&ctx_).value();
+  Table out = scan.Run(&ctx_).value();
   EXPECT_EQ(out.num_rows(), BruteForceCount(*pred));
   EXPECT_EQ(out.schema().num_columns(), 2u);
   EXPECT_TRUE(out.schema().HasColumn("id"));
@@ -73,7 +73,7 @@ TEST_F(ScanOpsTest, SeqScanFiltersAndProjects) {
 
 TEST_F(ScanOpsTest, SeqScanPreservesRowOrder) {
   SeqScanOp scan("t", Ge(Col("id"), LitInt(1990)), {"id"});
-  Table out = scan.Execute(&ctx_).value();
+  Table out = scan.Run(&ctx_).value();
   ASSERT_EQ(out.num_rows(), 10u);
   for (storage::Rid r = 0; r < 10; ++r) {
     EXPECT_EQ(out.ValueAt(r, 0).AsInt64(), 1990 + static_cast<int64_t>(r));
@@ -83,7 +83,7 @@ TEST_F(ScanOpsTest, SeqScanPreservesRowOrder) {
 TEST_F(ScanOpsTest, IndexRangeScanMatchesBruteForce) {
   auto pred = Between(Col("a"), Value::Int64(10), Value::Int64(19));
   IndexRangeScanOp scan("t", {"a", 10.0, 19.0}, pred);
-  Table out = scan.Execute(&ctx_).value();
+  Table out = scan.Run(&ctx_).value();
   EXPECT_EQ(out.num_rows(), BruteForceCount(*pred));
   // Cost shape: one seek, entries == fetched rows here.
   EXPECT_EQ(ctx_.meter.index_seeks(), 1u);
@@ -97,7 +97,7 @@ TEST_F(ScanOpsTest, IndexRangeScanAppliesResidual) {
   auto full = And({Between(Col("a"), Value::Int64(10), Value::Int64(19)),
                    Ge(Col("b"), LitInt(50))});
   IndexRangeScanOp scan("t", {"a", 10.0, 19.0}, full);
-  Table out = scan.Execute(&ctx_).value();
+  Table out = scan.Run(&ctx_).value();
   EXPECT_EQ(out.num_rows(), BruteForceCount(*full));
   // Fetches cover the whole index range; output is smaller.
   EXPECT_GT(ctx_.meter.random_ios(), out.num_rows());
@@ -106,7 +106,7 @@ TEST_F(ScanOpsTest, IndexRangeScanAppliesResidual) {
 TEST_F(ScanOpsTest, IndexRangeScanOpenBounds) {
   IndexRangeScanOp scan("t", {"a", std::nullopt, 4.0},
                         Between(Col("a"), Value::Int64(0), Value::Int64(4)));
-  Table out = scan.Execute(&ctx_).value();
+  Table out = scan.Run(&ctx_).value();
   EXPECT_EQ(out.num_rows(),
             BruteForceCount(
                 *Between(Col("a"), Value::Int64(0), Value::Int64(4))));
@@ -117,7 +117,7 @@ TEST_F(ScanOpsTest, IndexIntersectionMatchesBruteForce) {
                    Between(Col("b"), Value::Int64(0), Value::Int64(29))});
   IndexIntersectionOp scan(
       "t", {{"a", 0.0, 29.0}, {"b", 0.0, 29.0}}, full);
-  Table out = scan.Execute(&ctx_).value();
+  Table out = scan.Run(&ctx_).value();
   EXPECT_EQ(out.num_rows(), BruteForceCount(*full));
   EXPECT_EQ(ctx_.meter.index_seeks(), 2u);
   // Only the intersection survivors are fetched.
@@ -129,7 +129,7 @@ TEST_F(ScanOpsTest, IndexIntersectionEmptyResult) {
   auto full = And({Between(Col("a"), Value::Int64(0), Value::Int64(0)),
                    Between(Col("b"), Value::Int64(99), Value::Int64(99))});
   IndexIntersectionOp scan("t", {{"a", 0.0, 0.0}, {"b", 99.0, 99.0}}, full);
-  Table out = scan.Execute(&ctx_).value();
+  Table out = scan.Run(&ctx_).value();
   // Could be zero or a few rows; must match brute force exactly.
   EXPECT_EQ(out.num_rows(), BruteForceCount(*full));
 }
@@ -141,7 +141,7 @@ TEST_F(ScanOpsTest, IndexIntersectionThreeIndexes) {
                    Between(Col("id"), Value::Int64(0), Value::Int64(999))});
   IndexIntersectionOp scan(
       "t", {{"a", 0.0, 49.0}, {"b", 0.0, 49.0}, {"id", 0.0, 999.0}}, full);
-  Table out = scan.Execute(&ctx_).value();
+  Table out = scan.Run(&ctx_).value();
   EXPECT_EQ(out.num_rows(), BruteForceCount(*full));
   EXPECT_EQ(ctx_.meter.index_seeks(), 3u);
 }
@@ -166,7 +166,7 @@ TEST_F(ScanOpsTest, SeqScanRowBudgetTripsOnRowLimitPlusOne) {
   ctx_.governor = &governor;
   SeqScanOp scan("t", Ge(Col("a"), LitInt(50)));
   ASSERT_GT(BruteForceCount(*Ge(Col("a"), LitInt(50))), 101u);
-  Result<Table> out = scan.Execute(&ctx_);
+  Result<Table> out = scan.Run(&ctx_);
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(governor.rows_charged(), 101u);
@@ -177,7 +177,7 @@ TEST_F(ScanOpsTest, SeqScanChargesOneTickPerOutputRow) {
   fault::QueryGovernor governor;
   ctx_.governor = &governor;
   SeqScanOp scan("t", Ge(Col("a"), LitInt(50)), {"id", "a"});
-  Table out = scan.Execute(&ctx_).value();
+  Table out = scan.Run(&ctx_).value();
   EXPECT_EQ(out.num_rows(), BruteForceCount(*Ge(Col("a"), LitInt(50))));
   EXPECT_EQ(governor.rows_charged(), out.num_rows());
   // Two projected columns: 16 bytes per row.

@@ -39,7 +39,7 @@ class SortOpTest : public ::testing::Test {
 
 TEST_F(SortOpTest, OutputSortedAndComplete) {
   SortOp sort(std::make_unique<SeqScanOp>("t", nullptr), "k");
-  Table out = sort.Execute(&ctx_).value();
+  Table out = sort.Run(&ctx_).value();
   ASSERT_EQ(out.num_rows(), 500u);
   int64_t prev = INT64_MIN;
   for (Rid r = 0; r < out.num_rows(); ++r) {
@@ -51,7 +51,7 @@ TEST_F(SortOpTest, OutputSortedAndComplete) {
 
 TEST_F(SortOpTest, StableWithinEqualKeys) {
   SortOp sort(std::make_unique<SeqScanOp>("t", nullptr), "k");
-  Table out = sort.Execute(&ctx_).value();
+  Table out = sort.Run(&ctx_).value();
   int64_t prev_k = INT64_MIN;
   int64_t prev_v = INT64_MIN;
   for (Rid r = 0; r < out.num_rows(); ++r) {
@@ -65,7 +65,7 @@ TEST_F(SortOpTest, StableWithinEqualKeys) {
 
 TEST_F(SortOpTest, ChargesSortCostExactly) {
   SortOp sort(std::make_unique<SeqScanOp>("t", nullptr), "k");
-  Table out = sort.Execute(&ctx_).value();
+  Table out = sort.Run(&ctx_).value();
   CostModel m;
   const double expected = SeqScanCost(m, 500, 500) + SortCost(m, 500);
   EXPECT_NEAR(ctx_.meter.total_seconds(), expected, 1e-12);
@@ -82,7 +82,7 @@ TEST_F(SortOpTest, SortFeedsMergeJoin) {
       std::make_unique<SeqScanOp>("t", nullptr,
                                   std::vector<std::string>{"v", "k"}),
       "k", "k", std::vector<std::string>{"v"});
-  const uint64_t expected_rows = hash.Execute(&ctx_hash).value().num_rows();
+  const uint64_t expected_rows = hash.Run(&ctx_hash).value().num_rows();
 
   ExecContext ctx_merge;
   ctx_merge.catalog = &catalog_;
@@ -96,14 +96,14 @@ TEST_F(SortOpTest, SortFeedsMergeJoin) {
                                       std::vector<std::string>{"v", "k"}),
           "k"),
       "k", "k", std::vector<std::string>{"v"});
-  EXPECT_EQ(merge.Execute(&ctx_merge).value().num_rows(), expected_rows);
+  EXPECT_EQ(merge.Run(&ctx_merge).value().num_rows(), expected_rows);
 }
 
 TEST_F(SortOpTest, EmptyInput) {
   auto scan = std::make_unique<SeqScanOp>(
       "t", expr::Eq(expr::Col("k"), expr::LitInt(-1)));
   SortOp sort(std::move(scan), "k");
-  Table out = sort.Execute(&ctx_).value();
+  Table out = sort.Run(&ctx_).value();
   EXPECT_EQ(out.num_rows(), 0u);
 }
 

@@ -63,7 +63,7 @@ class StarOpsTest : public ::testing::Test {
       plan = std::make_unique<HashJoinOp>(std::move(dim_scan),
                                           std::move(plan), pks[d], fks[d]);
     }
-    return plan->Execute(&ctx).value().num_rows();
+    return plan->Run(&ctx).value().num_rows();
   }
 
   Catalog catalog_;
@@ -76,7 +76,7 @@ TEST_F(StarOpsTest, SemiJoinMatchesHashCascade) {
                                         (2 + offset) % 10));
     ExecContext ctx;
     ctx.catalog = &catalog_;
-    Table out = semi.Execute(&ctx).value();
+    Table out = semi.Run(&ctx).value();
     EXPECT_EQ(out.num_rows(),
               HashPlanCount(2, (2 + offset) % 10, (2 + offset) % 10))
         << "offset=" << offset;
@@ -85,14 +85,14 @@ TEST_F(StarOpsTest, SemiJoinMatchesHashCascade) {
 
 TEST_F(StarOpsTest, SemiJoinOutputsFactColumnsOnly) {
   StarSemiJoinOp semi("fact", AllDims(0, 0, 0), nullptr, {"f_id", "f_m1"});
-  Table out = semi.Execute(&ctx_).value();
+  Table out = semi.Run(&ctx_).value();
   EXPECT_EQ(out.schema().num_columns(), 2u);
   EXPECT_TRUE(out.schema().HasColumn("f_m1"));
 }
 
 TEST_F(StarOpsTest, SemiJoinChargesFetchPerSurvivor) {
   StarSemiJoinOp semi("fact", AllDims(0, 0, 0));
-  Table out = semi.Execute(&ctx_).value();
+  Table out = semi.Run(&ctx_).value();
   EXPECT_EQ(ctx_.meter.random_ios(), out.num_rows());
   // One index probe per selected dimension row (10% of 100 rows x 3 dims).
   EXPECT_EQ(ctx_.meter.index_seeks(), 30u);
@@ -108,7 +108,7 @@ TEST_F(StarOpsTest, PartialSemiJoinPlusHash) {
   HashJoinOp hybrid(std::move(dim3), std::move(semi), "d3_id", "f_d3");
   ExecContext ctx;
   ctx.catalog = &catalog_;
-  Table out = hybrid.Execute(&ctx).value();
+  Table out = hybrid.Run(&ctx).value();
   EXPECT_EQ(out.num_rows(), HashPlanCount(1, 1, 1));
 }
 
@@ -117,11 +117,11 @@ TEST_F(StarOpsTest, SemiJoinDisjointGroupsYieldFewRows) {
   StarSemiJoinOp aligned("fact", AllDims(4, 4, 4));
   ExecContext ctx1;
   ctx1.catalog = &catalog_;
-  const uint64_t aligned_rows = aligned.Execute(&ctx1).value().num_rows();
+  const uint64_t aligned_rows = aligned.Run(&ctx1).value().num_rows();
   StarSemiJoinOp misaligned("fact", AllDims(4, 5, 6));
   ExecContext ctx2;
   ctx2.catalog = &catalog_;
-  const uint64_t misaligned_rows = misaligned.Execute(&ctx2).value().num_rows();
+  const uint64_t misaligned_rows = misaligned.Run(&ctx2).value().num_rows();
   EXPECT_GT(aligned_rows, 10 * std::max<uint64_t>(1, misaligned_rows));
 }
 
@@ -155,7 +155,7 @@ TEST_F(AggOpsTest, ScalarAggregates) {
                                  {AggKind::kMin, "x", "mn"},
                                  {AggKind::kMax, "x", "mx"},
                                  {AggKind::kAvg, "w", "aw"}});
-  Table out = agg.Execute(&ctx_).value();
+  Table out = agg.Run(&ctx_).value();
   ASSERT_EQ(out.num_rows(), 1u);
   EXPECT_EQ(out.column("n").Int64At(0), 12);
   EXPECT_EQ(out.column("sx").DoubleAt(0), 0 + 1 + 2 + 3 + 10 + 11 + 12 + 13 +
@@ -170,7 +170,7 @@ TEST_F(AggOpsTest, ScalarAggregateOnEmptyInput) {
       "t", Eq(Col("g"), LitInt(99)));
   ScalarAggregateOp agg(std::move(scan), {{AggKind::kCount, "", "n"},
                                           {AggKind::kSum, "x", "s"}});
-  Table out = agg.Execute(&ctx_).value();
+  Table out = agg.Run(&ctx_).value();
   ASSERT_EQ(out.num_rows(), 1u);
   EXPECT_EQ(out.column("n").Int64At(0), 0);
   EXPECT_EQ(out.column("s").DoubleAt(0), 0.0);
@@ -180,7 +180,7 @@ TEST_F(AggOpsTest, GroupByAggregates) {
   GroupByAggregateOp agg(Scan(), {"g"},
                          {{AggKind::kCount, "", "n"},
                           {AggKind::kSum, "x", "sx"}});
-  Table out = agg.Execute(&ctx_).value();
+  Table out = agg.Run(&ctx_).value();
   ASSERT_EQ(out.num_rows(), 3u);
   // Deterministic output order (sorted by group key).
   for (Rid r = 0; r < 3; ++r) {
@@ -193,14 +193,14 @@ TEST_F(AggOpsTest, GroupByAggregates) {
 
 TEST_F(AggOpsTest, FilterOp) {
   FilterOp filter(Scan(), Ge(Col("x"), LitInt(12)));
-  Table out = filter.Execute(&ctx_).value();
+  Table out = filter.Run(&ctx_).value();
   EXPECT_EQ(out.num_rows(), 6u);
   EXPECT_EQ(out.schema().num_columns(), 3u);
 }
 
 TEST_F(AggOpsTest, ProjectOp) {
   ProjectOp project(Scan(), {"w", "g"});
-  Table out = project.Execute(&ctx_).value();
+  Table out = project.Run(&ctx_).value();
   EXPECT_EQ(out.num_rows(), 12u);
   ASSERT_EQ(out.schema().num_columns(), 2u);
   EXPECT_EQ(out.schema().column(0).name, "w");

@@ -73,7 +73,7 @@ TEST_F(FailureInjectionTest, FailingEstimatorStillYieldsCorrectPlan) {
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   exec::ExecContext ctx;
   ctx.catalog = db_->catalog();
-  storage::Table out = plan.value().root->Execute(&ctx).value();
+  storage::Table out = plan.value().root->Run(&ctx).value();
   EXPECT_NEAR(out.ValueAt(0, 0).AsDouble(), expected,
               1e-6 * std::max(1.0, expected));
 }
@@ -88,7 +88,7 @@ TEST_F(FailureInjectionTest, FailingEstimatorOnJoins) {
   ASSERT_TRUE(plan.ok());
   exec::ExecContext ctx;
   ctx.catalog = db_->catalog();
-  storage::Table out = plan.value().root->Execute(&ctx).value();
+  storage::Table out = plan.value().root->Run(&ctx).value();
   EXPECT_NEAR(out.ValueAt(0, 0).AsDouble(), expected,
               1e-6 * std::max(1.0, expected));
 }
@@ -105,7 +105,7 @@ TEST_F(FailureInjectionTest, AdversarialEstimatesNeverBreakCorrectness) {
     ASSERT_TRUE(plan.ok()) << "answer=" << answer;
     exec::ExecContext ctx;
     ctx.catalog = db_->catalog();
-    storage::Table out = plan.value().root->Execute(&ctx).value();
+    storage::Table out = plan.value().root->Run(&ctx).value();
     EXPECT_NEAR(out.ValueAt(0, 0).AsDouble(), expected,
                 1e-6 * std::max(1.0, expected))
         << "answer=" << answer;

@@ -254,7 +254,7 @@ TEST_F(OptimizerTest, PlanExecutesAndAggregates) {
   ASSERT_TRUE(plan.ok());
   exec::ExecContext ctx;
   ctx.catalog = db_->catalog();
-  storage::Table out = plan.value().root->Execute(&ctx).value();
+  storage::Table out = plan.value().root->Run(&ctx).value();
   ASSERT_EQ(out.num_rows(), 1u);
   EXPECT_EQ(out.ValueAt(0, 0).AsInt64(),
             static_cast<int64_t>(
@@ -271,7 +271,7 @@ TEST_F(OptimizerTest, GroupByPlanExecutes) {
   ASSERT_TRUE(plan.ok());
   exec::ExecContext ctx;
   ctx.catalog = db_->catalog();
-  storage::Table out = plan.value().root->Execute(&ctx).value();
+  storage::Table out = plan.value().root->Run(&ctx).value();
   EXPECT_GT(out.num_rows(), 1u);
   EXPECT_TRUE(out.schema().HasColumn("o_custkey"));
 }
@@ -285,7 +285,7 @@ TEST_F(OptimizerTest, SelectColumnsProjectsOutput) {
   ASSERT_TRUE(plan.ok());
   exec::ExecContext ctx;
   ctx.catalog = db_->catalog();
-  storage::Table out = plan.value().root->Execute(&ctx).value();
+  storage::Table out = plan.value().root->Run(&ctx).value();
   EXPECT_EQ(out.schema().num_columns(), 2u);
 }
 
@@ -340,7 +340,7 @@ TEST_F(OptimizerTest, ThreeWayJoinProducesCorrectResult) {
   ASSERT_TRUE(plan.ok());
   exec::ExecContext ctx;
   ctx.catalog = db_->catalog();
-  storage::Table out = plan.value().root->Execute(&ctx).value();
+  storage::Table out = plan.value().root->Run(&ctx).value();
   ASSERT_EQ(out.num_rows(), 1u);
 
   // Reference: count lineitems whose part satisfies the predicate.
@@ -381,7 +381,7 @@ TEST_F(OptimizerTest, JoinPlanResultIndependentOfEstimator) {
       ASSERT_TRUE(plan.ok());
       exec::ExecContext ctx;
       ctx.catalog = db_->catalog();
-      storage::Table out = plan.value().root->Execute(&ctx).value();
+      storage::Table out = plan.value().root->Run(&ctx).value();
       const double answer = out.ValueAt(0, 0).AsDouble();
       if (first) {
         reference = answer;
@@ -441,12 +441,12 @@ TEST_F(OptimizerTest, SortEnabledMergeJoinWhenHashAndInljDisabled) {
   // Execute and verify the answer matches the unrestricted plan's.
   exec::ExecContext ctx;
   ctx.catalog = db_->catalog();
-  storage::Table restricted = plan.value().root->Execute(&ctx).value();
+  storage::Table restricted = plan.value().root->Run(&ctx).value();
   auto free_plan = optimizer.Optimize(query);
   ASSERT_TRUE(free_plan.ok());
   exec::ExecContext ctx2;
   ctx2.catalog = db_->catalog();
-  storage::Table free = free_plan.value().root->Execute(&ctx2).value();
+  storage::Table free = free_plan.value().root->Run(&ctx2).value();
   EXPECT_NEAR(restricted.ValueAt(0, 0).AsDouble(),
               free.ValueAt(0, 0).AsDouble(), 1e-6);
 }
@@ -469,7 +469,7 @@ TEST_F(OptimizerTest, DisablingEverythingButSeqAndMergeStillPlans) {
       << plan.value().label;
   exec::ExecContext ctx;
   ctx.catalog = db_->catalog();
-  storage::Table out = plan.value().root->Execute(&ctx).value();
+  storage::Table out = plan.value().root->Run(&ctx).value();
   EXPECT_EQ(out.ValueAt(0, 0).AsInt64(),
             static_cast<int64_t>(
                 db_->catalog()->GetTable("lineitem")->num_rows()));
@@ -515,7 +515,7 @@ TEST_F(OptimizerTest, FiveTableChainPlansAndExecutes) {
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   exec::ExecContext ctx;
   ctx.catalog = db_->catalog();
-  storage::Table out = plan.value().root->Execute(&ctx).value();
+  storage::Table out = plan.value().root->Run(&ctx).value();
   ASSERT_EQ(out.num_rows(), 1u);
 
   // Reference: walk the chain by hand.
@@ -586,7 +586,7 @@ TEST_F(OptimizerTest, FourDimensionStarEnumeratesSemijoinShapes) {
   // The plan executes and produces one row.
   exec::ExecContext ctx;
   ctx.catalog = star_db.catalog();
-  storage::Table out = plan.value().root->Execute(&ctx).value();
+  storage::Table out = plan.value().root->Run(&ctx).value();
   EXPECT_EQ(out.num_rows(), 1u);
 }
 

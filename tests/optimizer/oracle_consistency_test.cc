@@ -41,7 +41,7 @@ class OracleConsistencyTpch : public ::testing::Test {
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
     exec::ExecContext ctx;
     ctx.catalog = catalog_;
-    storage::Table out = plan.value().root->Execute(&ctx).value();
+    storage::Table out = plan.value().root->Run(&ctx).value();
     EXPECT_LT(RelativeGap(plan.value().estimated_cost,
                           ctx.meter.total_seconds()),
               1e-6)
@@ -103,7 +103,7 @@ TEST_F(OracleConsistencyTpch, SortMergePlansAlsoConsistent) {
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   exec::ExecContext ctx;
   ctx.catalog = catalog_;
-  storage::Table out = plan.value().root->Execute(&ctx).value();
+  storage::Table out = plan.value().root->Run(&ctx).value();
   EXPECT_LT(RelativeGap(plan.value().estimated_cost,
                         ctx.meter.total_seconds()),
             1e-6)
@@ -131,7 +131,7 @@ TEST_F(OracleConsistencyTpch, OracleRowPredictionsExact) {
   ASSERT_TRUE(plan.ok());
   exec::ExecContext ctx;
   ctx.catalog = catalog_;
-  storage::Table out = plan.value().root->Execute(&ctx).value();
+  storage::Table out = plan.value().root->Run(&ctx).value();
   EXPECT_DOUBLE_EQ(plan.value().estimated_rows,
                    static_cast<double>(out.num_rows()));
 }
@@ -159,7 +159,7 @@ TEST_F(OracleConsistencyStar, StarJoinAllOffsets) {
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
     exec::ExecContext ctx;
     ctx.catalog = &catalog_;
-    storage::Table out = plan.value().root->Execute(&ctx).value();
+    storage::Table out = plan.value().root->Run(&ctx).value();
     EXPECT_LT(RelativeGap(plan.value().estimated_cost,
                           ctx.meter.total_seconds()),
               1e-6)

@@ -59,6 +59,22 @@ TEST(DistinctEstimatorTest, ClampedToValidRange) {
   EXPECT_LE(EstimateDistinct(p, 4, DistinctMethod::kNaiveScaleUp), 4.0);
 }
 
+TEST(DistinctEstimatorTest, SampleLargerThanPopulation) {
+  // 500 with-replacement draws from a 25-row table with 5 distinct values:
+  // every value repeats, and no estimate leaves [d, N] = [5, 25].
+  std::vector<int64_t> values;
+  for (int64_t i = 0; i < 500; ++i) values.push_back(i % 5);
+  const SampleFrequencyProfile p = ProfileValues(values);
+  for (DistinctMethod method :
+       {DistinctMethod::kGee, DistinctMethod::kChao,
+        DistinctMethod::kNaiveScaleUp}) {
+    const double estimate = EstimateDistinct(p, 25, method);
+    EXPECT_GE(estimate, 5.0);
+    EXPECT_LE(estimate, 25.0);
+  }
+  EXPECT_DOUBLE_EQ(EstimateDistinct(p, 25, DistinctMethod::kGee), 5.0);
+}
+
 class DistinctAccuracy
     : public ::testing::TestWithParam<std::tuple<int64_t, DistinctMethod>> {};
 

@@ -165,26 +165,6 @@ TEST(TableTest, ColumnWiseGatherProjectsAndCountsRows) {
   EXPECT_EQ(dest.column(0).size(), 4u);
 }
 
-TEST(ColumnVectorTest, NumericReadWidensIntegersAndDates) {
-  ColumnVector ints(DataType::kInt64);
-  ints.AppendInt64(-3);
-  ColumnVector dates(DataType::kDate);
-  dates.AppendInt64(9000);
-  ColumnVector doubles(DataType::kDouble);
-  doubles.AppendDouble(2.25);
-  EXPECT_EQ(ints.NumericAt(0), -3.0);
-  EXPECT_EQ(dates.NumericAt(0), 9000.0);
-  EXPECT_EQ(doubles.NumericAt(0), 2.25);
-  EXPECT_EQ(ints.NumericAt(0), ints.ValueAt(0).NumericValue());
-  EXPECT_EQ(dates.NumericAt(0), dates.ValueAt(0).NumericValue());
-}
-
-TEST(ColumnVectorDeathTest, NumericReadOfStringColumnAborts) {
-  ColumnVector strings(DataType::kString);
-  strings.AppendString("x");
-  EXPECT_DEATH({ (void)strings.NumericAt(0); }, "string column");
-}
-
 }  // namespace
 }  // namespace storage
 }  // namespace robustqo
