@@ -1,12 +1,13 @@
 // Plan-provenance overhead: the cost of the plan-choice observatory —
 // snapshotting the winner plus top-K runner-up candidates on every fresh
 // optimizer run, re-costing each at the posterior quantile grid, and
-// filing the record (plus plan-diff bookkeeping) in the provenance store.
+// filing the record (plus plan-diff bookkeeping) in the ledger's plan
+// column.
 //
 // The enforced contract (docs/OBSERVABILITY.md): a traffic run with
 // provenance capture enabled stays under 5% overhead versus the identical
 // run with the observatory off. The capture only runs on plan-cache
-// misses — the hot path (cache hits) pays a single disabled-store check —
+// misses — the hot path (cache hits) pays a single disabled-column check —
 // so a cache-friendly workload amortizes the per-miss quantile costing to
 // noise. `.whyplan` / JSON dump rendering happens on demand and is
 // reported as an informational absolute cost, not gated.
@@ -21,7 +22,7 @@
 
 #include "bench_json.h"
 #include "core/database.h"
-#include "obs/plan_provenance.h"
+#include "obs/fingerprint_ledger.h"
 #include "server/query_service.h"
 #include "storage/catalog.h"
 #include "storage/table.h"
@@ -120,18 +121,17 @@ int main(int argc, char** argv) {
   const double with_provenance = BestRoundSeconds(run_provenance);
   const double provenance_overhead = with_provenance / baseline - 1.0;
 
-  // On-demand rendering on the store the loop just filled.
+  // On-demand rendering on the plan column the loop just filled.
+  const obs::FingerprintLedger* ledger = prov_service.ledger();
   std::string dump;
   const double dump_render =
-      BestRoundSeconds([&] { dump = prov_service.provenance()->ToJson(); }) /
-      kItersPerRound;
+      BestRoundSeconds([&] { dump = ledger->PlanJson(); }) / kItersPerRound;
   std::string whyplan;
   const double whyplan_render =
       BestRoundSeconds([&] {
-        const obs::PlanProvenanceRecord* latest =
-            prov_service.provenance()->Latest();
+        const obs::PlanProvenanceRecord* latest = ledger->LatestPlan();
         if (latest == nullptr) std::abort();
-        whyplan = prov_service.provenance()->ReportFor(latest->fingerprint);
+        whyplan = ledger->PlanReportFor(latest->fingerprint);
       }) /
       kItersPerRound;
 
@@ -142,10 +142,9 @@ int main(int argc, char** argv) {
   std::printf("  provenance off:       %.4f s\n", baseline);
   std::printf("  provenance on:        %.4f s  (%+.1f%%)\n", with_provenance,
               provenance_overhead * 100.0);
-  std::printf("  store JSON render:    %.1f us/call (informational, "
+  std::printf("  plan JSON render:     %.1f us/call (informational, "
               "%zu bytes, %zu records)\n",
-              dump_render * 1e6, dump.size(),
-              prov_service.provenance()->size());
+              dump_render * 1e6, dump.size(), ledger->plan_count());
   std::printf("  .whyplan render:      %.1f us/call (informational, "
               "%zu bytes)\n",
               whyplan_render * 1e6, whyplan.size());

@@ -29,10 +29,11 @@
 //                                   per-table online-maintenance state
 //                                   (reservoir fill, modifications,
 //                                   pending-rebuild flags)
-//   .fp <fphex>                     one statement's ledger row: SLO and
-//                                   quality columns, the tables it reads,
-//                                   and its plan winner
-//   .whyplan [<fphex>|last]         plan-choice provenance: why the plan
+//   .fp <fphex>                     one statement's ledger row: SLO,
+//                                   quality, table and plan columns (the
+//                                   winner line); the ledger keeps the
+//                                   128 most recently recorded rows
+//   .whyplan [<fphex>|last]         the ledger's plan column: why the plan
 //                                   for a fingerprint won, its cost curve
 //                                   across the selectivity posterior, and
 //                                   what changed on re-plans (no argument:
@@ -91,7 +92,6 @@
 #include "exec/plan_dot.h"
 #include "obs/exporters.h"
 #include "obs/metrics.h"
-#include "obs/plan_provenance.h"
 #include "obs/fingerprint_ledger.h"
 #include "perf/task_pool.h"
 #include "server/query_service.h"
@@ -359,7 +359,6 @@ int main() {
   // restores the pre-provenance output byte-for-byte.
   server::ServerConfig server_config;
   server_config.flight_recorder.enabled = true;
-  server_config.provenance.enabled = true;
   server::QueryService service(&db, server_config);
   service.set_metrics(&query_metrics);
   db.SetProvenanceCapture(true);
@@ -451,9 +450,7 @@ int main() {
     if (StartsWith(line, ".fp ")) {
       const uint64_t fp =
           std::strtoull(line.substr(strlen(".fp ")).c_str(), nullptr, 16);
-      std::printf("%s", service.ledger()
-                            ->RowText(fp, service.provenance()->Find(fp))
-                            .c_str());
+      std::printf("%s", service.ledger()->RowText(fp).c_str());
       continue;
     }
     if (line == ".sessions") {
@@ -502,22 +499,22 @@ int main() {
       continue;
     }
     if (line == ".whyplan" || StartsWith(line, ".whyplan ")) {
-      obs::PlanProvenanceStore* provenance = service.provenance();
+      const obs::FingerprintLedger* ledger = service.ledger();
       if (line == ".whyplan") {
-        std::printf("%s", provenance->ReportText().c_str());
+        std::printf("%s", ledger->PlanReportText().c_str());
       } else {
         const std::string arg = line.substr(strlen(".whyplan "));
         if (arg == "last") {
-          const obs::PlanProvenanceRecord* latest = provenance->Latest();
+          const obs::PlanProvenanceRecord* latest = ledger->LatestPlan();
           if (latest == nullptr) {
             std::printf("no plans recorded — run EXECUTE traffic first\n");
           } else {
-            std::printf("%s", provenance->ReportFor(latest->fingerprint)
-                                  .c_str());
+            std::printf("%s",
+                        ledger->PlanReportFor(latest->fingerprint).c_str());
           }
         } else {
           const uint64_t fp = std::strtoull(arg.c_str(), nullptr, 16);
-          std::printf("%s", provenance->ReportFor(fp).c_str());
+          std::printf("%s", ledger->PlanReportFor(fp).c_str());
         }
       }
       continue;

@@ -144,7 +144,6 @@ Result<exec::DmlResult> Database::ExecuteDml(const sql::DmlSpec& dml,
 Result<exec::DmlResult> Database::ApplyDml(const sql::DmlSpec& dml,
                                            exec::ExecContext* ctx) {
   exec::DmlExecutor executor(&catalog_, statistics_.get());
-  executor.set_retry_policy(dml_retry_policy_);
   Result<exec::DmlResult> result = [&]() -> Result<exec::DmlResult> {
     switch (dml.kind) {
       case sql::StatementKind::kInsert:
@@ -257,11 +256,6 @@ Status Database::LoadStatisticsFrom(const std::string& directory) {
 const opt::Optimizer::Metrics& Database::last_optimizer_metrics() const {
   RQO_CHECK(last_used_ != nullptr);
   return last_used_->last_metrics();
-}
-
-const obs::PlanSensitivity& Database::last_plan_sensitivity() const {
-  RQO_CHECK(last_used_ != nullptr);
-  return last_used_->last_sensitivity();
 }
 
 }  // namespace core

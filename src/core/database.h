@@ -134,20 +134,12 @@ class Database {
       uint64_t snapshot_epoch = storage::kLatestSnapshot);
 
   /// Applies one parsed INSERT/UPDATE/DELETE under the caller's context
-  /// (governor, fault injector, sinks, snapshot) with the database's retry
-  /// policy, publishing the governor's accounting into `ctx->metrics`. The
+  /// (governor, fault injector, sinks, snapshot) with the default
+  /// fault::RetryPolicy for transient commit faults, publishing the governor's accounting into `ctx->metrics`. The
   /// one DML dispatch: ExecuteDml and the query service's writes both go
   /// through it. Counts no db.* metric of its own.
   Result<exec::DmlResult> ApplyDml(const sql::DmlSpec& dml,
                                    exec::ExecContext* ctx);
-
-  /// Retry schedule for transient (kUnavailable) DML commit failures.
-  void SetDmlRetryPolicy(const fault::RetryPolicy& policy) {
-    dml_retry_policy_ = policy;
-  }
-  const fault::RetryPolicy& dml_retry_policy() const {
-    return dml_retry_policy_;
-  }
 
   /// Rebuilds statistics for every table the maintenance layer flagged
   /// stale (enough committed modifications, or an explicit drift flag) and
@@ -189,10 +181,6 @@ class Database {
 
   /// Metrics from the most recent Plan()/Execute() optimization.
   const opt::Optimizer::Metrics& last_optimizer_metrics() const;
-
-  /// Plan-choice sensitivity of the most recent Plan()/Execute()
-  /// optimization; `captured` is false unless provenance capture was on.
-  const obs::PlanSensitivity& last_plan_sensitivity() const;
 
   // ---- Plan provenance (strictly read-only w.r.t. plan choice) ----
 
@@ -279,7 +267,6 @@ class Database {
   obs::MetricsRegistry* metrics_ = nullptr;
   fault::FaultInjector fault_;
   fault::GovernorLimits governor_limits_;
-  fault::RetryPolicy dml_retry_policy_;
   bool feedback_enabled_ = false;
   stats::WorkloadPriorBuilder feedback_;
   bool provenance_capture_ = false;

@@ -440,7 +440,7 @@ Result<AnalyzedPlan> ExplainAnalyze(Database* db, const opt::QuerySpec& query,
   out.predicates = CollectPredicateReports(tracer.events());
   out.degradations = CollectDegradations(tracer.events());
   out.optimizer_metrics = db->last_optimizer_metrics();
-  out.sensitivity = db->last_plan_sensitivity();
+  out.sensitivity = plan.value().sensitivity;
   if (trace_out != nullptr) {
     *trace_out = tracer.events();  // planning phase; exec spans appended below
   }

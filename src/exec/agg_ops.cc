@@ -246,35 +246,6 @@ std::string DescribeAggs(const std::vector<AggSpec>& aggs) {
 
 }  // namespace
 
-// ----- FilterOp -----
-
-FilterOp::FilterOp(OperatorPtr child, expr::ExprPtr predicate)
-    : child_(std::move(child)), predicate_(std::move(predicate)) {
-  RQO_CHECK(predicate_ != nullptr);
-}
-
-Result<RowSet> FilterOp::Execute(ExecContext* ctx) const {
-  RQO_ASSIGN_OR_RETURN(const RowSet input, RunChild(*child_, ctx));
-  ctx->meter.ChargeCpuTuples(ctx->cost_model, input.num_rows());
-  // The predicate runs over the gathered input: an operator-built table,
-  // never versioned, so every row is visible at every snapshot.
-  std::vector<Rid> rows = SelectRows(input.Materialize(), predicate_.get(),
-                                     storage::kLatestSnapshot);
-  RQO_RETURN_NOT_OK(
-      ctx->TickRows(rows.size(), ApproximateRowBytes(input.schema())));
-  RowSet out = input.Take("filter", std::move(rows));
-  ctx->meter.ChargeOutputTuples(ctx->cost_model, out.num_rows());
-  return out;
-}
-
-std::string FilterOp::Describe() const {
-  return "Filter(" + predicate_->ToString() + ")";
-}
-
-std::vector<const PhysicalOperator*> FilterOp::children() const {
-  return {child_.get()};
-}
-
 // ----- LimitOp -----
 
 LimitOp::LimitOp(OperatorPtr child, uint64_t limit)

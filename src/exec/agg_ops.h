@@ -1,6 +1,6 @@
 // Copyright (c) robustqo authors. Licensed under the MIT license.
 //
-// Filtering, projection and aggregation operators.
+// Limit, projection and aggregation operators.
 
 #ifndef ROBUSTQO_EXEC_AGG_OPS_H_
 #define ROBUSTQO_EXEC_AGG_OPS_H_
@@ -12,20 +12,6 @@
 
 namespace robustqo {
 namespace exec {
-
-/// Residual predicate applied to a child's output.
-class FilterOp final : public PhysicalOperator {
- public:
-  FilterOp(OperatorPtr child, expr::ExprPtr predicate);
-  std::string Describe() const override;
-  std::vector<const PhysicalOperator*> children() const override;
-
- private:
-  Result<RowSet> Execute(ExecContext* ctx) const override;
-
-  OperatorPtr child_;
-  expr::ExprPtr predicate_;
-};
 
 /// Emits at most the first `limit` rows of the child's output (SQL LIMIT).
 /// The child runs to completion first, so this truncates its row selection

@@ -1,8 +1,11 @@
 #include "obs/fingerprint_ledger.h"
 
 #include <algorithm>
+#include <cmath>
+#include <optional>
 #include <utility>
 
+#include "obs/exporters.h"
 #include "obs/trace.h"
 #include "util/string_util.h"
 
@@ -127,8 +130,41 @@ void Republish(MetricsRegistry* metrics, const char* name,
 
 }  // namespace
 
-FingerprintLedger::FingerprintLedger(QualityConfig quality, SloConfig slo)
-    : quality_config_(quality), slo_config_(slo) {}
+FingerprintLedger::FingerprintLedger(QualityConfig quality, SloConfig slo,
+                                     PlanProvenanceConfig plan)
+    : quality_config_(quality), slo_config_(slo), plan_config_(plan) {}
+
+FingerprintLedger::Row& FingerprintLedger::Touch(uint64_t fingerprint) {
+  auto [it, inserted] = rows_.try_emplace(fingerprint);
+  Row& row = it->second;
+  if (!inserted) recency_.erase(row.last_recorded);
+  row.last_recorded = next_recorded_++;
+  recency_.emplace_hint(recency_.end(), row.last_recorded, fingerprint);
+  // The touched row holds the newest stamp, so it is never the victim.
+  if (inserted && rows_.size() > kMaxRows) Evict(recency_.begin()->second);
+  return row;
+}
+
+void FingerprintLedger::Evict(uint64_t fingerprint) {
+  auto it = rows_.find(fingerprint);
+  const Row& row = it->second;
+  if (row.slo.observed > 0) --slo_fingerprints_;
+  if (row.quality.observations > 0) --quality_fingerprints_;
+  observation_count_ -= row.quality.observations;
+  drifted_.erase(fingerprint);
+  plan_count_ -= row.plans.size();
+  plan_stats_.evicted += row.plans.size();
+  plan_stats_.diffs_evicted +=
+      std::erase_if(plan_diffs_, [fingerprint](const PlanDiffRecord& d) {
+        return d.fingerprint == fingerprint;
+      });
+  recency_.erase(row.last_recorded);
+  rows_.erase(it);
+  if (fingerprint == latest_plan_) {
+    const std::vector<const PlanProvenanceRecord*> plans = PlanSnapshot();
+    latest_plan_ = plans.empty() ? 0 : plans.back()->fingerprint;
+  }
+}
 
 // ---- Recording ----
 
@@ -151,7 +187,7 @@ void FingerprintLedger::Record(const RequestObservation& request,
   RecordSloInto(&sessions_[request.session_label], request.failed, queue_wait,
                 service, regret, ratio);
 
-  Row& row = rows_[request.fingerprint];
+  Row& row = Touch(request.fingerprint);
   if (row.slo.observed == 0) ++slo_fingerprints_;
   RecordSloInto(&row.slo, request.failed, queue_wait, service, regret, ratio);
   if (row.tables.empty()) row.tables = request.tables;
@@ -163,7 +199,7 @@ void FingerprintLedger::Record(const RequestObservation& request,
 void FingerprintLedger::RecordQuality(uint64_t fingerprint,
                                       const QualityObservation& observation) {
   if (fingerprint == 0) return;
-  RecordQualityInto(fingerprint, observation, &rows_[fingerprint]);
+  RecordQualityInto(fingerprint, observation, &Touch(fingerprint));
 }
 
 void FingerprintLedger::RecordQualityInto(
@@ -238,8 +274,7 @@ const std::set<std::string>& FingerprintLedger::Tables(
   return it == rows_.end() ? kNone : it->second.tables;
 }
 
-std::string FingerprintLedger::RowText(uint64_t fingerprint,
-                                       const PlanProvenanceRecord* plan) const {
+std::string FingerprintLedger::RowText(uint64_t fingerprint) const {
   auto it = rows_.find(fingerprint);
   if (it == rows_.end()) {
     return StrPrintf("fp: no ledger row for %s\n",
@@ -271,6 +306,7 @@ std::string FingerprintLedger::RowText(uint64_t fingerprint,
     out.append("  ").append(QualityLine(quality));
     out.append("    ").append(label).append("\n");
   }
+  const PlanProvenanceRecord* plan = NewestPlan(row);
   out += plan != nullptr ? WinnerLine(*plan)
                          : std::string("  winner: no provenance retained\n");
   return out;
@@ -295,6 +331,23 @@ void FingerprintLedger::PublishMetrics(MetricsRegistry* metrics) const {
   Republish(metrics, "server.slo.queue_wait_seconds", global_.queue_wait);
   Republish(metrics, "server.slo.service_seconds", global_.service);
   Republish(metrics, "optimizer.regret.seconds", global_.regret);
+  // Gated on the runtime toggle so SET PROVENANCE OFF keeps the metric
+  // byte stream identical to a build without provenance.
+  if (plan_config_.enabled) {
+    SyncCounter(metrics, "optimizer.provenance.recorded", plan_stats_.recorded);
+    SyncCounter(metrics, "optimizer.provenance.evicted", plan_stats_.evicted);
+    SyncCounter(metrics, "optimizer.provenance.diffs", plan_stats_.diffs);
+    SyncCounter(metrics, "optimizer.provenance.diffs_evicted",
+                plan_stats_.diffs_evicted);
+    SyncCounter(metrics, "optimizer.sensitivity.fragile_plans",
+                plan_stats_.fragile);
+    SyncCounter(metrics, "optimizer.sensitivity.stable_plans",
+                plan_stats_.stable);
+    metrics->GetGauge("optimizer.provenance.records")
+        ->Set(static_cast<double>(plan_count_));
+    metrics->GetGauge("optimizer.sensitivity.crossover_quantile")
+        ->Set(last_crossover_);
+  }
 }
 
 // ---- Quality columns ----
@@ -531,6 +584,201 @@ void FingerprintLedger::ResetSlo() {
   sessions_.clear();
   for (auto& [fingerprint, row] : rows_) row.slo = SloScope();
   slo_fingerprints_ = 0;
+}
+
+// ---- Plan columns ----
+
+const PlanDiffRecord* FingerprintLedger::RecordPlan(
+    PlanProvenanceRecord record, const std::string& trigger) {
+  if (!plan_config_.enabled) return nullptr;
+  const uint64_t fingerprint = record.fingerprint;
+  Row& row = Touch(fingerprint);
+  ++plan_stats_.recorded;
+  const PlanSensitivity& now = record.sensitivity;
+  if (now.available) {
+    if (now.stable) ++plan_stats_.stable;
+    if (now.crossover_quantile >= 0.0) {
+      ++plan_stats_.fragile;
+      last_crossover_ = now.crossover_quantile;
+    }
+  }
+  // A re-planned statement diffs against what the row last knew about
+  // it, whatever T% or estimator that record was planned at.
+  std::optional<PlanDiffRecord> diff;
+  if (const PlanProvenanceRecord* prior = NewestPlan(row)) {
+    diff.emplace();
+    diff->fingerprint = fingerprint;
+    diff->trigger = trigger;
+    diff->old_epoch = prior->epoch;
+    diff->new_epoch = record.epoch;
+    diff->old_label = prior->plan_label;
+    diff->new_label = record.plan_label;
+    diff->old_cost = prior->estimated_cost;
+    diff->new_cost = record.estimated_cost;
+    diff->plan_changed = diff->old_label != diff->new_label;
+    if (now.available && !now.candidates.empty()) {
+      diff->grid = now.grid;
+      diff->new_curve = now.candidates.front().cost_at;
+    }
+    const PlanSensitivity& before = prior->sensitivity;
+    if (before.available && !before.candidates.empty()) {
+      if (diff->grid.empty()) diff->grid = before.grid;
+      diff->old_curve = before.candidates.front().cost_at;
+    }
+    diff->old_verdict = before.verdict;
+    diff->new_verdict = now.verdict;
+  }
+  record.sequence = next_plan_sequence_++;
+  auto [it, inserted] = row.plans.insert_or_assign(
+      PlanKey{record.threshold_bits, record.estimator}, std::move(record));
+  (void)it;
+  if (inserted) ++plan_count_;
+  latest_plan_ = fingerprint;
+  if (!diff.has_value()) return nullptr;
+  diff->sequence = next_plan_sequence_++;
+  ++plan_stats_.diffs;
+  plan_diffs_.push_back(std::move(*diff));
+  if (plan_diffs_.size() > kMaxPlanDiffs) {
+    plan_diffs_.pop_front();
+    ++plan_stats_.diffs_evicted;
+  }
+  return &plan_diffs_.back();
+}
+
+const PlanProvenanceRecord* FingerprintLedger::NewestPlan(const Row& row) {
+  const PlanProvenanceRecord* best = nullptr;
+  for (const auto& [key, record] : row.plans) {
+    if (best == nullptr || record.sequence > best->sequence) best = &record;
+  }
+  return best;
+}
+
+const PlanProvenanceRecord* FingerprintLedger::FindPlan(
+    uint64_t fingerprint) const {
+  auto it = rows_.find(fingerprint);
+  return it == rows_.end() ? nullptr : NewestPlan(it->second);
+}
+
+const PlanProvenanceRecord* FingerprintLedger::LatestPlan() const {
+  return FindPlan(latest_plan_);
+}
+
+std::vector<const PlanProvenanceRecord*> FingerprintLedger::PlanSnapshot()
+    const {
+  std::vector<const PlanProvenanceRecord*> out;
+  out.reserve(plan_count_);
+  for (const auto& [fingerprint, row] : rows_) {
+    for (const auto& [key, record] : row.plans) out.push_back(&record);
+  }
+  std::sort(out.begin(), out.end(),
+            [](const PlanProvenanceRecord* a, const PlanProvenanceRecord* b) {
+              return a->sequence < b->sequence;
+            });
+  return out;
+}
+
+std::string FingerprintLedger::PlanReportText() const {
+  std::string out = StrPrintf(
+      "plan provenance: %zu records, %zu diffs (recorded=%llu evicted=%llu "
+      "fragile=%llu stable=%llu)\n",
+      plan_count_, plan_diffs_.size(),
+      static_cast<unsigned long long>(plan_stats_.recorded),
+      static_cast<unsigned long long>(plan_stats_.evicted),
+      static_cast<unsigned long long>(plan_stats_.fragile),
+      static_cast<unsigned long long>(plan_stats_.stable));
+  for (const PlanProvenanceRecord* r : PlanSnapshot()) {
+    const char* badge = "-       ";
+    if (r->sensitivity.available) {
+      badge = r->sensitivity.stable ? "stable  " : "fragile ";
+    }
+    out += StrPrintf(
+        "  [%s] fp=%s T=%.4g est=%s epoch=%llu plan=%s cost=%.6g\n", badge,
+        FingerprintHex(r->fingerprint).c_str(), r->sensitivity.threshold,
+        r->estimator.c_str(), static_cast<unsigned long long>(r->epoch),
+        r->plan_label.c_str(), r->estimated_cost);
+  }
+  for (const PlanDiffRecord& d : plan_diffs_) {
+    out += StrPrintf(
+        "  [diff    ] fp=%s trigger=%s epoch %llu->%llu plan %s -> %s "
+        "cost %.6g -> %.6g\n",
+        FingerprintHex(d.fingerprint).c_str(), d.trigger.c_str(),
+        static_cast<unsigned long long>(d.old_epoch),
+        static_cast<unsigned long long>(d.new_epoch), d.old_label.c_str(),
+        d.new_label.c_str(), d.old_cost, d.new_cost);
+  }
+  return out;
+}
+
+std::string FingerprintLedger::PlanReportFor(uint64_t fingerprint) const {
+  const PlanProvenanceRecord* record = FindPlan(fingerprint);
+  if (record == nullptr) {
+    return StrPrintf("whyplan: no provenance retained for fp=%s\n",
+                     FingerprintHex(fingerprint).c_str());
+  }
+  std::vector<const PlanDiffRecord*> diffs;
+  for (const PlanDiffRecord& d : plan_diffs_) {
+    if (d.fingerprint == fingerprint) diffs.push_back(&d);
+  }
+  return WhyplanText(*record, diffs);
+}
+
+std::string FingerprintLedger::PlanJson() const {
+  std::string out = StrPrintf(
+      "{\"plan_provenance\":{\"capacity\":%zu,\"diff_capacity\":%zu,"
+      "\"stats\":{\"recorded\":%llu,\"evicted\":%llu,\"diffs\":%llu,"
+      "\"diffs_evicted\":%llu,\"fragile\":%llu,\"stable\":%llu},"
+      "\"records\":[",
+      kMaxRows, kMaxPlanDiffs,
+      static_cast<unsigned long long>(plan_stats_.recorded),
+      static_cast<unsigned long long>(plan_stats_.evicted),
+      static_cast<unsigned long long>(plan_stats_.diffs),
+      static_cast<unsigned long long>(plan_stats_.diffs_evicted),
+      static_cast<unsigned long long>(plan_stats_.fragile),
+      static_cast<unsigned long long>(plan_stats_.stable));
+  bool first = true;
+  for (const PlanProvenanceRecord* r : PlanSnapshot()) {
+    if (!first) out += ",";
+    first = false;
+    out += PlanRecordJson(*r);
+  }
+  out += "],\"diffs\":[";
+  first = true;
+  for (const PlanDiffRecord& d : plan_diffs_) {
+    if (!first) out += ",";
+    first = false;
+    out += PlanDiffJson(d);
+  }
+  out += "]}}";
+  return out;
+}
+
+std::string FingerprintLedger::PlanChromeTrace() const {
+  std::vector<CounterTrack> tracks;
+  uint64_t tid = 1;
+  for (const PlanProvenanceRecord* r : PlanSnapshot()) {
+    const PlanSensitivity& s = r->sensitivity;
+    if (!s.available) continue;
+    CounterTrack track;
+    track.pid = 1;
+    track.tid = tid++;
+    track.process_name = "plan provenance";
+    track.name = StrPrintf("plancost %s T=%.4g",
+                           FingerprintHex(r->fingerprint).c_str(),
+                           s.threshold);
+    for (size_t i = 0; i < s.grid.size(); ++i) {
+      CounterSample sample;
+      sample.ts = static_cast<uint64_t>(
+          std::llround(std::max(0.0, s.grid[i]) * 100.0));
+      for (const CandidateCurve& cand : s.candidates) {
+        if (i < cand.cost_at.size()) {
+          sample.values.push_back({cand.label, cand.cost_at[i]});
+        }
+      }
+      if (!sample.values.empty()) track.samples.push_back(std::move(sample));
+    }
+    if (!track.samples.empty()) tracks.push_back(std::move(track));
+  }
+  return obs::ToChromeTrace({}, tracks);
 }
 
 }  // namespace obs

@@ -1,9 +1,10 @@
 // Copyright (c) robustqo authors. Licensed under the MIT license.
 //
 // FingerprintLedger: one row per statement fingerprint holding what the
-// serving layer observes while executing that statement, so the paper's
-// T% promise — plans picked at cdf⁻¹(T%) keep realized cost predictable —
-// is checked per statement in one place. A row holds three column groups:
+// serving layer observes while planning and executing that statement, so
+// the paper's T% promise — plans picked at cdf⁻¹(T%) keep realized cost
+// predictable — is checked per statement in one place. A row holds four
+// column groups:
 //
 //   * quality: the estimated-vs-actual row counts of executed reads — a
 //     q-error quantile sketch and exact maximum, posterior-calibration
@@ -20,13 +21,26 @@
 //     exceeded the cdf⁻¹(T%) estimate it was chosen by
 //     (PlannedQuery::estimated_cost), in the one currency both share;
 //   * tables: what the statement reads, so a drift flag routes the right
-//     tables to the statistics rebuild.
+//     tables to the statistics rebuild;
+//   * plan: why the plan won — the newest provenance record
+//     (obs/plan_provenance.h) per (T%, estimator) the statement was
+//     planned at. Re-planning a statement that already holds a record
+//     files a plan diff; the ledger keeps the newest kMaxPlanDiffs of
+//     them.
+//
+// The ledger keeps at most kMaxRows rows. Recording into a row (Record,
+// RecordQuality, RecordPlan) makes it the most recent; a new row past the
+// bound evicts the least recently recorded one in O(log n), together with
+// its drift flag, tables, plans and diffs. Ad-hoc traffic with per-request
+// literals opens a row per request, so without the bound the ledger would
+// grow with the request count.
 //
 // The ledger also keeps the global and per-session SLO scopes: it is the
 // one per-request sink of the serving layer's sequential reduce phase,
 // which records in admission order, so every report, JSON body and
-// published series (estimator.quality.*, server.slo.* and
-// optimizer.regret.*) is byte-identical at any RQO_THREADS setting.
+// published series (estimator.quality.*, server.slo.*, optimizer.regret.*,
+// optimizer.provenance.* and optimizer.sensitivity.*) is byte-identical at
+// any RQO_THREADS setting.
 //
 // Standalone ledgers that only call RecordQuality (the shell's EXPLAIN
 // ANALYZE monitor, keyed by predicate fingerprint) fill just the quality
@@ -42,6 +56,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -147,8 +162,16 @@ class FingerprintLedger {
  public:
   /// Worst sessions/fingerprints listed in SloReportText.
   static constexpr size_t kReportTopK = 3;
+  /// Rows kept; the least recently recorded row is evicted past it.
+  static constexpr size_t kMaxRows = 128;
+  /// Plan diffs kept, newest first out of a FIFO.
+  static constexpr size_t kMaxPlanDiffs = 64;
 
-  explicit FingerprintLedger(QualityConfig quality = {}, SloConfig slo = {});
+  explicit FingerprintLedger(QualityConfig quality = {}, SloConfig slo = {},
+                             PlanProvenanceConfig plan = {});
+
+  /// Rows currently held (at most kMaxRows).
+  size_t size() const { return rows_.size(); }
 
   // ---- Recording ----
 
@@ -165,20 +188,21 @@ class FingerprintLedger {
   /// Tables the statement reads (empty when unknown).
   const std::set<std::string>& Tables(uint64_t fingerprint) const;
 
-  /// The `.fp` view: one row's SLO, quality and table columns,
-  /// plus the winner line of `plan` (its provenance record; may be null).
-  std::string RowText(uint64_t fingerprint,
-                      const PlanProvenanceRecord* plan) const;
+  /// The `.fp` view: one row's SLO, quality, table and plan columns (the
+  /// winner line of its newest plan record).
+  std::string RowText(uint64_t fingerprint) const;
 
   /// Publishes the estimator.quality.*, server.slo.* and optimizer.regret.*
-  /// series (no-op on null). Idempotent: counters sync to absolute
-  /// values, sketches are rebuilt from state.
+  /// series, plus optimizer.provenance.* and optimizer.sensitivity.* while
+  /// the plan column is enabled (no-op on null). Idempotent: counters sync
+  /// to absolute values, sketches are rebuilt from state.
   void PublishMetrics(MetricsRegistry* metrics) const;
 
   // ---- Quality columns ----
 
+  /// Quality observations the held rows took since the last ResetQuality.
   uint64_t observation_count() const { return observation_count_; }
-  /// Fingerprints with at least one quality observation since the last
+  /// Rows with at least one quality observation since the last
   /// ResetQuality.
   size_t quality_fingerprints() const { return quality_fingerprints_; }
   /// Per-fingerprint snapshots ordered by fingerprint (deterministic).
@@ -215,6 +239,7 @@ class FingerprintLedger {
   const SloScope* SessionScope(const std::string& label) const;
   const SloScope* FingerprintScope(uint64_t fingerprint) const;
   size_t sessions_tracked() const { return sessions_.size(); }
+  /// Rows with at least one SLO observation since the last ResetSlo.
   size_t slo_fingerprints() const { return slo_fingerprints_; }
   /// Fixed-precision text block: global quantiles, breach counters, and
   /// the worst sessions/fingerprints by tail service time / tail regret.
@@ -223,6 +248,44 @@ class FingerprintLedger {
   std::string SloJson() const;
   /// Clears every SLO scope; quality columns and tables survive.
   void ResetSlo();
+
+  // ---- Plan columns ----
+
+  /// Runtime toggle (`SET PROVENANCE ON|OFF`): while disabled, RecordPlan
+  /// drops its offers and no plan series are published; records already
+  /// filed are kept.
+  bool plans_enabled() const { return plan_config_.enabled; }
+  void set_plans_enabled(bool enabled) { plan_config_.enabled = enabled; }
+  /// Files `record` in its fingerprint's row, replacing the row's record
+  /// for the same (threshold_bits, estimator). When the row already holds
+  /// a record, also files a plan diff against the newest one, naming
+  /// `trigger`, and returns it; otherwise (or when disabled) nullptr.
+  /// Returned pointers are invalidated by the next mutation.
+  const PlanDiffRecord* RecordPlan(PlanProvenanceRecord record,
+                                   const std::string& trigger);
+  /// Newest plan record of `fingerprint` across thresholds and estimators
+  /// (nullptr when none).
+  const PlanProvenanceRecord* FindPlan(uint64_t fingerprint) const;
+  /// Newest plan record overall (nullptr when none).
+  const PlanProvenanceRecord* LatestPlan() const;
+  /// Plan records held, summed over rows.
+  size_t plan_count() const { return plan_count_; }
+  const PlanProvenanceStats& plan_stats() const { return plan_stats_; }
+  /// Plan records and diffs in recording order (oldest first).
+  std::vector<const PlanProvenanceRecord*> PlanSnapshot() const;
+  const std::deque<PlanDiffRecord>& plan_diffs() const { return plan_diffs_; }
+  /// One line per plan record and diff: the deterministic summary block.
+  std::string PlanReportText() const;
+  /// The `.whyplan` body for one fingerprint (WhyplanText of its newest
+  /// record and its diffs); a one-line notice when the row holds none.
+  std::string PlanReportFor(uint64_t fingerprint) const;
+  /// Deterministic JSON dump (bounds, stats, records, diffs).
+  std::string PlanJson() const;
+  /// Chrome trace_event JSON: one counter track ("ph":"C") per record —
+  /// track name "plancost <fingerprint hex> T=<threshold>", one sample
+  /// per grid quantile (ts = quantile percent), one numeric series per
+  /// retained candidate. Loadable next to the flight-recorder lanes.
+  std::string PlanChromeTrace() const;
 
  private:
   struct QualityProfile {
@@ -237,11 +300,25 @@ class FingerprintLedger {
     std::deque<double> recent;     // trailing recent_window q-errors
   };
 
+  /// A row's plan records are keyed by (threshold_bits, estimator).
+  using PlanKey = std::pair<uint64_t, std::string>;
+
   struct Row {
     QualityProfile quality;
     SloScope slo;
     std::set<std::string> tables;
+    std::map<PlanKey, PlanProvenanceRecord> plans;
+    /// Key of this row in recency_.
+    uint64_t last_recorded = 0;
   };
+
+  /// The row of `fingerprint`, created if absent and made the most
+  /// recently recorded; creating a row past kMaxRows evicts the least
+  /// recently recorded one.
+  Row& Touch(uint64_t fingerprint);
+  void Evict(uint64_t fingerprint);
+  /// Newest record of `row` (nullptr when it holds none).
+  static const PlanProvenanceRecord* NewestPlan(const Row& row);
 
   void RecordQualityInto(uint64_t fingerprint,
                          const QualityObservation& observation, Row* row);
@@ -254,14 +331,27 @@ class FingerprintLedger {
 
   QualityConfig quality_config_;
   SloConfig slo_config_;
+  PlanProvenanceConfig plan_config_;
   /// The one map keyed by statement fingerprint.
   std::map<uint64_t, Row> rows_;
+  /// Recording order of the rows: Row::last_recorded -> fingerprint.
+  std::map<uint64_t, uint64_t> recency_;
+  uint64_t next_recorded_ = 0;
   std::set<uint64_t> drifted_;  ///< rows whose quality verdict is drifted
   uint64_t observation_count_ = 0;
   size_t quality_fingerprints_ = 0;
   SloScope global_;
   std::map<std::string, SloScope> sessions_;
   size_t slo_fingerprints_ = 0;
+  std::deque<PlanDiffRecord> plan_diffs_;
+  PlanProvenanceStats plan_stats_;
+  size_t plan_count_ = 0;
+  uint64_t next_plan_sequence_ = 0;
+  /// Fingerprint of the newest plan record (LatestPlan).
+  uint64_t latest_plan_ = 0;
+  /// Most recently recorded crossover quantile (-1 until one is seen);
+  /// exported as the optimizer.sensitivity.crossover_quantile gauge.
+  double last_crossover_ = -1.0;
 };
 
 }  // namespace obs

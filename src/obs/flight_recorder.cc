@@ -98,18 +98,6 @@ void FlightRecorder::Offer(RequestTrace trace) {
   DropIfUnreferenced(order);
 }
 
-void FlightRecorder::Absorb(FlightRecorder&& other, const std::string& tag) {
-  for (auto& [order, record] : other.records_) {
-    (void)order;
-    RequestTrace trace = std::move(record.trace);
-    trace.tag = trace.tag.empty() ? tag : tag + "/" + trace.tag;
-    // Re-offered traces re-run retention here; the donor's own offered
-    // count is not inherited (stats describe this recorder's intake).
-    Offer(std::move(trace));
-  }
-  other.Clear();
-}
-
 std::vector<const RequestTrace*> FlightRecorder::Snapshot() const {
   std::vector<const RequestTrace*> out;
   out.reserve(records_.size());
@@ -144,7 +132,7 @@ std::string FlightRecorder::ToJson() const {
         "\"failed\":%s,\"governor_tripped\":%s,\"fault_fires\":%llu,"
         "\"cache\":\"%s\",\"waves_waited\":%llu,"
         "\"queue_wait_seconds\":%.6f,\"service_seconds\":%.6f,"
-        "\"tag\":\"%s\",\"retained\":%s,\"events\":",
+        "\"retained\":%s,\"events\":",
         static_cast<unsigned long long>(t.request_id),
         static_cast<unsigned long long>(t.session_id),
         JsonEscape(t.session_label).c_str(),
@@ -154,8 +142,7 @@ std::string FlightRecorder::ToJson() const {
         static_cast<unsigned long long>(t.fault_fires),
         JsonEscape(t.cache_outcome).c_str(),
         static_cast<unsigned long long>(t.waves_waited), t.queue_wait_seconds,
-        t.service_seconds, JsonEscape(t.tag).c_str(),
-        ReasonsJson(record.incident, record.slow).c_str());
+        t.service_seconds, ReasonsJson(record.incident, record.slow).c_str());
     out += TraceEventsToJson(t.events);
     out += "}";
   }
@@ -180,10 +167,10 @@ std::string FlightRecorder::ToChromeTrace() const {
             ? StrPrintf("session %llu",
                         static_cast<unsigned long long>(t.session_id))
             : t.session_label;
-    lane.thread_name = StrPrintf(
-        "request %llu [%s]%s%s",
-        static_cast<unsigned long long>(t.request_id), t.status.c_str(),
-        t.tag.empty() ? "" : " ", t.tag.c_str());
+    lane.thread_name =
+        StrPrintf("request %llu [%s]",
+                  static_cast<unsigned long long>(t.request_id),
+                  t.status.c_str());
     lane.events = t.events;
     lanes.push_back(std::move(lane));
   }
@@ -211,14 +198,13 @@ std::string FlightRecorder::ReportText() const {
     if (record.slow) reasons += reasons.empty() ? "slow" : ",slow";
     out += StrPrintf(
         "  [%-13s] req=%-5llu session=%llu (%s) status=%-18s cache=%-13s "
-        "waves=%llu queue_wait=%.6f service=%.6f faults=%llu%s%s\n",
+        "waves=%llu queue_wait=%.6f service=%.6f faults=%llu\n",
         reasons.c_str(), static_cast<unsigned long long>(t.request_id),
         static_cast<unsigned long long>(t.session_id),
         t.session_label.c_str(), t.status.c_str(),
         t.cache_outcome.empty() ? "-" : t.cache_outcome.c_str(),
         static_cast<unsigned long long>(t.waves_waited), t.queue_wait_seconds,
-        t.service_seconds, static_cast<unsigned long long>(t.fault_fires),
-        t.tag.empty() ? "" : " tag=", t.tag.c_str());
+        t.service_seconds, static_cast<unsigned long long>(t.fault_fires));
   }
   return out;
 }

@@ -63,9 +63,6 @@ struct RequestTrace {
   double queue_wait_seconds = 0.0;
   /// Simulated service seconds (execution plus any planning charge).
   double service_seconds = 0.0;
-  /// Harness grouping tag (e.g. "run=17" from a chaos sweep); empty for
-  /// traces recorded directly by a service.
-  std::string tag;
   std::vector<TraceEvent> events;
 
   /// Whether this trace qualifies for the incident ring.
@@ -115,12 +112,6 @@ class FlightRecorder {
   /// id). Must be called in a deterministic order (the service's reduce
   /// phase guarantees admission order).
   void Offer(RequestTrace trace);
-
-  /// Re-offers every trace retained by `other`, in `other`'s retained
-  /// order, tagging each with `tag` (prefixed onto an existing tag as
-  /// "tag/existing"). The chaos harness uses this to merge per-run
-  /// recorders in run-index order.
-  void Absorb(FlightRecorder&& other, const std::string& tag);
 
   /// Retained traces in offer order (stable across thread counts).
   std::vector<const RequestTrace*> Snapshot() const;

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
-#include "obs/exporters.h"
 #include "obs/trace.h"
 #include "util/string_util.h"
 
@@ -137,158 +135,6 @@ void FinalizeSensitivity(PlanSensitivity* s) {
   }
 }
 
-PlanProvenanceStore::PlanProvenanceStore(PlanProvenanceConfig config)
-    : config_(config) {}
-
-void PlanProvenanceStore::Record(PlanProvenanceRecord record) {
-  if (!config_.enabled || config_.capacity == 0) return;
-  Key key{record.fingerprint, record.threshold_bits, record.estimator};
-  record.sequence = next_sequence_++;
-  ++stats_.recorded;
-  if (record.sensitivity.available) {
-    if (record.sensitivity.stable) ++stats_.stable;
-    if (record.sensitivity.crossover_quantile >= 0.0) {
-      ++stats_.fragile;
-      last_crossover_ = record.sensitivity.crossover_quantile;
-    }
-  }
-  records_[key] = std::move(record);
-  while (records_.size() > config_.capacity) {
-    // LRU by recording order: refreshing a key bumped its sequence, so
-    // the minimum sequence is the least recently (re)recorded key.
-    auto victim = records_.begin();
-    for (auto it = records_.begin(); it != records_.end(); ++it) {
-      if (it->second.sequence < victim->second.sequence) victim = it;
-    }
-    records_.erase(victim);
-    ++stats_.evicted;
-  }
-}
-
-void PlanProvenanceStore::RecordDiff(PlanDiffRecord diff) {
-  if (!config_.enabled || config_.diff_capacity == 0) return;
-  diff.sequence = next_sequence_++;
-  ++stats_.diffs;
-  diffs_.push_back(std::move(diff));
-  while (diffs_.size() > config_.diff_capacity) {
-    diffs_.pop_front();
-    ++stats_.diffs_evicted;
-  }
-}
-
-const PlanProvenanceRecord* PlanProvenanceStore::Find(
-    uint64_t fingerprint) const {
-  const PlanProvenanceRecord* best = nullptr;
-  for (const auto& [key, record] : records_) {
-    if (key.fingerprint != fingerprint) continue;
-    if (best == nullptr || record.sequence > best->sequence) best = &record;
-  }
-  return best;
-}
-
-const PlanProvenanceRecord* PlanProvenanceStore::Latest() const {
-  const PlanProvenanceRecord* best = nullptr;
-  for (const auto& [key, record] : records_) {
-    (void)key;
-    if (best == nullptr || record.sequence > best->sequence) best = &record;
-  }
-  return best;
-}
-
-std::vector<const PlanProvenanceRecord*> PlanProvenanceStore::Snapshot()
-    const {
-  std::vector<const PlanProvenanceRecord*> out;
-  out.reserve(records_.size());
-  for (const auto& [key, record] : records_) {
-    (void)key;
-    out.push_back(&record);
-  }
-  std::sort(out.begin(), out.end(),
-            [](const PlanProvenanceRecord* a, const PlanProvenanceRecord* b) {
-              return a->sequence < b->sequence;
-            });
-  return out;
-}
-
-std::vector<const PlanDiffRecord*> PlanProvenanceStore::Diffs() const {
-  std::vector<const PlanDiffRecord*> out;
-  out.reserve(diffs_.size());
-  for (const PlanDiffRecord& diff : diffs_) out.push_back(&diff);
-  return out;
-}
-
-void PlanProvenanceStore::Absorb(PlanProvenanceStore&& other,
-                                 const std::string& tag) {
-  // Interleave the donor's records and diffs back in its own recording
-  // order so the merged history reads like one chronological stream.
-  std::vector<std::pair<uint64_t, bool>> order;  // (sequence, is_diff)
-  for (const auto& [key, record] : other.records_) {
-    (void)key;
-    order.push_back({record.sequence, false});
-  }
-  for (const PlanDiffRecord& diff : other.diffs_) {
-    order.push_back({diff.sequence, true});
-  }
-  std::sort(order.begin(), order.end());
-  std::map<uint64_t, PlanProvenanceRecord> records_by_seq;
-  for (auto& [key, record] : other.records_) {
-    (void)key;
-    records_by_seq.emplace(record.sequence, std::move(record));
-  }
-  std::map<uint64_t, PlanDiffRecord> diffs_by_seq;
-  for (PlanDiffRecord& diff : other.diffs_) {
-    diffs_by_seq.emplace(diff.sequence, std::move(diff));
-  }
-  for (const auto& [sequence, is_diff] : order) {
-    if (is_diff) {
-      PlanDiffRecord diff = std::move(diffs_by_seq.at(sequence));
-      diff.tag = diff.tag.empty() ? tag : tag + "/" + diff.tag;
-      RecordDiff(std::move(diff));
-    } else {
-      PlanProvenanceRecord record = std::move(records_by_seq.at(sequence));
-      record.tag = record.tag.empty() ? tag : tag + "/" + record.tag;
-      Record(std::move(record));
-    }
-    ++stats_.absorbed;
-  }
-  other.Clear();
-}
-
-std::string PlanProvenanceStore::ReportText() const {
-  std::string out = StrPrintf(
-      "plan provenance: %zu records, %zu diffs (recorded=%llu evicted=%llu "
-      "fragile=%llu stable=%llu absorbed=%llu)\n",
-      records_.size(), diffs_.size(),
-      static_cast<unsigned long long>(stats_.recorded),
-      static_cast<unsigned long long>(stats_.evicted),
-      static_cast<unsigned long long>(stats_.fragile),
-      static_cast<unsigned long long>(stats_.stable),
-      static_cast<unsigned long long>(stats_.absorbed));
-  for (const PlanProvenanceRecord* r : Snapshot()) {
-    const char* badge = "-       ";
-    if (r->sensitivity.available) {
-      badge = r->sensitivity.stable ? "stable  " : "fragile ";
-    }
-    out += StrPrintf(
-        "  [%s] fp=%s T=%.4g est=%s epoch=%llu plan=%s cost=%.6g%s%s\n",
-        badge, FingerprintHex(r->fingerprint).c_str(),
-        r->sensitivity.threshold, r->estimator.c_str(),
-        static_cast<unsigned long long>(r->epoch), r->plan_label.c_str(),
-        r->estimated_cost, r->tag.empty() ? "" : " tag=", r->tag.c_str());
-  }
-  for (const PlanDiffRecord* d : Diffs()) {
-    out += StrPrintf(
-        "  [diff    ] fp=%s trigger=%s epoch %llu->%llu plan %s -> %s "
-        "cost %.6g -> %.6g%s%s\n",
-        FingerprintHex(d->fingerprint).c_str(), d->trigger.c_str(),
-        static_cast<unsigned long long>(d->old_epoch),
-        static_cast<unsigned long long>(d->new_epoch), d->old_label.c_str(),
-        d->new_label.c_str(), d->old_cost, d->new_cost,
-        d->tag.empty() ? "" : " tag=", d->tag.c_str());
-  }
-  return out;
-}
-
 std::string WinnerLine(const PlanProvenanceRecord& record) {
   return StrPrintf(
       "  winner: %s cost=%.6g rows=%.6g epoch=%llu T=%.4g estimator=%s\n",
@@ -297,17 +143,51 @@ std::string WinnerLine(const PlanProvenanceRecord& record) {
       record.sensitivity.threshold, record.estimator.c_str());
 }
 
-std::string PlanProvenanceStore::ReportFor(uint64_t fingerprint) const {
-  const PlanProvenanceRecord* r = Find(fingerprint);
-  if (r == nullptr) {
-    return StrPrintf("whyplan: no provenance retained for fp=%s\n",
-                     FingerprintHex(fingerprint).c_str());
-  }
-  const PlanSensitivity& s = r->sensitivity;
-  std::string out = StrPrintf("whyplan fp=%s%s%s\n",
-                              FingerprintHex(r->fingerprint).c_str(),
-                              r->tag.empty() ? "" : " tag=", r->tag.c_str());
-  out += WinnerLine(*r);
+std::string PlanRecordJson(const PlanProvenanceRecord& r) {
+  std::string out = StrPrintf(
+      "{\"fingerprint\":\"%s\",\"threshold_bits\":\"%016llx\","
+      "\"estimator\":\"%s\",\"epoch\":%llu,\"sequence\":%llu,"
+      "\"plan\":\"%s\",\"cost\":%s,\"rows\":%s,\"sensitivity\":",
+      FingerprintHex(r.fingerprint).c_str(),
+      static_cast<unsigned long long>(r.threshold_bits),
+      JsonEscape(r.estimator).c_str(),
+      static_cast<unsigned long long>(r.epoch),
+      static_cast<unsigned long long>(r.sequence),
+      JsonEscape(r.plan_label).c_str(), Num(r.estimated_cost).c_str(),
+      Num(r.estimated_rows).c_str());
+  out += SensitivityJson(r.sensitivity);
+  out += "}";
+  return out;
+}
+
+std::string PlanDiffJson(const PlanDiffRecord& d) {
+  std::string out = StrPrintf(
+      "{\"fingerprint\":\"%s\",\"trigger\":\"%s\",\"sequence\":%llu,"
+      "\"old_epoch\":%llu,\"new_epoch\":%llu,\"old_plan\":\"%s\","
+      "\"new_plan\":\"%s\",\"old_cost\":%s,\"new_cost\":%s,"
+      "\"plan_changed\":%s,\"old_verdict\":\"%s\",\"new_verdict\":\"%s\","
+      "\"grid\":",
+      FingerprintHex(d.fingerprint).c_str(), JsonEscape(d.trigger).c_str(),
+      static_cast<unsigned long long>(d.sequence),
+      static_cast<unsigned long long>(d.old_epoch),
+      static_cast<unsigned long long>(d.new_epoch),
+      JsonEscape(d.old_label).c_str(), JsonEscape(d.new_label).c_str(),
+      Num(d.old_cost).c_str(), Num(d.new_cost).c_str(),
+      d.plan_changed ? "true" : "false", JsonEscape(d.old_verdict).c_str(),
+      JsonEscape(d.new_verdict).c_str());
+  out += DoubleArrayJson(d.grid);
+  out += ",\"old_curve\":" + DoubleArrayJson(d.old_curve);
+  out += ",\"new_curve\":" + DoubleArrayJson(d.new_curve);
+  out += "}";
+  return out;
+}
+
+std::string WhyplanText(const PlanProvenanceRecord& r,
+                        const std::vector<const PlanDiffRecord*>& diffs) {
+  const PlanSensitivity& s = r.sensitivity;
+  std::string out =
+      StrPrintf("whyplan fp=%s\n", FingerprintHex(r.fingerprint).c_str());
+  out += WinnerLine(r);
   if (!s.available) {
     out += "  sensitivity: " + s.verdict + "\n";
   } else {
@@ -318,161 +198,37 @@ std::string PlanProvenanceStore::ReportFor(uint64_t fingerprint) const {
     out += "\n";
     for (size_t c = 0; c < s.candidates.size(); ++c) {
       const CandidateCurve& cand = s.candidates[c];
-      out += StrPrintf("  %-12s",
-                       c == 0 ? "[winner]" : StrPrintf("[#%zu]", c + 1).c_str());
+      const std::string rank = c == 0 ? "[winner]" : StrPrintf("[#%zu]", c + 1);
+      out += StrPrintf("  %-12s", rank.c_str());
       for (double cost : cand.cost_at) out += StrPrintf(" %12.6g", cost);
       out += StrPrintf("  %s%s\n", cand.label.c_str(),
                        cand.curve_available ? "" : " (flat: no curve)");
     }
     out += "  verdict: " + s.verdict + "\n";
   }
-  bool any_diff = false;
-  for (const PlanDiffRecord& d : diffs_) {
-    if (d.fingerprint != fingerprint) continue;
-    if (!any_diff) {
-      out += "  diffs:\n";
-      any_diff = true;
-    }
+  if (!diffs.empty()) out += "  diffs:\n";
+  for (const PlanDiffRecord* d : diffs) {
     out += StrPrintf(
         "    [%s] epoch %llu->%llu plan %s -> %s cost %.6g -> %.6g "
         "(delta %+.6g) changed=%s\n",
-        d.trigger.c_str(), static_cast<unsigned long long>(d.old_epoch),
-        static_cast<unsigned long long>(d.new_epoch), d.old_label.c_str(),
-        d.new_label.c_str(), d.old_cost, d.new_cost, d.new_cost - d.old_cost,
-        d.plan_changed ? "yes" : "no");
-    const size_t points = std::min(d.old_curve.size(), d.new_curve.size());
-    if (points > 0 && points == d.grid.size()) {
+        d->trigger.c_str(), static_cast<unsigned long long>(d->old_epoch),
+        static_cast<unsigned long long>(d->new_epoch), d->old_label.c_str(),
+        d->new_label.c_str(), d->old_cost, d->new_cost,
+        d->new_cost - d->old_cost, d->plan_changed ? "yes" : "no");
+    const size_t points = std::min(d->old_curve.size(), d->new_curve.size());
+    if (points > 0 && points == d->grid.size()) {
       out += "      curve delta:";
       for (size_t i = 0; i < points; ++i) {
-        out += StrPrintf(" %s=%+.6g", QuantileLabel(d.grid[i]).c_str(),
-                         d.new_curve[i] - d.old_curve[i]);
+        out += StrPrintf(" %s=%+.6g", QuantileLabel(d->grid[i]).c_str(),
+                         d->new_curve[i] - d->old_curve[i]);
       }
       out += "\n";
     }
-    if (!d.new_verdict.empty()) {
-      out += "      now: " + d.new_verdict + "\n";
+    if (!d->new_verdict.empty()) {
+      out += "      now: " + d->new_verdict + "\n";
     }
   }
   return out;
-}
-
-std::string PlanProvenanceStore::ToJson() const {
-  std::string out = StrPrintf(
-      "{\"plan_provenance\":{\"capacity\":%zu,\"diff_capacity\":%zu,"
-      "\"stats\":{\"recorded\":%llu,\"evicted\":%llu,\"diffs\":%llu,"
-      "\"diffs_evicted\":%llu,\"absorbed\":%llu,\"fragile\":%llu,"
-      "\"stable\":%llu},\"records\":[",
-      config_.capacity, config_.diff_capacity,
-      static_cast<unsigned long long>(stats_.recorded),
-      static_cast<unsigned long long>(stats_.evicted),
-      static_cast<unsigned long long>(stats_.diffs),
-      static_cast<unsigned long long>(stats_.diffs_evicted),
-      static_cast<unsigned long long>(stats_.absorbed),
-      static_cast<unsigned long long>(stats_.fragile),
-      static_cast<unsigned long long>(stats_.stable));
-  bool first = true;
-  for (const PlanProvenanceRecord* r : Snapshot()) {
-    if (!first) out += ",";
-    first = false;
-    out += StrPrintf(
-        "{\"fingerprint\":\"%s\",\"threshold_bits\":\"%016llx\","
-        "\"estimator\":\"%s\",\"epoch\":%llu,\"sequence\":%llu,"
-        "\"plan\":\"%s\",\"cost\":%s,\"rows\":%s,\"tag\":\"%s\","
-        "\"sensitivity\":",
-        FingerprintHex(r->fingerprint).c_str(),
-        static_cast<unsigned long long>(r->threshold_bits),
-        JsonEscape(r->estimator).c_str(),
-        static_cast<unsigned long long>(r->epoch),
-        static_cast<unsigned long long>(r->sequence),
-        JsonEscape(r->plan_label).c_str(), Num(r->estimated_cost).c_str(),
-        Num(r->estimated_rows).c_str(), JsonEscape(r->tag).c_str());
-    out += SensitivityJson(r->sensitivity);
-    out += "}";
-  }
-  out += "],\"diffs\":[";
-  first = true;
-  for (const PlanDiffRecord* d : Diffs()) {
-    if (!first) out += ",";
-    first = false;
-    out += StrPrintf(
-        "{\"fingerprint\":\"%s\",\"trigger\":\"%s\",\"sequence\":%llu,"
-        "\"old_epoch\":%llu,\"new_epoch\":%llu,\"old_plan\":\"%s\","
-        "\"new_plan\":\"%s\",\"old_cost\":%s,\"new_cost\":%s,"
-        "\"plan_changed\":%s,\"old_verdict\":\"%s\",\"new_verdict\":\"%s\","
-        "\"tag\":\"%s\",\"grid\":",
-        FingerprintHex(d->fingerprint).c_str(), JsonEscape(d->trigger).c_str(),
-        static_cast<unsigned long long>(d->sequence),
-        static_cast<unsigned long long>(d->old_epoch),
-        static_cast<unsigned long long>(d->new_epoch),
-        JsonEscape(d->old_label).c_str(), JsonEscape(d->new_label).c_str(),
-        Num(d->old_cost).c_str(), Num(d->new_cost).c_str(),
-        d->plan_changed ? "true" : "false",
-        JsonEscape(d->old_verdict).c_str(),
-        JsonEscape(d->new_verdict).c_str(), JsonEscape(d->tag).c_str());
-    out += DoubleArrayJson(d->grid);
-    out += ",\"old_curve\":" + DoubleArrayJson(d->old_curve);
-    out += ",\"new_curve\":" + DoubleArrayJson(d->new_curve);
-    out += "}";
-  }
-  out += "]}}";
-  return out;
-}
-
-std::string PlanProvenanceStore::ToChromeTrace() const {
-  std::vector<CounterTrack> tracks;
-  uint64_t tid = 1;
-  for (const PlanProvenanceRecord* r : Snapshot()) {
-    const PlanSensitivity& s = r->sensitivity;
-    if (!s.available) continue;
-    CounterTrack track;
-    track.pid = 1;
-    track.tid = tid++;
-    track.process_name = "plan provenance";
-    track.name = StrPrintf("plancost %s T=%.4g",
-                           FingerprintHex(r->fingerprint).c_str(),
-                           s.threshold);
-    const size_t points = s.grid.size();
-    for (size_t i = 0; i < points; ++i) {
-      CounterSample sample;
-      sample.ts = static_cast<uint64_t>(
-          std::llround(std::max(0.0, s.grid[i]) * 100.0));
-      for (const CandidateCurve& cand : s.candidates) {
-        if (i < cand.cost_at.size()) {
-          sample.values.push_back({cand.label, cand.cost_at[i]});
-        }
-      }
-      if (!sample.values.empty()) track.samples.push_back(std::move(sample));
-    }
-    if (!track.samples.empty()) tracks.push_back(std::move(track));
-  }
-  return obs::ToChromeTrace({}, tracks);
-}
-
-void PlanProvenanceStore::PublishMetrics(MetricsRegistry* metrics) const {
-  if (metrics == nullptr || !config_.enabled) return;
-  const auto sync = [metrics](const char* name, uint64_t value) {
-    Counter* counter = metrics->GetCounter(name);
-    counter->Increment(value - counter->value());
-  };
-  sync("optimizer.provenance.recorded", stats_.recorded);
-  sync("optimizer.provenance.evicted", stats_.evicted);
-  sync("optimizer.provenance.diffs", stats_.diffs);
-  sync("optimizer.provenance.diffs_evicted", stats_.diffs_evicted);
-  sync("optimizer.provenance.absorbed", stats_.absorbed);
-  sync("optimizer.sensitivity.fragile_plans", stats_.fragile);
-  sync("optimizer.sensitivity.stable_plans", stats_.stable);
-  metrics->GetGauge("optimizer.provenance.records")
-      ->Set(static_cast<double>(records_.size()));
-  metrics->GetGauge("optimizer.sensitivity.crossover_quantile")
-      ->Set(last_crossover_);
-}
-
-void PlanProvenanceStore::Clear() {
-  records_.clear();
-  diffs_.clear();
-  stats_ = PlanProvenanceStats{};
-  next_sequence_ = 0;
-  last_crossover_ = -1.0;
 }
 
 }  // namespace obs

@@ -6,28 +6,22 @@
 // plan plus its top-K runner-up candidates, re-costs every one of them at
 // a fixed grid of posterior quantiles (PARQO's judge-plans-by-the-whole-
 // posterior lens; Trummer & Koch's (eps, delta)-stability when the winner
-// dominates everywhere), and the serving layer files the result here —
-// a bounded, epoch-stamped store keyed by the canonical plan-cache key.
-// When a cached plan is re-planned (stale epoch, drift block, degraded
-// lookup, plain eviction) the store also captures a plan-diff record:
-// old vs new plan, cost-curve delta, and the PlanCacheOutcome trigger.
+// dominates everywhere), and the serving layer files the result in the
+// plan column of its obs::FingerprintLedger row. When a cached plan is
+// re-planned (stale epoch, drift block, degraded lookup, plain eviction)
+// the ledger also files a plan-diff record: old vs new plan, cost-curve
+// delta, and the PlanCacheOutcome trigger.
 //
-// Strictly read-only with respect to plan choice: nothing in this file
-// feeds back into optimization. Like the FlightRecorder, the store is a
-// plain data class — it always works when used directly — and harnesses
-// Absorb() per-run stores in run order so reports stay byte-identical at
-// any thread count.
+// This file holds the record types and their per-record renderings.
+// Strictly read-only with respect to plan choice: nothing here feeds back
+// into optimization.
 
 #ifndef ROBUSTQO_OBS_PLAN_PROVENANCE_H_
 #define ROBUSTQO_OBS_PLAN_PROVENANCE_H_
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <string>
 #include <vector>
-
-#include "obs/metrics.h"
 
 namespace robustqo {
 namespace obs {
@@ -82,20 +76,20 @@ void FinalizeSensitivity(PlanSensitivity* s);
 std::string QuantileLabel(double quantile);
 
 /// Deterministic JSON object for one sensitivity (EXPLAIN's `sensitivity`
-/// section and the store's record dumps share the byte format).
+/// section and the ledger's plan dumps share the byte format).
 std::string SensitivityJson(const PlanSensitivity& s);
 
-/// Why one plan won: the provenance record filed per plan-cache key.
+/// Why one plan won: the provenance record filed per (statement
+/// fingerprint, T%, estimator).
 struct PlanProvenanceRecord {
   uint64_t fingerprint = 0;
   uint64_t threshold_bits = 0;  ///< T bit pattern (plan-cache key part)
   std::string estimator;
   uint64_t epoch = 0;           ///< statistics epoch at planning time
-  uint64_t sequence = 0;        ///< recording order (assigned by the store)
+  uint64_t sequence = 0;        ///< recording order (assigned by the ledger)
   std::string plan_label;
   double estimated_cost = 0.0;
   double estimated_rows = 0.0;
-  std::string tag;              ///< absorption provenance ("run=3")
   PlanSensitivity sensitivity;
 };
 
@@ -106,7 +100,7 @@ std::string WinnerLine(const PlanProvenanceRecord& record);
 struct PlanDiffRecord {
   uint64_t fingerprint = 0;
   std::string trigger;   ///< PlanCacheOutcomeName of the re-plan miss
-  uint64_t sequence = 0; ///< recording order (assigned by the store)
+  uint64_t sequence = 0; ///< recording order (assigned by the ledger)
   uint64_t old_epoch = 0;
   uint64_t new_epoch = 0;
   std::string old_label;
@@ -121,114 +115,32 @@ struct PlanDiffRecord {
   std::vector<double> new_curve;
   std::string old_verdict;
   std::string new_verdict;
-  std::string tag;
 };
 
+/// Deterministic JSON objects of one record / one diff.
+std::string PlanRecordJson(const PlanProvenanceRecord& record);
+std::string PlanDiffJson(const PlanDiffRecord& diff);
+
+/// The `.whyplan` body of `record`: winner, per-quantile cost table for
+/// every retained candidate, verdict, then `diffs` (the fingerprint's
+/// plan-diff history, oldest first).
+std::string WhyplanText(const PlanProvenanceRecord& record,
+                        const std::vector<const PlanDiffRecord*>& diffs);
+
 struct PlanProvenanceConfig {
+  /// Runtime toggle (`SET PROVENANCE ON|OFF`): a disabled plan column
+  /// drops offers and publishes nothing, so disabled output is
+  /// byte-identical to a build without provenance.
   bool enabled = true;
-  /// LRU bound on provenance records (keyed by plan-cache key).
-  size_t capacity = 128;
-  /// FIFO bound on plan-diff records.
-  size_t diff_capacity = 64;
 };
 
 struct PlanProvenanceStats {
   uint64_t recorded = 0;       ///< records accepted (insert or refresh)
-  uint64_t evicted = 0;        ///< records dropped by the LRU bound
+  uint64_t evicted = 0;        ///< records dropped with their ledger row
   uint64_t diffs = 0;          ///< diff records accepted
-  uint64_t diffs_evicted = 0;  ///< diff records dropped by the FIFO bound
-  uint64_t absorbed = 0;       ///< records + diffs taken from other stores
+  uint64_t diffs_evicted = 0;  ///< diffs dropped by the FIFO or their row
   uint64_t fragile = 0;        ///< recorded with a crossover
   uint64_t stable = 0;         ///< recorded with the stability flag
-};
-
-/// Bounded store of plan provenance + plan-diff records. Not thread-safe;
-/// the serving layer records from its sequential PLAN phase and harnesses
-/// merge per-run stores with Absorb() in run order.
-class PlanProvenanceStore {
- public:
-  explicit PlanProvenanceStore(PlanProvenanceConfig config = {});
-
-  /// Runtime toggle (`SET PROVENANCE ON|OFF`): a disabled store drops
-  /// offers and publishes nothing, so disabled output is byte-identical
-  /// to a build without the store.
-  bool enabled() const { return config_.enabled; }
-  void set_enabled(bool enabled) { config_.enabled = enabled; }
-
-  /// Files one record under (fingerprint, threshold_bits, estimator).
-  /// Re-recording an existing key refreshes it (and its LRU position).
-  void Record(PlanProvenanceRecord record);
-
-  /// Files one plan-diff record.
-  void RecordDiff(PlanDiffRecord diff);
-
-  /// Newest record for `fingerprint` across thresholds/estimators
-  /// (nullptr when none). Pointers are invalidated by the next mutation.
-  const PlanProvenanceRecord* Find(uint64_t fingerprint) const;
-
-  /// Newest record overall (nullptr when empty).
-  const PlanProvenanceRecord* Latest() const;
-
-  /// Records in recording order (oldest first).
-  std::vector<const PlanProvenanceRecord*> Snapshot() const;
-  /// Diff records in recording order (oldest first).
-  std::vector<const PlanDiffRecord*> Diffs() const;
-
-  /// Moves every record and diff of `other` into this store in recording
-  /// order, prefixing tags with `tag` ("tag" or "tag/existing"), then
-  /// clears `other`. Harness aggregation: absorbing per-run stores in run
-  /// order makes the merged report independent of worker scheduling.
-  void Absorb(PlanProvenanceStore&& other, const std::string& tag);
-
-  /// One line per record: the deterministic summary block.
-  std::string ReportText() const;
-
-  /// The `.whyplan` body for one fingerprint: winner, per-quantile cost
-  /// table for every retained candidate, verdict, and the fingerprint's
-  /// plan-diff history. Empty-store/miss cases return a one-line notice.
-  std::string ReportFor(uint64_t fingerprint) const;
-
-  /// Deterministic JSON dump (config, stats, records, diffs).
-  std::string ToJson() const;
-
-  /// Chrome trace_event JSON: one counter track ("ph":"C") per record —
-  /// track name "plancost <fingerprint hex> T=<threshold>", one sample
-  /// per grid quantile (ts = quantile percent), one numeric series per
-  /// retained candidate. Loadable next to the flight-recorder lanes.
-  std::string ToChromeTrace() const;
-
-  /// Syncs optimizer.provenance.* / optimizer.sensitivity.* series into
-  /// `metrics` (no-op when null or the store is disabled).
-  void PublishMetrics(MetricsRegistry* metrics) const;
-
-  void Clear();
-
-  size_t size() const { return records_.size(); }
-  const PlanProvenanceStats& stats() const { return stats_; }
-  const PlanProvenanceConfig& config() const { return config_; }
-
- private:
-  struct Key {
-    uint64_t fingerprint = 0;
-    uint64_t threshold_bits = 0;
-    std::string estimator;
-    bool operator<(const Key& o) const {
-      if (fingerprint != o.fingerprint) return fingerprint < o.fingerprint;
-      if (threshold_bits != o.threshold_bits) {
-        return threshold_bits < o.threshold_bits;
-      }
-      return estimator < o.estimator;
-    }
-  };
-
-  PlanProvenanceConfig config_;
-  PlanProvenanceStats stats_;
-  std::map<Key, PlanProvenanceRecord> records_;
-  std::deque<PlanDiffRecord> diffs_;
-  uint64_t next_sequence_ = 0;
-  /// Most recently recorded crossover quantile (-1 until one is seen);
-  /// exported as the optimizer.sensitivity.crossover_quantile gauge.
-  double last_crossover_ = -1.0;
 };
 
 }  // namespace obs

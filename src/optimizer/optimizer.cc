@@ -332,29 +332,30 @@ const std::vector<double>& Optimizer::SensitivityGrid() {
   return kGrid;
 }
 
-void Optimizer::CaptureSensitivity(RunState* run, uint32_t full_subset) {
+obs::PlanSensitivity Optimizer::CaptureSensitivity(RunState* run,
+                                                   uint32_t full_subset) {
   const std::vector<PlanEntry>& finalists = memo_.lists[full_subset];
-  sensitivity_ = obs::PlanSensitivity{};
-  sensitivity_.captured = true;
-  sensitivity_.grid = SensitivityGrid();
-  if (!finalists.empty()) sensitivity_.plan_label = memo_.Label(finalists[0]);
+  obs::PlanSensitivity sensitivity;
+  sensitivity.captured = true;
+  sensitivity.grid = SensitivityGrid();
+  if (!finalists.empty()) sensitivity.plan_label = memo_.Label(finalists[0]);
 
   auto* robust = dynamic_cast<stats::RobustSampleEstimator*>(estimator_);
   double threshold_selectivity = 0.0;
   if (robust == nullptr) {
-    sensitivity_.unavailable_reason = "estimator has no posterior";
+    sensitivity.unavailable_reason = "estimator has no posterior";
   } else {
-    sensitivity_.threshold = robust->config().confidence_threshold;
+    sensitivity.threshold = robust->config().confidence_threshold;
     stats::CardinalityRequest request;
     request.tables = run->SubsetNames(full_subset);
     request.predicate = run->query->CombinedPredicate(request.tables);
     if (request.predicate == nullptr) {
-      sensitivity_.unavailable_reason = "query has no predicate";
+      sensitivity.unavailable_reason = "query has no predicate";
     } else {
       Result<stats::SelectivityPosterior> posterior =
           robust->EstimatePosterior(request);
       if (!posterior.ok()) {
-        sensitivity_.unavailable_reason = "no covering posterior";
+        sensitivity.unavailable_reason = "no covering posterior";
       } else {
         // All cdf^{-1} evaluations go through the shared inverse-Beta LRU,
         // so a re-planned fingerprint re-reads its whole grid from cache.
@@ -362,23 +363,23 @@ void Optimizer::CaptureSensitivity(RunState* run, uint32_t full_subset) {
             posterior.value().distribution();
         perf::InverseBetaCache* beta = robust->beta_cache();
         threshold_selectivity =
-            beta->Value(dist.alpha(), dist.beta(), sensitivity_.threshold);
-        for (double q : sensitivity_.grid) {
-          sensitivity_.selectivity.push_back(
+            beta->Value(dist.alpha(), dist.beta(), sensitivity.threshold);
+        for (double q : sensitivity.grid) {
+          sensitivity.selectivity.push_back(
               beta->Value(dist.alpha(), dist.beta(), q));
         }
         if (threshold_selectivity > 0.0) {
-          sensitivity_.available = true;
+          sensitivity.available = true;
         } else {
-          sensitivity_.selectivity.clear();
-          sensitivity_.unavailable_reason =
+          sensitivity.selectivity.clear();
+          sensitivity.unavailable_reason =
               "degenerate threshold selectivity";
         }
       }
     }
   }
 
-  if (sensitivity_.available) {
+  if (sensitivity.available) {
     const size_t keep =
         std::min(finalists.size(), run->options.provenance_top_k + 1);
     for (size_t c = 0; c < keep; ++c) {
@@ -388,21 +389,21 @@ void Optimizer::CaptureSensitivity(RunState* run, uint32_t full_subset) {
       curve.cost = cand.cost;
       curve.rows = cand.rows;
       curve.curve_available = cand.method != PlanMethod::kStar;
-      for (double selectivity : sensitivity_.selectivity) {
+      for (double selectivity : sensitivity.selectivity) {
         const double ratio = selectivity / threshold_selectivity;
         curve.cost_at.push_back(memo_.Recost(
             {full_subset, static_cast<uint32_t>(c)}, ratio));
       }
-      sensitivity_.candidates.push_back(std::move(curve));
+      sensitivity.candidates.push_back(std::move(curve));
     }
   }
-  obs::FinalizeSensitivity(&sensitivity_);
+  obs::FinalizeSensitivity(&sensitivity);
+  return sensitivity;
 }
 
 Result<PlannedQuery> Optimizer::Optimize(const QuerySpec& query,
                                          const OptimizerOptions& options) {
   metrics_ = Metrics();
-  sensitivity_ = obs::PlanSensitivity{};
   if (query.tables.empty()) {
     return Status::InvalidArgument("query has no tables");
   }
@@ -641,39 +642,40 @@ Result<PlannedQuery> Optimizer::Optimize(const QuerySpec& query,
   // read + grid quantile lookups never perturb the EXPLAIN ANALYZE
   // perf.cache numbers.
   if (run.options.provenance_enabled) {
-    CaptureSensitivity(&run, full);
+    planned.sensitivity = CaptureSensitivity(&run, full);
   }
-  if (sensitivity_.captured) {
+  const obs::PlanSensitivity& sensitivity = planned.sensitivity;
+  if (sensitivity.captured) {
     if (options.tracer != nullptr) {
       obs::SpanGuard sens_span(
           options.tracer, "optimizer", "sensitivity",
-          {{"plan", sensitivity_.plan_label},
-           {"threshold", obs::AttrF(sensitivity_.threshold)},
-           {"grid_points", obs::AttrU64(sensitivity_.grid.size())},
-           {"candidates", obs::AttrU64(sensitivity_.candidates.size())}});
-      if (sensitivity_.available) {
-        for (size_t i = 0; i < sensitivity_.grid.size(); ++i) {
+          {{"plan", sensitivity.plan_label},
+           {"threshold", obs::AttrF(sensitivity.threshold)},
+           {"grid_points", obs::AttrU64(sensitivity.grid.size())},
+           {"candidates", obs::AttrU64(sensitivity.candidates.size())}});
+      if (sensitivity.available) {
+        for (size_t i = 0; i < sensitivity.grid.size(); ++i) {
           options.tracer->Event(
               "optimizer", "sensitivity.point",
-              {{"quantile", obs::AttrF(sensitivity_.grid[i])},
-               {"selectivity", obs::AttrF(sensitivity_.selectivity[i])},
+              {{"quantile", obs::AttrF(sensitivity.grid[i])},
+               {"selectivity", obs::AttrF(sensitivity.selectivity[i])},
                {"winner_cost",
-                obs::AttrF(sensitivity_.candidates.front().cost_at[i])}});
+                obs::AttrF(sensitivity.candidates.front().cost_at[i])}});
         }
       }
-      sens_span.Attr("stable", obs::AttrU64(sensitivity_.stable ? 1 : 0));
+      sens_span.Attr("stable", obs::AttrU64(sensitivity.stable ? 1 : 0));
       sens_span.Attr("crossover_quantile",
-                     obs::AttrF(sensitivity_.crossover_quantile));
+                     obs::AttrF(sensitivity.crossover_quantile));
       sens_span.Attr("max_regret_pct",
-                     obs::AttrF(sensitivity_.max_regret_pct));
-      sens_span.Attr("verdict", sensitivity_.verdict);
+                     obs::AttrF(sensitivity.max_regret_pct));
+      sens_span.Attr("verdict", sensitivity.verdict);
     }
     if (options.metrics != nullptr) {
-      if (sensitivity_.available) {
+      if (sensitivity.available) {
         options.metrics->GetCounter("optimizer.sensitivity.captured")
             ->Increment();
         options.metrics->GetGauge("optimizer.sensitivity.max_regret_pct")
-            ->Set(sensitivity_.max_regret_pct);
+            ->Set(sensitivity.max_regret_pct);
       } else {
         options.metrics->GetCounter("optimizer.sensitivity.unavailable")
             ->Increment();

@@ -19,7 +19,6 @@
 
 #include "exec/cost_model.h"
 #include "obs/metrics.h"
-#include "obs/plan_provenance.h"
 #include "obs/trace.h"
 #include "optimizer/plan.h"
 #include "optimizer/query.h"
@@ -63,7 +62,7 @@ struct OptimizerOptions {
   obs::MetricsRegistry* metrics = nullptr;
   /// Plan-provenance capture — strictly read-only with respect to plan
   /// choice; enumeration does the same work either way. When enabled,
-  /// Optimize() leaves a PlanSensitivity in last_sensitivity(): the
+  /// Optimize() fills the returned plan's PlanSensitivity: the
   /// winner plus the top provenance_top_k runner-ups (post-prune), each
   /// re-costed over the plan memo at the posterior quantile grid, with a
   /// stability/crossover verdict. The added cdf^{-1} work goes through
@@ -99,12 +98,6 @@ class Optimizer {
     size_t beta_cache_misses = 0;
   };
   const Metrics& last_metrics() const { return metrics_; }
-
-  /// Sensitivity of the most recent Optimize() call's plan choice.
-  /// `captured` is false unless that call ran with provenance_enabled.
-  const obs::PlanSensitivity& last_sensitivity() const {
-    return sensitivity_;
-  }
 
   const exec::CostModel& cost_model() const { return cost_model_; }
 
@@ -150,17 +143,17 @@ class Optimizer {
   // star_strategies.cc); appends to `out`.
   void AddStarCandidates(RunState* run, std::vector<PlanEntry>* out);
 
-  // Fills sensitivity_ from the memo's pruned finalists of the full table
-  // set: posterior quantile grid via the robust estimator's beta cache,
-  // one re-cost curve per retained candidate, verdict via
+  // The plan choice's sensitivity, from the memo's pruned finalists of the
+  // full table set: posterior quantile grid via the robust estimator's
+  // beta cache, one re-cost curve per retained candidate, verdict via
   // FinalizeSensitivity.
-  void CaptureSensitivity(RunState* run, uint32_t full_subset);
+  obs::PlanSensitivity CaptureSensitivity(RunState* run,
+                                          uint32_t full_subset);
 
   const storage::Catalog* catalog_;
   stats::CardinalityEstimator* estimator_;
   exec::CostModel cost_model_;
   Metrics metrics_;
-  obs::PlanSensitivity sensitivity_;
   PlanMemo memo_;
 };
 

@@ -20,6 +20,7 @@
 #include "exec/operator.h"
 #include "exec/scan_ops.h"
 #include "exec/star_ops.h"
+#include "obs/plan_provenance.h"
 
 namespace robustqo {
 namespace opt {
@@ -39,6 +40,9 @@ struct PlannedQuery {
   double estimated_spj_rows = 0.0;
   /// Compact structure label, e.g. "Agg(HJ(INLJ(part>lineitem),orders))".
   std::string label;
+  /// Sensitivity of this plan choice across the selectivity posterior;
+  /// `captured` is false unless it was planned with provenance_enabled.
+  obs::PlanSensitivity sensitivity;
   /// Human-readable plan tree.
   std::string Explain() const { return root->TreeString(); }
 };

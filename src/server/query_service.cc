@@ -100,9 +100,8 @@ QueryService::QueryService(core::Database* db, ServerConfig config)
       sessions_(config.seed),
       admission_(config.admission),
       cache_(config.plan_cache_capacity),
-      ledger_(config.quality, config.slo),
-      recorder_(config.flight_recorder),
-      provenance_(config.provenance) {
+      ledger_(config.quality, config.slo, config.provenance),
+      recorder_(config.flight_recorder) {
   admission_.set_fault_injector(db_->fault_injector());
   cache_.set_fault_injector(db_->fault_injector());
 }
@@ -368,7 +367,7 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
         // span.
         opt::OptimizerOptions plan_options;
         plan_options.confidence_threshold_hint = work.effective_threshold;
-        plan_options.provenance_enabled = provenance_.enabled();
+        plan_options.provenance_enabled = ledger_.plans_enabled();
         plan_options.provenance_top_k = config_.provenance_top_k;
         plan_options.tracer = work.tracer.get();
         // Accumulate, not assign (same bug class as the EXECUTE phase):
@@ -406,7 +405,7 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
         // Record after the fresh optimizer run (drift-blocked re-plans are
         // not cached but still get provenance); cache hits keep their
         // existing record.
-        if (provenance_.enabled()) {
+        if (ledger_.plans_enabled()) {
           RecordProvenance(work, key, epoch, cache_outcome);
         }
       }
@@ -619,15 +618,7 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
 void QueryService::RecordProvenance(const PendingRequest& work,
                                     const PlanCacheKey& key, uint64_t epoch,
                                     PlanCacheOutcome outcome) {
-  const obs::PlanSensitivity& sensitivity = db_->last_plan_sensitivity();
-  if (!sensitivity.captured) return;
-  // Copy any prior record before the store mutates: a re-planned
-  // fingerprint diffs against what the observatory last knew about it.
-  std::optional<obs::PlanProvenanceRecord> prior;
-  if (const obs::PlanProvenanceRecord* existing =
-          provenance_.Find(key.fingerprint)) {
-    prior = *existing;
-  }
+  if (!work.plan->sensitivity.captured) return;
   obs::PlanProvenanceRecord record;
   record.fingerprint = key.fingerprint;
   record.threshold_bits = key.threshold_bits;
@@ -636,36 +627,14 @@ void QueryService::RecordProvenance(const PendingRequest& work,
   record.plan_label = work.plan->label;
   record.estimated_cost = work.plan->estimated_cost;
   record.estimated_rows = work.plan->estimated_rows;
-  record.sensitivity = sensitivity;
-  provenance_.Record(std::move(record));
-  if (!prior.has_value()) return;
-  obs::PlanDiffRecord diff;
-  diff.fingerprint = key.fingerprint;
-  diff.trigger = PlanCacheOutcomeName(outcome);
-  diff.old_epoch = prior->epoch;
-  diff.new_epoch = epoch;
-  diff.old_label = prior->plan_label;
-  diff.new_label = work.plan->label;
-  diff.old_cost = prior->estimated_cost;
-  diff.new_cost = work.plan->estimated_cost;
-  diff.plan_changed = diff.old_label != diff.new_label;
-  if (sensitivity.available && !sensitivity.candidates.empty()) {
-    diff.grid = sensitivity.grid;
-    diff.new_curve = sensitivity.candidates.front().cost_at;
-  }
-  const obs::PlanSensitivity& old_sensitivity = prior->sensitivity;
-  if (old_sensitivity.available && !old_sensitivity.candidates.empty()) {
-    if (diff.grid.empty()) diff.grid = old_sensitivity.grid;
-    diff.old_curve = old_sensitivity.candidates.front().cost_at;
-  }
-  diff.old_verdict = old_sensitivity.verdict;
-  diff.new_verdict = sensitivity.verdict;
-  provenance_.RecordDiff(std::move(diff));
-  if (tracer_ != nullptr) {
+  record.sensitivity = work.plan->sensitivity;
+  const obs::PlanDiffRecord* diff =
+      ledger_.RecordPlan(std::move(record), PlanCacheOutcomeName(outcome));
+  if (diff != nullptr && tracer_ != nullptr) {
     tracer_->Event("server", "plan_provenance.replanned",
                    {{"fingerprint", obs::FingerprintHex(key.fingerprint)},
-                    {"trigger", PlanCacheOutcomeName(outcome)},
-                    {"plan_changed", diff.plan_changed ? "1" : "0"}});
+                    {"trigger", diff->trigger},
+                    {"plan_changed", diff->plan_changed ? "1" : "0"}});
   }
 }
 
@@ -716,9 +685,6 @@ void QueryService::PublishMetrics(obs::MetricsRegistry* metrics) const {
   metrics->GetGauge("stats.epoch")
       ->Set(static_cast<double>(db_->statistics()->epoch()));
   if (config_.flight_recorder.enabled) recorder_.PublishMetrics(metrics);
-  // Gated on the runtime toggle so SET PROVENANCE OFF keeps the metric
-  // byte stream identical to a pre-provenance build.
-  provenance_.PublishMetrics(metrics);
 }
 
 }  // namespace server

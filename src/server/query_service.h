@@ -62,7 +62,6 @@
 #include "obs/fingerprint_ledger.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/plan_provenance.h"
 #include "obs/trace.h"
 #include "server/admission.h"
 #include "server/plan_cache.h"
@@ -95,11 +94,11 @@ struct ServerConfig {
   /// columns.
   obs::SloConfig slo;
   /// Plan-choice provenance: every plan resolved by the optimizer (cache
-  /// misses of any flavor) files a sensitivity record, and a re-planned
-  /// fingerprint files a plan-diff record with its trigger. Strictly
-  /// read-only w.r.t. plan choice; SET PROVENANCE OFF
-  /// (SetProvenanceEnabled(false)) reproduces the pre-provenance metric
-  /// and trace bytes.
+  /// misses of any flavor) files a sensitivity record in the ledger's plan
+  /// column, and a re-planned fingerprint files a plan-diff record with
+  /// its trigger. Strictly read-only w.r.t. plan choice; SET PROVENANCE
+  /// OFF (SetProvenanceEnabled(false)) reproduces the pre-provenance
+  /// metric and trace bytes.
   obs::PlanProvenanceConfig provenance;
   /// Runner-up candidates retained per sensitivity record.
   size_t provenance_top_k = 3;
@@ -207,18 +206,17 @@ class QueryService {
   obs::FlightRecorder* flight_recorder() { return &recorder_; }
   /// One row per statement fingerprint: SLO scopes of every request that
   /// reaches the plan phase, estimation quality of executed reads (drift
-  /// detection) and the tables each statement reads.
+  /// detection), the tables each statement reads, and the plan column —
+  /// provenance and plan-diff records (the shell's `.whyplan`).
   obs::FingerprintLedger* ledger() { return &ledger_; }
   const obs::FingerprintLedger* ledger() const { return &ledger_; }
-  /// The plan-choice observatory: provenance + plan-diff records (the
-  /// shell's `.whyplan`).
-  obs::PlanProvenanceStore* provenance() { return &provenance_; }
-  const obs::PlanProvenanceStore* provenance() const { return &provenance_; }
   /// Toggles provenance capture and recording (the shell's SET PROVENANCE
   /// ON|OFF). Off reproduces pre-provenance metrics/traces byte-for-byte;
   /// accumulated records are kept and resume on re-enable.
-  void SetProvenanceEnabled(bool enabled) { provenance_.set_enabled(enabled); }
-  bool provenance_enabled() const { return provenance_.enabled(); }
+  void SetProvenanceEnabled(bool enabled) {
+    ledger_.set_plans_enabled(enabled);
+  }
+  bool provenance_enabled() const { return ledger_.plans_enabled(); }
   void SetProvenanceTopK(size_t top_k) { config_.provenance_top_k = top_k; }
 
   uint64_t queries_completed() const { return queries_completed_; }
@@ -253,8 +251,9 @@ class QueryService {
   void OfferTrace(PendingRequest* work, const Status& status,
                   double service_seconds = 0.0);
 
-  /// Files the provenance (and, on a re-plan, plan-diff) record for a
-  /// freshly optimized plan. Sequential PLAN phase only.
+  /// Files the provenance record of a freshly optimized plan in the
+  /// ledger (which files the plan diff on a re-plan). Sequential PLAN
+  /// phase only.
   void RecordProvenance(const PendingRequest& work, const PlanCacheKey& key,
                         uint64_t epoch, PlanCacheOutcome outcome);
 
@@ -265,7 +264,6 @@ class QueryService {
   PlanCache cache_;
   obs::FingerprintLedger ledger_;
   obs::FlightRecorder recorder_;
-  obs::PlanProvenanceStore provenance_;
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
   uint64_t queries_completed_ = 0;

@@ -142,12 +142,6 @@ namespace {
 struct RunResult {
   ChaosRunOutcome outcome;
   std::vector<std::string> armed_sites;
-  /// The run's retained request traces (service path with a flight
-  /// recorder configured); absorbed into the sweep recorder in run order.
-  std::unique_ptr<obs::FlightRecorder> flight;
-  /// The run's plan provenance records (service path with an observatory
-  /// configured); absorbed into the sweep store in run order.
-  std::unique_ptr<obs::PlanProvenanceStore> provenance;
 };
 
 // One self-contained chaos run against `db`: every input is derived from
@@ -177,14 +171,6 @@ RunResult ExecuteOneRun(core::Database* db, const ChaosConfig& config,
     // faults actually fire. The governor budget travels as session limits.
     server::ServerConfig server_config;
     server_config.seed = seed;
-    if (config.flight_recorder != nullptr) {
-      server_config.flight_recorder = config.flight_recorder->config();
-      server_config.flight_recorder.enabled = true;
-    }
-    if (config.provenance != nullptr) {
-      server_config.provenance = config.provenance->config();
-      server_config.provenance.enabled = true;
-    }
     server::QueryService service(db, server_config);
     service.set_metrics(db->metrics());
     std::vector<server::SessionId> ids;
@@ -205,15 +191,6 @@ RunResult ExecuteOneRun(core::Database* db, const ChaosConfig& config,
     } else {
       run.outcome.code = response.status.code();
       run.outcome.error = response.status.ToString();
-    }
-    if (config.flight_recorder != nullptr &&
-        service.flight_recorder()->size() > 0) {
-      run.flight = std::make_unique<obs::FlightRecorder>(
-          std::move(*service.flight_recorder()));
-    }
-    if (config.provenance != nullptr && service.provenance()->size() > 0) {
-      run.provenance = std::make_unique<obs::PlanProvenanceStore>(
-          std::move(*service.provenance()));
     }
   } else {
     if (governed) db->SetGovernorLimits(limits);
@@ -395,17 +372,7 @@ ChaosReport ChaosHarness::Run(const ChaosConfig& config,
 
   // Ordered reduction: identical report at every thread count.
   for (size_t i = 0; i < results.size(); ++i) {
-    RunResult& run = results[i];
-    if (config.flight_recorder != nullptr && run.flight != nullptr) {
-      config.flight_recorder->Absorb(std::move(*run.flight),
-                                     StrPrintf("run=%zu", i));
-      run.flight.reset();
-    }
-    if (config.provenance != nullptr && run.provenance != nullptr) {
-      config.provenance->Absorb(std::move(*run.provenance),
-                                StrPrintf("run=%zu", i));
-      run.provenance.reset();
-    }
+    const RunResult& run = results[i];
     ++report.runs;
     for (const std::string& site : run.armed_sites) {
       ++report.armed_counts[site];

@@ -20,9 +20,7 @@
 #include <vector>
 
 #include "core/database.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/plan_provenance.h"
 #include "optimizer/query.h"
 
 namespace robustqo {
@@ -58,18 +56,6 @@ struct ChaosConfig {
   /// server.plan_cache.lookup — inside the chaos blast radius under the
   /// same contract: verified answer or clean typed failure.
   size_t sessions = 0;
-  /// Optional black box for the service path (requires sessions > 0):
-  /// every run's QueryService records request traces under this
-  /// recorder's retention config, and each run's retained traces are
-  /// absorbed here in run-index order, tagged "run=<i>", so the merged
-  /// dump is byte-identical at any thread count.
-  obs::FlightRecorder* flight_recorder = nullptr;
-  /// Optional plan-choice observatory for the service path (requires
-  /// sessions > 0): every run's QueryService files provenance and
-  /// plan-diff records, absorbed here in run-index order tagged
-  /// "run=<i>" — the merged `.whyplan` history is byte-identical at any
-  /// thread count.
-  obs::PlanProvenanceStore* provenance = nullptr;
 };
 
 /// One run's outcome.
@@ -125,8 +111,8 @@ class ChaosHarness {
   /// the next, so every run starts from identical state and the sweep is
   /// replayable from config.base_seed alone. In the report, `completed`
   /// counts verified commits and `failed_typed` counts clean full
-  /// rollbacks. The parallel `database_factory`, `metrics` and
-  /// `flight_recorder` knobs are ignored on this path.
+  /// rollbacks. The parallel `database_factory` and `metrics` knobs are
+  /// ignored on this path.
   ChaosReport RunDml(const ChaosConfig& config,
                      const std::vector<std::string>& statements);
 

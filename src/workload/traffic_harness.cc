@@ -282,8 +282,8 @@ TrafficReport RunTraffic(server::QueryService* service,
   if (service->flight_recorder()->size() > 0) {
     report.blackbox_json = service->flight_recorder()->ToJson();
   }
-  if (service->provenance()->size() > 0) {
-    report.provenance_json = service->provenance()->ToJson();
+  if (service->ledger()->plan_count() > 0) {
+    report.provenance_json = service->ledger()->PlanJson();
   }
   return report;
 }

@@ -115,8 +115,8 @@ struct TrafficReport {
   /// Flight-recorder JSON dump (empty unless the service's recorder was
   /// enabled and retained at least one request).
   std::string blackbox_json;
-  /// Plan-provenance JSON dump (empty unless the service's observatory
-  /// recorded at least one plan). Not part of Summary(), so pre-provenance
+  /// The ledger's plan-column JSON dump (empty unless it holds at least
+  /// one plan record). Not part of Summary(), so pre-provenance
   /// summaries stay byte-identical.
   std::string provenance_json;
 

@@ -152,8 +152,8 @@ class RowSetPropertyTest : public ::testing::TestWithParam<Param> {
         std::vector<std::string>{"jd_id", "jf_id", "jf_price"});
   }
 
-  // Plan `kind`: the four join methods, then aggregates, filter, project,
-  // sort and limit over the hash join.
+  // Plan `kind`: the four join methods, then aggregates (one over a
+  // filtered fact scan), project, sort and limit over the hash join.
   OperatorPtr MakePlan(int kind) const {
     const std::vector<std::string> out = {"jd_id", "jf_id", "jf_price"};
     switch (kind) {
@@ -183,8 +183,11 @@ class RowSetPropertyTest : public ::testing::TestWithParam<Param> {
       case 6:
         return std::make_unique<ScalarAggregateOp>(
             std::make_unique<ProjectOp>(
-                std::make_unique<FilterOp>(DimFactJoin(),
-                                           Lt(Col("jf_id"), LitInt(300))),
+                std::make_unique<HashJoinOp>(
+                    DimScan(),
+                    std::make_unique<SeqScanOp>("jfact",
+                                                Lt(Col("jf_id"), LitInt(300))),
+                    "jd_id", "jf_fk", out),
                 std::vector<std::string>{"jf_price"}),
             std::vector<AggSpec>{{AggKind::kSum, "jf_price", "total"},
                                  {AggKind::kMin, "jf_price", "low"}});

@@ -191,8 +191,10 @@ TEST_F(AggOpsTest, GroupByAggregates) {
   }
 }
 
+// A residual filter is a scan predicate: the executor has no separate
+// filter operator.
 TEST_F(AggOpsTest, FilterOp) {
-  FilterOp filter(Scan(), Ge(Col("x"), LitInt(12)));
+  SeqScanOp filter("t", Ge(Col("x"), LitInt(12)));
   Table out = filter.Run(&ctx_).value();
   EXPECT_EQ(out.num_rows(), 6u);
   EXPECT_EQ(out.schema().num_columns(), 3u);
@@ -212,8 +214,8 @@ TEST_F(AggOpsTest, DescribeStrings) {
   EXPECT_NE(agg.Describe().find("SUM(x)"), std::string::npos);
   GroupByAggregateOp gagg(Scan(), {"g"}, {{AggKind::kCount, "", "n"}});
   EXPECT_NE(gagg.Describe().find("COUNT(*)"), std::string::npos);
-  FilterOp filter(Scan(), Ge(Col("x"), LitInt(1)));
-  EXPECT_NE(filter.Describe().find("Filter"), std::string::npos);
+  SeqScanOp filter("t", Ge(Col("x"), LitInt(1)));
+  EXPECT_NE(filter.Describe().find("SeqScan(t, "), std::string::npos);
   ProjectOp project(Scan(), {"g"});
   EXPECT_NE(project.Describe().find("Project(g)"), std::string::npos);
 }

@@ -72,14 +72,14 @@ class ProvenanceTest : public ::testing::Test {
 TEST_F(ProvenanceTest, ServiceFilesRecordOnPlanMissOnly) {
   std::unique_ptr<core::Database> db = MakeReadingsDatabase();
   server::QueryService service(db.get(), {});
-  ASSERT_TRUE(service.provenance()->enabled());
+  ASSERT_TRUE(service.provenance_enabled());
   const server::SessionId session = service.OpenSession();
 
   const opt::QuerySpec query = ReadingsQuery(50);
   const uint64_t fp = server::FingerprintQuery(query);
   ASSERT_TRUE(service.ExecuteSpec(session, query).status.ok());
-  ASSERT_EQ(service.provenance()->size(), 1u);
-  const obs::PlanProvenanceRecord* record = service.provenance()->Find(fp);
+  ASSERT_EQ(service.ledger()->plan_count(), 1u);
+  const obs::PlanProvenanceRecord* record = service.ledger()->FindPlan(fp);
   ASSERT_NE(record, nullptr);
   EXPECT_EQ(record->estimator, "robust");
   EXPECT_FALSE(record->plan_label.empty());
@@ -101,8 +101,8 @@ TEST_F(ProvenanceTest, ServiceFilesRecordOnPlanMissOnly) {
   server::QueryResponse hit = service.ExecuteSpec(session, query);
   ASSERT_TRUE(hit.status.ok());
   EXPECT_TRUE(hit.cache_hit);
-  EXPECT_EQ(service.provenance()->size(), 1u);
-  EXPECT_EQ(service.provenance()->stats().recorded, 1u);
+  EXPECT_EQ(service.ledger()->plan_count(), 1u);
+  EXPECT_EQ(service.ledger()->plan_stats().recorded, 1u);
 }
 
 TEST_F(ProvenanceTest, DisablingProvenanceRestoresPreProvenanceBytes) {
@@ -113,7 +113,7 @@ TEST_F(ProvenanceTest, DisablingProvenanceRestoresPreProvenanceBytes) {
   service.SetProvenanceEnabled(false);
   const server::SessionId session = service.OpenSession();
   ASSERT_TRUE(service.ExecuteSpec(session, ReadingsQuery(50)).status.ok());
-  EXPECT_EQ(service.provenance()->size(), 0u);
+  EXPECT_EQ(service.ledger()->plan_count(), 0u);
   obs::MetricsRegistry metrics;
   service.PublishMetrics(&metrics);
   EXPECT_EQ(metrics.ToJson().find("optimizer.provenance"), std::string::npos);
@@ -167,9 +167,9 @@ TEST_F(ProvenanceTest, DriftEvictionFilesPlanDiffWithTriggerAndCurves) {
   for (int round = 0; round < 20; ++round) {
     ASSERT_TRUE(service.ExecuteSpec(session, drifting).status.ok());
   }
-  ASSERT_EQ(service.provenance()->size(), 1u);
-  ASSERT_TRUE(service.provenance()->Diffs().empty());
-  const uint64_t first_epoch = service.provenance()->Find(fp)->epoch;
+  ASSERT_EQ(service.ledger()->plan_count(), 1u);
+  ASSERT_TRUE(service.ledger()->plan_diffs().empty());
+  const uint64_t first_epoch = service.ledger()->FindPlan(fp)->epoch;
 
   // Flood rows matching the predicate without rebuilding statistics.
   storage::Table* readings = db->catalog()->GetMutableTable("readings");
@@ -190,9 +190,9 @@ TEST_F(ProvenanceTest, DriftEvictionFilesPlanDiffWithTriggerAndCurves) {
   // The evicted fingerprint is re-planned (drift-blocked: planned fresh,
   // not re-cached) and the observatory files the diff.
   ASSERT_TRUE(service.ExecuteSpec(session, drifting).status.ok());
-  const auto diffs = service.provenance()->Diffs();
+  const auto& diffs = service.ledger()->plan_diffs();
   ASSERT_FALSE(diffs.empty());
-  const obs::PlanDiffRecord* diff = diffs.front();
+  const obs::PlanDiffRecord* diff = &diffs.front();
   EXPECT_EQ(diff->fingerprint, fp);
   EXPECT_EQ(diff->trigger, "drift_blocked");
   EXPECT_FALSE(diff->old_label.empty());
@@ -204,9 +204,9 @@ TEST_F(ProvenanceTest, DriftEvictionFilesPlanDiffWithTriggerAndCurves) {
   EXPECT_EQ(diff->new_curve.size(), diff->grid.size());
   EXPECT_FALSE(diff->new_verdict.empty());
   // The refreshed record supersedes the pre-flood one under the same key.
-  EXPECT_GE(service.provenance()->Find(fp)->epoch, first_epoch);
+  EXPECT_GE(service.ledger()->FindPlan(fp)->epoch, first_epoch);
   // The .whyplan body stitches the arc together.
-  const std::string report = service.provenance()->ReportFor(fp);
+  const std::string report = service.ledger()->PlanReportFor(fp);
   EXPECT_NE(report.find("[drift_blocked]"), std::string::npos);
   EXPECT_NE(report.find("curve delta:"), std::string::npos);
 }
@@ -236,11 +236,11 @@ TEST_F(ProvenanceTest, WhyplanAndTrafficBytesIdenticalAcrossThreadCounts) {
     const workload::TrafficReport report =
         workload::RunTraffic(&service, config);
     EXPECT_GT(report.completed, 100u);
-    ASSERT_GT(service.provenance()->size(), 0u);
-    std::string whyplan = service.provenance()->ReportText();
+    ASSERT_GT(service.ledger()->plan_count(), 0u);
+    std::string whyplan = service.ledger()->PlanReportText();
     for (const obs::PlanProvenanceRecord* record :
-         service.provenance()->Snapshot()) {
-      whyplan += service.provenance()->ReportFor(record->fingerprint);
+         service.ledger()->PlanSnapshot()) {
+      whyplan += service.ledger()->PlanReportFor(record->fingerprint);
     }
     if (threads == 1) {
       reference_summary = report.Summary();

@@ -189,7 +189,7 @@ TEST(ServiceRequestsGoldenTest, EveryRequestOutcomeMatchesGolden) {
   service.PublishMetrics(&service_metrics);
   rendered += "=== service metrics\n" + obs::ToOpenMetrics(service_metrics);
   rendered += "=== database metrics\n" + obs::ToOpenMetrics(db_metrics);
-  rendered += "=== provenance\n" + service.provenance()->ToJson() + "\n";
+  rendered += "=== provenance\n" + service.ledger()->PlanJson() + "\n";
 
   const std::string path = std::string(ROBUSTQO_SOURCE_DIR) +
                            "/tests/golden/service_requests.txt";

@@ -2,13 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "obs/plan_provenance.h"
+#include "obs/trace.h"
 #include "util/rng.h"
+#include "util/string_util.h"
 
 namespace robustqo {
 namespace obs {
@@ -396,18 +401,21 @@ TEST(FingerprintLedgerTest, ResetsKeepTheirSplit) {
 
 TEST(FingerprintLedgerTest, RowTextShowsEveryColumn) {
   FingerprintLedger ledger;
-  EXPECT_EQ(ledger.RowText(0xF00Du, nullptr),
+  EXPECT_EQ(ledger.RowText(0xF00Du),
             "fp: no ledger row for 000000000000f00d\n");
 
   RequestObservation request = Req(2.0, 1.0);
   request.tables = {"orders", "lineitem"};
   const QualityObservation quality = Obs(100.0, 50.0, 0.8);
   for (int i = 0; i < 32; ++i) ledger.Record(request, &quality);
+  EXPECT_NE(ledger.RowText(0xF00Du).find("  winner: no provenance retained\n"),
+            std::string::npos);
   PlanProvenanceRecord plan;
   plan.fingerprint = 0xF00Du;
   plan.plan_label = "Seq(orders)";
   plan.estimator = "robust";
-  const std::string text = ledger.RowText(0xF00Du, &plan);
+  ledger.RecordPlan(plan, "miss");
+  const std::string text = ledger.RowText(0xF00Du);
   EXPECT_EQ(text.rfind("fp 000000000000f00d reads {lineitem,orders}\n", 0),
             0u)
       << text;
@@ -417,10 +425,143 @@ TEST(FingerprintLedgerTest, RowTextShowsEveryColumn) {
       << text;
   EXPECT_NE(text.find(WinnerLine(plan)), std::string::npos);
 
+  // A statistics rebuild clears the quality columns; the plan stays.
   ledger.ResetQuality();
-  const std::string reset = ledger.RowText(0xF00Du, nullptr);
+  const std::string reset = ledger.RowText(0xF00Du);
   EXPECT_NE(reset.find("quality: no observations"), std::string::npos);
-  EXPECT_NE(reset.find("  winner: no provenance retained\n"),
+  EXPECT_NE(reset.find(WinnerLine(plan)), std::string::npos);
+}
+
+// A plan record for `fingerprint` at `epoch` whose single candidate's curve
+// is flat at `cost`.
+PlanProvenanceRecord PlanAt(uint64_t fingerprint, uint64_t epoch,
+                            double cost) {
+  PlanProvenanceRecord plan;
+  plan.fingerprint = fingerprint;
+  plan.threshold_bits = 0x3FE999999999999Au;
+  plan.estimator = "robust";
+  plan.epoch = epoch;
+  plan.plan_label = "Seq(t)";
+  plan.estimated_cost = cost;
+  plan.sensitivity.captured = true;
+  plan.sensitivity.available = true;
+  plan.sensitivity.threshold = 0.8;
+  plan.sensitivity.grid = {0.10, 0.50, 0.95};
+  plan.sensitivity.selectivity = {0.05, 0.10, 0.20};
+  plan.sensitivity.candidates = {{"Seq(t)", cost, 1.0, true,
+                                  {cost, cost, cost}}};
+  FinalizeSensitivity(&plan.sensitivity);
+  return plan;
+}
+
+// The ledger's one bound: a seeded stream of far more than kMaxRows
+// fingerprints, with a few hot ones recurring, never holds more than
+// kMaxRows rows; the hot rows keep every column, and an evicted row takes
+// its drift flag, tables, plans and diffs with it.
+TEST(FingerprintLedgerTest, BoundedRowsKeepHotFingerprints) {
+  QualityConfig quality_config;
+  quality_config.baseline_window = 4;
+  quality_config.recent_window = 4;
+  quality_config.min_observations = 2;
+  FingerprintLedger ledger(quality_config);
+  constexpr uint64_t kHot[] = {0xA1, 0xA2, 0xA3, 0xA4};
+  constexpr uint64_t kEvicted = 0xC0;
+  const auto record = [&ledger](uint64_t fingerprint, uint64_t epoch,
+                                double q_error) {
+    RequestObservation request;
+    request.session_label = "s1";
+    request.fingerprint = fingerprint;
+    request.actual_seconds = 1.0;
+    request.estimated_seconds = 1.0;
+    request.tables = {StrPrintf("t%llu",
+                                static_cast<unsigned long long>(fingerprint))};
+    const QualityObservation quality = Obs(100.0, 100.0 * q_error, 0.8);
+    ledger.Record(request, &quality);
+    return ledger.RecordPlan(PlanAt(fingerprint, epoch, 1.0 + epoch * 0.01),
+                             "stale_epoch");
+  };
+
+  // A fingerprint that drifts early and is never seen again.
+  for (uint64_t i = 0; i < 8; ++i) record(kEvicted, i, i < 4 ? 1.0 : 10.0);
+  ASSERT_EQ(ledger.Drifted().size(), 1u);
+  ASSERT_EQ(ledger.plan_diffs().size(), 7u);
+
+  Rng rng(2024);
+  std::map<uint64_t, uint64_t> hot_events;
+  std::optional<PlanDiffRecord> last_hot_diff;
+  std::set<uint64_t> distinct = {kEvicted};
+  for (uint64_t i = 0; i < 2000; ++i) {
+    if (i % 8 == 0) {
+      const uint64_t hot = kHot[(i / 8) % 4];
+      // The first hot fingerprint drifts once its baseline is full.
+      const bool drifting = hot == kHot[0] && hot_events[hot] >= 4;
+      const PlanDiffRecord* diff = record(hot, i, drifting ? 10.0 : 1.0);
+      if (diff != nullptr) last_hot_diff = *diff;
+      ++hot_events[hot];
+      distinct.insert(hot);
+    } else {
+      const uint64_t cold = 0x100000 + rng.NextBounded(1 << 20);
+      record(cold, i, 1.0);
+      distinct.insert(cold);
+    }
+    ASSERT_LE(ledger.size(), FingerprintLedger::kMaxRows) << "event " << i;
+  }
+  ASSERT_GT(distinct.size(), 10 * FingerprintLedger::kMaxRows);
+  EXPECT_EQ(ledger.size(), FingerprintLedger::kMaxRows);
+  EXPECT_EQ(ledger.slo_fingerprints(), FingerprintLedger::kMaxRows);
+  EXPECT_EQ(ledger.quality_fingerprints(), FingerprintLedger::kMaxRows);
+  EXPECT_EQ(ledger.plan_count(), FingerprintLedger::kMaxRows);
+  EXPECT_LE(ledger.plan_diffs().size(), FingerprintLedger::kMaxPlanDiffs);
+
+  // Hot rows keep their SLO, quality, table and plan columns.
+  for (uint64_t hot : kHot) {
+    SCOPED_TRACE(FingerprintHex(hot));
+    ASSERT_NE(ledger.FingerprintScope(hot), nullptr);
+    EXPECT_EQ(ledger.FingerprintScope(hot)->observed, hot_events[hot]);
+    EXPECT_FALSE(ledger.Tables(hot).empty());
+    ASSERT_NE(ledger.FindPlan(hot), nullptr);
+    EXPECT_NE(ledger.RowText(hot).find(WinnerLine(*ledger.FindPlan(hot))),
+              std::string::npos);
+  }
+  const std::vector<FingerprintQuality> snapshot = ledger.Snapshot();
+  const auto hot_quality = std::find_if(
+      snapshot.begin(), snapshot.end(),
+      [&](const FingerprintQuality& q) { return q.fingerprint == kHot[0]; });
+  ASSERT_NE(hot_quality, snapshot.end());
+  EXPECT_EQ(hot_quality->observations, hot_events[kHot[0]]);
+  uint64_t held_observations = 0;
+  for (const FingerprintQuality& q : snapshot) {
+    held_observations += q.observations;
+  }
+  EXPECT_EQ(ledger.observation_count(), held_observations);
+
+  // The drifted hot row is the only flagged one: the early drifter went
+  // with its row.
+  const std::vector<FingerprintQuality> drifted = ledger.Drifted();
+  ASSERT_EQ(drifted.size(), 1u);
+  EXPECT_EQ(drifted[0].fingerprint, kHot[0]);
+  EXPECT_TRUE(ledger.Tables(kEvicted).empty());
+  EXPECT_EQ(ledger.RowText(kEvicted),
+            "fp: no ledger row for 00000000000000c0\n");
+  EXPECT_EQ(ledger.PlanReportFor(kEvicted),
+            "whyplan: no provenance retained for fp=00000000000000c0\n");
+  for (const PlanDiffRecord& diff : ledger.plan_diffs()) {
+    EXPECT_NE(diff.fingerprint, kEvicted);
+  }
+  EXPECT_EQ(ledger.plan_stats().diffs_evicted,
+            ledger.plan_stats().diffs - ledger.plan_diffs().size());
+
+  // Re-planning a row that holds a plan files a diff with the trigger and
+  // both winner curves on the shared grid.
+  ASSERT_TRUE(last_hot_diff.has_value());
+  const uint64_t last_hot = kHot[(1999 / 8) % 4];
+  EXPECT_EQ(last_hot_diff->fingerprint, last_hot);
+  EXPECT_EQ(last_hot_diff->trigger, "stale_epoch");
+  EXPECT_EQ(last_hot_diff->grid.size(), 3u);
+  EXPECT_EQ(last_hot_diff->old_curve.size(), 3u);
+  EXPECT_EQ(last_hot_diff->new_curve.size(), 3u);
+  EXPECT_LT(last_hot_diff->old_curve[0], last_hot_diff->new_curve[0]);
+  EXPECT_NE(ledger.PlanReportFor(last_hot).find("[stale_epoch]"),
             std::string::npos);
 }
 

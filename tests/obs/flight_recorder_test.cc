@@ -127,34 +127,6 @@ TEST(FlightRecorderTest, DualReasonTraceIsStoredOnceAndSurvivesOneEviction) {
   EXPECT_EQ(RetainedIds(recorder), (std::vector<uint64_t>{2, 3}));
 }
 
-TEST(FlightRecorderTest, AbsorbMergesInOrderAndTagsRuns) {
-  FlightRecorderConfig config;
-  config.incident_capacity = 4;
-  config.slowest_k = 0;
-  FlightRecorder sweep(config);
-
-  FlightRecorder run0(config);
-  run0.Offer(MakeTrace(1, 0.1, /*failed=*/true));
-  FlightRecorder run1(config);
-  run1.Offer(MakeTrace(1, 0.2, /*failed=*/true));
-  run1.Offer(MakeTrace(2, 0.3, /*failed=*/true));
-
-  sweep.Absorb(std::move(run0), "run=0");
-  sweep.Absorb(std::move(run1), "run=1");
-  std::vector<const RequestTrace*> traces = sweep.Snapshot();
-  ASSERT_EQ(traces.size(), 3u);
-  EXPECT_EQ(traces[0]->tag, "run=0");
-  EXPECT_EQ(traces[1]->tag, "run=1");
-  EXPECT_EQ(traces[2]->tag, "run=1");
-  EXPECT_EQ(traces[1]->request_id, 1u);
-  EXPECT_EQ(traces[2]->request_id, 2u);
-  EXPECT_EQ(run1.size(), 0u);  // donor cleared
-  // Nested absorption prefixes: tag/existing.
-  FlightRecorder outer(config);
-  outer.Absorb(std::move(sweep), "sweep");
-  EXPECT_EQ(outer.Snapshot()[0]->tag, "sweep/run=0");
-}
-
 TEST(FlightRecorderTest, DumpsAreDeterministic) {
   FlightRecorderConfig config;
   config.incident_capacity = 4;

@@ -6,6 +6,9 @@
 #include <utility>
 #include <vector>
 
+#include "obs/fingerprint_ledger.h"
+#include "obs/metrics.h"
+
 namespace robustqo {
 namespace obs {
 namespace {
@@ -105,158 +108,125 @@ TEST(QuantileLabelTest, RendersPercentiles) {
   EXPECT_EQ(QuantileLabel(0.95), "p95");
 }
 
+// The plan column of the fingerprint ledger (the suite name predates the
+// move of provenance records into the ledger).
+
 TEST(PlanProvenanceStoreTest, RecordsAndFindsByFingerprint) {
-  PlanProvenanceStore store;
-  store.Record(MakeRecord(0xAA, 1, "Seq(t)", 0.5));
-  store.Record(MakeRecord(0xBB, 1, "Ix(t)", 0.3));
-  ASSERT_EQ(store.size(), 2u);
-  const PlanProvenanceRecord* found = store.Find(0xAA);
+  FingerprintLedger ledger;
+  EXPECT_EQ(ledger.RecordPlan(MakeRecord(0xAA, 1, "Seq(t)", 0.5), "miss"),
+            nullptr);
+  EXPECT_EQ(ledger.RecordPlan(MakeRecord(0xBB, 1, "Ix(t)", 0.3), "miss"),
+            nullptr);
+  ASSERT_EQ(ledger.plan_count(), 2u);
+  const PlanProvenanceRecord* found = ledger.FindPlan(0xAA);
   ASSERT_NE(found, nullptr);
   EXPECT_EQ(found->plan_label, "Seq(t)");
-  EXPECT_EQ(store.Find(0xCC), nullptr);
-  const PlanProvenanceRecord* latest = store.Latest();
+  EXPECT_EQ(ledger.FindPlan(0xCC), nullptr);
+  const PlanProvenanceRecord* latest = ledger.LatestPlan();
   ASSERT_NE(latest, nullptr);
   EXPECT_EQ(latest->fingerprint, 0xBBu);
 }
 
 TEST(PlanProvenanceStoreTest, RefreshKeepsOneRecordPerKey) {
-  PlanProvenanceStore store;
-  store.Record(MakeRecord(0xAA, 1, "Seq(t)", 0.5));
-  store.Record(MakeRecord(0xAA, 2, "Ix(t)", 0.4));
-  EXPECT_EQ(store.size(), 1u);
-  EXPECT_EQ(store.stats().recorded, 2u);
-  EXPECT_EQ(store.Find(0xAA)->plan_label, "Ix(t)");
-  EXPECT_EQ(store.Find(0xAA)->epoch, 2u);
+  FingerprintLedger ledger;
+  ledger.RecordPlan(MakeRecord(0xAA, 1, "Seq(t)", 0.5), "miss");
+  ledger.RecordPlan(MakeRecord(0xAA, 2, "Ix(t)", 0.4), "stale_epoch");
+  EXPECT_EQ(ledger.plan_count(), 1u);
+  EXPECT_EQ(ledger.plan_stats().recorded, 2u);
+  EXPECT_EQ(ledger.FindPlan(0xAA)->plan_label, "Ix(t)");
+  EXPECT_EQ(ledger.FindPlan(0xAA)->epoch, 2u);
+  // A record at another T% joins the row instead of replacing it.
+  PlanProvenanceRecord other_threshold = MakeRecord(0xAA, 2, "Seq(t)", 0.6);
+  other_threshold.threshold_bits = 0x3FEE666666666666u;
+  ledger.RecordPlan(std::move(other_threshold), "miss");
+  EXPECT_EQ(ledger.plan_count(), 2u);
+  EXPECT_EQ(ledger.FindPlan(0xAA)->plan_label, "Seq(t)");
+  EXPECT_EQ(ledger.size(), 1u);
 }
 
 TEST(PlanProvenanceStoreTest, EvictsLeastRecentlyRecorded) {
-  PlanProvenanceConfig config;
-  config.capacity = 2;
-  PlanProvenanceStore store(config);
-  store.Record(MakeRecord(0xAA, 1, "a", 0.1));
-  store.Record(MakeRecord(0xBB, 1, "b", 0.2));
-  // Refresh 0xAA so 0xBB becomes the LRU victim.
-  store.Record(MakeRecord(0xAA, 2, "a2", 0.15));
-  store.Record(MakeRecord(0xCC, 1, "c", 0.3));
-  EXPECT_EQ(store.size(), 2u);
-  EXPECT_EQ(store.stats().evicted, 1u);
-  EXPECT_NE(store.Find(0xAA), nullptr);
-  EXPECT_EQ(store.Find(0xBB), nullptr);
-  EXPECT_NE(store.Find(0xCC), nullptr);
+  FingerprintLedger ledger;
+  ledger.RecordPlan(MakeRecord(0xAA, 1, "a", 0.1), "miss");
+  ledger.RecordPlan(MakeRecord(0xBB, 1, "b", 0.2), "miss");
+  for (uint64_t fp = 1; ledger.size() < FingerprintLedger::kMaxRows; ++fp) {
+    ledger.RecordPlan(MakeRecord(0x1000 + fp, 1, "c", 0.3), "miss");
+  }
+  // Refresh 0xAA so 0xBB becomes the least recently recorded row.
+  ledger.RecordPlan(MakeRecord(0xAA, 2, "a2", 0.15), "stale_epoch");
+  ledger.RecordPlan(MakeRecord(0xCC, 1, "c", 0.3), "miss");
+  EXPECT_EQ(ledger.size(), FingerprintLedger::kMaxRows);
+  EXPECT_EQ(ledger.plan_count(), FingerprintLedger::kMaxRows);
+  EXPECT_EQ(ledger.plan_stats().evicted, 1u);
+  EXPECT_NE(ledger.FindPlan(0xAA), nullptr);
+  EXPECT_EQ(ledger.FindPlan(0xBB), nullptr);
+  EXPECT_NE(ledger.FindPlan(0xCC), nullptr);
 }
 
 TEST(PlanProvenanceStoreTest, DiffsAreFifoBounded) {
-  PlanProvenanceConfig config;
-  config.diff_capacity = 2;
-  PlanProvenanceStore store(config);
-  for (uint64_t i = 0; i < 3; ++i) {
-    PlanDiffRecord diff;
-    diff.fingerprint = i;
-    diff.trigger = "stale-epoch";
-    store.RecordDiff(std::move(diff));
+  FingerprintLedger ledger;
+  const size_t replans = FingerprintLedger::kMaxPlanDiffs + 1;
+  for (uint64_t epoch = 0; epoch <= replans; ++epoch) {
+    ledger.RecordPlan(MakeRecord(0xAA, epoch, "a", 0.1), "stale_epoch");
   }
-  const auto diffs = store.Diffs();
-  ASSERT_EQ(diffs.size(), 2u);
-  EXPECT_EQ(diffs[0]->fingerprint, 1u);
-  EXPECT_EQ(diffs[1]->fingerprint, 2u);
-  EXPECT_EQ(store.stats().diffs, 3u);
-  EXPECT_EQ(store.stats().diffs_evicted, 1u);
+  const auto& diffs = ledger.plan_diffs();
+  ASSERT_EQ(diffs.size(), FingerprintLedger::kMaxPlanDiffs);
+  // The first re-plan's diff (epoch 0 -> 1) was dropped.
+  EXPECT_EQ(diffs.front().old_epoch, 1u);
+  EXPECT_EQ(diffs.back().new_epoch, replans);
+  EXPECT_EQ(ledger.plan_stats().diffs, replans);
+  EXPECT_EQ(ledger.plan_stats().diffs_evicted, 1u);
 }
 
 TEST(PlanProvenanceStoreTest, DisabledStoreDropsOffers) {
   PlanProvenanceConfig config;
   config.enabled = false;
-  PlanProvenanceStore store(config);
-  store.Record(MakeRecord(0xAA, 1, "a", 0.1));
-  PlanDiffRecord diff;
-  store.RecordDiff(std::move(diff));
-  EXPECT_EQ(store.size(), 0u);
-  EXPECT_TRUE(store.Diffs().empty());
-  EXPECT_EQ(store.stats().recorded, 0u);
-  // Disabled stores publish nothing, so the metric surface is untouched.
+  FingerprintLedger ledger({}, {}, config);
+  ledger.RecordPlan(MakeRecord(0xAA, 1, "a", 0.1), "miss");
+  EXPECT_EQ(ledger.RecordPlan(MakeRecord(0xAA, 2, "a", 0.1), "miss"),
+            nullptr);
+  EXPECT_EQ(ledger.plan_count(), 0u);
+  EXPECT_EQ(ledger.size(), 0u);
+  EXPECT_TRUE(ledger.plan_diffs().empty());
+  EXPECT_EQ(ledger.plan_stats().recorded, 0u);
+  // A disabled plan column publishes nothing, so the metric surface is
+  // that of a build without provenance.
   MetricsRegistry metrics;
-  store.PublishMetrics(&metrics);
-  EXPECT_EQ(metrics.ToJson(), MetricsRegistry().ToJson());
+  ledger.PublishMetrics(&metrics);
+  EXPECT_EQ(metrics.ToJson().find("optimizer.provenance"), std::string::npos);
+  EXPECT_EQ(metrics.ToJson().find("optimizer.sensitivity"),
+            std::string::npos);
 }
 
 TEST(PlanProvenanceStoreTest, TracksFragileAndStableCounts) {
-  PlanProvenanceStore store;
-  store.Record(MakeRecord(0xAA, 1, "stable", 0.5));  // single candidate
+  FingerprintLedger ledger;
+  ledger.RecordPlan(MakeRecord(0xAA, 1, "stable", 0.5), "miss");
   PlanProvenanceRecord fragile = MakeRecord(0xBB, 1, "Seq", 0.5);
   fragile.sensitivity = MakeSensitivity({
       {"Seq", 0.5, 100.0, true, {0.50, 0.50, 0.50}},
       {"Ix", 0.55, 100.0, true, {0.60, 0.40, 0.30}},
   });
-  store.Record(std::move(fragile));
-  EXPECT_EQ(store.stats().stable, 1u);
-  EXPECT_EQ(store.stats().fragile, 1u);
-}
-
-TEST(PlanProvenanceStoreTest, AbsorbPrefixesTagsAndKeepsOrder) {
-  PlanProvenanceStore sink;
-  PlanProvenanceStore donor;
-  donor.Record(MakeRecord(0xAA, 1, "a", 0.1));
-  PlanDiffRecord diff;
-  diff.fingerprint = 0xAA;
-  diff.trigger = "drift-blocked";
-  donor.RecordDiff(std::move(diff));
-  donor.Record(MakeRecord(0xBB, 1, "b", 0.2));
-  sink.Absorb(std::move(donor), "run=3");
-  EXPECT_EQ(donor.size(), 0u);
-  ASSERT_EQ(sink.size(), 2u);
-  EXPECT_EQ(sink.stats().absorbed, 3u);
-  EXPECT_EQ(sink.Find(0xAA)->tag, "run=3");
-  // Donor order is preserved: record 0xAA, then the diff, then 0xBB.
-  const auto records = sink.Snapshot();
-  EXPECT_EQ(records[0]->fingerprint, 0xAAu);
-  EXPECT_EQ(records[1]->fingerprint, 0xBBu);
-  ASSERT_EQ(sink.Diffs().size(), 1u);
-  EXPECT_EQ(sink.Diffs()[0]->tag, "run=3");
-  EXPECT_GT(sink.Diffs()[0]->sequence, records[0]->sequence);
-  EXPECT_LT(sink.Diffs()[0]->sequence, records[1]->sequence);
-}
-
-TEST(PlanProvenanceStoreTest, AbsorbStacksTagsAcrossLevels) {
-  PlanProvenanceStore leaf;
-  leaf.Record(MakeRecord(0xAA, 1, "a", 0.1));
-  PlanProvenanceStore mid;
-  mid.Absorb(std::move(leaf), "run=1");
-  PlanProvenanceStore root;
-  root.Absorb(std::move(mid), "sweep=0");
-  EXPECT_EQ(root.Find(0xAA)->tag, "sweep=0/run=1");
+  ledger.RecordPlan(std::move(fragile), "miss");
+  EXPECT_EQ(ledger.plan_stats().stable, 1u);
+  EXPECT_EQ(ledger.plan_stats().fragile, 1u);
 }
 
 TEST(PlanProvenanceStoreTest, ReportForMissIsOneLineNotice) {
-  PlanProvenanceStore store;
-  EXPECT_EQ(store.ReportFor(0xAB),
+  FingerprintLedger ledger;
+  EXPECT_EQ(ledger.PlanReportFor(0xAB),
             "whyplan: no provenance retained for fp=00000000000000ab\n");
 }
 
 TEST(PlanProvenanceStoreTest, ReportForShowsCurvesVerdictAndDiffs) {
-  PlanProvenanceStore store;
+  FingerprintLedger ledger;
+  ledger.RecordPlan(MakeRecord(0xAB, 1, "Ix", 0.4), "miss");
   PlanProvenanceRecord record = MakeRecord(0xAB, 2, "Seq", 0.5);
   record.sensitivity = MakeSensitivity({
       {"Seq", 0.5, 100.0, true, {0.50, 0.50, 0.50}},
       {"Ix", 0.55, 100.0, false, {0.55, 0.55, 0.55}},
   });
-  store.Record(std::move(record));
-  PlanDiffRecord diff;
-  diff.fingerprint = 0xAB;
-  diff.trigger = "stale-epoch";
-  diff.old_epoch = 1;
-  diff.new_epoch = 2;
-  diff.old_label = "Ix";
-  diff.new_label = "Seq";
-  diff.old_cost = 0.4;
-  diff.new_cost = 0.5;
-  diff.plan_changed = true;
-  diff.grid = {0.10, 0.50, 0.95};
-  diff.old_curve = {0.40, 0.40, 0.40};
-  diff.new_curve = {0.50, 0.50, 0.50};
-  diff.new_verdict = "winner dominates";
-  store.RecordDiff(std::move(diff));
+  ledger.RecordPlan(std::move(record), "stale-epoch");
 
-  const std::string report = store.ReportFor(0xAB);
+  const std::string report = ledger.PlanReportFor(0xAB);
   EXPECT_NE(report.find("whyplan fp=00000000000000ab"), std::string::npos);
   EXPECT_NE(report.find("[winner]"), std::string::npos);
   EXPECT_NE(report.find("(flat: no curve)"), std::string::npos);
@@ -271,46 +241,48 @@ TEST(PlanProvenanceStoreTest, ReportForShowsCurvesVerdictAndDiffs) {
 
 TEST(PlanProvenanceStoreTest, JsonAndReportsAreDeterministic) {
   auto build = [] {
-    PlanProvenanceStore store;
-    store.Record(MakeRecord(0xAA, 1, "a", 0.1));
-    store.Record(MakeRecord(0xBB, 2, "b", 0.2));
-    PlanDiffRecord diff;
-    diff.fingerprint = 0xAA;
-    diff.trigger = "lru-evicted";
-    store.RecordDiff(std::move(diff));
-    return store;
+    FingerprintLedger ledger;
+    ledger.RecordPlan(MakeRecord(0xAA, 1, "a", 0.1), "miss");
+    ledger.RecordPlan(MakeRecord(0xBB, 2, "b", 0.2), "miss");
+    ledger.RecordPlan(MakeRecord(0xAA, 2, "a", 0.1), "lru-evicted");
+    return ledger;
   };
-  EXPECT_EQ(build().ToJson(), build().ToJson());
-  EXPECT_EQ(build().ReportText(), build().ReportText());
-  EXPECT_EQ(build().ToChromeTrace(), build().ToChromeTrace());
+  EXPECT_EQ(build().PlanJson(), build().PlanJson());
+  EXPECT_EQ(build().PlanReportText(), build().PlanReportText());
+  EXPECT_EQ(build().PlanChromeTrace(), build().PlanChromeTrace());
 }
 
 TEST(PlanProvenanceStoreTest, PublishMetricsSyncsToRegistryValues) {
-  PlanProvenanceStore store;
-  store.Record(MakeRecord(0xAA, 1, "a", 0.1));
+  FingerprintLedger ledger;
+  ledger.RecordPlan(MakeRecord(0xAA, 1, "a", 0.1), "miss");
   MetricsRegistry metrics;
-  store.PublishMetrics(&metrics);
+  ledger.PublishMetrics(&metrics);
   EXPECT_EQ(metrics.GetCounter("optimizer.provenance.recorded")->value(), 1u);
   EXPECT_EQ(metrics.GetGauge("optimizer.provenance.records")->value(), 1.0);
-  // Publishing twice must not double-count: the store syncs absolute
+  // Publishing twice must not double-count: the ledger syncs absolute
   // values, counter-delta style, like the flight recorder.
-  store.PublishMetrics(&metrics);
+  ledger.PublishMetrics(&metrics);
   EXPECT_EQ(metrics.GetCounter("optimizer.provenance.recorded")->value(), 1u);
-  store.Record(MakeRecord(0xBB, 1, "b", 0.2));
-  store.PublishMetrics(&metrics);
+  ledger.RecordPlan(MakeRecord(0xBB, 1, "b", 0.2), "miss");
+  ledger.PublishMetrics(&metrics);
   EXPECT_EQ(metrics.GetCounter("optimizer.provenance.recorded")->value(), 2u);
   EXPECT_EQ(metrics.GetGauge("optimizer.provenance.records")->value(), 2.0);
 }
 
 TEST(PlanProvenanceStoreTest, ClearEmptiesRecordsAndDiffs) {
-  PlanProvenanceStore store;
-  store.Record(MakeRecord(0xAA, 1, "a", 0.1));
-  PlanDiffRecord diff;
-  store.RecordDiff(std::move(diff));
-  store.Clear();
-  EXPECT_EQ(store.size(), 0u);
-  EXPECT_TRUE(store.Diffs().empty());
-  EXPECT_EQ(store.Latest(), nullptr);
+  // Evicting a row clears its plan records and diffs with it.
+  FingerprintLedger ledger;
+  ledger.RecordPlan(MakeRecord(0xAA, 1, "a", 0.1), "miss");
+  ledger.RecordPlan(MakeRecord(0xAA, 2, "a", 0.1), "stale_epoch");
+  ASSERT_EQ(ledger.plan_diffs().size(), 1u);
+  for (uint64_t fp = 1; fp <= FingerprintLedger::kMaxRows; ++fp) {
+    ledger.RecordQuality(0x1000 + fp, {"q", 10.0, 10.0, 0.0});
+  }
+  EXPECT_EQ(ledger.FindPlan(0xAA), nullptr);
+  EXPECT_EQ(ledger.plan_count(), 0u);
+  EXPECT_TRUE(ledger.plan_diffs().empty());
+  EXPECT_EQ(ledger.plan_stats().diffs_evicted, 1u);
+  EXPECT_EQ(ledger.LatestPlan(), nullptr);
 }
 
 }  // namespace

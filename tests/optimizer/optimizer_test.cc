@@ -183,7 +183,7 @@ TEST_F(OptimizerTest, SensitivityCapturedWhenProvenanceEnabled) {
   options.provenance_enabled = true;
   auto planned = optimizer.Optimize(scenario.MakeQuery(70), options);
   ASSERT_TRUE(planned.ok()) << planned.status().ToString();
-  const obs::PlanSensitivity& s = optimizer.last_sensitivity();
+  const obs::PlanSensitivity& s = planned.value().sensitivity;
   ASSERT_TRUE(s.captured);
   ASSERT_TRUE(s.available) << s.unavailable_reason;
   EXPECT_EQ(s.grid, Optimizer::SensitivityGrid());
@@ -206,8 +206,9 @@ TEST_F(OptimizerTest, SensitivityCapturedWhenProvenanceEnabled) {
 TEST_F(OptimizerTest, SensitivityNotCapturedByDefault) {
   Optimizer optimizer(db_->catalog(), db_->robust_estimator());
   workload::SingleTableScenario scenario;
-  ASSERT_TRUE(optimizer.Optimize(scenario.MakeQuery(70)).ok());
-  EXPECT_FALSE(optimizer.last_sensitivity().captured);
+  auto planned = optimizer.Optimize(scenario.MakeQuery(70));
+  ASSERT_TRUE(planned.ok());
+  EXPECT_FALSE(planned.value().sensitivity.captured);
 }
 
 TEST_F(OptimizerTest, SensitivityUnavailableForHistogramEstimator) {
@@ -217,7 +218,7 @@ TEST_F(OptimizerTest, SensitivityUnavailableForHistogramEstimator) {
   options.provenance_enabled = true;
   auto planned = optimizer.Optimize(scenario.MakeQuery(70), options);
   ASSERT_TRUE(planned.ok()) << planned.status().ToString();
-  const obs::PlanSensitivity& s = optimizer.last_sensitivity();
+  const obs::PlanSensitivity& s = planned.value().sensitivity;
   EXPECT_TRUE(s.captured);
   EXPECT_FALSE(s.available);
   EXPECT_EQ(s.unavailable_reason, "estimator has no posterior");
@@ -231,7 +232,7 @@ TEST_F(OptimizerTest, TopKBoundsRetainedRunnerUps) {
   Optimizer optimizer(db_->catalog(), db_->robust_estimator());
   auto planned = optimizer.Optimize(scenario.MakeQuery(12.0), options);
   ASSERT_TRUE(planned.ok()) << planned.status().ToString();
-  const obs::PlanSensitivity& s = optimizer.last_sensitivity();
+  const obs::PlanSensitivity& s = planned.value().sensitivity;
   ASSERT_TRUE(s.captured);
   EXPECT_LE(s.candidates.size(), 2u);  // winner + 1 runner-up
 }
@@ -709,7 +710,7 @@ std::string GoldenLine(const GoldenQuery& q, double threshold,
       m.probe_cache_hits, m.probe_cache_misses, m.beta_cache_hits,
       m.beta_cache_misses);
   RenderTree(*plan.root, 0, &line);
-  const obs::PlanSensitivity& s = optimizer.last_sensitivity();
+  const obs::PlanSensitivity& s = plan.sensitivity;
   if (!s.available) {
     return line + " sensitivity=unavailable(" + s.unavailable_reason + ")";
   }
