@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <type_traits>
 
 #include "util/macros.h"
 #include "util/string_util.h"
@@ -34,31 +35,13 @@ const char* AggKindName(AggKind kind) {
   return "?";
 }
 
-// Running state for one aggregate. Update maintains only the fields
-// Finalize reads for `kind`.
+// Running state for one aggregate. The fold maintains only the fields
+// Finalize reads for the aggregate's kind.
 struct AggState {
   double sum = 0.0;
   double min = std::numeric_limits<double>::infinity();
   double max = -std::numeric_limits<double>::infinity();
   uint64_t count = 0;
-
-  void Update(AggKind kind, double v) {
-    switch (kind) {
-      case AggKind::kCount:
-        break;
-      case AggKind::kSum:
-      case AggKind::kAvg:
-        sum += v;
-        break;
-      case AggKind::kMin:
-        min = std::fmin(min, v);
-        break;
-      case AggKind::kMax:
-        max = std::fmax(max, v);
-        break;
-    }
-    ++count;
-  }
 
   Value Finalize(AggKind kind) const {
     switch (kind) {
@@ -123,6 +106,52 @@ Result<std::vector<size_t>> AggInputColumns(const storage::Schema& input,
   return cols;
 }
 
+// Calls `body(at)`, where `at(i)` is value i of `view` as a T read from
+// the column's raw array (int64_data for int64_t, double_data for double),
+// directly or through the slice's RIDs.
+template <typename T, typename Body>
+auto WithValues(const ColumnView& view, const Body& body) {
+  const T* data;
+  if constexpr (std::is_same_v<T, double>) {
+    data = view.column->double_data();
+  } else {
+    data = view.column->int64_data();
+  }
+  const Rid* rids = view.rids;
+  if (rids == nullptr) return body([data](uint64_t i) { return data[i]; });
+  return body([data, rids](uint64_t i) { return data[rids[i]]; });
+}
+
+// Folds `n` values into their groups' states for one aggregate: row i
+// updates `states[group_of(i) * stride]` with `value_at(i)`. The kind is
+// dispatched once, outside the row loop.
+template <typename GroupOf, typename ValueAt>
+void FoldColumn(AggKind kind, uint64_t n, const GroupOf& group_of,
+                const ValueAt& value_at, AggState* states, size_t stride) {
+  const auto fold = [&](const auto& update) {
+    for (uint64_t i = 0; i < n; ++i) {
+      AggState& state = states[group_of(i) * stride];
+      update(state, static_cast<double>(value_at(i)));
+      ++state.count;
+    }
+  };
+  switch (kind) {
+    case AggKind::kCount:
+      fold([](AggState&, double) {});
+      break;
+    case AggKind::kSum:
+    case AggKind::kAvg:
+      fold([](AggState& s, double v) { s.sum += v; });
+      break;
+    case AggKind::kMin:
+      fold([](AggState& s, double v) { s.min = std::fmin(s.min, v); });
+      break;
+    case AggKind::kMax:
+      fold([](AggState& s, double v) { s.max = std::fmax(s.max, v); });
+      break;
+  }
+}
+
 // Folds every row of `input` into its group's aggregate states, one
 // aggregate column at a time: row i belongs to group `group_of(i)`, whose
 // states are states[group * aggs, (group + 1) * aggs). Each group sees its
@@ -134,7 +163,6 @@ void Accumulate(const RowSet& input, const std::vector<AggSpec>& aggs,
   const size_t num_aggs = agg_cols.size();
   const uint64_t n = input.num_rows();
   for (size_t a = 0; a < num_aggs; ++a) {
-    const AggKind kind = aggs[a].kind;
     AggState* column_states = states + a;
     if (agg_cols[a] == SIZE_MAX) {  // COUNT: only the count matters
       for (uint64_t i = 0; i < n; ++i) {
@@ -143,28 +171,15 @@ void Accumulate(const RowSet& input, const std::vector<AggSpec>& aggs,
       continue;
     }
     const auto fold = [&](const auto& value_at) {
-      for (uint64_t i = 0; i < n; ++i) {
-        column_states[group_of(i) * num_aggs].Update(kind, value_at(i));
-      }
+      FoldColumn(aggs[a].kind, n, group_of, value_at, column_states,
+                 num_aggs);
     };
     // AggInputColumns admitted only numeric columns: read the typed array.
     const ColumnView view = input.column(agg_cols[a]);
-    const storage::ColumnVector& col = *view.column;
-    const Rid* rids = view.rids;
     if (view.type() == DataType::kDouble) {
-      if (rids == nullptr) {
-        fold([&col](uint64_t i) { return col.DoubleAt(i); });
-      } else {
-        fold([&col, rids](uint64_t i) { return col.DoubleAt(rids[i]); });
-      }
-    } else if (rids == nullptr) {
-      fold([&col](uint64_t i) {
-        return static_cast<double>(col.Int64At(i));
-      });
+      WithValues<double>(view, fold);
     } else {
-      fold([&col, rids](uint64_t i) {
-        return static_cast<double>(col.Int64At(rids[i]));
-      });
+      WithValues<int64_t>(view, fold);
     }
   }
 }
@@ -178,15 +193,12 @@ void AppendAggColumns(const std::vector<AggSpec>& aggs,
 }
 
 // Open-addressing hash table from a k-column integer key to its group
-// number; groups are numbered in first-seen order.
+// number; groups are numbered in first-seen order, and group g's key is
+// appended to `keys` at [g * k, (g + 1) * k).
 class GroupTable {
  public:
-  explicit GroupTable(size_t k) : k_(k), slots_(16, kEmpty) {}
-
-  size_t size() const { return size_; }
-
-  // The k key values of `group`.
-  const int64_t* key(size_t group) const { return keys_.data() + group * k_; }
+  GroupTable(size_t k, std::vector<int64_t>* keys)
+      : k_(k), keys_(keys), slots_(16, kEmpty) {}
 
   // The group of `key` (k values) and whether it was inserted just now.
   std::pair<size_t, bool> FindOrInsert(const int64_t* key) {
@@ -201,13 +213,17 @@ class GroupTable {
     }
     const size_t group = size_++;
     slots_[slot] = group;
-    keys_.insert(keys_.end(), key, key + k_);
+    keys_->insert(keys_->end(), key, key + k_);
     if (size_ * 2 > slots_.size()) Grow();
     return {group, true};
   }
 
  private:
   static constexpr size_t kEmpty = SIZE_MAX;
+
+  const int64_t* key(size_t group) const {
+    return keys_->data() + group * k_;
+  }
 
   uint64_t Hash(const int64_t* key) const {
     uint64_t h = 0;
@@ -229,10 +245,68 @@ class GroupTable {
   }
 
   size_t k_;
-  std::vector<int64_t> keys_;  // group g's key at [g * k_, (g + 1) * k_)
+  std::vector<int64_t>* keys_;
   std::vector<size_t> slots_;
   size_t size_ = 0;
 };
+
+// Group ids through `GroupTable`: any number of key columns, any span.
+Status HashGroupIds(const std::vector<ColumnView>& key_cols, uint64_t n,
+                    fault::MemoryReservation* workspace,
+                    uint64_t group_bytes, std::vector<size_t>* group_of,
+                    std::vector<int64_t>* keys) {
+  const size_t k = key_cols.size();
+  GroupTable table(k, keys);
+  std::vector<int64_t> key(k);  // reused probe buffer
+  for (uint64_t i = 0; i < n; ++i) {
+    for (size_t g = 0; g < k; ++g) key[g] = key_cols[g].Int64At(i);
+    const auto [group, inserted] = table.FindOrInsert(key.data());
+    if (inserted) RQO_RETURN_NOT_OK(workspace->Grow(group_bytes));
+    (*group_of)[i] = group;
+  }
+  return Status::OK();
+}
+
+// Group ids for one integer key whose observed span fits in the input
+// (max - min + 1 <= n): group ids are looked up in a slot array indexed by
+// key - min, so the slot array is never larger than `group_of`. Groups are
+// numbered in first-seen order, as HashGroupIds numbers them. Returns false,
+// having assigned nothing, when the span is wider than the input.
+Result<bool> DirectGroupIds(const ColumnView& key_col, uint64_t n,
+                            fault::MemoryReservation* workspace,
+                            uint64_t group_bytes,
+                            std::vector<size_t>* group_of,
+                            std::vector<int64_t>* keys) {
+  if (n == 0) return false;
+  return WithValues<int64_t>(key_col, [&](const auto& key_at) -> Result<bool> {
+    int64_t min = key_at(0);
+    int64_t max = min;
+    for (uint64_t i = 1; i < n; ++i) {
+      const int64_t v = key_at(i);
+      min = std::min(min, v);
+      max = std::max(max, v);
+    }
+    // max - min in unsigned arithmetic cannot overflow; the span is one more.
+    const uint64_t span_minus_one =
+        static_cast<uint64_t>(max) - static_cast<uint64_t>(min);
+    if (span_minus_one >= n) return false;
+    constexpr size_t kEmpty = SIZE_MAX;
+    std::vector<size_t> slots(span_minus_one + 1, kEmpty);
+    size_t* out = group_of->data();
+    for (uint64_t i = 0; i < n; ++i) {
+      const int64_t v = key_at(i);
+      size_t& slot =
+          slots[static_cast<uint64_t>(v) - static_cast<uint64_t>(min)];
+      if (slot == kEmpty) {
+        slot = keys->size();
+        keys->push_back(v);
+        RQO_RETURN_NOT_OK(workspace->Grow(group_bytes));
+      }
+      out[i] = slot;
+    }
+    return true;
+  });
+}
 
 std::string DescribeAggs(const std::vector<AggSpec>& aggs) {
   std::vector<std::string> parts;
@@ -363,9 +437,11 @@ Result<RowSet> GroupByAggregateOp::Execute(ExecContext* ctx) const {
   RQO_ASSIGN_OR_RETURN(const std::vector<size_t> agg_cols,
                        AggInputColumns(input.schema(), aggs_));
 
-  // Groups live in a hash table in first-seen order; group g's states are
-  // states[g*aggs, (g+1)*aggs). The group table is transient workspace,
-  // charged per inserted group and released when the operator finishes.
+  // Groups are numbered in first-seen order; group g's key is
+  // keys[g*k, (g+1)*k) and its states are states[g*aggs, (g+1)*aggs). The
+  // group ids come from a slot array when a single key's span fits in the
+  // input, else from a hash table. Either is transient workspace, charged
+  // per new group and released when the operator finishes.
   fault::MemoryReservation workspace(ctx->governor);
   const size_t k = group_idx.size();
   const size_t num_aggs = aggs_.size();
@@ -374,27 +450,32 @@ Result<RowSet> GroupByAggregateOp::Execute(ExecContext* ctx) const {
   key_cols.reserve(k);
   for (size_t g : group_idx) key_cols.push_back(input.column(g));
   const uint64_t n = input.num_rows();
-  GroupTable table(k);
   std::vector<size_t> group_of(n);
-  std::vector<int64_t> key(k);  // reused probe buffer
-  for (uint64_t i = 0; i < n; ++i) {
-    for (size_t g = 0; g < k; ++g) key[g] = key_cols[g].Int64At(i);
-    const auto [group, inserted] = table.FindOrInsert(key.data());
-    if (inserted) RQO_RETURN_NOT_OK(workspace.Grow(group_bytes));
-    group_of[i] = group;
+  std::vector<int64_t> keys;
+  bool direct = false;
+  if (k == 1) {
+    RQO_ASSIGN_OR_RETURN(direct,
+                         DirectGroupIds(key_cols[0], n, &workspace,
+                                        group_bytes, &group_of, &keys));
   }
-  std::vector<AggState> states(table.size() * num_aggs);
+  if (!direct) {
+    RQO_RETURN_NOT_OK(HashGroupIds(key_cols, n, &workspace, group_bytes,
+                                   &group_of, &keys));
+  }
+  const size_t num_groups = keys.size() / k;
+  std::vector<AggState> states(num_groups * num_aggs);
+  const size_t* group_ids = group_of.data();
   Accumulate(input, aggs_, agg_cols,
-             [&group_of](uint64_t i) { return group_of[i]; }, states.data());
+             [group_ids](uint64_t i) { return group_ids[i]; }, states.data());
   RQO_RETURN_NOT_OK(ctx->CheckPoint());
 
   // Output in ascending key order: one sort of the distinct keys.
-  const size_t num_groups = table.size();
+  const auto key = [&keys, k](size_t group) { return keys.data() + group * k; };
   std::vector<size_t> order(num_groups);
   std::iota(order.begin(), order.end(), size_t{0});
-  std::sort(order.begin(), order.end(), [&table, k](size_t a, size_t b) {
-    return std::lexicographical_compare(table.key(a), table.key(a) + k,
-                                        table.key(b), table.key(b) + k);
+  std::sort(order.begin(), order.end(), [&key, k](size_t a, size_t b) {
+    return std::lexicographical_compare(key(a), key(a) + k, key(b),
+                                        key(b) + k);
   });
 
   RQO_ASSIGN_OR_RETURN(
@@ -405,7 +486,7 @@ Result<RowSet> GroupByAggregateOp::Execute(ExecContext* ctx) const {
       ctx->TickRows(num_groups, ApproximateRowBytes(out.schema())));
   for (size_t group : order) {
     for (size_t g = 0; g < k; ++g) {
-      out.mutable_column(g)->AppendInt64(table.key(group)[g]);
+      out.mutable_column(g)->AppendInt64(key(group)[g]);
     }
     AppendAggColumns(aggs_, &states[group * num_aggs], k, &out);
   }

@@ -1,6 +1,7 @@
 #include "exec/operator.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "perf/batch_eval.h"
 #include "util/macros.h"
@@ -142,23 +143,31 @@ std::vector<storage::Rid> SelectRows(const storage::Table& table,
                                      const expr::Expr* predicate,
                                      uint64_t snapshot) {
   const uint64_t n = table.num_rows();
-  std::vector<uint8_t> mask(n, 1);
-  const uint64_t count =
-      predicate == nullptr ? n
-                           : perf::BatchEvaluateMask(*predicate, table, &mask);
+  // The kernels write every byte of the mask, so only the predicate-free
+  // path fills it.
+  const std::unique_ptr<uint8_t[]> mask =
+      std::make_unique_for_overwrite<uint8_t[]>(n);
+  uint64_t count = n;
+  if (predicate == nullptr) {
+    std::fill_n(mask.get(), n, 1);
+  } else {
+    count = perf::BatchEvaluateMask(*predicate, table, mask.get());
+  }
   // Branch-free compaction: every row writes its RID into the next slot and
   // advances only when selected, so one spare slot absorbs the last write.
   std::vector<storage::Rid> rids(count + 1);
+  const uint8_t* selected = mask.get();
   size_t k = 0;
   if (table.versioned()) {
     for (storage::Rid rid = 0; rid < n; ++rid) {
       rids[k] = rid;
-      k += mask[rid] & static_cast<uint8_t>(table.VisibleAt(rid, snapshot));
+      k += selected[rid] &
+           static_cast<uint8_t>(table.VisibleAt(rid, snapshot));
     }
   } else {
     for (storage::Rid rid = 0; rid < n; ++rid) {
       rids[k] = rid;
-      k += mask[rid];
+      k += selected[rid];
     }
   }
   rids.resize(k);

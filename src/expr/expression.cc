@@ -1,5 +1,7 @@
 #include "expr/expression.h"
 
+#include <cmath>
+
 #include "util/macros.h"
 #include "util/string_util.h"
 
@@ -44,6 +46,13 @@ const char* ArithOpSymbol(ArithOp op) {
   return "?";
 }
 
+// A double NaN. Comparisons against one follow IEEE 754 (false, except
+// `<>`), as the batch kernels do; Value::Compare would call it equal to
+// everything.
+bool IsNaN(const Value& v) {
+  return v.type() == storage::DataType::kDouble && std::isnan(v.AsDouble());
+}
+
 bool Truthy(const Value& v) {
   if (v.type() == storage::DataType::kString) return !v.AsString().empty();
   return v.NumericValue() != 0.0;
@@ -84,7 +93,8 @@ Value ComparisonExpr::Evaluate(const Table& table, Rid rid) const {
 bool ComparisonExpr::EvaluateBool(const Table& table, Rid rid) const {
   const Value a = lhs_->Evaluate(table, rid);
   const Value b = rhs_->Evaluate(table, rid);
-  const int c = a.Compare(b);
+  const int c = a.Compare(b);  // first: it raises string type errors
+  if (IsNaN(a) || IsNaN(b)) return op_ == CompareOp::kNe;
   switch (op_) {
     case CompareOp::kEq:
       return c == 0;
@@ -120,7 +130,8 @@ Value BetweenExpr::Evaluate(const Table& table, Rid rid) const {
 
 bool BetweenExpr::EvaluateBool(const Table& table, Rid rid) const {
   const Value v = expr_->Evaluate(table, rid);
-  return v.Compare(lo_) >= 0 && v.Compare(hi_) <= 0;
+  const bool in_range = v.Compare(lo_) >= 0 && v.Compare(hi_) <= 0;
+  return in_range && !IsNaN(v) && !IsNaN(lo_) && !IsNaN(hi_);
 }
 
 void BetweenExpr::CollectColumns(std::set<std::string>* out) const {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <memory>
 #include <string>
 
 namespace robustqo {
@@ -14,34 +15,56 @@ using expr::ExprKind;
 using storage::DataType;
 using storage::Table;
 
-// Column-vs-literal comparison with the operator hoisted out of the loop:
-// one branch-free pass per predicate instead of one virtual dispatch and
-// two boxed Values per row. `get(i)` yields the row value, `lit` the
-// constant; both already widened to a common comparable type.
-template <typename Get, typename LitT>
-void CompareColLit(CompareOp op, size_t n, std::vector<uint8_t>* mask,
-                   const Get& get, const LitT& lit) {
-  std::vector<uint8_t>& m = *mask;
+// Writes mask[i] = row(i) for every row. Kernels hand in `row` as a lambda
+// over a raw column array captured by value, and the mask is a raw pointer:
+// with a std::vector on either side, a byte store may alias the vector's
+// data pointer, so the compiler reloads it on every row. `row` returns a
+// bool with no short-circuit, so each row is a load, a compare and a store,
+// with no branch (and the loop vectorizes where the target has the compare,
+// e.g. 64-bit integer compares from SSE4.2 on).
+template <typename Row>
+void FillMask(size_t n, uint8_t* __restrict mask, const Row& row) {
+  for (size_t i = 0; i < n; ++i) mask[i] = row(i);
+}
+
+// Column-vs-literal comparison with the operator hoisted out of the loop.
+// `at(i)` yields the row value, `lit` the constant; both already widened to
+// a common comparable type.
+template <typename At, typename LitT>
+void CompareColLit(CompareOp op, size_t n, uint8_t* mask, const At& at,
+                   const LitT& lit) {
   switch (op) {
     case CompareOp::kEq:
-      for (size_t i = 0; i < n; ++i) m[i] = get(i) == lit ? 1 : 0;
+      FillMask(n, mask, [&](size_t i) { return at(i) == lit; });
       break;
     case CompareOp::kNe:
-      for (size_t i = 0; i < n; ++i) m[i] = get(i) != lit ? 1 : 0;
+      FillMask(n, mask, [&](size_t i) { return at(i) != lit; });
       break;
     case CompareOp::kLt:
-      for (size_t i = 0; i < n; ++i) m[i] = get(i) < lit ? 1 : 0;
+      FillMask(n, mask, [&](size_t i) { return at(i) < lit; });
       break;
     case CompareOp::kLe:
-      for (size_t i = 0; i < n; ++i) m[i] = get(i) <= lit ? 1 : 0;
+      FillMask(n, mask, [&](size_t i) { return at(i) <= lit; });
       break;
     case CompareOp::kGt:
-      for (size_t i = 0; i < n; ++i) m[i] = get(i) > lit ? 1 : 0;
+      FillMask(n, mask, [&](size_t i) { return at(i) > lit; });
       break;
     case CompareOp::kGe:
-      for (size_t i = 0; i < n; ++i) m[i] = get(i) >= lit ? 1 : 0;
+      FillMask(n, mask, [&](size_t i) { return at(i) >= lit; });
       break;
   }
+}
+
+// `lo <= at(i) <= hi` with both compares evaluated: `&` rather than `&&`
+// leaves no data-dependent branch, and the result is the same (a NaN on
+// either side fails both ways).
+template <typename At, typename LitT>
+void BetweenColLit(size_t n, uint8_t* mask, const At& at, const LitT& lo,
+                   const LitT& hi) {
+  FillMask(n, mask, [&](size_t i) {
+    const auto v = at(i);
+    return (v >= lo) & (v <= hi);
+  });
 }
 
 // `lit <op> col` rewritten as `col <flipped op> lit`.
@@ -66,19 +89,18 @@ CompareOp FlipOp(CompareOp op) {
 // (arithmetic, column-vs-column compares). Same bitmap, same semantics,
 // row-at-a-time speed.
 void FallbackMask(const expr::Expr& e, const Table& table, size_t n,
-                  std::vector<uint8_t>* mask) {
-  std::vector<uint8_t>& m = *mask;
-  for (size_t i = 0; i < n; ++i) m[i] = e.EvaluateBool(table, i) ? 1 : 0;
+                  uint8_t* mask) {
+  for (size_t i = 0; i < n; ++i) mask[i] = e.EvaluateBool(table, i) ? 1 : 0;
 }
 
 // Kernel for `column <op> literal`. Returns false when no kernel applies
-// (caller falls back). Mirrors Value::Compare: int64/date vs int64/date
+// (caller falls back). Mirrors the scalar path: int64/date vs int64/date
 // compares exactly, any double widens both sides, strings compare
 // lexicographically, string-vs-non-string is a type error the fallback
 // reports identically to the scalar path.
 bool TryCompareKernel(CompareOp op, const std::string& column,
                       const storage::Value& lit, const Table& table, size_t n,
-                      std::vector<uint8_t>* mask) {
+                      uint8_t* mask) {
   auto idx = table.schema().ColumnIndex(column);
   if (!idx.ok()) return false;
   const storage::ColumnVector& col = table.column(idx.value());
@@ -94,31 +116,32 @@ bool TryCompareKernel(CompareOp op, const std::string& column,
         [&col](size_t i) -> const std::string& { return col.StringAt(i); }, s);
     return true;
   }
-  if (col_int && lit_int) {
-    const int64_t v = lit.AsInt64();
-    CompareColLit(op, n, mask, [&col](size_t i) { return col.Int64At(i); }, v);
-    return true;
-  }
-  const double v = lit.NumericValue();
   if (col_int) {
-    CompareColLit(op, n, mask,
-                  [&col](size_t i) { return static_cast<double>(col.Int64At(i)); },
-                  v);
+    const int64_t* v = col.int64_data();
+    if (lit_int) {
+      CompareColLit(op, n, mask, [v](size_t i) { return v[i]; },
+                    lit.AsInt64());
+    } else {
+      CompareColLit(op, n, mask,
+                    [v](size_t i) { return static_cast<double>(v[i]); },
+                    lit.NumericValue());
+    }
   } else {
-    CompareColLit(op, n, mask, [&col](size_t i) { return col.DoubleAt(i); }, v);
+    const double* v = col.double_data();
+    CompareColLit(op, n, mask, [v](size_t i) { return v[i]; },
+                  lit.NumericValue());
   }
   return true;
 }
 
-// Kernel for `column BETWEEN lo AND hi` — one fused pass, one byte store
+// Kernel for `column BETWEEN lo AND hi`: one fused pass, one byte store
 // per row.
 bool TryBetweenKernel(const std::string& column, const storage::Value& lo,
                       const storage::Value& hi, const Table& table, size_t n,
-                      std::vector<uint8_t>* mask) {
+                      uint8_t* mask) {
   auto idx = table.schema().ColumnIndex(column);
   if (!idx.ok()) return false;
   const storage::ColumnVector& col = table.column(idx.value());
-  std::vector<uint8_t>& m = *mask;
   if (col.type() == DataType::kString || lo.type() == DataType::kString ||
       hi.type() == DataType::kString) {
     if (col.type() != DataType::kString || lo.type() != DataType::kString ||
@@ -127,67 +150,68 @@ bool TryBetweenKernel(const std::string& column, const storage::Value& lo,
     }
     const std::string& a = lo.AsString();
     const std::string& b = hi.AsString();
-    for (size_t i = 0; i < n; ++i) {
+    FillMask(n, mask, [&](size_t i) {
       const std::string& v = col.StringAt(i);
-      m[i] = (v.compare(a) >= 0 && v.compare(b) <= 0) ? 1 : 0;
-    }
+      return (v.compare(a) >= 0) & (v.compare(b) <= 0);
+    });
     return true;
   }
-  const bool all_int = storage::IsIntegerPhysical(col.type()) &&
-                       storage::IsIntegerPhysical(lo.type()) &&
-                       storage::IsIntegerPhysical(hi.type());
-  if (all_int) {
-    const int64_t a = lo.AsInt64();
-    const int64_t b = hi.AsInt64();
-    for (size_t i = 0; i < n; ++i) {
-      const int64_t v = col.Int64At(i);
-      m[i] = (v >= a && v <= b) ? 1 : 0;
-    }
-    return true;
-  }
-  const double a = lo.NumericValue();
-  const double b = hi.NumericValue();
   if (storage::IsIntegerPhysical(col.type())) {
-    for (size_t i = 0; i < n; ++i) {
-      const double v = static_cast<double>(col.Int64At(i));
-      m[i] = (v >= a && v <= b) ? 1 : 0;
+    const int64_t* v = col.int64_data();
+    if (storage::IsIntegerPhysical(lo.type()) &&
+        storage::IsIntegerPhysical(hi.type())) {
+      BetweenColLit(n, mask, [v](size_t i) { return v[i]; }, lo.AsInt64(),
+                    hi.AsInt64());
+    } else {
+      BetweenColLit(n, mask,
+                    [v](size_t i) { return static_cast<double>(v[i]); },
+                    lo.NumericValue(), hi.NumericValue());
     }
   } else {
-    for (size_t i = 0; i < n; ++i) {
-      const double v = col.DoubleAt(i);
-      m[i] = (v >= a && v <= b) ? 1 : 0;
-    }
+    const double* v = col.double_data();
+    BetweenColLit(n, mask, [v](size_t i) { return v[i]; }, lo.NumericValue(),
+                  hi.NumericValue());
   }
   return true;
 }
 
 void EvalMask(const expr::Expr& e, const Table& table, size_t n,
-              std::vector<uint8_t>* mask);
+              uint8_t* mask);
 
+// mask[i] &= other[i] (AND) or |= (OR): two distinct arrays, so the fold
+// vectorizes without an overlap check.
+void FoldMask(bool is_and, size_t n, uint8_t* __restrict mask,
+              const uint8_t* __restrict other) {
+  if (is_and) {
+    for (size_t i = 0; i < n; ++i) mask[i] &= other[i];
+  } else {
+    for (size_t i = 0; i < n; ++i) mask[i] |= other[i];
+  }
+}
+
+// The first child writes `mask`; every further child writes one scratch
+// mask (allocated once and never pre-filled: a child writes every byte),
+// which is folded in.
 void EvalChildrenCombine(const std::vector<expr::ExprPtr>& children,
                          const Table& table, size_t n, bool is_and,
-                         std::vector<uint8_t>* mask) {
-  std::vector<uint8_t>& m = *mask;
+                         uint8_t* mask) {
   if (children.empty()) {
     // And({}) is TRUE, Or({}) is FALSE — matching the scalar evaluator.
-    std::fill(m.begin(), m.end(), is_and ? 1 : 0);
+    std::fill_n(mask, n, is_and ? 1 : 0);
     return;
   }
   EvalMask(*children[0], table, n, mask);
-  std::vector<uint8_t> tmp;
+  if (children.size() == 1) return;
+  const std::unique_ptr<uint8_t[]> scratch =
+      std::make_unique_for_overwrite<uint8_t[]>(n);
   for (size_t c = 1; c < children.size(); ++c) {
-    tmp.assign(n, 0);
-    EvalMask(*children[c], table, n, &tmp);
-    if (is_and) {
-      for (size_t i = 0; i < n; ++i) m[i] &= tmp[i];
-    } else {
-      for (size_t i = 0; i < n; ++i) m[i] |= tmp[i];
-    }
+    EvalMask(*children[c], table, n, scratch.get());
+    FoldMask(is_and, n, mask, scratch.get());
   }
 }
 
 void EvalMask(const expr::Expr& e, const Table& table, size_t n,
-              std::vector<uint8_t>* mask) {
+              uint8_t* mask) {
   switch (e.kind()) {
     case ExprKind::kComparison: {
       const auto& cmp = static_cast<const expr::ComparisonExpr&>(e);
@@ -236,8 +260,7 @@ void EvalMask(const expr::Expr& e, const Table& table, size_t n,
       return;
     case ExprKind::kNot: {
       EvalMask(*static_cast<const expr::NotExpr&>(e).child(), table, n, mask);
-      std::vector<uint8_t>& m = *mask;
-      for (size_t i = 0; i < n; ++i) m[i] ^= 1;
+      for (size_t i = 0; i < n; ++i) mask[i] ^= 1;
       return;
     }
     case ExprKind::kStringContains: {
@@ -249,11 +272,10 @@ void EvalMask(const expr::Expr& e, const Table& table, size_t n,
         if (idx.ok() &&
             table.column(idx.value()).type() == DataType::kString) {
           const storage::ColumnVector& col = table.column(idx.value());
-          std::vector<uint8_t>& m = *mask;
           const std::string& needle = sc.needle();
-          for (size_t i = 0; i < n; ++i) {
-            m[i] = col.StringAt(i).find(needle) != std::string::npos ? 1 : 0;
-          }
+          FillMask(n, mask, [&](size_t i) {
+            return col.StringAt(i).find(needle) != std::string::npos;
+          });
           return;
         }
       }
@@ -272,20 +294,27 @@ void EvalMask(const expr::Expr& e, const Table& table, size_t n,
 }  // namespace
 
 uint64_t BatchEvaluateMask(const expr::Expr& predicate,
-                           const storage::Table& table,
-                           std::vector<uint8_t>* mask) {
+                           const storage::Table& table, uint8_t* mask) {
   const size_t n = static_cast<size_t>(table.num_rows());
-  mask->assign(n, 0);
   EvalMask(predicate, table, n, mask);
   uint64_t count = 0;
-  for (size_t i = 0; i < n; ++i) count += (*mask)[i];
+  for (size_t i = 0; i < n; ++i) count += mask[i];
   return count;
+}
+
+uint64_t BatchEvaluateMask(const expr::Expr& predicate,
+                           const storage::Table& table,
+                           std::vector<uint8_t>* mask) {
+  mask->resize(static_cast<size_t>(table.num_rows()));
+  return BatchEvaluateMask(predicate, table, mask->data());
 }
 
 uint64_t BatchCountSatisfying(const expr::Expr& predicate,
                               const storage::Table& table) {
-  std::vector<uint8_t> mask;
-  return BatchEvaluateMask(predicate, table, &mask);
+  const std::unique_ptr<uint8_t[]> mask =
+      std::make_unique_for_overwrite<uint8_t[]>(
+          static_cast<size_t>(table.num_rows()));
+  return BatchEvaluateMask(predicate, table, mask.get());
 }
 
 }  // namespace perf

@@ -9,13 +9,20 @@
 // selection bitmap; AND/OR/NOT combine bitmaps, and the final popcount is
 // the paper's `k`.
 //
-// Semantics are bit-for-bit those of the scalar path (Value::Compare):
-// int64/date vs int64/date compares exactly, any double operand widens
-// both sides to double, and strings compare lexicographically. Subtrees
-// the kernels don't specialise (arithmetic, column-vs-column compares)
-// fall back to per-row EvaluateBool inside the same bitmap, so any
-// predicate the tree can evaluate, the batch evaluator can evaluate —
+// Semantics are bit-for-bit those of the scalar path
+// (ComparisonExpr/BetweenExpr::EvaluateBool): int64/date vs int64/date
+// compares exactly, any double operand widens both sides to double, and
+// strings compare lexicographically. A NaN operand follows IEEE 754: every
+// comparison with it is false except `<>`, so `x BETWEEN lo AND hi` is
+// false when x, lo or hi is NaN, while ±inf order as usual and -0.0 equals
+// 0.0. Subtrees the kernels don't specialise (arithmetic, column-vs-column
+// compares) fall back to per-row EvaluateBool inside the same bitmap, so
+// any predicate the tree can evaluate, the batch evaluator can evaluate —
 // property-tested against the scalar path in tests/perf/batch_eval_test.
+//
+// Kernel contract (docs/PERFORMANCE.md): each leaf kernel reads its column
+// through a raw array and writes the mask through a raw byte pointer, both
+// taken before the loop, and computes each row's byte with no branch.
 
 #ifndef ROBUSTQO_PERF_BATCH_EVAL_H_
 #define ROBUSTQO_PERF_BATCH_EVAL_H_
@@ -29,8 +36,14 @@
 namespace robustqo {
 namespace perf {
 
-/// Evaluates `predicate` over every row of `table` into `mask` (resized to
-/// the row count; mask[i] == 1 iff row i satisfies). Returns the popcount.
+/// Evaluates `predicate` over every row of `table` into `mask`, which holds
+/// at least num_rows() bytes; every one of them is written (mask[i] == 1
+/// iff row i satisfies), so the caller need not fill it. Returns the
+/// popcount.
+uint64_t BatchEvaluateMask(const expr::Expr& predicate,
+                           const storage::Table& table, uint8_t* mask);
+
+/// As above, into `mask` resized to the row count.
 uint64_t BatchEvaluateMask(const expr::Expr& predicate,
                            const storage::Table& table,
                            std::vector<uint8_t>* mask);

@@ -54,6 +54,13 @@ class ColumnVector {
   double DoubleAt(Rid rid) const { return doubles_[rid]; }
   const std::string& StringAt(Rid rid) const { return strings_[rid]; }
 
+  /// The native array behind an integer-physical (int64_data) or double
+  /// (double_data) column, size() entries long. Loops over many rows read
+  /// through these rather than the per-row accessors, so no store they make
+  /// can be taken to alias the vector's own data pointer.
+  const int64_t* int64_data() const { return ints_.data(); }
+  const double* double_data() const { return doubles_.data(); }
+
   /// Boxed accessor.
   Value ValueAt(Rid rid) const;
 

@@ -4,13 +4,15 @@
 // predicates mix subtrees the batch kernels specialise (column vs literal,
 // BETWEEN, string contains) with subtrees that fall back to per-row
 // evaluation (arithmetic, column vs column) under AND/OR/NOT. Grouped
-// aggregation over the same selections must emit ascending key order, keep
-// date keys dates, and produce sums bit-identical to a sequential per-group
-// reference.
+// aggregation over the same selections, and over tables whose single key
+// falls on either side of the group-by's span rule, must emit ascending key
+// order, keep date keys dates, produce sums bit-identical to a sequential
+// per-group reference, and charge the governor the same rows and bytes.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -20,6 +22,7 @@
 #include "exec/dml.h"
 #include "exec/scan_ops.h"
 #include "expr/expression.h"
+#include "fault/governor.h"
 #include "storage/catalog.h"
 #include "util/rng.h"
 
@@ -144,12 +147,12 @@ class BatchExecEquivalence : public ::testing::TestWithParam<uint64_t> {
   }
 
   // The scalar reference selection.
-  std::vector<Rid> ScalarSelect(const expr::Expr& pred,
-                                uint64_t snapshot) const {
+  static std::vector<Rid> ScalarSelect(const Table& table,
+                                       const expr::Expr& pred,
+                                       uint64_t snapshot) {
     std::vector<Rid> rids;
-    for (Rid rid = 0; rid < table_->num_rows(); ++rid) {
-      if (table_->VisibleAt(rid, snapshot) &&
-          pred.EvaluateBool(*table_, rid)) {
+    for (Rid rid = 0; rid < table.num_rows(); ++rid) {
+      if (table.VisibleAt(rid, snapshot) && pred.EvaluateBool(table, rid)) {
         rids.push_back(rid);
       }
     }
@@ -179,7 +182,8 @@ TEST_P(BatchExecEquivalence, SeqScanAndFilterMatchScalarSelection) {
     for (uint64_t snapshot : kSnapshots) {
       SCOPED_TRACE(pred->ToString() + " @ snapshot " +
                    std::to_string(snapshot));
-      const std::vector<Rid> expected = ScalarSelect(*pred, snapshot);
+      const std::vector<Rid> expected =
+          ScalarSelect(*table_, *pred, snapshot);
       ctx_.snapshot_epoch = snapshot;
 
       Result<Table> scanned = SeqScanOp("vt", pred).Run(&ctx_);
@@ -196,72 +200,217 @@ TEST_P(BatchExecEquivalence, SeqScanAndFilterMatchScalarSelection) {
   }
 }
 
+// Group keys for a table of `n` rows shaped to one side of the group-by's
+// span rule (a single key takes the slot-array path when max - min + 1 <= n
+// over the rows it groups, else the hash path).
+enum class KeyShape {
+  kSpanNMinus1,  // direct
+  kSpanN,        // direct, at the boundary
+  kSpanNPlus1,   // hash, just past it
+  kSparse,       // hash
+  kNegative,     // direct, all keys below zero
+  kExtremes,     // hash: INT64_MIN and INT64_MAX, a span that overflows
+  kDate,         // direct, a DATE key
+  kEmpty,        // no rows at all
+};
+
+constexpr KeyShape kKeyShapes[] = {
+    KeyShape::kSpanNMinus1, KeyShape::kSpanN,    KeyShape::kSpanNPlus1,
+    KeyShape::kSparse,      KeyShape::kNegative, KeyShape::kExtremes,
+    KeyShape::kDate,        KeyShape::kEmpty};
+
+// `n` keys of `shape`, in random row order, with both ends of the span
+// present.
+std::vector<int64_t> ShapedKeys(KeyShape shape, int64_t n, Rng* rng) {
+  if (shape == KeyShape::kEmpty) return {};
+  int64_t lo = 0;
+  int64_t span = n;
+  switch (shape) {
+    case KeyShape::kSpanNMinus1:
+      span = n - 1;
+      break;
+    case KeyShape::kSpanN:
+    case KeyShape::kDate:
+      break;
+    case KeyShape::kSpanNPlus1:
+      span = n + 1;
+      break;
+    case KeyShape::kNegative:
+      lo = -1000 - n;
+      span = n / 2;
+      break;
+    case KeyShape::kSparse:
+    case KeyShape::kExtremes:
+    case KeyShape::kEmpty:
+      break;
+  }
+  std::vector<int64_t> keys;
+  for (int64_t i = 0; i < n; ++i) {
+    if (shape == KeyShape::kSparse) {
+      keys.push_back(rng->NextInRange(-1000000000000, 1000000000000));
+    } else if (shape == KeyShape::kExtremes) {
+      keys.push_back(i % 3 == 0   ? std::numeric_limits<int64_t>::min()
+                     : i % 3 == 1 ? std::numeric_limits<int64_t>::max()
+                                  : rng->NextInRange(-5, 5));
+    } else if (i < 2) {
+      keys.push_back(lo + (i == 0 ? 0 : span - 1));
+    } else {
+      keys.push_back(lo + rng->NextInRange(0, span - 1));
+    }
+  }
+  for (size_t i = keys.size(); i > 1; --i) {
+    std::swap(keys[i - 1], keys[rng->NextBounded(i)]);
+  }
+  return keys;
+}
+
 TEST_P(BatchExecEquivalence, GroupByMatchesSequentialPerGroupReference) {
   Rng rng(GetParam() * 104729 + 3);
-  const std::vector<std::vector<std::string>> key_sets = {
-      {"g"}, {"g", "d"}, {"d", "a", "g"}};
   const std::vector<AggSpec> aggs = {{AggKind::kCount, "", "n"},
                                      {AggKind::kSum, "x", "sum_x"},
                                      {AggKind::kAvg, "x", "avg_x"},
                                      {AggKind::kMin, "a", "min_a"},
                                      {AggKind::kMax, "d", "max_d"}};
+  // Single keys whose span over the selected rows falls on either side of
+  // the rule, tallied from the reference.
+  size_t within_span = 0;
+  size_t beyond_span = 0;
+
+  // Runs the group-by over SeqScan(table, pred) at `snapshot` and checks it
+  // against a sequential per-group fold of the scalar selection: ascending
+  // key order, key types kept, SUM/AVG byte-equal, and the governor charged
+  // exactly the scan's rows and bytes, one output row and one workspace
+  // entry per group. With two or more groups it runs again under a memory
+  // budget that the workspace of the middle group must trip.
+  const auto check = [&](const std::string& name, const ExprPtr& pred,
+                         const std::vector<std::string>& keys,
+                         uint64_t snapshot) {
+    const Table& table = *catalog_.GetTable(name);
+    SCOPED_TRACE(name + " by " + keys[0] + (keys.size() > 1 ? ",..." : "") +
+                 " where " + (pred ? pred->ToString() : "true") +
+                 " @ snapshot " + std::to_string(snapshot));
+    struct Ref {
+      uint64_t n = 0;
+      double sum_x = 0.0;
+      double min_a = 0.0;
+      double max_d = 0.0;
+    };
+    std::map<std::vector<int64_t>, Ref> ref;
+    const std::vector<Rid> selected =
+        pred ? ScalarSelect(table, *pred, snapshot)
+             : ScalarSelect(table, *expr::And({}), snapshot);
+    for (Rid rid : selected) {
+      std::vector<int64_t> key;
+      for (const std::string& k : keys) {
+        key.push_back(table.column(k).Int64At(rid));
+      }
+      Ref& r = ref[key];
+      const double a = table.column("a").ValueAt(rid).NumericValue();
+      const double d = table.column("d").ValueAt(rid).NumericValue();
+      r.min_a = r.n == 0 ? a : std::min(r.min_a, a);
+      r.max_d = r.n == 0 ? d : std::max(r.max_d, d);
+      r.sum_x += table.column("x").DoubleAt(rid);
+      ++r.n;
+    }
+    if (keys.size() == 1 && !ref.empty()) {
+      const uint64_t span_minus_one =
+          static_cast<uint64_t>(ref.rbegin()->first[0]) -
+          static_cast<uint64_t>(ref.begin()->first[0]);
+      ++(span_minus_one < selected.size() ? within_span : beyond_span);
+    }
+
+    ctx_.snapshot_epoch = snapshot;
+    const auto group_by = [&] {
+      return GroupByAggregateOp(std::make_unique<SeqScanOp>(name, pred), keys,
+                                aggs);
+    };
+    fault::QueryGovernor governor;
+    ctx_.governor = &governor;
+    Result<Table> out = group_by().Run(&ctx_);
+    ctx_.governor = nullptr;
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    const Table& t = out.value();
+    ASSERT_EQ(t.num_rows(), ref.size());
+    for (size_t k = 0; k < keys.size(); ++k) {
+      EXPECT_EQ(t.schema().column(k).type, table.column(keys[k]).type());
+    }
+    size_t row = 0;
+    for (const auto& [key, r] : ref) {  // ascending key order
+      for (size_t k = 0; k < keys.size(); ++k) {
+        ASSERT_EQ(t.column(k).Int64At(row), key[k]) << "row " << row;
+      }
+      const size_t base = keys.size();
+      EXPECT_EQ(t.column(base).Int64At(row), static_cast<int64_t>(r.n));
+      const double sum = t.column(base + 1).DoubleAt(row);
+      const double avg = t.column(base + 2).DoubleAt(row);
+      const double ref_avg = r.sum_x / static_cast<double>(r.n);
+      EXPECT_EQ(std::memcmp(&sum, &r.sum_x, sizeof(double)), 0);
+      EXPECT_EQ(std::memcmp(&avg, &ref_avg, sizeof(double)), 0);
+      EXPECT_EQ(t.column(base + 3).DoubleAt(row), r.min_a);
+      EXPECT_EQ(t.column(base + 4).DoubleAt(row), r.max_d);
+      ++row;
+    }
+    const uint64_t scan_bytes =
+        selected.size() * table.schema().num_columns() * 8;
+    const uint64_t group_bytes = (keys.size() + aggs.size() * 4 + 4) * 8;
+    const uint64_t out_bytes = (keys.size() + aggs.size()) * 8;
+    EXPECT_EQ(governor.rows_charged(), selected.size() + ref.size());
+    EXPECT_EQ(governor.peak_memory_bytes(),
+              scan_bytes + ref.size() * (group_bytes + out_bytes));
+
+    if (ref.size() < 2) return;
+    const uint64_t trip_group = ref.size() / 2;  // 0-based, first seen
+    fault::GovernorLimits limits;
+    limits.memory_limit_bytes = scan_bytes + trip_group * group_bytes;
+    fault::QueryGovernor tight(limits);
+    ctx_.governor = &tight;
+    Result<Table> tripped = group_by().Run(&ctx_);
+    ctx_.governor = nullptr;
+    ASSERT_FALSE(tripped.ok());
+    EXPECT_EQ(tripped.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(tight.memory_trips(), 1u);
+    EXPECT_EQ(tight.peak_memory_bytes(),
+              scan_bytes + (trip_group + 1) * group_bytes);
+  };
+
+  // The versioned table at every snapshot, under random predicates.
+  const std::vector<std::vector<std::string>> key_sets = {
+      {"g"}, {"a"}, {"d"}, {"id"}, {"g", "d"}, {"d", "a", "g"}};
   for (int trial = 0; trial < 10; ++trial) {
     const ExprPtr pred = RandomPredicate(&rng, 2);
     for (const auto& keys : key_sets) {
       for (uint64_t snapshot : kSnapshots) {
-        SCOPED_TRACE(pred->ToString() + " @ snapshot " +
-                     std::to_string(snapshot));
-        // Sequential reference: fold rows into their group in RID order.
-        struct Ref {
-          uint64_t n = 0;
-          double sum_x = 0.0;
-          double min_a = 0.0;
-          double max_d = 0.0;
-        };
-        std::map<std::vector<int64_t>, Ref> ref;
-        for (Rid rid : ScalarSelect(*pred, snapshot)) {
-          std::vector<int64_t> key;
-          for (const std::string& k : keys) {
-            key.push_back(table_->column(k).Int64At(rid));
-          }
-          Ref& r = ref[key];
-          const double a = table_->ValueAt(rid, 1).NumericValue();
-          const double d = table_->ValueAt(rid, 4).NumericValue();
-          r.min_a = r.n == 0 ? a : std::min(r.min_a, a);
-          r.max_d = r.n == 0 ? d : std::max(r.max_d, d);
-          r.sum_x += table_->ValueAt(rid, 2).AsDouble();
-          ++r.n;
-        }
-
-        ctx_.snapshot_epoch = snapshot;
-        GroupByAggregateOp group(std::make_unique<SeqScanOp>("vt", pred), keys,
-                                 aggs);
-        Result<Table> out = group.Run(&ctx_);
-        ASSERT_TRUE(out.ok());
-        const Table& t = out.value();
-        ASSERT_EQ(t.num_rows(), ref.size());
-        for (size_t k = 0; k < keys.size(); ++k) {
-          EXPECT_EQ(t.schema().column(k).type, table_->column(keys[k]).type());
-        }
-        size_t row = 0;
-        for (const auto& [key, r] : ref) {  // ascending key order
-          for (size_t k = 0; k < keys.size(); ++k) {
-            ASSERT_EQ(t.column(k).Int64At(row), key[k]) << "row " << row;
-          }
-          const size_t base = keys.size();
-          EXPECT_EQ(t.column(base).Int64At(row), static_cast<int64_t>(r.n));
-          const double sum = t.column(base + 1).DoubleAt(row);
-          const double avg = t.column(base + 2).DoubleAt(row);
-          const double ref_avg = r.sum_x / static_cast<double>(r.n);
-          EXPECT_EQ(std::memcmp(&sum, &r.sum_x, sizeof(double)), 0);
-          EXPECT_EQ(std::memcmp(&avg, &ref_avg, sizeof(double)), 0);
-          EXPECT_EQ(t.column(base + 3).DoubleAt(row), r.min_a);
-          EXPECT_EQ(t.column(base + 4).DoubleAt(row), r.max_d);
-          ++row;
-        }
+        check("vt", pred, keys, snapshot);
       }
     }
   }
+
+  // Unversioned tables keyed to each side of the span rule: whole (the
+  // scan passes no RID list), and under a predicate (it does).
+  for (KeyShape shape : kKeyShapes) {
+    const int64_t n = 48 + static_cast<int64_t>(rng.NextBounded(32));
+    const std::string name = "k" + std::to_string(static_cast<int>(shape));
+    const DataType key_type =
+        shape == KeyShape::kDate ? DataType::kDate : DataType::kInt64;
+    std::vector<storage::ColumnDef> defs = table_->schema().columns();
+    defs.push_back({"k", key_type});
+    auto table = std::make_unique<Table>(name, Schema(std::move(defs)));
+    const std::vector<int64_t> keys = ShapedKeys(shape, n, &rng);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      std::vector<Value> row = RandomRow(&rng, static_cast<int64_t>(i));
+      row.push_back(key_type == DataType::kDate ? Value::Date(keys[i])
+                                                : Value::Int64(keys[i]));
+      table->AppendRow(row);
+    }
+    ASSERT_TRUE(catalog_.AddTable(std::move(table)).ok());
+    check(name, nullptr, {"k"}, storage::kLatestSnapshot);
+    check(name, nullptr, {"k", "g"}, storage::kLatestSnapshot);
+    for (int trial = 0; trial < 3; ++trial) {
+      check(name, RandomPredicate(&rng, 1), {"k"}, storage::kLatestSnapshot);
+    }
+  }
+  EXPECT_GT(within_span, 0u);
+  EXPECT_GT(beyond_span, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BatchExecEquivalence,

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <vector>
 
 #include "expr/expression.h"
 #include "fault/governor.h"
@@ -183,6 +185,58 @@ TEST_F(ScanOpsTest, SeqScanChargesOneTickPerOutputRow) {
   // Two projected columns: 16 bytes per row.
   EXPECT_EQ(governor.peak_memory_bytes(), out.num_rows() * 16);
   EXPECT_EQ(governor.memory_in_use(), out.num_rows() * 16);
+}
+
+// A NaN row must pass or fail a predicate alike whether the plan filters
+// it with the batch kernels (SeqScan) or with the scalar residual after an
+// index fetch (IndexRangeScan): IEEE 754, every comparison but <> false.
+TEST_F(ScanOpsTest, NaNRowsFilterAlikeInKernelScanAndIndexResidual) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  auto t = std::make_unique<Table>(
+      "f", Schema({{"id", DataType::kInt64}, {"d", DataType::kDouble}}));
+  const std::vector<double> values = {nan, 5.0, -inf, inf, -0.0,
+                                      0.0, 0.5, nan,  -5.0};
+  for (size_t i = 0; i < values.size(); ++i) {
+    t->AppendRow({Value::Int64(static_cast<int64_t>(i)),
+                  Value::Double(values[i])});
+  }
+  ASSERT_TRUE(catalog_.AddTable(std::move(t)).ok());
+  ASSERT_TRUE(catalog_.BuildIndex("f", "id").ok());
+  const std::vector<expr::ExprPtr> preds = {
+      expr::Eq(Col("d"), expr::LitDouble(5.0)),
+      expr::Ne(Col("d"), expr::LitDouble(5.0)),
+      expr::Le(Col("d"), expr::LitDouble(5.0)),
+      expr::Gt(Col("d"), expr::LitDouble(0.0)),
+      Ge(Col("d"), expr::LitDouble(-inf)),
+      expr::Lt(Col("id"), expr::LitDouble(nan)),
+      Between(Col("d"), Value::Double(0.0), Value::Double(1.0)),
+      Between(Col("d"), Value::Double(nan), Value::Double(inf))};
+  const auto ids = [](const Table& out) {
+    std::vector<int64_t> v;
+    for (storage::Rid r = 0; r < out.num_rows(); ++r) {
+      v.push_back(out.column(0).Int64At(r));
+    }
+    return v;
+  };
+  for (const expr::ExprPtr& pred : preds) {
+    SCOPED_TRACE(pred->ToString());
+    const Table kernel = SeqScanOp("f", pred, {"id"}).Run(&ctx_).value();
+    const Table residual =
+        IndexRangeScanOp("f", {"id", std::nullopt, std::nullopt}, pred, {"id"})
+            .Run(&ctx_)
+            .value();
+    EXPECT_EQ(ids(kernel), ids(residual));
+  }
+  // d <> 5 keeps both NaN rows; d <= 5 keeps neither.
+  EXPECT_EQ(SeqScanOp("f", preds[1], {"id"}).Run(&ctx_).value().num_rows(),
+            8u);
+  EXPECT_EQ(IndexRangeScanOp("f", {"id", std::nullopt, std::nullopt},
+                             preds[2], {"id"})
+                .Run(&ctx_)
+                .value()
+                .num_rows(),
+            6u);
 }
 
 }  // namespace

@@ -6,7 +6,9 @@
 
 #include "perf/batch_eval.h"
 
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "expr/expression.h"
@@ -116,6 +118,79 @@ TEST_F(BatchEvalTest, BetweenKernels) {
                       table_);
   ExpectMatchesScalar(
       Between(Col("s"), Value::String("b"), Value::String("c")), table_);
+  // Inverted bounds (lo > hi) select nothing on every type pairing.
+  ExpectMatchesScalar(
+      Between(Col("b"), Value::Double(0.5), Value::Double(-0.5)), table_);
+  ExpectMatchesScalar(Between(Col("d"), Value::Date(30), Value::Date(10)),
+                      table_);
+  ExpectMatchesScalar(
+      Between(Col("s"), Value::String("c"), Value::String("b")), table_);
+  ExpectMatchesScalar(
+      Between(Col("a"), Value::Double(4.5), Value::Double(-4.5)), table_);
+  // An integer column with double bounds widens to double.
+  ExpectMatchesScalar(
+      Between(Col("a"), Value::Double(-4.5), Value::Double(4.5)), table_);
+  ExpectMatchesScalar(
+      Between(Col("a"), Value::Double(3.0), Value::Double(3.0)), table_);
+  ExpectMatchesScalar(
+      Between(Col("a"), Value::Int64(-3), Value::Double(2.5)), table_);
+  ExpectMatchesScalar(
+      Between(Col("d"), Value::Double(9.5), Value::Double(30.5)), table_);
+}
+
+// Doubles that Value::Compare orders unlike IEEE 754 (NaN) or that sit on
+// its edges (±inf, -0.0): the scalar path follows IEEE, as the kernels do.
+TEST_F(BatchEvalTest, NaNInfinityAndNegativeZeroFollowIeee) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Table table("f", Schema({{"a", DataType::kInt64}, {"d", DataType::kDouble}}));
+  const std::vector<double> values = {nan, 5.0, -inf, inf, -0.0, 0.0,
+                                      0.5, nan, -5.0, 1.0};
+  for (size_t i = 0; i < values.size(); ++i) {
+    table.AppendRow({Value::Int64(static_cast<int64_t>(i) - 3),
+                     Value::Double(values[i])});
+  }
+  const std::vector<CompareOp> ops = {CompareOp::kEq, CompareOp::kNe,
+                                      CompareOp::kLt, CompareOp::kLe,
+                                      CompareOp::kGt, CompareOp::kGe};
+  const std::vector<Value> literals = {
+      Value::Double(5.0), Value::Double(0.0),  Value::Double(-0.0),
+      Value::Double(inf), Value::Double(-inf), Value::Double(nan),
+      Value::Int64(0),    Value::Int64(5)};
+  for (CompareOp op : ops) {
+    for (const Value& lit : literals) {
+      for (const char* col : {"a", "d"}) {
+        ExpectMatchesScalar(Compare(op, Col(col), Lit(lit)), table);
+        ExpectMatchesScalar(Compare(op, Lit(lit), Col(col)), table);
+      }
+    }
+  }
+  const std::vector<std::pair<Value, Value>> ranges = {
+      {Value::Double(0.0), Value::Double(1.0)},
+      {Value::Double(-0.0), Value::Double(0.0)},
+      {Value::Double(-inf), Value::Double(inf)},
+      {Value::Double(nan), Value::Double(inf)},
+      {Value::Double(-inf), Value::Double(nan)},
+      {Value::Int64(-1), Value::Int64(5)}};
+  for (const auto& [lo, hi] : ranges) {
+    for (const char* col : {"a", "d"}) {
+      ExpectMatchesScalar(Between(Col(col), lo, hi), table);
+      ExpectMatchesScalar(Not(Between(Col(col), lo, hi)), table);
+    }
+  }
+  // On a NaN row every comparison but <> is false.
+  EXPECT_FALSE(Eq(Col("d"), LitDouble(5.0))->EvaluateBool(table, 0));
+  EXPECT_TRUE(Ne(Col("d"), LitDouble(5.0))->EvaluateBool(table, 0));
+  EXPECT_FALSE(Le(Col("d"), LitDouble(5.0))->EvaluateBool(table, 0));
+  EXPECT_FALSE(Ge(Col("d"), LitDouble(5.0))->EvaluateBool(table, 0));
+  EXPECT_FALSE(Between(Col("d"), Value::Double(0.0), Value::Double(1.0))
+                   ->EvaluateBool(table, 0));
+  EXPECT_EQ(BatchCountSatisfying(*Ne(Col("d"), Col("d")), table), 2u);
+  // -0.0 equals 0.0; ±inf order below and above every finite value.
+  EXPECT_EQ(BatchCountSatisfying(*Eq(Col("d"), LitDouble(0.0)), table), 2u);
+  EXPECT_EQ(BatchCountSatisfying(*Lt(Col("d"), LitDouble(-1e308)), table),
+            1u);
+  EXPECT_EQ(BatchCountSatisfying(*Gt(Col("d"), LitDouble(1e308)), table), 1u);
 }
 
 TEST_F(BatchEvalTest, BooleanConnectives) {
