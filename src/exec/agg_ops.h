@@ -68,7 +68,9 @@ class ScalarAggregateOp final : public PhysicalOperator {
   std::vector<AggSpec> aggs_;
 };
 
-/// Hash aggregation with grouping columns (integer-physical group keys).
+/// Aggregation with grouping columns (integer-physical group keys). A
+/// single key whose span fits in the input takes group ids from a slot
+/// array, any other key from a hash table.
 class GroupByAggregateOp final : public PhysicalOperator {
  public:
   GroupByAggregateOp(OperatorPtr child, std::vector<std::string> group_columns,
