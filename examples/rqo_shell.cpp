@@ -14,7 +14,8 @@
 //                                   ANALYZE runs (keyed by predicate
 //                                   fingerprint) and served statements
 //                                   (keyed by statement fingerprint; the
-//                                   drift monitor that evicts cached plans)
+//                                   drift monitor that triggers a
+//                                   statistics rebuild)
 //   .sessions                       query-service session table
 //   .plancache                      plan-cache contents + hit/miss stats
 //   .blackbox [json]                flight recorder: retained request
@@ -27,8 +28,8 @@
 //                                   and threshold-breach counters
 //   .epoch                          data + statistics epochs and the
 //                                   per-table online-maintenance state
-//                                   (reservoir fill, modifications,
-//                                   pending-rebuild flags)
+//                                   (modifications, pending-rebuild
+//                                   flags)
 //   .fp <fphex>                     one statement's ledger row: SLO,
 //                                   quality, table and plan columns (the
 //                                   winner line); the ledger keeps the
@@ -45,8 +46,8 @@
 //   .quit                           exit
 // Statements:
 //   INSERT INTO <t> VALUES (...)    DML commits atomically, bumps the data
-//   UPDATE <t> SET ... [WHERE ...]  epoch, and feeds the statistics
-//   DELETE FROM <t> [WHERE ...]     reservoir (see .epoch)
+//   UPDATE <t> SET ... [WHERE ...]  epoch, and counts toward the table's
+//   DELETE FROM <t> [WHERE ...]     statistics rebuild (see .epoch)
 //   PREPARE <name> AS <sql>         register a prepared statement in the
 //                                   shell's server session
 //   EXECUTE <name>                  run it through the query service's
@@ -284,12 +285,9 @@ void PrintEpochs(core::Database* db) {
               static_cast<unsigned long long>(db->catalog()->data_epoch()));
   std::printf("statistics epoch: %llu  (rebuilds; keys the plan cache)\n",
               static_cast<unsigned long long>(db->statistics()->epoch()));
-  std::printf("%-10s %10s %12s %14s %8s\n", "table", "reservoir", "stream",
-              "modifications", "pending");
+  std::printf("%-10s %14s %8s\n", "table", "modifications", "pending");
   for (const auto& entry : db->statistics()->MaintenanceState()) {
-    std::printf("%-10s %6zu/%-3zu %12llu %14llu %8s\n", entry.table.c_str(),
-                entry.reservoir_filled, entry.reservoir_capacity,
-                static_cast<unsigned long long>(entry.reservoir_seen),
+    std::printf("%-10s %14llu %8s\n", entry.table.c_str(),
                 static_cast<unsigned long long>(entry.modifications),
                 entry.pending_rebuild ? "yes" : "no");
   }
@@ -442,7 +440,7 @@ int main() {
     if (line == ".quality") {
       std::printf("-- EXPLAIN ANALYZE runs (keyed by predicate fingerprint)\n"
                   "%s-- served statements (keyed by statement fingerprint; "
-                  "drift evicts cached plans)\n%s",
+                  "drift triggers a statistics rebuild)\n%s",
                   quality.QualityReportText().c_str(),
                   service.ledger()->QualityReportText().c_str());
       continue;

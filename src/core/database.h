@@ -126,8 +126,8 @@ class Database {
 
   /// Executes a parsed DML statement under the database's governor limits
   /// and fault injector: stages the mutation, commits atomically (retrying
-  /// transient write faults), bumps the data epoch, and feeds the committed
-  /// rows to the statistics reservoir. `snapshot_epoch` pins which row
+  /// transient write faults), bumps the data epoch, and counts the committed
+  /// rows toward statistics maintenance. `snapshot_epoch` pins which row
   /// versions the UPDATE/DELETE targeting scan sees (default: latest).
   Result<exec::DmlResult> ExecuteDml(
       const sql::DmlSpec& dml,

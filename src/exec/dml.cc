@@ -61,25 +61,23 @@ Status DmlExecutor::CommitBatch(ExecContext* ctx, storage::WriteBatch* batch,
     out->retry.attempts = 0;
     return Status::OK();
   }
-  const std::string table = batch->table()->name();
-  auto pre_publish = [&](const storage::CommitStats& stats) -> Status {
-    if (statistics_ == nullptr) return Status::OK();
-    return statistics_->ObserveCommit(table, batch->staged_insert_rows(),
-                                      stats.rows_deleted);
-  };
   // Retryable (kUnavailable) commit failures leave the table byte-identical
   // to its pre-write state, so re-running Commit on the same staged batch
   // is safe; the fault injector's per-site streams advance across attempts.
-  Result<storage::CommitStats> committed =
-      fault::RetryWithBackoff(
-          retry_policy_,
-          [&]() { return batch->Commit(ctx->fault, pre_publish); },
-          &out->retry, ctx->metrics);
+  Result<storage::CommitStats> committed = fault::RetryWithBackoff(
+      retry_policy_, [&]() { return batch->Commit(ctx->fault); }, &out->retry,
+      ctx->metrics);
   if (!committed.ok()) return committed.status();
   out->rows_inserted = committed.value().rows_inserted;
   out->rows_deleted = committed.value().rows_deleted;
   out->rows_updated = committed.value().rows_updated;
   out->epoch = committed.value().epoch;
+  // Only a published batch counts toward the rebuild threshold; an update
+  // counts twice (its delete stamp and its new version).
+  if (statistics_ != nullptr) {
+    statistics_->ObserveCommit(batch->table()->name(),
+                               out->rows_inserted + out->rows_deleted);
+  }
   return Status::OK();
 }
 

@@ -16,13 +16,12 @@
 //   4. stage deletes/inserts/updates into a WriteBatch, charge the
 //      governor for the staged rows;
 //   5. WriteBatch::Commit under RetryWithBackoff — the fault sites
-//      storage.write.apply / storage.write.commit / stats.reservoir.update
-//      fire inside, and a failed attempt leaves the table byte-identical
-//      to its pre-write state before the next attempt (or the error);
+//      storage.write.apply / storage.write.commit fire inside, and a
+//      failed attempt leaves the table byte-identical to its pre-write
+//      state before the next attempt (or the error);
 //   6. on success the data epoch is published and, when a statistics
-//      catalog is attached, the committed rows have been fed to the
-//      table's reservoir sample (pre-publish, so sample and table never
-//      diverge).
+//      catalog is attached, the committed row versions count toward the
+//      table's statistics-rebuild threshold.
 //
 // The executor is deliberately independent of the SQL front end: callers
 // hand it tables, literal rows and expression trees, so the core layer can
@@ -106,8 +105,8 @@ class DmlExecutor {
                                                const storage::Table& table,
                                                const expr::ExprPtr& where);
 
-  /// Commits `batch` under the retry policy, feeding committed rows to the
-  /// statistics reservoir pre-publish. Fills the commit fields of `out`.
+  /// Commits `batch` under the retry policy and counts the committed rows
+  /// toward statistics maintenance. Fills the commit fields of `out`.
   Status CommitBatch(ExecContext* ctx, storage::WriteBatch* batch,
                      DmlResult* out);
 

@@ -13,7 +13,7 @@ const std::vector<std::string>& KnownFaultSites() {
       sites::kCsvRead,         sites::kOperatorAlloc,
       sites::kClockStall,      sites::kAdmissionEnqueue,
       sites::kPlanCacheLookup, sites::kWriteApply,
-      sites::kWriteCommit,     sites::kReservoirUpdate};
+      sites::kWriteCommit};
   return kSites;
 }
 

@@ -51,10 +51,6 @@ inline constexpr char kWriteApply[] = "storage.write.apply";
 /// rolls the batch back; the write either commits atomically or not at
 /// all.
 inline constexpr char kWriteCommit[] = "storage.write.commit";
-/// Feeding a committed mutation into the statistics reservoir. Probed
-/// before the commit is published, so a fire aborts the write and the
-/// sample never diverges from the table.
-inline constexpr char kReservoirUpdate[] = "stats.reservoir.update";
 }  // namespace sites
 
 /// The sites the engine probes, for shell listings and the chaos harness.

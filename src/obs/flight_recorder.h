@@ -56,8 +56,8 @@ struct RequestTrace {
   bool governor_tripped = false;
   /// Armed fault-site firings observed by this request's injector.
   uint64_t fault_fires = 0;
-  /// Plan-cache outcome: "hit", "miss", "stale_epoch", "drift_blocked",
-  /// "degraded_fault", or "" when the request never reached planning.
+  /// Plan-cache outcome: "hit", "miss", "stale_epoch", "degraded_fault",
+  /// "dml", or "" when the request never reached planning.
   std::string cache_outcome;
   uint64_t waves_waited = 0;
   double queue_wait_seconds = 0.0;

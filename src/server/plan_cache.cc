@@ -1,8 +1,6 @@
 #include "server/plan_cache.h"
 
 #include <bit>
-#include <algorithm>
-#include <vector>
 
 #include "obs/trace.h"
 #include "perf/fingerprint.h"
@@ -108,8 +106,6 @@ const char* PlanCacheOutcomeName(PlanCacheOutcome outcome) {
       return "miss";
     case PlanCacheOutcome::kStaleEpoch:
       return "stale_epoch";
-    case PlanCacheOutcome::kDriftBlocked:
-      return "drift_blocked";
     case PlanCacheOutcome::kDegradedFault:
       return "degraded_fault";
   }
@@ -117,12 +113,6 @@ const char* PlanCacheOutcomeName(PlanCacheOutcome outcome) {
 }
 
 std::shared_ptr<const opt::PlannedQuery> PlanCache::Lookup(
-    const PlanCacheKey& key, uint64_t current_epoch) {
-  PlanCacheOutcome outcome;
-  return LookupEx(key, current_epoch, &outcome);
-}
-
-std::shared_ptr<const opt::PlannedQuery> PlanCache::LookupEx(
     const PlanCacheKey& key, uint64_t current_epoch,
     PlanCacheOutcome* outcome) {
   if (fault_ != nullptr &&
@@ -133,13 +123,6 @@ std::shared_ptr<const opt::PlannedQuery> PlanCache::LookupEx(
     ++stats_.degraded_fault;
     ++stats_.misses;
     *outcome = PlanCacheOutcome::kDegradedFault;
-    return nullptr;
-  }
-  if (DriftBlockActive(key.fingerprint, current_epoch)) {
-    // Invalidation already evicted the entries; the block only shapes the
-    // outcome a trace records (insertion will be refused too).
-    ++stats_.misses;
-    *outcome = PlanCacheOutcome::kDriftBlocked;
     return nullptr;
   }
   auto it = index_.find(key);
@@ -168,10 +151,6 @@ std::shared_ptr<const opt::PlannedQuery> PlanCache::LookupEx(
 void PlanCache::Insert(const PlanCacheKey& key,
                        std::shared_ptr<const opt::PlannedQuery> plan,
                        uint64_t epoch) {
-  if (DriftBlockActive(key.fingerprint, epoch)) {
-    ++stats_.rejected_drifted;
-    return;
-  }
   auto it = index_.find(key);
   if (it != index_.end()) Erase(it);
   while (lru_.size() >= capacity_) {
@@ -187,39 +166,6 @@ void PlanCache::Insert(const PlanCacheKey& key,
   index_[key] = lru_.begin();
   ++stats_.insertions;
 }
-
-size_t PlanCache::InvalidateFingerprint(uint64_t fingerprint,
-                                        uint64_t blocked_epoch) {
-  size_t evicted = 0;
-  for (auto it = index_.begin(); it != index_.end();) {
-    if (it->first.fingerprint == fingerprint) {
-      auto dead = it++;
-      Erase(dead);
-      ++evicted;
-    } else {
-      ++it;
-    }
-  }
-  stats_.invalidated_drift += evicted;
-  drift_blocked_[fingerprint] = blocked_epoch;
-  return evicted;
-}
-
-bool PlanCache::DriftBlockActive(uint64_t fingerprint,
-                                 uint64_t current_epoch) {
-  auto it = drift_blocked_.find(fingerprint);
-  if (it == drift_blocked_.end()) return false;
-  if (current_epoch > it->second) {
-    // Statistics were rebuilt since the drift was observed — replanning is
-    // meaningful again, so the block lifts itself.
-    drift_blocked_.erase(it);
-    ++stats_.drift_blocks_lifted;
-    return false;
-  }
-  return true;
-}
-
-void PlanCache::ClearDriftBlocks() { drift_blocked_.clear(); }
 
 void PlanCache::Clear() {
   lru_.clear();
@@ -237,14 +183,9 @@ void PlanCache::PublishMetrics(obs::MetricsRegistry* metrics) const {
   sync("perf.cache.plan.insertions", stats_.insertions);
   sync("perf.cache.plan.evictions.lru", stats_.evictions_lru);
   sync("perf.cache.plan.invalidated.epoch", stats_.invalidated_epoch);
-  sync("perf.cache.plan.invalidated.drift", stats_.invalidated_drift);
   sync("perf.cache.plan.degraded.fault", stats_.degraded_fault);
-  sync("perf.cache.plan.rejected.drifted", stats_.rejected_drifted);
-  sync("perf.cache.plan.drift_blocks.lifted", stats_.drift_blocks_lifted);
   metrics->GetGauge("perf.cache.plan.size")
       ->Set(static_cast<double>(lru_.size()));
-  metrics->GetGauge("perf.cache.plan.drift_blocked")
-      ->Set(static_cast<double>(drift_blocked_.size()));
 }
 
 std::string PlanCache::ReportText() const {
@@ -258,14 +199,9 @@ std::string PlanCache::ReportText() const {
       static_cast<unsigned long long>(stats_.insertions),
       static_cast<unsigned long long>(stats_.evictions_lru));
   out += StrPrintf(
-      "  invalidated: epoch=%llu drift=%llu; degraded_fault=%llu "
-      "rejected_drifted=%llu drift_blocked=%zu lifted=%llu\n",
+      "  invalidated: epoch=%llu; degraded_fault=%llu\n",
       static_cast<unsigned long long>(stats_.invalidated_epoch),
-      static_cast<unsigned long long>(stats_.invalidated_drift),
-      static_cast<unsigned long long>(stats_.degraded_fault),
-      static_cast<unsigned long long>(stats_.rejected_drifted),
-      drift_blocked_.size(),
-      static_cast<unsigned long long>(stats_.drift_blocks_lifted));
+      static_cast<unsigned long long>(stats_.degraded_fault));
   // Entries in LRU order (most recent first) — capped so huge caches stay
   // printable.
   size_t shown = 0;

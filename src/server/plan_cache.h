@@ -5,16 +5,10 @@
 // estimator kind) — the three inputs that change which plan the robust
 // optimizer picks — and each entry remembers the statistics epoch it was
 // planned under. A lookup whose entry predates the current epoch discards
-// it (UPDATE STATISTICS invalidates every cached plan with one integer
-// bump), and fingerprints the estimation-quality monitor flags as drifted
-// are both evicted and blocked from re-insertion until statistics are
-// rebuilt: a plan chosen for a distribution the data no longer follows is
-// exactly the brittleness the paper's Section 5 guards against, so the
-// cache refuses to keep serving it. Drift blocks are epoch-scoped: each
-// records the statistics epoch it was placed under, and the first lookup
-// or insert at a later epoch lifts it automatically — so a background
-// statistics rebuild re-opens the cache to the drifted statements without
-// anyone calling ClearDriftBlocks().
+// it, so every statistics rebuild — UPDATE STATISTICS, or the service's
+// end-of-wave rebuild after committed writes or a drift flag —
+// invalidates every cached plan with one integer bump. The epoch is the
+// only staleness signal the cache reads.
 //
 // Bounded LRU, same list+index shape as perf::InverseBetaCache. Lookups
 // probe the server.plan_cache.lookup fault site and degrade a fired probe
@@ -29,7 +23,6 @@
 #include <list>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <tuple>
 
@@ -82,14 +75,8 @@ struct PlanCacheStats {
   uint64_t insertions = 0;
   uint64_t evictions_lru = 0;
   uint64_t invalidated_epoch = 0;
-  uint64_t invalidated_drift = 0;
   /// Lookups the fault site degraded to misses (also counted in misses).
   uint64_t degraded_fault = 0;
-  /// Insertions refused because the fingerprint is drift-blocked.
-  uint64_t rejected_drifted = 0;
-  /// Drift blocks lifted automatically because the statistics epoch moved
-  /// past the epoch the block was placed under.
-  uint64_t drift_blocks_lifted = 0;
 
   double HitRate() const {
     const uint64_t total = hits + misses;
@@ -99,12 +86,11 @@ struct PlanCacheStats {
 
 /// Why a lookup resolved the way it did — the plan-cache attribute a
 /// request's trace records (a postmortem cares whether a "miss" was a
-/// cold cache, stale statistics, a drift block or a degraded shard).
+/// cold cache, stale statistics or a degraded shard).
 enum class PlanCacheOutcome {
   kHit,
   kMiss,
   kStaleEpoch,     ///< entry existed but predated `current_epoch`
-  kDriftBlocked,   ///< fingerprint blocked by the quality monitor
   kDegradedFault,  ///< server.plan_cache.lookup fault fired
 };
 
@@ -117,46 +103,20 @@ class PlanCache {
   size_t capacity() const { return capacity_; }
   size_t size() const { return lru_.size(); }
 
-  /// The cached plan for `key` if present, planned at `current_epoch`, and
-  /// not drift-blocked; nullptr on miss. An entry from an older epoch is
-  /// dropped (counted as invalidated_epoch). Probes the
-  /// server.plan_cache.lookup fault site first; a firing degrades to a
-  /// miss. A hit refreshes the entry's LRU position.
+  /// The cached plan for `key` if present and planned at `current_epoch`;
+  /// nullptr otherwise, with the typed reason in `outcome` (never null).
+  /// An entry from an older epoch is dropped (counted as
+  /// invalidated_epoch). Probes the server.plan_cache.lookup fault site
+  /// first; a firing degrades to a miss. Every non-hit outcome counts as a
+  /// miss in stats(). A hit refreshes the entry's LRU position.
   std::shared_ptr<const opt::PlannedQuery> Lookup(const PlanCacheKey& key,
-                                                  uint64_t current_epoch);
-
-  /// Lookup plus the typed outcome (never null `outcome`). All non-hit
-  /// outcomes count as misses in stats(), as before.
-  std::shared_ptr<const opt::PlannedQuery> LookupEx(const PlanCacheKey& key,
-                                                    uint64_t current_epoch,
-                                                    PlanCacheOutcome* outcome);
+                                                  uint64_t current_epoch,
+                                                  PlanCacheOutcome* outcome);
 
   /// Caches `plan` for `key` at `epoch`, evicting the least recently used
-  /// entry when full. Refused (counted) while `key.fingerprint` is
-  /// drift-blocked; replaces any existing entry for the same key.
+  /// entry when full; replaces any existing entry for the same key.
   void Insert(const PlanCacheKey& key,
               std::shared_ptr<const opt::PlannedQuery> plan, uint64_t epoch);
-
-  /// Drops every entry for `fingerprint` (all thresholds and estimators)
-  /// and blocks the fingerprint from re-insertion. The block records
-  /// `blocked_epoch` (the statistics epoch the drift was observed under)
-  /// and lifts itself on the first lookup/insert at a later epoch; the
-  /// default never auto-lifts (only ClearDriftBlocks() does). Returns how
-  /// many entries were evicted. This is the estimation-quality monitor's
-  /// invalidation hook.
-  size_t InvalidateFingerprint(uint64_t fingerprint,
-                               uint64_t blocked_epoch = UINT64_MAX);
-
-  /// Lifts all drift blocks — called after UPDATE STATISTICS, when fresh
-  /// statistics make replanning the drifted statements meaningful again.
-  /// (Blocks placed with an explicit epoch also lift themselves once the
-  /// epoch moves past it.)
-  void ClearDriftBlocks();
-
-  bool IsDriftBlocked(uint64_t fingerprint) const {
-    return drift_blocked_.count(fingerprint) > 0;
-  }
-  size_t drift_blocked_count() const { return drift_blocked_.size(); }
 
   void Clear();
 
@@ -182,16 +142,10 @@ class PlanCache {
 
   void Erase(std::map<PlanCacheKey, std::list<Entry>::iterator>::iterator it);
 
-  /// True while `fingerprint`'s drift block is active at `current_epoch`;
-  /// lifts (and counts) the block when the epoch has moved past it.
-  bool DriftBlockActive(uint64_t fingerprint, uint64_t current_epoch);
-
   size_t capacity_;
   fault::FaultInjector* fault_ = nullptr;
   std::list<Entry> lru_;  // front = most recently used
   std::map<PlanCacheKey, std::list<Entry>::iterator> index_;
-  /// fingerprint -> statistics epoch the block was placed under.
-  std::map<uint64_t, uint64_t> drift_blocked_;
   PlanCacheStats stats_;
 };
 

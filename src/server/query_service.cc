@@ -336,7 +336,7 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
       const PlanCacheKey key = PlanCacheKey::Make(
           work.fingerprint, work.effective_threshold, options.estimator);
       PlanCacheOutcome cache_outcome = PlanCacheOutcome::kMiss;
-      work.plan = cache_.LookupEx(key, epoch, &cache_outcome);
+      work.plan = cache_.Lookup(key, epoch, &cache_outcome);
       work.cache_hit = work.plan != nullptr;
       work.cache_outcome = PlanCacheOutcomeName(cache_outcome);
       // A degraded lookup means the server.plan_cache.lookup fault fired
@@ -402,8 +402,7 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
         work.plan = std::make_shared<const opt::PlannedQuery>(
             std::move(planned).value());
         cache_.Insert(key, work.plan, epoch);
-        // Record after the fresh optimizer run (drift-blocked re-plans are
-        // not cached but still get provenance); cache hits keep their
+        // Record after the fresh optimizer run; cache hits keep their
         // existing record.
         if (ledger_.plans_enabled()) {
           RecordProvenance(work, key, epoch, cache_outcome);
@@ -572,26 +571,16 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
     }
 
     // Drift hook: a fingerprint whose recent q-error regressed past the
-    // drift factor loses its cached plans before the next wave — the
-    // cache must not keep serving a plan chosen for data that moved. The
-    // block records the current statistics epoch, so it lifts itself once
-    // a rebuild moves past it; the tables the statement reads are flagged
-    // for that rebuild.
-    const uint64_t stats_epoch = db_->statistics()->epoch();
+    // drift factor flags the tables it reads for the rebuild below — the
+    // cache must not keep serving a plan chosen for data that moved.
     for (const obs::FingerprintQuality& drifted : ledger_.Drifted()) {
-      if (cache_.IsDriftBlocked(drifted.fingerprint)) continue;
-      const size_t evicted =
-          cache_.InvalidateFingerprint(drifted.fingerprint, stats_epoch);
-      if (config_.background_rebuild) {
-        for (const std::string& table : ledger_.Tables(drifted.fingerprint)) {
-          db_->statistics()->MarkPendingRebuild(table);
-        }
+      for (const std::string& table : ledger_.Tables(drifted.fingerprint)) {
+        db_->statistics()->MarkPendingRebuild(table);
       }
       if (tracer_ != nullptr) {
         tracer_->Event(
             "server", "plan_cache.drift_invalidated",
             {{"fingerprint", obs::FingerprintHex(drifted.fingerprint)},
-             {"evicted", obs::AttrU64(evicted)},
              {"drift_ratio", StrPrintf("%.2f", drifted.drift_ratio)}});
       }
     }
@@ -599,14 +588,14 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
     // Background statistics maintenance: tables flagged stale — by
     // committed-write volume (ObserveCommit's policy) or by the drift hook
     // above — rebuild now, before the next wave plans. The epoch bump
-    // makes stale cached plans and epoch-scoped drift blocks clear
-    // themselves on their next lookup; nobody calls UPDATE STATISTICS.
-    if (config_.background_rebuild && db_->statistics()->RebuildPending()) {
+    // makes every cached plan stale at its next lookup; nobody calls
+    // UPDATE STATISTICS.
+    if (db_->statistics()->RebuildPending()) {
       const uint64_t rebuilt = db_->RebuildPendingStatistics();
       if (rebuilt > 0) ledger_.ResetQuality();
       if (tracer_ != nullptr) {
         tracer_->Event(
-            "server", "stats.background_rebuild",
+            "server", "stats.rebuild",
             {{"tables", obs::AttrU64(rebuilt)},
              {"epoch", obs::AttrU64(db_->statistics()->epoch())}});
       }
@@ -660,10 +649,8 @@ QueryResponse QueryService::ExecuteSpec(SessionId session,
 }
 
 void QueryService::UpdateStatistics(const stats::StatisticsConfig& config) {
+  // The epoch bump invalidates every cached plan lazily.
   db_->UpdateStatistics(config);
-  // The epoch bump already invalidates every cached plan lazily; fresh
-  // statistics also make drifted statements plannable again.
-  cache_.ClearDriftBlocks();
   ledger_.ResetQuality();
 }
 

@@ -2,8 +2,8 @@
 //
 // QueryService: the concurrent serving layer tying the server subsystem
 // together. Clients open sessions, PREPARE statements, and submit batches
-// of requests; the service runs them through admission control, a
-// drift-aware plan cache, and a deterministic parallel scheduler on
+// of requests; the service runs them through admission control, an
+// epoch-keyed plan cache, and a deterministic parallel scheduler on
 // perf::TaskPool.
 //
 // The scheduler is wave-based, the repo's standard recipe for parallelism
@@ -37,12 +37,11 @@
 //      Then completions, session tallies, metric merges and one
 //      fingerprint-ledger record per request (SLO and
 //      estimation-quality columns) are applied in admission order;
-//      fingerprints the ledger flags as drifted have their cached plans
-//      invalidated, the tables they read are flagged for statistics
-//      rebuild, and — when background_rebuild is on — flagged
-//      tables (drift or committed-write volume) are rebuilt before the
-//      next wave, bumping the statistics epoch so stale cached plans and
-//      drift blocks clear themselves lazily.
+//      fingerprints the ledger flags as drifted have the tables they read
+//      flagged for statistics rebuild, and flagged tables (drift or
+//      committed-write volume) are rebuilt before the next wave, bumping
+//      the statistics epoch so every stale cached plan is dropped at its
+//      next lookup.
 //
 // Every client-visible artifact — responses, reports, merged metrics — is
 // byte-identical at any RQO_THREADS setting: reads are pure against a
@@ -78,14 +77,9 @@ struct ServerConfig {
   uint64_t seed = 42;
   AdmissionConfig admission;
   size_t plan_cache_capacity = 64;
-  /// Drift detection for cached-plan invalidation.
+  /// Drift detection: a drifted fingerprint's tables are rebuilt at the
+  /// end of the wave, like tables past the committed-write threshold.
   obs::QualityConfig quality;
-  /// When true, tables flagged stale by online statistics maintenance —
-  /// enough committed modifications, or a drift flag from the fingerprint
-  /// ledger — are rebuilt at the end of the wave, bumping the statistics
-  /// epoch (which lazily invalidates stale cached plans and lifts drift
-  /// blocks). No manual UPDATE STATISTICS needed under write traffic.
-  bool background_rebuild = true;
   /// Black-box retention of interesting request traces. Requests are only
   /// traced while `flight_recorder.enabled`; the recorder itself always
   /// exists for introspection.
@@ -194,8 +188,7 @@ class QueryService {
 
   /// UPDATE STATISTICS through the service: rebuilds the database's
   /// statistics (bumping the epoch, which invalidates every cached plan)
-  /// and lifts drift blocks + resets drift profiles, since fresh
-  /// statistics make the drifted statements plannable again.
+  /// and resets the drift profiles, which described the old statistics.
   void UpdateStatistics(const stats::StatisticsConfig& config = {});
 
   // ---- Introspection ----

@@ -53,11 +53,10 @@ void StatisticsCatalog::BuildAllSamples(const StatisticsConfig& config) {
         *catalog_, name, config.sample_size, config.sampling_mode,
         &synopsis_rng);
     // A full build is the maintenance baseline: restart the modification
-    // counter and the reservoir's stream, clear any pending flag.
-    Maintenance* state = GetOrCreateMaintenance(name);
-    state->policy.RecordRebuild(table->VisibleRowCount());
-    state->reservoir->Reset();
-    state->pending_rebuild = false;
+    // counter, clear any pending flag.
+    Maintenance& state = maintenance_[name];
+    state.policy.RecordRebuild(table->VisibleRowCount());
+    state.pending_rebuild = false;
   }
   BumpEpoch();
 }
@@ -192,46 +191,17 @@ std::vector<const JoinSynopsis*> StatisticsCatalog::AllSynopses() const {
   return out;
 }
 
-StatisticsCatalog::Maintenance* StatisticsCatalog::GetOrCreateMaintenance(
-    const std::string& table) {
-  auto it = maintenance_.find(table);
-  if (it == maintenance_.end()) {
-    Maintenance state;
-    // Each table's reservoir draws from an independent deterministic
-    // stream (same per-site idiom as the fault injector).
-    state.reservoir = std::make_unique<ReservoirSample<ReservoirRow>>(
-        build_config_.sample_size,
-        build_config_.seed ^ std::hash<std::string>{}(table));
-    it = maintenance_.emplace(table, std::move(state)).first;
-  }
-  return &it->second;
-}
-
-Status StatisticsCatalog::ObserveCommit(
-    const std::string& table, const std::vector<ReservoirRow>& inserted_rows,
-    uint64_t rows_deleted) {
-  if (catalog_->GetTable(table) == nullptr) {
-    return Status::NotFound("table " + table);
-  }
-  // Fault probe first, mutation after: a fired site leaves reservoir and
-  // policy exactly as they were, and the caller rolls the write back.
-  if (fault_ != nullptr) {
-    Status injected = fault_->Check(fault::sites::kReservoirUpdate);
-    if (!injected.ok()) {
-      return Status(injected.code(), injected.message() +
-                                         " updating reservoir for " + table);
-    }
-  }
-  Maintenance* state = GetOrCreateMaintenance(table);
-  for (const ReservoirRow& row : inserted_rows) state->reservoir->Add(row);
-  state->policy.RecordModifications(inserted_rows.size() + rows_deleted);
-  if (state->policy.RebuildDue()) state->pending_rebuild = true;
-  return Status::OK();
+void StatisticsCatalog::ObserveCommit(const std::string& table,
+                                      uint64_t modifications) {
+  if (catalog_->GetTable(table) == nullptr) return;
+  Maintenance& state = maintenance_[table];
+  state.policy.RecordModifications(modifications);
+  if (state.policy.RebuildDue()) state.pending_rebuild = true;
 }
 
 void StatisticsCatalog::MarkPendingRebuild(const std::string& table) {
   if (catalog_->GetTable(table) == nullptr) return;
-  GetOrCreateMaintenance(table)->pending_rebuild = true;
+  maintenance_[table].pending_rebuild = true;
 }
 
 std::vector<std::string> StatisticsCatalog::TablesPendingRebuild() const {
@@ -273,10 +243,9 @@ Status StatisticsCatalog::RebuildTableStatistics(const std::string& table) {
         build_config_.sampling_mode, &rng);
   }
 
-  Maintenance* state = GetOrCreateMaintenance(table);
-  state->policy.RecordRebuild(t->VisibleRowCount());
-  state->reservoir->Reset();
-  state->pending_rebuild = false;
+  Maintenance& state = maintenance_[table];
+  state.policy.RecordRebuild(t->VisibleRowCount());
+  state.pending_rebuild = false;
   BumpEpoch();
   return Status::OK();
 }
@@ -296,20 +265,11 @@ StatisticsCatalog::MaintenanceState() const {
   for (const auto& [table, state] : maintenance_) {
     MaintenanceEntry entry;
     entry.table = table;
-    entry.reservoir_seen = state.reservoir->seen();
-    entry.reservoir_filled = state.reservoir->items().size();
-    entry.reservoir_capacity = state.reservoir->capacity();
     entry.modifications = state.policy.modifications_since_rebuild();
     entry.pending_rebuild = state.pending_rebuild;
     entries.push_back(entry);
   }
   return entries;
-}
-
-const ReservoirSample<StatisticsCatalog::ReservoirRow>*
-StatisticsCatalog::Reservoir(const std::string& table) const {
-  auto it = maintenance_.find(table);
-  return it == maintenance_.end() ? nullptr : it->second.reservoir.get();
 }
 
 size_t StatisticsCatalog::ApproximateSummaryBytes() const {

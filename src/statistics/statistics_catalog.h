@@ -18,7 +18,7 @@
 #include "fault/fault_injector.h"
 #include "statistics/histogram.h"
 #include "statistics/join_synopsis.h"
-#include "statistics/reservoir.h"
+#include "statistics/maintenance_policy.h"
 #include "statistics/sample.h"
 #include "storage/catalog.h"
 #include "util/rng.h"
@@ -103,7 +103,6 @@ class StatisticsCatalog {
   /// Installs the fault injector probed by the Try* accessors (borrowed,
   /// nullable = reads never fail).
   void SetFaultInjector(fault::FaultInjector* fault) { fault_ = fault; }
-  fault::FaultInjector* fault_injector() const { return fault_; }
 
   /// Total bytes of summary data held, approximated as 8 bytes per numeric
   /// cell (for the storage-parity discussion of Section 6.1).
@@ -128,24 +127,17 @@ class StatisticsCatalog {
   // sufficient number of database modifications have occurred", made
   // continuous) ---------------------------------------------------------
   //
-  // Committed DML feeds a per-table Algorithm-R reservoir (a uniform
-  // sample of the insert stream since the last rebuild) and a
-  // SampleMaintenancePolicy; once modifications pass the policy's
-  // threshold the table is flagged pending and the next background
-  // rebuild redraws its histograms/sample/synopses and bumps the
-  // statistics epoch — which is what lazily invalidates cached plans.
+  // Committed DML feeds a per-table SampleMaintenancePolicy; once
+  // modifications pass the policy's threshold (or the quality monitor
+  // flags drift) the table is marked pending, and the next rebuild
+  // redraws its histograms/sample/synopses and bumps the statistics
+  // epoch — which is what lazily invalidates cached plans.
 
-  /// The per-tuple reservoir row type.
-  using ReservoirRow = std::vector<storage::Value>;
-
-  /// Observes one committed batch against `table`. Probes the
-  /// stats.reservoir.update fault site first and mutates nothing when it
-  /// fires — callers run this as the last fallible step before a commit
-  /// publishes, so sample and table always move together. Does NOT bump
-  /// the statistics epoch (only a rebuild changes estimates).
-  Status ObserveCommit(const std::string& table,
-                       const std::vector<ReservoirRow>& inserted_rows,
-                       uint64_t rows_deleted);
+  /// Counts `modifications` rows of one committed batch against `table`
+  /// (inserted + deleted row versions, so an update counts two) and marks
+  /// the table pending once the policy's threshold is reached. Does NOT
+  /// bump the statistics epoch (only a rebuild changes estimates).
+  void ObserveCommit(const std::string& table, uint64_t modifications);
 
   /// Marks `table` stale regardless of modification volume (the quality
   /// monitor's drift flag routes here).
@@ -166,19 +158,10 @@ class StatisticsCatalog {
   /// Per-table maintenance snapshot for the shell's `.epoch` view.
   struct MaintenanceEntry {
     std::string table;
-    uint64_t reservoir_seen = 0;      ///< stream length since last rebuild
-    size_t reservoir_filled = 0;      ///< rows currently held
-    size_t reservoir_capacity = 0;
-    uint64_t modifications = 0;       ///< rows touched since last rebuild
+    uint64_t modifications = 0;  ///< rows touched since last rebuild
     bool pending_rebuild = false;
   };
   std::vector<MaintenanceEntry> MaintenanceState() const;
-
-  /// The reservoir for `table` (nullptr before its first observed commit);
-  /// test hook for the deterministic-replacement and rollback-consistency
-  /// suites.
-  const ReservoirSample<ReservoirRow>* Reservoir(
-      const std::string& table) const;
 
   /// The configuration the next background rebuild uses — remembered from
   /// the last BuildAllSamples call.
@@ -188,11 +171,9 @@ class StatisticsCatalog {
   void BumpEpoch() { ++epoch_; }
 
   struct Maintenance {
-    std::unique_ptr<ReservoirSample<ReservoirRow>> reservoir;
     SampleMaintenancePolicy policy;
     bool pending_rebuild = false;
   };
-  Maintenance* GetOrCreateMaintenance(const std::string& table);
 
   const storage::Catalog* catalog_;
   uint64_t epoch_ = 0;

@@ -5,9 +5,7 @@
 namespace robustqo {
 namespace storage {
 
-Result<CommitStats> WriteBatch::Commit(
-    fault::FaultInjector* fault,
-    const std::function<Status(const CommitStats&)>& pre_publish) {
+Result<CommitStats> WriteBatch::Commit(fault::FaultInjector* fault) {
   const uint64_t epoch = catalog_->BeginDataEpoch();
   const uint64_t base_rows = table_->num_rows();
   // Delete stamps we actually placed (an already-dead RID is skipped), so
@@ -64,17 +62,6 @@ Result<CommitStats> WriteBatch::Commit(
       rollback();
       return Status(injected.code(), injected.message() + " committing " +
                                          table_->name() + " batch");
-    }
-  }
-
-  // Last fallible step: statistics maintenance (reservoir feed). Runs
-  // before publish so a fired stats.reservoir.update site aborts the write
-  // and the sample never diverges from the table.
-  if (pre_publish) {
-    Status staged = pre_publish(stats);
-    if (!staged.ok()) {
-      rollback();
-      return staged;
     }
   }
 

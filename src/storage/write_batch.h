@@ -7,8 +7,6 @@
 //
 //   storage.write.apply     one probe per staged row mutation
 //   storage.write.commit    one probe at the publish point
-//   <pre_publish hook>      the statistics layer's reservoir feed, which
-//                           probes stats.reservoir.update itself
 //
 // Any failure rolls the whole batch back — appended rows are truncated,
 // fresh delete stamps cleared, the reserved data epoch abandoned — and the
@@ -21,7 +19,6 @@
 #define ROBUSTQO_STORAGE_WRITE_BATCH_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -68,23 +65,11 @@ class WriteBatch {
   }
 
   bool empty() const { return inserts_.empty() && deletes_.empty(); }
-  uint64_t staged_inserts() const { return inserts_.size(); }
-  uint64_t staged_deletes() const { return deletes_.size(); }
-
-  /// Rows staged for insert (the statistics layer feeds these into the
-  /// reservoir from its pre_publish hook).
-  const std::vector<std::vector<Value>>& staged_insert_rows() const {
-    return inserts_;
-  }
 
   /// Applies the staged mutation atomically. `fault` (nullable) is probed
-  /// per the file header; `pre_publish` (nullable) is the last fallible
-  /// step — a non-OK return rolls the batch back exactly like a fired
-  /// fault site. On success the data epoch is published, the table's
-  /// indexes are rebuilt, and the stats are returned.
-  Result<CommitStats> Commit(
-      fault::FaultInjector* fault,
-      const std::function<Status(const CommitStats&)>& pre_publish = nullptr);
+  /// per the file header. On success the data epoch is published, the
+  /// table's indexes are rebuilt, and the stats are returned.
+  Result<CommitStats> Commit(fault::FaultInjector* fault);
 
  private:
   Catalog* catalog_;

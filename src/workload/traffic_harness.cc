@@ -91,13 +91,12 @@ std::string TrafficReport::Summary() const {
       static_cast<unsigned long long>(service_time.count()));
   out += StrPrintf(
       "  plan cache: hits=%llu misses=%llu hit_rate=%.4f evictions=%llu "
-      "invalidated_epoch=%llu invalidated_drift=%llu\n",
+      "invalidated_epoch=%llu\n",
       static_cast<unsigned long long>(plan_cache.hits),
       static_cast<unsigned long long>(plan_cache.misses),
       lookups == 0 ? 0.0 : static_cast<double>(plan_cache.hits) / lookups,
       static_cast<unsigned long long>(plan_cache.evictions_lru),
-      static_cast<unsigned long long>(plan_cache.invalidated_epoch),
-      static_cast<unsigned long long>(plan_cache.invalidated_drift));
+      static_cast<unsigned long long>(plan_cache.invalidated_epoch));
   out += StrPrintf(
       "  admission: admitted=%llu waited=%llu rejected_queue_full=%llu "
       "rejected_fault=%llu peak_in_flight=%llu peak_queue=%llu\n",

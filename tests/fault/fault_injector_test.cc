@@ -162,9 +162,9 @@ TEST(FaultInjectorTest, KnownSitesListedAndDescribed) {
   const std::vector<std::string> kExpectedSorted = {
       sites::kClockStall,      sites::kOperatorAlloc,
       sites::kAdmissionEnqueue, sites::kPlanCacheLookup,
-      sites::kReservoirUpdate, sites::kSampleRead,
-      sites::kSynopsisRead,    sites::kCsvRead,
-      sites::kWriteApply,      sites::kWriteCommit,
+      sites::kSampleRead,      sites::kSynopsisRead,
+      sites::kCsvRead,         sites::kWriteApply,
+      sites::kWriteCommit,
   };
   ASSERT_TRUE(std::is_sorted(kExpectedSorted.begin(), kExpectedSorted.end()));
   std::vector<std::string> actual_sorted = KnownFaultSites();

@@ -234,7 +234,7 @@ TEST_F(DeterminismTest, LedgerReportsIdenticalAcrossThreadCounts) {
 }
 
 // The write-path acceptance criterion: mixed read/write traffic — where
-// DML commits bump the data epoch, feed the statistics reservoir, and can
+// DML commits bump the data epoch, count toward statistics rebuilds, and can
 // trigger background rebuilds mid-run — must produce a byte-identical
 // summary at every thread count. Writes apply sequentially in REDUCE and
 // reads pin to the wave-start snapshot, so the epoch sequence (and with

@@ -4,7 +4,8 @@
 // and the server.slo.*, estimator.quality.* and optimizer.regret.* metric
 // series. The run is built so that every column those reports read
 // actually moves: stale plans regret, the quality monitor flags drift,
-// and the statistics rebuild resets the quality profiles.
+// the drift flag rebuilds the statistics within the wave, and the
+// rebuilds reset the quality profiles.
 // Regenerate with ROBUSTQO_UPDATE_GOLDENS=1.
 
 #include <gtest/gtest.h>
@@ -135,8 +136,9 @@ uint64_t Count(const server::QueryService& service, const char* name) {
 
 // A healthy phase caches both plans; a flood of matching rows then makes
 // the cached plans undersell their cost, so a short drift phase regrets
-// and flags `r_value < 50` drifted. UPDATE STATISTICS resets the quality
-// profiles, and a long recovery phase runs on fresh statistics.
+// and flags `r_value < 50` drifted, which rebuilds the statistics of
+// `readings` within the same wave. UPDATE STATISTICS resets the quality
+// profiles again, and a long recovery phase runs on fresh statistics.
 TEST(FingerprintReportsTest, DriftArcReportsMatchGolden) {
   std::unique_ptr<core::Database> db = MakeReadingsDatabase();
   server::ServerConfig config;
@@ -146,18 +148,18 @@ TEST(FingerprintReportsTest, DriftArcReportsMatchGolden) {
   config.quality.recent_window = 8;
   config.quality.min_observations = 4;
   config.quality.drift_factor = 4.0;
-  // Drift stays flagged until the explicit rebuild below, so the reports
-  // show a drifted profile.
-  config.background_rebuild = false;
   server::QueryService service(db.get(), config);
 
   std::string rendered;
   workload::RunTraffic(&service, Phase(11, 16, 6.0));
   rendered += RenderReports("healthy", &service);
+  const uint64_t healthy_epoch = db->statistics()->epoch();
   FloodMatchingRows(db.get(), 3000);
   workload::RunTraffic(&service, Phase(12, 8, 3.0));
   rendered += RenderReports("drift", &service);
-  EXPECT_GT(Gauge(service, "estimator.quality.drifted_fingerprints"), 0.0);
+  // The flood bypassed the DML path, so only the drift flag can have
+  // rebuilt the statistics.
+  EXPECT_GT(db->statistics()->epoch(), healthy_epoch);
   EXPECT_GT(Count(service, "optimizer.regret.positive"), 0u);
   service.UpdateStatistics();
   // The rebuild reset the quality profiles; SLO scopes survive it.

@@ -1,7 +1,7 @@
 // The full online-maintenance arc, end to end and hands-free: write
-// traffic through the query service feeds the per-table reservoir and
-// modification counters; crossing the maintenance threshold (or a drift
-// flag) marks the table pending; the end-of-wave background rebuild
+// traffic through the query service feeds the per-table modification
+// counters; crossing the maintenance threshold (or a drift flag) marks
+// the table pending; the end-of-wave background rebuild
 // redraws its statistics and bumps the statistics epoch; and the plan
 // cache's lazy epoch invalidation drops the stale plan and re-caches a
 // fresh one — with no manual UPDATE STATISTICS anywhere.
@@ -67,7 +67,7 @@ TEST(OnlineMaintenanceTest, WriteFloodTriggersRebuildAndPlanRecache) {
 
   // Flood: INSERT batches through the service until the maintenance
   // policy's 20%-of-table threshold flags the table. Each wave commits,
-  // feeds the reservoir, and runs the background rebuild check; the
+  // counts its rows, and runs the background rebuild check; the
   // rebuild must fire on its own before the flood ends.
   Rng rng(7);
   uint64_t next_id = 10000;
@@ -104,7 +104,7 @@ TEST(OnlineMaintenanceTest, WriteFloodTriggersRebuildAndPlanRecache) {
   EXPECT_TRUE(service.ExecutePrepared(session, "count").cache_hit);
 }
 
-TEST(OnlineMaintenanceTest, ReservoirFollowsCommittedWritesOnly) {
+TEST(OnlineMaintenanceTest, ModificationsFollowCommittedWritesOnly) {
   std::unique_ptr<core::Database> db = MakeDatabase();
   server::QueryService service(db.get());
   const server::SessionId session = service.OpenSession();
@@ -118,46 +118,14 @@ TEST(OnlineMaintenanceTest, ReservoirFollowsCommittedWritesOnly) {
 
   const stats::StatisticsCatalog::MaintenanceEntry after =
       ReadingsMaintenance(db.get());
-  EXPECT_EQ(after.reservoir_seen, before.reservoir_seen + 2);
   EXPECT_EQ(after.modifications, before.modifications + 2);
 
-  // A parse-failed statement commits nothing and feeds nothing.
+  // A parse-failed statement commits nothing and counts nothing.
   ASSERT_FALSE(
       service.ExecuteSql(session, "INSERT INTO readings VALUES ('x', 1)")
           .status.ok());
-  EXPECT_EQ(ReadingsMaintenance(db.get()).reservoir_seen,
-            after.reservoir_seen);
-}
-
-TEST(OnlineMaintenanceTest, BackgroundRebuildCanBeDisabled) {
-  std::unique_ptr<core::Database> db = MakeDatabase();
-  server::ServerConfig config;
-  config.background_rebuild = false;
-  server::QueryService service(db.get(), config);
-  const server::SessionId session = service.OpenSession();
-
-  const uint64_t epoch0 = db->statistics()->epoch();
-  Rng rng(7);
-  uint64_t next_id = 10000;
-  for (int wave = 0; wave < 30; ++wave) {
-    std::string sql = "INSERT INTO readings VALUES ";
-    for (int row = 0; row < 10; ++row) {
-      if (row > 0) sql += ", ";
-      sql += StrPrintf("(%llu, %llu)",
-                       static_cast<unsigned long long>(next_id++),
-                       static_cast<unsigned long long>(rng.NextBounded(50)));
-    }
-    ASSERT_TRUE(service.ExecuteSql(session, sql).status.ok());
-  }
-
-  // The threshold tripped (the table is flagged) but nothing rebuilt.
-  EXPECT_EQ(db->statistics()->epoch(), epoch0);
-  EXPECT_TRUE(ReadingsMaintenance(db.get()).pending_rebuild);
-
-  // The database-level hook is the manual escape hatch.
-  EXPECT_GT(db->RebuildPendingStatistics(), 0u);
-  EXPECT_GT(db->statistics()->epoch(), epoch0);
-  EXPECT_FALSE(ReadingsMaintenance(db.get()).pending_rebuild);
+  EXPECT_EQ(ReadingsMaintenance(db.get()).modifications,
+            after.modifications);
 }
 
 }  // namespace

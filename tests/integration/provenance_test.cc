@@ -147,10 +147,11 @@ TEST_F(ProvenanceTest, ExplainAnalyzeCarriesSensitivityWhenCaptureIsOn) {
   EXPECT_NE(dot.find("sensitivity [shape=note"), std::string::npos);
 }
 
-// The ISSUE's drift arc: a plan is cached and served hot; its data floods
-// underneath the stale statistics; the drift watchdog evicts the plan;
-// the forced re-plan files a plan-diff record whose trigger names the
-// plan-cache outcome and whose curves allow a cost-curve delta.
+// The drift arc: a plan is cached and served hot; its data floods
+// underneath the stale statistics; the drift watchdog rebuilds the
+// statistics, which evicts the plan at its next lookup; the forced re-plan
+// files a plan-diff record whose trigger names the plan-cache outcome and
+// whose curves allow a cost-curve delta.
 TEST_F(ProvenanceTest, DriftEvictionFilesPlanDiffWithTriggerAndCurves) {
   std::unique_ptr<core::Database> db = MakeReadingsDatabase();
   server::ServerConfig config;
@@ -158,7 +159,6 @@ TEST_F(ProvenanceTest, DriftEvictionFilesPlanDiffWithTriggerAndCurves) {
   config.quality.recent_window = 16;
   config.quality.min_observations = 8;
   config.quality.drift_factor = 4.0;
-  config.background_rebuild = false;
   server::QueryService service(db.get(), config);
   const server::SessionId session = service.OpenSession();
 
@@ -170,6 +170,7 @@ TEST_F(ProvenanceTest, DriftEvictionFilesPlanDiffWithTriggerAndCurves) {
   ASSERT_EQ(service.ledger()->plan_count(), 1u);
   ASSERT_TRUE(service.ledger()->plan_diffs().empty());
   const uint64_t first_epoch = service.ledger()->FindPlan(fp)->epoch;
+  ASSERT_EQ(first_epoch, db->statistics()->epoch());
 
   // Flood rows matching the predicate without rebuilding statistics.
   storage::Table* readings = db->catalog()->GetMutableTable("readings");
@@ -180,21 +181,20 @@ TEST_F(ProvenanceTest, DriftEvictionFilesPlanDiffWithTriggerAndCurves) {
         {storage::Value::Int64(static_cast<int64_t>(kBaseRows + i)),
          storage::Value::Int64(static_cast<int64_t>(rng.NextBounded(50)))});
   }
-  bool evicted = false;
-  for (int round = 0; round < 40 && !evicted; ++round) {
+  for (int round = 0; round < 40 && db->statistics()->epoch() == first_epoch;
+       ++round) {
     ASSERT_TRUE(service.ExecuteSpec(session, drifting).status.ok());
-    evicted = service.plan_cache()->stats().invalidated_drift > 0;
   }
-  ASSERT_TRUE(evicted);
+  ASSERT_GT(db->statistics()->epoch(), first_epoch) << "drift never tripped";
 
-  // The evicted fingerprint is re-planned (drift-blocked: planned fresh,
-  // not re-cached) and the observatory files the diff.
+  // The stale entry is dropped and re-planned at the new statistics
+  // epoch, and the observatory files the diff.
   ASSERT_TRUE(service.ExecuteSpec(session, drifting).status.ok());
   const auto& diffs = service.ledger()->plan_diffs();
   ASSERT_FALSE(diffs.empty());
   const obs::PlanDiffRecord* diff = &diffs.front();
   EXPECT_EQ(diff->fingerprint, fp);
-  EXPECT_EQ(diff->trigger, "drift_blocked");
+  EXPECT_EQ(diff->trigger, "stale_epoch");
   EXPECT_FALSE(diff->old_label.empty());
   EXPECT_FALSE(diff->new_label.empty());
   // Both sides captured sensitivity, so the record supports a per-quantile
@@ -204,10 +204,10 @@ TEST_F(ProvenanceTest, DriftEvictionFilesPlanDiffWithTriggerAndCurves) {
   EXPECT_EQ(diff->new_curve.size(), diff->grid.size());
   EXPECT_FALSE(diff->new_verdict.empty());
   // The refreshed record supersedes the pre-flood one under the same key.
-  EXPECT_GE(service.ledger()->FindPlan(fp)->epoch, first_epoch);
+  EXPECT_GT(service.ledger()->FindPlan(fp)->epoch, first_epoch);
   // The .whyplan body stitches the arc together.
   const std::string report = service.ledger()->PlanReportFor(fp);
-  EXPECT_NE(report.find("[drift_blocked]"), std::string::npos);
+  EXPECT_NE(report.find("[stale_epoch]"), std::string::npos);
   EXPECT_NE(report.find("curve delta:"), std::string::npos);
 }
 

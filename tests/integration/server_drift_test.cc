@@ -1,8 +1,9 @@
-// The drift-aware leg of the plan cache, end to end: a prepared statement
+// The drift leg of online statistics maintenance, end to end: a statement
 // is cached and served hot; its data then shifts underneath the (stale)
 // statistics; the service's estimation-quality monitor flags the
-// fingerprint and the cache provably evicts the plan and refuses to
-// re-cache it until UPDATE STATISTICS runs through the service.
+// fingerprint, the same wave rebuilds the tables it reads, and the epoch
+// bump makes the next lookup drop the stale plan and re-plan — with no
+// UPDATE STATISTICS anywhere.
 
 #include <gtest/gtest.h>
 
@@ -55,7 +56,7 @@ opt::QuerySpec HealthyQuery() {
   return query;
 }
 
-TEST(ServerDriftTest, DriftedFingerprintEvictsItsCachedPlanUntilStatsRebuild) {
+TEST(ServerDriftTest, DriftRebuildsStatisticsAndReplansAtTheNewEpoch) {
   core::Database db;
   LoadReadings(db.catalog());
   db.UpdateStatistics();
@@ -65,18 +66,12 @@ TEST(ServerDriftTest, DriftedFingerprintEvictsItsCachedPlanUntilStatsRebuild) {
   config.quality.recent_window = 16;
   config.quality.min_observations = 8;
   config.quality.drift_factor = 4.0;
-  // This test exercises the *manual* recovery arc: drift must stay
-  // blocked until UpdateStatistics. With background rebuild on (the
-  // default) the service heals itself at the end of the flagging wave —
-  // that automatic arc is covered by online_maintenance_test.cc.
-  config.background_rebuild = false;
   server::QueryService service(&db, config);
   const server::SessionId session = service.OpenSession();
 
   const opt::QuerySpec drifting = DriftingQuery();
   const opt::QuerySpec healthy = HealthyQuery();
   const uint64_t drifting_fp = server::FingerprintQuery(drifting);
-  const uint64_t healthy_fp = server::FingerprintQuery(healthy);
 
   // Baseline: both statements cache after their first execution and the
   // monitor sees estimates tracking actuals.
@@ -92,12 +87,13 @@ TEST(ServerDriftTest, DriftedFingerprintEvictsItsCachedPlanUntilStatsRebuild) {
   }
   EXPECT_TRUE(service.ledger()->Drifted().empty())
       << service.ledger()->QualityReportText();
-  EXPECT_EQ(service.plan_cache()->stats().invalidated_drift, 0u);
+  const uint64_t epoch0 = db.statistics()->epoch();
 
   // The data moves underneath the statistics: flood the table with rows
-  // matching the drifting predicate, WITHOUT rebuilding statistics. The
-  // cached plan keeps estimating ~100 rows while actuals explode past
-  // 3000 — exactly the staleness the drift hook exists for.
+  // matching the drifting predicate directly, bypassing the DML path, so
+  // no modification count marks the table. The cached plan keeps
+  // estimating ~100 rows while actuals explode past 3000 — only the drift
+  // hook can notice.
   storage::Table* readings = db.catalog()->GetMutableTable("readings");
   ASSERT_NE(readings, nullptr);
   Rng rng(77);
@@ -106,39 +102,41 @@ TEST(ServerDriftTest, DriftedFingerprintEvictsItsCachedPlanUntilStatsRebuild) {
         {storage::Value::Int64(static_cast<int64_t>(kBaseRows + i)),
          storage::Value::Int64(static_cast<int64_t>(rng.NextBounded(50)))});
   }
+  ASSERT_FALSE(db.statistics()->RebuildPending());
 
-  // Keep serving. The monitor needs recent_window observations of the
-  // exploded q-error before it trips; after that the service must evict
-  // the cached plan and subsequent executions must NOT be cache hits.
-  bool evicted = false;
-  for (int round = 0; round < 40 && !evicted; ++round) {
-    ASSERT_TRUE(service.ExecuteSpec(session, drifting).status.ok());
+  // Keep serving. The stale plan serves from the cache until the monitor
+  // has recent_window observations of the exploded q-error; the wave that
+  // flags the drift rebuilds `readings` before the next wave plans.
+  for (int round = 0; round < 40 && db.statistics()->epoch() == epoch0;
+       ++round) {
+    server::QueryResponse d = service.ExecuteSpec(session, drifting);
+    ASSERT_TRUE(d.status.ok()) << d.status.ToString();
+    EXPECT_TRUE(d.cache_hit) << "served before any rebuild";
     ASSERT_TRUE(service.ExecuteSpec(session, healthy).status.ok());
-    evicted = service.plan_cache()->stats().invalidated_drift > 0;
   }
-  ASSERT_TRUE(evicted) << "drift never tripped:\n"
-                       << service.ledger()->QualityReportText();
-  EXPECT_TRUE(service.plan_cache()->IsDriftBlocked(drifting_fp));
-  EXPECT_FALSE(service.plan_cache()->IsDriftBlocked(healthy_fp));
+  ASSERT_GT(db.statistics()->epoch(), epoch0)
+      << "drift never tripped:\n"
+      << service.ledger()->QualityReportText();
+  EXPECT_FALSE(db.statistics()->RebuildPending());
+  // The rebuild reset the quality profiles: the old baseline described
+  // statistics that no longer exist.
+  EXPECT_TRUE(service.ledger()->Drifted().empty());
 
-  // Drift-blocked: the statement still answers (re-planned every time),
-  // but its plan is not re-cached — statistics are known-stale.
-  server::QueryResponse blocked = service.ExecuteSpec(session, drifting);
-  ASSERT_TRUE(blocked.status.ok());
-  EXPECT_FALSE(blocked.cache_hit);
-  EXPECT_GT(service.plan_cache()->stats().rejected_drifted, 0u);
-  // The healthy statement's entry was untouched.
-  EXPECT_TRUE(service.ExecuteSpec(session, healthy).cache_hit);
-
-  // UPDATE STATISTICS through the service: epoch bump + drift blocks
-  // lifted + monitor reset. The statement re-caches and serves hot again.
-  service.UpdateStatistics();
-  EXPECT_FALSE(service.plan_cache()->IsDriftBlocked(drifting_fp));
+  // The cached plan predates the new epoch: the next lookup drops it and
+  // the statement re-plans, filing trigger stale_epoch.
+  const uint64_t invalidated_before =
+      service.plan_cache()->stats().invalidated_epoch;
   server::QueryResponse replanned = service.ExecuteSpec(session, drifting);
   ASSERT_TRUE(replanned.status.ok());
   EXPECT_FALSE(replanned.cache_hit) << "fresh statistics, fresh plan";
+  EXPECT_EQ(service.plan_cache()->stats().invalidated_epoch,
+            invalidated_before + 1);
+  ASSERT_FALSE(service.ledger()->plan_diffs().empty());
+  EXPECT_EQ(service.ledger()->plan_diffs().back().fingerprint, drifting_fp);
+  EXPECT_EQ(service.ledger()->plan_diffs().back().trigger, "stale_epoch");
+
+  // Re-cached under the new epoch, it serves hot again.
   EXPECT_TRUE(service.ExecuteSpec(session, drifting).cache_hit);
-  EXPECT_TRUE(service.ledger()->Drifted().empty());
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // PlanCache: canonical statement fingerprints, LRU bounds, statistics-epoch
-// invalidation, drift invalidation + re-insert blocking, and the fault-site
-// degradation that turns a broken cache into misses instead of failures.
+// invalidation, and the fault-site degradation that turns a broken cache
+// into misses instead of failures.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +22,15 @@ std::shared_ptr<const opt::PlannedQuery> DummyPlan(const std::string& label) {
   auto plan = std::make_shared<opt::PlannedQuery>();
   plan->label = label;
   return plan;
+}
+
+// The cached plan for `key` at `epoch`, or nullptr; the typed outcome
+// lands in `*outcome` when given.
+std::shared_ptr<const opt::PlannedQuery> LookupPlan(
+    PlanCache* cache, const PlanCacheKey& key, uint64_t epoch,
+    PlanCacheOutcome* outcome = nullptr) {
+  PlanCacheOutcome ignored;
+  return cache->Lookup(key, epoch, outcome != nullptr ? outcome : &ignored);
 }
 
 opt::QuerySpec TwoTableQuery(bool reversed) {
@@ -69,14 +78,14 @@ TEST(PlanCacheTest, LruEvictsLeastRecentlyUsed) {
   cache.Insert(a, DummyPlan("A"), /*epoch=*/1);
   cache.Insert(b, DummyPlan("B"), 1);
   // Touch A so B becomes the LRU victim.
-  ASSERT_NE(cache.Lookup(a, 1), nullptr);
+  ASSERT_NE(LookupPlan(&cache, a, 1), nullptr);
   cache.Insert(c, DummyPlan("C"), 1);
 
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.stats().evictions_lru, 1u);
-  EXPECT_NE(cache.Lookup(a, 1), nullptr);
-  EXPECT_EQ(cache.Lookup(b, 1), nullptr) << "B was the LRU entry";
-  EXPECT_NE(cache.Lookup(c, 1), nullptr);
+  EXPECT_NE(LookupPlan(&cache, a, 1), nullptr);
+  EXPECT_EQ(LookupPlan(&cache, b, 1), nullptr) << "B was the LRU entry";
+  EXPECT_NE(LookupPlan(&cache, c, 1), nullptr);
 }
 
 TEST(PlanCacheTest, EpochMismatchInvalidatesLazily) {
@@ -86,14 +95,20 @@ TEST(PlanCacheTest, EpochMismatchInvalidatesLazily) {
   cache.Insert(key, DummyPlan("stale"), /*epoch=*/1);
 
   // UPDATE STATISTICS bumped the epoch: the entry is dropped on lookup.
-  EXPECT_EQ(cache.Lookup(key, /*current_epoch=*/2), nullptr);
+  PlanCacheOutcome outcome = PlanCacheOutcome::kHit;
+  EXPECT_EQ(LookupPlan(&cache, key, /*current_epoch=*/2, &outcome), nullptr);
+  EXPECT_EQ(outcome, PlanCacheOutcome::kStaleEpoch);
   EXPECT_EQ(cache.stats().invalidated_epoch, 1u);
   EXPECT_EQ(cache.size(), 0u);
+  // The entry is gone, so the next lookup is a plain miss.
+  EXPECT_EQ(LookupPlan(&cache, key, 2, &outcome), nullptr);
+  EXPECT_EQ(outcome, PlanCacheOutcome::kMiss);
 
   // Re-inserted under the new epoch it serves again.
   cache.Insert(key, DummyPlan("fresh"), 2);
-  ASSERT_NE(cache.Lookup(key, 2), nullptr);
-  EXPECT_EQ(cache.Lookup(key, 2)->label, "fresh");
+  ASSERT_NE(LookupPlan(&cache, key, 2, &outcome), nullptr);
+  EXPECT_EQ(outcome, PlanCacheOutcome::kHit);
+  EXPECT_EQ(LookupPlan(&cache, key, 2)->label, "fresh");
 }
 
 TEST(PlanCacheTest, DifferentThresholdsNeverShareAPlan) {
@@ -109,106 +124,14 @@ TEST(PlanCacheTest, DifferentThresholdsNeverShareAPlan) {
       fp, 0.5, core::EstimatorKind::kHistogram);
 
   cache.Insert(low, DummyPlan("merge-heavy"), 1);
-  EXPECT_EQ(cache.Lookup(high, 1), nullptr);
-  EXPECT_EQ(cache.Lookup(histogram, 1), nullptr);
+  EXPECT_EQ(LookupPlan(&cache, high, 1), nullptr);
+  EXPECT_EQ(LookupPlan(&cache, histogram, 1), nullptr);
 
   cache.Insert(high, DummyPlan("index-conservative"), 1);
   cache.Insert(histogram, DummyPlan("histogram-pick"), 1);
   EXPECT_EQ(cache.size(), 3u);
-  EXPECT_EQ(cache.Lookup(low, 1)->label, "merge-heavy");
-  EXPECT_EQ(cache.Lookup(high, 1)->label, "index-conservative");
-}
-
-TEST(PlanCacheTest, DriftInvalidationEvictsAndBlocksUntilStatsRebuild) {
-  PlanCache cache(8);
-  const uint64_t drifted = 5;
-  cache.Insert(PlanCacheKey::Make(drifted, 0.5,
-                                  core::EstimatorKind::kRobustSample),
-               DummyPlan("stale-low"), 1);
-  cache.Insert(PlanCacheKey::Make(drifted, 0.95,
-                                  core::EstimatorKind::kRobustSample),
-               DummyPlan("stale-high"), 1);
-  const PlanCacheKey healthy = PlanCacheKey::Make(
-      6, 0.5, core::EstimatorKind::kRobustSample);
-  cache.Insert(healthy, DummyPlan("healthy"), 1);
-
-  // Every threshold's entry for the drifted fingerprint goes at once.
-  EXPECT_EQ(cache.InvalidateFingerprint(drifted), 2u);
-  EXPECT_EQ(cache.stats().invalidated_drift, 2u);
-  EXPECT_TRUE(cache.IsDriftBlocked(drifted));
-  EXPECT_NE(cache.Lookup(healthy, 1), nullptr) << "other statements keep serving";
-
-  // A drift-blocked fingerprint cannot sneak back in: its statistics are
-  // known-stale, so caching a fresh plan for it would re-freeze staleness.
-  cache.Insert(PlanCacheKey::Make(drifted, 0.5,
-                                  core::EstimatorKind::kRobustSample),
-               DummyPlan("re-cached"), 1);
-  EXPECT_EQ(cache.stats().rejected_drifted, 1u);
-  EXPECT_EQ(cache.Lookup(PlanCacheKey::Make(
-                             drifted, 0.5, core::EstimatorKind::kRobustSample),
-                         1),
-            nullptr);
-
-  // UPDATE STATISTICS lifts the block.
-  cache.ClearDriftBlocks();
-  EXPECT_FALSE(cache.IsDriftBlocked(drifted));
-  cache.Insert(PlanCacheKey::Make(drifted, 0.5,
-                                  core::EstimatorKind::kRobustSample),
-               DummyPlan("replanned"), 2);
-  EXPECT_NE(cache.Lookup(PlanCacheKey::Make(
-                             drifted, 0.5, core::EstimatorKind::kRobustSample),
-                         2),
-            nullptr);
-}
-
-TEST(PlanCacheTest, DriftBlockAutoLiftsAtNewerEpoch) {
-  PlanCache cache(4);
-  const uint64_t drifted = 0xD01F;
-  cache.Insert(PlanCacheKey::Make(drifted, 0.5,
-                                  core::EstimatorKind::kRobustSample),
-               DummyPlan("stale"), /*epoch=*/3);
-  // Block the fingerprint, recording the epoch the block was imposed under.
-  cache.InvalidateFingerprint(drifted, /*blocked_epoch=*/3);
-  ASSERT_TRUE(cache.IsDriftBlocked(drifted));
-
-  // Same epoch: still blocked, re-inserts refused.
-  cache.Insert(PlanCacheKey::Make(drifted, 0.5,
-                                  core::EstimatorKind::kRobustSample),
-               DummyPlan("still-stale"), 3);
-  EXPECT_EQ(cache.stats().rejected_drifted, 1u);
-
-  // The background rebuild bumps the statistics epoch; the first insert at
-  // the newer epoch lifts the block automatically — no ClearDriftBlocks.
-  cache.Insert(PlanCacheKey::Make(drifted, 0.5,
-                                  core::EstimatorKind::kRobustSample),
-               DummyPlan("fresh"), /*epoch=*/4);
-  EXPECT_FALSE(cache.IsDriftBlocked(drifted));
-  EXPECT_EQ(cache.stats().drift_blocks_lifted, 1u);
-  ASSERT_NE(cache.Lookup(PlanCacheKey::Make(
-                             drifted, 0.5, core::EstimatorKind::kRobustSample),
-                         4),
-            nullptr);
-}
-
-TEST(PlanCacheTest, DriftBlockAutoLiftsOnLookupToo) {
-  PlanCache cache(4);
-  const uint64_t drifted = 0xD02F;
-  cache.InvalidateFingerprint(drifted, /*blocked_epoch=*/5);
-  ASSERT_TRUE(cache.IsDriftBlocked(drifted));
-
-  // A lookup at the imposing epoch leaves the block in place...
-  EXPECT_EQ(cache.Lookup(PlanCacheKey::Make(
-                             drifted, 0.5, core::EstimatorKind::kRobustSample),
-                         5),
-            nullptr);
-  EXPECT_TRUE(cache.IsDriftBlocked(drifted));
-  // ...and the first lookup at a later epoch lifts it.
-  EXPECT_EQ(cache.Lookup(PlanCacheKey::Make(
-                             drifted, 0.5, core::EstimatorKind::kRobustSample),
-                         6),
-            nullptr);
-  EXPECT_FALSE(cache.IsDriftBlocked(drifted));
-  EXPECT_EQ(cache.stats().drift_blocks_lifted, 1u);
+  EXPECT_EQ(LookupPlan(&cache, low, 1)->label, "merge-heavy");
+  EXPECT_EQ(LookupPlan(&cache, high, 1)->label, "index-conservative");
 }
 
 TEST(PlanCacheTest, LookupFaultDegradesToCountedMiss) {
@@ -222,9 +145,11 @@ TEST(PlanCacheTest, LookupFaultDegradesToCountedMiss) {
   cache.Insert(key, DummyPlan("cached"), 1);
 
   // First lookup degrades (fault fires); the entry itself is intact.
-  EXPECT_EQ(cache.Lookup(key, 1), nullptr);
+  PlanCacheOutcome outcome = PlanCacheOutcome::kHit;
+  EXPECT_EQ(LookupPlan(&cache, key, 1, &outcome), nullptr);
+  EXPECT_EQ(outcome, PlanCacheOutcome::kDegradedFault);
   EXPECT_EQ(cache.stats().degraded_fault, 1u);
-  EXPECT_NE(cache.Lookup(key, 1), nullptr);
+  EXPECT_NE(LookupPlan(&cache, key, 1), nullptr);
 }
 
 // `.plancache` prints T% as a percentage and names the estimator, so the
@@ -256,8 +181,8 @@ TEST(PlanCacheTest, PublishMetricsIsIdempotent) {
   const PlanCacheKey key = PlanCacheKey::Make(
       1, 0.8, core::EstimatorKind::kRobustSample);
   cache.Insert(key, DummyPlan("p"), 1);
-  ASSERT_NE(cache.Lookup(key, 1), nullptr);
-  ASSERT_EQ(cache.Lookup(PlanCacheKey::Make(
+  ASSERT_NE(LookupPlan(&cache, key, 1), nullptr);
+  ASSERT_EQ(LookupPlan(&cache, PlanCacheKey::Make(
                              2, 0.8, core::EstimatorKind::kRobustSample),
                          1),
             nullptr);

@@ -128,19 +128,6 @@ TEST_F(SnapshotTest, CommitFaultRollsBackAndRetrySucceeds) {
   EXPECT_EQ(table_->VisibleRowCount(), 4u);
 }
 
-TEST_F(SnapshotTest, PrePublishFailureRollsBack) {
-  const uint64_t before = table_->VisibleChecksum();
-  WriteBatch batch(&catalog_, table_);
-  batch.StageInsert({Value::Int64(6), Value::Double(60.0)});
-  auto stats = batch.Commit(nullptr, [](const CommitStats&) {
-    return Status::Unavailable("reservoir update failed");
-  });
-  ASSERT_FALSE(stats.ok());
-  EXPECT_EQ(table_->VisibleChecksum(), before);
-  EXPECT_EQ(table_->num_rows(), 5u);
-  EXPECT_EQ(catalog_.data_epoch(), 0u);
-}
-
 TEST_F(SnapshotTest, EmptyBatchCommitsCleanly) {
   // A WHERE matching zero rows is an empty batch: it still publishes an
   // epoch (commit order stays a pure function of request order) but never
