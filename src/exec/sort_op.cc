@@ -1,6 +1,7 @@
 #include "exec/sort_op.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include "util/macros.h"
@@ -29,16 +30,23 @@ Result<RowSet> SortOp::Execute(ExecContext* ctx) const {
   RQO_RETURN_NOT_OK(workspace.Grow(n * sizeof(storage::Rid)));
   std::vector<storage::Rid> order(n);
   std::iota(order.begin(), order.end(), storage::Rid{0});
-  const auto sort_by = [&order](const auto& keys) {
-    std::stable_sort(order.begin(), order.end(),
+  const auto sort_by = [&order](const auto& keys, auto end) {
+    std::stable_sort(order.begin(), end,
                      [&keys](storage::Rid a, storage::Rid b) {
                        return keys[a] < keys[b];
                      });
   };
   if (storage::IsIntegerPhysical(key.type())) {
-    sort_by(key.Int64Values(n));
+    sort_by(key.Int64Values(n), order.end());
   } else {
-    sort_by(key.DoubleValues(n));
+    // `<` is no strict weak order once NaN is present: NaN rows go last,
+    // in input order, and only the rest is sorted. Without NaN the
+    // partition moves nothing.
+    const std::vector<double> keys = key.DoubleValues(n);
+    const auto ordered_end = std::stable_partition(
+        order.begin(), order.end(),
+        [&keys](storage::Rid r) { return !std::isnan(keys[r]); });
+    sort_by(keys, ordered_end);
   }
   RQO_RETURN_NOT_OK(ctx->CheckPoint());
 

@@ -1,6 +1,7 @@
 #include "storage/index.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include "util/macros.h"
@@ -28,7 +29,14 @@ SortedIndex::SortedIndex(const Table& table, std::string column_name)
   } else {
     for (uint64_t i = 0; i < n; ++i) raw[i] = col.DoubleAt(i);
   }
-  std::sort(order.begin(), order.end(),
+  // `<` is no strict weak order once NaN is present: NaN keys go after the
+  // sorted ones and no lookup reaches them (no range contains NaN).
+  // Without NaN the partition moves nothing.
+  const auto ordered_end =
+      std::stable_partition(order.begin(), order.end(),
+                            [&raw](Rid r) { return !std::isnan(raw[r]); });
+  num_ordered_ = static_cast<size_t>(ordered_end - order.begin());
+  std::sort(order.begin(), ordered_end,
             [&raw](Rid a, Rid b) { return raw[a] < raw[b]; });
 
   keys_.resize(n);
@@ -40,20 +48,22 @@ SortedIndex::SortedIndex(const Table& table, std::string column_name)
 }
 
 size_t SortedIndex::LowerBound(double x) const {
-  return static_cast<size_t>(
-      std::lower_bound(keys_.begin(), keys_.end(), x) - keys_.begin());
+  const auto end = keys_.begin() + num_ordered_;
+  return static_cast<size_t>(std::lower_bound(keys_.begin(), end, x) -
+                             keys_.begin());
 }
 
 size_t SortedIndex::UpperBound(double x) const {
-  return static_cast<size_t>(
-      std::upper_bound(keys_.begin(), keys_.end(), x) - keys_.begin());
+  const auto end = keys_.begin() + num_ordered_;
+  return static_cast<size_t>(std::upper_bound(keys_.begin(), end, x) -
+                             keys_.begin());
 }
 
 std::vector<Rid> SortedIndex::RangeLookup(std::optional<double> lo,
                                           std::optional<double> hi,
                                           uint64_t* entries_scanned) const {
   const size_t begin = lo.has_value() ? LowerBound(*lo) : 0;
-  const size_t end = hi.has_value() ? UpperBound(*hi) : keys_.size();
+  const size_t end = hi.has_value() ? UpperBound(*hi) : num_ordered_;
   if (entries_scanned != nullptr) {
     *entries_scanned = begin <= end ? (end - begin) : 0;
   }
@@ -69,7 +79,7 @@ std::vector<Rid> SortedIndex::EqualLookup(double key,
 uint64_t SortedIndex::CountRange(std::optional<double> lo,
                                  std::optional<double> hi) const {
   const size_t begin = lo.has_value() ? LowerBound(*lo) : 0;
-  const size_t end = hi.has_value() ? UpperBound(*hi) : keys_.size();
+  const size_t end = hi.has_value() ? UpperBound(*hi) : num_ordered_;
   return begin <= end ? (end - begin) : 0;
 }
 

@@ -31,7 +31,7 @@ class SortedIndex {
   uint64_t num_entries() const { return keys_.size(); }
 
   /// RIDs of rows with key in [lo, hi] (inclusive; pass nullopt for an open
-  /// bound). `entries_scanned` (if non-null) receives the number of index
+  /// bound). A NaN key lies in no range, open or not. `entries_scanned` (if non-null) receives the number of index
   /// leaf entries touched — the execution cost driver.
   std::vector<Rid> RangeLookup(std::optional<double> lo,
                                std::optional<double> hi,
@@ -53,8 +53,9 @@ class SortedIndex {
 
   std::string table_name_;
   std::string column_name_;
-  std::vector<double> keys_;  // sorted
+  std::vector<double> keys_;  // sorted, then any NaN keys
   std::vector<Rid> rids_;     // parallel to keys_
+  size_t num_ordered_ = 0;    // keys_ before the NaN tail
 };
 
 }  // namespace storage

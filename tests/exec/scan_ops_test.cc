@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
 #include <memory>
 #include <vector>
 
+#include "exec/sort_op.h"
 #include "expr/expression.h"
 #include "fault/governor.h"
 #include "util/rng.h"
@@ -237,6 +240,75 @@ TEST_F(ScanOpsTest, NaNRowsFilterAlikeInKernelScanAndIndexResidual) {
                 .value()
                 .num_rows(),
             6u);
+}
+
+// A double key column holding NaN: NaN is unordered under `<`, so the
+// index and the sort park NaN rows after the ordered ones, and no range
+// (open or closed) returns them.
+class NanKeyTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    const double nan = std::nan("");
+    const std::vector<double> d = {3,   nan, 1, 5,   nan, 2,  4,
+                                   nan, 0.5, 6, 2.5, nan, 1.5};
+    auto t = std::make_unique<Table>(
+        "f", Schema({{"id", DataType::kInt64}, {"d", DataType::kDouble}}));
+    for (size_t i = 0; i < d.size(); ++i) {
+      t->AppendRow({Value::Int64(static_cast<int64_t>(i)), Value::Double(d[i])});
+    }
+    ASSERT_TRUE(catalog_.AddTable(std::move(t)).ok());
+    ASSERT_TRUE(catalog_.BuildIndex("f", "d").ok());
+    ctx_.catalog = &catalog_;
+  }
+
+  // The `id` column of `op`'s output, in output order.
+  std::vector<int64_t> Ids(const PhysicalOperator& op) {
+    Result<Table> out = op.Run(&ctx_);
+    EXPECT_TRUE(out.ok()) << out.status().ToString();
+    if (!out.ok()) return {};
+    const storage::ColumnVector& id =
+        out.value().column(out.value().schema().ColumnIndex("id").value());
+    std::vector<int64_t> ids;
+    for (storage::Rid r = 0; r < out.value().num_rows(); ++r) {
+      ids.push_back(id.Int64At(r));
+    }
+    return ids;
+  }
+
+  Catalog catalog_;
+  ExecContext ctx_;
+};
+
+TEST_F(NanKeyTest, IndexRangeScanMatchesSeqScan) {
+  const auto pred = Between(Col("d"), Value::Double(1.0), Value::Double(3.0));
+  const std::vector<int64_t> expected = {0, 2, 5, 10, 12};
+  EXPECT_EQ(Ids(SeqScanOp("f", pred)), expected);
+  std::vector<int64_t> indexed =
+      Ids(IndexRangeScanOp("f", IndexRange{"d", 1.0, 3.0}, pred, {}));
+  std::sort(indexed.begin(), indexed.end());
+  EXPECT_EQ(indexed, expected);
+}
+
+TEST_F(NanKeyTest, OpenRangesExcludeNan) {
+  std::vector<int64_t> at_least_one =
+      Ids(IndexRangeScanOp("f", IndexRange{"d", 1.0, std::nullopt}, nullptr, {}));
+  std::sort(at_least_one.begin(), at_least_one.end());
+  EXPECT_EQ(at_least_one, (std::vector<int64_t>{0, 2, 3, 5, 6, 9, 10, 12}));
+  EXPECT_EQ(Ids(SeqScanOp("f", Ge(Col("d"), expr::LitDouble(1.0)))),
+            (std::vector<int64_t>{0, 2, 3, 5, 6, 9, 10, 12}));
+
+  const storage::SortedIndex* index = catalog_.GetIndex("f", "d");
+  ASSERT_NE(index, nullptr);
+  EXPECT_EQ(index->num_entries(), 13u);
+  EXPECT_EQ(index->CountRange(1.0, std::nullopt), 8u);
+  EXPECT_EQ(index->CountRange(std::nullopt, std::nullopt), 9u);
+  EXPECT_EQ(index->RangeLookup(std::nullopt, std::nullopt).size(), 9u);
+}
+
+TEST_F(NanKeyTest, SortPutsNanRowsLastInRidOrder) {
+  const SortOp sort(std::make_unique<SeqScanOp>("f", nullptr), "d");
+  EXPECT_EQ(Ids(sort), (std::vector<int64_t>{8, 2, 12, 5, 10, 0, 6, 3, 9, 1,
+                                              4, 7, 11}));
 }
 
 }  // namespace
