@@ -18,11 +18,11 @@
 //                                   statistics rebuild)
 //   .sessions                       query-service session table
 //   .plancache                      plan-cache contents + hit/miss stats
-//   .blackbox [json]                flight recorder: retained request
-//                                   traces (incidents + slowest-K) as a
-//                                   table, or the deterministic JSON dump
-//   .blackbox export <file>         write the JSON dump to a file
-//   .blackbox trace <file>          write a per-request Chrome trace
+//   .blackbox                       the ledger's exemplars: per
+//                                   fingerprint, the span trees of the
+//                                   slowest request and the latest
+//                                   incident, one line each
+//   .blackbox trace <file>          write the exemplars as a Chrome trace
 //                                   (Perfetto lanes grouped by session)
 //   .slo                            queue-wait/service/regret quantiles
 //                                   and threshold-breach counters
@@ -32,8 +32,9 @@
 //                                   flags)
 //   .fp <fphex>                     one statement's ledger row: SLO,
 //                                   quality, table and plan columns (the
-//                                   winner line); the ledger keeps the
-//                                   128 most recently recorded rows
+//                                   winner line) and its exemplars; the
+//                                   ledger keeps the 128 most recently
+//                                   recorded rows
 //   .whyplan [<fphex>|last]         the ledger's plan column: why the plan
 //                                   for a fingerprint won, its cost curve
 //                                   across the selectivity posterior, and
@@ -350,13 +351,13 @@ int main() {
 
   // The shell is one interactive client of the concurrent query service:
   // PREPARE/EXECUTE route through its admission controller and plan cache.
-  // The flight recorder is on so `.blackbox` has incidents and slow
-  // requests to show after EXECUTE traffic.
+  // Request tracing is on so `.blackbox` and `.fp` have exemplar span
+  // trees to show after EXECUTE traffic.
   // Plan provenance is on by default so `.whyplan` has history and
   // EXPLAIN ANALYZE carries its sensitivity section; SET PROVENANCE OFF
   // restores the pre-provenance output byte-for-byte.
   server::ServerConfig server_config;
-  server_config.flight_recorder.enabled = true;
+  server_config.trace_requests = true;
   server::QueryService service(&db, server_config);
   service.set_metrics(&query_metrics);
   db.SetProvenanceCapture(true);
@@ -460,24 +461,9 @@ int main() {
       continue;
     }
     if (StartsWith(line, ".blackbox")) {
-      obs::FlightRecorder* recorder = service.flight_recorder();
+      const obs::FingerprintLedger* ledger = service.ledger();
       if (line == ".blackbox") {
-        std::printf("%s", recorder->ReportText().c_str());
-      } else if (line == ".blackbox json") {
-        std::printf("%s\n", recorder->ToJson().c_str());
-      } else if (StartsWith(line, ".blackbox export ") &&
-                 line.size() > strlen(".blackbox export ")) {
-        const std::string path = line.substr(strlen(".blackbox export "));
-        std::FILE* f = std::fopen(path.c_str(), "w");
-        if (f == nullptr) {
-          std::printf("cannot open %s\n", path.c_str());
-          continue;
-        }
-        const std::string json = recorder->ToJson();
-        std::fwrite(json.data(), 1, json.size(), f);
-        std::fclose(f);
-        std::printf("wrote %zu retained traces to %s\n", recorder->size(),
-                    path.c_str());
+        std::printf("%s", ledger->ExemplarText().c_str());
       } else if (StartsWith(line, ".blackbox trace ") &&
                  line.size() > strlen(".blackbox trace ")) {
         const std::string path = line.substr(strlen(".blackbox trace "));
@@ -486,13 +472,13 @@ int main() {
           std::printf("cannot open %s\n", path.c_str());
           continue;
         }
-        const std::string json = recorder->ToChromeTrace();
+        const std::string json = ledger->ExemplarChromeTrace();
         std::fwrite(json.data(), 1, json.size(), f);
         std::fclose(f);
-        std::printf("wrote %zu request lanes to %s\n", recorder->size(),
-                    path.c_str());
+        std::printf("wrote %zu request lanes to %s\n",
+                    ledger->Exemplars().size(), path.c_str());
       } else {
-        std::printf("usage: .blackbox [json|export <file>|trace <file>]\n");
+        std::printf("usage: .blackbox [trace <file>]\n");
       }
       continue;
     }

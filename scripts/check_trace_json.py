@@ -2,7 +2,7 @@
 """Validates Chrome trace_event JSON files (stdlib only).
 
 Checks that a file produced by obs::ToChromeTrace (src/obs/exporters.cc)
-— either the single-tracer rendering or the multi-lane flight-recorder
+— either the single-tracer rendering or the multi-lane ledger-exemplar
 rendering — is loadable by chrome://tracing / Perfetto:
 
   * the file is a well-formed JSON array (the trace_event "JSON Array

@@ -60,8 +60,8 @@ std::string ToChromeTrace(const std::vector<TraceEvent>& events,
 
 /// One track of a multi-lane Chrome trace: a record stream rendered under
 /// its own (pid, tid) with human-readable process/thread names. The
-/// flight recorder exports one lane per retained request (pid = session,
-/// tid = request id) so Perfetto groups request lanes per session.
+/// fingerprint ledger exports one lane per exemplar request (pid =
+/// session, tid = request id) so Perfetto groups request lanes per session.
 struct TraceLane {
   uint64_t pid = 1;
   uint64_t tid = 1;

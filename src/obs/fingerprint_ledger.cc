@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <tuple>
 #include <utility>
 
 #include "obs/exporters.h"
@@ -169,7 +170,8 @@ void FingerprintLedger::Evict(uint64_t fingerprint) {
 // ---- Recording ----
 
 void FingerprintLedger::Record(const RequestObservation& request,
-                               const QualityObservation* quality) {
+                               const QualityObservation* quality,
+                               const RequestTrace* trace) {
   const double queue_wait = QueueWaitSeconds(request.queue_waves);
   const double service =
       ServiceSeconds(request.actual_seconds, request.cache_hit);
@@ -194,6 +196,14 @@ void FingerprintLedger::Record(const RequestObservation& request,
   if (quality != nullptr && request.fingerprint != 0) {
     RecordQualityInto(request.fingerprint, *quality, &row);
   }
+  if (trace == nullptr) return;
+  // The slowest exemplar is the service column's evidence, which observes
+  // successful requests only.
+  if (!trace->failed && (!row.slowest.has_value() ||
+                         trace->service_seconds > row.slowest->service_seconds)) {
+    row.slowest = *trace;
+  }
+  if (trace->IsIncident()) row.incident = *trace;
 }
 
 void FingerprintLedger::RecordQuality(uint64_t fingerprint,
@@ -309,6 +319,11 @@ std::string FingerprintLedger::RowText(uint64_t fingerprint) const {
   const PlanProvenanceRecord* plan = NewestPlan(row);
   out += plan != nullptr ? WinnerLine(*plan)
                          : std::string("  winner: no provenance retained\n");
+  std::vector<Exemplar> exemplars;
+  AppendExemplars(fingerprint, row, &exemplars);
+  for (const Exemplar& exemplar : exemplars) {
+    out += ExemplarLine(exemplar, /*with_fingerprint=*/false);
+  }
   return out;
 }
 
@@ -582,8 +597,94 @@ std::string FingerprintLedger::SloJson() const {
 void FingerprintLedger::ResetSlo() {
   global_ = SloScope();
   sessions_.clear();
-  for (auto& [fingerprint, row] : rows_) row.slo = SloScope();
+  for (auto& [fingerprint, row] : rows_) {
+    row.slo = SloScope();
+    row.slowest.reset();
+    row.incident.reset();
+  }
   slo_fingerprints_ = 0;
+}
+
+// ---- Exemplars ----
+
+void FingerprintLedger::AppendExemplars(uint64_t fingerprint, const Row& row,
+                                        std::vector<Exemplar>* out) {
+  const bool same = row.slowest && row.incident &&
+                    row.slowest->request_id == row.incident->request_id;
+  if (row.incident) out->push_back({fingerprint, &*row.incident, same, true});
+  if (row.slowest && !same) {
+    out->push_back({fingerprint, &*row.slowest, true, false});
+  }
+}
+
+std::vector<FingerprintLedger::Exemplar> FingerprintLedger::Exemplars()
+    const {
+  std::vector<Exemplar> out;
+  for (const auto& [fingerprint, row] : rows_) {
+    AppendExemplars(fingerprint, row, &out);
+  }
+  // A request records into exactly one row, so request ids are unique.
+  std::sort(out.begin(), out.end(), [](const Exemplar& a, const Exemplar& b) {
+    return a.trace->request_id < b.trace->request_id;
+  });
+  return out;
+}
+
+std::string FingerprintLedger::ExemplarLine(const Exemplar& exemplar,
+                                            bool with_fingerprint) const {
+  const RequestTrace& t = *exemplar.trace;
+  std::string reasons;
+  if (exemplar.incident) reasons += "incident";
+  if (exemplar.slowest) reasons += reasons.empty() ? "slowest" : ",slowest";
+  std::string out = StrPrintf("  [%-16s] ", reasons.c_str());
+  if (with_fingerprint) {
+    out.append("fp=").append(FingerprintHex(exemplar.fingerprint)).append(" ");
+  }
+  out += StrPrintf(
+      "req=%llu session=%llu (%s) status=%s cache=%s waves=%llu "
+      "queue_wait=%.6f service=%.6f faults=%llu\n",
+      static_cast<unsigned long long>(t.request_id),
+      static_cast<unsigned long long>(t.session_id), t.session_label.c_str(),
+      t.status.c_str(), t.cache_outcome.empty() ? "-" : t.cache_outcome.c_str(),
+      static_cast<unsigned long long>(t.waves_waited),
+      QueueWaitSeconds(t.waves_waited), t.service_seconds,
+      static_cast<unsigned long long>(t.fault_fires));
+  return out;
+}
+
+std::string FingerprintLedger::ExemplarText() const {
+  const std::vector<Exemplar> exemplars = Exemplars();
+  std::string out = StrPrintf("exemplars: %zu request(s)\n", exemplars.size());
+  for (const Exemplar& exemplar : exemplars) {
+    out += ExemplarLine(exemplar, /*with_fingerprint=*/true);
+  }
+  return out;
+}
+
+std::string FingerprintLedger::ExemplarChromeTrace() const {
+  std::vector<TraceLane> lanes;
+  for (const Exemplar& exemplar : Exemplars()) {
+    const RequestTrace& t = *exemplar.trace;
+    TraceLane lane;
+    lane.pid = t.session_id;
+    lane.tid = t.request_id;
+    lane.process_name =
+        t.session_label.empty()
+            ? StrPrintf("session %llu",
+                        static_cast<unsigned long long>(t.session_id))
+            : t.session_label;
+    lane.thread_name =
+        StrPrintf("request %llu [%s]",
+                  static_cast<unsigned long long>(t.request_id),
+                  t.status.c_str());
+    lane.events = t.events;
+    lanes.push_back(std::move(lane));
+  }
+  std::sort(lanes.begin(), lanes.end(),
+            [](const TraceLane& a, const TraceLane& b) {
+              return std::tie(a.pid, a.tid) < std::tie(b.pid, b.tid);
+            });
+  return obs::ToChromeTrace(lanes);
 }
 
 // ---- Plan columns ----

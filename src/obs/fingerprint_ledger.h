@@ -26,14 +26,21 @@
 //     (obs/plan_provenance.h) per (T%, estimator) the statement was
 //     planned at. Re-planning a statement that already holds a record
 //     files a plan diff; the ledger keeps the newest kMaxPlanDiffs of
-//     them.
+//     them;
+//   * exemplars: the evidence behind the SLO column — the span tree of
+//     the row's slowest successful request (a strictly slower one
+//     replaces it; a tie keeps the incumbent) and of its latest incident
+//     (a typed failure, a governor trip or a fault fire). Record files
+//     them when the caller passes the request's trace. The shell's
+//     `.blackbox` lists them and `.blackbox trace` renders them as
+//     Chrome trace lanes.
 //
 // The ledger keeps at most kMaxRows rows. Recording into a row (Record,
 // RecordQuality, RecordPlan) makes it the most recent; a new row past the
 // bound evicts the least recently recorded one in O(log n), together with
-// its drift flag, tables, plans and diffs. Ad-hoc traffic with per-request
-// literals opens a row per request, so without the bound the ledger would
-// grow with the request count.
+// its drift flag, tables, plans, diffs and exemplars. Ad-hoc traffic with
+// per-request literals opens a row per request, so without the bound the
+// ledger would grow with the request count.
 //
 // The ledger also keeps the global and per-session SLO scopes: it is the
 // one per-request sink of the serving layer's sequential reduce phase,
@@ -54,6 +61,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -62,6 +70,7 @@
 #include "obs/metrics.h"
 #include "obs/plan_provenance.h"
 #include "obs/quantile_sketch.h"
+#include "obs/trace.h"
 
 namespace robustqo {
 namespace obs {
@@ -116,6 +125,34 @@ struct RequestObservation {
   double estimated_seconds = 0.0;
   /// Tables a read statement reads (empty for writes and failed plans).
   std::set<std::string> tables;
+};
+
+/// One finished request's span tree plus the summary fields the exemplar
+/// listings show without walking the events.
+struct RequestTrace {
+  /// Dense per-service request ordinal (1-based), assigned at submit.
+  uint64_t request_id = 0;
+  uint64_t session_id = 0;
+  std::string session_label;
+  /// "OK" or the typed StatusCode name of the failure.
+  std::string status = "OK";
+  bool failed = false;
+  bool governor_tripped = false;
+  /// Armed fault-site firings observed by this request's injector.
+  uint64_t fault_fires = 0;
+  /// Plan-cache outcome: "hit", "miss", "stale_epoch", "degraded_fault"
+  /// or "dml".
+  std::string cache_outcome;
+  uint64_t waves_waited = 0;
+  /// Simulated service seconds (execution plus any planning charge; 0
+  /// when planning failed).
+  double service_seconds = 0.0;
+  std::vector<TraceEvent> events;
+
+  /// Whether this trace replaces its row's incident exemplar.
+  bool IsIncident() const {
+    return failed || governor_tripped || fault_fires > 0;
+  }
 };
 
 /// Snapshot of one fingerprint's quality columns.
@@ -176,11 +213,13 @@ class FingerprintLedger {
   // ---- Recording ----
 
   /// Records one finished request into the global, session and
-  /// fingerprint SLO scopes and, for an executed read, `quality` into the
-  /// same row. Call in a deterministic order (the service's reduce phase
-  /// guarantees admission order).
+  /// fingerprint SLO scopes, for an executed read `quality` into the same
+  /// row, and `trace` (when non-null) as the row's exemplars. Call in a
+  /// deterministic order (the service's reduce phase guarantees admission
+  /// order).
   void Record(const RequestObservation& request,
-              const QualityObservation* quality = nullptr);
+              const QualityObservation* quality = nullptr,
+              const RequestTrace* trace = nullptr);
   /// Records only the quality columns of `fingerprint` (0 is ignored).
   void RecordQuality(uint64_t fingerprint,
                      const QualityObservation& observation);
@@ -189,7 +228,8 @@ class FingerprintLedger {
   const std::set<std::string>& Tables(uint64_t fingerprint) const;
 
   /// The `.fp` view: one row's SLO, quality, table and plan columns (the
-  /// winner line of its newest plan record).
+  /// winner line of its newest plan record), plus one line per exemplar
+  /// the row holds.
   std::string RowText(uint64_t fingerprint) const;
 
   /// Publishes the estimator.quality.*, server.slo.* and optimizer.regret.*
@@ -225,8 +265,8 @@ class FingerprintLedger {
   /// admission wave, planning charge per cache miss).
   void ConfigureCharging(double wave_delay_seconds,
                          double plan_charge_seconds);
-  /// The charged values Record derives — shared with the flight recorder
-  /// so both report identical numbers.
+  /// The charged values Record derives — shared with the service's span
+  /// attributes so both report identical numbers.
   double QueueWaitSeconds(uint64_t queue_waves) const {
     return static_cast<double>(queue_waves) * slo_config_.wave_delay_seconds;
   }
@@ -246,8 +286,29 @@ class FingerprintLedger {
   std::string SloReportText() const;
   /// Deterministic JSON of the same content.
   std::string SloJson() const;
-  /// Clears every SLO scope; quality columns and tables survive.
+  /// Clears every SLO scope and exemplar; quality columns and tables
+  /// survive.
   void ResetSlo();
+
+  // ---- Exemplars ----
+
+  /// One held exemplar; a request that is both its row's slowest and its
+  /// latest incident is one Exemplar with both flags set.
+  struct Exemplar {
+    uint64_t fingerprint = 0;
+    const RequestTrace* trace = nullptr;
+    bool slowest = false;
+    bool incident = false;
+  };
+  /// Every held exemplar in request order. Pointers are invalidated by the
+  /// next mutation.
+  std::vector<Exemplar> Exemplars() const;
+  /// Aligned text listing for the shell's `.blackbox`.
+  std::string ExemplarText() const;
+  /// Chrome trace_event JSON for `.blackbox trace`: one lane per
+  /// exemplar (pid = session, tid = request, named "request N [status]"),
+  /// lanes in (session, request) order.
+  std::string ExemplarChromeTrace() const;
 
   // ---- Plan columns ----
 
@@ -284,7 +345,7 @@ class FingerprintLedger {
   /// Chrome trace_event JSON: one counter track ("ph":"C") per record —
   /// track name "plancost <fingerprint hex> T=<threshold>", one sample
   /// per grid quantile (ts = quantile percent), one numeric series per
-  /// retained candidate. Loadable next to the flight-recorder lanes.
+  /// retained candidate. Loadable next to the exemplar lanes.
   std::string PlanChromeTrace() const;
 
  private:
@@ -308,6 +369,8 @@ class FingerprintLedger {
     SloScope slo;
     std::set<std::string> tables;
     std::map<PlanKey, PlanProvenanceRecord> plans;
+    std::optional<RequestTrace> slowest;
+    std::optional<RequestTrace> incident;
     /// Key of this row in recency_.
     uint64_t last_recorded = 0;
   };
@@ -319,6 +382,14 @@ class FingerprintLedger {
   void Evict(uint64_t fingerprint);
   /// Newest record of `row` (nullptr when it holds none).
   static const PlanProvenanceRecord* NewestPlan(const Row& row);
+  /// Appends `row`'s exemplars to `out`: the incident, then the slowest
+  /// unless it is the same request.
+  static void AppendExemplars(uint64_t fingerprint, const Row& row,
+                              std::vector<Exemplar>* out);
+  /// One exemplar line: `[reasons]`, the fingerprint when asked, then the
+  /// request's summary fields.
+  std::string ExemplarLine(const Exemplar& exemplar,
+                           bool with_fingerprint) const;
 
   void RecordQualityInto(uint64_t fingerprint,
                          const QualityObservation& observation, Row* row);

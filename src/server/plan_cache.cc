@@ -167,11 +167,6 @@ void PlanCache::Insert(const PlanCacheKey& key,
   ++stats_.insertions;
 }
 
-void PlanCache::Clear() {
-  lru_.clear();
-  index_.clear();
-}
-
 void PlanCache::PublishMetrics(obs::MetricsRegistry* metrics) const {
   if (metrics == nullptr) return;
   const auto sync = [metrics](const char* name, uint64_t value) {

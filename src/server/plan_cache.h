@@ -43,9 +43,9 @@ namespace server {
 uint64_t FingerprintQuery(const opt::QuerySpec& query);
 
 /// Fingerprint of a raw statement's text (same mixing primitives, distinct
-/// domain tag). DML statements never hit the plan cache, but traces, the
-/// SLO monitor and the flight recorder still key their lanes by
-/// fingerprint, so writes get one too.
+/// domain tag). DML statements never hit the plan cache, but traces and
+/// the fingerprint ledger still key writes by fingerprint, so writes get
+/// one too.
 uint64_t FingerprintStatementText(const std::string& statement);
 
 /// Cache key: fingerprint plus the planning knobs that select the plan.
@@ -117,8 +117,6 @@ class PlanCache {
   /// entry when full; replaces any existing entry for the same key.
   void Insert(const PlanCacheKey& key,
               std::shared_ptr<const opt::PlannedQuery> plan, uint64_t epoch);
-
-  void Clear();
 
   const PlanCacheStats& stats() const { return stats_; }
 

@@ -6,6 +6,7 @@
 #include <set>
 #include <utility>
 
+#include "obs/trace.h"
 #include "perf/task_pool.h"
 #include "util/string_util.h"
 
@@ -27,7 +28,7 @@ struct QueryService::PendingRequest {
   robustqo::sql::DmlSpec dml;
   uint64_t fingerprint = 0;
   uint64_t waves_waited = 0;
-  // -- request trace (engaged only while the flight recorder is on) --
+  // -- request trace (engaged only while config().trace_requests) --
   // Created in the sequential submit phase and touched by exactly one
   // thread at a time (the sequential phases, then this request's execute
   // task), so its records are a pure function of the request's inputs.
@@ -100,8 +101,7 @@ QueryService::QueryService(core::Database* db, ServerConfig config)
       sessions_(config.seed),
       admission_(config.admission),
       cache_(config.plan_cache_capacity),
-      ledger_(config.quality, config.slo, config.provenance),
-      recorder_(config.flight_recorder) {
+      ledger_(config.quality, config.slo, config.provenance) {
   admission_.set_fault_injector(db_->fault_injector());
   cache_.set_fault_injector(db_->fault_injector());
 }
@@ -117,27 +117,24 @@ void QueryService::NoteRequestFaultFire(PendingRequest* work,
   }
 }
 
-void QueryService::OfferTrace(PendingRequest* work, const Status& status,
-                              double service_seconds) {
-  if (work->tracer == nullptr) return;
+std::optional<obs::RequestTrace> QueryService::FinishTrace(
+    PendingRequest* work, const Status& status, double service_seconds) {
+  if (work->tracer == nullptr) return std::nullopt;
   const char* code = StatusCodeName(status.code());
   work->tracer->EndSpan(work->root_span, {{"status", code}});
   obs::RequestTrace trace;
   trace.request_id = work->request_id;
   trace.session_id = work->session_id;
-  if (work->session != nullptr) trace.session_label = work->session->name();
-  trace.ticket = work->ticket;
-  trace.fingerprint = work->fingerprint;
+  trace.session_label = work->session->name();
   trace.status = code;
   trace.failed = !status.ok();
   trace.governor_tripped = work->governor_tripped;
   trace.fault_fires = work->fault_fires;
   trace.cache_outcome = work->cache_outcome;
   trace.waves_waited = work->waves_waited;
-  trace.queue_wait_seconds = ledger_.QueueWaitSeconds(work->waves_waited);
   trace.service_seconds = service_seconds;
   trace.events = work->tracer->ReleaseEvents();
-  recorder_.Offer(std::move(trace));
+  return trace;
 }
 
 SessionId QueryService::OpenSession(SessionOptions options) {
@@ -174,13 +171,13 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
     const std::vector<QueryRequest>& requests) {
   std::vector<QueryResponse> responses(requests.size());
   std::map<uint64_t, PendingRequest> pending;  // ticket -> request
-  const bool tracing = config_.flight_recorder.enabled;
 
   // Phase 1 — SUBMIT (sequential, request order). Requests that cannot
   // reach the queue (unknown session, parse error, unknown prepared
-  // statement) and typed admission rejections resolve here. Every request
-  // draws a dense request id here — including ones that never queue — so
-  // flight-recorder lanes and responses share one naming scheme.
+  // statement) and typed admission rejections resolve here, untraced:
+  // their typed status is the whole story. Every request draws a dense
+  // request id here — including ones that never queue — so exemplar lanes
+  // and responses share one naming scheme.
   for (size_t i = 0; i < requests.size(); ++i) {
     const QueryRequest& request = requests[i];
     QueryResponse& response = responses[i];
@@ -190,28 +187,12 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
     work.request_id = ++next_request_id_;
     work.session_id = request.session;
     response.request_id = work.request_id;
-    if (tracing) {
-      work.tracer = std::make_unique<obs::Tracer>();
-      work.root_span = work.tracer->BeginSpan(
-          "server", "request",
-          {{"request", obs::AttrU64(work.request_id)},
-           {"session", obs::AttrU64(request.session)}});
-    }
-    // Resolves a request that never reaches the queue.
-    const auto turn_away = [&](Status status, obs::TraceAttrs submit) {
-      response.status = std::move(status);
-      if (work.tracer != nullptr) {
-        work.tracer->Event("server", "submit", std::move(submit));
-      }
-      OfferTrace(&work, response.status);
-    };
     work.session = sessions_.Get(request.session);
     Session* session = work.session;
     if (session == nullptr) {
-      turn_away(Status::NotFound(StrPrintf(
-                    "no open session %llu",
-                    static_cast<unsigned long long>(request.session))),
-                {{"outcome", "no_session"}});
+      response.status = Status::NotFound(
+          StrPrintf("no open session %llu",
+                    static_cast<unsigned long long>(request.session)));
       continue;
     }
     session->CountSubmitted();
@@ -220,9 +201,8 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
           session->FindPrepared(request.prepared);
       if (statement == nullptr) {
         session->CountFailed();
-        turn_away(Status::NotFound("no prepared statement '" +
-                                   request.prepared + "'"),
-                  {{"outcome", "no_statement"}});
+        response.status =
+            Status::NotFound("no prepared statement '" + request.prepared + "'");
         continue;
       }
       work.is_dml = statement->is_dml();
@@ -240,7 +220,7 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
           robustqo::sql::ParseStatement(*db_->catalog(), request.sql);
       if (!parsed.ok()) {
         session->CountFailed();
-        turn_away(parsed.status(), {{"outcome", "parse_error"}});
+        response.status = parsed.status();
         continue;
       }
       work.is_dml = parsed.value().kind != robustqo::sql::StatementKind::kQuery;
@@ -260,14 +240,17 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
     Result<uint64_t> ticket = admission_.Submit(request.session, reservation);
     if (!ticket.ok()) {
       session->CountRejected();
-      turn_away(ticket.status(),
-                {{"outcome", "rejected"},
-                 {"fingerprint", obs::FingerprintHex(work.fingerprint)}});
+      response.status = ticket.status();
       continue;
     }
     work.ticket = ticket.value();
     response.ticket = work.ticket;
-    if (work.tracer != nullptr) {
+    if (config_.trace_requests) {
+      work.tracer = std::make_unique<obs::Tracer>();
+      work.root_span = work.tracer->BeginSpan(
+          "server", "request",
+          {{"request", obs::AttrU64(work.request_id)},
+           {"session", obs::AttrU64(request.session)}});
       work.tracer->Event("server", "submit",
                          {{"outcome", "queued"},
                           {"ticket", obs::AttrU64(work.ticket)},
@@ -291,7 +274,6 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
             Status::Internal("admission wedged: no admissible request");
         work.session->CountFailed();
         ++queries_failed_;
-        OfferTrace(&work, responses[work.index].status);
       }
       break;
     }
@@ -342,15 +324,9 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
       // A degraded lookup means the server.plan_cache.lookup fault fired
       // for this request — that makes its trace an incident, and the trace
       // itself names the site (the shared injector's own event goes to the
-      // service tracer, not this request's).
+      // database's tracer, not this request's).
       if (cache_outcome == PlanCacheOutcome::kDegradedFault) {
         NoteRequestFaultFire(&work, fault::sites::kPlanCacheLookup);
-      }
-      if (tracer_ != nullptr) {
-        tracer_->Event("server",
-                       work.cache_hit ? "plan_cache.hit" : "plan_cache.miss",
-                       {{"fingerprint", obs::FingerprintHex(work.fingerprint)},
-                        {"epoch", obs::AttrU64(epoch)}});
       }
       uint64_t plan_span = 0;
       if (work.tracer != nullptr) {
@@ -394,8 +370,9 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
           observation.fingerprint = work.fingerprint;
           observation.failed = true;
           observation.queue_waves = work.waves_waited;
-          ledger_.Record(observation);
-          OfferTrace(&work, planned.status());
+          const std::optional<obs::RequestTrace> trace =
+              FinishTrace(&work, planned.status());
+          ledger_.Record(observation, nullptr, trace ? &*trace : nullptr);
           pending.erase(admitted.ticket);
           continue;
         }
@@ -554,10 +531,9 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
       observation.actual_seconds = actual_seconds;
       observation.estimated_seconds = estimated_seconds;
       observation.tables = std::move(work->tables);
-      ledger_.Record(observation, executed_read ? &quality : nullptr);
+      const double service_seconds =
+          ledger_.ServiceSeconds(actual_seconds, work->cache_hit);
       if (work->tracer != nullptr) {
-        const double service_seconds =
-            ledger_.ServiceSeconds(actual_seconds, work->cache_hit);
         const double regret =
             ok ? std::max(0.0, actual_seconds - estimated_seconds) : 0.0;
         work->tracer->Event(
@@ -565,8 +541,11 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
             {{"status", StatusCodeName(work->exec_status.code())},
              {"service_seconds", obs::AttrF(service_seconds)},
              {"regret_seconds", obs::AttrF(regret)}});
-        OfferTrace(work, work->exec_status, service_seconds);
       }
+      const std::optional<obs::RequestTrace> trace =
+          FinishTrace(work, work->exec_status, service_seconds);
+      ledger_.Record(observation, executed_read ? &quality : nullptr,
+                     trace ? &*trace : nullptr);
       pending.erase(work->ticket);
     }
 
@@ -577,12 +556,6 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
       for (const std::string& table : ledger_.Tables(drifted.fingerprint)) {
         db_->statistics()->MarkPendingRebuild(table);
       }
-      if (tracer_ != nullptr) {
-        tracer_->Event(
-            "server", "plan_cache.drift_invalidated",
-            {{"fingerprint", obs::FingerprintHex(drifted.fingerprint)},
-             {"drift_ratio", StrPrintf("%.2f", drifted.drift_ratio)}});
-      }
     }
 
     // Background statistics maintenance: tables flagged stale — by
@@ -590,15 +563,9 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
     // above — rebuild now, before the next wave plans. The epoch bump
     // makes every cached plan stale at its next lookup; nobody calls
     // UPDATE STATISTICS.
-    if (db_->statistics()->RebuildPending()) {
-      const uint64_t rebuilt = db_->RebuildPendingStatistics();
-      if (rebuilt > 0) ledger_.ResetQuality();
-      if (tracer_ != nullptr) {
-        tracer_->Event(
-            "server", "stats.rebuild",
-            {{"tables", obs::AttrU64(rebuilt)},
-             {"epoch", obs::AttrU64(db_->statistics()->epoch())}});
-      }
+    if (db_->statistics()->RebuildPending() &&
+        db_->RebuildPendingStatistics() > 0) {
+      ledger_.ResetQuality();
     }
   }
   return responses;
@@ -617,14 +584,7 @@ void QueryService::RecordProvenance(const PendingRequest& work,
   record.estimated_cost = work.plan->estimated_cost;
   record.estimated_rows = work.plan->estimated_rows;
   record.sensitivity = work.plan->sensitivity;
-  const obs::PlanDiffRecord* diff =
-      ledger_.RecordPlan(std::move(record), PlanCacheOutcomeName(outcome));
-  if (diff != nullptr && tracer_ != nullptr) {
-    tracer_->Event("server", "plan_provenance.replanned",
-                   {{"fingerprint", obs::FingerprintHex(key.fingerprint)},
-                    {"trigger", diff->trigger},
-                    {"plan_changed", diff->plan_changed ? "1" : "0"}});
-  }
+  ledger_.RecordPlan(std::move(record), PlanCacheOutcomeName(outcome));
 }
 
 QueryResponse QueryService::ExecutePrepared(SessionId session,
@@ -671,7 +631,6 @@ void QueryService::PublishMetrics(obs::MetricsRegistry* metrics) const {
   sync("server.queries.failed", queries_failed_);
   metrics->GetGauge("stats.epoch")
       ->Set(static_cast<double>(db_->statistics()->epoch()));
-  if (config_.flight_recorder.enabled) recorder_.PublishMetrics(metrics);
 }
 
 }  // namespace server

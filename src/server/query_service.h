@@ -36,7 +36,8 @@
 //      epoch on success — later waves see it, this wave's reads did not).
 //      Then completions, session tallies, metric merges and one
 //      fingerprint-ledger record per request (SLO and
-//      estimation-quality columns) are applied in admission order;
+//      estimation-quality columns, and the request's span tree as an
+//      exemplar candidate while traced) are applied in admission order;
 //      fingerprints the ledger flags as drifted have the tables they read
 //      flagged for statistics rebuild, and flagged tables (drift or
 //      committed-write volume) are rebuilt before the next wave, bumping
@@ -59,9 +60,7 @@
 
 #include "core/database.h"
 #include "obs/fingerprint_ledger.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "server/admission.h"
 #include "server/plan_cache.h"
 #include "server/session.h"
@@ -80,10 +79,10 @@ struct ServerConfig {
   /// Drift detection: a drifted fingerprint's tables are rebuilt at the
   /// end of the wave, like tables past the committed-write threshold.
   obs::QualityConfig quality;
-  /// Black-box retention of interesting request traces. Requests are only
-  /// traced while `flight_recorder.enabled`; the recorder itself always
-  /// exists for introspection.
-  obs::FlightRecorderConfig flight_recorder;
+  /// Traces every admitted request and files its span tree as its ledger
+  /// row's exemplars (slowest request, latest incident). Off by default:
+  /// an untraced request builds no per-request tracer.
+  bool trace_requests = false;
   /// Latency/regret charging and breach thresholds of the ledger's SLO
   /// columns.
   obs::SloConfig slo;
@@ -147,8 +146,8 @@ struct QueryResponse {
   /// Scheduling waves spent queued before admission (backpressure felt).
   uint64_t waves_waited = 0;
   /// Dense service-wide request ordinal (1-based), assigned at submit in
-  /// request order — the id flight-recorder dumps key their lanes by.
-  /// Assigned even to requests that never reach the admission queue.
+  /// request order — the id exemplar lanes are keyed by. Assigned even to
+  /// requests that never reach the admission queue.
   uint64_t request_id = 0;
 };
 
@@ -194,13 +193,12 @@ class QueryService {
   // ---- Introspection ----
   AdmissionController* admission() { return &admission_; }
   PlanCache* plan_cache() { return &cache_; }
-  /// The black box: retained request traces (empty unless
-  /// config().flight_recorder.enabled).
-  obs::FlightRecorder* flight_recorder() { return &recorder_; }
   /// One row per statement fingerprint: SLO scopes of every request that
   /// reaches the plan phase, estimation quality of executed reads (drift
-  /// detection), the tables each statement reads, and the plan column —
-  /// provenance and plan-diff records (the shell's `.whyplan`).
+  /// detection), the tables each statement reads, the plan column —
+  /// provenance and plan-diff records (the shell's `.whyplan`) — and,
+  /// while config().trace_requests, the exemplar span trees (the shell's
+  /// `.blackbox`).
   obs::FingerprintLedger* ledger() { return &ledger_; }
   const obs::FingerprintLedger* ledger() const { return &ledger_; }
   /// Toggles provenance capture and recording (the shell's SET PROVENANCE
@@ -220,12 +218,9 @@ class QueryService {
   /// (no-op on null). Idempotent.
   void PublishMetrics(obs::MetricsRegistry* metrics) const;
 
-  /// Observability sinks (borrowed, nullable). Per-request execution
-  /// metrics are merged into `metrics` in admission order during the
-  /// reduce phase; the tracer receives plan-cache and admission events
-  /// from the sequential phases.
+  /// Metrics sink (borrowed, nullable). Per-request execution metrics are
+  /// merged into it in admission order during the reduce phase.
   void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
-  void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
  private:
   struct PendingRequest;
@@ -236,13 +231,13 @@ class QueryService {
   /// request trace. Every phase (PLAN, EXECUTE, REDUCE) funnels through
   /// this so fires accumulate instead of overwriting each other.
   static void NoteRequestFaultFire(PendingRequest* work, const char* site);
-  /// Closes a request's root span with `status` and offers its trace to
-  /// the flight recorder, built from the request's own state (no-op when
-  /// the request is untraced). Every outcome goes through here: submit-time
-  /// rejections, plan failures, and completed requests with their
-  /// service time.
-  void OfferTrace(PendingRequest* work, const Status& status,
-                  double service_seconds = 0.0);
+  /// Closes a request's root span with `status` and packs the request's
+  /// trace for its ledger record (nullopt when the request is untraced).
+  /// Both ledger records go through here: plan failures, and finished
+  /// requests with their service time.
+  std::optional<obs::RequestTrace> FinishTrace(PendingRequest* work,
+                                               const Status& status,
+                                               double service_seconds = 0.0);
 
   /// Files the provenance record of a freshly optimized plan in the
   /// ledger (which files the plan diff on a re-plan). Sequential PLAN
@@ -256,9 +251,7 @@ class QueryService {
   AdmissionController admission_;
   PlanCache cache_;
   obs::FingerprintLedger ledger_;
-  obs::FlightRecorder recorder_;
   obs::MetricsRegistry* metrics_ = nullptr;
-  obs::Tracer* tracer_ = nullptr;
   uint64_t queries_completed_ = 0;
   uint64_t queries_failed_ = 0;
   uint64_t next_request_id_ = 0;

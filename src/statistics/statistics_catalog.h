@@ -163,10 +163,6 @@ class StatisticsCatalog {
   };
   std::vector<MaintenanceEntry> MaintenanceState() const;
 
-  /// The configuration the next background rebuild uses — remembered from
-  /// the last BuildAllSamples call.
-  const StatisticsConfig& build_config() const { return build_config_; }
-
  private:
   void BumpEpoch() { ++epoch_; }
 
@@ -183,6 +179,7 @@ class StatisticsCatalog {
   std::unordered_map<std::string, std::unique_ptr<TableSample>> samples_;
   std::unordered_map<std::string, std::unique_ptr<JoinSynopsis>> synopses_;
   std::map<std::string, Maintenance> maintenance_;
+  /// What background rebuilds use: the last BuildAllSamples config.
   StatisticsConfig build_config_;
 };
 

@@ -278,9 +278,6 @@ TrafficReport RunTraffic(server::QueryService* service,
   if (service->ledger()->global().observed > 0) {
     report.slo_report = service->ledger()->SloReportText();
   }
-  if (service->flight_recorder()->size() > 0) {
-    report.blackbox_json = service->flight_recorder()->ToJson();
-  }
   if (service->ledger()->plan_count() > 0) {
     report.provenance_json = service->ledger()->PlanJson();
   }

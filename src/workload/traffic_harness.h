@@ -112,9 +112,6 @@ struct TrafficReport {
   server::PlanCacheStats plan_cache;
   /// The ledger's SLO report (empty when it observed nothing).
   std::string slo_report;
-  /// Flight-recorder JSON dump (empty unless the service's recorder was
-  /// enabled and retained at least one request).
-  std::string blackbox_json;
   /// The ledger's plan-column JSON dump (empty unless it holds at least
   /// one plan record). Not part of Summary(), so pre-provenance
   /// summaries stay byte-identical.

@@ -15,7 +15,6 @@
 #include "core/explain_analyze.h"
 #include "fault/fault_injector.h"
 #include "obs/exporters.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "perf/task_pool.h"
@@ -399,9 +398,9 @@ TEST_F(DeterminismTest, ChromeTraceExportIdenticalAcrossThreadCounts) {
   EXPECT_NE(reference.find("\"cat\":\"exec\""), std::string::npos);
 }
 
-// The flight recorder's leg: a traffic run with an armed fault site must
-// retain the same requests with byte-identical JSON / Chrome-trace dumps at
-// every thread count, and the dump must show each request's queue-wait
+// The exemplars' leg: a traffic run with an armed fault site must hold the
+// same exemplars with byte-identical text / Chrome-trace renderings at
+// every thread count, and the trees must show each request's queue-wait
 // charge, plan-cache outcome and the fault site that fired.
 TEST_F(DeterminismTest, BlackboxDumpIdenticalAcrossThreadCounts) {
   workload::TrafficConfig config;
@@ -415,7 +414,7 @@ TEST_F(DeterminismTest, BlackboxDumpIdenticalAcrossThreadCounts) {
   };
   config.thresholds = {0.0, 0.95};
 
-  std::string reference_json;
+  std::string reference_text;
   std::string reference_trace;
   for (unsigned threads : kThreadCounts) {
     perf::SetThreadCount(threads);
@@ -427,32 +426,32 @@ TEST_F(DeterminismTest, BlackboxDumpIdenticalAcrossThreadCounts) {
     server::ServerConfig server_config;
     server_config.admission.max_concurrent = 4;
     server_config.admission.max_queue_depth = 128;
-    server_config.flight_recorder.enabled = true;
+    server_config.trace_requests = true;
     server::QueryService service(db.get(), server_config);
     const workload::TrafficReport report =
         workload::RunTraffic(&service, config);
     EXPECT_GT(report.completed, 64u);
-    ASSERT_FALSE(report.blackbox_json.empty());
-    EXPECT_EQ(report.blackbox_json, service.flight_recorder()->ToJson());
-    const std::string chrome = service.flight_recorder()->ToChromeTrace();
+    const std::string text = service.ledger()->ExemplarText();
+    const std::string chrome = service.ledger()->ExemplarChromeTrace();
     if (threads == 1) {
-      reference_json = report.blackbox_json;
+      reference_text = text;
       reference_trace = chrome;
     } else {
-      EXPECT_EQ(report.blackbox_json, reference_json) << "threads=" << threads;
+      EXPECT_EQ(text, reference_text) << "threads=" << threads;
       EXPECT_EQ(chrome, reference_trace) << "threads=" << threads;
     }
   }
-  // The retained span trees carry the request-lifecycle facts the black box
-  // exists for: the queue-wait charge, the plan-cache outcome, and the
+  // The exemplar span trees carry the request-lifecycle facts the black
+  // box exists for: the queue-wait charge, the plan-cache outcome, and the
   // armed site that fired.
-  EXPECT_NE(reference_json.find("\"queue_wait_seconds\""), std::string::npos);
-  EXPECT_NE(reference_json.find("degraded_fault"), std::string::npos);
-  EXPECT_NE(reference_json.find("server.plan_cache.lookup"),
+  EXPECT_NE(reference_trace.find("\"queue_wait_seconds\""),
             std::string::npos);
-  // ("incident" may share the retained list with "slow": the degraded
-  // request replans, and the cold-planning charge also makes it slow.)
-  EXPECT_NE(reference_json.find("\"incident\""), std::string::npos);
+  EXPECT_NE(reference_trace.find("degraded_fault"), std::string::npos);
+  EXPECT_NE(reference_trace.find("server.plan_cache.lookup"),
+            std::string::npos);
+  // ("incident" may share the line with "slowest": the degraded request
+  // replans, and the cold-planning charge also makes it slow.)
+  EXPECT_NE(reference_text.find("[incident"), std::string::npos);
   EXPECT_NE(reference_trace.find("\"ph\":\"M\""), std::string::npos);
 }
 

@@ -257,14 +257,24 @@ TEST_F(ProvenanceTest, WhyplanAndTrafficBytesIdenticalAcrossThreadCounts) {
   EXPECT_FALSE(reference_whyplan.empty());
 }
 
-// Report-overwrite regression (the satellite sweep's find): fault fires
-// counted in the PLAN phase must survive into the retained trace when the
-// request later fails — in EXECUTE, and on the aborted path where
+// Report-overwrite regression: fault fires counted in the PLAN phase must
+// survive into the incident exemplar when the request later fails — in EXECUTE, and on the aborted path where
 // planning itself fails (the aborted-trace path used to zero them).
+// The ledger's incident exemplars, in request order.
+std::vector<const obs::RequestTrace*> IncidentTraces(
+    const server::QueryService& service) {
+  std::vector<const obs::RequestTrace*> out;
+  for (const obs::FingerprintLedger::Exemplar& exemplar :
+       service.ledger()->Exemplars()) {
+    if (exemplar.incident) out.push_back(exemplar.trace);
+  }
+  return out;
+}
+
 TEST_F(ProvenanceTest, FaultFiresAccumulateAcrossPlanAndExecutePhases) {
   std::unique_ptr<core::Database> db = MakeReadingsDatabase();
   server::ServerConfig config;
-  config.flight_recorder.enabled = true;
+  config.trace_requests = true;
   server::QueryService service(db.get(), config);
   const server::SessionId session = service.OpenSession();
 
@@ -278,7 +288,7 @@ TEST_F(ProvenanceTest, FaultFiresAccumulateAcrossPlanAndExecutePhases) {
 
   server::QueryResponse failed = service.ExecuteSpec(session, ReadingsQuery(50));
   EXPECT_FALSE(failed.status.ok());
-  auto traces = service.flight_recorder()->Snapshot();
+  const auto traces = IncidentTraces(service);
   ASSERT_EQ(traces.size(), 1u);
   EXPECT_TRUE(traces[0]->failed);
   EXPECT_GE(traces[0]->fault_fires, 2u)
@@ -289,7 +299,7 @@ TEST_F(ProvenanceTest, FaultFiresAccumulateAcrossPlanAndExecutePhases) {
 TEST_F(ProvenanceTest, AbortedPlanTraceKeepsPlanPhaseFaultFires) {
   std::unique_ptr<core::Database> db = MakeReadingsDatabase();
   server::ServerConfig config;
-  config.flight_recorder.enabled = true;
+  config.trace_requests = true;
   server::QueryService service(db.get(), config);
   const server::SessionId session = service.OpenSession();
 
@@ -300,7 +310,7 @@ TEST_F(ProvenanceTest, AbortedPlanTraceKeepsPlanPhaseFaultFires) {
   bogus.tables.push_back({"no_such_table", nullptr});
   server::QueryResponse failed = service.ExecuteSpec(session, bogus);
   EXPECT_FALSE(failed.status.ok());
-  auto traces = service.flight_recorder()->Snapshot();
+  const auto traces = IncidentTraces(service);
   ASSERT_EQ(traces.size(), 1u);
   EXPECT_TRUE(traces[0]->failed);
   EXPECT_GE(traces[0]->fault_fires, 1u)

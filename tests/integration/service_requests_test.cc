@@ -1,11 +1,11 @@
 // Golden pin of every request outcome the query service produces, over one
-// seeded run with the flight recorder on: submit-time failures (unknown
+// seeded run with request tracing on: submit-time failures (unknown
 // session, parse error, unknown prepared statement), a planning failure,
 // typed admission rejections, a governor trip, armed plan-cache-lookup,
 // statistics-read and operator faults, and INSERT, UPDATE and DELETE
 // including a faulted commit that rolls back. Pins, per
-// request, the status, cache hit and row or DML counts, then the retained
-// request traces, the service's and the database's metrics as OpenMetrics
+// request, the status, cache hit and row or DML counts, then the ledger's
+// exemplars, the service's and the database's metrics as OpenMetrics
 // and the plan-provenance store. Byte-identical at any RQO_THREADS
 // setting. Regenerate with ROBUSTQO_UPDATE_GOLDENS=1.
 
@@ -119,8 +119,7 @@ TEST(ServiceRequestsGoldenTest, EveryRequestOutcomeMatchesGolden) {
   server::ServerConfig config;
   config.admission.max_concurrent = 2;
   config.admission.max_queue_depth = 4;
-  config.flight_recorder.enabled = true;
-  config.flight_recorder.incident_capacity = 64;
+  config.trace_requests = true;
   server::QueryService service(db.get(), config);
   obs::MetricsRegistry service_metrics;
   service.set_metrics(&service_metrics);
@@ -184,8 +183,8 @@ TEST(ServiceRequestsGoldenTest, EveryRequestOutcomeMatchesGolden) {
                              QueryRequest::Prepared(strict, "count")});
 
   std::string rendered = run.rendered();
-  rendered += "=== flight recorder\n" + service.flight_recorder()->ToJson() +
-              "\n";
+  rendered += "=== exemplars\n" + service.ledger()->ExemplarText() +
+              service.ledger()->ExemplarChromeTrace() + "\n";
   service.PublishMetrics(&service_metrics);
   rendered += "=== service metrics\n" + obs::ToOpenMetrics(service_metrics);
   rendered += "=== database metrics\n" + obs::ToOpenMetrics(db_metrics);

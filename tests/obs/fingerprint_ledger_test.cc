@@ -432,6 +432,19 @@ TEST(FingerprintLedgerTest, RowTextShowsEveryColumn) {
   EXPECT_NE(reset.find(WinnerLine(plan)), std::string::npos);
 }
 
+// The request id of `fingerprint`'s slowest (or incident) exemplar; 0 when
+// its row holds none.
+uint64_t ExemplarId(const FingerprintLedger& ledger, bool slowest,
+                    uint64_t fingerprint = 0xF00Du) {
+  for (const FingerprintLedger::Exemplar& exemplar : ledger.Exemplars()) {
+    if (exemplar.fingerprint == fingerprint &&
+        (slowest ? exemplar.slowest : exemplar.incident)) {
+      return exemplar.trace->request_id;
+    }
+  }
+  return 0;
+}
+
 // A plan record for `fingerprint` at `epoch` whose single candidate's curve
 // is flat at `cost`.
 PlanProvenanceRecord PlanAt(uint64_t fingerprint, uint64_t epoch,
@@ -457,7 +470,7 @@ PlanProvenanceRecord PlanAt(uint64_t fingerprint, uint64_t epoch,
 // The ledger's one bound: a seeded stream of far more than kMaxRows
 // fingerprints, with a few hot ones recurring, never holds more than
 // kMaxRows rows; the hot rows keep every column, and an evicted row takes
-// its drift flag, tables, plans and diffs with it.
+// its drift flag, tables, plans, diffs and exemplars with it.
 TEST(FingerprintLedgerTest, BoundedRowsKeepHotFingerprints) {
   QualityConfig quality_config;
   quality_config.baseline_window = 4;
@@ -466,8 +479,9 @@ TEST(FingerprintLedgerTest, BoundedRowsKeepHotFingerprints) {
   FingerprintLedger ledger(quality_config);
   constexpr uint64_t kHot[] = {0xA1, 0xA2, 0xA3, 0xA4};
   constexpr uint64_t kEvicted = 0xC0;
-  const auto record = [&ledger](uint64_t fingerprint, uint64_t epoch,
-                                double q_error) {
+  uint64_t next_request = 0;
+  const auto record = [&](uint64_t fingerprint, uint64_t epoch,
+                          double q_error) {
     RequestObservation request;
     request.session_label = "s1";
     request.fingerprint = fingerprint;
@@ -476,7 +490,12 @@ TEST(FingerprintLedgerTest, BoundedRowsKeepHotFingerprints) {
     request.tables = {StrPrintf("t%llu",
                                 static_cast<unsigned long long>(fingerprint))};
     const QualityObservation quality = Obs(100.0, 100.0 * q_error, 0.8);
-    ledger.Record(request, &quality);
+    // Every request is traced; the early drifter's are also incidents.
+    RequestTrace trace;
+    trace.request_id = ++next_request;
+    trace.service_seconds = 1.0;
+    trace.fault_fires = fingerprint == kEvicted ? 1 : 0;
+    ledger.Record(request, &quality, &trace);
     return ledger.RecordPlan(PlanAt(fingerprint, epoch, 1.0 + epoch * 0.01),
                              "stale_epoch");
   };
@@ -485,6 +504,8 @@ TEST(FingerprintLedgerTest, BoundedRowsKeepHotFingerprints) {
   for (uint64_t i = 0; i < 8; ++i) record(kEvicted, i, i < 4 ? 1.0 : 10.0);
   ASSERT_EQ(ledger.Drifted().size(), 1u);
   ASSERT_EQ(ledger.plan_diffs().size(), 7u);
+  ASSERT_NE(ExemplarId(ledger, /*slowest=*/true, kEvicted), 0u);
+  ASSERT_NE(ExemplarId(ledger, /*slowest=*/false, kEvicted), 0u);
 
   Rng rng(2024);
   std::map<uint64_t, uint64_t> hot_events;
@@ -512,6 +533,8 @@ TEST(FingerprintLedgerTest, BoundedRowsKeepHotFingerprints) {
   EXPECT_EQ(ledger.quality_fingerprints(), FingerprintLedger::kMaxRows);
   EXPECT_EQ(ledger.plan_count(), FingerprintLedger::kMaxRows);
   EXPECT_LE(ledger.plan_diffs().size(), FingerprintLedger::kMaxPlanDiffs);
+  // One slowest exemplar per row, and no incident outlived its row.
+  EXPECT_EQ(ledger.Exemplars().size(), FingerprintLedger::kMaxRows);
 
   // Hot rows keep their SLO, quality, table and plan columns.
   for (uint64_t hot : kHot) {
@@ -522,6 +545,7 @@ TEST(FingerprintLedgerTest, BoundedRowsKeepHotFingerprints) {
     ASSERT_NE(ledger.FindPlan(hot), nullptr);
     EXPECT_NE(ledger.RowText(hot).find(WinnerLine(*ledger.FindPlan(hot))),
               std::string::npos);
+    EXPECT_NE(ExemplarId(ledger, /*slowest=*/true, hot), 0u);
   }
   const std::vector<FingerprintQuality> snapshot = ledger.Snapshot();
   const auto hot_quality = std::find_if(
@@ -541,6 +565,8 @@ TEST(FingerprintLedgerTest, BoundedRowsKeepHotFingerprints) {
   ASSERT_EQ(drifted.size(), 1u);
   EXPECT_EQ(drifted[0].fingerprint, kHot[0]);
   EXPECT_TRUE(ledger.Tables(kEvicted).empty());
+  EXPECT_EQ(ExemplarId(ledger, /*slowest=*/true, kEvicted), 0u);
+  EXPECT_EQ(ExemplarId(ledger, /*slowest=*/false, kEvicted), 0u);
   EXPECT_EQ(ledger.RowText(kEvicted),
             "fp: no ledger row for 00000000000000c0\n");
   EXPECT_EQ(ledger.PlanReportFor(kEvicted),
@@ -563,6 +589,165 @@ TEST(FingerprintLedgerTest, BoundedRowsKeepHotFingerprints) {
   EXPECT_LT(last_hot_diff->old_curve[0], last_hot_diff->new_curve[0]);
   EXPECT_NE(ledger.PlanReportFor(last_hot).find("[stale_epoch]"),
             std::string::npos);
+}
+
+// ---- Exemplars ----
+
+// A finished request's one-span trace; a failed one carries a typed status.
+RequestTrace Trace(uint64_t request_id, double service_seconds,
+                   bool failed = false) {
+  RequestTrace trace;
+  trace.request_id = request_id;
+  trace.session_id = 1;
+  trace.session_label = "s1";
+  trace.service_seconds = service_seconds;
+  trace.failed = failed;
+  if (failed) trace.status = "Unavailable";
+  Tracer tracer;
+  const uint64_t span = tracer.BeginSpan("server", "request");
+  tracer.EndSpan(span, {{"status", trace.status}});
+  trace.events = tracer.ReleaseEvents();
+  return trace;
+}
+
+// Records `trace` as a request of fingerprint 0xF00D.
+void RecordTraced(FingerprintLedger* ledger, const RequestTrace& trace) {
+  ledger->Record(Req(trace.service_seconds, 0.0, /*cache_hit=*/true,
+                     /*waves=*/0, trace.failed),
+                 nullptr, &trace);
+}
+
+uint64_t SlowestId(const FingerprintLedger& ledger) {
+  return ExemplarId(ledger, /*slowest=*/true);
+}
+
+uint64_t IncidentId(const FingerprintLedger& ledger) {
+  return ExemplarId(ledger, /*slowest=*/false);
+}
+
+TEST(FingerprintLedgerTest, OnlyStrictlySlowerReplacesSlowestExemplar) {
+  FingerprintLedger ledger;
+  RecordTraced(&ledger, Trace(1, 1.0));
+  EXPECT_EQ(SlowestId(ledger), 1u);
+  RecordTraced(&ledger, Trace(2, 3.0));
+  EXPECT_EQ(SlowestId(ledger), 2u);
+  RecordTraced(&ledger, Trace(3, 2.0));
+  EXPECT_EQ(SlowestId(ledger), 2u);
+  // A failure is no slowest candidate: the service column skips it too.
+  RecordTraced(&ledger, Trace(4, 9.0, /*failed=*/true));
+  EXPECT_EQ(SlowestId(ledger), 2u);
+  const std::vector<FingerprintLedger::Exemplar> exemplars = ledger.Exemplars();
+  ASSERT_EQ(exemplars.size(), 2u);  // slowest request 2, incident request 4
+  EXPECT_EQ(exemplars[0].trace->service_seconds, 3.0);
+}
+
+TEST(FingerprintLedgerTest, SlowestExemplarTieKeepsIncumbent) {
+  FingerprintLedger ledger;
+  RecordTraced(&ledger, Trace(5, 1.0));
+  RecordTraced(&ledger, Trace(7, 1.0));
+  RecordTraced(&ledger, Trace(3, 1.0));
+  EXPECT_EQ(SlowestId(ledger), 5u);
+  RecordTraced(&ledger, Trace(9, 1.5));
+  EXPECT_EQ(SlowestId(ledger), 9u);
+}
+
+TEST(FingerprintLedgerTest, FailureTripAndFaultFireEachReplaceIncident) {
+  FingerprintLedger ledger;
+  RecordTraced(&ledger, Trace(1, 0.0, /*failed=*/true));
+  EXPECT_EQ(IncidentId(ledger), 1u);
+  RequestTrace tripped = Trace(2, 0.1);
+  tripped.governor_tripped = true;
+  RecordTraced(&ledger, tripped);
+  EXPECT_EQ(IncidentId(ledger), 2u);
+  RequestTrace faulted = Trace(3, 0.1);
+  faulted.fault_fires = 2;
+  RecordTraced(&ledger, faulted);
+  EXPECT_EQ(IncidentId(ledger), 3u);
+  // The newest failure replaces it again, however fast.
+  RecordTraced(&ledger, Trace(4, 0.0, /*failed=*/true));
+  EXPECT_EQ(IncidentId(ledger), 4u);
+}
+
+TEST(FingerprintLedgerTest, FastRequestChangesNeitherExemplar) {
+  FingerprintLedger ledger;
+  RecordTraced(&ledger, Trace(1, 2.0));
+  RecordTraced(&ledger, Trace(2, 0.0, /*failed=*/true));
+  const std::string before = ledger.ExemplarText();
+  RecordTraced(&ledger, Trace(3, 0.5));
+  EXPECT_EQ(SlowestId(ledger), 1u);
+  EXPECT_EQ(IncidentId(ledger), 2u);
+  EXPECT_EQ(ledger.ExemplarText(), before);
+}
+
+TEST(FingerprintLedgerTest, NullTraceFilesNothing) {
+  FingerprintLedger ledger;
+  ledger.Record(Req(5.0, 1.0, /*cache_hit=*/true, /*waves=*/0,
+                    /*failed=*/true));
+  ledger.Record(Req(5.0, 1.0));
+  ASSERT_NE(ledger.FingerprintScope(0xF00Du), nullptr);
+  EXPECT_TRUE(ledger.Exemplars().empty());
+  EXPECT_EQ(ledger.ExemplarText(), "exemplars: 0 request(s)\n");
+  EXPECT_EQ(ledger.ExemplarChromeTrace(), "[]");
+}
+
+TEST(FingerprintLedgerTest, ResetSloClearsExemplarsResetQualityKeepsThem) {
+  FingerprintLedger ledger;
+  RecordTraced(&ledger, Trace(1, 2.0));
+  RecordTraced(&ledger, Trace(2, 0.0, /*failed=*/true));
+  ledger.ResetQuality();
+  EXPECT_EQ(SlowestId(ledger), 1u);
+  EXPECT_EQ(IncidentId(ledger), 2u);
+  ledger.ResetSlo();
+  EXPECT_TRUE(ledger.Exemplars().empty());
+  EXPECT_EQ(ledger.ExemplarText(), FingerprintLedger().ExemplarText());
+  // The next traced request starts the slowest slot afresh.
+  RecordTraced(&ledger, Trace(3, 0.5));
+  EXPECT_EQ(SlowestId(ledger), 3u);
+}
+
+TEST(FingerprintLedgerTest, DualReasonExemplarIsListedOnce) {
+  FingerprintLedger ledger;
+  RequestTrace faulted = Trace(1, 5.0);
+  faulted.fault_fires = 1;
+  RecordTraced(&ledger, faulted);  // slowest and incident at once
+  ASSERT_EQ(ledger.Exemplars().size(), 1u);
+  EXPECT_TRUE(ledger.Exemplars()[0].slowest);
+  EXPECT_TRUE(ledger.Exemplars()[0].incident);
+  EXPECT_NE(ledger.ExemplarText().find("[incident,slowest] "),
+            std::string::npos);
+  // A slower request takes the slowest slot; request 1 stays the incident.
+  RecordTraced(&ledger, Trace(2, 9.0));
+  EXPECT_EQ(SlowestId(ledger), 2u);
+  EXPECT_EQ(IncidentId(ledger), 1u);
+  EXPECT_EQ(ledger.Exemplars().size(), 2u);
+  const std::string row = ledger.RowText(0xF00Du);
+  EXPECT_NE(row.find("  [incident        ] req=1 session=1 (s1) status=OK "),
+            std::string::npos)
+      << row;
+  EXPECT_NE(row.find("  [slowest         ] req=2 "), std::string::npos) << row;
+}
+
+TEST(FingerprintLedgerTest, ExemplarLanesGroupBySession) {
+  FingerprintLedger ledger;
+  RequestTrace other = Trace(1, 0.0, /*failed=*/true);
+  other.session_id = 9;
+  other.session_label = "other";
+  RecordTraced(&ledger, other);
+  RequestObservation request = Req(0.0, 0.0, true, 0, /*failed=*/true);
+  request.fingerprint = 0xBEEFu;
+  const RequestTrace second = Trace(2, 0.0, /*failed=*/true);
+  ledger.Record(request, nullptr, &second);
+  const std::string json = ledger.ExemplarChromeTrace();
+  EXPECT_NE(json.find("\"process_name\""), std::string::npos);
+  EXPECT_NE(json.find("\"thread_name\""), std::string::npos);
+  EXPECT_NE(json.find("other"), std::string::npos);
+  // Session 1's lane sorts before session 9's despite its later request.
+  EXPECT_LT(json.find("request 2 [Unavailable]"),
+            json.find("request 1 [Unavailable]"));
+  // The text listing names each exemplar's row, in request order.
+  const std::string text = ledger.ExemplarText();
+  EXPECT_LT(text.find("fp=000000000000f00d req=1 "),
+            text.find("fp=000000000000beef req=2 "));
 }
 
 }  // namespace

@@ -260,7 +260,7 @@ TEST(PlanProvenanceStoreTest, PublishMetricsSyncsToRegistryValues) {
   EXPECT_EQ(metrics.GetCounter("optimizer.provenance.recorded")->value(), 1u);
   EXPECT_EQ(metrics.GetGauge("optimizer.provenance.records")->value(), 1.0);
   // Publishing twice must not double-count: the ledger syncs absolute
-  // values, counter-delta style, like the flight recorder.
+  // values, counter-delta style.
   ledger.PublishMetrics(&metrics);
   EXPECT_EQ(metrics.GetCounter("optimizer.provenance.recorded")->value(), 1u);
   ledger.RecordPlan(MakeRecord(0xBB, 1, "b", 0.2), "miss");

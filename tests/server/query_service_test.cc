@@ -13,7 +13,6 @@
 #include "core/database.h"
 #include "expr/expression.h"
 #include "fault/fault_injector.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "server/query_service.h"
@@ -238,7 +237,7 @@ TEST(QueryServiceTest, PublishMetricsExportsTheServerFamily) {
 // degraded plan-cache lookup (PLAN) plus injector fires during execution
 // (EXECUTE) for a read, and every failed commit attempt before the retry
 // that succeeds (REDUCE) for a write — not overwrite each other. Each
-// retained trace's counter must also agree with the "fault"/"fired"
+// incident exemplar's counter must also agree with the "fault"/"fired"
 // events actually recorded on the request's tracer.
 TEST(QueryServiceTest, FaultFiresAccumulateAcrossPlanExecuteAndReduce) {
   std::unique_ptr<core::Database> db = MakeDatabase();
@@ -251,7 +250,7 @@ TEST(QueryServiceTest, FaultFiresAccumulateAcrossPlanExecuteAndReduce) {
                             fault::FaultSpec::FirstN(2));
 
   ServerConfig config;
-  config.flight_recorder.enabled = true;
+  config.trace_requests = true;
   QueryService service(db.get(), config);
   const SessionId session = service.OpenSession();
   const std::vector<QueryResponse> responses = service.ExecuteBatch(
@@ -264,10 +263,12 @@ TEST(QueryServiceTest, FaultFiresAccumulateAcrossPlanExecuteAndReduce) {
   ASSERT_TRUE(responses[1].dml.has_value());
   EXPECT_EQ(responses[1].dml->retry.attempts, 3);
 
-  const auto traces = service.flight_recorder()->Snapshot();
   const obs::RequestTrace* read = nullptr;
   const obs::RequestTrace* write = nullptr;
-  for (const obs::RequestTrace* trace : traces) {
+  for (const obs::FingerprintLedger::Exemplar& exemplar :
+       service.ledger()->Exemplars()) {
+    if (!exemplar.incident) continue;
+    const obs::RequestTrace* trace = exemplar.trace;
     if (trace->request_id == responses[0].request_id) read = trace;
     if (trace->request_id == responses[1].request_id) write = trace;
   }
