@@ -200,6 +200,7 @@ Result<ExecutionResult> Database::ExecutePlan(const opt::PlannedQuery& plan,
   ctx.fault = &fault_;
   ctx.tracer = tracer != nullptr ? tracer : tracer_;
   ctx.metrics = metrics_;
+  ctx.set_workspace(&workspace_);
   if (metrics_ != nullptr) {
     metrics_->GetCounter("db.queries_executed")->Increment();
   }

@@ -173,7 +173,8 @@ class Database {
   /// `snapshot_epoch` pins which row versions scans see, so a request
   /// admitted before a DML commit reads the pre-commit state (default:
   /// latest). A non-null `tracer` replaces the attached one for this call,
-  /// fault-injector fires included.
+  /// fault-injector fires included. Runs take their temporaries from the
+  /// database's one executor workspace, so calls must not overlap.
   Result<ExecutionResult> ExecutePlan(
       const opt::PlannedQuery& plan,
       uint64_t snapshot_epoch = storage::kLatestSnapshot,
@@ -267,6 +268,7 @@ class Database {
   obs::MetricsRegistry* metrics_ = nullptr;
   fault::FaultInjector fault_;
   fault::GovernorLimits governor_limits_;
+  exec::Workspace workspace_;  // ExecutePlan's, warm across calls
   bool feedback_enabled_ = false;
   stats::WorkloadPriorBuilder feedback_;
   bool provenance_capture_ = false;

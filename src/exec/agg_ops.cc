@@ -251,9 +251,10 @@ class GroupTable {
 };
 
 // Group ids through `GroupTable`: any number of key columns, any span.
+// Writes group_of[0, n).
 Status HashGroupIds(const std::vector<ColumnView>& key_cols, uint64_t n,
-                    fault::MemoryReservation* workspace,
-                    uint64_t group_bytes, std::vector<size_t>* group_of,
+                    fault::MemoryReservation* reservation,
+                    uint64_t group_bytes, Rid* group_of,
                     std::vector<int64_t>* keys) {
   const size_t k = key_cols.size();
   GroupTable table(k, keys);
@@ -261,22 +262,22 @@ Status HashGroupIds(const std::vector<ColumnView>& key_cols, uint64_t n,
   for (uint64_t i = 0; i < n; ++i) {
     for (size_t g = 0; g < k; ++g) key[g] = key_cols[g].Int64At(i);
     const auto [group, inserted] = table.FindOrInsert(key.data());
-    if (inserted) RQO_RETURN_NOT_OK(workspace->Grow(group_bytes));
-    (*group_of)[i] = group;
+    if (inserted) RQO_RETURN_NOT_OK(reservation->Grow(group_bytes));
+    group_of[i] = group;
   }
   return Status::OK();
 }
 
 // Group ids for one integer key whose observed span fits in the input
-// (max - min + 1 <= n): group ids are looked up in a slot array indexed by
-// key - min, so the slot array is never larger than `group_of`. Groups are
-// numbered in first-seen order, as HashGroupIds numbers them. Returns false,
-// having assigned nothing, when the span is wider than the input.
+// (max - min + 1 <= n): group ids are looked up in a slot array (a
+// workspace buffer) indexed by key - min, so the slot array is never larger
+// than `group_of`. Groups are numbered in first-seen order, as HashGroupIds
+// numbers them. Returns false, having assigned nothing, when the span is
+// wider than the input; else writes group_of[0, n).
 Result<bool> DirectGroupIds(const ColumnView& key_col, uint64_t n,
-                            fault::MemoryReservation* workspace,
-                            uint64_t group_bytes,
-                            std::vector<size_t>* group_of,
-                            std::vector<int64_t>* keys) {
+                            fault::MemoryReservation* reservation,
+                            uint64_t group_bytes, Workspace* workspace,
+                            Rid* group_of, std::vector<int64_t>* keys) {
   if (n == 0) return false;
   return WithValues<int64_t>(key_col, [&](const auto& key_at) -> Result<bool> {
     int64_t min = key_at(0);
@@ -290,19 +291,19 @@ Result<bool> DirectGroupIds(const ColumnView& key_col, uint64_t n,
     const uint64_t span_minus_one =
         static_cast<uint64_t>(max) - static_cast<uint64_t>(min);
     if (span_minus_one >= n) return false;
-    constexpr size_t kEmpty = SIZE_MAX;
-    std::vector<size_t> slots(span_minus_one + 1, kEmpty);
-    size_t* out = group_of->data();
+    constexpr Rid kEmpty = ~Rid{0};
+    RidBuffer& slots = workspace->Take<Rid>();
+    slots.assign(span_minus_one + 1, kEmpty);
     for (uint64_t i = 0; i < n; ++i) {
       const int64_t v = key_at(i);
-      size_t& slot =
+      Rid& slot =
           slots[static_cast<uint64_t>(v) - static_cast<uint64_t>(min)];
       if (slot == kEmpty) {
         slot = keys->size();
         keys->push_back(v);
-        RQO_RETURN_NOT_OK(workspace->Grow(group_bytes));
+        RQO_RETURN_NOT_OK(reservation->Grow(group_bytes));
       }
-      out[i] = slot;
+      group_of[i] = slot;
     }
     return true;
   });
@@ -327,11 +328,13 @@ LimitOp::LimitOp(OperatorPtr child, uint64_t limit)
 
 Result<RowSet> LimitOp::Execute(ExecContext* ctx) const {
   RQO_ASSIGN_OR_RETURN(const RowSet input, RunChild(*child_, ctx));
-  std::vector<Rid> rows(std::min(input.num_rows(), limit_));
+  Workspace& workspace = ctx->workspace();
+  RidBuffer& rows =
+      workspace.Take<Rid>(std::min(input.num_rows(), limit_));
   std::iota(rows.begin(), rows.end(), Rid{0});
   RQO_RETURN_NOT_OK(
       ctx->TickRows(rows.size(), ApproximateRowBytes(input.schema())));
-  RowSet out = input.Take("limit", std::move(rows));
+  RowSet out = input.Take("limit", rows, &workspace);
   ctx->meter.ChargeOutputTuples(ctx->cost_model, out.num_rows());
   return out;
 }
@@ -361,7 +364,8 @@ Result<RowSet> ProjectOp::Execute(ExecContext* ctx) const {
   sources.reserve(col_idx.size());
   for (size_t c : col_idx) sources.emplace_back(0, c);
   RowSet out = RowSet::Combine("project", std::move(schema), n,
-                               {{&input, nullptr}}, sources);
+                               {{&input, nullptr}}, sources,
+                               &ctx->workspace());
   ctx->meter.ChargeOutputTuples(ctx->cost_model, out.num_rows());
   return out;
 }
@@ -441,8 +445,10 @@ Result<RowSet> GroupByAggregateOp::Execute(ExecContext* ctx) const {
   // keys[g*k, (g+1)*k) and its states are states[g*aggs, (g+1)*aggs). The
   // group ids come from a slot array when a single key's span fits in the
   // input, else from a hash table. Either is transient workspace, charged
-  // per new group and released when the operator finishes.
-  fault::MemoryReservation workspace(ctx->governor);
+  // per new group and released when the operator finishes. Row i's group
+  // id, group_of[i], is a 64-bit workspace buffer like a RID list, written
+  // for every row.
+  fault::MemoryReservation reservation(ctx->governor);
   const size_t k = group_idx.size();
   const size_t num_aggs = aggs_.size();
   const uint64_t group_bytes = (k + num_aggs * 4 + 4) * sizeof(int64_t);
@@ -450,23 +456,24 @@ Result<RowSet> GroupByAggregateOp::Execute(ExecContext* ctx) const {
   key_cols.reserve(k);
   for (size_t g : group_idx) key_cols.push_back(input.column(g));
   const uint64_t n = input.num_rows();
-  std::vector<size_t> group_of(n);
+  Workspace& workspace = ctx->workspace();
+  Rid* group_of = workspace.Take<Rid>(n).data();
   std::vector<int64_t> keys;
   bool direct = false;
   if (k == 1) {
     RQO_ASSIGN_OR_RETURN(direct,
-                         DirectGroupIds(key_cols[0], n, &workspace,
-                                        group_bytes, &group_of, &keys));
+                         DirectGroupIds(key_cols[0], n, &reservation,
+                                        group_bytes, &workspace, group_of,
+                                        &keys));
   }
   if (!direct) {
-    RQO_RETURN_NOT_OK(HashGroupIds(key_cols, n, &workspace, group_bytes,
-                                   &group_of, &keys));
+    RQO_RETURN_NOT_OK(HashGroupIds(key_cols, n, &reservation, group_bytes,
+                                   group_of, &keys));
   }
   const size_t num_groups = keys.size() / k;
   std::vector<AggState> states(num_groups * num_aggs);
-  const size_t* group_ids = group_of.data();
   Accumulate(input, aggs_, agg_cols,
-             [group_ids](uint64_t i) { return group_ids[i]; }, states.data());
+             [group_of](uint64_t i) { return group_of[i]; }, states.data());
   RQO_RETURN_NOT_OK(ctx->CheckPoint());
 
   // Output in ascending key order: one sort of the distinct keys.

@@ -32,26 +32,43 @@ Result<ColumnView> JoinKey(const RowSet& rows, const std::string& key) {
   return view;
 }
 
-// Merge order of `keys`: empty when they already arrive sorted, else a
-// stable sort permutation, charged like a SortOp. UPDATE appends new
-// versions out of clustering order, and a cached merge-join plan can
-// outlive the write (the plan cache is keyed on the statistics epoch, not
-// the data epoch), so the operator checks its inputs instead of trusting
-// the plan.
-Result<std::vector<Rid>> MergeOrder(const std::vector<int64_t>& keys,
-                                    ExecContext* ctx,
-                                    fault::MemoryReservation* workspace) {
-  if (std::is_sorted(keys.begin(), keys.end())) return std::vector<Rid>{};
-  const Rid n = keys.size();
+// Merge order of the `n` `keys`: null when they already arrive sorted, else
+// a stable sort permutation in a workspace buffer, charged like a SortOp.
+// UPDATE appends new versions out of clustering order, and a cached
+// merge-join plan can outlive the write (the plan cache is keyed on the
+// statistics epoch, not the data epoch), so the operator checks its inputs
+// instead of trusting the plan.
+Result<const Rid*> MergeOrder(const int64_t* keys, Rid n, ExecContext* ctx,
+                              fault::MemoryReservation* reservation) {
+  if (std::is_sorted(keys, keys + n)) return nullptr;
   ctx->meter.ChargeSortWork(ctx->cost_model, n);
-  RQO_RETURN_NOT_OK(workspace->Grow(n * sizeof(Rid)));
-  std::vector<Rid> order(n);
+  RQO_RETURN_NOT_OK(reservation->Grow(n * sizeof(Rid)));
+  RidBuffer& order = ctx->workspace().Take<Rid>(n);
   std::iota(order.begin(), order.end(), Rid{0});
   std::stable_sort(order.begin(), order.end(),
-                   [&keys](Rid a, Rid b) { return keys[a] < keys[b]; });
+                   [keys](Rid a, Rid b) { return keys[a] < keys[b]; });
   RQO_RETURN_NOT_OK(ctx->CheckPoint());
-  return order;
+  return order.data();
 }
+
+// Matched (left row, right row) pairs in emit order, in two workspace
+// buffers with room for `expected` pairs (they grow past it).
+struct JoinPairs {
+  RidBuffer& left;
+  RidBuffer& right;
+
+  JoinPairs(Workspace* workspace, size_t expected)
+      : left(workspace->Take<Rid>()), right(workspace->Take<Rid>()) {
+    left.reserve(expected);
+    right.reserve(expected);
+  }
+
+  void Add(Rid l, Rid r) {
+    left.push_back(l);
+    right.push_back(r);
+  }
+  size_t size() const { return left.size(); }
+};
 
 // Output plumbing for binary joins: maps each requested output column to
 // (which input, column index there), as RowSet::Combine reads it.
@@ -87,47 +104,31 @@ struct JoinOutput {
     return out;
   }
 
-  // The joined rows (left row left_rows[i] beside right row
-  // right_rows[i]), composed with each input's slices.
-  RowSet Join(std::string name, const RowSet& left,
-              std::vector<Rid> left_rows, const RowSet& right,
-              std::vector<Rid> right_rows) const {
-    const uint64_t n = left_rows.size();
-    return RowSet::Combine(
-        std::move(name), schema, n,
-        {{&left, std::make_shared<const std::vector<Rid>>(
-                     std::move(left_rows))},
-         {&right, std::make_shared<const std::vector<Rid>>(
-                      std::move(right_rows))}},
-        sources);
+  // The joined rows (left row pairs.left[i] beside right row
+  // pairs.right[i]), composed with each input's slices.
+  RowSet Join(std::string name, const RowSet& left, const RowSet& right,
+              const JoinPairs& pairs, Workspace* workspace) const {
+    return RowSet::Combine(std::move(name), schema, pairs.size(),
+                           {{&left, &pairs.left}, {&right, &pairs.right}},
+                           sources, workspace);
   }
 };
 
-// Matched (left row, right row) pairs in emit order.
-struct JoinPairs {
-  std::vector<Rid> left;
-  std::vector<Rid> right;
-
-  void Add(Rid l, Rid r) {
-    left.push_back(l);
-    right.push_back(r);
-  }
-  size_t size() const { return left.size(); }
-};
-
-// Build side of the hash join: a chained hash table over the build rows
-// (bucket heads plus one next link per row). Rows are inserted in
-// ascending order and prepended to their chain, so Probe visits each key's
-// matches in descending build-row order.
+// Build side of the hash join: a chained hash table over the `n` build
+// keys (bucket heads plus one next link per row, in workspace buffers).
+// Rows are inserted in ascending order and prepended to their chain, so
+// Probe visits each key's matches in descending build-row order.
 class JoinHashTable {
  public:
-  explicit JoinHashTable(std::vector<int64_t> keys)
-      : keys_(std::move(keys)), next_(keys_.size(), kNone) {
+  JoinHashTable(const int64_t* keys, Rid n, Workspace* workspace)
+      : keys_(keys),
+        next_(workspace->Take<Rid>(n)),
+        heads_(workspace->Take<Rid>()) {
     size_t buckets = 16;
-    while (buckets < keys_.size() * 2) buckets <<= 1;
+    while (buckets < n * 2) buckets <<= 1;
     heads_.assign(buckets, kNone);
     shift_ = 64 - static_cast<int>(std::countr_zero(buckets));
-    for (Rid rid = 0; rid < keys_.size(); ++rid) {
+    for (Rid rid = 0; rid < n; ++rid) {
       Rid& head = heads_[Bucket(keys_[rid])];
       next_[rid] = head;
       head = rid;
@@ -151,9 +152,9 @@ class JoinHashTable {
         (static_cast<uint64_t>(key) * 0x9E3779B97F4A7C15ULL) >> shift_);
   }
 
-  std::vector<int64_t> keys_;
-  std::vector<Rid> next_;
-  std::vector<Rid> heads_;
+  const int64_t* keys_;
+  RidBuffer& next_;
+  RidBuffer& heads_;
   int shift_ = 0;
 };
 
@@ -182,10 +183,12 @@ Result<RowSet> HashJoinOp::Execute(ExecContext* ctx) const {
                             probe_rows.num_rows());
 
   // Hash-table workspace: key + rid + bucket overhead per build entry.
-  fault::MemoryReservation workspace(ctx->governor);
-  RQO_RETURN_NOT_OK(workspace.Grow(build_rows.num_rows() * 24));
+  fault::MemoryReservation reservation(ctx->governor);
+  RQO_RETURN_NOT_OK(reservation.Grow(build_rows.num_rows() * 24));
+  Workspace& workspace = ctx->workspace();
   const JoinHashTable hash_table(
-      build_keys.Int64Values(build_rows.num_rows()));
+      build_keys.Int64Values(build_rows.num_rows(), &workspace),
+      build_rows.num_rows(), &workspace);
   RQO_RETURN_NOT_OK(ctx->CheckPoint());
 
   RQO_ASSIGN_OR_RETURN(
@@ -193,8 +196,10 @@ Result<RowSet> HashJoinOp::Execute(ExecContext* ctx) const {
       JoinOutput::Plan(build_rows.schema(), probe_rows.schema(),
                        output_columns_));
   const uint64_t row_bytes = ApproximateRowBytes(plan.schema);
-  JoinPairs pairs;
   const Rid probe_n = probe_rows.num_rows();
+  // A probe row matches at most one build row when the build keys are
+  // unique (a foreign key probing its primary key).
+  JoinPairs pairs(&workspace, probe_n);
   for (Rid start = 0; start < probe_n; start += kTickBatch) {
     const size_t before = pairs.size();
     const Rid end = std::min(probe_n, start + kTickBatch);
@@ -204,8 +209,8 @@ Result<RowSet> HashJoinOp::Execute(ExecContext* ctx) const {
     }
     RQO_RETURN_NOT_OK(ctx->TickRows(pairs.size() - before, row_bytes));
   }
-  RowSet out = plan.Join("hashjoin", build_rows, std::move(pairs.left),
-                         probe_rows, std::move(pairs.right));
+  RowSet out =
+      plan.Join("hashjoin", build_rows, probe_rows, pairs, &workspace);
   ctx->meter.ChargeOutputTuples(ctx->cost_model, out.num_rows());
   return out;
 }
@@ -237,21 +242,24 @@ Result<RowSet> MergeJoinOp::Execute(ExecContext* ctx) const {
                        JoinKey(left_rows, left_key_));
   RQO_ASSIGN_OR_RETURN(const ColumnView right_keys,
                        JoinKey(right_rows, right_key_));
-  const std::vector<int64_t> lkeys =
-      left_keys.Int64Values(left_rows.num_rows());
-  const std::vector<int64_t> rkeys =
-      right_keys.Int64Values(right_rows.num_rows());
+  // An unselected side's keys are read in place.
+  Workspace& workspace = ctx->workspace();
+  const Rid ln = left_rows.num_rows();
+  const Rid rn = right_rows.num_rows();
+  const int64_t* lkeys = left_keys.Int64Values(ln, &workspace);
+  const int64_t* rkeys = right_keys.Int64Values(rn, &workspace);
 
-  ctx->meter.ChargeCpuTuples(
-      ctx->cost_model, left_rows.num_rows() + right_rows.num_rows());
-  fault::MemoryReservation workspace(ctx->governor);
-  RQO_ASSIGN_OR_RETURN(const std::vector<Rid> left_order,
-                       MergeOrder(lkeys, ctx, &workspace));
-  RQO_ASSIGN_OR_RETURN(const std::vector<Rid> right_order,
-                       MergeOrder(rkeys, ctx, &workspace));
-  auto left_at = [&](Rid i) { return left_order.empty() ? i : left_order[i]; };
+  ctx->meter.ChargeCpuTuples(ctx->cost_model, ln + rn);
+  fault::MemoryReservation reservation(ctx->governor);
+  RQO_ASSIGN_OR_RETURN(const Rid* left_order,
+                       MergeOrder(lkeys, ln, ctx, &reservation));
+  RQO_ASSIGN_OR_RETURN(const Rid* right_order,
+                       MergeOrder(rkeys, rn, ctx, &reservation));
+  auto left_at = [&](Rid i) {
+    return left_order == nullptr ? i : left_order[i];
+  };
   auto right_at = [&](Rid i) {
-    return right_order.empty() ? i : right_order[i];
+    return right_order == nullptr ? i : right_order[i];
   };
 
   RQO_ASSIGN_OR_RETURN(
@@ -259,12 +267,12 @@ Result<RowSet> MergeJoinOp::Execute(ExecContext* ctx) const {
       JoinOutput::Plan(left_rows.schema(), right_rows.schema(),
                        output_columns_));
   const uint64_t row_bytes = ApproximateRowBytes(plan.schema);
-  JoinPairs pairs;
+  // A foreign key joining its primary key matches each row of its own side
+  // at most once.
+  JoinPairs pairs(&workspace, std::max(ln, rn));
   uint64_t unticked = 0;  // pairs not yet charged to the governor
   Rid li = 0;
   Rid ri = 0;
-  const Rid ln = lkeys.size();
-  const Rid rn = rkeys.size();
   while (li < ln && ri < rn) {
     const int64_t lkey = lkeys[left_at(li)];
     const int64_t rkey = rkeys[right_at(ri)];
@@ -292,8 +300,8 @@ Result<RowSet> MergeJoinOp::Execute(ExecContext* ctx) const {
     }
   }
   RQO_RETURN_NOT_OK(ctx->TickRows(unticked, row_bytes));
-  RowSet out = plan.Join("mergejoin", left_rows, std::move(pairs.left),
-                         right_rows, std::move(pairs.right));
+  RowSet out =
+      plan.Join("mergejoin", left_rows, right_rows, pairs, &workspace);
   ctx->meter.ChargeOutputTuples(ctx->cost_model, out.num_rows());
   return out;
 }
@@ -334,10 +342,11 @@ Result<RowSet> IndexNestedLoopJoinOp::Execute(ExecContext* ctx) const {
       JoinOutput::Plan(outer_rows.schema(), inner->schema(),
                        output_columns_));
   const uint64_t row_bytes = ApproximateRowBytes(plan.schema);
-  JoinPairs pairs;
+  Workspace& workspace = ctx->workspace();
+  JoinPairs pairs(&workspace, outer_rows.num_rows());
   for (Rid orid = 0; orid < outer_rows.num_rows(); ++orid) {
     uint64_t entries = 0;
-    std::vector<Rid> matches = index->EqualLookup(
+    const std::span<const Rid> matches = index->EqualLookup(
         static_cast<double>(outer_keys.Int64At(orid)), &entries);
     ctx->meter.ChargeIndexProbe(ctx->cost_model, entries);
     ctx->meter.ChargeRandomIo(ctx->cost_model, matches.size());
@@ -357,8 +366,7 @@ Result<RowSet> IndexNestedLoopJoinOp::Execute(ExecContext* ctx) const {
   const RowSet inner_rows = RowSet::Identity(
       inner_table_, inner->schema(), inner, AllColumns(inner->schema()),
       inner->num_rows());
-  RowSet out = plan.Join("inlj", outer_rows, std::move(pairs.left),
-                         inner_rows, std::move(pairs.right));
+  RowSet out = plan.Join("inlj", outer_rows, inner_rows, pairs, &workspace);
   ctx->meter.ChargeOutputTuples(ctx->cost_model, out.num_rows());
   return out;
 }

@@ -16,6 +16,10 @@
 // Tick(1, row_bytes) per row: a budget trips at the same row with the same
 // status, and rows_charged, peak memory and checkpoint positions agree.
 //
+// Per-row temporaries (masks, RID lists, join pairs, key copies, group ids)
+// come from the run's Workspace (exec/workspace.h), which keeps its memory
+// across runs; ExecContext::workspace() is the one way to it.
+//
 // Execution is fallible by design: Run() returns Result<Table> and
 // operators cooperate with the per-query governor (memory/row/time budgets,
 // cancellation) and the fault injector inside their loops, so a tripped
@@ -25,11 +29,13 @@
 #define ROBUSTQO_EXEC_OPERATOR_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "exec/cost_model.h"
 #include "exec/row_set.h"
+#include "exec/workspace.h"
 #include "expr/expression.h"
 #include "fault/fault_injector.h"
 #include "fault/governor.h"
@@ -86,8 +92,19 @@ struct ExecContext {
   /// inside a run); only the row that trips goes through Tick.
   Status TickRows(uint64_t rows, uint64_t row_bytes);
 
+  /// Where this context's runs take their per-row temporaries: the
+  /// long-lived workspace set by set_workspace(), else a fresh one this
+  /// context owns.
+  Workspace& workspace();
+
+  /// Borrows `workspace` (a service worker's or the database's) for this
+  /// context's runs; it must outlive them and serve no other run meanwhile.
+  void set_workspace(Workspace* workspace) { workspace_ = workspace; }
+
  private:
   uint64_t rows_since_checkpoint_ = 0;
+  Workspace* workspace_ = nullptr;
+  std::unique_ptr<Workspace> owned_workspace_;
 };
 
 /// Base class for physical operators.
@@ -96,8 +113,9 @@ class PhysicalOperator {
   virtual ~PhysicalOperator() = default;
 
   /// Runs the operator (and its subtree) and gathers its rows into one
-  /// table, charging `ctx->meter`. Fails with a typed Status on malformed
-  /// plans (kNotFound/kInvalidArgument), governor trips
+  /// table, charging `ctx->meter`, with `ctx->workspace()` reset before and
+  /// after. Fails with a typed Status on malformed plans
+  /// (kNotFound/kInvalidArgument), governor trips
   /// (kResourceExhausted/kCancelled) or injected faults.
   Result<storage::Table> Run(ExecContext* ctx) const;
 
@@ -154,20 +172,29 @@ Result<storage::Schema> ProjectSchema(const storage::Schema& schema,
                                       const std::vector<std::string>& columns);
 
 /// Rows of `table` visible at `snapshot` that satisfy `predicate` (every
-/// visible row when null), in RID order. The predicate is evaluated once
-/// over the whole table with perf::BatchEvaluateMask.
-std::vector<storage::Rid> SelectRows(const storage::Table& table,
-                                     const expr::Expr* predicate,
-                                     uint64_t snapshot);
+/// visible row when null), in RID order, in a `workspace` buffer. The
+/// predicate is evaluated once over the whole table with
+/// perf::BatchEvaluateMask.
+const RidBuffer& SelectRows(const storage::Table& table,
+                            const expr::Expr* predicate, uint64_t snapshot,
+                            Workspace* workspace);
 
 /// Keeps the RID-addressed `rids` of `source` (index or semijoin
 /// survivors) that are visible at the snapshot and pass `residual` (null =
-/// all; evaluated per row, since such survivors are sparse), and charges
-/// them to the governor as one run of `row_bytes` rows.
-Result<std::vector<storage::Rid>> FetchRows(
-    ExecContext* ctx, const storage::Table& source,
-    const std::vector<storage::Rid>& rids, const expr::Expr* residual,
-    uint64_t row_bytes);
+/// all; evaluated per row, since such survivors are sparse), copied into a
+/// workspace buffer, and charges them to the governor as one run of
+/// `row_bytes` rows.
+Result<const RidBuffer*> FetchRows(ExecContext* ctx,
+                                   const storage::Table& source,
+                                   std::span<const storage::Rid> rids,
+                                   const expr::Expr* residual,
+                                   uint64_t row_bytes);
+
+/// The intersection of the ascending RID `lists` (at least one), in
+/// ascending order: the only list itself, or one of two workspace buffers
+/// the pairwise steps alternate between.
+const RidBuffer& IntersectRids(const std::vector<const RidBuffer*>& lists,
+                               Workspace* workspace);
 
 /// The identity column list 0..n-1 of `schema`.
 std::vector<size_t> AllColumns(const storage::Schema& schema);

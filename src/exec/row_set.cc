@@ -14,53 +14,52 @@ namespace {
 
 // `slice` restricted to its rows `rows` (all of them when null): an
 // unselected slice shares `rows`; a selected one gathers its RIDs.
-RowSlice Compose(RowSlice slice, const RidList& rows) {
+RowSlice Compose(RowSlice slice, RidList rows, Workspace* workspace) {
   if (rows == nullptr) return slice;
   if (slice.rids == nullptr) {
     slice.rids = rows;
     return slice;
   }
-  const std::vector<Rid>& from = *slice.rids;
-  auto rids = std::make_shared<std::vector<Rid>>(rows->size());
-  for (size_t i = 0; i < rids->size(); ++i) (*rids)[i] = from[(*rows)[i]];
-  slice.rids = std::move(rids);
+  const Rid* from = slice.rids->data();
+  RidBuffer& rids = workspace->Take<Rid>(rows->size());
+  for (size_t i = 0; i < rids.size(); ++i) rids[i] = from[(*rows)[i]];
+  slice.rids = &rids;
   return slice;
 }
 
-template <typename T, typename Read>
-std::vector<T> Values(const ColumnView& view, uint64_t n, const Read& read) {
-  std::vector<T> out(n);
-  if (view.rids == nullptr) {
-    for (uint64_t i = 0; i < n; ++i) out[i] = read(i);
-  } else {
-    for (uint64_t i = 0; i < n; ++i) out[i] = read(view.rids[i]);
-  }
-  return out;
+// The first `n` values of `view`: `data` itself when unselected, else
+// gathered through the view's RIDs into a workspace buffer.
+template <typename T>
+const T* Values(const ColumnView& view, uint64_t n, const T* data,
+                Workspace* workspace) {
+  if (view.rids == nullptr) return data;
+  Buffer<T>& out = workspace->Take<T>(n);
+  for (uint64_t i = 0; i < n; ++i) out[i] = data[view.rids[i]];
+  return out.data();
 }
 
 }  // namespace
 
-std::vector<int64_t> ColumnView::Int64Values(uint64_t n) const {
+const int64_t* ColumnView::Int64Values(uint64_t n,
+                                       Workspace* workspace) const {
   RQO_CHECK_MSG(storage::IsIntegerPhysical(type()),
                 "integer read of a non-integer column");
-  return Values<int64_t>(*this, n,
-                         [this](Rid rid) { return column->Int64At(rid); });
+  return Values(*this, n, column->int64_data(), workspace);
 }
 
-std::vector<double> ColumnView::DoubleValues(uint64_t n) const {
+const double* ColumnView::DoubleValues(uint64_t n,
+                                       Workspace* workspace) const {
   RQO_CHECK_MSG(type() == storage::DataType::kDouble,
                 "double read of a non-double column");
-  return Values<double>(*this, n,
-                        [this](Rid rid) { return column->DoubleAt(rid); });
+  return Values(*this, n, column->double_data(), workspace);
 }
 
 RowSet RowSet::Select(std::string name, storage::Schema schema,
                       const Table* table, const std::vector<size_t>& columns,
-                      std::vector<Rid> rids) {
+                      const RidBuffer& rids) {
   RowSet out = Identity(std::move(name), std::move(schema), table, columns,
                         rids.size());
-  out.slices_[0].rids =
-      std::make_shared<const std::vector<Rid>>(std::move(rids));
+  out.slices_[0].rids = &rids;
   return out;
 }
 
@@ -88,7 +87,8 @@ RowSet RowSet::Own(Table table) {
 
 RowSet RowSet::Combine(std::string name, storage::Schema schema,
                        uint64_t num_rows, const std::vector<Input>& inputs,
-                       const std::vector<std::pair<size_t, size_t>>& sources) {
+                       const std::vector<std::pair<size_t, size_t>>& sources,
+                       Workspace* workspace) {
   RowSet out;
   out.name_ = std::move(name);
   out.schema_ = std::move(schema);
@@ -105,21 +105,20 @@ RowSet RowSet::Combine(std::string name, storage::Schema schema,
     size_t& dest = slot[input][s];
     if (dest == SIZE_MAX) {
       dest = out.slices_.size();
-      out.slices_.push_back(Compose(set.slices_[s], inputs[input].rows));
+      out.slices_.push_back(
+          Compose(set.slices_[s], inputs[input].rows, workspace));
     }
     out.columns_.emplace_back(dest, column);
   }
   return out;
 }
 
-RowSet RowSet::Take(std::string name, std::vector<Rid> rows) const {
+RowSet RowSet::Take(std::string name, const RidBuffer& rows,
+                    Workspace* workspace) const {
   std::vector<std::pair<size_t, size_t>> sources(columns_.size());
   for (size_t c = 0; c < sources.size(); ++c) sources[c] = {0, c};
-  const uint64_t n = rows.size();
-  return Combine(std::move(name), schema_, n,
-                 {{this, std::make_shared<const std::vector<Rid>>(
-                             std::move(rows))}},
-                 sources);
+  return Combine(std::move(name), schema_, rows.size(), {{this, &rows}},
+                 sources, workspace);
 }
 
 ColumnView RowSet::column(size_t c) const {
@@ -129,24 +128,30 @@ ColumnView RowSet::column(size_t c) const {
           slice.rids == nullptr ? nullptr : slice.rids->data()};
 }
 
-Table RowSet::Materialize() const {
+Table RowSet::Materialize(Workspace* workspace) const {
   Table out(name_, schema_);
+  // Row i of an unselected slice is row i: such slices gather through one
+  // identity list, made on first use.
+  const RidBuffer* all = nullptr;
+  const auto identity = [&]() -> const RidBuffer& {
+    if (all == nullptr) {
+      RidBuffer& rids = workspace->Take<Rid>(num_rows_);
+      std::iota(rids.begin(), rids.end(), Rid{0});
+      all = &rids;
+    }
+    return *all;
+  };
   if (columns_.empty()) {
     // No values to gather; only the row count carries over.
-    out.AppendGather(out, std::vector<Rid>(num_rows_), {});
+    out.AppendGather(out, identity(), {});
     return out;
   }
-  std::vector<Rid> all;  // row i of an unselected slice is row i
   for (size_t c = 0; c < columns_.size(); ++c) {
     const auto& [s, column] = columns_[c];
     const RowSlice& slice = slices_[s];
-    if (slice.rids == nullptr && all.size() != num_rows_) {
-      all.resize(num_rows_);
-      std::iota(all.begin(), all.end(), Rid{0});
-    }
     out.mutable_column(c)->AppendGather(
         slice.table->column(column),
-        slice.rids == nullptr ? all : *slice.rids);
+        slice.rids == nullptr ? identity() : *slice.rids);
   }
   out.FinalizeBulkLoad();
   return out;

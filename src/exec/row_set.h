@@ -11,7 +11,8 @@
 // columns. Values are copied once, when PhysicalOperator::Run() gathers the
 // plan's result with Materialize().
 //
-// A RowSet borrows catalog tables, so it must not outlive the plan run that
+// A RowSet borrows catalog tables, and its RID lists live in the run's
+// workspace (exec/workspace.h), so it must not outlive the plan run that
 // made it. Reads run while the catalog is stable (DML applies only between
 // runs), so borrowing adds no sharing a materialized copy did not.
 
@@ -24,13 +25,15 @@
 #include <utility>
 #include <vector>
 
+#include "exec/workspace.h"
 #include "storage/table.h"
 
 namespace robustqo {
 namespace exec {
 
-/// An immutable RID list, shared by the slices composed from it.
-using RidList = std::shared_ptr<const std::vector<storage::Rid>>;
+/// A RID list in workspace storage, shared by the slices composed from it
+/// and valid for the run that made it; null means every row, in order.
+using RidList = const RidBuffer*;
 
 /// The rows one table contributes to a RowSet: row i of the set is row
 /// `(*rids)[i]` of `table`, or row i itself when `rids` is null.
@@ -52,10 +55,12 @@ struct ColumnView {
     return column->Int64At(rids == nullptr ? i : rids[i]);
   }
 
-  /// The first `n` values of an integer-physical column, in row order.
-  std::vector<int64_t> Int64Values(uint64_t n) const;
-  /// The first `n` values of a double column, in row order.
-  std::vector<double> DoubleValues(uint64_t n) const;
+  /// The first `n` values of an integer-physical column, in row order: the
+  /// column's own array when there is no selection, else a copy gathered
+  /// into a `workspace` buffer.
+  const int64_t* Int64Values(uint64_t n, Workspace* workspace) const;
+  /// The first `n` values of a double column, likewise.
+  const double* DoubleValues(uint64_t n, Workspace* workspace) const;
 };
 
 /// Output rows of an operator: a schema, its row count, the slices its
@@ -68,7 +73,7 @@ class RowSet {
   static RowSet Select(std::string name, storage::Schema schema,
                        const storage::Table* table,
                        const std::vector<size_t>& columns,
-                       std::vector<storage::Rid> rids);
+                       const RidBuffer& rids);
 
   /// The first `num_rows` rows of `table` (borrowed), with no selection.
   static RowSet Identity(std::string name, storage::Schema schema,
@@ -91,13 +96,16 @@ class RowSet {
   /// `num_rows` rows); output column j is column `sources[j].second` of
   /// input `sources[j].first`. Only slices some output column reads are
   /// kept, each composed with its input's rows once: an unselected slice
-  /// shares `rows`, a selected one gathers its RIDs through them.
+  /// shares `rows`, a selected one gathers its RIDs through them into a
+  /// `workspace` buffer.
   static RowSet Combine(std::string name, storage::Schema schema,
                         uint64_t num_rows, const std::vector<Input>& inputs,
-                        const std::vector<std::pair<size_t, size_t>>& sources);
+                        const std::vector<std::pair<size_t, size_t>>& sources,
+                        Workspace* workspace);
 
   /// Rows `rows` of this set with every column (a filter, sort or limit).
-  RowSet Take(std::string name, std::vector<storage::Rid> rows) const;
+  RowSet Take(std::string name, const RidBuffer& rows,
+              Workspace* workspace) const;
 
   const std::string& name() const { return name_; }
   const storage::Schema& schema() const { return schema_; }
@@ -112,8 +120,8 @@ class RowSet {
   ColumnView column(size_t c) const;
 
   /// The gather: every output column copied into a table, one column at a
-  /// time.
-  storage::Table Materialize() const;
+  /// time (an unselected slice through identity RIDs in `workspace`).
+  storage::Table Materialize(Workspace* workspace) const;
 
  private:
   std::string name_;

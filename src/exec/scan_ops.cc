@@ -55,7 +55,8 @@ Result<RowSet> SeqScanOp::Execute(ExecContext* ctx) const {
           : RowSet::Select(table_ + "$scan", std::move(schema), source,
                            col_idx,
                            SelectRows(*source, predicate_.get(),
-                                      ctx->snapshot_epoch));
+                                      ctx->snapshot_epoch,
+                                      &ctx->workspace()));
   RQO_RETURN_NOT_OK(ctx->TickRows(out.num_rows(), row_bytes));
   ctx->meter.ChargeOutputTuples(ctx->cost_model, out.num_rows());
   return out;
@@ -83,7 +84,8 @@ Result<RowSet> IndexRangeScanOp::Execute(ExecContext* ctx) const {
                        LookupIndex(*ctx, table_, range_.column));
 
   uint64_t entries = 0;
-  std::vector<Rid> rids = index->RangeLookup(range_.lo, range_.hi, &entries);
+  const std::span<const Rid> rids =
+      index->RangeLookup(range_.lo, range_.hi, &entries);
   ctx->meter.ChargeIndexProbe(ctx->cost_model, entries);
   ctx->meter.ChargeRandomIo(ctx->cost_model, rids.size());
 
@@ -95,10 +97,10 @@ Result<RowSet> IndexRangeScanOp::Execute(ExecContext* ctx) const {
                        ResolveColumns(source->schema(), cols));
   const uint64_t row_bytes = ApproximateRowBytes(schema);
   RQO_ASSIGN_OR_RETURN(
-      std::vector<Rid> kept,
+      const RidBuffer* kept,
       FetchRows(ctx, *source, rids, residual_.get(), row_bytes));
   RowSet out = RowSet::Select(table_ + "$ixscan", std::move(schema), source,
-                              col_idx, std::move(kept));
+                              col_idx, *kept);
   ctx->meter.ChargeOutputTuples(ctx->cost_model, out.num_rows());
   return out;
 }
@@ -125,16 +127,22 @@ Result<RowSet> IndexIntersectionOp::Execute(ExecContext* ctx) const {
   RQO_ASSIGN_OR_RETURN(const Table* source, LookupTable(*ctx, table_));
 
   uint64_t entries_total = 0;
-  std::vector<std::vector<Rid>> rid_lists;
+  Workspace& workspace = ctx->workspace();
+  std::vector<const RidBuffer*> rid_lists;
   rid_lists.reserve(ranges_.size());
   fault::MemoryReservation rid_workspace(ctx->governor);
   for (const IndexRange& range : ranges_) {
     RQO_ASSIGN_OR_RETURN(const storage::SortedIndex* index,
                          LookupIndex(*ctx, table_, range.column));
     uint64_t entries = 0;
-    rid_lists.push_back(index->RangeLookup(range.lo, range.hi, &entries));
-    RQO_RETURN_NOT_OK(
-        rid_workspace.Grow(rid_lists.back().size() * sizeof(Rid)));
+    const std::span<const Rid> found =
+        index->RangeLookup(range.lo, range.hi, &entries);
+    // The one copy of the index's RIDs, sorted for the intersection.
+    RidBuffer& list = workspace.Take<Rid>(found.size());
+    std::copy(found.begin(), found.end(), list.begin());
+    std::sort(list.begin(), list.end());
+    rid_lists.push_back(&list);
+    RQO_RETURN_NOT_OK(rid_workspace.Grow(list.size() * sizeof(Rid)));
     ctx->meter.ChargeIndexProbe(ctx->cost_model, entries);
     entries_total += entries;
   }
@@ -142,15 +150,7 @@ Result<RowSet> IndexIntersectionOp::Execute(ExecContext* ctx) const {
   // CPU work proportional to the combined list lengths.
   ctx->meter.ChargeCpuTuples(ctx->cost_model, entries_total);
   RQO_RETURN_NOT_OK(ctx->CheckPoint());
-  for (auto& list : rid_lists) std::sort(list.begin(), list.end());
-  std::vector<Rid> survivors = std::move(rid_lists[0]);
-  for (size_t i = 1; i < rid_lists.size(); ++i) {
-    std::vector<Rid> next;
-    std::set_intersection(survivors.begin(), survivors.end(),
-                          rid_lists[i].begin(), rid_lists[i].end(),
-                          std::back_inserter(next));
-    survivors = std::move(next);
-  }
+  const RidBuffer& survivors = IntersectRids(rid_lists, &workspace);
   ctx->meter.ChargeRandomIo(ctx->cost_model, survivors.size());
 
   const std::vector<std::string> cols =
@@ -161,10 +161,10 @@ Result<RowSet> IndexIntersectionOp::Execute(ExecContext* ctx) const {
                        ResolveColumns(source->schema(), cols));
   const uint64_t row_bytes = ApproximateRowBytes(schema);
   RQO_ASSIGN_OR_RETURN(
-      std::vector<Rid> kept,
+      const RidBuffer* kept,
       FetchRows(ctx, *source, survivors, residual_.get(), row_bytes));
   RowSet out = RowSet::Select(table_ + "$ixintersect", std::move(schema),
-                              source, col_idx, std::move(kept));
+                              source, col_idx, *kept);
   ctx->meter.ChargeOutputTuples(ctx->cost_model, out.num_rows());
   return out;
 }

@@ -25,33 +25,34 @@ Result<RowSet> SortOp::Execute(ExecContext* ctx) const {
                                    " must be numeric-physical");
   }
 
-  // Order vector is transient sort workspace.
-  fault::MemoryReservation workspace(ctx->governor);
-  RQO_RETURN_NOT_OK(workspace.Grow(n * sizeof(storage::Rid)));
-  std::vector<storage::Rid> order(n);
+  // The order is transient sort workspace, charged as such.
+  fault::MemoryReservation reservation(ctx->governor);
+  RQO_RETURN_NOT_OK(reservation.Grow(n * sizeof(storage::Rid)));
+  Workspace& workspace = ctx->workspace();
+  RidBuffer& order = workspace.Take<storage::Rid>(n);
   std::iota(order.begin(), order.end(), storage::Rid{0});
-  const auto sort_by = [&order](const auto& keys, auto end) {
+  const auto sort_by = [&order](const auto* keys, auto end) {
     std::stable_sort(order.begin(), end,
-                     [&keys](storage::Rid a, storage::Rid b) {
+                     [keys](storage::Rid a, storage::Rid b) {
                        return keys[a] < keys[b];
                      });
   };
   if (storage::IsIntegerPhysical(key.type())) {
-    sort_by(key.Int64Values(n), order.end());
+    sort_by(key.Int64Values(n, &workspace), order.end());
   } else {
     // `<` is no strict weak order once NaN is present: NaN rows go last,
     // in input order, and only the rest is sorted. Without NaN the
     // partition moves nothing.
-    const std::vector<double> keys = key.DoubleValues(n);
+    const double* keys = key.DoubleValues(n, &workspace);
     const auto ordered_end = std::stable_partition(
         order.begin(), order.end(),
-        [&keys](storage::Rid r) { return !std::isnan(keys[r]); });
+        [keys](storage::Rid r) { return !std::isnan(keys[r]); });
     sort_by(keys, ordered_end);
   }
   RQO_RETURN_NOT_OK(ctx->CheckPoint());
 
   RQO_RETURN_NOT_OK(ctx->TickRows(n, ApproximateRowBytes(input.schema())));
-  return input.Take("sort", std::move(order));
+  return input.Take("sort", order, &workspace);
 }
 
 std::string SortOp::Describe() const { return "Sort(" + column_ + ")"; }

@@ -28,8 +28,9 @@ Result<RowSet> StarSemiJoinOp::Execute(ExecContext* ctx) const {
   // Phase 1: per-dimension semijoin — find qualifying fact RIDs via the FK
   // index, one probe per selected dimension key. The RID sets are transient
   // workspace held until the intersection phase.
-  fault::MemoryReservation workspace(ctx->governor);
-  std::vector<std::vector<Rid>> rid_sets;
+  fault::MemoryReservation reservation(ctx->governor);
+  Workspace& workspace = ctx->workspace();
+  std::vector<const RidBuffer*> rid_sets;
   rid_sets.reserve(dims_.size());
   for (const DimSemiJoin& dim : dims_) {
     RQO_ASSIGN_OR_RETURN(const Table* dim_table,
@@ -41,14 +42,15 @@ Result<RowSet> StarSemiJoinOp::Execute(ExecContext* ctx) const {
                          dim_table->schema().ColumnIndex(dim.dim_pk_column));
 
     ctx->meter.ChargeSeqTuples(ctx->cost_model, dim_table->num_rows());
-    std::vector<Rid> fact_rids;
+    const RidBuffer& dim_rows = SelectRows(
+        *dim_table, dim.dim_predicate.get(), ctx->snapshot_epoch, &workspace);
+    RidBuffer& fact_rids = workspace.Take<Rid>();
     uint64_t entries_this_dim = 0;
     const storage::ColumnVector& pk_col = dim_table->column(pk_idx);
-    for (Rid drid : SelectRows(*dim_table, dim.dim_predicate.get(),
-                               ctx->snapshot_epoch)) {
+    for (Rid drid : dim_rows) {
       const int64_t pk = pk_col.Int64At(drid);
       uint64_t entries = 0;
-      std::vector<Rid> matches =
+      const std::span<const Rid> matches =
           fk_index->EqualLookup(static_cast<double>(pk), &entries);
       ctx->meter.ChargeIndexProbe(ctx->cost_model, entries);
       entries_this_dim += entries;
@@ -56,21 +58,14 @@ Result<RowSet> StarSemiJoinOp::Execute(ExecContext* ctx) const {
     }
     // RID-set bookkeeping (sorting for the intersection phase).
     ctx->meter.ChargeCpuTuples(ctx->cost_model, entries_this_dim);
-    RQO_RETURN_NOT_OK(workspace.Grow(fact_rids.size() * sizeof(Rid)));
+    RQO_RETURN_NOT_OK(reservation.Grow(fact_rids.size() * sizeof(Rid)));
     RQO_RETURN_NOT_OK(ctx->CheckPoint());
     std::sort(fact_rids.begin(), fact_rids.end());
-    rid_sets.push_back(std::move(fact_rids));
+    rid_sets.push_back(&fact_rids);
   }
 
   // Phase 2: intersect the per-dimension RID sets.
-  std::vector<Rid> survivors = std::move(rid_sets[0]);
-  for (size_t i = 1; i < rid_sets.size(); ++i) {
-    std::vector<Rid> next;
-    std::set_intersection(survivors.begin(), survivors.end(),
-                          rid_sets[i].begin(), rid_sets[i].end(),
-                          std::back_inserter(next));
-    survivors = std::move(next);
-  }
+  const RidBuffer& survivors = IntersectRids(rid_sets, &workspace);
 
   // Phase 3: fetch the surviving fact records (one random I/O each) and
   // keep those visible at the snapshot that pass the fact's own filter.
@@ -85,10 +80,10 @@ Result<RowSet> StarSemiJoinOp::Execute(ExecContext* ctx) const {
                        ResolveColumns(fact->schema(), cols));
   const uint64_t row_bytes = ApproximateRowBytes(schema);
   RQO_ASSIGN_OR_RETURN(
-      std::vector<Rid> kept,
+      const RidBuffer* kept,
       FetchRows(ctx, *fact, survivors, fact_predicate_.get(), row_bytes));
   RowSet out = RowSet::Select(fact_table_ + "$starsemi", std::move(schema),
-                              fact, col_idx, std::move(kept));
+                              fact, col_idx, *kept);
   ctx->meter.ChargeOutputTuples(ctx->cost_model, out.num_rows());
   return out;
 }

@@ -175,8 +175,11 @@ bool TryBetweenKernel(const std::string& column, const storage::Value& lo,
   return true;
 }
 
+// Evaluates `e` into `mask`. An AND or OR at `depth` folds through
+// scratch mask `depth`, its children evaluate at depth + 1, and NOT passes
+// its own depth on (it takes no scratch).
 void EvalMask(const expr::Expr& e, const Table& table, size_t n,
-              uint8_t* mask);
+              uint8_t* mask, size_t depth, MaskScratch* scratch);
 
 // mask[i] &= other[i] (AND) or |= (OR): two distinct arrays, so the fold
 // vectorizes without an overlap check.
@@ -189,29 +192,28 @@ void FoldMask(bool is_and, size_t n, uint8_t* __restrict mask,
   }
 }
 
-// The first child writes `mask`; every further child writes one scratch
-// mask (allocated once and never pre-filled: a child writes every byte),
-// which is folded in.
+// The first child writes `mask`; every further child writes the scratch
+// mask of this depth (never pre-filled: a child writes every byte), which
+// is folded in.
 void EvalChildrenCombine(const std::vector<expr::ExprPtr>& children,
                          const Table& table, size_t n, bool is_and,
-                         uint8_t* mask) {
+                         uint8_t* mask, size_t depth, MaskScratch* scratch) {
   if (children.empty()) {
     // And({}) is TRUE, Or({}) is FALSE — matching the scalar evaluator.
     std::fill_n(mask, n, is_and ? 1 : 0);
     return;
   }
-  EvalMask(*children[0], table, n, mask);
+  EvalMask(*children[0], table, n, mask, depth + 1, scratch);
   if (children.size() == 1) return;
-  const std::unique_ptr<uint8_t[]> scratch =
-      std::make_unique_for_overwrite<uint8_t[]>(n);
+  uint8_t* other = scratch->At(depth, n);
   for (size_t c = 1; c < children.size(); ++c) {
-    EvalMask(*children[c], table, n, scratch.get());
-    FoldMask(is_and, n, mask, scratch.get());
+    EvalMask(*children[c], table, n, other, depth + 1, scratch);
+    FoldMask(is_and, n, mask, other);
   }
 }
 
 void EvalMask(const expr::Expr& e, const Table& table, size_t n,
-              uint8_t* mask) {
+              uint8_t* mask, size_t depth, MaskScratch* scratch) {
   switch (e.kind()) {
     case ExprKind::kComparison: {
       const auto& cmp = static_cast<const expr::ComparisonExpr&>(e);
@@ -252,14 +254,15 @@ void EvalMask(const expr::Expr& e, const Table& table, size_t n,
     }
     case ExprKind::kAnd:
       EvalChildrenCombine(static_cast<const expr::AndExpr&>(e).children(),
-                          table, n, /*is_and=*/true, mask);
+                          table, n, /*is_and=*/true, mask, depth, scratch);
       return;
     case ExprKind::kOr:
       EvalChildrenCombine(static_cast<const expr::OrExpr&>(e).children(),
-                          table, n, /*is_and=*/false, mask);
+                          table, n, /*is_and=*/false, mask, depth, scratch);
       return;
     case ExprKind::kNot: {
-      EvalMask(*static_cast<const expr::NotExpr&>(e).child(), table, n, mask);
+      EvalMask(*static_cast<const expr::NotExpr&>(e).child(), table, n, mask,
+               depth, scratch);
       for (size_t i = 0; i < n; ++i) mask[i] ^= 1;
       return;
     }
@@ -293,10 +296,22 @@ void EvalMask(const expr::Expr& e, const Table& table, size_t n,
 
 }  // namespace
 
+uint8_t* MaskScratch::At(size_t depth, size_t n) {
+  if (depth >= masks_.size()) masks_.resize(depth + 1);
+  Mask& mask = masks_[depth];
+  if (mask.size < n) {
+    mask.bytes = std::make_unique_for_overwrite<uint8_t[]>(n);
+    mask.size = n;
+    obtained_ += n;
+  }
+  return mask.bytes.get();
+}
+
 uint64_t BatchEvaluateMask(const expr::Expr& predicate,
-                           const storage::Table& table, uint8_t* mask) {
+                           const storage::Table& table, uint8_t* mask,
+                           MaskScratch* scratch) {
   const size_t n = static_cast<size_t>(table.num_rows());
-  EvalMask(predicate, table, n, mask);
+  EvalMask(predicate, table, n, mask, 0, scratch);
   uint64_t count = 0;
   for (size_t i = 0; i < n; ++i) count += mask[i];
   return count;
@@ -306,7 +321,8 @@ uint64_t BatchEvaluateMask(const expr::Expr& predicate,
                            const storage::Table& table,
                            std::vector<uint8_t>* mask) {
   mask->resize(static_cast<size_t>(table.num_rows()));
-  return BatchEvaluateMask(predicate, table, mask->data());
+  MaskScratch scratch;
+  return BatchEvaluateMask(predicate, table, mask->data(), &scratch);
 }
 
 uint64_t BatchCountSatisfying(const expr::Expr& predicate,
@@ -314,7 +330,8 @@ uint64_t BatchCountSatisfying(const expr::Expr& predicate,
   const std::unique_ptr<uint8_t[]> mask =
       std::make_unique_for_overwrite<uint8_t[]>(
           static_cast<size_t>(table.num_rows()));
-  return BatchEvaluateMask(predicate, table, mask.get());
+  MaskScratch scratch;
+  return BatchEvaluateMask(predicate, table, mask.get(), &scratch);
 }
 
 }  // namespace perf

@@ -28,6 +28,7 @@
 #define ROBUSTQO_PERF_BATCH_EVAL_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "expr/expression.h"
@@ -36,14 +37,38 @@
 namespace robustqo {
 namespace perf {
 
+/// The scratch masks an AND or OR folds its children through: one per
+/// nesting depth, each kept at the largest size asked of it. A caller that
+/// evaluates many predicates (the executor's per-worker workspace) passes
+/// the same one to every call, so a warm call allocates nothing.
+class MaskScratch {
+ public:
+  /// At least `n` writable bytes for the fold at `depth`; distinct depths
+  /// get distinct masks.
+  uint8_t* At(size_t depth, size_t n);
+
+  /// Bytes allocated since construction.
+  uint64_t bytes_obtained() const { return obtained_; }
+
+ private:
+  struct Mask {
+    std::unique_ptr<uint8_t[]> bytes;
+    size_t size = 0;
+  };
+  std::vector<Mask> masks_;
+  uint64_t obtained_ = 0;
+};
+
 /// Evaluates `predicate` over every row of `table` into `mask`, which holds
 /// at least num_rows() bytes; every one of them is written (mask[i] == 1
-/// iff row i satisfies), so the caller need not fill it. Returns the
-/// popcount.
+/// iff row i satisfies), so the caller need not fill it. AND and OR fold
+/// through `scratch`. Returns the popcount.
 uint64_t BatchEvaluateMask(const expr::Expr& predicate,
-                           const storage::Table& table, uint8_t* mask);
+                           const storage::Table& table, uint8_t* mask,
+                           MaskScratch* scratch);
 
-/// As above, into `mask` resized to the row count.
+/// As above, into `mask` resized to the row count, with scratch masks that
+/// last for the call.
 uint64_t BatchEvaluateMask(const expr::Expr& predicate,
                            const storage::Table& table,
                            std::vector<uint8_t>* mask);

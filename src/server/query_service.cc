@@ -407,11 +407,16 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
     // sequential reduce phase, so what a wave's reads see is independent
     // of scheduling and thread count.
     const uint64_t wave_snapshot = db_->catalog()->data_epoch();
-    perf::TaskPool::Global()->ParallelFor(running.size(), [&](size_t i) {
+    perf::TaskPool* pool = perf::TaskPool::Global();
+    while (workspaces_.size() < pool->threads()) {
+      workspaces_.push_back(std::make_unique<exec::Workspace>());
+    }
+    pool->ParallelForWorker(running.size(), [&](unsigned worker, size_t i) {
       PendingRequest* work = running[i];
       if (work->is_dml) return;  // applied sequentially in REDUCE
       RequestContext run(work, db_, armed_specs, metrics_ != nullptr,
                          wave_snapshot);
+      run.ctx.set_workspace(workspaces_[worker].get());
       uint64_t exec_span = 0;
       if (work->tracer != nullptr) {
         exec_span = work->tracer->BeginSpan(

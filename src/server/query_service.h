@@ -26,7 +26,8 @@
 //      TaskPool task per request, each against its own ExecContext,
 //      QueryGovernor, MetricsRegistry shard and FaultInjector (re-armed
 //      from the database injector's specs, reseeded from the request
-//      seed). Every read in the wave is pinned to the snapshot (data)
+//      seed), and the exec::Workspace of the worker running it, whose
+//      buffers stay warm from one request to the next. Every read in the wave is pinned to the snapshot (data)
 //      epoch captured at wave start, so concurrent writes never change
 //      what a wave's reads see. Results land in pre-allocated slots.
 //   4. REDUCE (sequential): DML requests apply here through
@@ -53,6 +54,7 @@
 #define ROBUSTQO_SERVER_QUERY_SERVICE_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -251,6 +253,8 @@ class QueryService {
   AdmissionController admission_;
   PlanCache cache_;
   obs::FingerprintLedger ledger_;
+  /// One executor workspace per task-pool worker (EXECUTE phase).
+  std::vector<std::unique_ptr<exec::Workspace>> workspaces_;
   obs::MetricsRegistry* metrics_ = nullptr;
   uint64_t queries_completed_ = 0;
   uint64_t queries_failed_ = 0;

@@ -59,20 +59,20 @@ size_t SortedIndex::UpperBound(double x) const {
                              keys_.begin());
 }
 
-std::vector<Rid> SortedIndex::RangeLookup(std::optional<double> lo,
-                                          std::optional<double> hi,
-                                          uint64_t* entries_scanned) const {
+std::span<const Rid> SortedIndex::RangeLookup(
+    std::optional<double> lo, std::optional<double> hi,
+    uint64_t* entries_scanned) const {
   const size_t begin = lo.has_value() ? LowerBound(*lo) : 0;
   const size_t end = hi.has_value() ? UpperBound(*hi) : num_ordered_;
   if (entries_scanned != nullptr) {
     *entries_scanned = begin <= end ? (end - begin) : 0;
   }
   if (begin >= end) return {};
-  return std::vector<Rid>(rids_.begin() + begin, rids_.begin() + end);
+  return std::span<const Rid>(rids_).subspan(begin, end - begin);
 }
 
-std::vector<Rid> SortedIndex::EqualLookup(double key,
-                                          uint64_t* entries_scanned) const {
+std::span<const Rid> SortedIndex::EqualLookup(
+    double key, uint64_t* entries_scanned) const {
   return RangeLookup(key, key, entries_scanned);
 }
 

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -31,15 +32,17 @@ class SortedIndex {
   uint64_t num_entries() const { return keys_.size(); }
 
   /// RIDs of rows with key in [lo, hi] (inclusive; pass nullopt for an open
-  /// bound). A NaN key lies in no range, open or not. `entries_scanned` (if non-null) receives the number of index
-  /// leaf entries touched — the execution cost driver.
-  std::vector<Rid> RangeLookup(std::optional<double> lo,
-                               std::optional<double> hi,
-                               uint64_t* entries_scanned = nullptr) const;
+  /// bound), in key order: a view of the index's own RID array, valid until
+  /// the index is rebuilt. A NaN key lies in no range, open or not.
+  /// `entries_scanned` (if non-null) receives the number of index leaf
+  /// entries touched — the execution cost driver.
+  std::span<const Rid> RangeLookup(std::optional<double> lo,
+                                   std::optional<double> hi,
+                                   uint64_t* entries_scanned = nullptr) const;
 
-  /// RIDs of rows with key exactly `key`.
-  std::vector<Rid> EqualLookup(double key,
-                               uint64_t* entries_scanned = nullptr) const;
+  /// RIDs of rows with key exactly `key`, viewed as above.
+  std::span<const Rid> EqualLookup(double key,
+                                   uint64_t* entries_scanned = nullptr) const;
 
   /// Number of entries with key in [lo, hi] without materializing RIDs
   /// (used by the optimizer's cost formulas when it wants exact counts in

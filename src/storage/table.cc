@@ -65,7 +65,7 @@ Value ColumnVector::ValueAt(Rid rid) const {
 namespace {
 
 template <typename T>
-void GatherInto(const std::vector<T>& source, const std::vector<Rid>& rids,
+void GatherInto(const std::vector<T>& source, std::span<const Rid> rids,
                 std::vector<T>* dest) {
   const size_t base = dest->size();
   dest->resize(base + rids.size());
@@ -76,7 +76,7 @@ void GatherInto(const std::vector<T>& source, const std::vector<Rid>& rids,
 }  // namespace
 
 void ColumnVector::AppendGather(const ColumnVector& source,
-                                const std::vector<Rid>& rids) {
+                                std::span<const Rid> rids) {
   RQO_CHECK_MSG(type_ == source.type_, "gather between column types");
   switch (type_) {
     case DataType::kInt64:
@@ -139,7 +139,7 @@ void Table::AppendRow(const std::vector<Value>& values) {
   ++num_rows_;
 }
 
-void Table::AppendGather(const Table& source, const std::vector<Rid>& rids,
+void Table::AppendGather(const Table& source, std::span<const Rid> rids,
                          const std::vector<size_t>& columns) {
   RQO_CHECK_MSG(columns.size() == columns_.size(), "gather arity mismatch");
   for (size_t j = 0; j < columns.size(); ++j) {

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -67,7 +68,7 @@ class ColumnVector {
   /// Typed gather: appends entries `rids[0]`, `rids[1]`, ... of `source`
   /// (same type), in that order, with no Value boxing. RIDs may
   /// repeat and need not be sorted.
-  void AppendGather(const ColumnVector& source, const std::vector<Rid>& rids);
+  void AppendGather(const ColumnVector& source, std::span<const Rid> rids);
 
   void Reserve(size_t n);
 
@@ -95,7 +96,7 @@ class Table {
 
   /// Column-wise gather: appends rows `rids[0]`, `rids[1]`, ... of `source`,
   /// where this table's column j receives `source` column `columns[j]`.
-  void AppendGather(const Table& source, const std::vector<Rid>& rids,
+  void AppendGather(const Table& source, std::span<const Rid> rids,
                     const std::vector<size_t>& columns);
 
   /// Direct column access for bulk loading / scanning.

@@ -62,6 +62,49 @@ int64_t MaxOrderDate();  // 1998-08-02
 /// builds the experiments' indexes. Fails if tables already exist.
 Status LoadTpch(storage::Catalog* catalog, const TpchConfig& config = {});
 
+/// One TPC-H-lite read template at fixed literals.
+struct ReadTemplate {
+  const char* name;
+  const char* sql;
+};
+
+/// The eight TPC-H-lite read templates the end-to-end benchmark serves, in
+/// its rotation order and at its prepared literals (the Experiment 1 and 2
+/// variants at mid-sweep offsets): the Q1/Q3/Q5/Q6/Q14-style queries, the
+/// supplier rollup, and the paper's two correlated-predicate experiments.
+inline constexpr ReadTemplate kReadTemplates[] = {
+    {"q1",
+     "SELECT COUNT(*) AS n, SUM(l_extendedprice) AS revenue, "
+     "AVG(l_discount) AS avg_disc FROM lineitem WHERE l_shipdate <= "
+     "DATE '1998-08-01' GROUP BY l_suppkey"},
+    {"q3",
+     "SELECT SUM(l_extendedprice) AS revenue FROM customer, orders, "
+     "lineitem WHERE c_acctbal >= 0 AND o_orderdate < DATE '1995-03-15' "
+     "AND l_shipdate > DATE '1995-03-15'"},
+    {"q5",
+     "SELECT COUNT(*) AS n FROM region, nation, customer, orders, lineitem "
+     "WHERE r_regionkey = 2 AND o_orderdate BETWEEN DATE '1994-01-01' AND "
+     "DATE '1994-12-31'"},
+    {"q6",
+     "SELECT SUM(l_extendedprice) AS revenue FROM lineitem WHERE l_shipdate "
+     "BETWEEN DATE '1994-01-01' AND DATE '1994-12-31' AND l_discount "
+     "BETWEEN 0.05 AND 0.07 AND l_quantity < 24"},
+    {"q14",
+     "SELECT SUM(l_extendedprice) AS promo FROM lineitem, part WHERE "
+     "p_size BETWEEN 1 AND 15 AND l_shipdate BETWEEN DATE '1995-09-01' AND "
+     "DATE '1995-09-30'"},
+    {"rollup",
+     "SELECT COUNT(*) AS n FROM supplier, lineitem WHERE s_acctbal > 0 "
+     "GROUP BY l_suppkey"},
+    {"exp1",
+     "SELECT SUM(l_extendedprice) AS sum_price FROM lineitem WHERE "
+     "l_shipdate BETWEEN DATE '1997-07-01' AND DATE '1997-08-29' AND "
+     "l_receiptdate BETWEEN DATE '1997-09-06' AND DATE '1997-11-04'"},
+    {"exp2",
+     "SELECT SUM(l_extendedprice) AS sum_price FROM lineitem, orders, part "
+     "WHERE p_c1 BETWEEN 50 AND 60 AND p_c2 BETWEEN 62.50 AND 72.50"},
+};
+
 }  // namespace tpch
 }  // namespace robustqo
 

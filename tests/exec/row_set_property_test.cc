@@ -323,12 +323,15 @@ TEST_P(RowSetPropertyTest, ConcurrentRunsOverOneCatalogAgree) {
       want.push_back(MakePlan(kind)->Run(&ctx).value());
     }
   }
-  // Each task writes only its own slot; the catalog is shared read-only.
+  // Each task writes only its own slot; the catalog is shared read-only,
+  // and each worker keeps one workspace across the jobs it runs.
   std::vector<std::unique_ptr<Result<Table>>> got(jobs.size());
   perf::TaskPool pool(4);
-  pool.ParallelFor(jobs.size(), [&](size_t i) {
+  std::vector<Workspace> workspaces(pool.threads());
+  pool.ParallelForWorker(jobs.size(), [&](unsigned worker, size_t i) {
     fault::QueryGovernor governor;
     ExecContext ctx = Context(jobs[i].snapshot, &governor);
+    ctx.set_workspace(&workspaces[worker]);
     got[i] = std::make_unique<Result<Table>>(MakePlan(jobs[i].kind)->Run(&ctx));
   });
   for (size_t i = 0; i < jobs.size(); ++i) {

@@ -20,7 +20,8 @@ TEST(SortedIndexTest, EqualLookupFindsAllDuplicates) {
   Table t = MakeTable({5, 3, 5, 1, 5, 2});
   SortedIndex index(t, "k");
   uint64_t entries = 0;
-  std::vector<Rid> rids = index.EqualLookup(5.0, &entries);
+  const std::span<const Rid> found = index.EqualLookup(5.0, &entries);
+  std::vector<Rid> rids(found.begin(), found.end());
   EXPECT_EQ(entries, 3u);
   std::sort(rids.begin(), rids.end());
   EXPECT_EQ(rids, (std::vector<Rid>{0, 2, 4}));
@@ -37,7 +38,8 @@ TEST(SortedIndexTest, EqualLookupMiss) {
 TEST(SortedIndexTest, RangeLookupInclusive) {
   Table t = MakeTable({10, 20, 30, 40, 50});
   SortedIndex index(t, "k");
-  std::vector<Rid> rids = index.RangeLookup(20.0, 40.0);
+  const std::span<const Rid> found = index.RangeLookup(20.0, 40.0);
+  std::vector<Rid> rids(found.begin(), found.end());
   std::sort(rids.begin(), rids.end());
   EXPECT_EQ(rids, (std::vector<Rid>{1, 2, 3}));
 }
@@ -61,7 +63,9 @@ TEST(SortedIndexTest, EmptyRange) {
 TEST(SortedIndexTest, RidsReturnedInKeyOrder) {
   Table t = MakeTable({30, 10, 20});
   SortedIndex index(t, "k");
-  std::vector<Rid> rids = index.RangeLookup(std::nullopt, std::nullopt);
+  const std::span<const Rid> found =
+      index.RangeLookup(std::nullopt, std::nullopt);
+  const std::vector<Rid> rids(found.begin(), found.end());
   // Key order 10, 20, 30 -> rids 1, 2, 0.
   EXPECT_EQ(rids, (std::vector<Rid>{1, 2, 0}));
 }

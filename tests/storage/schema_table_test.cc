@@ -126,7 +126,7 @@ TEST(ColumnVectorTest, GatherAppendsAfterExistingEntries) {
   for (int64_t v : {7, 8, 9}) source.AppendInt64(v);
   ColumnVector dest(DataType::kInt64);
   dest.AppendInt64(-1);
-  dest.AppendGather(source, {2, 0});
+  dest.AppendGather(source, std::vector<Rid>{2, 0});
   ASSERT_EQ(dest.size(), 3u);
   EXPECT_EQ(dest.Int64At(0), -1);
   EXPECT_EQ(dest.Int64At(1), 9);
@@ -151,7 +151,7 @@ TEST(TableTest, ColumnWiseGatherProjectsAndCountsRows) {
   Table dest("dest", Schema({{"ship", DataType::kDate},
                              {"name", DataType::kString},
                              {"id", DataType::kInt64}}));
-  dest.AppendGather(source, {3, 1, 3}, {3, 2, 0});
+  dest.AppendGather(source, std::vector<Rid>{3, 1, 3}, {3, 2, 0});
   ASSERT_EQ(dest.num_rows(), 3u);
   EXPECT_EQ(dest.RowAt(0), (std::vector<Value>{Value::Date(3),
                                                Value::String("d"),
@@ -160,7 +160,7 @@ TEST(TableTest, ColumnWiseGatherProjectsAndCountsRows) {
   EXPECT_EQ(dest.column(2).Int64At(2), 3);
   dest.AppendGather(source, {}, {3, 2, 0});
   EXPECT_EQ(dest.num_rows(), 3u);
-  dest.AppendGather(source, {0}, {3, 2, 0});
+  dest.AppendGather(source, std::vector<Rid>{0}, {3, 2, 0});
   EXPECT_EQ(dest.num_rows(), 4u);
   EXPECT_EQ(dest.column(0).size(), 4u);
 }
