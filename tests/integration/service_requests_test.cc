@@ -6,7 +6,7 @@
 // including a faulted commit that rolls back. Pins, per
 // request, the status, cache hit and row or DML counts, then the ledger's
 // exemplars, the service's and the database's metrics as OpenMetrics
-// and the plan-provenance store. Byte-identical at any RQO_THREADS
+// and the ledger's plan-column report. Byte-identical at any RQO_THREADS
 // setting. Regenerate with ROBUSTQO_UPDATE_GOLDENS=1.
 
 #include <gtest/gtest.h>
@@ -188,7 +188,7 @@ TEST(ServiceRequestsGoldenTest, EveryRequestOutcomeMatchesGolden) {
   service.PublishMetrics(&service_metrics);
   rendered += "=== service metrics\n" + obs::ToOpenMetrics(service_metrics);
   rendered += "=== database metrics\n" + obs::ToOpenMetrics(db_metrics);
-  rendered += "=== provenance\n" + service.ledger()->PlanJson() + "\n";
+  rendered += "=== provenance\n" + service.ledger()->PlanReportText();
 
   const std::string path = std::string(ROBUSTQO_SOURCE_DIR) +
                            "/tests/golden/service_requests.txt";
