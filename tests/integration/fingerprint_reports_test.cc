@@ -1,8 +1,8 @@
 // Golden pin of every per-statement-fingerprint report the serving layer
-// produces, over one seeded traffic run with a drift phase: the SLO text
-// and JSON, the service's estimation-quality text, JSON and drifted set,
-// and the server.slo.*, estimator.quality.* and optimizer.regret.* metric
-// series. The run is built so that every column those reports read
+// produces, over one seeded traffic run with a drift phase: the SLO
+// text, the service's estimation-quality text and drifted set, and the
+// server.slo.*, estimator.quality.* and optimizer.regret.* metric series.
+// The run is built so that every column those reports read
 // actually moves: stale plans regret, the quality monitor flags drift,
 // the drift flag rebuilds the statistics within the wave, and the
 // rebuilds reset the quality profiles.
@@ -103,12 +103,8 @@ std::string RenderReports(const std::string& phase,
                           server::QueryService* service) {
   std::string out = "=== " + phase + ": slo text\n";
   out += service->ledger()->SloReportText();
-  out += "=== " + phase + ": slo json\n";
-  out += service->ledger()->SloJson() + "\n";
   out += "=== " + phase + ": quality text\n";
   out += service->ledger()->QualityReportText();
-  out += "=== " + phase + ": quality json\n";
-  out += service->ledger()->QualityReportJson() + "\n";
   out += "=== " + phase + ": drifted\n";
   for (const obs::FingerprintQuality& q : service->ledger()->Drifted()) {
     out += StrPrintf("0x%016llx baseline=%.9g recent=%.9g ratio=%.9g\n",
