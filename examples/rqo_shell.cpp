@@ -73,10 +73,6 @@
 //                                   results are identical at any setting
 //   SET BETA_CACHE_CAPACITY <n>     inverse-Beta LRU entries (default 4096)
 //   SET WRITE_FRACTION <0..1>       write share of the .traffic demo
-//   SET PROVENANCE ON|OFF           plan-choice provenance capture (OFF
-//                                   reproduces pre-provenance reports and
-//                                   metrics bit-for-bit)
-//   SET PROVENANCE_TOPK <n>         runner-up candidates kept per plan
 //
 //   $ echo "SELECT COUNT(*) FROM lineitem" | ./build/examples/rqo_shell
 
@@ -132,8 +128,8 @@ void PrintResult(const core::ExecutionResult& result) {
 
 // Handles "SET FAULT ..." and "SET <LIMIT> ..." statements; returns false
 // when `line` is not a SET statement.
-bool HandleSet(core::Database* db, server::QueryService* service,
-               double* write_fraction, const std::string& line) {
+bool HandleSet(core::Database* db, double* write_fraction,
+               const std::string& line) {
   std::vector<std::string> tokens = SplitString(line, ' ');
   tokens.erase(std::remove(tokens.begin(), tokens.end(), std::string()),
                tokens.end());
@@ -233,36 +229,6 @@ bool HandleSet(core::Database* db, server::QueryService* service,
     return true;
   }
 
-  if (verb == "PROVENANCE") {
-    if (tokens.size() != 3 || (ToUpper(tokens[2]) != "ON" &&
-                               ToUpper(tokens[2]) != "OFF")) {
-      std::printf("usage: SET PROVENANCE ON|OFF\n");
-      return true;
-    }
-    const bool on = ToUpper(tokens[2]) == "ON";
-    // Keep the service observatory and the database's direct EXPLAIN
-    // ANALYZE capture in lockstep so `.whyplan` and the sensitivity
-    // section agree on what is being recorded.
-    service->SetProvenanceEnabled(on);
-    db->SetProvenanceCapture(on);
-    std::printf("provenance: %s%s\n", on ? "on" : "off",
-                on ? "" : " (reports and metrics match the pre-provenance"
-                          " output bit-for-bit)");
-    return true;
-  }
-
-  if (verb == "PROVENANCE_TOPK") {
-    if (tokens.size() != 3) {
-      std::printf("usage: SET PROVENANCE_TOPK <runner-ups>\n");
-      return true;
-    }
-    const size_t top_k = std::strtoull(tokens[2].c_str(), nullptr, 10);
-    service->SetProvenanceTopK(top_k);
-    db->SetProvenanceTopK(top_k);
-    std::printf("provenance top-k runner-ups: %zu\n", top_k);
-    return true;
-  }
-
   if (verb == "WRITE_FRACTION") {
     if (tokens.size() != 3) {
       std::printf("usage: SET WRITE_FRACTION <0..1>\n");
@@ -353,9 +319,9 @@ int main() {
   // PREPARE/EXECUTE route through its admission controller and plan cache.
   // Request tracing is on so `.blackbox` and `.fp` have exemplar span
   // trees to show after EXECUTE traffic.
-  // Plan provenance is on by default so `.whyplan` has history and
-  // EXPLAIN ANALYZE carries its sensitivity section; SET PROVENANCE OFF
-  // restores the pre-provenance output byte-for-byte.
+  // The service always files plan provenance, so `.whyplan` has history;
+  // the database-level capture gives EXPLAIN ANALYZE its sensitivity
+  // section too.
   server::ServerConfig server_config;
   server_config.trace_requests = true;
   server::QueryService service(&db, server_config);
@@ -385,7 +351,7 @@ int main() {
       }
       continue;
     }
-    if (HandleSet(&db, &service, &write_fraction, line)) continue;
+    if (HandleSet(&db, &write_fraction, line)) continue;
     if (line == ".epoch") {
       PrintEpochs(&db);
       continue;

@@ -10,12 +10,8 @@ rendering — is loadable by chrome://tracing / Perfetto:
     always emits it);
   * every event object carries the required keys: name, cat, ph, ts, pid,
     tid — with ts numeric and non-negative;
-  * phases are drawn from the exporter's vocabulary (B, E, i, M, C);
+  * phases are drawn from the exporter's vocabulary (B, E, i, M);
   * metadata events (ph "M") carry an args.name payload;
-  * counter events (ph "C") carry a non-empty args object whose values
-    are all finite numbers (booleans rejected), and every sample of the
-    same counter — keyed by (pid, name) — uses the same set of series
-    keys, so Perfetto renders one stable stacked track per counter;
   * per (pid, tid), B/E events nest: every E closes the most recent open
     B, repeats its name, and — when span ids are emitted (the lane
     rendering) — repeats its id; no B is left open at end of trace;
@@ -33,7 +29,7 @@ import json
 import sys
 
 REQUIRED_KEYS = ("name", "cat", "ph", "ts", "pid", "tid")
-PHASES = {"B", "E", "i", "M", "C"}
+PHASES = {"B", "E", "i", "M"}
 
 
 def check_file(path):
@@ -55,7 +51,6 @@ def check_file(path):
 
     open_spans = {}  # (pid, tid) -> [(name, id or None) of open B spans]
     last_ts = {}  # (pid, tid) -> last timestamp seen
-    counter_keys = {}  # (pid, name) -> sorted series keys of first sample
 
     for i, event in enumerate(events):
         where = f"event[{i}]"
@@ -112,30 +107,6 @@ def check_file(path):
                         span_id != opened_id:
                     err(f"{where}: E id {span_id!r} does not match "
                         f"open B id {opened_id!r}")
-        elif ph == "C":
-            # Counter sample: args maps series name -> numeric value, and
-            # a counter (keyed by pid+name per the trace_event format)
-            # must expose the same series in every sample.
-            args = event.get("args")
-            if not isinstance(args, dict) or not args:
-                err(f"{where}: counter event needs a non-empty args object")
-                continue
-            for key, value in args.items():
-                if isinstance(value, bool) or \
-                        not isinstance(value, (int, float)):
-                    err(f"{where}: counter series {key!r} value must be "
-                        f"numeric, got {value!r}")
-                elif value != value or value in (float("inf"),
-                                                 float("-inf")):
-                    err(f"{where}: counter series {key!r} value must be "
-                        f"finite, got {value!r}")
-            counter = (event["pid"], event["name"])
-            keys = sorted(args.keys())
-            if counter not in counter_keys:
-                counter_keys[counter] = keys
-            elif counter_keys[counter] != keys:
-                err(f"{where}: counter {counter} changed series keys "
-                    f"{counter_keys[counter]} -> {keys}")
         elif ph == "i":
             if "s" not in event:
                 err(f"{where}: instant event missing scope key \"s\"")

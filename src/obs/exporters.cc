@@ -205,17 +205,10 @@ std::string ToChromeTrace(const std::vector<TraceEvent>& events,
 
 std::string ToChromeTrace(const std::vector<TraceLane>& lanes,
                           bool use_wall_time) {
-  return ToChromeTrace(lanes, {}, use_wall_time);
-}
-
-std::string ToChromeTrace(const std::vector<TraceLane>& lanes,
-                          const std::vector<CounterTrack>& counters,
-                          bool use_wall_time) {
   std::string out = "[";
   bool first = true;
-  // Metadata first: one process_name per distinct pid (first lane wins,
-  // then counter tracks for pids no lane named), then a thread_name per
-  // lane.
+  // Metadata first: one process_name per distinct pid (first lane wins),
+  // then a thread_name per lane.
   std::map<uint64_t, bool> named_pids;
   for (const TraceLane& lane : lanes) {
     if (!lane.process_name.empty() && !named_pids[lane.pid]) {
@@ -228,39 +221,9 @@ std::string ToChromeTrace(const std::vector<TraceLane>& lanes,
                            lane.thread_name);
     }
   }
-  for (const CounterTrack& track : counters) {
-    if (!track.process_name.empty() && !named_pids[track.pid]) {
-      named_pids[track.pid] = true;
-      AppendChromeMetadata(&out, &first, "process_name", track.pid, 0,
-                           track.process_name);
-    }
-  }
   for (const TraceLane& lane : lanes) {
     AppendChromeEvents(&out, &first, lane.events, lane.pid, lane.tid,
                        use_wall_time, /*emit_ids=*/true);
-  }
-  for (const CounterTrack& track : counters) {
-    for (const CounterSample& sample : track.samples) {
-      if (!first) out += ",";
-      first = false;
-      out.append("{\"name\":\"").append(JsonEscape(track.name)).append("\"");
-      out.append(",\"cat\":\"").append(JsonEscape(track.category));
-      out += "\"";
-      out += StrPrintf(",\"ph\":\"C\",\"ts\":%llu",
-                       static_cast<unsigned long long>(sample.ts));
-      out += StrPrintf(",\"pid\":%llu,\"tid\":%llu",
-                       static_cast<unsigned long long>(track.pid),
-                       static_cast<unsigned long long>(track.tid));
-      out += ",\"args\":{";
-      for (size_t v = 0; v < sample.values.size(); ++v) {
-        if (v > 0) out += ",";
-        const double value = sample.values[v].second;
-        out.append("\"").append(JsonEscape(sample.values[v].first));
-        out += "\":";
-        out += StrPrintf("%.9g", std::isfinite(value) ? value : 0.0);
-      }
-      out += "}}";
-    }
   }
   out += "]";
   return out;

@@ -80,38 +80,6 @@ struct TraceLane {
 std::string ToChromeTrace(const std::vector<TraceLane>& lanes,
                           bool use_wall_time = false);
 
-/// One sample of a Chrome counter track ("ph":"C"): at logical timestamp
-/// `ts` the track's series take the given numeric values. Counter args
-/// must be numbers (Perfetto stacks them); non-finite values render as 0
-/// to keep the JSON well-formed.
-struct CounterSample {
-  uint64_t ts = 0;
-  std::vector<std::pair<std::string, double>> values;
-};
-
-/// A named counter track. Chrome groups counter events by (pid, name), so
-/// distinct tracks need distinct names; the plan-provenance exporter names
-/// tracks per fingerprint.
-struct CounterTrack {
-  uint64_t pid = 1;
-  uint64_t tid = 1;
-  std::string name;
-  std::string category = "counter";
-  /// Emitted once per distinct pid as process_name metadata (first track
-  /// with that pid wins; lanes' metadata takes precedence when both are
-  /// rendered).
-  std::string process_name;
-  std::vector<CounterSample> samples;
-};
-
-/// Multi-lane rendering with counter tracks appended: metadata first, then
-/// lane events, then every track's "C" samples in order. Samples must be
-/// in non-decreasing ts order per (pid, tid) — checked by
-/// scripts/check_trace_json.py like every other phase.
-std::string ToChromeTrace(const std::vector<TraceLane>& lanes,
-                          const std::vector<CounterTrack>& counters,
-                          bool use_wall_time = false);
-
 }  // namespace obs
 }  // namespace robustqo
 

@@ -143,45 +143,6 @@ std::string WinnerLine(const PlanProvenanceRecord& record) {
       record.sensitivity.threshold, record.estimator.c_str());
 }
 
-std::string PlanRecordJson(const PlanProvenanceRecord& r) {
-  std::string out = StrPrintf(
-      "{\"fingerprint\":\"%s\",\"threshold_bits\":\"%016llx\","
-      "\"estimator\":\"%s\",\"epoch\":%llu,\"sequence\":%llu,"
-      "\"plan\":\"%s\",\"cost\":%s,\"rows\":%s,\"sensitivity\":",
-      FingerprintHex(r.fingerprint).c_str(),
-      static_cast<unsigned long long>(r.threshold_bits),
-      JsonEscape(r.estimator).c_str(),
-      static_cast<unsigned long long>(r.epoch),
-      static_cast<unsigned long long>(r.sequence),
-      JsonEscape(r.plan_label).c_str(), Num(r.estimated_cost).c_str(),
-      Num(r.estimated_rows).c_str());
-  out += SensitivityJson(r.sensitivity);
-  out += "}";
-  return out;
-}
-
-std::string PlanDiffJson(const PlanDiffRecord& d) {
-  std::string out = StrPrintf(
-      "{\"fingerprint\":\"%s\",\"trigger\":\"%s\",\"sequence\":%llu,"
-      "\"old_epoch\":%llu,\"new_epoch\":%llu,\"old_plan\":\"%s\","
-      "\"new_plan\":\"%s\",\"old_cost\":%s,\"new_cost\":%s,"
-      "\"plan_changed\":%s,\"old_verdict\":\"%s\",\"new_verdict\":\"%s\","
-      "\"grid\":",
-      FingerprintHex(d.fingerprint).c_str(), JsonEscape(d.trigger).c_str(),
-      static_cast<unsigned long long>(d.sequence),
-      static_cast<unsigned long long>(d.old_epoch),
-      static_cast<unsigned long long>(d.new_epoch),
-      JsonEscape(d.old_label).c_str(), JsonEscape(d.new_label).c_str(),
-      Num(d.old_cost).c_str(), Num(d.new_cost).c_str(),
-      d.plan_changed ? "true" : "false", JsonEscape(d.old_verdict).c_str(),
-      JsonEscape(d.new_verdict).c_str());
-  out += DoubleArrayJson(d.grid);
-  out += ",\"old_curve\":" + DoubleArrayJson(d.old_curve);
-  out += ",\"new_curve\":" + DoubleArrayJson(d.new_curve);
-  out += "}";
-  return out;
-}
-
 std::string WhyplanText(const PlanProvenanceRecord& r,
                         const std::vector<const PlanDiffRecord*>& diffs) {
   const PlanSensitivity& s = r.sensitivity;

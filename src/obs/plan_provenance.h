@@ -41,9 +41,10 @@ struct CandidateCurve {
 
 /// Sensitivity of one plan choice across the selectivity posterior.
 struct PlanSensitivity {
-  /// True when a capture was attempted at all (provenance enabled); the
-  /// EXPLAIN sections render only captured sensitivities so disabled
-  /// output is byte-identical to pre-provenance builds.
+  /// True when the plan was optimized with capture on
+  /// (OptimizerOptions::provenance_enabled). The serving layer always
+  /// captures; EXPLAIN ANALYZE renders its sensitivity section only for a
+  /// captured sensitivity.
   bool captured = false;
   /// True when the posterior and curves were actually evaluated.
   bool available = false;
@@ -75,8 +76,8 @@ void FinalizeSensitivity(PlanSensitivity* s);
 /// Label for a quantile, e.g. 0.83 -> "p83".
 std::string QuantileLabel(double quantile);
 
-/// Deterministic JSON object for one sensitivity (EXPLAIN's `sensitivity`
-/// section and the ledger's plan dumps share the byte format).
+/// Deterministic JSON object for one sensitivity (EXPLAIN ANALYZE's
+/// `sensitivity` section).
 std::string SensitivityJson(const PlanSensitivity& s);
 
 /// Why one plan won: the provenance record filed per (statement
@@ -117,22 +118,11 @@ struct PlanDiffRecord {
   std::string new_verdict;
 };
 
-/// Deterministic JSON objects of one record / one diff.
-std::string PlanRecordJson(const PlanProvenanceRecord& record);
-std::string PlanDiffJson(const PlanDiffRecord& diff);
-
 /// The `.whyplan` body of `record`: winner, per-quantile cost table for
 /// every retained candidate, verdict, then `diffs` (the fingerprint's
 /// plan-diff history, oldest first).
 std::string WhyplanText(const PlanProvenanceRecord& record,
                         const std::vector<const PlanDiffRecord*>& diffs);
-
-struct PlanProvenanceConfig {
-  /// Runtime toggle (`SET PROVENANCE ON|OFF`): a disabled plan column
-  /// drops offers and publishes nothing, so disabled output is
-  /// byte-identical to a build without provenance.
-  bool enabled = true;
-};
 
 struct PlanProvenanceStats {
   uint64_t recorded = 0;       ///< records accepted (insert or refresh)

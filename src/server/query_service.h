@@ -88,15 +88,12 @@ struct ServerConfig {
   /// Latency/regret charging and breach thresholds of the ledger's SLO
   /// columns.
   obs::SloConfig slo;
-  /// Plan-choice provenance: every plan resolved by the optimizer (cache
-  /// misses of any flavor) files a sensitivity record in the ledger's plan
-  /// column, and a re-planned fingerprint files a plan-diff record with
-  /// its trigger. Strictly read-only w.r.t. plan choice; SET PROVENANCE
-  /// OFF (SetProvenanceEnabled(false)) reproduces the pre-provenance
-  /// metric and trace bytes.
-  obs::PlanProvenanceConfig provenance;
-  /// Runner-up candidates retained per sensitivity record.
-  size_t provenance_top_k = 3;
+  /// Runner-up candidates kept per plan-provenance record. Every plan the
+  /// optimizer resolves (a cache miss of any flavor) files a sensitivity
+  /// record in the ledger's plan column, and a re-planned fingerprint
+  /// files a plan-diff record with its trigger. Strictly read-only w.r.t.
+  /// plan choice.
+  static constexpr size_t provenance_top_k = 3;
 };
 
 /// One client request: EXECUTE of a prepared statement (when `prepared`
@@ -203,14 +200,6 @@ class QueryService {
   /// `.blackbox`).
   obs::FingerprintLedger* ledger() { return &ledger_; }
   const obs::FingerprintLedger* ledger() const { return &ledger_; }
-  /// Toggles provenance capture and recording (the shell's SET PROVENANCE
-  /// ON|OFF). Off reproduces pre-provenance metrics/traces byte-for-byte;
-  /// accumulated records are kept and resume on re-enable.
-  void SetProvenanceEnabled(bool enabled) {
-    ledger_.set_plans_enabled(enabled);
-  }
-  bool provenance_enabled() const { return ledger_.plans_enabled(); }
-  void SetProvenanceTopK(size_t top_k) { config_.provenance_top_k = top_k; }
 
   uint64_t queries_completed() const { return queries_completed_; }
   uint64_t queries_failed() const { return queries_failed_; }

@@ -186,11 +186,28 @@ TEST_F(DeterminismTest, TrafficHarnessSummaryIdenticalAcrossThreadCounts) {
   EXPECT_FALSE(reference.empty());
 }
 
+// One SLO scope's counters and quantiles, fixed precision.
+std::string ScopeLine(const std::string& key, const obs::SloScope& s) {
+  std::string out = StrPrintf(
+      "%s observed=%llu failed=%llu positive=%llu worst=%.9g", key.c_str(),
+      static_cast<unsigned long long>(s.observed),
+      static_cast<unsigned long long>(s.failed),
+      static_cast<unsigned long long>(s.regret_positive),
+      s.worst_regret_ratio);
+  for (double q : {0.5, 0.95, 0.99}) {
+    out += StrPrintf(" q%.2f=%.9g/%.9g/%.9g", q, s.queue_wait.Quantile(q),
+                     s.service.Quantile(q), s.regret.Quantile(q));
+  }
+  return out + "\n";
+}
+
 // The fingerprint ledger's leg of the contract: every request is recorded
 // from the sequential reduce phase in admission order, so after a traffic
 // run the ledger's SLO and estimation-quality reports — per-session and
 // per-fingerprint quantiles, calibration tallies and drift windows — must
-// be byte-identical at 1, 4 and 8 threads.
+// be byte-identical at 1, 4 and 8 threads. The text reports rank only the
+// worst scopes, so every session's and fingerprint's scope and every
+// quality profile are rendered here too.
 TEST_F(DeterminismTest, LedgerReportsIdenticalAcrossThreadCounts) {
   workload::TrafficConfig config;
   config.clients = 200;
@@ -215,9 +232,26 @@ TEST_F(DeterminismTest, LedgerReportsIdenticalAcrossThreadCounts) {
         workload::RunTraffic(&service, config);
     EXPECT_GT(report.completed, 0u);
     const obs::FingerprintLedger& ledger = *service.ledger();
-    const std::string reports = ledger.SloReportText() + ledger.SloJson() +
-                                ledger.QualityReportText() +
-                                ledger.QualityReportJson();
+    std::string reports = ledger.SloReportText() + ledger.QualityReportText();
+    for (size_t client = 0; client < config.clients; ++client) {
+      const std::string label = StrPrintf("client-%zu", client);
+      const obs::SloScope* scope = ledger.SessionScope(label);
+      if (scope != nullptr) reports += ScopeLine(label, *scope);
+    }
+    for (const obs::FingerprintQuality& q : ledger.Snapshot()) {
+      reports += StrPrintf(
+          "0x%016llx n=%llu q=%.9g/%.9g/%.9g/%.9g holds=%llu/%llu "
+          "mean_t=%.9g baseline=%.9g recent=%.9g drift=%.9g\n",
+          static_cast<unsigned long long>(q.fingerprint),
+          static_cast<unsigned long long>(q.observations), q.q_p50, q.q_p90,
+          q.q_p99, q.q_max, static_cast<unsigned long long>(q.bound_holds),
+          static_cast<unsigned long long>(q.bound_checks), q.mean_threshold,
+          q.baseline_median_q, q.recent_median_q, q.drift_ratio);
+      const obs::SloScope* scope = ledger.FingerprintScope(q.fingerprint);
+      if (scope != nullptr) {
+        reports += ScopeLine(obs::FingerprintHex(q.fingerprint), *scope);
+      }
+    }
     if (threads == 1) {
       reference = reports;
     } else {
