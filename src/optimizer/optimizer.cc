@@ -428,7 +428,7 @@ Result<PlannedQuery> Optimizer::Optimize(const QuerySpec& query,
     }
   } probe_scope;
   probe_scope.robust = dynamic_cast<stats::RobustSampleEstimator*>(estimator_);
-  if (probe_scope.robust != nullptr && options.enable_probe_cache) {
+  if (probe_scope.robust != nullptr) {
     probe_scope.saved = probe_scope.robust->probe_cache();
     probe_scope.robust->set_probe_cache(&probe_cache);
   }

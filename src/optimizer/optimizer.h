@@ -47,13 +47,6 @@ struct OptimizerOptions {
   /// reproduces the paper's unmemoized prototype (Section 6.1) for the
   /// overhead ablation.
   bool enable_estimate_memo = true;
-  /// Install a per-run (k, n) probe-count cache on the robust estimator,
-  /// keyed by canonical predicate fingerprints, so the same conjunct
-  /// re-costed under different join subsets/contexts scans its sample only
-  /// once. Orthogonal to enable_estimate_memo (which dedupes whole
-  /// (subset, tag) estimates; the probe cache catches the sample scans
-  /// behind distinct estimates sharing conjuncts).
-  bool enable_probe_cache = true;
   /// Observability sinks (borrowed, nullable). With a tracer attached the
   /// optimizer records an "optimize" span covering every cardinality
   /// estimate (subset, cache hit/miss, value) and per-subset pruning

@@ -17,6 +17,12 @@ namespace stats {
 
 namespace {
 
+/// Equivalent sample size of the tier-4 "default wide" posterior: the
+/// prior-only Beta the estimator falls back to when a conjunct has no
+/// synopsis, no sample and no histogram. Small n_eq = wide posterior, so
+/// conservative thresholds assume many rows.
+constexpr double kDefaultEquivalentN = 2.0;
+
 std::string JoinTableNames(const std::set<std::string>& tables) {
   std::vector<std::string> names(tables.begin(), tables.end());
   return StrJoin(names, ",");
@@ -110,7 +116,7 @@ double RobustSampleEstimator::InvertAtThreshold(
 
 double RobustSampleEstimator::DefaultWideSelectivity() const {
   const double s0 = kMagicUnknownSelectivity;
-  const double n_eq = config_.default_equivalent_n;
+  const double n_eq = kDefaultEquivalentN;
   // Prior-only posterior (no evidence): Beta(s0*n_eq, (1-s0)*n_eq) has mean
   // s0 but the weight of only ~n_eq observations, so the quantile at T
   // spreads far from the mean — conservative settings assume many rows.

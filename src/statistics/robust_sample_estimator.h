@@ -48,11 +48,6 @@ struct RobustEstimatorConfig {
   /// Retry schedule for transient statistics-store reads (synopsis/sample
   /// lookups that fail with kUnavailable).
   fault::RetryPolicy retry;
-  /// Equivalent sample size of the tier-4 "default wide" posterior: the
-  /// prior-only Beta the estimator falls back to when a conjunct has no
-  /// synopsis, no sample and no histogram. Small n_eq = wide posterior, so
-  /// conservative thresholds assume many rows.
-  double default_equivalent_n = 2.0;
 
   /// The effective Beta prior.
   BetaPrior EffectivePrior() const {
