@@ -1,15 +1,19 @@
 // The write path through the query service: DML via one-shot SQL and
 // prepared statements, snapshot isolation within a batch (reads admitted
 // alongside a write see the pre-commit state; the next wave sees it),
-// sequential commit order, and the DML response surface.
+// sequential commit order, the DML response surface, and the ledger's
+// charges for writes.
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/database.h"
+#include "fault/fault_injector.h"
+#include "obs/fingerprint_ledger.h"
 #include "server/query_service.h"
 #include "storage/catalog.h"
 #include "storage/table.h"
@@ -164,6 +168,59 @@ TEST(WritePathTest, SessionTalliesCountDmlAsQueries) {
                   .ExecuteSql(session, "DELETE FROM readings WHERE r_id = 0")
                   .status.ok());
   EXPECT_EQ(service.queries_completed(), 1u);
+}
+
+// Writes consult neither the plan cache nor the optimizer, so the ledger
+// charges them no planning time: a committed and a faulted write record
+// their execution time alone (0 — writes report no cost meter), while a
+// cold read still pays the planning charge on top of its execution.
+TEST(WritePathTest, WritesPayNoPlanningCharge) {
+  std::unique_ptr<core::Database> db = MakeDatabase();
+  ServerConfig config;
+  config.trace_requests = true;
+  QueryService service(db.get(), config);
+  const SessionId session = service.OpenSession();
+
+  const QueryResponse committed =
+      service.ExecuteSql(session, "INSERT INTO readings VALUES (5001, 7)");
+  ASSERT_TRUE(committed.status.ok()) << committed.status.ToString();
+  db->fault_injector()->Arm(fault::sites::kWriteCommit,
+                            fault::FaultSpec::Always());
+  const QueryResponse faulted =
+      service.ExecuteSql(session, "INSERT INTO readings VALUES (5002, 8)");
+  db->fault_injector()->DisarmAll();
+  ASSERT_FALSE(faulted.status.ok());
+  const QueryResponse read = service.ExecuteSql(session, kCountAll);
+  ASSERT_TRUE(read.status.ok()) << read.status.ToString();
+  ASSERT_FALSE(read.cache_hit);
+
+  // Each request is its row's exemplar: the committed write and the read
+  // as their rows' slowest, the faulted write as its row's incident.
+  std::map<uint64_t, const obs::RequestTrace*> traces;
+  for (const obs::FingerprintLedger::Exemplar& exemplar :
+       service.ledger()->Exemplars()) {
+    traces[exemplar.trace->request_id] = exemplar.trace;
+  }
+  ASSERT_EQ(traces.count(committed.request_id), 1u);
+  ASSERT_EQ(traces.count(faulted.request_id), 1u);
+  ASSERT_EQ(traces.count(read.request_id), 1u);
+  const double plan_charge = obs::SloConfig{}.plan_charge_seconds;
+  EXPECT_EQ(traces[committed.request_id]->service_seconds, 0.0);
+  EXPECT_EQ(traces[faulted.request_id]->service_seconds, 0.0);
+  EXPECT_EQ(traces[read.request_id]->service_seconds,
+            read.result->simulated_seconds + plan_charge);
+
+  // The SLO sketches agree; the faulted write observes no service time.
+  const obs::SloScope* write_scope =
+      service.ledger()->FingerprintScope(committed.fingerprint);
+  ASSERT_NE(write_scope, nullptr);
+  ASSERT_EQ(write_scope->service.count(), 1u);
+  EXPECT_EQ(write_scope->service.Quantile(0.5), 0.0);
+  const obs::SloScope* read_scope =
+      service.ledger()->FingerprintScope(read.fingerprint);
+  ASSERT_NE(read_scope, nullptr);
+  EXPECT_GT(read_scope->service.Quantile(0.5), 0.99 * plan_charge);
+  EXPECT_EQ(service.ledger()->global().service.count(), 2u);
 }
 
 }  // namespace
