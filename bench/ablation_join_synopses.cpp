@@ -82,7 +82,7 @@ int main() {
     // (a) join synopsis path (T = 50% for a near-median point estimate).
     db.SetConfidenceThreshold(0.50);
     const double with_synopsis =
-        db.robust_estimator()->EstimateRows(request).value_or(-1);
+        db.robust_estimator()->EstimateRows(request, {}).value_or(-1);
     // (b) drop the synopsis so the estimator falls back to independent
     // per-table samples + AVI + containment.
     db.statistics()->DropSynopsis("lineitem");
@@ -90,11 +90,11 @@ int main() {
     cfg.confidence_threshold = 0.50;
     stats::RobustSampleEstimator fallback(db.statistics(), cfg);
     const double with_fallback =
-        fallback.EstimateRows(request).value_or(-1);
+        fallback.EstimateRows(request, {}).value_or(-1);
     db.UpdateStatistics(stats_config);  // restore for the next iteration
 
     const double with_hist =
-        db.histogram_estimator()->EstimateRows(request).value_or(-1);
+        db.histogram_estimator()->EstimateRows(request, {}).value_or(-1);
 
     std::printf("%-8.1f %12.0f %14.0f %16.0f %14.0f\n", offset, exact,
                 with_synopsis, with_fallback, with_hist);

@@ -103,7 +103,7 @@ void BM_EstimateCallHistogram(benchmark::State& state) {
   stats::CardinalityRequest request{{"lineitem"},
                                     query.tables[0].predicate};
   for (auto _ : state) {
-    auto rows = db->histogram_estimator()->EstimateRows(request);
+    auto rows = db->histogram_estimator()->EstimateRows(request, {});
     benchmark::DoNotOptimize(rows);
   }
 }
@@ -116,7 +116,7 @@ void BM_EstimateCallRobust(benchmark::State& state) {
   stats::CardinalityRequest request{{"lineitem"},
                                     query.tables[0].predicate};
   for (auto _ : state) {
-    auto rows = db->robust_estimator()->EstimateRows(request);
+    auto rows = db->robust_estimator()->EstimateRows(request, {});
     benchmark::DoNotOptimize(rows);
   }
 }

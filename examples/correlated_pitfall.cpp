@@ -47,9 +47,9 @@ int main() {
     stats::CardinalityRequest request{{"lineitem"},
                                       query.tables[0].predicate};
     const double avi =
-        db.histogram_estimator()->EstimateRows(request).value() / rows *
+        db.histogram_estimator()->EstimateRows(request, {}).value() / rows *
         100.0;
-    auto posterior = db.robust_estimator()->EstimatePosterior(request);
+    auto posterior = db.robust_estimator()->EstimatePosterior(request, {});
     const double lo = posterior.value().EstimateAtConfidence(0.05) * 100.0;
     const double hi = posterior.value().EstimateAtConfidence(0.95) * 100.0;
     std::printf("%-8.0f %12.4f %16.4f %15.4f .. %.4f\n", offset, truth, avi,

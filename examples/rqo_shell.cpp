@@ -126,8 +126,8 @@ void PrintResult(const core::ExecutionResult& result) {
   }
 }
 
-// Handles "SET FAULT ..." and "SET <LIMIT> ..." statements; returns false
-// when `line` is not a SET statement.
+// Handles "SET <verb> ..." statements, naming the known verbs when the
+// verb is unknown; returns false when `line` is not a SET statement.
 bool HandleSet(core::Database* db, double* write_fraction,
                const std::string& line) {
   std::vector<std::string> tokens = SplitString(line, ' ');
@@ -243,7 +243,11 @@ bool HandleSet(core::Database* db, double* write_fraction,
     std::printf("traffic write fraction: %.3f\n", fraction);
     return true;
   }
-  return false;
+  std::printf(
+      "unknown setting '%s' (known: FAULT, MEMORY_LIMIT, ROW_LIMIT, "
+      "TIME_LIMIT, THREADS, BETA_CACHE_CAPACITY, WRITE_FRACTION)\n",
+      tokens[1].c_str());
+  return true;
 }
 
 // `.epoch`: the two epochs and the per-table online-maintenance state.

@@ -123,7 +123,6 @@ Result<exec::DmlResult> Database::ExecuteDml(const sql::DmlSpec& dml,
   fault::QueryGovernor governor(governor_limits_);
   ctx.governor = &governor;
   ctx.fault = &fault_;
-  ctx.tracer = tracer_;
   ctx.metrics = metrics_;
   if (metrics_ != nullptr) {
     metrics_->GetCounter("db.dml_executed")->Increment();
@@ -175,8 +174,7 @@ Result<opt::PlannedQuery> Database::Plan(const opt::QuerySpec& query,
     effective.provenance_enabled = true;
     effective.provenance_top_k = provenance_top_k_;
   }
-  // Database-level sinks act as defaults; explicit per-call sinks win.
-  if (effective.tracer == nullptr) effective.tracer = tracer_;
+  // The database's metrics registry is the default; a per-call one wins.
   if (effective.metrics == nullptr) effective.metrics = metrics_;
   if (effective.metrics != nullptr) {
     effective.metrics->GetCounter("db.queries_planned")->Increment();
@@ -184,7 +182,7 @@ Result<opt::PlannedQuery> Database::Plan(const opt::QuerySpec& query,
   // Plan-time probes (statistics reads) fire into the call's trace.
   fault_.set_tracer(effective.tracer);
   Result<opt::PlannedQuery> planned = optimizer->Optimize(query, effective);
-  fault_.set_tracer(tracer_);
+  fault_.set_tracer(nullptr);
   return planned;
 }
 
@@ -198,15 +196,15 @@ Result<ExecutionResult> Database::ExecutePlan(const opt::PlannedQuery& plan,
   fault::QueryGovernor governor(governor_limits_);
   ctx.governor = &governor;
   ctx.fault = &fault_;
-  ctx.tracer = tracer != nullptr ? tracer : tracer_;
+  ctx.tracer = tracer;
   ctx.metrics = metrics_;
   ctx.set_workspace(&workspace_);
   if (metrics_ != nullptr) {
     metrics_->GetCounter("db.queries_executed")->Increment();
   }
-  fault_.set_tracer(ctx.tracer);
+  fault_.set_tracer(tracer);
   Result<ExecutionResult> result = RunPlan(plan, &ctx);
-  fault_.set_tracer(tracer_);
+  fault_.set_tracer(nullptr);
   if (metrics_ != nullptr && !result.ok()) {
     metrics_->GetCounter("db.queries_failed")->Increment();
   }

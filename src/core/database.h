@@ -172,8 +172,8 @@ class Database {
   /// the process never crashes on a resource-limited or faulty query.
   /// `snapshot_epoch` pins which row versions scans see, so a request
   /// admitted before a DML commit reads the pre-commit state (default:
-  /// latest). A non-null `tracer` replaces the attached one for this call,
-  /// fault-injector fires included. Runs take their temporaries from the
+  /// latest). `tracer` (nullable) receives this call's operator spans and
+  /// fault-injector fires. Runs take their temporaries from the
   /// database's one executor workspace, so calls must not overlap.
   Result<ExecutionResult> ExecutePlan(
       const opt::PlannedQuery& plan,
@@ -194,15 +194,6 @@ class Database {
   size_t provenance_top_k() const { return provenance_top_k_; }
 
   // ---- Observability sinks (borrowed, nullable) ----
-
-  /// Attaches a tracer: every subsequent Plan() records optimizer and
-  /// estimator decisions; every ExecutePlan() records per-operator spans.
-  /// Pass nullptr to detach. The tracer must outlive its attachment.
-  void SetTracer(obs::Tracer* tracer) {
-    tracer_ = tracer;
-    fault_.set_tracer(tracer);
-  }
-  obs::Tracer* tracer() const { return tracer_; }
 
   /// Attaches a metrics registry for query/estimate/executor counters.
   /// Pass nullptr to detach. The registry must outlive its attachment.
@@ -264,7 +255,6 @@ class Database {
   std::unique_ptr<opt::Optimizer> histogram_optimizer_;
   std::unique_ptr<opt::Optimizer> robust_optimizer_;
   opt::Optimizer* last_used_ = nullptr;
-  obs::Tracer* tracer_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
   fault::FaultInjector fault_;
   fault::GovernorLimits governor_limits_;

@@ -447,7 +447,7 @@ Result<AnalyzedPlan> ExplainAnalyze(Database* db, const opt::QuerySpec& query,
   tracer.Clear();
 
   out.plan_label = plan.value().label;
-  out.estimator_name = db->estimator(kind)->name();
+  out.estimator_name = db->estimator(kind)->name({});
   out.estimated_cost = plan.value().estimated_cost;
   out.estimated_rows = plan.value().estimated_rows;
   out.estimated_spj_rows = plan.value().estimated_spj_rows;

@@ -11,7 +11,6 @@
 #include "optimizer/run_state.h"
 #include "perf/caches.h"
 #include "statistics/magic.h"
-#include "statistics/robust_sample_estimator.h"
 #include "util/macros.h"
 #include "util/string_util.h"
 
@@ -22,28 +21,6 @@ using exec::CostModel;
 using exec::OperatorPtr;
 
 namespace {
-
-// Temporarily overrides the robust estimator's confidence threshold when a
-// query hint is present; restores it on destruction.
-class ThresholdHintScope {
- public:
-  ThresholdHintScope(stats::CardinalityEstimator* estimator,
-                     std::optional<double> hint) {
-    if (!hint.has_value()) return;
-    robust_ = dynamic_cast<stats::RobustSampleEstimator*>(estimator);
-    if (robust_ != nullptr) {
-      saved_ = robust_->config().confidence_threshold;
-      robust_->set_confidence_threshold(*hint);
-    }
-  }
-  ~ThresholdHintScope() {
-    if (robust_ != nullptr) robust_->set_confidence_threshold(saved_);
-  }
-
- private:
-  stats::RobustSampleEstimator* robust_ = nullptr;
-  double saved_ = 0.0;
-};
 
 // Sargable conjunct with its extracted range.
 struct SargableConjunct {
@@ -103,7 +80,7 @@ double Optimizer::EstimateRows(RunState* run, uint32_t subset,
           : run->query->CombinedPredicate(
                 predicate_subset != 0 ? run->SubsetNames(predicate_subset)
                                       : request.tables);
-  Result<double> rows = estimator_->EstimateRows(request);
+  Result<double> rows = estimator_->EstimateRows(request, run->estimation);
   double value;
   if (rows.ok()) {
     value = std::max(0.0, rows.value());
@@ -340,43 +317,23 @@ obs::PlanSensitivity Optimizer::CaptureSensitivity(RunState* run,
   sensitivity.grid = SensitivityGrid();
   if (!finalists.empty()) sensitivity.plan_label = memo_.Label(finalists[0]);
 
-  auto* robust = dynamic_cast<stats::RobustSampleEstimator*>(estimator_);
-  double threshold_selectivity = 0.0;
-  if (robust == nullptr) {
+  stats::CardinalityRequest request;
+  request.tables = run->SubsetNames(full_subset);
+  request.predicate = run->query->CombinedPredicate(request.tables);
+  stats::PosteriorQuantiles posterior = estimator_->EstimatePosteriorQuantiles(
+      request, sensitivity.grid, run->estimation);
+  sensitivity.threshold = posterior.threshold;
+  if (posterior.status.code() == StatusCode::kUnsupported) {
     sensitivity.unavailable_reason = "estimator has no posterior";
+  } else if (request.predicate == nullptr) {
+    sensitivity.unavailable_reason = "query has no predicate";
+  } else if (!posterior.status.ok()) {
+    sensitivity.unavailable_reason = "no covering posterior";
+  } else if (posterior.at_threshold > 0.0) {
+    sensitivity.available = true;
+    sensitivity.selectivity = std::move(posterior.selectivity);
   } else {
-    sensitivity.threshold = robust->config().confidence_threshold;
-    stats::CardinalityRequest request;
-    request.tables = run->SubsetNames(full_subset);
-    request.predicate = run->query->CombinedPredicate(request.tables);
-    if (request.predicate == nullptr) {
-      sensitivity.unavailable_reason = "query has no predicate";
-    } else {
-      Result<stats::SelectivityPosterior> posterior =
-          robust->EstimatePosterior(request);
-      if (!posterior.ok()) {
-        sensitivity.unavailable_reason = "no covering posterior";
-      } else {
-        // All cdf^{-1} evaluations go through the shared inverse-Beta LRU,
-        // so a re-planned fingerprint re-reads its whole grid from cache.
-        const math::BetaDistribution& dist =
-            posterior.value().distribution();
-        perf::InverseBetaCache* beta = robust->beta_cache();
-        threshold_selectivity =
-            beta->Value(dist.alpha(), dist.beta(), sensitivity.threshold);
-        for (double q : sensitivity.grid) {
-          sensitivity.selectivity.push_back(
-              beta->Value(dist.alpha(), dist.beta(), q));
-        }
-        if (threshold_selectivity > 0.0) {
-          sensitivity.available = true;
-        } else {
-          sensitivity.selectivity.clear();
-          sensitivity.unavailable_reason =
-              "degenerate threshold selectivity";
-        }
-      }
-    }
+    sensitivity.unavailable_reason = "degenerate threshold selectivity";
   }
 
   if (sensitivity.available) {
@@ -390,7 +347,7 @@ obs::PlanSensitivity Optimizer::CaptureSensitivity(RunState* run,
       curve.rows = cand.rows;
       curve.curve_available = cand.method != PlanMethod::kStar;
       for (double selectivity : sensitivity.selectivity) {
-        const double ratio = selectivity / threshold_selectivity;
+        const double ratio = selectivity / posterior.at_threshold;
         curve.cost_at.push_back(memo_.Recost(
             {full_subset, static_cast<uint32_t>(c)}, ratio));
       }
@@ -413,29 +370,19 @@ Result<PlannedQuery> Optimizer::Optimize(const QuerySpec& query,
     return Status::Unsupported("more than 12 tables");
   }
 
-  ThresholdHintScope hint_scope(estimator_, options.confidence_threshold_hint);
-
-  // Per-run probe-count memo on the robust estimator: the DP re-costs the
-  // same conjunct under many (subset, context) combinations, and the probe
-  // cache collapses those to one sample scan each. Fresh per run, so
-  // entries never outlive the statistics; restored on every return path.
+  // Everything the estimator needs for this run travels in one context:
+  // the T% hint, this run's sinks (estimation events nest under the
+  // optimize span) and a fresh probe-count memo — the DP re-costs the same
+  // conjunct under many (subset, context) combinations, and the memo
+  // collapses those to one sample scan each without outliving the run.
   perf::ProbeCountCache probe_cache;
-  struct ProbeCacheScope {
-    stats::RobustSampleEstimator* robust = nullptr;
-    perf::ProbeCountCache* saved = nullptr;
-    ~ProbeCacheScope() {
-      if (robust != nullptr) robust->set_probe_cache(saved);
-    }
-  } probe_scope;
-  probe_scope.robust = dynamic_cast<stats::RobustSampleEstimator*>(estimator_);
-  if (probe_scope.robust != nullptr) {
-    probe_scope.saved = probe_scope.robust->probe_cache();
-    probe_scope.robust->set_probe_cache(&probe_cache);
-  }
-
   RunState run;
   run.query = &query;
   run.options = options;
+  run.estimation.confidence_threshold = options.confidence_threshold_hint;
+  run.estimation.tracer = options.tracer;
+  run.estimation.metrics = options.metrics;
+  run.estimation.probe_cache = &probe_cache;
   if (options.metrics != nullptr) {
     run.metric_estimates =
         options.metrics->GetCounter("optimizer.estimate_calls");
@@ -443,25 +390,10 @@ Result<PlannedQuery> Optimizer::Optimize(const QuerySpec& query,
         options.metrics->GetCounter("optimizer.estimate_cache_hits");
     run.metric_candidates = options.metrics->GetCounter("optimizer.candidates");
   }
-  // Scope the estimator's trace/metrics sinks to this run so estimation
-  // events nest under the optimize span and degradations are counted
-  // (restored on every return path).
-  struct EstimatorSinkScope {
-    stats::CardinalityEstimator* estimator;
-    obs::Tracer* saved_tracer;
-    obs::MetricsRegistry* saved_metrics;
-    ~EstimatorSinkScope() {
-      estimator->set_tracer(saved_tracer);
-      estimator->set_metrics(saved_metrics);
-    }
-  } estimator_sink_scope{estimator_, estimator_->tracer(),
-                         estimator_->metrics()};
-  if (options.tracer != nullptr) estimator_->set_tracer(options.tracer);
-  if (options.metrics != nullptr) estimator_->set_metrics(options.metrics);
   obs::SpanGuard optimize_span(
       options.tracer, "optimizer", "optimize",
       {{"tables", obs::AttrU64(query.tables.size())},
-       {"estimator", estimator_->name()}});
+       {"estimator", estimator_->name(run.estimation)}});
   const size_t n = query.tables.size();
   for (const TableRef& ref : query.tables) {
     const storage::Table* table = catalog_->GetTable(ref.table);
@@ -579,8 +511,8 @@ Result<PlannedQuery> Optimizer::Optimize(const QuerySpec& query,
         for (const TableRef& ref : query.tables) {
           const storage::Table* t = catalog_->GetTable(ref.table);
           if (t != nullptr && t->schema().HasColumn(column)) {
-            Result<double> d =
-                estimator_->EstimateDistinctValues(ref.table, column);
+            Result<double> d = estimator_->EstimateDistinctValues(
+                ref.table, column, run.estimation);
             if (d.ok()) {
               distinct_product *= std::max(1.0, d.value());
               have_estimate = true;
@@ -628,16 +560,14 @@ Result<PlannedQuery> Optimizer::Optimize(const QuerySpec& query,
   }
   planned.root = std::move(root);
   planned.label = std::move(label);
-  if (probe_scope.robust != nullptr) {
-    // Per-query counters (both tallied on the per-run probe cache), so the
-    // report is a function of the query alone — byte-identical across runs
-    // and thread counts even though the inverse-Beta LRU persists.
-    metrics_.probe_cache_hits = static_cast<size_t>(probe_cache.hits());
-    metrics_.probe_cache_misses = static_cast<size_t>(probe_cache.misses());
-    metrics_.beta_cache_hits = static_cast<size_t>(probe_cache.beta_hits());
-    metrics_.beta_cache_misses =
-        static_cast<size_t>(probe_cache.beta_misses());
-  }
+  // Per-query counters (both tallied on the per-run probe cache; zero for
+  // an estimator that keeps no samples), so the report is a function of
+  // the query alone — byte-identical across runs and thread counts even
+  // though the inverse-Beta LRU persists.
+  metrics_.probe_cache_hits = static_cast<size_t>(probe_cache.hits());
+  metrics_.probe_cache_misses = static_cast<size_t>(probe_cache.misses());
+  metrics_.beta_cache_hits = static_cast<size_t>(probe_cache.beta_hits());
+  metrics_.beta_cache_misses = static_cast<size_t>(probe_cache.beta_misses());
   // After the per-query cache counters are copied, so the extra posterior
   // read + grid quantile lookups never perturb the EXPLAIN ANALYZE
   // perf.cache numbers.

@@ -59,7 +59,7 @@ struct OptimizerOptions {
   /// winner plus the top provenance_top_k runner-ups (post-prune), each
   /// re-costed over the plan memo at the posterior quantile grid, with a
   /// stability/crossover verdict. The added cdf^{-1} work goes through
-  /// the robust estimator's InverseBetaCache and is excluded from
+  /// the estimator's posterior quantiles and is excluded from
   /// last_metrics()'s per-query cache counters.
   bool provenance_enabled = false;
   size_t provenance_top_k = 3;
@@ -137,9 +137,8 @@ class Optimizer {
   void AddStarCandidates(RunState* run, std::vector<PlanEntry>* out);
 
   // The plan choice's sensitivity, from the memo's pruned finalists of the
-  // full table set: posterior quantile grid via the robust estimator's
-  // beta cache, one re-cost curve per retained candidate, verdict via
-  // FinalizeSensitivity.
+  // full table set: the estimator's posterior at the quantile grid, one
+  // re-cost curve per retained candidate, verdict via FinalizeSensitivity.
   obs::PlanSensitivity CaptureSensitivity(RunState* run,
                                           uint32_t full_subset);
 

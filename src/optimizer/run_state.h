@@ -22,6 +22,9 @@ namespace opt {
 struct Optimizer::RunState {
   const QuerySpec* query = nullptr;
   OptimizerOptions options;
+  /// What every estimator call of this run receives: the T% hint, the
+  /// run's sinks and its probe-count memo.
+  stats::EstimationContext estimation;
 
   /// Base tables by query position.
   std::vector<const storage::Table*> tables;

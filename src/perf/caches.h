@@ -6,9 +6,9 @@
 //   * ProbeCountCache — a per-query memo of (k, n) probe counts. The DP
 //     join enumerator costs the same conjunct under many (join subset,
 //     context) combinations; the first probe scans the sample, every
-//     repeat is a hash lookup. The optimizer installs a fresh cache per
-//     Optimize() call, so entries never outlive the statistics they were
-//     computed from.
+//     repeat is a hash lookup. The optimizer passes a fresh cache per
+//     Optimize() call in its stats::EstimationContext, so entries never
+//     outlive the statistics they were computed from.
 //   * InverseBetaCache — a bounded LRU over inverse-Beta quantile
 //     evaluations cdf^{-1}(T) keyed by (alpha, beta, p) bit patterns.
 //     Newton iteration on the incomplete beta is the second-hottest

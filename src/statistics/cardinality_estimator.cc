@@ -4,17 +4,19 @@ namespace robustqo {
 namespace stats {
 
 Result<double> CardinalityEstimator::EstimateDistinctValues(
-    const std::string& table, const std::string& column) {
+    const std::string& table, const std::string& column,
+    const EstimationContext& /*context*/) {
   return Status::Unsupported("no distinct-value estimate for " + table +
                              "." + column);
 }
 
-Result<double> CardinalityEstimator::EstimateSelectivity(
-    const CardinalityRequest& request, double root_rows) {
-  if (root_rows <= 0.0) return 0.0;
-  Result<double> rows = EstimateRows(request);
-  if (!rows.ok()) return rows.status();
-  return rows.value() / root_rows;
+PosteriorQuantiles CardinalityEstimator::EstimatePosteriorQuantiles(
+    const CardinalityRequest& /*request*/,
+    const std::vector<double>& /*quantiles*/,
+    const EstimationContext& /*context*/) {
+  PosteriorQuantiles out;
+  out.status = Status::Unsupported("estimator keeps no posterior");
+  return out;
 }
 
 }  // namespace stats

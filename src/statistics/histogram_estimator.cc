@@ -69,7 +69,8 @@ Result<double> HistogramEstimator::EstimateTableSelectivity(
 }
 
 Result<double> HistogramEstimator::EstimateDistinctValues(
-    const std::string& table, const std::string& column) {
+    const std::string& table, const std::string& column,
+    const EstimationContext& /*context*/) {
   const EquiDepthHistogram* hist = statistics_->GetHistogram(table, column);
   if (hist == nullptr) {
     return Status::NotFound("no histogram on " + table + "." + column);
@@ -78,7 +79,7 @@ Result<double> HistogramEstimator::EstimateDistinctValues(
 }
 
 Result<double> HistogramEstimator::EstimateRows(
-    const CardinalityRequest& request) {
+    const CardinalityRequest& request, const EstimationContext& context) {
   const storage::Catalog& catalog = statistics_->catalog();
   auto root = catalog.FindRootTable(request.tables);
   if (!root.ok()) return root.status();
@@ -97,23 +98,23 @@ Result<double> HistogramEstimator::EstimateRows(
     const double sel =
         ConjunctSelectivity(*statistics_, table_for_stats, conjunct);
     rows *= sel;
-    if (tracer_ != nullptr) {
-      tracer_->Event("estimator", "histogram",
-                     {{"tables", table_for_stats},
-                      {"predicate", conjunct->ToString()},
-                      {"source", "histogram-avi"},
-                      {"selectivity", obs::AttrF(sel)}});
+    if (context.tracer != nullptr) {
+      context.tracer->Event("estimator", "histogram",
+                            {{"tables", table_for_stats},
+                             {"predicate", conjunct->ToString()},
+                             {"source", "histogram-avi"},
+                             {"selectivity", obs::AttrF(sel)}});
     }
   }
-  if (tracer_ != nullptr) {
+  if (context.tracer != nullptr) {
     std::vector<std::string> names(request.tables.begin(),
                                    request.tables.end());
-    tracer_->Event("estimator", "histogram",
-                   {{"tables", StrJoin(names, ",")},
-                    {"predicate", request.predicate->ToString()},
-                    {"source", "histogram-avi"},
-                    {"conjuncts", obs::AttrU64(conjuncts.size())},
-                    {"est_rows", obs::AttrF(rows)}});
+    context.tracer->Event("estimator", "histogram",
+                          {{"tables", StrJoin(names, ",")},
+                           {"predicate", request.predicate->ToString()},
+                           {"source", "histogram-avi"},
+                           {"conjuncts", obs::AttrU64(conjuncts.size())},
+                           {"est_rows", obs::AttrF(rows)}});
   }
   return rows;
 }

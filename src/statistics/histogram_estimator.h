@@ -26,7 +26,8 @@ class HistogramEstimator : public CardinalityEstimator {
   /// Estimate = |root| * Π over tables t of sel(t), where sel(t) is the
   /// product of per-conjunct selectivities (AVI): sargable conjuncts use
   /// the histogram on their column; anything else gets a magic number.
-  Result<double> EstimateRows(const CardinalityRequest& request) override;
+  Result<double> EstimateRows(const CardinalityRequest& request,
+                              const EstimationContext& context) override;
 
   /// Selectivity of `predicate` against a single table.
   Result<double> EstimateTableSelectivity(const std::string& table,
@@ -34,10 +35,13 @@ class HistogramEstimator : public CardinalityEstimator {
 
   /// Distinct count from the column's histogram (sum of per-bucket
   /// distinct counters — exact up to histogram construction).
-  Result<double> EstimateDistinctValues(const std::string& table,
-                                        const std::string& column) override;
+  Result<double> EstimateDistinctValues(
+      const std::string& table, const std::string& column,
+      const EstimationContext& context) override;
 
-  std::string name() const override { return "histogram-avi"; }
+  std::string name(const EstimationContext& /*context*/) const override {
+    return "histogram-avi";
+  }
 
  private:
   const StatisticsCatalog* statistics_;

@@ -66,27 +66,29 @@ RobustEstimatorConfig RobustEstimatorConfig::For(RobustnessLevel level) {
   return config;
 }
 
-void RobustSampleEstimator::RecordDegradation(const char* tier_from,
-                                              const char* tier_to,
-                                              const char* reason,
-                                              const std::string& scope,
-                                              const char* counter) const {
-  if (metrics_ != nullptr) { metrics_->GetCounter(counter)->Increment(); }
-  if (tracer_ != nullptr) {
-    tracer_->Event("estimator", "degraded",
-                   {{"tier_from", tier_from},
-                    {"tier_to", tier_to},
-                    {"reason", reason},
-                    {"tables", scope}});
+void RobustSampleEstimator::RecordDegradation(
+    const EstimationContext& context, const char* tier_from,
+    const char* tier_to, const char* reason, const std::string& scope,
+    const char* counter) const {
+  if (context.metrics != nullptr) {
+    context.metrics->GetCounter(counter)->Increment();
+  }
+  if (context.tracer != nullptr) {
+    context.tracer->Event("estimator", "degraded",
+                          {{"tier_from", tier_from},
+                           {"tier_to", tier_to},
+                           {"reason", reason},
+                           {"tables", scope}});
   }
 }
 
-void RobustSampleEstimator::RecordCacheEvent(const char* cache,
+void RobustSampleEstimator::RecordCacheEvent(const EstimationContext& context,
+                                             const char* cache,
                                              bool hit) const {
-  if (metrics_ != nullptr) {
-    metrics_->GetCounter(hit ? "perf.cache.hit" : "perf.cache.miss")
+  if (context.metrics != nullptr) {
+    context.metrics->GetCounter(hit ? "perf.cache.hit" : "perf.cache.miss")
         ->Increment();
-    metrics_
+    context.metrics
         ->GetCounter(std::string(hit ? "perf.cache.hit." : "perf.cache.miss.") +
                      cache)
         ->Increment();
@@ -94,42 +96,45 @@ void RobustSampleEstimator::RecordCacheEvent(const char* cache,
 }
 
 double RobustSampleEstimator::InvertAtThreshold(
-    const SelectivityPosterior& posterior) const {
-  RQO_CHECK_MSG(config_.confidence_threshold > 0.0 &&
-                    config_.confidence_threshold < 1.0,
+    const SelectivityPosterior& posterior,
+    const EstimationContext& context) const {
+  const double threshold = ThresholdOf(context);
+  RQO_CHECK_MSG(threshold > 0.0 && threshold < 1.0,
                 "confidence threshold must be in (0, 1)");
   bool hit = false;
   const math::BetaDistribution& d = posterior.distribution();
-  const double value = beta_cache_->Value(d.alpha(), d.beta(),
-                                         config_.confidence_threshold, &hit);
+  const double value =
+      beta_cache_->Value(d.alpha(), d.beta(), threshold, &hit);
   // Inside an optimizer call, classify hit/miss per query (first inversion
   // of a key this query = miss, repeats = hits) rather than by global LRU
   // residency, so EXPLAIN ANALYZE counters don't depend on what ran
   // before. The returned value comes from the LRU either way.
-  if (probe_cache_ != nullptr) {
-    hit = probe_cache_->NoteBetaInversion(d.alpha(), d.beta(),
-                                          config_.confidence_threshold);
+  if (context.probe_cache != nullptr) {
+    hit = context.probe_cache->NoteBetaInversion(d.alpha(), d.beta(),
+                                                 threshold);
   }
-  RecordCacheEvent("beta", hit);
+  RecordCacheEvent(context, "beta", hit);
   return value;
 }
 
-double RobustSampleEstimator::DefaultWideSelectivity() const {
+double RobustSampleEstimator::DefaultWideSelectivity(
+    const EstimationContext& context) const {
   const double s0 = kMagicUnknownSelectivity;
   const double n_eq = kDefaultEquivalentN;
   // Prior-only posterior (no evidence): Beta(s0*n_eq, (1-s0)*n_eq) has mean
   // s0 but the weight of only ~n_eq observations, so the quantile at T
   // spreads far from the mean — conservative settings assume many rows.
   SelectivityPosterior wide(0, 0, BetaPrior{s0 * n_eq, (1.0 - s0) * n_eq});
-  return InvertAtThreshold(wide);
+  return InvertAtThreshold(wide, context);
 }
 
 Result<RobustSampleEstimator::Observation> RobustSampleEstimator::Observe(
-    const CardinalityRequest& request) const {
+    const CardinalityRequest& request,
+    const EstimationContext& context) const {
   Result<const JoinSynopsis*> synopsis = fault::RetryWithBackoff(
       config_.retry,
       [&] { return statistics_->TryFindCoveringSynopsis(request.tables); },
-      nullptr, metrics_);
+      nullptr, context.metrics);
   if (!synopsis.ok()) return synopsis.status();
   Observation obs;
   obs.sample_size = synopsis.value()->size();
@@ -143,52 +148,78 @@ Result<RobustSampleEstimator::Observation> RobustSampleEstimator::Observe(
   // only the first costing scans the synopsis.
   const std::string source = "synopsis:" + JoinTableNames(request.tables);
   const uint64_t fingerprint = perf::FingerprintExpr(*request.predicate);
-  if (probe_cache_ != nullptr) {
+  if (context.probe_cache != nullptr) {
     std::optional<perf::ProbeCount> cached =
-        probe_cache_->Lookup(source, fingerprint);
+        context.probe_cache->Lookup(source, fingerprint);
     if (cached.has_value() && cached->sample_size == obs.sample_size) {
-      RecordCacheEvent("probe", true);
+      RecordCacheEvent(context, "probe", true);
       obs.satisfying = cached->satisfying;
       return obs;
     }
-    RecordCacheEvent("probe", false);
+    RecordCacheEvent(context, "probe", false);
   }
   obs.satisfying =
       perf::BatchCountSatisfying(*request.predicate, synopsis.value()->rows());
-  if (probe_cache_ != nullptr) {
-    probe_cache_->Insert(source, fingerprint,
-                         {obs.satisfying, obs.sample_size});
+  if (context.probe_cache != nullptr) {
+    context.probe_cache->Insert(source, fingerprint,
+                                {obs.satisfying, obs.sample_size});
   }
   return obs;
 }
 
 Result<SelectivityPosterior> RobustSampleEstimator::EstimatePosterior(
-    const CardinalityRequest& request) const {
-  Result<Observation> obs = Observe(request);
+    const CardinalityRequest& request,
+    const EstimationContext& context) const {
+  Result<Observation> obs = Observe(request, context);
   if (!obs.ok()) return obs.status();
   return SelectivityPosterior(obs.value().satisfying,
                               obs.value().sample_size, config_.EffectivePrior());
 }
 
+PosteriorQuantiles RobustSampleEstimator::EstimatePosteriorQuantiles(
+    const CardinalityRequest& request, const std::vector<double>& quantiles,
+    const EstimationContext& context) {
+  PosteriorQuantiles out;
+  out.threshold = ThresholdOf(context);
+  if (request.predicate == nullptr) {
+    out.status = Status::InvalidArgument("request has no predicate");
+    return out;
+  }
+  Result<SelectivityPosterior> posterior = EstimatePosterior(request, context);
+  if (!posterior.ok()) {
+    out.status = posterior.status();
+    return out;
+  }
+  // All cdf^{-1} evaluations go through the shared inverse-Beta LRU, so a
+  // re-planned fingerprint re-reads its whole grid from cache.
+  const math::BetaDistribution& d = posterior.value().distribution();
+  out.at_threshold = beta_cache_->Value(d.alpha(), d.beta(), out.threshold);
+  for (double q : quantiles) {
+    out.selectivity.push_back(beta_cache_->Value(d.alpha(), d.beta(), q));
+  }
+  return out;
+}
+
 Result<double> RobustSampleEstimator::EstimateRows(
-    const CardinalityRequest& request) {
+    const CardinalityRequest& request, const EstimationContext& context) {
   const storage::Catalog& catalog = statistics_->catalog();
   auto root = catalog.FindRootTable(request.tables);
   if (!root.ok()) return root.status();
   const double root_rows =
       static_cast<double>(catalog.GetTable(root.value())->num_rows());
   if (request.predicate == nullptr) return root_rows;
+  const double threshold = ThresholdOf(context);
 
   // Tier 1: a covering join synopsis (transient read failures retried with
   // deterministic backoff inside Observe).
-  Result<Observation> obs = Observe(request);
+  Result<Observation> obs = Observe(request, context);
   if (obs.ok()) {
     const BetaPrior prior = config_.EffectivePrior();
     SelectivityPosterior posterior(obs.value().satisfying,
                                    obs.value().sample_size, prior);
-    const double selectivity = InvertAtThreshold(posterior);
-    if (tracer_ != nullptr) {
-      tracer_->Event(
+    const double selectivity = InvertAtThreshold(posterior, context);
+    if (context.tracer != nullptr) {
+      context.tracer->Event(
           "estimator", "robust",
           {{"tables", JoinTableNames(request.tables)},
            {"predicate", request.predicate->ToString()},
@@ -203,7 +234,7 @@ Result<double> RobustSampleEstimator::EstimateRows(
             robustqo::obs::AttrF(static_cast<double>(obs.value().sample_size -
                                                      obs.value().satisfying) +
                                  prior.beta)},
-           {"threshold", robustqo::obs::AttrF(config_.confidence_threshold)},
+           {"threshold", robustqo::obs::AttrF(threshold)},
            {"selectivity", robustqo::obs::AttrF(selectivity)},
            {"est_rows", robustqo::obs::AttrF(selectivity * root_rows)}});
     }
@@ -212,7 +243,7 @@ Result<double> RobustSampleEstimator::EstimateRows(
   const bool synopsis_unavailable =
       obs.status().code() == StatusCode::kUnavailable;
 
-  RecordDegradation("synopsis", "table-sample",
+  RecordDegradation(context, "synopsis", "table-sample",
                     synopsis_unavailable ? "unavailable" : "missing",
                     JoinTableNames(request.tables),
                     synopsis_unavailable
@@ -269,20 +300,20 @@ Result<double> RobustSampleEstimator::EstimateRows(
 
     Result<const TableSample*> sample = fault::RetryWithBackoff(
         config_.retry, [&] { return statistics_->TryGetSample(table); },
-        nullptr, metrics_);
+        nullptr, context.metrics);
     if (sample.ok()) {
       probe.sample = sample.value();
       probe.fingerprint = perf::FingerprintExpr(*probe.pred);
-      if (probe_cache_ != nullptr) {
-        std::optional<perf::ProbeCount> cached = probe_cache_->Lookup(
+      if (context.probe_cache != nullptr) {
+        std::optional<perf::ProbeCount> cached = context.probe_cache->Lookup(
             "sample:" + probe.table, probe.fingerprint);
         if (cached.has_value() &&
             cached->sample_size == probe.sample->size()) {
-          RecordCacheEvent("probe", true);
+          RecordCacheEvent(context, "probe", true);
           probe.k = cached->satisfying;
           probe.have_count = true;
         } else {
-          RecordCacheEvent("probe", false);
+          RecordCacheEvent(context, "probe", false);
         }
       }
     } else {
@@ -307,17 +338,17 @@ Result<double> RobustSampleEstimator::EstimateRows(
     const std::string& table = probe.table;
     const expr::ExprPtr& table_pred = probe.pred;
     if (probe.sample != nullptr) {
-      if (probe_cache_ != nullptr) {
-        probe_cache_->Insert("sample:" + table, probe.fingerprint,
-                             {probe.k, probe.sample->size()});
+      if (context.probe_cache != nullptr) {
+        context.probe_cache->Insert("sample:" + table, probe.fingerprint,
+                                    {probe.k, probe.sample->size()});
       }
       const uint64_t k = probe.k;
       const BetaPrior prior = config_.EffectivePrior();
       SelectivityPosterior posterior(k, probe.sample->size(), prior);
-      const double factor = InvertAtThreshold(posterior);
+      const double factor = InvertAtThreshold(posterior, context);
       selectivity *= factor;
-      if (tracer_ != nullptr) {
-        tracer_->Event(
+      if (context.tracer != nullptr) {
+        context.tracer->Event(
             "estimator", "robust",
             {{"tables", table},
              {"predicate", table_pred->ToString()},
@@ -331,14 +362,14 @@ Result<double> RobustSampleEstimator::EstimateRows(
               robustqo::obs::AttrF(
                   static_cast<double>(probe.sample->size() - k) +
                   prior.beta)},
-             {"threshold", robustqo::obs::AttrF(config_.confidence_threshold)},
+             {"threshold", robustqo::obs::AttrF(threshold)},
              {"selectivity", robustqo::obs::AttrF(factor)}});
       }
       continue;
     }
     const bool sample_unavailable = probe.sample_unavailable;
-    if (metrics_ != nullptr) {
-      metrics_
+    if (context.metrics != nullptr) {
+      context.metrics
           ->GetCounter(sample_unavailable
                            ? "estimator.degraded.sample_unavailable"
                            : "estimator.degraded.sample_miss")
@@ -353,19 +384,18 @@ Result<double> RobustSampleEstimator::EstimateRows(
           histogram_fallback_.EstimateTableSelectivity(table, table_pred);
       if (hist_factor.ok()) {
         selectivity *= hist_factor.value();
-        RecordDegradation("table-sample", "histogram-avi",
+        RecordDegradation(context, "table-sample", "histogram-avi",
                           sample_unavailable ? "unavailable" : "missing",
                           table, "estimator.degraded.to_histogram");
-        if (tracer_ != nullptr) {
-          tracer_->Event(
+        if (context.tracer != nullptr) {
+          context.tracer->Event(
               "estimator", "robust",
               {{"tables", table},
                {"predicate", table_pred->ToString()},
                {"source", "histogram-avi"},
                {"fingerprint",
                 robustqo::obs::AttrU64(perf::FingerprintExpr(*table_pred))},
-               {"threshold",
-                robustqo::obs::AttrF(config_.confidence_threshold)},
+               {"threshold", robustqo::obs::AttrF(threshold)},
                {"selectivity", robustqo::obs::AttrF(hist_factor.value())}});
         }
         continue;
@@ -374,41 +404,41 @@ Result<double> RobustSampleEstimator::EstimateRows(
 
     // Tier 4: default selectivity from the wide prior-only posterior, one
     // factor per stat-less conjunct.
-    const double wide = DefaultWideSelectivity();
+    const double wide = DefaultWideSelectivity(context);
     for (size_t i = 0; i < probe.num_conjuncts; ++i) selectivity *= wide;
-    RecordDegradation("histogram-avi", "default-wide", "missing", table,
-                      "estimator.degraded.to_default");
-    if (tracer_ != nullptr) {
-      tracer_->Event(
+    RecordDegradation(context, "histogram-avi", "default-wide", "missing",
+                      table, "estimator.degraded.to_default");
+    if (context.tracer != nullptr) {
+      context.tracer->Event(
           "estimator", "robust",
           {{"tables", table},
            {"source", "default-wide"},
            {"conjuncts", robustqo::obs::AttrU64(probe.num_conjuncts)},
-           {"threshold", robustqo::obs::AttrF(config_.confidence_threshold)},
+           {"threshold", robustqo::obs::AttrF(threshold)},
            {"selectivity", robustqo::obs::AttrF(wide)}});
     }
   }
-  if (tracer_ != nullptr) {
-    tracer_->Event("estimator", "robust",
-                   {{"tables", JoinTableNames(request.tables)},
-                    {"predicate", request.predicate->ToString()},
-                    {"source", "independence"},
-                    {"fingerprint", robustqo::obs::AttrU64(
-                         perf::FingerprintExpr(*request.predicate))},
-                    {"threshold",
-                     robustqo::obs::AttrF(config_.confidence_threshold)},
-                    {"selectivity", robustqo::obs::AttrF(selectivity)},
-                    {"est_rows",
-                     robustqo::obs::AttrF(selectivity * root_rows)}});
+  if (context.tracer != nullptr) {
+    context.tracer->Event("estimator", "robust",
+                          {{"tables", JoinTableNames(request.tables)},
+                           {"predicate", request.predicate->ToString()},
+                           {"source", "independence"},
+                           {"fingerprint", robustqo::obs::AttrU64(
+                                perf::FingerprintExpr(*request.predicate))},
+                           {"threshold", robustqo::obs::AttrF(threshold)},
+                           {"selectivity", robustqo::obs::AttrF(selectivity)},
+                           {"est_rows",
+                            robustqo::obs::AttrF(selectivity * root_rows)}});
   }
   return selectivity * root_rows;
 }
 
 Result<double> RobustSampleEstimator::EstimateDistinctValues(
-    const std::string& table, const std::string& column) {
+    const std::string& table, const std::string& column,
+    const EstimationContext& context) {
   Result<const TableSample*> sample = fault::RetryWithBackoff(
       config_.retry, [&] { return statistics_->TryGetSample(table); },
-      nullptr, metrics_);
+      nullptr, context.metrics);
   if (!sample.ok()) return sample.status();
   Result<SampleFrequencyProfile> profile =
       ProfileSampleColumn(*sample.value(), column);
@@ -419,9 +449,9 @@ Result<double> RobustSampleEstimator::EstimateDistinctValues(
                           DistinctMethod::kGee);
 }
 
-std::string RobustSampleEstimator::name() const {
-  return StrPrintf("robust-sample@T=%.0f%%",
-                   config_.confidence_threshold * 100.0);
+std::string RobustSampleEstimator::name(
+    const EstimationContext& context) const {
+  return StrPrintf("robust-sample@T=%.0f%%", ThresholdOf(context) * 100.0);
 }
 
 }  // namespace stats

@@ -79,14 +79,16 @@ class RobustSampleEstimator : public CardinalityEstimator {
 
   /// Estimate = cdf^{-1}(T) of the selectivity posterior, scaled by the
   /// root table's row count, degrading through the tiers above as
-  /// evidence is unavailable.
-  Result<double> EstimateRows(const CardinalityRequest& request) override;
+  /// evidence is unavailable. T is the context's, else the configured one.
+  Result<double> EstimateRows(const CardinalityRequest& request,
+                              const EstimationContext& context) override;
 
   /// The full posterior for a request, when a covering synopsis exists.
   /// This is what a least-expected-cost or crossover analysis would
   /// consume; EstimateRows is its cdf^{-1}(T) condensation.
   Result<SelectivityPosterior> EstimatePosterior(
-      const CardinalityRequest& request) const;
+      const CardinalityRequest& request,
+      const EstimationContext& context) const;
 
   /// The (k, n) sample observation behind EstimatePosterior.
   struct Observation {
@@ -94,54 +96,63 @@ class RobustSampleEstimator : public CardinalityEstimator {
     uint64_t sample_size = 0;  ///< n
     uint64_t root_rows = 0;    ///< |root table|
   };
-  Result<Observation> Observe(const CardinalityRequest& request) const;
+  Result<Observation> Observe(const CardinalityRequest& request,
+                              const EstimationContext& context) const;
+
+  /// The covering-synopsis posterior read at `quantiles` and at T, each
+  /// through the inverse-Beta LRU (bit-identical to direct evaluation).
+  /// A request without a predicate is refused before any statistics read.
+  PosteriorQuantiles EstimatePosteriorQuantiles(
+      const CardinalityRequest& request, const std::vector<double>& quantiles,
+      const EstimationContext& context) override;
 
   /// Distinct count via the GEE estimator over the table's sample
   /// (Section 3.5's distinct-values extension).
-  Result<double> EstimateDistinctValues(const std::string& table,
-                                        const std::string& column) override;
+  Result<double> EstimateDistinctValues(
+      const std::string& table, const std::string& column,
+      const EstimationContext& context) override;
 
   const RobustEstimatorConfig& config() const { return config_; }
   RobustEstimatorConfig* mutable_config() { return &config_; }
   void set_confidence_threshold(double t) { config_.confidence_threshold = t; }
 
-  std::string name() const override;
+  std::string name(const EstimationContext& context) const override;
 
   /// Tier-4 selectivity: quantile at the confidence threshold of the wide
   /// default posterior Beta(s0*n_eq, (1-s0)*n_eq), s0 = 1/3 (the classic
   /// range magic number). Exposed for tests.
-  double DefaultWideSelectivity() const;
-
-  /// Installs/uninstalls a per-query probe-count memo (borrowed; may be
-  /// null). The optimizer installs a fresh cache for the duration of one
-  /// Optimize() call so repeated costing of a shared conjunct never
-  /// re-scans a sample; entries never outlive the statistics they were
-  /// computed from.
-  void set_probe_cache(perf::ProbeCountCache* cache) { probe_cache_ = cache; }
-  perf::ProbeCountCache* probe_cache() const { return probe_cache_; }
+  double DefaultWideSelectivity(const EstimationContext& context) const;
 
   /// The bounded LRU over inverse-Beta quantile evaluations (owned;
   /// capacity adjustable via `SET BETA_CACHE_CAPACITY` in the shell).
   perf::InverseBetaCache* beta_cache() const { return beta_cache_.get(); }
 
  private:
+  // The call's T: the context's, else the configured one.
+  double ThresholdOf(const EstimationContext& context) const {
+    return context.confidence_threshold.value_or(
+        config_.confidence_threshold);
+  }
+
   // Degradation bookkeeping: one trace event + counter per tier drop.
-  void RecordDegradation(const char* tier_from, const char* tier_to,
+  void RecordDegradation(const EstimationContext& context,
+                         const char* tier_from, const char* tier_to,
                          const char* reason, const std::string& scope,
                          const char* counter) const;
 
   // perf.cache.{hit,miss} counter bump for one cache probe (`cache` is
   // "probe" or "beta"; also bumps the per-cache counter).
-  void RecordCacheEvent(const char* cache, bool hit) const;
+  void RecordCacheEvent(const EstimationContext& context, const char* cache,
+                        bool hit) const;
 
-  // Memoized EstimateAtConfidence(config_.confidence_threshold): the
-  // quantile via the inverse-Beta LRU, bit-identical to the direct call.
-  double InvertAtThreshold(const SelectivityPosterior& posterior) const;
+  // Memoized EstimateAtConfidence(ThresholdOf(context)): the quantile via
+  // the inverse-Beta LRU, bit-identical to the direct call.
+  double InvertAtThreshold(const SelectivityPosterior& posterior,
+                           const EstimationContext& context) const;
 
   const StatisticsCatalog* statistics_;
   RobustEstimatorConfig config_;
   HistogramEstimator histogram_fallback_;
-  perf::ProbeCountCache* probe_cache_ = nullptr;
   // unique_ptr so the estimator stays movable (the cache holds a mutex).
   std::unique_ptr<perf::InverseBetaCache> beta_cache_ =
       std::make_unique<perf::InverseBetaCache>();

@@ -148,13 +148,6 @@ class Table {
   bool MarkDeleted(Rid rid, uint64_t epoch);
   void ClearDelete(Rid rid);
 
-  uint64_t InsertEpochOf(Rid rid) const {
-    return versioned_ ? insert_epochs_[rid] : 0;
-  }
-  uint64_t DeleteEpochOf(Rid rid) const {
-    return versioned_ ? delete_epochs_[rid] : 0;
-  }
-
   /// Drops all physically-stored rows past the first `n` (rollback of an
   /// aborted append tail). Dropping rows requires a versioned table; a
   /// call that drops nothing is a no-op on any table.

@@ -167,7 +167,7 @@ TEST_F(EndToEndStar, HistogramEstimateIsOffsetBlind) {
       if (t.predicate) preds.push_back(t.predicate);
     }
     request.predicate = expr::And(preds);
-    auto rows = est->EstimateRows(request);
+    auto rows = est->EstimateRows(request, {});
     ASSERT_TRUE(rows.ok());
     if (first < 0) {
       first = rows.value();
@@ -191,7 +191,7 @@ TEST_F(EndToEndStar, RobustEstimateTracksTrueJoinFraction) {
       if (t.predicate) preds.push_back(t.predicate);
     }
     request.predicate = expr::And(preds);
-    auto rows = db_->robust_estimator()->EstimateRows(request);
+    auto rows = db_->robust_estimator()->EstimateRows(request, {});
     ASSERT_TRUE(rows.ok());
     EXPECT_LT(rows.value(), prev);
     prev = rows.value();

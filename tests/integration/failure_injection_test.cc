@@ -17,10 +17,13 @@ namespace {
 class AlwaysFailingEstimator : public stats::CardinalityEstimator {
  public:
   Result<double> EstimateRows(
-      const stats::CardinalityRequest& /*request*/) override {
+      const stats::CardinalityRequest& /*request*/,
+      const stats::EstimationContext& /*context*/) override {
     return Status::Internal("statistics subsystem unavailable");
   }
-  std::string name() const override { return "always-failing"; }
+  std::string name(const stats::EstimationContext& /*context*/) const override {
+    return "always-failing";
+  }
 };
 
 // An estimator that answers garbage (negative / NaN-free but absurd).
@@ -28,10 +31,13 @@ class AdversarialEstimator : public stats::CardinalityEstimator {
  public:
   explicit AdversarialEstimator(double answer) : answer_(answer) {}
   Result<double> EstimateRows(
-      const stats::CardinalityRequest& /*request*/) override {
+      const stats::CardinalityRequest& /*request*/,
+      const stats::EstimationContext& /*context*/) override {
     return answer_;
   }
-  std::string name() const override { return "adversarial"; }
+  std::string name(const stats::EstimationContext& /*context*/) const override {
+    return "adversarial";
+  }
 
  private:
   double answer_;

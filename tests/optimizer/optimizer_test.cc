@@ -492,9 +492,9 @@ TEST_F(OptimizerTest, GroupByUsesDistinctEstimates) {
     auto plan = optimizer.Optimize(query);
     ASSERT_TRUE(plan.ok());
     EXPECT_GT(plan.value().estimated_rows, customers * 0.3)
-        << estimator->name();
+        << estimator->name({});
     EXPECT_LT(plan.value().estimated_rows, customers * 3.0)
-        << estimator->name();
+        << estimator->name({});
   }
 }
 

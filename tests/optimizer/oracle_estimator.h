@@ -25,7 +25,8 @@ class OracleEstimator : public stats::CardinalityEstimator {
       : catalog_(catalog) {}
 
   Result<double> EstimateRows(
-      const stats::CardinalityRequest& request) override {
+      const stats::CardinalityRequest& request,
+      const stats::EstimationContext& /*context*/) override {
     auto root = catalog_->FindRootTable(request.tables);
     if (!root.ok()) return root.status();
     const storage::Table& wide = FullJoin(root.value());
@@ -43,7 +44,9 @@ class OracleEstimator : public stats::CardinalityEstimator {
     return rows;
   }
 
-  std::string name() const override { return "oracle"; }
+  std::string name(const stats::EstimationContext& /*context*/) const override {
+    return "oracle";
+  }
 
  private:
   // The full FK join rooted at `root` (every root row, chased through all

@@ -73,10 +73,15 @@ class DegradationCascadeTest : public ::testing::Test {
   }
 
   RobustSampleEstimator MakeEstimator() {
-    RobustSampleEstimator est(statistics_.get(), RobustEstimatorConfig{});
-    est.set_metrics(&metrics_);
-    est.set_tracer(&tracer_);
-    return est;
+    return RobustSampleEstimator(statistics_.get(), RobustEstimatorConfig{});
+  }
+
+  // Every estimate reports into the fixture's sinks.
+  EstimationContext Context() {
+    EstimationContext context;
+    context.tracer = &tracer_;
+    context.metrics = &metrics_;
+    return context;
   }
 
   Catalog catalog_;
@@ -88,7 +93,7 @@ class DegradationCascadeTest : public ::testing::Test {
 
 TEST_F(DegradationCascadeTest, FullStatisticsStayOnTierOne) {
   RobustSampleEstimator est = MakeEstimator();
-  ASSERT_TRUE(est.EstimateRows(Request()).ok());
+  ASSERT_TRUE(est.EstimateRows(Request(), Context()).ok());
   EXPECT_EQ(Counter("estimator.degraded.synopsis_miss"), 0u);
   EXPECT_EQ(Counter("estimator.degraded.sample_miss"), 0u);
   EXPECT_EQ(Counter("estimator.degraded.to_histogram"), 0u);
@@ -98,7 +103,7 @@ TEST_F(DegradationCascadeTest, FullStatisticsStayOnTierOne) {
 TEST_F(DegradationCascadeTest, MissingSynopsisFallsToSample) {
   statistics_->DropSynopsis("fact");
   RobustSampleEstimator est = MakeEstimator();
-  Result<double> rows = est.EstimateRows(Request());
+  Result<double> rows = est.EstimateRows(Request(), Context());
   ASSERT_TRUE(rows.ok());
   // Sample-based estimate of a ~10% predicate stays in the ballpark.
   EXPECT_GT(rows.value(), 200.0);
@@ -123,14 +128,15 @@ TEST_F(DegradationCascadeTest, InjectedSynopsisFaultFallsToSample) {
   // and the estimate matches the dropped-synopsis baseline exactly.
   injector_.Arm(fault::sites::kSynopsisRead, fault::FaultSpec::Always());
   RobustSampleEstimator est = MakeEstimator();
-  Result<double> rows = est.EstimateRows(Request());
+  Result<double> rows = est.EstimateRows(Request(), Context());
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(Counter("estimator.degraded.synopsis_unavailable"), 1u);
 
   injector_.DisarmAll();
   statistics_->DropSynopsis("fact");
   RobustSampleEstimator baseline = MakeEstimator();
-  EXPECT_DOUBLE_EQ(rows.value(), baseline.EstimateRows(Request()).value());
+  EXPECT_DOUBLE_EQ(rows.value(),
+                   baseline.EstimateRows(Request(), Context()).value());
 }
 
 TEST_F(DegradationCascadeTest, TransientSynopsisFaultHealsViaRetry) {
@@ -138,7 +144,7 @@ TEST_F(DegradationCascadeTest, TransientSynopsisFaultHealsViaRetry) {
   // and the estimator never degrades.
   injector_.Arm(fault::sites::kSynopsisRead, fault::FaultSpec::FirstN(2));
   RobustSampleEstimator est = MakeEstimator();
-  ASSERT_TRUE(est.EstimateRows(Request()).ok());
+  ASSERT_TRUE(est.EstimateRows(Request(), Context()).ok());
   EXPECT_EQ(Counter("estimator.degraded.synopsis_unavailable"), 0u);
   EXPECT_EQ(Counter("estimator.degraded.synopsis_miss"), 0u);
   EXPECT_EQ(Counter("fault.retry.attempts"), 2u);
@@ -148,11 +154,11 @@ TEST_F(DegradationCascadeTest, MissingSampleFallsToHistogram) {
   statistics_->DropSynopsis("fact");
   statistics_->ClearSamples();
   RobustSampleEstimator est = MakeEstimator();
-  Result<double> rows = est.EstimateRows(Request());
+  Result<double> rows = est.EstimateRows(Request(), Context());
   ASSERT_TRUE(rows.ok());
   // Must agree with the histogram baseline over the same statistics.
   HistogramEstimator hist(statistics_.get());
-  EXPECT_DOUBLE_EQ(rows.value(), hist.EstimateRows(Request()).value());
+  EXPECT_DOUBLE_EQ(rows.value(), hist.EstimateRows(Request(), {}).value());
   EXPECT_GE(Counter("estimator.degraded.sample_miss"), 1u);
   EXPECT_EQ(Counter("estimator.degraded.to_histogram"), 1u);
   EXPECT_EQ(Counter("estimator.degraded.to_default"), 0u);
@@ -162,7 +168,7 @@ TEST_F(DegradationCascadeTest, InjectedSampleFaultFallsToHistogram) {
   statistics_->DropSynopsis("fact");
   injector_.Arm(fault::sites::kSampleRead, fault::FaultSpec::Always());
   RobustSampleEstimator est = MakeEstimator();
-  ASSERT_TRUE(est.EstimateRows(Request()).ok());
+  ASSERT_TRUE(est.EstimateRows(Request(), Context()).ok());
   EXPECT_GE(Counter("estimator.degraded.sample_unavailable"), 1u);
   EXPECT_EQ(Counter("estimator.degraded.to_histogram"), 1u);
 }
@@ -172,11 +178,11 @@ TEST_F(DegradationCascadeTest, NothingLeftFallsToDefaultWide) {
   statistics_->ClearSamples();
   statistics_->ClearHistograms();
   RobustSampleEstimator est = MakeEstimator();
-  Result<double> rows = est.EstimateRows(Request());
+  Result<double> rows = est.EstimateRows(Request(), Context());
   ASSERT_TRUE(rows.ok());
   EXPECT_GE(rows.value(), 0.0);
   EXPECT_LE(rows.value(), 4000.0);
-  EXPECT_EQ(rows.value(), est.DefaultWideSelectivity() * 4000.0);
+  EXPECT_EQ(rows.value(), est.DefaultWideSelectivity(Context()) * 4000.0);
   EXPECT_EQ(Counter("estimator.degraded.to_default"), 1u);
 }
 
@@ -189,7 +195,7 @@ TEST_F(DegradationCascadeTest, DefaultWideIsMonotonicInThreshold) {
     RobustEstimatorConfig config;
     config.confidence_threshold = t;
     RobustSampleEstimator est(statistics_.get(), config);
-    const double rows = est.EstimateRows(Request()).value();
+    const double rows = est.EstimateRows(Request(), {}).value();
     EXPECT_GT(rows, prev) << "T=" << t;
     prev = rows;
   }

@@ -3,6 +3,7 @@
 #include <memory>
 
 #include "expr/expression.h"
+#include "obs/trace.h"
 #include "statistics/histogram_estimator.h"
 #include "statistics/magic.h"
 #include "statistics/robust_sample_estimator.h"
@@ -71,7 +72,8 @@ class EstimatorsTest : public ::testing::Test {
 TEST_F(EstimatorsTest, HistogramSinglePredicateAccurate) {
   HistogramEstimator est(statistics_.get());
   // x = 3 has true selectivity ~10%.
-  Result<double> rows = est.EstimateRows(SingleTable(Eq(Col("x"), LitInt(3))));
+  Result<double> rows =
+      est.EstimateRows(SingleTable(Eq(Col("x"), LitInt(3))), {});
   ASSERT_TRUE(rows.ok());
   EXPECT_NEAR(rows.value(), 500.0, 75.0);
 }
@@ -80,7 +82,7 @@ TEST_F(EstimatorsTest, HistogramAviUnderestimatesCorrelation) {
   HistogramEstimator est(statistics_.get());
   // x = 3 AND y = 3: truth ~10% (perfect correlation); AVI says ~1%.
   auto pred = And({Eq(Col("x"), LitInt(3)), Eq(Col("y"), LitInt(3))});
-  Result<double> rows = est.EstimateRows(SingleTable(pred));
+  Result<double> rows = est.EstimateRows(SingleTable(pred), {});
   ASSERT_TRUE(rows.ok());
   EXPECT_LT(rows.value(), 120.0);  // ~50 expected: an order of magnitude low
 }
@@ -88,7 +90,7 @@ TEST_F(EstimatorsTest, HistogramAviUnderestimatesCorrelation) {
 TEST_F(EstimatorsTest, RobustEstimatorSeesThroughCorrelation) {
   RobustSampleEstimator est(statistics_.get(), RobustEstimatorConfig{});
   auto pred = And({Eq(Col("x"), LitInt(3)), Eq(Col("y"), LitInt(3))});
-  Result<double> rows = est.EstimateRows(SingleTable(pred));
+  Result<double> rows = est.EstimateRows(SingleTable(pred), {});
   ASSERT_TRUE(rows.ok());
   // Truth ~500 rows; at T = 80% the estimate must be in the right ballpark,
   // not the AVI ~50.
@@ -103,7 +105,7 @@ TEST_F(EstimatorsTest, RobustEstimateGrowsWithThreshold) {
     config.confidence_threshold = t;
     RobustSampleEstimator est(statistics_.get(), config);
     Result<double> rows =
-        est.EstimateRows(SingleTable(Eq(Col("x"), LitInt(3))));
+        est.EstimateRows(SingleTable(Eq(Col("x"), LitInt(3))), {});
     ASSERT_TRUE(rows.ok());
     EXPECT_GT(rows.value(), prev);
     prev = rows.value();
@@ -113,8 +115,8 @@ TEST_F(EstimatorsTest, RobustEstimateGrowsWithThreshold) {
 TEST_F(EstimatorsTest, NullPredicateReturnsRootRows) {
   HistogramEstimator hist(statistics_.get());
   RobustSampleEstimator robust(statistics_.get(), RobustEstimatorConfig{});
-  EXPECT_EQ(hist.EstimateRows(SingleTable(nullptr)).value(), 5000.0);
-  EXPECT_EQ(robust.EstimateRows(SingleTable(nullptr)).value(), 5000.0);
+  EXPECT_EQ(hist.EstimateRows(SingleTable(nullptr), {}).value(), 5000.0);
+  EXPECT_EQ(robust.EstimateRows(SingleTable(nullptr), {}).value(), 5000.0);
 }
 
 TEST_F(EstimatorsTest, JoinRequestUsesRootRowCount) {
@@ -122,13 +124,13 @@ TEST_F(EstimatorsTest, JoinRequestUsesRootRowCount) {
   CardinalityRequest req{{"fact", "dim"}, Eq(Col("dim_attr"), LitInt(2))};
   HistogramEstimator hist(statistics_.get());
   RobustSampleEstimator robust(statistics_.get(), RobustEstimatorConfig{});
-  EXPECT_NEAR(hist.EstimateRows(req).value(), 1000.0, 150.0);
-  EXPECT_NEAR(robust.EstimateRows(req).value(), 1000.0, 250.0);
+  EXPECT_NEAR(hist.EstimateRows(req, {}).value(), 1000.0, 150.0);
+  EXPECT_NEAR(robust.EstimateRows(req, {}).value(), 1000.0, 250.0);
 }
 
 TEST_F(EstimatorsTest, ObservationExposesSampleCounts) {
   RobustSampleEstimator est(statistics_.get(), RobustEstimatorConfig{});
-  auto obs = est.Observe(SingleTable(Eq(Col("x"), LitInt(3))));
+  auto obs = est.Observe(SingleTable(Eq(Col("x"), LitInt(3))), {});
   ASSERT_TRUE(obs.ok());
   EXPECT_EQ(obs.value().sample_size, 500u);
   EXPECT_EQ(obs.value().root_rows, 5000u);
@@ -138,8 +140,8 @@ TEST_F(EstimatorsTest, ObservationExposesSampleCounts) {
 TEST_F(EstimatorsTest, PosteriorMatchesObservation) {
   RobustSampleEstimator est(statistics_.get(), RobustEstimatorConfig{});
   auto req = SingleTable(Eq(Col("x"), LitInt(3)));
-  auto obs = est.Observe(req);
-  auto posterior = est.EstimatePosterior(req);
+  auto obs = est.Observe(req, {});
+  auto posterior = est.EstimatePosterior(req, {});
   ASSERT_TRUE(obs.ok());
   ASSERT_TRUE(posterior.ok());
   EXPECT_EQ(posterior.value().k(), obs.value().satisfying);
@@ -151,9 +153,9 @@ TEST_F(EstimatorsTest, FallbackToPerTableSamples) {
   // per-table sample (which for a single-table request is equivalent data).
   statistics_->DropSynopsis("fact");
   RobustSampleEstimator est(statistics_.get(), RobustEstimatorConfig{});
-  EXPECT_FALSE(est.Observe(SingleTable(Eq(Col("x"), LitInt(3)))).ok());
+  EXPECT_FALSE(est.Observe(SingleTable(Eq(Col("x"), LitInt(3))), {}).ok());
   Result<double> rows =
-      est.EstimateRows(SingleTable(Eq(Col("x"), LitInt(3))));
+      est.EstimateRows(SingleTable(Eq(Col("x"), LitInt(3))), {});
   ASSERT_TRUE(rows.ok());
   // The per-table sample survives the drop, so the estimate is still a
   // real sample-based cardinality for the ~10% predicate.
@@ -173,8 +175,8 @@ TEST_F(EstimatorsTest, DefaultWideFallbackRespondsToThreshold) {
   RobustSampleEstimator lo(statistics_.get(), lo_cfg);
   RobustSampleEstimator hi(statistics_.get(), hi_cfg);
   auto pred = Eq(Col("x"), LitInt(3));
-  EXPECT_LT(lo.EstimateRows(SingleTable(pred)).value(),
-            hi.EstimateRows(SingleTable(pred)).value());
+  EXPECT_LT(lo.EstimateRows(SingleTable(pred), {}).value(),
+            hi.EstimateRows(SingleTable(pred), {}).value());
 }
 
 TEST_F(EstimatorsTest, SamplingModesAgreeForSmallSamplingFractions) {
@@ -193,41 +195,68 @@ TEST_F(EstimatorsTest, SamplingModesAgreeForSmallSamplingFractions) {
   RobustSampleEstimator est_with(statistics_.get(),
                                  RobustEstimatorConfig{});
   const double rows_with =
-      est_with.EstimateRows(SingleTable(pred)).value();
+      est_with.EstimateRows(SingleTable(pred), {}).value();
   statistics_->BuildAllSamples(without);
   RobustSampleEstimator est_without(statistics_.get(),
                                     RobustEstimatorConfig{});
   const double rows_without =
-      est_without.EstimateRows(SingleTable(pred)).value();
+      est_without.EstimateRows(SingleTable(pred), {}).value();
   // Truth ~500; both estimates in the same ballpark (3-sigma of a
   // 400-tuple binomial at p=0.1 is ~±90 rows scaled to 5000).
   EXPECT_NEAR(rows_with, rows_without, 300.0);
 }
 
-TEST_F(EstimatorsTest, SelectivityHelper) {
-  HistogramEstimator est(statistics_.get());
-  Result<double> sel = est.EstimateSelectivity(
-      SingleTable(Eq(Col("x"), LitInt(3))), 5000.0);
-  ASSERT_TRUE(sel.ok());
-  EXPECT_NEAR(sel.value(), 0.1, 0.015);
+TEST_F(EstimatorsTest, ContextThresholdMatchesConfiguredEstimator) {
+  // A per-call T in the context estimates exactly as an estimator
+  // configured at that T, and leaves the shared estimator's own T alone.
+  const CardinalityRequest req = SingleTable(Eq(Col("x"), LitInt(3)));
+  RobustSampleEstimator est(statistics_.get(), RobustEstimatorConfig{});
+  RobustEstimatorConfig config;
+  config.confidence_threshold = 0.95;
+  RobustSampleEstimator configured(statistics_.get(), config);
+
+  obs::Tracer tracer;
+  EstimationContext context;
+  context.confidence_threshold = 0.95;
+  context.tracer = &tracer;
+  const Result<double> hinted = est.EstimateRows(req, context);
+  ASSERT_TRUE(hinted.ok());
+  EXPECT_EQ(hinted.value(), configured.EstimateRows(req, {}).value());
+  EXPECT_NE(hinted.value(), est.EstimateRows(req, {}).value());
+  EXPECT_EQ(est.config().confidence_threshold, 0.80);
+  EXPECT_EQ(est.name(context), "robust-sample@T=95%");
+  EXPECT_EQ(est.name({}), "robust-sample@T=80%");
+
+  // Only the hinted call's events reached the context's tracer.
+  ASSERT_EQ(tracer.events().size(), 1u);
+  const obs::TraceEvent& event = tracer.events()[0];
+  EXPECT_EQ(event.category, "estimator");
+  EXPECT_EQ(event.name, "robust");
+  bool saw_threshold = false;
+  for (const auto& [key, value] : event.attrs) {
+    if (key != "threshold") continue;
+    saw_threshold = true;
+    EXPECT_EQ(value, obs::AttrF(0.95));
+  }
+  EXPECT_TRUE(saw_threshold);
 }
 
 TEST_F(EstimatorsTest, EstimatorNames) {
   HistogramEstimator hist(statistics_.get());
-  EXPECT_EQ(hist.name(), "histogram-avi");
+  EXPECT_EQ(hist.name({}), "histogram-avi");
   RobustEstimatorConfig config;
   config.confidence_threshold = 0.8;
   RobustSampleEstimator robust(statistics_.get(), config);
-  EXPECT_EQ(robust.name(), "robust-sample@T=80%");
+  EXPECT_EQ(robust.name({}), "robust-sample@T=80%");
 }
 
 TEST_F(EstimatorsTest, DisconnectedTablesRejected) {
   RobustSampleEstimator est(statistics_.get(), RobustEstimatorConfig{});
   CardinalityRequest req{{"dim"}, nullptr};
-  EXPECT_TRUE(est.EstimateRows(req).ok());  // single table fine
+  EXPECT_TRUE(est.EstimateRows(req, {}).ok());  // single table fine
   // dim alone is fine; {dim, fact} is fine; an unknown table is not.
   CardinalityRequest bad{{"nope"}, nullptr};
-  EXPECT_FALSE(est.EstimateRows(bad).ok());
+  EXPECT_FALSE(est.EstimateRows(bad, {}).ok());
 }
 
 TEST_F(EstimatorsTest, SummaryBytesAccounting) {

@@ -87,8 +87,8 @@ TEST_F(Section32Test, AllSevenEstimatesComeFromSamplesDirectly) {
        }) {
     // Every request is answered by the primary (synopsis) path — the
     // Observe() call succeeds, meaning no AVI fallback was needed.
-    EXPECT_TRUE(estimator.Observe(request).ok());
-    Result<double> rows = estimator.EstimateRows(request);
+    EXPECT_TRUE(estimator.Observe(request, {}).ok());
+    Result<double> rows = estimator.EstimateRows(request, {});
     ASSERT_TRUE(rows.ok());
     EXPECT_GE(rows.value(), 0.0);
   }
@@ -112,7 +112,7 @@ TEST_F(Section32Test, NoErrorBuildUpComparedToAviChaining) {
   CardinalityRequest joint{{"lineitem", "orders"}, pred};
 
   RobustSampleEstimator estimator(statistics_, RobustEstimatorConfig{});
-  auto direct = estimator.Observe(joint);
+  auto direct = estimator.Observe(joint, {});
   ASSERT_TRUE(direct.ok());
 
   // Ground truth by counting over the actual join.

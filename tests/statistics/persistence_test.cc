@@ -67,20 +67,20 @@ TEST_F(PersistenceTest, RoundTripPreservesEstimates) {
                             storage::Value::Date(10000),
                             storage::Value::Date(10100));
   CardinalityRequest request{{"lineitem"}, pred};
-  EXPECT_NEAR(hist_after.EstimateRows(request).value(),
-              hist_before.EstimateRows(request).value(), 1e-6);
+  EXPECT_NEAR(hist_after.EstimateRows(request, {}).value(),
+              hist_before.EstimateRows(request, {}).value(), 1e-6);
 
   // Robust estimates identical (same sample tuples restored).
   RobustSampleEstimator robust_before(statistics_.get(),
                                       RobustEstimatorConfig{});
   RobustSampleEstimator robust_after(&restored, RobustEstimatorConfig{});
-  EXPECT_NEAR(robust_after.EstimateRows(request).value(),
-              robust_before.EstimateRows(request).value(), 1e-6);
+  EXPECT_NEAR(robust_after.EstimateRows(request, {}).value(),
+              robust_before.EstimateRows(request, {}).value(), 1e-6);
 
   // Join requests still resolve through the restored synopsis.
   CardinalityRequest join_request{{"lineitem", "orders", "part"}, pred};
-  EXPECT_NEAR(robust_after.EstimateRows(join_request).value(),
-              robust_before.EstimateRows(join_request).value(), 1e-6);
+  EXPECT_NEAR(robust_after.EstimateRows(join_request, {}).value(),
+              robust_before.EstimateRows(join_request, {}).value(), 1e-6);
 }
 
 TEST_F(PersistenceTest, RestoredSynopsisMetadataIntact) {
