@@ -104,9 +104,9 @@ std::vector<double> RunBaseline(const std::vector<Probe>& probes) {
   return estimates;
 }
 
-// Engine: the estimator's three-phase structure. Phase A consults the
-// probe memo sequentially, phase B fans the missing batch scans across the
-// task pool, phase C inverts via the LRU sequentially in probe order.
+// Engine: phase A consults the probe memo sequentially, phase B fans the
+// missing batch scans across the task pool, phase C inverts via the LRU
+// sequentially in probe order.
 std::vector<double> RunEngine(const std::vector<Probe>& probes,
                               perf::TaskPool* pool) {
   perf::ProbeCountCache probe_cache;

@@ -71,7 +71,6 @@
 //   SET TIME_LIMIT <seconds>
 //   SET THREADS <n>                 sampling-engine worker threads (0 = #cores);
 //                                   results are identical at any setting
-//   SET BETA_CACHE_CAPACITY <n>     inverse-Beta LRU entries (default 4096)
 //   SET WRITE_FRACTION <0..1>       write share of the .traffic demo
 //
 //   $ echo "SELECT COUNT(*) FROM lineitem" | ./build/examples/rqo_shell
@@ -217,18 +216,6 @@ bool HandleSet(core::Database* db, double* write_fraction,
     return true;
   }
 
-  if (verb == "BETA_CACHE_CAPACITY") {
-    if (tokens.size() != 3) {
-      std::printf("usage: SET BETA_CACHE_CAPACITY <entries>\n");
-      return true;
-    }
-    db->robust_estimator()->beta_cache()->set_capacity(
-        std::strtoull(tokens[2].c_str(), nullptr, 10));
-    std::printf("inverse-beta cache capacity: %zu entries\n",
-                db->robust_estimator()->beta_cache()->capacity());
-    return true;
-  }
-
   if (verb == "WRITE_FRACTION") {
     if (tokens.size() != 3) {
       std::printf("usage: SET WRITE_FRACTION <0..1>\n");
@@ -245,7 +232,7 @@ bool HandleSet(core::Database* db, double* write_fraction,
   }
   std::printf(
       "unknown setting '%s' (known: FAULT, MEMORY_LIMIT, ROW_LIMIT, "
-      "TIME_LIMIT, THREADS, BETA_CACHE_CAPACITY, WRITE_FRACTION)\n",
+      "TIME_LIMIT, THREADS, WRITE_FRACTION)\n",
       tokens[1].c_str());
   return true;
 }

@@ -1,7 +1,6 @@
 #include "core/database.h"
 
 #include "sql/parser.h"
-#include "statistics/persistence.h"
 #include "util/macros.h"
 
 namespace robustqo {
@@ -41,17 +40,12 @@ Database::Database() {
       std::make_unique<stats::HistogramEstimator>(statistics_.get());
   robust_estimator_ = std::make_unique<stats::RobustSampleEstimator>(
       statistics_.get(), stats::RobustEstimatorConfig{});
-  set_cost_model(cost_model_);
-  statistics_->SetFaultInjector(&fault_);
-}
-
-void Database::set_cost_model(const exec::CostModel& model) {
-  cost_model_ = model;
   histogram_optimizer_ = std::make_unique<opt::Optimizer>(
       &catalog_, histogram_estimator_.get(), cost_model_);
   robust_optimizer_ = std::make_unique<opt::Optimizer>(
       &catalog_, robust_estimator_.get(), cost_model_);
   last_used_ = robust_optimizer_.get();
+  statistics_->SetFaultInjector(&fault_);
 }
 
 void Database::UpdateStatistics(const stats::StatisticsConfig& config) {
@@ -216,40 +210,7 @@ Result<ExecutionResult> Database::Execute(const opt::QuerySpec& query,
                                           const opt::OptimizerOptions& options) {
   Result<opt::PlannedQuery> plan = Plan(query, kind, options);
   if (!plan.ok()) return plan.status();
-  Result<ExecutionResult> exec_result = ExecutePlan(plan.value());
-  if (!exec_result.ok()) return exec_result.status();
-  ExecutionResult result = std::move(exec_result).value();
-  if (feedback_enabled_) {
-    auto root = catalog_.FindRootTable(query.TableNames());
-    if (root.ok()) {
-      const double root_rows = static_cast<double>(
-          catalog_.GetTable(root.value())->num_rows());
-      if (root_rows > 0.0) {
-        feedback_.Observe(static_cast<double>(result.spj_rows) / root_rows);
-      }
-    }
-  }
-  return result;
-}
-
-Result<stats::BetaPrior> Database::AdoptFeedbackPrior(
-    size_t min_observations) {
-  Result<stats::BetaPrior> fit = feedback_.Fit(min_observations);
-  if (!fit.ok()) return fit;
-  robust_estimator_->mutable_config()->custom_prior = fit.value();
-  return fit;
-}
-
-void Database::ResetPrior() {
-  robust_estimator_->mutable_config()->custom_prior.reset();
-}
-
-Status Database::SaveStatisticsTo(const std::string& directory) const {
-  return stats::SaveStatistics(*statistics_, directory);
-}
-
-Status Database::LoadStatisticsFrom(const std::string& directory) {
-  return stats::LoadStatistics(directory, statistics_.get());
+  return ExecutePlan(plan.value());
 }
 
 const opt::Optimizer::Metrics& Database::last_optimizer_metrics() const {

@@ -23,7 +23,6 @@
 #include "statistics/histogram_estimator.h"
 #include "statistics/robust_sample_estimator.h"
 #include "statistics/statistics_catalog.h"
-#include "statistics/workload_prior.h"
 #include "storage/catalog.h"
 #include "util/status.h"
 
@@ -45,7 +44,7 @@ struct ExecutionResult {
   exec::CostMeter meter;
   /// Size of the SPJ result (rows entering the final aggregation, or the
   /// result rows themselves for aggregate-free queries) — the quantity
-  /// execution feedback compares against the optimizer's estimate.
+  /// quality reports compare against the optimizer's estimate.
   uint64_t spj_rows = 0;
   /// Optimizer's predicted cost for the chosen plan.
   double estimated_cost = 0.0;
@@ -104,8 +103,6 @@ class Database {
   stats::CardinalityEstimator* estimator(EstimatorKind kind);
 
   const exec::CostModel& cost_model() const { return cost_model_; }
-  /// Installs `model` and rebuilds both optimizers around it.
-  void set_cost_model(const exec::CostModel& model);
 
   /// Parses a SQL statement (see sql/parser.h for the supported subset)
   /// against this database's catalog.
@@ -220,32 +217,6 @@ class Database {
     return governor_limits_;
   }
 
-  // ---- Execution feedback (paper Section 3.3's workload knowledge) ----
-
-  /// When enabled, every Execute() records the query's true SPJ
-  /// selectivity into the feedback collector.
-  void EnableFeedback(bool enable) { feedback_enabled_ = enable; }
-  bool feedback_enabled() const { return feedback_enabled_; }
-
-  /// Observed selectivities collected so far.
-  const stats::WorkloadPriorBuilder& feedback() const { return feedback_; }
-  stats::WorkloadPriorBuilder* mutable_feedback() { return &feedback_; }
-
-  /// Fits a Beta prior from the collected feedback and installs it as the
-  /// robust estimator's prior. Fails (and leaves the prior unchanged) when
-  /// too little or degenerate feedback was collected.
-  Result<stats::BetaPrior> AdoptFeedbackPrior(size_t min_observations = 10);
-
-  /// Reverts the robust estimator to the non-informative Jeffreys prior.
-  void ResetPrior();
-
-  /// Persists every histogram, sample and join synopsis to `directory`
-  /// (see statistics/persistence.h for the format).
-  Status SaveStatisticsTo(const std::string& directory) const;
-
-  /// Restores previously saved statistics, replacing same-keyed entries.
-  Status LoadStatisticsFrom(const std::string& directory);
-
  private:
   storage::Catalog catalog_;
   std::unique_ptr<stats::StatisticsCatalog> statistics_;
@@ -259,8 +230,6 @@ class Database {
   fault::FaultInjector fault_;
   fault::GovernorLimits governor_limits_;
   exec::Workspace workspace_;  // ExecutePlan's, warm across calls
-  bool feedback_enabled_ = false;
-  stats::WorkloadPriorBuilder feedback_;
   bool provenance_capture_ = false;
   size_t provenance_top_k_ = 3;
 };

@@ -9,11 +9,10 @@ namespace fault {
 
 const std::vector<std::string>& KnownFaultSites() {
   static const std::vector<std::string> kSites = {
-      sites::kSampleRead,      sites::kSynopsisRead,
-      sites::kCsvRead,         sites::kOperatorAlloc,
-      sites::kClockStall,      sites::kAdmissionEnqueue,
-      sites::kPlanCacheLookup, sites::kWriteApply,
-      sites::kWriteCommit};
+      sites::kSampleRead,       sites::kSynopsisRead,
+      sites::kOperatorAlloc,    sites::kClockStall,
+      sites::kAdmissionEnqueue, sites::kPlanCacheLookup,
+      sites::kWriteApply,       sites::kWriteCommit};
   return kSites;
 }
 

@@ -32,8 +32,6 @@ namespace sites {
 inline constexpr char kSampleRead[] = "stats.sample.read";
 /// Reading a join synopsis (missing or stale synopsis storage).
 inline constexpr char kSynopsisRead[] = "stats.synopsis.read";
-/// Reading a CSV/table file from disk.
-inline constexpr char kCsvRead[] = "storage.csv.read";
 /// Operator workspace allocation (hash table, sort buffer) failing.
 inline constexpr char kOperatorAlloc[] = "exec.operator.alloc";
 /// A clock stall charged as extra simulated seconds inside an operator.

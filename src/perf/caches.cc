@@ -129,17 +129,6 @@ double InverseBetaCache::Value(double alpha, double beta, double p, bool* hit) {
   return value;
 }
 
-void InverseBetaCache::set_capacity(size_t capacity) {
-  std::lock_guard<std::mutex> lock(mu_);
-  capacity_ = capacity == 0 ? 1 : capacity;
-  EvictLocked();
-}
-
-size_t InverseBetaCache::capacity() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return capacity_;
-}
-
 void InverseBetaCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   lru_.clear();

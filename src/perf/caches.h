@@ -100,10 +100,6 @@ class InverseBetaCache {
   /// value came from the cache.
   double Value(double alpha, double beta, double p, bool* hit = nullptr);
 
-  /// Shrinks/grows the bound; evicts immediately when shrinking.
-  void set_capacity(size_t capacity);
-  size_t capacity() const;
-
   void Clear();
 
   uint64_t hits() const;
@@ -128,7 +124,7 @@ class InverseBetaCache {
   void EvictLocked();
 
   mutable std::mutex mu_;
-  size_t capacity_;
+  const size_t capacity_;
   LruList lru_;  // front = most recently used
   std::unordered_map<Key, LruList::iterator, KeyHash> index_;
   uint64_t hits_ = 0;

@@ -23,6 +23,20 @@ std::mutex g_global_mu;
 unsigned g_thread_count = 0;  // 0 = not yet initialised from the env
 std::unique_ptr<TaskPool> g_pool;
 
+// True while this thread runs a pool task. A batch started from inside a
+// task runs inline: the pool's batch state belongs to the outer batch.
+thread_local bool t_in_task = false;
+
+// Marks the calling thread as running pool tasks for its lifetime.
+class TaskScope {
+ public:
+  TaskScope() : saved_(t_in_task) { t_in_task = true; }
+  ~TaskScope() { t_in_task = saved_; }
+
+ private:
+  const bool saved_;
+};
+
 }  // namespace
 
 unsigned ThreadCount() {
@@ -64,6 +78,7 @@ TaskPool::~TaskPool() {
 
 void TaskPool::WorkerLoop() {
   // Workers are numbered 1..threads-1; worker id 0 is the batch's caller.
+  TaskScope scope;
   uint64_t seen_batch = 0;
   unsigned my_id = 0;
   {
@@ -99,7 +114,8 @@ void TaskPool::WorkerLoop() {
 void TaskPool::RunBatch(size_t n,
                         const std::function<void(unsigned, size_t)>& fn) {
   if (n == 0) return;
-  if (threads_ == 1 || n == 1) {
+  if (threads_ == 1 || n == 1 || t_in_task) {
+    TaskScope scope;
     for (size_t i = 0; i < n; ++i) fn(0, i);
     return;
   }
@@ -113,10 +129,13 @@ void TaskPool::RunBatch(size_t n,
   }
   work_ready_.notify_all();
   // The caller is worker 0 and drains alongside the pool.
-  for (;;) {
-    const size_t i = next_index_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= n) break;
-    fn(0, i);
+  {
+    TaskScope scope;
+    for (;;) {
+      const size_t i = next_index_.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) break;
+      fn(0, i);
+    }
   }
   {
     std::unique_lock<std::mutex> lock(mu_);

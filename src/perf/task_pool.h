@@ -51,7 +51,8 @@ uint64_t TaskSeed(uint64_t base_seed, uint64_t index);
 
 /// Fixed-size fork-join pool. Construction spawns `threads - 1` workers
 /// (the calling thread participates in every batch); a 1-thread pool has
-/// no workers and runs batches inline.
+/// no workers and runs batches inline. A batch started inside a pool task
+/// (of any pool) also runs inline, on that task's thread as worker 0.
 class TaskPool {
  public:
   explicit TaskPool(unsigned threads);

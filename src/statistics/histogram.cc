@@ -65,16 +65,6 @@ EquiDepthHistogram::EquiDepthHistogram(const storage::Table& table,
   }
 }
 
-EquiDepthHistogram EquiDepthHistogram::FromBuckets(
-    std::string column_name, uint64_t total_rows,
-    std::vector<HistogramBucket> buckets) {
-  EquiDepthHistogram hist;
-  hist.column_name_ = std::move(column_name);
-  hist.total_rows_ = total_rows;
-  hist.buckets_ = std::move(buckets);
-  return hist;
-}
-
 double EquiDepthHistogram::BucketOverlapFraction(const HistogramBucket& bucket,
                                                  double lo, double hi) const {
   if (hi < bucket.lo || lo > bucket.hi) return 0.0;

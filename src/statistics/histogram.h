@@ -34,11 +34,6 @@ class EquiDepthHistogram {
   EquiDepthHistogram(const storage::Table& table,
                      const std::string& column_name, size_t max_buckets = 250);
 
-  /// Reconstructs a histogram from previously saved buckets (persistence).
-  static EquiDepthHistogram FromBuckets(std::string column_name,
-                                        uint64_t total_rows,
-                                        std::vector<HistogramBucket> buckets);
-
   const std::string& column_name() const { return column_name_; }
   uint64_t total_rows() const { return total_rows_; }
   size_t num_buckets() const { return buckets_.size(); }
@@ -58,8 +53,6 @@ class EquiDepthHistogram {
   uint64_t TotalDistinct() const;
 
  private:
-  EquiDepthHistogram() = default;
-
   // Fraction of `bucket`'s rows falling in [lo, hi] clipped to the bucket.
   double BucketOverlapFraction(const HistogramBucket& bucket, double lo,
                                double hi) const;

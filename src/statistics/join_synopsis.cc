@@ -142,19 +142,6 @@ JoinSynopsis::JoinSynopsis(const Catalog& catalog,
   }
 }
 
-JoinSynopsis JoinSynopsis::FromSavedRows(
-    std::string root_table, uint64_t root_row_count,
-    std::set<std::string> covered_tables,
-    std::unique_ptr<storage::Table> rows) {
-  RQO_CHECK(rows != nullptr);
-  JoinSynopsis synopsis;
-  synopsis.root_table_ = std::move(root_table);
-  synopsis.root_row_count_ = root_row_count;
-  synopsis.covered_tables_ = std::move(covered_tables);
-  synopsis.rows_ = std::move(rows);
-  return synopsis;
-}
-
 bool JoinSynopsis::Covers(const std::set<std::string>& tables) const {
   if (tables.count(root_table_) == 0) return false;
   for (const std::string& t : tables) {

@@ -33,12 +33,6 @@ class JoinSynopsis {
   JoinSynopsis(const storage::Catalog& catalog, const std::string& root_table,
                size_t sample_size, SamplingMode mode, Rng* rng);
 
-  /// Reconstructs a synopsis from previously saved wide rows (persistence).
-  static JoinSynopsis FromSavedRows(std::string root_table,
-                                    uint64_t root_row_count,
-                                    std::set<std::string> covered_tables,
-                                    std::unique_ptr<storage::Table> rows);
-
   const std::string& root_table() const { return root_table_; }
 
   /// Row count of the root table (the population the selectivity fraction
@@ -62,8 +56,6 @@ class JoinSynopsis {
   const storage::Table& rows() const { return *rows_; }
 
  private:
-  JoinSynopsis() = default;
-
   std::string root_table_;
   uint64_t root_row_count_ = 0;
   std::set<std::string> covered_tables_;

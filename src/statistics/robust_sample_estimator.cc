@@ -6,7 +6,6 @@
 #include "expr/analysis.h"
 #include "perf/batch_eval.h"
 #include "perf/fingerprint.h"
-#include "perf/task_pool.h"
 #include "statistics/distinct_estimator.h"
 #include "statistics/magic.h"
 #include "util/macros.h"
@@ -257,14 +256,10 @@ Result<double> RobustSampleEstimator::EstimateRows(
   // own: histogram/AVI baseline (tier 3), then the default-wide posterior
   // (tier 4).
   //
-  // The per-table probes are independent, so they run in three phases to
-  // keep results bit-identical at every thread count (docs/PERFORMANCE.md):
-  //   A. sequential: predicate split, sample resolution (fault sites +
-  //      retries), probe-cache lookups;
-  //   B. parallel (TaskPool): the pure sample scans, each writing only its
-  //      own slot;
-  //   C. sequential, in table order: cache fills, posterior inversion,
-  //      trace/metric emission, and the ordered selectivity product.
+  // Two passes, both in table order: the first splits the predicate,
+  // resolves each sample (fault sites + retries) and counts it (probe-cache
+  // lookup, else a sample scan); the second fills the cache, inverts the
+  // posteriors, emits traces and metrics and forms the selectivity product.
   struct TableProbe {
     std::string table;
     expr::ExprPtr pred;
@@ -272,7 +267,6 @@ Result<double> RobustSampleEstimator::EstimateRows(
     uint64_t fingerprint = 0;
     const TableSample* sample = nullptr;
     bool sample_unavailable = false;
-    bool have_count = false;  // k valid without scanning (cache hit)
     uint64_t k = 0;
   };
   std::vector<TableProbe> probes;
@@ -304,17 +298,18 @@ Result<double> RobustSampleEstimator::EstimateRows(
     if (sample.ok()) {
       probe.sample = sample.value();
       probe.fingerprint = perf::FingerprintExpr(*probe.pred);
+      bool hit = false;
       if (context.probe_cache != nullptr) {
         std::optional<perf::ProbeCount> cached = context.probe_cache->Lookup(
             "sample:" + probe.table, probe.fingerprint);
-        if (cached.has_value() &&
-            cached->sample_size == probe.sample->size()) {
-          RecordCacheEvent(context, "probe", true);
-          probe.k = cached->satisfying;
-          probe.have_count = true;
-        } else {
-          RecordCacheEvent(context, "probe", false);
-        }
+        hit = cached.has_value() &&
+              cached->sample_size == probe.sample->size();
+        if (hit) probe.k = cached->satisfying;
+        RecordCacheEvent(context, "probe", hit);
+      }
+      if (!hit) {
+        probe.k =
+            perf::BatchCountSatisfying(*probe.pred, probe.sample->rows());
       }
     } else {
       probe.sample_unavailable =
@@ -322,16 +317,6 @@ Result<double> RobustSampleEstimator::EstimateRows(
     }
     probes.push_back(std::move(probe));
   }
-
-  std::vector<size_t> scans;
-  for (size_t i = 0; i < probes.size(); ++i) {
-    if (probes[i].sample != nullptr && !probes[i].have_count) scans.push_back(i);
-  }
-  perf::TaskPool::Global()->ParallelFor(scans.size(), [&](size_t j) {
-    TableProbe& probe = probes[scans[j]];
-    probe.k = perf::BatchCountSatisfying(*probe.pred, probe.sample->rows());
-    probe.have_count = true;
-  });
 
   double selectivity = 1.0;
   for (const TableProbe& probe : probes) {

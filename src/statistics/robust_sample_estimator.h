@@ -123,10 +123,6 @@ class RobustSampleEstimator : public CardinalityEstimator {
   /// range magic number). Exposed for tests.
   double DefaultWideSelectivity(const EstimationContext& context) const;
 
-  /// The bounded LRU over inverse-Beta quantile evaluations (owned;
-  /// capacity adjustable via `SET BETA_CACHE_CAPACITY` in the shell).
-  perf::InverseBetaCache* beta_cache() const { return beta_cache_.get(); }
-
  private:
   // The call's T: the context's, else the configured one.
   double ThresholdOf(const EstimationContext& context) const {

@@ -45,16 +45,5 @@ TableSample::TableSample(const storage::Table& table, size_t sample_size,
   }
 }
 
-TableSample TableSample::FromSavedRows(
-    std::string source_table, uint64_t source_row_count,
-    std::unique_ptr<storage::Table> rows) {
-  RQO_CHECK(rows != nullptr);
-  TableSample sample;
-  sample.source_table_ = std::move(source_table);
-  sample.source_row_count_ = source_row_count;
-  sample.rows_ = std::move(rows);
-  return sample;
-}
-
 }  // namespace stats
 }  // namespace robustqo

@@ -34,13 +34,6 @@ class TableSample {
   TableSample(const storage::Table& table, size_t sample_size,
               SamplingMode mode, Rng* rng);
 
-  /// Reconstructs a sample from previously saved tuples (persistence).
-  /// Source RIDs are not persisted; source_rids() is empty on a loaded
-  /// sample.
-  static TableSample FromSavedRows(std::string source_table,
-                                   uint64_t source_row_count,
-                                   std::unique_ptr<storage::Table> rows);
-
   const std::string& source_table() const { return source_table_; }
   uint64_t source_row_count() const { return source_row_count_; }
 
@@ -54,8 +47,6 @@ class TableSample {
   const std::vector<storage::Rid>& source_rids() const { return source_rids_; }
 
  private:
-  TableSample() = default;
-
   std::string source_table_;
   uint64_t source_row_count_ = 0;
   std::unique_ptr<storage::Table> rows_;

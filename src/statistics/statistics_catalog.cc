@@ -91,26 +91,6 @@ void StatisticsCatalog::ClearHistograms() {
   BumpEpoch();
 }
 
-void StatisticsCatalog::InstallHistogram(
-    const std::string& table, const std::string& column,
-    std::unique_ptr<EquiDepthHistogram> histogram) {
-  histograms_[HistKey(table, column)] = std::move(histogram);
-  BumpEpoch();
-}
-
-void StatisticsCatalog::InstallSample(std::unique_ptr<TableSample> sample) {
-  RQO_CHECK(sample != nullptr);
-  samples_[sample->source_table()] = std::move(sample);
-  BumpEpoch();
-}
-
-void StatisticsCatalog::InstallSynopsis(
-    std::unique_ptr<JoinSynopsis> synopsis) {
-  RQO_CHECK(synopsis != nullptr);
-  synopses_[synopsis->root_table()] = std::move(synopsis);
-  BumpEpoch();
-}
-
 const EquiDepthHistogram* StatisticsCatalog::GetHistogram(
     const std::string& table, const std::string& column) const {
   auto it = histograms_.find(HistKey(table, column));
@@ -179,15 +159,6 @@ std::vector<const TableSample*> StatisticsCatalog::AllSamples() const {
   std::vector<const TableSample*> out;
   out.reserve(samples_.size());
   for (const auto& [key, sample] : samples_) out.push_back(sample.get());
-  return out;
-}
-
-std::vector<const JoinSynopsis*> StatisticsCatalog::AllSynopses() const {
-  std::vector<const JoinSynopsis*> out;
-  out.reserve(synopses_.size());
-  for (const auto& [key, synopsis] : synopses_) {
-    out.push_back(synopsis.get());
-  }
   return out;
 }
 

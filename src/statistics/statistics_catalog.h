@@ -73,13 +73,6 @@ class StatisticsCatalog {
   /// Drops all histograms.
   void ClearHistograms();
 
-  /// Installs externally constructed statistics (used by persistence;
-  /// replaces any existing entry for the same key).
-  void InstallHistogram(const std::string& table, const std::string& column,
-                        std::unique_ptr<EquiDepthHistogram> histogram);
-  void InstallSample(std::unique_ptr<TableSample> sample);
-  void InstallSynopsis(std::unique_ptr<JoinSynopsis> synopsis);
-
   /// Lookup; nullptr when absent.
   const EquiDepthHistogram* GetHistogram(const std::string& table,
                                          const std::string& column) const;
@@ -109,19 +102,18 @@ class StatisticsCatalog {
   size_t ApproximateSummaryBytes() const;
 
   /// Monotonically increasing statistics epoch. Every mutation of the
-  /// summary store — histogram/sample/synopsis builds, drops, and installs
-  /// — bumps it, so any consumer that captured statistics-derived state
-  /// (most importantly the server's plan cache, which keys entries by
-  /// epoch) can detect staleness with one integer compare. Exported as the
+  /// summary store — histogram/sample/synopsis builds and drops — bumps
+  /// it, so any consumer that captured statistics-derived state (most
+  /// importantly the server's plan cache, which keys entries by epoch)
+  /// can detect staleness with one integer compare. Exported as the
   /// `stats.epoch` gauge; never decreases, never resets.
   uint64_t epoch() const { return epoch_; }
 
-  /// Enumeration for persistence/diagnostics. Histogram keys are
-  /// "table.column"; samples/synopses are keyed by table.
+  /// Enumeration for diagnostics. Histogram keys are "table.column";
+  /// samples are keyed by table.
   std::vector<std::pair<std::string, const EquiDepthHistogram*>>
   AllHistograms() const;
   std::vector<const TableSample*> AllSamples() const;
-  std::vector<const JoinSynopsis*> AllSynopses() const;
 
   // --- Online maintenance (paper Section 3.2's "periodically whenever a
   // sufficient number of database modifications have occurred", made

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
 #include "tpch/tpch_gen.h"
 #include "workload/scenarios.h"
 
@@ -127,33 +125,32 @@ TEST_F(DatabaseTest, NumericAggregateOverStringColumnFailsCleanly) {
   }
 }
 
-TEST_F(DatabaseTest, StatisticsPersistenceRoundTripThroughFacade) {
-  namespace fs = std::filesystem;
-  const fs::path dir =
-      fs::temp_directory_path() / "rqo_db_persist_test";
-  fs::remove_all(dir);
-  ASSERT_TRUE(db_->SaveStatisticsTo(dir.string()).ok());
-
-  // A second database over the same data, statistics loaded from disk,
-  // must plan identically to the original.
-  Database twin;
-  tpch::TpchConfig config;
-  config.scale_factor = 0.005;
-  ASSERT_TRUE(tpch::LoadTpch(twin.catalog(), config).ok());
-  ASSERT_TRUE(twin.LoadStatisticsFrom(dir.string()).ok());
-
+// spj_rows counts the rows entering the final aggregation: the query's
+// true selectivity times the root table's size.
+TEST_F(DatabaseTest, SpjRowsCountAggregateInput) {
   workload::SingleTableScenario scenario;
-  for (double offset : {60.0, 75.0, 90.0}) {
-    opt::QuerySpec query = scenario.MakeQuery(offset);
-    auto original = db_->Plan(query, EstimatorKind::kRobustSample);
-    auto restored = twin.Plan(query, EstimatorKind::kRobustSample);
-    ASSERT_TRUE(original.ok());
-    ASSERT_TRUE(restored.ok());
-    EXPECT_EQ(original.value().label, restored.value().label);
-    EXPECT_NEAR(original.value().estimated_cost,
-                restored.value().estimated_cost, 1e-9);
-  }
-  fs::remove_all(dir);
+  const double offset = 64;
+  auto result =
+      db_->Execute(scenario.MakeQuery(offset), EstimatorKind::kRobustSample);
+  ASSERT_TRUE(result.ok());
+  const double truth = scenario.TrueSelectivity(*db_->catalog(), offset);
+  EXPECT_EQ(result.value().spj_rows,
+            static_cast<uint64_t>(
+                truth *
+                static_cast<double>(
+                    db_->catalog()->GetTable("lineitem")->num_rows()) +
+                0.5));
+}
+
+// Without an aggregation, spj_rows is the result's own row count.
+TEST_F(DatabaseTest, SpjRowsForAggregateFreeQuery) {
+  opt::QuerySpec query;
+  query.tables.push_back({"part", nullptr});
+  query.select_columns = {"p_partkey"};
+  auto result = db_->Execute(query, EstimatorKind::kRobustSample);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result.value().spj_rows,
+            db_->catalog()->GetTable("part")->num_rows());
 }
 
 TEST_F(DatabaseTest, MemoizationDisabledMatchesPlansButNotWork) {
@@ -172,27 +169,6 @@ TEST_F(DatabaseTest, MemoizationDisabledMatchesPlansButNotWork) {
               1e-9);
   EXPECT_LT(memo_metrics.estimator_misses, raw_metrics.estimator_misses);
   EXPECT_EQ(raw_metrics.estimator_misses, raw_metrics.estimator_calls);
-}
-
-TEST_F(DatabaseTest, CostModelSwapAffectsPlanning) {
-  // Make random I/O free: the index plan becomes unbeatable at any
-  // selectivity estimate.
-  workload::SingleTableScenario scenario;
-  opt::QuerySpec query = scenario.MakeQuery(60);
-  exec::CostModel cheap_io;
-  cheap_io.random_io_cost = 0.0;
-  cheap_io.index_seek_cost = 0.0;
-  cheap_io.index_entry_cost = 0.0;
-  Database db2;
-  tpch::TpchConfig config;
-  config.scale_factor = 0.002;
-  ASSERT_TRUE(tpch::LoadTpch(db2.catalog(), config).ok());
-  db2.UpdateStatistics();
-  db2.set_cost_model(cheap_io);
-  auto plan = db2.Plan(query, EstimatorKind::kRobustSample);
-  ASSERT_TRUE(plan.ok());
-  EXPECT_NE(plan.value().label.find("Ix"), std::string::npos)
-      << plan.value().label;
 }
 
 }  // namespace

@@ -15,7 +15,7 @@ TEST(FaultInjectorTest, UnarmedSitesNeverFire) {
   FaultInjector injector(7);
   for (int i = 0; i < 100; ++i) {
     EXPECT_FALSE(injector.ShouldFire(sites::kSampleRead));
-    EXPECT_TRUE(injector.Check(sites::kCsvRead).ok());
+    EXPECT_TRUE(injector.Check(sites::kWriteCommit).ok());
     EXPECT_EQ(injector.CheckStall(sites::kClockStall), 0.0);
   }
   EXPECT_EQ(injector.total_fires(), 0u);
@@ -109,13 +109,13 @@ TEST(FaultInjectorTest, ArmingOrderDoesNotChangeStreams) {
 
 TEST(FaultInjectorTest, ReseedRestartsHitCounters) {
   FaultInjector injector(1);
-  injector.Arm(sites::kCsvRead, FaultSpec::OnNth(2));
-  EXPECT_TRUE(injector.Check(sites::kCsvRead).ok());
-  EXPECT_FALSE(injector.Check(sites::kCsvRead).ok());
+  injector.Arm(sites::kOperatorAlloc, FaultSpec::OnNth(2));
+  EXPECT_TRUE(injector.Check(sites::kOperatorAlloc).ok());
+  EXPECT_FALSE(injector.Check(sites::kOperatorAlloc).ok());
   injector.Reseed(1);
-  EXPECT_EQ(injector.hits(sites::kCsvRead), 0u);
-  EXPECT_TRUE(injector.Check(sites::kCsvRead).ok());
-  EXPECT_FALSE(injector.Check(sites::kCsvRead).ok());
+  EXPECT_EQ(injector.hits(sites::kOperatorAlloc), 0u);
+  EXPECT_TRUE(injector.Check(sites::kOperatorAlloc).ok());
+  EXPECT_FALSE(injector.Check(sites::kOperatorAlloc).ok());
 }
 
 TEST(FaultInjectorTest, StallReturnsConfiguredSeconds) {
@@ -160,11 +160,10 @@ TEST(FaultInjectorTest, KnownSitesListedAndDescribed) {
   // Golden sorted-name list: adding a site is a one-line edit here, and
   // the size assertion below can never drift out of step with it.
   const std::vector<std::string> kExpectedSorted = {
-      sites::kClockStall,      sites::kOperatorAlloc,
+      sites::kClockStall,       sites::kOperatorAlloc,
       sites::kAdmissionEnqueue, sites::kPlanCacheLookup,
-      sites::kSampleRead,      sites::kSynopsisRead,
-      sites::kCsvRead,         sites::kWriteApply,
-      sites::kWriteCommit,
+      sites::kSampleRead,       sites::kSynopsisRead,
+      sites::kWriteApply,       sites::kWriteCommit,
   };
   ASSERT_TRUE(std::is_sorted(kExpectedSorted.begin(), kExpectedSorted.end()));
   std::vector<std::string> actual_sorted = KnownFaultSites();
@@ -174,8 +173,8 @@ TEST(FaultInjectorTest, KnownSitesListedAndDescribed) {
 
   FaultInjector injector;
   EXPECT_NE(injector.DescribeArmed().find("no faults"), std::string::npos);
-  injector.Arm(sites::kCsvRead, FaultSpec::Probability(0.5));
-  EXPECT_NE(injector.DescribeArmed().find(sites::kCsvRead),
+  injector.Arm(sites::kPlanCacheLookup, FaultSpec::Probability(0.5));
+  EXPECT_NE(injector.DescribeArmed().find(sites::kPlanCacheLookup),
             std::string::npos);
 }
 

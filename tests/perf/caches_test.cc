@@ -100,23 +100,6 @@ TEST(InverseBetaCacheTest, LruEvictsLeastRecentlyUsed) {
   EXPECT_FALSE(hit);  // B was evicted
 }
 
-TEST(InverseBetaCacheTest, SetCapacityShrinksImmediately) {
-  InverseBetaCache cache(8);
-  for (int i = 0; i < 8; ++i) cache.Value(1.0 + i, 2.0, 0.5);
-  EXPECT_EQ(cache.size(), 8u);
-  cache.set_capacity(3);
-  EXPECT_EQ(cache.size(), 3u);
-  EXPECT_EQ(cache.capacity(), 3u);
-  // Capacity 0 is clamped to 1 so the cache stays usable.
-  cache.set_capacity(0);
-  EXPECT_EQ(cache.capacity(), 1u);
-  bool hit = true;
-  cache.Value(42.0, 43.0, 0.5, &hit);
-  EXPECT_FALSE(hit);
-  cache.Value(42.0, 43.0, 0.5, &hit);
-  EXPECT_TRUE(hit);
-}
-
 TEST(InverseBetaCacheTest, DistinctPercentilesAreDistinctKeys) {
   InverseBetaCache cache;
   const double lo = cache.Value(2.0, 8.0, 0.5);

@@ -85,6 +85,20 @@ TEST(TaskPoolTest, TaskSeedStreamsAreDistinct) {
   EXPECT_NE(TaskSeed(7, 0), TaskSeed(8, 0));
 }
 
+// A task that starts a batch on its own pool runs that batch inline
+// instead of resetting the outer batch's shared state (which deadlocked).
+TEST(TaskPoolTest, NestedBatchRunsInline) {
+  TaskPool pool(4);
+  std::atomic<int> outer{0};
+  std::atomic<int> inner{0};
+  pool.ParallelFor(8, [&](size_t) {
+    outer.fetch_add(1);
+    pool.ParallelFor(4, [&](size_t) { inner.fetch_add(1); });
+  });
+  EXPECT_EQ(outer.load(), 8);
+  EXPECT_EQ(inner.load(), 32);
+}
+
 TEST(TaskPoolTest, GlobalPoolFollowsThreadCountKnob) {
   const unsigned before = ThreadCount();
   SetThreadCount(3);
