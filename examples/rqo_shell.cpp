@@ -25,7 +25,7 @@
 //   .blackbox trace <file>          write the exemplars as a Chrome trace
 //                                   (Perfetto lanes grouped by session)
 //   .slo                            queue-wait/service/regret quantiles
-//                                   and threshold-breach counters
+//                                   and the worst sessions/fingerprints
 //   .epoch                          data + statistics epochs and the
 //                                   per-table online-maintenance state
 //                                   (modifications, pending-rebuild

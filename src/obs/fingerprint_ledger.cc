@@ -91,6 +91,20 @@ std::string WorstScopes(
   return out;
 }
 
+void RecordSloInto(SloScope* scope, bool failed, double queue_wait,
+                   double service, double regret, double ratio) {
+  ++scope->observed;
+  scope->queue_wait.Observe(queue_wait);
+  if (failed) {
+    ++scope->failed;
+    return;
+  }
+  scope->service.Observe(service);
+  scope->regret.Observe(regret);
+  if (regret > 0.0) ++scope->regret_positive;
+  scope->worst_regret_ratio = std::max(scope->worst_regret_ratio, ratio);
+}
+
 void SyncCounter(MetricsRegistry* metrics, const char* name, uint64_t value) {
   Counter* counter = metrics->GetCounter(name);
   counter->Increment(value - counter->value());
@@ -107,8 +121,8 @@ void Republish(MetricsRegistry* metrics, const char* name,
 
 }  // namespace
 
-FingerprintLedger::FingerprintLedger(QualityConfig quality, SloConfig slo)
-    : quality_config_(quality), slo_config_(slo) {}
+FingerprintLedger::FingerprintLedger(QualityConfig quality)
+    : quality_config_(quality) {}
 
 FingerprintLedger::Row& FingerprintLedger::Touch(uint64_t fingerprint) {
   auto [it, inserted] = rows_.try_emplace(fingerprint);
@@ -225,33 +239,6 @@ void FingerprintLedger::RecordQualityInto(
   }
 }
 
-void FingerprintLedger::RecordSloInto(SloScope* scope, bool failed,
-                                      double queue_wait, double service,
-                                      double regret, double ratio) const {
-  ++scope->observed;
-  scope->queue_wait.Observe(queue_wait);
-  if (slo_config_.queue_wait_breach_seconds > 0.0 &&
-      queue_wait > slo_config_.queue_wait_breach_seconds) {
-    ++scope->breach_queue_wait;
-  }
-  if (failed) {
-    ++scope->failed;
-    return;
-  }
-  scope->service.Observe(service);
-  scope->regret.Observe(regret);
-  if (regret > 0.0) ++scope->regret_positive;
-  scope->worst_regret_ratio = std::max(scope->worst_regret_ratio, ratio);
-  if (slo_config_.service_breach_seconds > 0.0 &&
-      service > slo_config_.service_breach_seconds) {
-    ++scope->breach_service;
-  }
-  if (slo_config_.regret_breach_seconds > 0.0 &&
-      regret > slo_config_.regret_breach_seconds) {
-    ++scope->breach_regret;
-  }
-}
-
 const std::set<std::string>& FingerprintLedger::Tables(
     uint64_t fingerprint) const {
   static const std::set<std::string> kNone;
@@ -307,10 +294,6 @@ void FingerprintLedger::PublishMetrics(MetricsRegistry* metrics) const {
   PublishQualityMetrics(metrics);
   SyncCounter(metrics, "server.slo.observed", global_.observed);
   SyncCounter(metrics, "server.slo.failed", global_.failed);
-  SyncCounter(metrics, "server.slo.breach.queue_wait",
-              global_.breach_queue_wait);
-  SyncCounter(metrics, "server.slo.breach.service", global_.breach_service);
-  SyncCounter(metrics, "server.slo.breach.regret", global_.breach_regret);
   SyncCounter(metrics, "optimizer.regret.positive", global_.regret_positive);
   metrics->GetGauge("server.slo.sessions_tracked")
       ->Set(static_cast<double>(sessions_.size()));
@@ -482,11 +465,6 @@ std::string FingerprintLedger::SloReportText() const {
       "  regret: positive=%llu worst_ratio=%.4f\n",
       static_cast<unsigned long long>(global_.regret_positive),
       global_.worst_regret_ratio);
-  out += StrPrintf(
-      "  breaches: queue_wait=%llu service=%llu regret=%llu\n",
-      static_cast<unsigned long long>(global_.breach_queue_wait),
-      static_cast<unsigned long long>(global_.breach_service),
-      static_cast<unsigned long long>(global_.breach_regret));
   std::vector<std::pair<double, std::pair<std::string, const SloScope*>>>
       ranked;
   for (const auto& [label, scope] : sessions_) {
@@ -501,17 +479,6 @@ std::string FingerprintLedger::SloReportText() const {
   }
   out += WorstScopes(std::move(ranked), "worst fingerprints (regret p99)");
   return out;
-}
-
-void FingerprintLedger::ResetSlo() {
-  global_ = SloScope();
-  sessions_.clear();
-  for (auto& [fingerprint, row] : rows_) {
-    row.slo = SloScope();
-    row.slowest.reset();
-    row.incident.reset();
-  }
-  slo_fingerprints_ = 0;
 }
 
 // ---- Exemplars ----

@@ -15,11 +15,13 @@
 //     profile whose recent median regresses by `drift_factor` or more is
 //     flagged drifted: data moved underneath stale statistics. Record
 //     keeps the flagged set current, so Drifted() costs O(flagged);
-//   * SLO: queue wait (admission waves waited, charged per wave), service
-//     time (metered execution seconds plus a planning charge when the
-//     request ran the optimizer) and realized regret — how far the plan's
-//     metered cost exceeded the cdf⁻¹(T%) estimate it was chosen by
-//     (PlannedQuery::estimated_cost), in the one currency both share;
+//   * SLO: queue wait (admission waves waited, at kWaveDelaySeconds per
+//     wave), service time (metered execution seconds plus
+//     kPlanChargeSeconds when the request ran the optimizer) and realized
+//     regret — how far the plan's metered cost exceeded the cdf⁻¹(T%)
+//     estimate it was chosen by (PlannedQuery::estimated_cost), in the one
+//     currency both share. The two charges are fixed simulated seconds,
+//     not measured wall time;
 //   * tables: what the statement reads, so a drift flag routes the right
 //     tables to the statistics rebuild;
 //   * plan: why the plan won — the newest provenance record
@@ -84,19 +86,6 @@ struct QualityConfig {
   double drift_factor = 4.0;
   /// Minimum observations in each window before drift is evaluated.
   size_t min_observations = 8;
-};
-
-struct SloConfig {
-  /// Simulated queueing delay charged per admission wave waited.
-  double wave_delay_seconds = 0.05;
-  /// Simulated planning charge for a request that ran the optimizer: a
-  /// read whose plan missed the cache. Writes never plan.
-  double plan_charge_seconds = 0.25;
-  /// Breach thresholds in simulated seconds; 0 disables that breach
-  /// counter.
-  double queue_wait_breach_seconds = 0.0;
-  double service_breach_seconds = 0.0;
-  double regret_breach_seconds = 0.0;
 };
 
 /// One estimate-vs-actual comparison for a fingerprinted estimate.
@@ -192,9 +181,6 @@ struct SloScope {
   /// Successful requests whose actual exceeded the estimate.
   uint64_t regret_positive = 0;
   double worst_regret_ratio = 0.0;
-  uint64_t breach_queue_wait = 0;
-  uint64_t breach_service = 0;
-  uint64_t breach_regret = 0;
 };
 
 class FingerprintLedger {
@@ -205,8 +191,13 @@ class FingerprintLedger {
   static constexpr size_t kMaxRows = 128;
   /// Plan diffs kept, newest first out of a FIFO.
   static constexpr size_t kMaxPlanDiffs = 64;
+  /// Simulated queueing delay charged per admission wave waited.
+  static constexpr double kWaveDelaySeconds = 0.05;
+  /// Simulated planning charge for a request that ran the optimizer: a
+  /// read whose plan missed the cache. Writes never plan.
+  static constexpr double kPlanChargeSeconds = 0.25;
 
-  explicit FingerprintLedger(QualityConfig quality = {}, SloConfig slo = {});
+  explicit FingerprintLedger(QualityConfig quality = {});
 
   /// Rows currently held (at most kMaxRows).
   size_t size() const { return rows_.size(); }
@@ -263,29 +254,25 @@ class FingerprintLedger {
   /// The charged values Record derives — the one charging rule, shared
   /// with the service's span attributes and the traffic harness's report
   /// so all three report identical numbers.
-  double QueueWaitSeconds(uint64_t queue_waves) const {
-    return static_cast<double>(queue_waves) * slo_config_.wave_delay_seconds;
+  static double QueueWaitSeconds(uint64_t queue_waves) {
+    return static_cast<double>(queue_waves) * kWaveDelaySeconds;
   }
   /// Metered execution seconds, plus the planning charge only when the
   /// request ran the optimizer (neither a plan-cache hit nor a write).
-  double ServiceSeconds(double actual_seconds, bool cache_hit,
-                        bool dml) const {
-    return actual_seconds +
-           (cache_hit || dml ? 0.0 : slo_config_.plan_charge_seconds);
+  static double ServiceSeconds(double actual_seconds, bool cache_hit,
+                               bool dml) {
+    return actual_seconds + (cache_hit || dml ? 0.0 : kPlanChargeSeconds);
   }
   const SloScope& global() const { return global_; }
   /// nullptr when the scope has never been observed.
   const SloScope* SessionScope(const std::string& label) const;
   const SloScope* FingerprintScope(uint64_t fingerprint) const;
   size_t sessions_tracked() const { return sessions_.size(); }
-  /// Rows with at least one SLO observation since the last ResetSlo.
+  /// Rows with at least one SLO observation.
   size_t slo_fingerprints() const { return slo_fingerprints_; }
-  /// Fixed-precision text block: global quantiles, breach counters, and
-  /// the worst sessions/fingerprints by tail service time / tail regret.
+  /// Fixed-precision text block: global quantiles and the worst
+  /// sessions/fingerprints by tail service time / tail regret.
   std::string SloReportText() const;
-  /// Clears every SLO scope and exemplar; quality columns and tables
-  /// survive.
-  void ResetSlo();
 
   // ---- Exemplars ----
 
@@ -378,15 +365,12 @@ class FingerprintLedger {
 
   void RecordQualityInto(uint64_t fingerprint,
                          const QualityObservation& observation, Row* row);
-  void RecordSloInto(SloScope* scope, bool failed, double queue_wait,
-                     double service, double regret, double ratio) const;
   FingerprintQuality Summarize(uint64_t fingerprint,
                                const QualityProfile& profile) const;
   /// Summarize's `drifted` verdict, from the two windows alone.
   bool IsDrifted(const QualityProfile& profile) const;
 
   QualityConfig quality_config_;
-  SloConfig slo_config_;
   /// The one map keyed by statement fingerprint.
   std::map<uint64_t, Row> rows_;
   /// Recording order of the rows: Row::last_recorded -> fingerprint.

@@ -10,8 +10,7 @@ namespace server {
 AdmissionController::AdmissionController(AdmissionConfig config)
     : config_(config) {}
 
-Result<uint64_t> AdmissionController::Submit(SessionId session,
-                                             uint64_t reservation_bytes) {
+Result<uint64_t> AdmissionController::Submit(SessionId session) {
   ++stats_.submitted;
   if (fault_ != nullptr) {
     Status shed = fault_->Check(fault::sites::kAdmissionEnqueue);
@@ -29,9 +28,6 @@ Result<uint64_t> AdmissionController::Submit(SessionId session,
   AdmissionTicket ticket;
   ticket.ticket = next_ticket_++;
   ticket.session = session;
-  ticket.reservation_bytes = reservation_bytes > 0
-                                 ? reservation_bytes
-                                 : config_.default_reservation_bytes;
   queue_.push_back(ticket);
   stats_.peak_queue_depth = std::max<uint64_t>(stats_.peak_queue_depth,
                                                queue_.size());
@@ -42,23 +38,12 @@ std::vector<AdmissionTicket> AdmissionController::AdmitWave() {
   ++stats_.waves;
   std::vector<AdmissionTicket> admitted;
   while (!queue_.empty()) {
-    const AdmissionTicket& head = queue_.front();
     if (config_.max_concurrent > 0 &&
         in_flight_.size() >= config_.max_concurrent) {
       break;
     }
-    if (config_.memory_budget_bytes > 0 &&
-        memory_reserved_ + head.reservation_bytes >
-            config_.memory_budget_bytes &&
-        // A reservation larger than the whole budget would never fit; admit
-        // it alone rather than wedging the queue forever.
-        !(in_flight_.empty() &&
-          head.reservation_bytes > config_.memory_budget_bytes)) {
-      break;
-    }
-    AdmissionTicket ticket = head;
+    AdmissionTicket ticket = queue_.front();
     queue_.pop_front();
-    memory_reserved_ += ticket.reservation_bytes;
     in_flight_.push_back(ticket);
     admitted.push_back(ticket);
     ++stats_.admitted;
@@ -67,15 +52,12 @@ std::vector<AdmissionTicket> AdmissionController::AdmitWave() {
   for (AdmissionTicket& waiting : queue_) ++waiting.waves_waited;
   stats_.peak_in_flight =
       std::max<uint64_t>(stats_.peak_in_flight, in_flight_.size());
-  stats_.peak_memory_reserved =
-      std::max(stats_.peak_memory_reserved, memory_reserved_);
   return admitted;
 }
 
 Status AdmissionController::Complete(uint64_t ticket) {
   for (auto it = in_flight_.begin(); it != in_flight_.end(); ++it) {
     if (it->ticket == ticket) {
-      memory_reserved_ -= it->reservation_bytes;
       in_flight_.erase(it);
       ++stats_.completed;
       return Status::OK();
@@ -114,39 +96,10 @@ void AdmissionController::PublishMetrics(obs::MetricsRegistry* metrics) const {
       ->Set(static_cast<double>(queue_.size()));
   metrics->GetGauge("server.admission.in_flight")
       ->Set(static_cast<double>(in_flight_.size()));
-  metrics->GetGauge("server.admission.memory_reserved_bytes")
-      ->Set(static_cast<double>(memory_reserved_));
   metrics->GetGauge("server.admission.peak_in_flight")
       ->Set(static_cast<double>(stats_.peak_in_flight));
   metrics->GetGauge("server.admission.peak_queue_depth")
       ->Set(static_cast<double>(stats_.peak_queue_depth));
-}
-
-std::string AdmissionController::ReportText() const {
-  std::string out;
-  out += StrPrintf("admission: %zu in flight (cap %zu), %zu queued (cap %zu)\n",
-                   in_flight_.size(), config_.max_concurrent, queue_.size(),
-                   config_.max_queue_depth);
-  out += StrPrintf(
-      "  memory reserved %llu / %llu bytes\n",
-      static_cast<unsigned long long>(memory_reserved_),
-      static_cast<unsigned long long>(config_.memory_budget_bytes));
-  out += StrPrintf(
-      "  submitted=%llu admitted=%llu completed=%llu waited=%llu\n",
-      static_cast<unsigned long long>(stats_.submitted),
-      static_cast<unsigned long long>(stats_.admitted),
-      static_cast<unsigned long long>(stats_.completed),
-      static_cast<unsigned long long>(stats_.waited));
-  out += StrPrintf(
-      "  rejected: queue_full=%llu fault=%llu\n",
-      static_cast<unsigned long long>(stats_.rejected_queue_full),
-      static_cast<unsigned long long>(stats_.rejected_fault));
-  out += StrPrintf(
-      "  peaks: in_flight=%llu queue_depth=%llu memory=%llu bytes\n",
-      static_cast<unsigned long long>(stats_.peak_in_flight),
-      static_cast<unsigned long long>(stats_.peak_queue_depth),
-      static_cast<unsigned long long>(stats_.peak_memory_reserved));
-  return out;
 }
 
 }  // namespace server

@@ -2,17 +2,15 @@
 //
 // Admission control: the gate between accepted requests and the executor.
 // Beyond the per-query budgets fault::QueryGovernor enforces *inside* a
-// running query, the admission controller enforces the two *global* limits
-// a serving system needs: a concurrency cap (at most `max_concurrent`
-// queries execute at once) and a shared memory budget (the sum of admitted
-// reservations never exceeds `memory_budget_bytes`).
+// running query, the admission controller enforces the *global* limit a
+// serving system needs: a concurrency cap (at most `max_concurrent`
+// queries execute at once).
 //
-// Requests enter a strict-FIFO queue. Admission never overtakes: when the
-// request at the head does not fit (slots or memory), nothing behind it is
-// admitted either. That costs some utilisation but buys the two properties
-// the tests pin down — no starvation (every queued request is admitted
-// after finitely many completions) and determinism (the admitted set of
-// each scheduling wave is a pure function of the submission order).
+// Requests enter a strict-FIFO queue and are admitted from its head while
+// a slot is free. That buys the two properties the tests pin down — no
+// starvation (every queued request is admitted after finitely many
+// completions) and determinism (the admitted set of each scheduling wave
+// is a pure function of the submission order).
 //
 // Rejections are typed: a full queue rejects with kResourceExhausted, and
 // the `server.admission.enqueue` fault site (load shedding, dropped
@@ -23,7 +21,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <string>
 #include <vector>
 
 #include "fault/fault_injector.h"
@@ -41,11 +38,6 @@ struct AdmissionConfig {
   /// Requests waiting for a slot before new submissions are rejected with
   /// kResourceExhausted. 0 = unbounded queue.
   size_t max_queue_depth = 64;
-  /// Shared memory budget across all in-flight queries' reservations.
-  /// 0 = unlimited.
-  uint64_t memory_budget_bytes = 0;
-  /// Reservation charged for a request whose session specifies none.
-  uint64_t default_reservation_bytes = 1ull << 20;
 };
 
 /// Backpressure counters, exported as server.admission.* metrics.
@@ -60,7 +52,6 @@ struct AdmissionStats {
   uint64_t waited = 0;
   uint64_t peak_queue_depth = 0;
   uint64_t peak_in_flight = 0;
-  uint64_t peak_memory_reserved = 0;
   /// Scheduling waves popped over the controller's lifetime — the wave
   /// ordinal a request's trace records at admission.
   uint64_t waves = 0;
@@ -70,7 +61,6 @@ struct AdmissionStats {
 struct AdmissionTicket {
   uint64_t ticket = 0;
   SessionId session = 0;
-  uint64_t reservation_bytes = 0;
   /// Scheduling waves this request waited in the queue before admission.
   uint64_t waves_waited = 0;
 };
@@ -81,24 +71,21 @@ class AdmissionController {
 
   const AdmissionConfig& config() const { return config_; }
 
-  /// Enqueues a request for `session` reserving `reservation_bytes`
-  /// (0 falls back to the config default). Probes the
+  /// Enqueues a request for `session`. Probes the
   /// server.admission.enqueue fault site first, then the queue-depth
   /// limit. Returns the request's ticket number.
-  Result<uint64_t> Submit(SessionId session, uint64_t reservation_bytes = 0);
+  Result<uint64_t> Submit(SessionId session);
 
   /// Pops the next wave of admitted requests: head-of-queue requests, in
-  /// FIFO order, while a concurrency slot and the memory budget allow.
-  /// Stops at the first request that does not fit. Also counts a wave of
+  /// FIFO order, while a concurrency slot is free. Also counts a wave of
   /// waiting for every request left queued.
   std::vector<AdmissionTicket> AdmitWave();
 
-  /// Releases `ticket`'s slot and memory reservation.
+  /// Releases `ticket`'s slot.
   Status Complete(uint64_t ticket);
 
   size_t queue_depth() const { return queue_.size(); }
   size_t in_flight() const { return in_flight_.size(); }
-  uint64_t memory_reserved() const { return memory_reserved_; }
   const AdmissionStats& stats() const { return stats_; }
 
   /// Fault injector probed at server.admission.enqueue (borrowed,
@@ -108,16 +95,12 @@ class AdmissionController {
   /// Publishes server.admission.* counters and gauges (no-op on null).
   void PublishMetrics(obs::MetricsRegistry* metrics) const;
 
-  /// Aligned text summary for the shell and reports.
-  std::string ReportText() const;
-
  private:
   AdmissionConfig config_;
   fault::FaultInjector* fault_ = nullptr;
   uint64_t next_ticket_ = 1;
   std::deque<AdmissionTicket> queue_;
   std::vector<AdmissionTicket> in_flight_;  // ordered by admission
-  uint64_t memory_reserved_ = 0;
   AdmissionStats stats_;
 };
 

@@ -100,8 +100,7 @@ QueryService::QueryService(core::Database* db, ServerConfig config)
       config_(config),
       sessions_(config.seed),
       admission_(config.admission),
-      cache_(config.plan_cache_capacity),
-      ledger_(config.quality, config.slo) {
+      ledger_(config.quality) {
   admission_.set_fault_injector(db_->fault_injector());
   cache_.set_fault_injector(db_->fault_injector());
 }
@@ -233,11 +232,7 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
       }
     }
     response.fingerprint = work.fingerprint;
-    uint64_t reservation = session->options().memory_reservation_bytes;
-    if (reservation == 0) {
-      reservation = session->options().governor_limits.memory_limit_bytes;
-    }
-    Result<uint64_t> ticket = admission_.Submit(request.session, reservation);
+    Result<uint64_t> ticket = admission_.Submit(request.session);
     if (!ticket.ok()) {
       session->CountRejected();
       response.status = ticket.status();

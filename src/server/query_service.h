@@ -77,7 +77,6 @@ struct ServerConfig {
   /// per-request fault-injector streams all derive from it.
   uint64_t seed = 42;
   AdmissionConfig admission;
-  size_t plan_cache_capacity = 64;
   /// Drift detection: a drifted fingerprint's tables are rebuilt at the
   /// end of the wave, like tables past the committed-write threshold.
   obs::QualityConfig quality;
@@ -85,9 +84,6 @@ struct ServerConfig {
   /// row's exemplars (slowest request, latest incident). Off by default:
   /// an untraced request builds no per-request tracer.
   bool trace_requests = false;
-  /// Latency/regret charging and breach thresholds of the ledger's SLO
-  /// columns.
-  obs::SloConfig slo;
   /// Runner-up candidates kept per plan-provenance record. Every plan the
   /// optimizer resolves (a cache miss of any flavor) files a sensitivity
   /// record in the ledger's plan column, and a re-planned fingerprint

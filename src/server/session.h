@@ -44,10 +44,6 @@ struct SessionOptions {
   core::EstimatorKind estimator = core::EstimatorKind::kRobustSample;
   /// Per-query budgets enforced by this session's query governors.
   fault::GovernorLimits governor_limits;
-  /// Bytes the admission controller reserves against the shared memory
-  /// budget while one of this session's queries runs. 0 falls back to the
-  /// governor memory limit, then to the admission default.
-  uint64_t memory_reservation_bytes = 0;
 };
 
 /// A statement registered with PREPARE, ready for repeated EXECUTE.

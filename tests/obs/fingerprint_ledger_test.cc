@@ -247,13 +247,13 @@ RequestObservation Req(double actual, double estimated, bool cache_hit = true,
 }
 
 TEST(SloMonitorTest, ChargesQueueWaitAndColdPlanning) {
-  SloConfig config;
-  config.wave_delay_seconds = 0.1;
-  config.plan_charge_seconds = 0.5;
-  FingerprintLedger ledger({}, config);
-  EXPECT_DOUBLE_EQ(ledger.QueueWaitSeconds(3), 0.3);
+  EXPECT_DOUBLE_EQ(FingerprintLedger::kWaveDelaySeconds, 0.05);
+  EXPECT_DOUBLE_EQ(FingerprintLedger::kPlanChargeSeconds, 0.25);
+  FingerprintLedger ledger;
+  EXPECT_DOUBLE_EQ(ledger.QueueWaitSeconds(3), 0.15);
   EXPECT_DOUBLE_EQ(ledger.ServiceSeconds(1.0, /*cache_hit=*/true, false), 1.0);
-  EXPECT_DOUBLE_EQ(ledger.ServiceSeconds(1.0, /*cache_hit=*/false, false), 1.5);
+  EXPECT_DOUBLE_EQ(ledger.ServiceSeconds(1.0, /*cache_hit=*/false, false),
+                   1.25);
   // A write never plans, so it never pays the planning charge.
   EXPECT_DOUBLE_EQ(ledger.ServiceSeconds(1.0, false, /*dml=*/true), 1.0);
   RequestObservation write = Req(0.0, 0.0, /*cache_hit=*/false);
@@ -294,9 +294,7 @@ TEST(SloMonitorTest, RegretClampsAtZeroAndTracksWorstRatio) {
 }
 
 TEST(SloMonitorTest, FailedRequestsCountQueueWaitButNotService) {
-  SloConfig config;
-  config.wave_delay_seconds = 0.05;
-  FingerprintLedger ledger({}, config);
+  FingerprintLedger ledger;
   ledger.Record(Req(0.0, 1.0, /*cache_hit=*/false, /*waves=*/4,
                     /*failed=*/true));
   EXPECT_EQ(ledger.global().observed, 1u);
@@ -305,27 +303,6 @@ TEST(SloMonitorTest, FailedRequestsCountQueueWaitButNotService) {
   EXPECT_EQ(ledger.global().service.count(), 0u);
   EXPECT_EQ(ledger.global().regret.count(), 0u);
   EXPECT_EQ(ledger.global().regret_positive, 0u);
-}
-
-TEST(SloMonitorTest, BreachCountersRespectThresholds) {
-  SloConfig config;
-  config.wave_delay_seconds = 0.1;
-  config.plan_charge_seconds = 0.0;
-  config.queue_wait_breach_seconds = 0.25;
-  config.service_breach_seconds = 2.0;
-  config.regret_breach_seconds = 0.5;
-  FingerprintLedger ledger({}, config);
-  ledger.Record(Req(1.0, 1.0, /*cache_hit=*/true, /*waves=*/1));  // no breach
-  ledger.Record(Req(3.0, 1.0, /*cache_hit=*/true, /*waves=*/3));  // all three
-  EXPECT_EQ(ledger.global().breach_queue_wait, 1u);
-  EXPECT_EQ(ledger.global().breach_service, 1u);
-  EXPECT_EQ(ledger.global().breach_regret, 1u);
-  // Disabled thresholds (0) never count.
-  FingerprintLedger unlimited;
-  unlimited.Record(Req(100.0, 1.0, /*cache_hit=*/true, /*waves=*/50));
-  EXPECT_EQ(unlimited.global().breach_queue_wait, 0u);
-  EXPECT_EQ(unlimited.global().breach_service, 0u);
-  EXPECT_EQ(unlimited.global().breach_regret, 0u);
 }
 
 // The text report, plus every session scope it only ranks.
@@ -376,16 +353,6 @@ TEST(SloMonitorTest, PublishMetricsIsIdempotent) {
   EXPECT_EQ(metrics.GetGauge("optimizer.regret.worst_ratio")->value(), 2.0);
 }
 
-TEST(SloMonitorTest, ResetClearsAllScopes) {
-  FingerprintLedger ledger;
-  ledger.Record(Req(1.0, 1.0));
-  ledger.ResetSlo();
-  EXPECT_EQ(ledger.global().observed, 0u);
-  EXPECT_EQ(ledger.sessions_tracked(), 0u);
-  EXPECT_EQ(ledger.slo_fingerprints(), 0u);
-  EXPECT_EQ(ledger.global().queue_wait.count(), 0u);
-}
-
 // ---- The row as a whole ----
 
 TEST(FingerprintLedgerTest, OneRecordFillsEveryColumnOfOneRow) {
@@ -419,13 +386,6 @@ TEST(FingerprintLedgerTest, ResetsKeepTheirSplit) {
   EXPECT_TRUE(ledger.Snapshot().empty());
   ASSERT_NE(ledger.FingerprintScope(0xF00Du), nullptr);
   EXPECT_EQ(ledger.FingerprintScope(0xF00Du)->observed, 32u);
-  EXPECT_EQ(ledger.Tables(0xF00Du), std::set<std::string>{"t"});
-
-  // An SLO reset clears only the SLO scopes.
-  ledger.Record(request, &quality);
-  ledger.ResetSlo();
-  EXPECT_EQ(ledger.FingerprintScope(0xF00Du), nullptr);
-  EXPECT_EQ(ledger.observation_count(), 1u);
   EXPECT_EQ(ledger.Tables(0xF00Du), std::set<std::string>{"t"});
 }
 
@@ -720,19 +680,13 @@ TEST(FingerprintLedgerTest, NullTraceFilesNothing) {
   EXPECT_EQ(ledger.ExemplarChromeTrace(), "[]");
 }
 
-TEST(FingerprintLedgerTest, ResetSloClearsExemplarsResetQualityKeepsThem) {
+TEST(FingerprintLedgerTest, ResetQualityKeepsExemplars) {
   FingerprintLedger ledger;
   RecordTraced(&ledger, Trace(1, 2.0));
   RecordTraced(&ledger, Trace(2, 0.0, /*failed=*/true));
   ledger.ResetQuality();
   EXPECT_EQ(SlowestId(ledger), 1u);
   EXPECT_EQ(IncidentId(ledger), 2u);
-  ledger.ResetSlo();
-  EXPECT_TRUE(ledger.Exemplars().empty());
-  EXPECT_EQ(ledger.ExemplarText(), FingerprintLedger().ExemplarText());
-  // The next traced request starts the slowest slot afresh.
-  RecordTraced(&ledger, Trace(3, 0.5));
-  EXPECT_EQ(SlowestId(ledger), 3u);
 }
 
 TEST(FingerprintLedgerTest, DualReasonExemplarIsListedOnce) {

@@ -1,6 +1,6 @@
-// Admission control: strict-FIFO waves under a concurrency cap and a
-// shared memory budget, typed rejections, and the no-starvation property
-// (every queued request is admitted after finitely many completions).
+// Admission control: strict-FIFO waves under a concurrency cap, typed
+// rejections, and the no-starvation property (every queued request is
+// admitted after finitely many completions).
 
 #include <gtest/gtest.h>
 
@@ -82,44 +82,6 @@ TEST(AdmissionTest, FullQueueRejectsTyped) {
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(admission.stats().rejected_queue_full, 1u);
-}
-
-TEST(AdmissionTest, MemoryBudgetBlocksHeadWithoutOvertaking) {
-  AdmissionConfig config;
-  config.max_concurrent = 8;
-  config.memory_budget_bytes = 100;
-  AdmissionController admission(config);
-
-  const uint64_t big = admission.Submit(1, /*reservation_bytes=*/80).value();
-  const uint64_t heavy = admission.Submit(1, 60).value();
-  const uint64_t small = admission.Submit(1, 10).value();
-
-  // big fits; heavy does not — and small must NOT jump the queue even
-  // though it would fit (strict FIFO buys determinism + no starvation).
-  EXPECT_EQ(Tickets(admission.AdmitWave()), (std::vector<uint64_t>{big}));
-  EXPECT_TRUE(admission.AdmitWave().empty());
-  EXPECT_EQ(admission.memory_reserved(), 80u);
-
-  ASSERT_TRUE(admission.Complete(big).ok());
-  EXPECT_EQ(Tickets(admission.AdmitWave()),
-            (std::vector<uint64_t>{heavy, small}));
-  EXPECT_EQ(admission.memory_reserved(), 70u);
-}
-
-TEST(AdmissionTest, OversizedReservationIsAdmittedAloneNotWedged) {
-  AdmissionConfig config;
-  config.memory_budget_bytes = 100;
-  AdmissionController admission(config);
-
-  const uint64_t giant = admission.Submit(1, 5000).value();
-  const uint64_t after = admission.Submit(1, 10).value();
-
-  // A reservation larger than the whole budget can never "fit"; admitting
-  // it alone (when nothing is in flight) beats wedging the queue forever.
-  EXPECT_EQ(Tickets(admission.AdmitWave()), (std::vector<uint64_t>{giant}));
-  EXPECT_TRUE(admission.AdmitWave().empty());
-  ASSERT_TRUE(admission.Complete(giant).ok());
-  EXPECT_EQ(Tickets(admission.AdmitWave()), (std::vector<uint64_t>{after}));
 }
 
 TEST(AdmissionTest, EnqueueFaultSheds) {

@@ -204,7 +204,7 @@ TEST(WritePathTest, WritesPayNoPlanningCharge) {
   ASSERT_EQ(traces.count(committed.request_id), 1u);
   ASSERT_EQ(traces.count(faulted.request_id), 1u);
   ASSERT_EQ(traces.count(read.request_id), 1u);
-  const double plan_charge = obs::SloConfig{}.plan_charge_seconds;
+  const double plan_charge = obs::FingerprintLedger::kPlanChargeSeconds;
   EXPECT_EQ(traces[committed.request_id]->service_seconds, 0.0);
   EXPECT_EQ(traces[faulted.request_id]->service_seconds, 0.0);
   EXPECT_EQ(traces[read.request_id]->service_seconds,
