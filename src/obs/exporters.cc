@@ -120,13 +120,12 @@ namespace {
 
 /// Renders one record stream under (pid, tid). Span ends carry no
 /// name/category of their own; the format wants the matching "E" to repeat
-/// the "B"'s, so they are remembered per span id. With `emit_ids` the span
-/// id rides along on B/E records (the lane exporter's contract with
-/// scripts/check_trace_json.py); the single-tracer rendering omits it so
-/// its pinned goldens stay stable.
+/// the "B"'s, so they are remembered per span id. The span id rides along
+/// on B/E records, so scripts/check_trace_json.py can validate the span
+/// tree of each track.
 void AppendChromeEvents(std::string* out, bool* first,
                         const std::vector<TraceEvent>& events, uint64_t pid,
-                        uint64_t tid, bool use_wall_time, bool emit_ids) {
+                        uint64_t tid, bool use_wall_time) {
   std::map<uint64_t, std::pair<std::string, std::string>> span_names;
   for (const TraceEvent& e : events) {
     const char* phase = "i";
@@ -157,7 +156,7 @@ void AppendChromeEvents(std::string* out, bool* first,
     *out += StrPrintf(",\"pid\":%llu,\"tid\":%llu",
                       static_cast<unsigned long long>(pid),
                       static_cast<unsigned long long>(tid));
-    if (emit_ids && e.kind != TraceKind::kEvent) {
+    if (e.kind != TraceKind::kEvent) {
       *out += StrPrintf(",\"id\":\"0x%llx\"",
                         static_cast<unsigned long long>(e.span_id));
     }
@@ -198,7 +197,7 @@ std::string ToChromeTrace(const std::vector<TraceEvent>& events,
   std::string out = "[";
   bool first = true;
   AppendChromeEvents(&out, &first, events, /*pid=*/1, /*tid=*/1,
-                     use_wall_time, /*emit_ids=*/false);
+                     use_wall_time);
   out += "]";
   return out;
 }
@@ -223,7 +222,7 @@ std::string ToChromeTrace(const std::vector<TraceLane>& lanes,
   }
   for (const TraceLane& lane : lanes) {
     AppendChromeEvents(&out, &first, lane.events, lane.pid, lane.tid,
-                       use_wall_time, /*emit_ids=*/true);
+                       use_wall_time);
   }
   out += "]";
   return out;

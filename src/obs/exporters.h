@@ -50,11 +50,12 @@ std::string ToOpenMetrics(const MetricsRegistry& registry,
 
 /// Renders trace records as a Chrome `trace_event` JSON array. Span
 /// begin/end pairs become "B"/"E" events (the end inherits the begin's
-/// name and category, as the format requires); instantaneous records
-/// become thread-scoped "i" events; attributes become `args`. With
-/// `use_wall_time` false (the default) timestamps are the logical clock,
-/// so the export is byte-identical across same-seed runs; pass true for
-/// human-facing dumps with real durations.
+/// name and category, as the format requires) carrying the span id (as
+/// hex "id"); instantaneous records become thread-scoped "i" events;
+/// attributes become `args`. With `use_wall_time` false (the default)
+/// timestamps are the logical clock, so the export is byte-identical
+/// across same-seed runs; pass true for human-facing dumps with real
+/// durations.
 std::string ToChromeTrace(const std::vector<TraceEvent>& events,
                           bool use_wall_time = false);
 
@@ -73,9 +74,8 @@ struct TraceLane {
 };
 
 /// Multi-lane Chrome trace rendering: process/thread metadata ("M")
-/// records first, then each lane's events in order. Span begin/end
-/// records additionally carry the span id (as hex "id"), which the
-/// extended scripts/check_trace_json.py uses to validate span-tree
+/// records first, then each lane's events in order, rendered as above.
+/// scripts/check_trace_json.py uses the span ids to validate span-tree
 /// well-formedness per track.
 std::string ToChromeTrace(const std::vector<TraceLane>& lanes,
                           bool use_wall_time = false);

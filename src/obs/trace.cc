@@ -16,18 +16,6 @@ std::string FingerprintHex(uint64_t fingerprint) {
   return StrPrintf("%016llx", static_cast<unsigned long long>(fingerprint));
 }
 
-const char* TraceKindName(TraceKind kind) {
-  switch (kind) {
-    case TraceKind::kSpanBegin:
-      return "span_begin";
-    case TraceKind::kSpanEnd:
-      return "span_end";
-    case TraceKind::kEvent:
-      return "event";
-  }
-  return "?";
-}
-
 Tracer::Tracer(const Clock* clock) : wall_(clock) {
   // Per-request tracers record a dozen-odd events in a tight serving
   // loop; one up-front allocation beats the doubling-growth churn.
@@ -88,46 +76,6 @@ std::vector<TraceEvent> Tracer::ReleaseEvents() {
   stack_.clear();
   next_seq_ = 0;
   next_span_id_ = 1;
-  return out;
-}
-
-std::string Tracer::ToJson(bool include_wall_time) const {
-  return TraceEventsToJson(events_, include_wall_time);
-}
-
-std::string TraceEventsToJson(const std::vector<TraceEvent>& events,
-                              bool include_wall_time) {
-  std::string out = "[";
-  for (size_t i = 0; i < events.size(); ++i) {
-    const TraceEvent& e = events[i];
-    if (i > 0) out += ",";
-    out += StrPrintf(
-        "{\"seq\":%llu,\"kind\":\"%s\",\"span\":%llu,\"parent\":%llu",
-        static_cast<unsigned long long>(e.seq), TraceKindName(e.kind),
-        static_cast<unsigned long long>(e.span_id),
-        static_cast<unsigned long long>(e.parent_id));
-    if (!e.category.empty()) {
-      out += StrPrintf(",\"cat\":\"%s\"", JsonEscape(e.category).c_str());
-    }
-    if (!e.name.empty()) {
-      out += StrPrintf(",\"name\":\"%s\"", JsonEscape(e.name).c_str());
-    }
-    if (include_wall_time) {
-      out += StrPrintf(",\"wall_us\":%.3f", e.wall_micros);
-    }
-    if (!e.attrs.empty()) {
-      out += ",\"attrs\":{";
-      for (size_t a = 0; a < e.attrs.size(); ++a) {
-        if (a > 0) out += ",";
-        out += StrPrintf("\"%s\":\"%s\"",
-                         JsonEscape(e.attrs[a].first).c_str(),
-                         JsonEscape(e.attrs[a].second).c_str());
-      }
-      out += "}";
-    }
-    out += "}";
-  }
-  out += "]";
   return out;
 }
 

@@ -41,8 +41,6 @@ enum class TraceKind {
   kEvent,      ///< instantaneous event inside the current span
 };
 
-const char* TraceKindName(TraceKind kind);
-
 /// One trace record.
 struct TraceEvent {
   uint64_t seq = 0;        ///< logical clock: unique, strictly increasing
@@ -93,11 +91,6 @@ class Tracer {
   /// increasing so ids stay unique across a tracer's lifetime).
   void Clear();
 
-  /// JSON array of records ordered by the logical clock. Wall-time fields
-  /// are excluded by default so two runs with the same seed serialize
-  /// byte-identically; pass true for human-facing dumps.
-  std::string ToJson(bool include_wall_time = false) const;
-
  private:
   TraceEvent MakeRecord(TraceKind kind, std::string category,
                         std::string name, TraceAttrs attrs);
@@ -108,11 +101,6 @@ class Tracer {
   uint64_t next_seq_ = 0;
   uint64_t next_span_id_ = 1;
 };
-
-/// JSON array of trace records ordered as given — the rendering behind
-/// Tracer::ToJson, usable on any event vector (e.g. a retained trace).
-std::string TraceEventsToJson(const std::vector<TraceEvent>& events,
-                              bool include_wall_time = false);
 
 /// RAII span: begins on construction (when the tracer is non-null), ends on
 /// destruction with any attributes added in between.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/exporters.h"
 #include "util/stopwatch.h"
 
 namespace robustqo {
@@ -81,9 +82,11 @@ TEST(TracerTest, JsonIsDeterministicWithoutWallTime) {
   Tracer b;
   record(&a);
   record(&b);
-  EXPECT_EQ(a.ToJson(), b.ToJson());
-  const std::string json = a.ToJson();
-  EXPECT_EQ(json.find("wall_us"), std::string::npos);
+  EXPECT_EQ(ToChromeTrace(a.events()), ToChromeTrace(b.events()));
+  // Timestamps are the logical clock, not wall time.
+  const std::string json = ToChromeTrace(a.events());
+  EXPECT_NE(json.find("\"ts\":0,"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"ts\":2,"), std::string::npos) << json;
   EXPECT_NE(json.find("\"optimizer\""), std::string::npos);
   EXPECT_NE(json.find("\"selectivity\""), std::string::npos);
 }
@@ -92,7 +95,7 @@ TEST(TracerTest, JsonRoundTripsAttributeOrderAndEscaping) {
   Tracer tracer;
   tracer.Event("estimator", "robust",
                {{"predicate", "a = \"b\"\n"}, {"k", AttrU64(1)}});
-  const std::string json = tracer.ToJson();
+  const std::string json = ToChromeTrace(tracer.events());
   // Quotes and newline escaped, attribute order preserved.
   EXPECT_NE(json.find("a = \\\"b\\\"\\n"), std::string::npos) << json;
   EXPECT_LT(json.find("\"predicate\""), json.find("\"k\""));
@@ -104,8 +107,9 @@ TEST(TracerTest, WallTimeComesFromInjectedClock) {
   clock.AdvanceSeconds(1.0);
   tracer.Event("exec", "late");
   EXPECT_DOUBLE_EQ(tracer.events().back().wall_micros, 1e6);
-  const std::string json = tracer.ToJson(/*include_wall_time=*/true);
-  EXPECT_NE(json.find("wall_us"), std::string::npos);
+  const std::string json =
+      ToChromeTrace(tracer.events(), /*use_wall_time=*/true);
+  EXPECT_NE(json.find("\"ts\":1000000.000,"), std::string::npos) << json;
 }
 
 TEST(SpanGuardTest, BeginsAndEndsAroundScope) {
