@@ -26,20 +26,6 @@ void StatisticsCatalog::BuildAllHistograms(size_t buckets) {
   BumpEpoch();
 }
 
-Status StatisticsCatalog::BuildHistogram(const std::string& table,
-                                         const std::string& column,
-                                         size_t buckets) {
-  const storage::Table* t = catalog_->GetTable(table);
-  if (t == nullptr) return Status::NotFound("table " + table);
-  if (!t->schema().HasColumn(column)) {
-    return Status::NotFound("column " + table + "." + column);
-  }
-  histograms_[HistKey(table, column)] =
-      std::make_unique<EquiDepthHistogram>(*t, column, buckets);
-  BumpEpoch();
-  return Status::OK();
-}
-
 void StatisticsCatalog::BuildAllSamples(const StatisticsConfig& config) {
   build_config_ = config;
   Rng rng(config.seed);
@@ -59,18 +45,6 @@ void StatisticsCatalog::BuildAllSamples(const StatisticsConfig& config) {
     state.pending_rebuild = false;
   }
   BumpEpoch();
-}
-
-Status StatisticsCatalog::BuildJoinSynopsis(const std::string& root_table,
-                                            const StatisticsConfig& config) {
-  if (catalog_->GetTable(root_table) == nullptr) {
-    return Status::NotFound("table " + root_table);
-  }
-  Rng rng(config.seed);
-  synopses_[root_table] = std::make_unique<JoinSynopsis>(
-      *catalog_, root_table, config.sample_size, config.sampling_mode, &rng);
-  BumpEpoch();
-  return Status::OK();
 }
 
 void StatisticsCatalog::ClearSamples() {
@@ -143,23 +117,6 @@ Result<const JoinSynopsis*> StatisticsCatalog::TryFindCoveringSynopsis(
     return Status::NotFound("no covering join synopsis");
   }
   return synopsis;
-}
-
-std::vector<std::pair<std::string, const EquiDepthHistogram*>>
-StatisticsCatalog::AllHistograms() const {
-  std::vector<std::pair<std::string, const EquiDepthHistogram*>> out;
-  out.reserve(histograms_.size());
-  for (const auto& [key, hist] : histograms_) {
-    out.emplace_back(key, hist.get());
-  }
-  return out;
-}
-
-std::vector<const TableSample*> StatisticsCatalog::AllSamples() const {
-  std::vector<const TableSample*> out;
-  out.reserve(samples_.size());
-  for (const auto& [key, sample] : samples_) out.push_back(sample.get());
-  return out;
 }
 
 void StatisticsCatalog::ObserveCommit(const std::string& table,

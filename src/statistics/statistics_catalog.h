@@ -53,17 +53,9 @@ class StatisticsCatalog {
   /// Builds a histogram on every numeric column of every table.
   void BuildAllHistograms(size_t buckets = 250);
 
-  /// Builds a histogram on one column.
-  Status BuildHistogram(const std::string& table, const std::string& column,
-                        size_t buckets = 250);
-
   /// Builds per-table samples and per-root join synopses for every table,
   /// using `config`. Rebuilding with a different seed redraws every sample.
   void BuildAllSamples(const StatisticsConfig& config);
-
-  /// Builds the join synopsis rooted at one table.
-  Status BuildJoinSynopsis(const std::string& root_table,
-                           const StatisticsConfig& config);
 
   /// Drops every sample and synopsis (e.g. to model the no-statistics
   /// fallbacks of Section 3.5).
@@ -108,12 +100,6 @@ class StatisticsCatalog {
   /// can detect staleness with one integer compare. Exported as the
   /// `stats.epoch` gauge; never decreases, never resets.
   uint64_t epoch() const { return epoch_; }
-
-  /// Enumeration for diagnostics. Histogram keys are "table.column";
-  /// samples are keyed by table.
-  std::vector<std::pair<std::string, const EquiDepthHistogram*>>
-  AllHistograms() const;
-  std::vector<const TableSample*> AllSamples() const;
 
   // --- Online maintenance (paper Section 3.2's "periodically whenever a
   // sufficient number of database modifications have occurred", made

@@ -35,10 +35,6 @@ double PopulationStdDev(const std::vector<double>& xs) {
   return std::sqrt(PopulationVariance(xs));
 }
 
-double SampleStdDev(const std::vector<double>& xs) {
-  return std::sqrt(SampleVariance(xs));
-}
-
 double Percentile(std::vector<double> xs, double q) {
   RQO_CHECK(!xs.empty());
   RQO_CHECK(q >= 0.0 && q <= 1.0);

@@ -24,9 +24,6 @@ double SampleVariance(const std::vector<double>& xs);
 /// sqrt of the population variance.
 double PopulationStdDev(const std::vector<double>& xs);
 
-/// sqrt of the sample variance.
-double SampleStdDev(const std::vector<double>& xs);
-
 /// q-th percentile (q in [0,1]) by linear interpolation between closest
 /// ranks; requires a non-empty vector (copied and sorted internally).
 double Percentile(std::vector<double> xs, double q);
