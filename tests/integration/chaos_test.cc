@@ -6,9 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include "chaos_harness.h"
 #include "core/database.h"
 #include "tpch/tpch_gen.h"
-#include "workload/chaos_harness.h"
 #include "workload/scenarios.h"
 
 namespace robustqo {

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "chaos_harness.h"
 #include "core/analytical_model.h"
 #include "core/database.h"
 #include "core/explain_analyze.h"
@@ -25,7 +26,6 @@
 #include "storage/catalog.h"
 #include "storage/table.h"
 #include "util/rng.h"
-#include "workload/chaos_harness.h"
 #include "workload/scenarios.h"
 #include "workload/traffic_harness.h"
 
