@@ -52,7 +52,8 @@ Result<const Rid*> MergeOrder(const int64_t* keys, Rid n, ExecContext* ctx,
 }
 
 // Matched (left row, right row) pairs in emit order, in two workspace
-// buffers with room for `expected` pairs (they grow past it).
+// buffers: either empty with room for `expected` pairs (Add grows them past
+// it), or two buffers the caller filled by index.
 struct JoinPairs {
   RidBuffer& left;
   RidBuffer& right;
@@ -62,10 +63,17 @@ struct JoinPairs {
     left.reserve(expected);
     right.reserve(expected);
   }
+  JoinPairs(RidBuffer& filled_left, RidBuffer& filled_right)
+      : left(filled_left), right(filled_right) {}
 
   void Add(Rid l, Rid r) {
     left.push_back(l);
     right.push_back(r);
+  }
+  // Keeps the first `n` pairs of filled buffers.
+  void KeepFirst(size_t n) {
+    left.resize(n);
+    right.resize(n);
   }
   size_t size() const { return left.size(); }
 };
@@ -118,6 +126,12 @@ struct JoinOutput {
 // keys (bucket heads plus one next link per row, in workspace buffers).
 // Rows are inserted in ascending order and prepended to their chain, so
 // Probe visits each key's matches in descending build-row order.
+//
+// Each insert walks its bucket's chain, so the build also learns whether
+// the keys are unique (a primary key, in every foreign-key join). A unique
+// build keeps two more arrays, one entry per bucket, for ProbeUnique: the
+// head row's key (an empty bucket holds a key of another bucket, so no
+// probe key matches it) and a flag for a chain longer than one.
 class JoinHashTable {
  public:
   JoinHashTable(const int64_t* keys, Rid n, Workspace* workspace)
@@ -130,10 +144,25 @@ class JoinHashTable {
     shift_ = 64 - static_cast<int>(std::countr_zero(buckets));
     for (Rid rid = 0; rid < n; ++rid) {
       Rid& head = heads_[Bucket(keys_[rid])];
+      // Once a key repeats, the build has duplicates and stops looking.
+      for (Rid r = unique_ ? head : kNone; r != kNone; r = next_[r]) {
+        if (keys_[r] == keys_[rid]) unique_ = false;
+      }
       next_[rid] = head;
       head = rid;
     }
+    if (!unique_) return;
+    head_keys_ = workspace->Take<int64_t>(buckets).data();
+    chained_ = workspace->Take<uint8_t>(buckets).data();
+    for (size_t b = 0; b < buckets; ++b) {
+      const Rid head = heads_[b];
+      head_keys_[b] = head == kNone ? EmptyKey(b) : keys_[head];
+      chained_[b] = head != kNone && next_[head] != kNone;
+    }
   }
+
+  // Whether no two build rows share a key.
+  bool unique() const { return unique_; }
 
   // Calls `fn(build_row)` for every build row whose key equals `key`.
   template <typename Fn>
@@ -141,6 +170,36 @@ class JoinHashTable {
     for (Rid rid = heads_[Bucket(key)]; rid != kNone; rid = next_[rid]) {
       if (keys_[rid] == key) fn(rid);
     }
+  }
+
+  // Unique builds only: stores the (build row, probe row) pair of each
+  // matching probe row in [begin, end) at build_out/probe_out[fill], in
+  // probe-row order, and returns the new fill. Every row stores a
+  // candidate pair and advances the fill by one compare, with no branch on
+  // hit or miss; only a chained bucket walks its chain, the same way. A
+  // row's stores land at most one slot past its own index.
+  Rid ProbeUnique(const ColumnView& probe_keys, Rid begin, Rid end, Rid fill,
+                  Rid* build_out, Rid* probe_out) const {
+    const int64_t* column = probe_keys.column->int64_data();
+    const Rid* selection = probe_keys.rids;
+    const Rid* heads = heads_.data();
+    for (Rid prid = begin; prid < end; ++prid) {
+      const int64_t key =
+          column[selection == nullptr ? prid : selection[prid]];
+      const size_t b = Bucket(key);
+      if (chained_[b] == 0) {
+        build_out[fill] = heads[b];
+        probe_out[fill] = prid;
+        fill += head_keys_[b] == key;
+        continue;
+      }
+      for (Rid rid = heads[b]; rid != kNone; rid = next_[rid]) {
+        build_out[fill] = rid;
+        probe_out[fill] = prid;
+        fill += keys_[rid] == key;
+      }
+    }
+    return fill;
   }
 
  private:
@@ -152,10 +211,21 @@ class JoinHashTable {
         (static_cast<uint64_t>(key) * 0x9E3779B97F4A7C15ULL) >> shift_);
   }
 
+  // The smallest non-negative key of a bucket other than `b`: 0 for every
+  // bucket but 0 itself, which takes 1.
+  int64_t EmptyKey(size_t b) const {
+    int64_t key = 0;
+    while (Bucket(key) == b) ++key;
+    return key;
+  }
+
   const int64_t* keys_;
   RidBuffer& next_;
   RidBuffer& heads_;
   int shift_ = 0;
+  bool unique_ = true;
+  int64_t* head_keys_ = nullptr;  // unique builds: each bucket's head key
+  uint8_t* chained_ = nullptr;    // unique builds: chain longer than one
 };
 
 }  // namespace
@@ -197,18 +267,30 @@ Result<RowSet> HashJoinOp::Execute(ExecContext* ctx) const {
                        output_columns_));
   const uint64_t row_bytes = ApproximateRowBytes(plan.schema);
   const Rid probe_n = probe_rows.num_rows();
-  // A probe row matches at most one build row when the build keys are
-  // unique (a foreign key probing its primary key).
-  JoinPairs pairs(&workspace, probe_n);
+  // A unique build matches each probe row at most once, and ProbeUnique's
+  // stores land at most one slot past the probe row's own index: its pair
+  // buffers are sized once, at probe rows + 1.
+  const bool unique = hash_table.unique();
+  JoinPairs pairs = unique ? JoinPairs(workspace.Take<Rid>(probe_n + 1),
+                                       workspace.Take<Rid>(probe_n + 1))
+                           : JoinPairs(&workspace, probe_n);
+  Rid fill = 0;
   for (Rid start = 0; start < probe_n; start += kTickBatch) {
-    const size_t before = pairs.size();
+    const Rid before = fill;
     const Rid end = std::min(probe_n, start + kTickBatch);
-    for (Rid prid = start; prid < end; ++prid) {
-      hash_table.Probe(probe_keys.Int64At(prid),
-                       [&](Rid b) { pairs.Add(b, prid); });
+    if (unique) {
+      fill = hash_table.ProbeUnique(probe_keys, start, end, fill,
+                                    pairs.left.data(), pairs.right.data());
+    } else {
+      for (Rid prid = start; prid < end; ++prid) {
+        hash_table.Probe(probe_keys.Int64At(prid),
+                         [&](Rid b) { pairs.Add(b, prid); });
+      }
+      fill = pairs.size();
     }
-    RQO_RETURN_NOT_OK(ctx->TickRows(pairs.size() - before, row_bytes));
+    RQO_RETURN_NOT_OK(ctx->TickRows(fill - before, row_bytes));
   }
+  if (unique) pairs.KeepFirst(fill);
   RowSet out =
       plan.Join("hashjoin", build_rows, probe_rows, pairs, &workspace);
   ctx->meter.ChargeOutputTuples(ctx->cost_model, out.num_rows());
