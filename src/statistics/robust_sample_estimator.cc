@@ -258,33 +258,46 @@ Result<double> RobustSampleEstimator::EstimateRows(
   //
   // Two passes, both in table order: the first splits the predicate,
   // resolves each sample (fault sites + retries) and counts it (probe-cache
-  // lookup, else a sample scan); the second fills the cache, inverts the
-  // posteriors, emits traces and metrics and forms the selectivity product.
+  // lookup, else a sample scan); the second fills the cache on a miss,
+  // inverts the posteriors, emits traces and metrics and forms the
+  // selectivity product.
   struct TableProbe {
     std::string table;
+    std::string source;  // the probe-cache source, "sample:" + table
     expr::ExprPtr pred;
     size_t num_conjuncts = 0;
     uint64_t fingerprint = 0;
     const TableSample* sample = nullptr;
     bool sample_unavailable = false;
+    bool cache_hit = false;
     uint64_t k = 0;
   };
+  // The predicate's conjuncts with the columns each reads, split once for
+  // every table.
+  struct Conjunct {
+    expr::ExprPtr expr;
+    std::set<std::string> columns;
+  };
+  std::vector<Conjunct> conjuncts;
+  for (expr::ExprPtr& conjunct : expr::SplitConjuncts(request.predicate)) {
+    std::set<std::string> columns;
+    conjunct->CollectColumns(&columns);
+    conjuncts.push_back({std::move(conjunct), std::move(columns)});
+  }
   std::vector<TableProbe> probes;
   probes.reserve(request.tables.size());
   for (const std::string& table : request.tables) {
     const storage::Table* t = catalog.GetTable(table);
     std::vector<expr::ExprPtr> mine;
-    for (const auto& conjunct : expr::SplitConjuncts(request.predicate)) {
-      std::set<std::string> columns;
-      conjunct->CollectColumns(&columns);
-      bool all_mine = !columns.empty();
-      for (const std::string& c : columns) {
+    for (const Conjunct& conjunct : conjuncts) {
+      bool all_mine = !conjunct.columns.empty();
+      for (const std::string& c : conjunct.columns) {
         if (!t->schema().HasColumn(c)) {
           all_mine = false;
           break;
         }
       }
-      if (all_mine) mine.push_back(conjunct);
+      if (all_mine) mine.push_back(conjunct.expr);
     }
     if (mine.empty()) continue;
     TableProbe probe;
@@ -298,16 +311,16 @@ Result<double> RobustSampleEstimator::EstimateRows(
     if (sample.ok()) {
       probe.sample = sample.value();
       probe.fingerprint = perf::FingerprintExpr(*probe.pred);
-      bool hit = false;
       if (context.probe_cache != nullptr) {
-        std::optional<perf::ProbeCount> cached = context.probe_cache->Lookup(
-            "sample:" + probe.table, probe.fingerprint);
-        hit = cached.has_value() &&
-              cached->sample_size == probe.sample->size();
-        if (hit) probe.k = cached->satisfying;
-        RecordCacheEvent(context, "probe", hit);
+        probe.source = std::string("sample:").append(table);
+        std::optional<perf::ProbeCount> cached =
+            context.probe_cache->Lookup(probe.source, probe.fingerprint);
+        probe.cache_hit = cached.has_value() &&
+                          cached->sample_size == probe.sample->size();
+        if (probe.cache_hit) probe.k = cached->satisfying;
+        RecordCacheEvent(context, "probe", probe.cache_hit);
       }
-      if (!hit) {
+      if (!probe.cache_hit) {
         probe.k =
             perf::BatchCountSatisfying(*probe.pred, probe.sample->rows());
       }
@@ -323,8 +336,9 @@ Result<double> RobustSampleEstimator::EstimateRows(
     const std::string& table = probe.table;
     const expr::ExprPtr& table_pred = probe.pred;
     if (probe.sample != nullptr) {
-      if (context.probe_cache != nullptr) {
-        context.probe_cache->Insert("sample:" + table, probe.fingerprint,
+      // A hit already holds this (k, n).
+      if (context.probe_cache != nullptr && !probe.cache_hit) {
+        context.probe_cache->Insert(probe.source, probe.fingerprint,
                                     {probe.k, probe.sample->size()});
       }
       const uint64_t k = probe.k;
